@@ -58,7 +58,6 @@ from .solvers import (
 from .analysis import (
     CheckResult,
     ErrorReport,
-    NormKind,
     SuiteReport,
     TolProfile,
     boundary_error,

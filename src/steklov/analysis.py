@@ -17,7 +17,6 @@ Norm conventions used throughout:
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 import random
@@ -50,16 +49,6 @@ from .spectrum import (
 )
 
 
-class NormKind(enum.Enum):
-    BOUNDARY_L2_WEIGHTED = "boundary-l2-weighted"
-    BOUNDARY_L2_RAW = "boundary-l2-raw"
-    BOUNDARY_SUP_SAMPLED = "boundary-sup-sampled"
-    INTERIOR_L2_GRID = "interior-l2-grid"
-    INTERIOR_SUP_GRID = "interior-sup-grid"
-    GRAPH_NORM = "graph-norm"
-    SPECTRAL_HALF_SEMINORM = "spectral-half-seminorm"
-
-
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
@@ -78,20 +67,25 @@ def boundary_l2(fn: Callable[[Side, float], float], rect: Rectangle,
     return math.sqrt(max(total, 0.0) / rect.perimeter)
 
 
-def boundary_sup(fn: Callable[[Side, float], float], rect: Rectangle,
+def boundary_sup(fn: Callable[[Side, np.ndarray], np.ndarray], rect: Rectangle,
                  samples_per_side: int = 1000, include_corners: bool = True) -> float:
-    """Sampled boundary sup of a (side, t) map."""
-    worst = 0.0
+    """Sampled boundary sup of a (side, t) map.
+
+    fn is called once per side with a numpy array of side parameters, the
+    nodes lo + i*step (i = 0..n) with corners, or the cell midpoints
+    lo + (i + 0.5)*step (i = 0..n-1) without, and returns the values there.
+    A NaN value makes the sup NaN.
+    """
+    sups = []
     for side in SIDES:
         lo, hi = rect.side_interval(side)
         step = (hi - lo) / samples_per_side
         if include_corners:
-            ts = (lo + i * step for i in range(samples_per_side + 1))
+            ts = lo + np.arange(samples_per_side + 1) * step
         else:
-            ts = (lo + (i + 0.5) * step for i in range(samples_per_side))
-        for t in ts:
-            worst = max(worst, abs(fn(side, t)))
-    return worst
+            ts = lo + (np.arange(samples_per_side) + 0.5) * step
+        sups.append(np.abs(fn(side, ts)).max(initial=0.0))
+    return float(np.max(sups))
 
 
 def interior_l2(fn_on_grid: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -295,7 +289,7 @@ def convergence_study(
     u_deep = solve(kind, g, deep, coefficients=coeffs)
 
     if exact is not None:
-        ref_boundary = lambda side, t: exact.value(*rect.side_point(side, t))
+        ref_boundary = BoundaryFunction.from_xy(exact.value, rect).value
         ref_interior = np.vectorize(exact.value)
     elif kind.name == "dirichlet":
         ref_boundary = lambda side, t: g.value(side, t)

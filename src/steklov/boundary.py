@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.integrate import quad
 
 from . import expressions
@@ -94,9 +95,13 @@ class BoundaryFunction:
         tree = expressions.parse(src)
         return cls.from_xy(lambda x, y: expressions.evaluate(tree, x, y), rect, src)
 
-    def value(self, side: Side, t: float) -> float:
+    def value(self, side: Side, t):
+        """Value at side(t); a numpy array of parameters gives an array of values."""
         x, y = self.rect.side_point(side, t)
-        return self.side_maps[side](x, y)
+        fn = self.side_maps[side]
+        if isinstance(t, np.ndarray):
+            return _map_points(fn, x, y)
+        return fn(x, y)
 
     def value_xy(self, x: float, y: float) -> float:
         """Value at a boundary point given by coordinates (non-corner)."""
@@ -146,6 +151,20 @@ class BoundaryFunction:
             for side, fn in self.side_maps.items()
         }
         return BoundaryFunction(self.rect, maps, f"{self.name}-bilinear")
+
+
+def _map_points(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """fn at every point of the arrays x, y.
+
+    A map written for floats (math functions, branches on the value) raises
+    TypeError or ValueError on arrays; it is then called point by point.
+    """
+    try:
+        out = np.asarray(fn(x, y), dtype=float)
+    except (TypeError, ValueError):
+        out = [fn(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+        return np.array(out, dtype=float).reshape(x.shape)
+    return out if out.shape == x.shape else np.broadcast_to(out, x.shape).copy()
 
 
 def _side_parameter(rect: Rectangle, side: Side, x: float, y: float) -> float:
@@ -323,12 +342,13 @@ def steklov_coefficients(
     return SteklovCoefficients(spec, gbar, values, estimates)
 
 
-def boundary_partial_sum(c: SteklovCoefficients, side: Side, t: float) -> float:
-    """The truncated expansion gbar + sum ghat_j s_j at a boundary point."""
-    acc = c.gbar
-    for ghat, mode in zip(c.values, c.spectrum.nonconstant):
-        acc += ghat * mode.trace(side, t)
-    return acc
+def boundary_partial_sum(c: SteklovCoefficients, side: Side, t):
+    """The truncated expansion gbar + sum ghat_j s_j at side(t).
+
+    A float for a float t; an array of values for a numpy array of parameters.
+    """
+    x, y = c.spectrum.rectangle.side_point(side, t)
+    return c.gbar + c.spectrum.expand(c.values, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ Commands:
     tables     recompute the published tables and grade agreement
     check      run the spectrum invariant suite
 
-Exit codes: 0 success, 1 failed checks, 2 invalid configuration or
-incompatible data, 3 root-finder failure.
+Exit codes: 0 success, 1 failed checks (invariant suite, or table entries out
+of tolerance), 2 invalid configuration or incompatible data, 3 root-finder
+failure.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _write_csv(path, rows, digits: int):
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--h", type=float, default=1.0, help="aspect ratio of the rectangle (0 < h <= 1)")
+    p.add_argument("--h", type=float, default=None,
+                   help="aspect ratio of the rectangle (0 < h <= 1; default 1, or the --cache's h)")
     p.add_argument("--abstol", type=float, default=1e-10, help="quadrature absolute tolerance")
     p.add_argument("--reltol", type=float, default=1e-6, help="quadrature relative tolerance")
     p.add_argument("--digits", type=int, choices=(6, 17), default=6, help="significant digits in output")
@@ -85,14 +87,18 @@ def _add_truncation(p: argparse.ArgumentParser):
 
 
 def _spectrum_from_args(args) -> Spectrum:
-    rect = Rectangle(args.h)
+    """The spectrum the truncation flags (or --cache) select; --h defaults to 1.
+
+    A cache fixes h: an omitted --h takes the cache's, a different one is an error.
+    """
     if getattr(args, "cache", None):
         spec = load_spectrum(args.cache)
-        if spec.rectangle.h != rect.h and args.h != 1.0:
+        if args.h is not None and args.h != spec.rectangle.h:
             raise ValueError(
                 f"cache is for h={spec.rectangle.h}, command asked for h={args.h}"
             )
         return spec
+    rect = Rectangle(1.0 if args.h is None else args.h)
     if args.count is not None:
         return build_spectrum_by_count(rect, args.count)
     if args.global_m is not None:
@@ -102,14 +108,7 @@ def _spectrum_from_args(args) -> Spectrum:
 
 
 def cmd_spectrum(args) -> int:
-    rect = Rectangle(args.h)
-    if args.count is not None:
-        spec = build_spectrum_by_count(rect, args.count)
-    elif args.global_m is not None:
-        spec = build_spectrum(rect, args.global_m, GLOBAL_SORTED)
-    else:
-        m = args.per_family if args.per_family is not None else (args.M or 5)
-        spec = build_spectrum(rect, m, PER_FAMILY)
+    spec = _spectrum_from_args(args)
     out = args.out or "spectrum.json"
     save_spectrum(spec, out)
     listing = [("index", "family", "nu", "delta")]
@@ -148,10 +147,10 @@ def _boundary_from_arg(text: str, rect: Rectangle, b=None):
 
 
 def cmd_solve(args, grid_only: bool = False) -> int:
-    rect = Rectangle(args.h)
+    spec = _spectrum_from_args(args)
+    rect = spec.rectangle
     b = args.b if args.kind == "robin" else None
     g = _boundary_from_arg(args.g, rect, b)
-    spec = _spectrum_from_args(args)
     common = dict(abstol=args.abstol, reltol=args.reltol, threads=args.threads)
     if args.kind == "dirichlet":
         u = solve_dirichlet(g, spec, use_corner_reduction=args.corner_reduction, **common)
@@ -232,7 +231,7 @@ def cmd_tables(args) -> int:
         if outdir:
             _write_csv(outdir / f"table_{tid:02d}.csv", result.csv_rows(), args.digits)
     print("all tables within tolerance" if all_ok else "some entries out of tolerance")
-    return 0
+    return 0 if all_ok else EXIT_CHECK_FAILED
 
 
 def _parse_which(text: str):
@@ -253,9 +252,7 @@ def _parse_which(text: str):
 
 
 def cmd_check(args) -> int:
-    rect = Rectangle(args.h)
-    m = args.per_family if args.per_family is not None else (args.M or 5)
-    spec = build_spectrum(rect, m, PER_FAMILY)
+    spec = _spectrum_from_args(args)
     report = invariant_suite(spec, TolProfile(), seed=args.seed)
     for c in report.checks:
         print(c.line())

@@ -12,6 +12,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class GeometryError(ValueError):
     """Invalid rectangle parameter or point outside the domain."""
@@ -71,9 +73,16 @@ class Rectangle:
         lo, hi = self.side_interval(side)
         return hi - lo
 
-    def side_point(self, side: Side, t: float) -> tuple[float, float]:
-        """Boundary point at parameter t, counterclockwise orientation."""
+    def side_point(self, side: Side, t):
+        """Boundary point at parameter t, counterclockwise orientation.
+
+        t is a float, or a numpy array of parameters for which the two
+        coordinates come back as arrays of t's shape. The float path stays
+        free of numpy: quadrature calls it once per node.
+        """
         lo, hi = self.side_interval(side)
+        if isinstance(t, np.ndarray):
+            return self._side_points(side, t, lo, hi)
         if not (lo <= t <= hi):
             raise GeometryError(f"parameter {t} outside {side.name} interval [{lo}, {hi}]")
         if side is Side.G1:
@@ -83,6 +92,20 @@ class Rectangle:
         if side is Side.G3:
             return (-1.0, -t)
         return (t, -self.h)
+
+    def _side_points(self, side: Side, t: np.ndarray, lo: float, hi: float):
+        outside = ~((lo <= t) & (t <= hi))
+        if outside.any():
+            bad = t[outside].flat[0]
+            raise GeometryError(f"parameter {bad} outside {side.name} interval [{lo}, {hi}]")
+        t = t.astype(float)
+        if side is Side.G1:
+            return np.full(t.shape, 1.0), t
+        if side is Side.G2:
+            return -t, np.full(t.shape, self.h)
+        if side is Side.G3:
+            return np.full(t.shape, -1.0), -t
+        return t, np.full(t.shape, -self.h)
 
     def outward_normal(self, side: Side) -> tuple[float, float]:
         return {

@@ -102,13 +102,14 @@ class SteklovApproximation:
         a0, a1, a2, a3 = self.lift
         return a0 + a1 * x + a2 * y + a3 * x * y
 
+    def _sum(self, x, y):
+        """constant + lift + sum_j w_j s_j at a point, or at 1-D arrays of points."""
+        return self.constant_term + self._lift_value(x, y) + self.spectrum.expand(self.weights, x, y)
+
     def eval(self, x: float, y: float) -> float:
         """Value at a point of the closed rectangle."""
         self.rect.require_inside(x, y)
-        acc = self.constant_term + self._lift_value(x, y)
-        for w, mode in zip(self.weights, self.spectrum.nonconstant):
-            acc += w * mode._value_unchecked(x, y)
-        return acc
+        return self._sum(x, y)
 
     def eval_gradient(self, x: float, y: float) -> tuple[float, float]:
         """Term-by-term gradient; one-sided (and flagged) on the boundary."""
@@ -173,13 +174,9 @@ class SteklovApproximation:
             gy += w * my
         return gx, gy
 
-    def boundary_value(self, side: Side, t: float) -> float:
-        """Trace of the approximation at a boundary point."""
-        x, y = self.rect.side_point(side, t)
-        acc = self.constant_term + self._lift_value(x, y)
-        for w, mode in zip(self.weights, self.spectrum.nonconstant):
-            acc += w * mode._value_unchecked(x, y)
-        return acc
+    def boundary_value(self, side: Side, t):
+        """Trace of the approximation at side(t); an array for an array of parameters."""
+        return self._sum(*self.rect.side_point(side, t))
 
     def boundary_normal_derivative(self, side: Side, t: float) -> float:
         acc = 0.0

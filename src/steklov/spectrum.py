@@ -33,6 +33,9 @@ import enum
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+
+import numpy as np
 
 from .geometry import Rectangle, Side
 
@@ -544,6 +547,67 @@ class Spectrum:
     @property
     def nonconstant(self) -> tuple[SteklovMode, ...]:
         return self.modes[1:]
+
+    @cached_property
+    def _columns(self) -> dict:
+        """Per-mode parameters of the nonconstant modes, for Spectrum.values.
+
+        nu, norm_scaled, hyp_scale and hyp_x (hyperbolic factor along x) are
+        (K, 1) columns that broadcast against a row of N points; cosh, cos
+        and xy are 1-D row masks. The xy mode's profile flags are
+        placeholders: its rows are overwritten with norm * x * y.
+        """
+        modes = self.nonconstant
+        info = [_FAMILIES.get(md.family, _FAMILIES[FamilyTag.F1]) for md in modes]
+        column = lambda values, dtype=float: np.array(values, dtype=dtype).reshape(-1, 1)
+        return {
+            "nu": column([md.nu for md in modes]),
+            "norm_scaled": column([md.norm_scaled for md in modes]),
+            "hyp_scale": column([md.hyp_scale for md in modes]),
+            "hyp_x": column([i.hyp_axis == "x" for i in info], bool),
+            "cosh": np.array([i.hyp == "cosh" for i in info], dtype=bool),
+            "cos": np.array([i.trig == "cos" for i in info], dtype=bool),
+            "xy": np.array([md.family is FamilyTag.XY for md in modes], dtype=bool),
+        }
+
+    def values(self, x, y) -> np.ndarray:
+        """The nonconstant modes at N points: a (K, N) matrix, row j for mode j+1.
+
+        x and y are 1-D arrays of N coordinates (no domain check). The
+        formulas and their order of operations are those of
+        SteklovMode.value_array, with the hyperbolic factor in exponentially
+        rescaled form; all K modes are evaluated at once.
+        """
+        c = self._columns
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        z = np.where(c["hyp_x"], x, y) * c["nu"]
+        arg = np.where(c["hyp_x"], y, x) * c["nu"]
+        az = np.abs(z)
+        hyp = np.exp(az - c["hyp_scale"])
+        ch, sh = c["cosh"], ~c["cosh"]
+        hyp[ch] = 0.5 * hyp[ch] * (1.0 + np.exp(-2.0 * az[ch]))
+        hyp[sh] = np.sign(z[sh]) * 0.5 * hyp[sh] * (-np.expm1(-2.0 * az[sh]))
+        del z, az
+        cos, sin = c["cos"], ~c["cos"]
+        arg[cos] = np.cos(arg[cos])
+        arg[sin] = np.sin(arg[sin])
+        out = c["norm_scaled"] * hyp
+        out *= arg
+        xy = c["xy"]
+        if xy.any():
+            out[xy] = c["norm_scaled"][xy] * x * y
+        return out
+
+    def expand(self, weights, x, y):
+        """sum_j weights[j] * s_j(x, y) over the nonconstant modes.
+
+        A float at one point (float x and y), an array at a 1-D array of points.
+        """
+        w = np.asarray(weights, dtype=float)
+        if isinstance(x, np.ndarray):
+            return w @ self.values(x, y)
+        return float((w @ self.values((x,), (y,)))[0])
 
     @property
     def max_delta(self) -> float:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import reference_tables as ref
 from .analysis import boundary_l2, boundary_sup
-from .boundary import boundary_partial_sum, steklov_coefficients
+from .boundary import BoundaryFunction, boundary_partial_sum, steklov_coefficients
 from .catalog import builtin_boundary, exact_solution_for
 from .geometry import Rectangle
 from .solvers import solve_dirichlet, solve_neumann, solve_robin
@@ -59,7 +59,7 @@ class TableResult:
 
 
 class TableWorkspace:
-    """Memoizes spectra and coefficient sets across table reproductions."""
+    """Memoizes spectra, coefficient sets and rerr table rows across table reproductions."""
 
     def __init__(self, abstol: float = 1e-10, reltol: float = 1e-6, depth: int = 41):
         self.abstol = abstol
@@ -67,6 +67,7 @@ class TableWorkspace:
         self.depth = depth
         self._spectra: dict = {}
         self._coeffs: dict = {}
+        self._rerr_rows: dict = {}  # (table_id, policy) -> rows of tables 4-9, reused by table 10
 
     def deep_spectrum(self, h: float) -> Spectrum:
         if h not in self._spectra:
@@ -182,18 +183,21 @@ def reproduce_rerr(table_id: int, ws: Optional[TableWorkspace] = None,
     data = ref.RERR_TABLES[table_id]
     norm, h = data["norm"], data["h"]
     header = ("data", "M", "computed", "printed", "rel_diff", "within", "note")
-    rows = []
-    for name, printed_row in data["values"].items():
-        for i, m in enumerate(ref.M_VALUES):
-            val = _data_rerr(ws, name, h, m, norm, policy)
-            printed = printed_row[i]
-            within, note = _grade_rel(val, printed, ref.RERR_TOL)
-            rows.append((name, m, val, printed, abs(val - printed) / printed, within, note))
+    key = (table_id, policy)
+    if key not in ws._rerr_rows:
+        rows = []
+        for name, printed_row in data["values"].items():
+            for i, m in enumerate(ref.M_VALUES):
+                val = _data_rerr(ws, name, h, m, norm, policy)
+                printed = printed_row[i]
+                within, note = _grade_rel(val, printed, ref.RERR_TOL)
+                rows.append((name, m, val, printed, abs(val - printed) / printed, within, note))
+        ws._rerr_rows[key] = tuple(rows)
     return TableResult(
         table_id,
         f"rerr_{norm} of f1/f2/f3, h={h}",
         header,
-        rows,
+        list(ws._rerr_rows[key]),
         "5% rel",
     )
 
@@ -252,7 +256,7 @@ def reproduce_solution(table_id: int, ws: Optional[TableWorkspace] = None,
     exact = exact_solution_for(name)
     coeffs = ws.coefficients(name, h, ws.base_spectrum(h, policy))
 
-    ex_b = lambda side, t: exact.value(*rect.side_point(side, t))
+    ex_b = BoundaryFunction.from_xy(exact.value, rect).value
     ex_sup = boundary_sup(ex_b, rect)
     ex_l2 = boundary_l2(ex_b, rect)
 

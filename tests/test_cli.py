@@ -188,3 +188,62 @@ def test_coefficient_echo(capsys):
                 "--points", "paper", "--print-coefficients", "--points-out", "-"]) == 0
     out = capsys.readouterr().out
     assert "index,family,nu,delta,coefficient,weight" in out
+
+
+def test_tables_exit_1_when_an_entry_fails(monkeypatch, capsys):
+    from steklov.tables import TableResult
+
+    failing = TableResult(4, "stub", ("data", "M", "computed", "printed", "rel_diff", "within", "note"),
+                          [("f1", 2, 1.0, 2.0, 0.5, False, "")], "5% rel")
+    monkeypatch.setattr("steklov.cli.reproduce_table", lambda tid, ws, policy: failing)
+    assert run(["tables", "--which", "4"]) == 1
+    assert "some entries out of tolerance" in capsys.readouterr().out
+
+
+@pytest.fixture()
+def half_cache(tmp_path):
+    cache = tmp_path / "half.json"
+    assert run(["spectrum", "--h", "0.5", "--count", "16",
+                "--out", str(cache), "--csv", str(tmp_path / "half.csv")]) == 0
+    return cache
+
+
+def test_cache_supplies_h_when_omitted(tmp_path, half_cache):
+    out = tmp_path / "g.csv"
+    assert run(["grid", "--g", "builtin:f1", "--cache", str(half_cache),
+                "--grid", "5", "--out", str(out)]) == 0
+    ys = sorted({float(r[1]) for r in read_csv(out)[1:]})
+    assert ys[0] == -0.5 and ys[-1] == 0.5
+
+
+@pytest.mark.parametrize("h", ["1", "0.8"])
+def test_cache_for_another_h_exits_2(tmp_path, half_cache, capsys, h):
+    assert run(["grid", "--g", "builtin:f1", "--h", h, "--cache", str(half_cache),
+                "--grid", "5", "--out", str(tmp_path / "g.csv")]) == 2
+    assert "cache is for h=0.5" in capsys.readouterr().err
+
+
+def test_check_honours_count_and_global(monkeypatch):
+    from steklov.analysis import SuiteReport
+
+    seen = []
+    monkeypatch.setattr("steklov.cli.invariant_suite",
+                        lambda spec, tols, seed: seen.append(spec) or SuiteReport(()))
+    assert run(["check", "--h", "0.8", "--count", "7"]) == 0
+    assert run(["check", "--h", "0.8", "--global", "1"]) == 0
+    assert [len(s.nonconstant) for s in seen] == [7, 8]
+    assert all(s.selection == "global-sorted" for s in seen)
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--csv", "-"],
+    ["solve", "--g", "builtin:f1", "--points", "paper"],
+    ["grid", "--g", "builtin:f1", "--grid", "5"],
+    ["check"],
+])
+@pytest.mark.parametrize("flag", ["--M", "--per-family", "--global"])
+def test_zero_depth_exits_2(tmp_path, command, flag):
+    argv = command + [flag, "0"]
+    if command[0] in ("spectrum", "grid"):
+        argv += ["--out", str(tmp_path / "out")]
+    assert run(argv) == 2

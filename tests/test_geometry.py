@@ -57,3 +57,26 @@ def test_classify_boundary_point():
         r.classify_boundary_point(1.0, 1.0)  # corner
     with pytest.raises(GeometryError):
         r.classify_boundary_point(0.5, 0.5)  # interior
+
+
+def test_side_point_on_arrays_matches_scalar():
+    import numpy as np
+
+    r = Rectangle(0.5)
+    for side in SIDES:
+        lo, hi = r.side_interval(side)
+        ts = np.linspace(lo, hi, 7)
+        xs, ys = r.side_point(side, ts)
+        assert xs.shape == ys.shape == ts.shape
+        assert [(x, y) for x, y in zip(xs.tolist(), ys.tolist())] == [
+            r.side_point(side, t) for t in ts.tolist()
+        ]
+
+
+@pytest.mark.parametrize("bad", [0.51, -0.5000001, math.nan])
+def test_array_side_parameter_domain(bad):
+    import numpy as np
+
+    r = Rectangle(0.5)
+    with pytest.raises(GeometryError):
+        r.side_point(Side.G1, np.array([-0.5, 0.0, bad, 0.5]))

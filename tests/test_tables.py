@@ -66,3 +66,19 @@ def test_summary_and_csv_shape(all_table_results):
     rows = list(r.csv_rows())
     assert rows[0] == list(r.header)
     assert len(rows) == r.n_total + 1
+
+
+def test_table_10_reuses_tables_4_to_9(monkeypatch):
+    import steklov.tables as tables
+
+    ws = TableWorkspace()
+    for tid in range(4, 10):
+        reproduce_table(tid, ws)
+    calls = []
+    real = tables._data_rerr
+    monkeypatch.setattr(tables, "_data_rerr", lambda *a: calls.append(a) or real(*a))
+    memoised = reproduce_table(10, ws)
+    assert calls == []
+    monkeypatch.undo()
+    fresh = reproduce_table(10, TableWorkspace())
+    assert memoised.rows == fresh.rows
