@@ -9,10 +9,28 @@ All boundary inner products carry the 1/perimeter weight, so the
 boundary-normalized eigenfunctions are an orthonormal family and the
 coefficient of data g against mode j is ghat_j = integral(g * s_j) / |dOmega|.
 Raw (unweighted) arc-length integrals are what integrate_boundary returns.
+
+Coefficients come from one fixed node set per (rectangle, nu_max), where
+nu_max is the largest frequency of the spectrum. Each side is cut into
+composite Gauss-Legendre panels of _PANEL_POINTS nodes, no wider than
+_PANEL_WIDTH / nu_max, and graded geometrically toward both corners (ratio
+_GRADING, smallest corner panel _CORNER_PANEL of the panel width), where the
+O(1/nu) layers of cosh(nu x) sit. Every mode trace is analytic on each side,
+so these panels converge geometrically. Level 1 is level 0 with every panel
+halved. All integrals are S @ (w * g) at both levels, with S the (K, N)
+matrix of Spectrum.values evaluated _BLOCK nodes at a time, and g evaluated
+once per node. S is evaluated on G1 and G2 only: G3 and G4 are their point
+reflections, and every mode is even or odd under p -> -p. An entry's error
+estimate is |I1 - I0|, its value I1; an entry whose estimate misses
+max(abstol, reltol * |I1|) is recomputed by adaptive Gauss-Kronrod
+(integrate_boundary), which raises QuadratureError naming the mode if it
+fails too. The orthonormality Gram matrix of a spectrum (mode_gram_matrix)
+uses the level-1 nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +38,7 @@ from scipy.integrate import quad
 
 from . import expressions
 from .geometry import Rectangle, Side, SIDES
-from .spectrum import Spectrum, SteklovMode
+from .spectrum import FamilyTag, Spectrum, SteklovMode, family_class
 
 
 class QuadratureError(RuntimeError):
@@ -290,56 +308,155 @@ class SteklovCoefficients:
         return self.gbar * self.gbar + sum(v * v for v in self.values)
 
 
+# Fixed-node quadrature. A panel is at most _PANEL_WIDTH / nu_max wide, so
+# the product of two mode traces turns through at most 2 * _PANEL_WIDTH
+# radians (or e-folds) across it, which _PANEL_POINTS Gauss-Legendre nodes
+# integrate to rounding.
+_PANEL_POINTS = 24
+_PANEL_WIDTH = 16.0
+_GRADING = 4.0
+_CORNER_PANEL = 1e-3
+_BLOCK = 64  # nodes per block of S: S never exists as a whole (K, N) matrix
+
+# Corner breakpoints as fractions of the panel width: 1e-3, 4e-3, ..., 0.256.
+_CORNER_BREAKS = _CORNER_PANEL * _GRADING ** np.arange(
+    math.ceil(math.log(1.0 / _CORNER_PANEL) / math.log(_GRADING))
+)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_POINTS)
+
+
+def _panel_breaks(length: float, width: float) -> np.ndarray:
+    """Panel breakpoints on [0, length]: equal panels no wider than `width`
+    in the middle, graded geometrically toward both ends."""
+    w = min(width, 0.5 * length)
+    n_mid = max(1, math.ceil((length - 2.0 * w) / w))
+    corner = w * np.concatenate(([0.0], _CORNER_BREAKS))
+    middle = np.linspace(w, length - w, n_mid + 1)
+    return np.unique(np.concatenate((corner, middle, length - corner)))
+
+
+# G3 and G4 are the point reflections of G1 and G2 at the same parameter:
+# G3(t) = -G1(t) and G4(t) = -G2(t).
+_REFLECTED = {Side.G1: Side.G3, Side.G2: Side.G4}
+
+
+def _boundary_nodes(rect: Rectangle, nu_max: float, level: int):
+    """Composite Gauss-Legendre nodes on G1 and G2, level 0 or 1.
+
+    Yields (side, t, x, y, weight) per side: t holds the side parameters and
+    weight the arc-length weights. The nodes of the reflected side
+    _REFLECTED[side] are the same t, at the points (-x, -y). Level 1 halves
+    every panel of level 0.
+    """
+    width = _PANEL_WIDTH / nu_max if nu_max > 0.0 else math.inf
+    for side in _REFLECTED:
+        lo, hi = rect.side_interval(side)
+        breaks = _panel_breaks(hi - lo, width)
+        if level:
+            breaks = np.sort(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]))))
+        mid = 0.5 * (breaks[:-1] + breaks[1:])[:, None]
+        half = 0.5 * np.diff(breaks)[:, None]
+        t = (lo + mid + half * _GL_NODES).ravel()
+        yield (side, t, *rect.side_point(side, t), (half * _GL_WEIGHTS).ravel())
+
+
+def _nu_max(spec: Spectrum) -> float:
+    return max((md.nu for md in spec.nonconstant), default=0.0)
+
+
+def _reflection_signs(spec: Spectrum) -> np.ndarray:
+    """sigma_j with s_j(-x, -y) = sigma_j * s_j(x, y), constant mode first.
+
+    Classes I and II are even under the point reflection, III and IV odd.
+    """
+    return np.array([1.0 if family_class(md.family) in ("I", "II") else -1.0 for md in spec.modes])
+
+
+def _mode_blocks(spec: Spectrum, x: np.ndarray, y: np.ndarray):
+    """(slice, Spectrum.values block) over consecutive blocks of _BLOCK nodes."""
+    for start in range(0, x.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        yield block, spec.values(x[block], y[block])
+
+
+def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
+    """Weighted boundary inner products of all modes, constant first.
+
+    The (K+1, K+1) matrix S W S^T / |dOmega| on the level-1 nodes; for an
+    orthonormal spectrum it is the identity. The nodes of G3 and G4 enter
+    through the reflection signs, so modes of opposite sign are exactly
+    orthogonal.
+    """
+    rect = spec.rectangle
+    gram = np.zeros((len(spec.modes), len(spec.modes)))
+    for _, _, x, y, w in _boundary_nodes(rect, _nu_max(spec), 1):
+        for block, s in _mode_blocks(spec, x, y):
+            s = np.vstack((np.ones(s.shape[1]), s))
+            gram += (s * w[block]) @ s.T
+    sigma = _reflection_signs(spec)
+    return gram * (1.0 + np.outer(sigma, sigma)) / rect.perimeter
+
+
 def steklov_coefficients(
     g: BoundaryFunction,
     spec: Spectrum,
     abstol: float = 1e-10,
     reltol: float = 1e-6,
     limit: int = 200,
-    threads: int = 1,
 ) -> SteklovCoefficients:
-    """Weighted boundary inner products of g with every spectrum mode."""
+    """Weighted boundary inner products of g with every spectrum mode.
+
+    Fixed-node quadrature at two levels (see the module docstring); entries
+    whose two-level difference misses max(abstol, reltol * |I|) on the raw
+    integral I are recomputed adaptively with (abstol, reltol, limit).
+    """
     if g.rect != spec.rectangle:
         raise ValueError("boundary data and spectrum live on different rectangles")
-    perim = spec.rectangle.perimeter
+    if abstol <= 0.0 or reltol <= 0.0:
+        raise ValueError("tolerances must be positive")
+    rect = spec.rectangle
+    nu_max = _nu_max(spec)
+    sigma = _reflection_signs(spec)
+    raw = np.empty((len(spec.modes), 2))  # column: level; rows: constant, then the modes
+    for level in (0, 1):
+        sums = np.zeros((len(spec.modes), 2))  # columns: over G1 and G2, over G3 and G4
+        for side, t, x, y, w in _boundary_nodes(rect, nu_max, level):
+            wg = w[:, None] * np.column_stack((g.value(side, t), g.value(_REFLECTED[side], t)))
+            sums[0] += wg.sum(axis=0)
+            for block, s in _mode_blocks(spec, x, y):
+                sums[1:] += s @ wg[block]
+        raw[:, level] = sums[:, 0] + sigma * sums[:, 1]
+    values = raw[:, 1].copy()
+    estimates = np.abs(raw[:, 1] - raw[:, 0])
+    # a NaN estimate misses its target too
+    missed = np.flatnonzero(~(estimates <= np.maximum(abstol, reltol * np.abs(values))))
+    for j in missed:
+        values[j], estimates[j] = _adaptive_coefficient(g, spec.modes[j], abstol, reltol, limit)
+    values /= rect.perimeter
+    estimates /= rect.perimeter
+    return SteklovCoefficients(spec, float(values[0]), tuple(values[1:].tolist()), tuple(estimates.tolist()))
 
-    def one(mode: SteklovMode | None):
-        if mode is None:
-            integrand = g
-        else:
-            maps = {
-                side: (
-                    lambda x, y, fn=g.side_maps[side], md=mode: fn(x, y)
-                    * md._value_unchecked(x, y)
-                )
-                for side in SIDES
-            }
-            integrand = BoundaryFunction(g.rect, maps)
-        try:
-            raw, est = integrate_boundary(integrand, abstol, reltol, limit)
-        except QuadratureError as exc:
-            label = "mean value" if mode is None else f"mode {mode.family.value}, nu={mode.nu:.6g}"
-            raise QuadratureError(
-                f"coefficient quadrature failed for {label}: {exc}",
-                exc.side,
-                exc.partial_value / perim,
-                exc.estimate / perim,
-            ) from exc
-        return raw / perim, est / perim
 
-    jobs = [None] + list(spec.nonconstant)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, jobs))
+def _adaptive_coefficient(g: BoundaryFunction, mode: SteklovMode, abstol, reltol, limit):
+    """Raw integral of g * mode and its estimate by integrate_boundary."""
+    if mode.family is FamilyTag.CONST:
+        integrand = g
     else:
-        results = [one(job) for job in jobs]
-
-    gbar = results[0][0]
-    values = tuple(r[0] for r in results[1:])
-    estimates = tuple(r[1] for r in results)
-    return SteklovCoefficients(spec, gbar, values, estimates)
+        integrand = BoundaryFunction(g.rect, {
+            side: (lambda x, y, fn=fn: fn(x, y) * mode._value_unchecked(x, y))
+            for side, fn in g.side_maps.items()
+        })
+    try:
+        return integrate_boundary(integrand, abstol, reltol, limit)
+    except QuadratureError as exc:
+        perim = g.rect.perimeter
+        label = "mean value" if mode.family is FamilyTag.CONST else f"mode {mode.family.value}, nu={mode.nu:.6g}"
+        raise QuadratureError(
+            f"coefficient quadrature failed for {label}: {exc}",
+            exc.side,
+            exc.partial_value / perim,
+            exc.estimate / perim,
+        ) from exc
 
 
 def boundary_partial_sum(c: SteklovCoefficients, side: Side, t):

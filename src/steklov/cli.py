@@ -64,14 +64,20 @@ def _write_csv(path, rows, digits: int):
                 w.writerow(row)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--h", type=float, default=None,
-                   help="aspect ratio of the rectangle (0 < h <= 1; default 1, or the --cache's h)")
+def _add_precision(p: argparse.ArgumentParser):
     p.add_argument("--abstol", type=float, default=1e-10, help="quadrature absolute tolerance")
     p.add_argument("--reltol", type=float, default=1e-6, help="quadrature relative tolerance")
     p.add_argument("--digits", type=int, choices=(6, 17), default=6, help="significant digits in output")
+
+
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--h", type=float, default=None,
+                   help="aspect ratio of the rectangle (0 < h <= 1; default 1, or the --cache's h)")
+    _add_precision(p)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for coefficient quadrature")
+
+
+_TRUNCATION_FLAGS = {"per_family": "--per-family", "global_m": "--global", "count": "--count", "M": "--M"}
 
 
 def _add_truncation(p: argparse.ArgumentParser):
@@ -82,16 +88,20 @@ def _add_truncation(p: argparse.ArgumentParser):
                    help="keep the 8M smallest eigenvalues overall")
     g.add_argument("--count", type=int, metavar="N",
                    help="keep the N smallest nonconstant eigenvalues")
-    p.add_argument("--M", type=int, default=None,
+    g.add_argument("--M", type=int, default=None,
                    help="shorthand for --per-family M")
 
 
 def _spectrum_from_args(args) -> Spectrum:
     """The spectrum the truncation flags (or --cache) select; --h defaults to 1.
 
-    A cache fixes h: an omitted --h takes the cache's, a different one is an error.
+    A cache fixes h and the truncation: an omitted --h takes the cache's, a
+    different one is an error, and so is any truncation flag.
     """
     if getattr(args, "cache", None):
+        given = [flag for dest, flag in _TRUNCATION_FLAGS.items() if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(f"--cache fixes the truncation; drop {', '.join(given)}")
         spec = load_spectrum(args.cache)
         if args.h is not None and args.h != spec.rectangle.h:
             raise ValueError(
@@ -151,7 +161,7 @@ def cmd_solve(args, grid_only: bool = False) -> int:
     rect = spec.rectangle
     b = args.b if args.kind == "robin" else None
     g = _boundary_from_arg(args.g, rect, b)
-    common = dict(abstol=args.abstol, reltol=args.reltol, threads=args.threads)
+    common = dict(abstol=args.abstol, reltol=args.reltol)
     if args.kind == "dirichlet":
         u = solve_dirichlet(g, spec, use_corner_reduction=args.corner_reduction, **common)
     elif args.kind == "robin":
@@ -300,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", default=None, help="load the spectrum from a cache file")
         p.set_defaults(func=lambda a, go=grid_only: cmd_solve(a, grid_only=go))
 
-    p = sub.add_parser("tables", help="recompute the published tables")
-    _add_common(p)
+    # without abbreviations, so that --h is an unknown flag, not --help
+    p = sub.add_parser("tables", help="recompute the published tables", allow_abbrev=False)
+    _add_precision(p)
     p.add_argument("--which", default="all", help="table ids, e.g. 1-3,11 (default all)")
     p.add_argument("--out", default=None, help="directory for per-table CSVs")
     p.add_argument("--policy", choices=(POLICY_PREFIX, PER_FAMILY, GLOBAL_SORTED),

@@ -214,7 +214,6 @@ def solve_dirichlet(
     coefficients: Optional[SteklovCoefficients] = None,
     abstol: float = 1e-10,
     reltol: float = 1e-6,
-    threads: int = 1,
 ) -> SteklovApproximation:
     """Harmonic extension of g, truncated to the given spectrum."""
     lift = None
@@ -223,7 +222,7 @@ def solve_dirichlet(
         lift = (a0, a1, a2, a3)
         coefficients = None  # coefficients of the reduced data are required
     if coefficients is None:
-        coefficients = steklov_coefficients(g, spec, abstol, reltol, threads=threads)
+        coefficients = steklov_coefficients(g, spec, abstol, reltol)
     kind = ProblemKind.dirichlet()
     return SteklovApproximation(
         kind, spec, coefficients, _weights_for(kind, coefficients), coefficients.gbar, lift
@@ -237,12 +236,11 @@ def solve_robin(
     coefficients: Optional[SteklovCoefficients] = None,
     abstol: float = 1e-10,
     reltol: float = 1e-6,
-    threads: int = 1,
 ) -> SteklovApproximation:
     """Galerkin solution of D_nu u + b u = g over the spectrum's modes."""
     kind = ProblemKind.robin(b)
     if coefficients is None:
-        coefficients = steklov_coefficients(g, spec, abstol, reltol, threads=threads)
+        coefficients = steklov_coefficients(g, spec, abstol, reltol)
     return SteklovApproximation(
         kind, spec, coefficients, _weights_for(kind, coefficients), coefficients.gbar / b
     )
@@ -263,12 +261,11 @@ def solve_neumann(
     coefficients: Optional[SteklovCoefficients] = None,
     abstol: float = 1e-10,
     reltol: float = 1e-6,
-    threads: int = 1,
 ) -> SteklovApproximation:
     """Minimum-norm solution of D_nu u = g; data must have zero boundary mean."""
     kind = ProblemKind.neumann()
     if coefficients is None:
-        coefficients = steklov_coefficients(g, spec, abstol, reltol, threads=threads)
+        coefficients = steklov_coefficients(g, spec, abstol, reltol)
     if mean_tol is None:
         mean_tol = neumann_mean_tolerance(g)
     if abs(coefficients.gbar) > mean_tol:

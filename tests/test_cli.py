@@ -247,3 +247,31 @@ def test_zero_depth_exits_2(tmp_path, command, flag):
     if command[0] in ("spectrum", "grid"):
         argv += ["--out", str(tmp_path / "out")]
     assert run(argv) == 2
+
+
+@pytest.mark.parametrize("other", [["--count", "5"], ["--per-family", "2"], ["--global", "1"]])
+def test_m_excludes_other_truncation_flags(tmp_path, capsys, other):
+    argv = ["spectrum", "--h", "0.8", "--M", "3", *other,
+            "--out", str(tmp_path / "s.json"), "--csv", str(tmp_path / "s.csv")]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("flag", [["--M", "2"], ["--count", "300"], ["--per-family", "2"], ["--global", "1"]])
+def test_cache_rejects_truncation_flags(tmp_path, half_cache, capsys, flag):
+    out = tmp_path / "g.csv"
+    assert run(["grid", "--g", "builtin:f1", "--cache", str(half_cache), *flag,
+                "--grid", "5", "--out", str(out)]) == 2
+    assert "--cache fixes the truncation; drop " + flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--h", "0.3"], ["--seed", "1"], ["--threads", "7"]])
+def test_tables_rejects_flags_it_ignores(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["tables", "--which", "1", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err

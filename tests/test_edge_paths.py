@@ -38,16 +38,6 @@ def test_coefficient_failure_names_the_mode():
     assert "quadrature failed" in str(err.value)
 
 
-def test_threaded_coefficients_match_serial():
-    rect = Rectangle(0.8)
-    spec = build_spectrum(rect, 2)
-    g = builtin_boundary("f3", rect)
-    serial = steklov_coefficients(g, spec)
-    threaded = steklov_coefficients(g, spec, threads=4)
-    assert serial.gbar == threaded.gbar
-    assert serial.values == threaded.values
-
-
 def test_deep_per_family_spectrum_flat_rectangle():
     spec = build_spectrum(Rectangle(0.5), 10)
     deltas = [m.delta for m in spec.modes]
@@ -67,12 +57,12 @@ def test_neumann_study_reports_b0_bound():
     assert reports[0].robin_bound > reports[1].robin_bound > 0.0
 
 
-def test_cli_points_file_and_threads(tmp_path):
+def test_cli_points_file(tmp_path):
     pts = tmp_path / "pts.csv"
     pts.write_text("x,y\n0.5,0.5\n0.0,0.0\n")
     out = tmp_path / "vals.csv"
     rc = main(["solve", "--g", "builtin:f1", "--h", "1", "--M", "2",
-               "--points", f"file:{pts}", "--points-out", str(out), "--threads", "2"])
+               "--points", f"file:{pts}", "--points-out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
