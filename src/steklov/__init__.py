@@ -17,8 +17,6 @@ from .spectrum import (
     find_roots,
     load_spectrum,
     make_mode,
-    mode_normal_derivative,
-    mode_value,
     save_spectrum,
     scale_mode,
     spectrum_from_json,
@@ -31,9 +29,7 @@ from .boundary import (
     SteklovCoefficients,
     boundary_partial_sum,
     corner_bilinear_reduction,
-    eval_boundary,
     integrate_boundary,
-    parse_expression,
     steklov_coefficients,
 )
 from .catalog import (

@@ -195,16 +195,6 @@ def _side_parameter(rect: Rectangle, side: Side, x: float, y: float) -> float:
     return x
 
 
-def eval_boundary(g: BoundaryFunction, side: Side, t: float) -> float:
-    """Value of g at the boundary point side(t); corners resolve per side."""
-    return g.value(side, t)
-
-
-def parse_expression(src: str, rect: Rectangle) -> BoundaryFunction:
-    """Parse an (x, y) expression and apply it on all four sides."""
-    return BoundaryFunction.from_expression(src, rect)
-
-
 # ---------------------------------------------------------------------------
 # adaptive quadrature
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import reference_tables as ref
 from .analysis import TolProfile, invariant_suite
-from .boundary import QuadratureError, parse_expression
+from .boundary import BoundaryFunction, QuadratureError
 from .catalog import boundary_data_from_spec, builtin_boundary, exact_solution_for
 from .geometry import GeometryError, Rectangle
 from .solvers import IncompatibleDataError, grid_points, solve_dirichlet, solve_neumann, solve_robin
@@ -149,7 +149,7 @@ def _boundary_from_arg(text: str, rect: Rectangle, b=None):
     if text.startswith("builtin:"):
         return builtin_boundary(text[8:], rect, b)
     if text.startswith("expr:"):
-        return parse_expression(text[5:], rect)
+        return BoundaryFunction.from_expression(text[5:], rect)
     if text.startswith("file:"):
         with open(text[5:], encoding="utf-8") as fh:
             return boundary_data_from_spec(json.load(fh), rect, b)

@@ -103,8 +103,17 @@ class SteklovApproximation:
         return a0 + a1 * x + a2 * y + a3 * x * y
 
     def _sum(self, x, y):
-        """constant + lift + sum_j w_j s_j at a point, or at 1-D arrays of points."""
+        """constant + lift + sum_j w_j s_j at points that broadcast; a float at one point."""
         return self.constant_term + self._lift_value(x, y) + self.spectrum.expand(self.weights, x, y)
+
+    def _gradient(self, x, y):
+        """Term-by-term gradient of _sum at the same points."""
+        gx, gy = self.spectrum.expand_gradient(self.weights, x, y)
+        if self.lift is not None:
+            a0, a1, a2, a3 = self.lift
+            gx += a1 + a3 * y
+            gy += a2 + a3 * x
+        return gx, gy
 
     def eval(self, x: float, y: float) -> float:
         """Value at a point of the closed rectangle."""
@@ -120,74 +129,34 @@ class SteklovApproximation:
                 BoundaryGradientWarning,
                 stacklevel=2,
             )
-        gx = gy = 0.0
-        if self.lift is not None:
-            a0, a1, a2, a3 = self.lift
-            gx += a1 + a3 * y
-            gy += a2 + a3 * x
-        for w, mode in zip(self.weights, self.spectrum.nonconstant):
-            mx, my = mode._gradient_unchecked(x, y)
-            gx += w * mx
-            gy += w * my
-        return gx, gy
+        return self._gradient(x, y)
 
     def eval_grid(self, nx: int, ny: int) -> np.ndarray:
-        """Values on the closed tensor grid, shape (ny, nx), x varying fastest."""
+        """Values on the closed tensor grid of grid_points, shape (ny, nx), x varying fastest."""
         if nx < 2 or ny < 2:
             raise ValueError("grids need at least 2 points per axis")
-        xs = np.linspace(-1.0, 1.0, nx)
-        ys = np.linspace(-self.rect.h, self.rect.h, ny)
-        X, Y = np.meshgrid(xs, ys)
-        U = np.full(X.shape, self.constant_term, dtype=float)
-        if self.lift is not None:
-            a0, a1, a2, a3 = self.lift
-            U += a0 + a1 * X + a2 * Y + a3 * X * Y
-        for w, mode in zip(self.weights, self.spectrum.nonconstant):
-            U += w * mode.value_array(X, Y)
+        xs, ys = _grid_axes(self.rect, nx, ny)
+        U = self.spectrum.expand_grid(self.weights, xs, ys)
+        U += self.constant_term + self._lift_value(xs, ys[:, None])
         return U
 
     def eval_array(self, x, y) -> np.ndarray:
-        """Vectorized values at arbitrary points of the closed rectangle."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        U = np.full(np.broadcast(x, y).shape, self.constant_term, dtype=float)
-        if self.lift is not None:
-            a0, a1, a2, a3 = self.lift
-            U += a0 + a1 * x + a2 * y + a3 * x * y
-        for w, mode in zip(self.weights, self.spectrum.nonconstant):
-            U += w * mode.value_array(x, y)
-        return U
+        """Vectorized values at arbitrary points of the closed rectangle (x, y broadcast)."""
+        return self._sum(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def gradient_arrays(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = np.broadcast(x, y).shape
-        gx = np.zeros(shape)
-        gy = np.zeros(shape)
-        if self.lift is not None:
-            a0, a1, a2, a3 = self.lift
-            gx += a1 + a3 * y
-            gy += a2 + a3 * x
-        for w, mode in zip(self.weights, self.spectrum.nonconstant):
-            mx, my = mode.gradient_arrays(x, y)
-            gx += w * mx
-            gy += w * my
-        return gx, gy
+        """Vectorized gradient components at points that broadcast."""
+        return self._gradient(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def boundary_value(self, side: Side, t):
         """Trace of the approximation at side(t); an array for an array of parameters."""
         return self._sum(*self.rect.side_point(side, t))
 
-    def boundary_normal_derivative(self, side: Side, t: float) -> float:
-        acc = 0.0
-        if self.lift is not None:
-            a0, a1, a2, a3 = self.lift
-            x, y = self.rect.side_point(side, t)
-            nx, ny = self.rect.outward_normal(side)
-            acc += (a1 + a3 * y) * nx + (a2 + a3 * x) * ny
-        for w, mode in zip(self.weights, self.spectrum.nonconstant):
-            acc += w * mode.normal_derivative_on(side, t)
-        return acc
+    def boundary_normal_derivative(self, side: Side, t):
+        """Outward normal derivative at side(t); an array for an array of parameters."""
+        gx, gy = self._gradient(*self.rect.side_point(side, t))
+        nx, ny = self.rect.outward_normal(side)
+        return gx * nx + gy * ny
 
     def restrict(self, sub: Spectrum) -> "SteklovApproximation":
         """The same solve truncated to a nested sub-spectrum."""
@@ -289,8 +258,10 @@ def solve(
     return solve_neumann(g, spec, **kwargs)
 
 
+def _grid_axes(rect: Rectangle, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.linspace(-1.0, 1.0, nx), np.linspace(-rect.h, rect.h, ny)
+
+
 def grid_points(rect: Rectangle, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
     """The tensor grid underlying eval_grid, as meshgrid arrays (ny, nx)."""
-    xs = np.linspace(-1.0, 1.0, nx)
-    ys = np.linspace(-rect.h, rect.h, ny)
-    return np.meshgrid(xs, ys)
+    return np.meshgrid(*_grid_axes(rect, nx, ny))

@@ -25,6 +25,11 @@ the periodic factor, which gives guaranteed brackets for bisection.
 Hyperbolic factors are evaluated in exponentially rescaled form, exp(nu*aH)
 factored out of both the raw profile and the normalization constant, so modes
 remain finite in double precision for nu up to roughly 700.
+
+A Spectrum evaluates all its nonconstant modes at once from these separable
+factors: the (K, N) matrix of values, the weighted expansion and its gradient
+at points (in blocks of bounded size), and the expansion on a tensor grid as
+one matrix product of the two factor matrices.
 """
 
 from __future__ import annotations
@@ -429,61 +434,6 @@ class SteklovMode:
         dv = self.norm_scaled * nu * hyp * dtrig
         return (du, dv) if info.hyp_axis == "x" else (dv, du)
 
-    def value_array(self, x, y):
-        """Vectorized value on numpy arrays of points (no domain check)."""
-        import numpy as np
-
-        fam = self.family
-        if fam is FamilyTag.CONST:
-            return np.ones(np.broadcast(x, y).shape)
-        if fam is FamilyTag.XY:
-            return self.norm_scaled * np.asarray(x) * np.asarray(y)
-        info = _FAMILIES[fam]
-        u, v = (x, y) if info.hyp_axis == "x" else (y, x)
-        z = self.nu * np.asarray(u)
-        az = np.abs(z)
-        core = np.exp(az - self.hyp_scale)
-        if info.hyp == "cosh":
-            hyp = 0.5 * core * (1.0 + np.exp(-2.0 * az))
-        else:
-            hyp = np.sign(z) * 0.5 * core * (-np.expm1(-2.0 * az))
-        arg = self.nu * np.asarray(v)
-        trig = np.cos(arg) if info.trig == "cos" else np.sin(arg)
-        return self.norm_scaled * hyp * trig
-
-    def gradient_arrays(self, x, y):
-        """Vectorized gradient components on numpy arrays (no domain check)."""
-        import numpy as np
-
-        fam = self.family
-        shape = np.broadcast(x, y).shape
-        if fam is FamilyTag.CONST:
-            return np.zeros(shape), np.zeros(shape)
-        if fam is FamilyTag.XY:
-            g = self.norm_scaled
-            return g * np.broadcast_to(np.asarray(y, dtype=float), shape).copy(), g * np.broadcast_to(
-                np.asarray(x, dtype=float), shape
-            ).copy()
-        info = _FAMILIES[fam]
-        u, v = (x, y) if info.hyp_axis == "x" else (y, x)
-        z = self.nu * np.asarray(u)
-        az = np.abs(z)
-        core = np.exp(az - self.hyp_scale)
-        cosh_s = 0.5 * core * (1.0 + np.exp(-2.0 * az))
-        sinh_s = np.sign(z) * 0.5 * core * (-np.expm1(-2.0 * az))
-        if info.hyp == "cosh":
-            hyp, dhyp = cosh_s, sinh_s
-        else:
-            hyp, dhyp = sinh_s, cosh_s
-        arg = self.nu * np.asarray(v)
-        if info.trig == "cos":
-            trig, dtrig = np.cos(arg), -np.sin(arg)
-        else:
-            trig, dtrig = np.sin(arg), np.cos(arg)
-        du = self.norm_scaled * self.nu * dhyp * trig
-        dv = self.norm_scaled * self.nu * hyp * dtrig
-        return (du, dv) if info.hyp_axis == "x" else (dv, du)
-
     def trace(self, side: Side, t: float) -> float:
         x, y = self.rect.side_point(side, t)
         return self._value_unchecked(x, y)
@@ -507,18 +457,6 @@ def make_mode(family: FamilyTag, rect: Rectangle, nu: float = 0.0, family_rank: 
     return SteklovMode(family, nu, delta, rect, scaled, s, family_rank=family_rank)
 
 
-def mode_value(mode: SteklovMode, x: float, y: float) -> float:
-    return mode.value(x, y)
-
-
-def mode_normal_derivative(mode: SteklovMode, x: float, y: float) -> float:
-    """Outward normal derivative at a non-corner boundary point."""
-    side = mode.rect.classify_boundary_point(x, y)
-    gx, gy = mode._gradient_unchecked(x, y)
-    nx, ny = mode.rect.outward_normal(side)
-    return gx * nx + gy * ny
-
-
 def scale_mode(mode: SteklovMode, L: float):
     """Dilate by L: eigenvalue delta/L, evaluator p -> mode((p/L))."""
     if L <= 0.0:
@@ -533,6 +471,12 @@ def scale_mode(mode: SteklovMode, L: float):
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
+
+# Mode x point entries per kernel call of Spectrum.expand and expand_gradient.
+# Bounds their working memory at any point count (128 kB per K x block matrix);
+# blocks of 2**12 to 2**16 entries timed fastest at 2**14 for 41-80 modes. A
+# block keeps at least 64 points, so per-call overhead stays small at large K.
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -549,65 +493,142 @@ class Spectrum:
         return self.modes[1:]
 
     @cached_property
-    def _columns(self) -> dict:
-        """Per-mode parameters of the nonconstant modes, for Spectrum.values.
+    def _factor_table(self):
+        """The 2K one-dimensional factors of the nonconstant modes, for _factors.
 
-        nu, norm_scaled, hyp_scale and hyp_x (hyperbolic factor along x) are
-        (K, 1) columns that broadcast against a row of N points; cosh, cos
-        and xy are 1-D row masks. The xy mode's profile flags are
-        placeholders: its rows are overwritten with norm * x * y.
+        Mode j+1 is Fx_j(x) * Fy_j(y). Along its hyperbolic axis a family mode
+        has the factor norm_scaled * cosh_or_sinh_scaled(nu * u), along the
+        other cos or sin(nu * v); xy is norm * x times y ("linear", nu = 1).
+        The factors are sorted by kind. Returns (axis, nu, groups, rows):
+        axis (0 for x, 1 for y) and the (2K, 1) column nu per factor; groups
+        of (kind, slice, nu, coef, hyp_scale) per kind; and rows, the (2, K)
+        positions of every mode's x- and y-factor.
         """
-        modes = self.nonconstant
-        info = [_FAMILIES.get(md.family, _FAMILIES[FamilyTag.F1]) for md in modes]
-        column = lambda values, dtype=float: np.array(values, dtype=dtype).reshape(-1, 1)
-        return {
-            "nu": column([md.nu for md in modes]),
-            "norm_scaled": column([md.norm_scaled for md in modes]),
-            "hyp_scale": column([md.hyp_scale for md in modes]),
-            "hyp_x": column([i.hyp_axis == "x" for i in info], bool),
-            "cosh": np.array([i.hyp == "cosh" for i in info], dtype=bool),
-            "cos": np.array([i.trig == "cos" for i in info], dtype=bool),
-            "xy": np.array([md.family is FamilyTag.XY for md in modes], dtype=bool),
-        }
+        factors = []
+        for j, md in enumerate(self.nonconstant):
+            if md.family is FamilyTag.XY:
+                factors += [("linear", 0, 1.0, md.norm_scaled, 0.0, j), ("linear", 1, 1.0, 1.0, 0.0, j)]
+                continue
+            info = _FAMILIES[md.family]
+            hyp_axis = 0 if info.hyp_axis == "x" else 1
+            factors += [
+                (info.hyp, hyp_axis, md.nu, md.norm_scaled, md.hyp_scale, j),
+                (info.trig, 1 - hyp_axis, md.nu, 1.0, 0.0, j),
+            ]
+        factors.sort(key=lambda f: f[0])
+        column = lambda i: np.array([f[i] for f in factors], dtype=float).reshape(-1, 1)
+        nu, coef, scale = column(2), column(3), column(4)
+        groups, start = [], 0
+        for kind in sorted({f[0] for f in factors}):
+            s = slice(start, start + sum(f[0] == kind for f in factors))
+            groups.append((kind, s, nu[s], coef[s], scale[s]))
+            start = s.stop
+        rows = np.zeros((2, len(self.modes) - 1), dtype=int)
+        for i, f in enumerate(factors):
+            rows[f[1], f[5]] = i
+        return np.array([f[1] for f in factors], dtype=int), nu, groups, rows
+
+    def _factors(self, x, y, derivative: bool = False):
+        """((Fx, Fy), (dFx, dFy)): the separable factors of the nonconstant modes.
+
+        x and y are 1-D arrays of n coordinates each. Fx is the (K, n) matrix
+        of the factors along x at x, Fy that along y at y, so mode j+1 at
+        (x_i, y_i) is Fx[j, i] * Fy[j, i]; the derivatives are None unless
+        derivative is set. The hyperbolic factors carry the norm and the
+        exp(-nu*aH) scaling.
+        """
+        axis, nu_all, groups, rows = self._factor_table
+        # every step runs in place where it can: large temporaries cost page faults
+        f = np.stack((np.asarray(x, dtype=float), np.asarray(y, dtype=float)))[axis]
+        f *= nu_all
+        df = np.empty_like(f) if derivative else None
+        for kind, s, nu, coef, scale in groups:
+            z = f[s]
+            if kind == "linear":
+                if derivative:
+                    df[s] = coef
+                z *= coef
+            elif kind == "cos":
+                if derivative:
+                    np.multiply(-nu, np.sin(z), out=df[s])
+                np.cos(z, out=z)
+            elif kind == "sin":
+                if derivative:
+                    np.multiply(nu, np.cos(z), out=df[s])
+                np.sin(z, out=z)
+            else:
+                az = np.abs(z)
+                half = 0.5 * np.exp(az - scale)
+                az *= -2.0
+                cosh = half * (1.0 + np.exp(az)) if kind == "cosh" or derivative else None
+                sinh = np.sign(z) * half * (-np.expm1(az)) if kind == "sinh" or derivative else None
+                hyp, dhyp = (cosh, sinh) if kind == "cosh" else (sinh, cosh)
+                if derivative:
+                    np.multiply(coef * nu, dhyp, out=df[s])
+                np.multiply(coef, hyp, out=z)
+        return (f[rows[0]], f[rows[1]]), ((df[rows[0]], df[rows[1]]) if derivative else None)
 
     def values(self, x, y) -> np.ndarray:
         """The nonconstant modes at N points: a (K, N) matrix, row j for mode j+1.
 
-        x and y are 1-D arrays of N coordinates (no domain check). The
-        formulas and their order of operations are those of
-        SteklovMode.value_array, with the hyperbolic factor in exponentially
-        rescaled form; all K modes are evaluated at once.
+        x and y are 1-D arrays of N coordinates (no domain check); the matrix
+        is the product of the two factor matrices of _factors.
         """
-        c = self._columns
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = np.where(c["hyp_x"], x, y) * c["nu"]
-        arg = np.where(c["hyp_x"], y, x) * c["nu"]
-        az = np.abs(z)
-        hyp = np.exp(az - c["hyp_scale"])
-        ch, sh = c["cosh"], ~c["cosh"]
-        hyp[ch] = 0.5 * hyp[ch] * (1.0 + np.exp(-2.0 * az[ch]))
-        hyp[sh] = np.sign(z[sh]) * 0.5 * hyp[sh] * (-np.expm1(-2.0 * az[sh]))
-        del z, az
-        cos, sin = c["cos"], ~c["cos"]
-        arg[cos] = np.cos(arg[cos])
-        arg[sin] = np.sin(arg[sin])
-        out = c["norm_scaled"] * hyp
-        out *= arg
-        xy = c["xy"]
-        if xy.any():
-            out[xy] = c["norm_scaled"][xy] * x * y
-        return out
+        (fx, fy), _ = self._factors(x, y)
+        fx *= fy
+        return fx
+
+    def _blocked(self, count: int, terms, x, y):
+        """terms(xb, yb), a tuple of `count` arrays, over blocks of the points.
+
+        x and y broadcast together; a block holds _BLOCK_ENTRIES // K points,
+        at least 64. Returns floats at one point (scalar x and y), else arrays
+        of the broadcast shape.
+        """
+        if np.ndim(x) == 0 and np.ndim(y) == 0:
+            return tuple(float(part[0]) for part in terms(np.array([x], dtype=float), np.array([y], dtype=float)))
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        shape = x.shape
+        x, y = x.ravel(), y.ravel()
+        out = np.empty((count, x.size))
+        step = max(64, _BLOCK_ENTRIES // max(1, len(self.modes) - 1))
+        for start in range(0, x.size, step):
+            block = slice(start, start + step)
+            out[:, block] = terms(x[block], y[block])
+        return tuple(out.reshape((count,) + shape))
 
     def expand(self, weights, x, y):
         """sum_j weights[j] * s_j(x, y) over the nonconstant modes.
 
-        A float at one point (float x and y), an array at a 1-D array of points.
+        x and y broadcast together; a float at one point, an array of the
+        broadcast shape otherwise.
         """
         w = np.asarray(weights, dtype=float)
-        if isinstance(x, np.ndarray):
-            return w @ self.values(x, y)
-        return float((w @ self.values((x,), (y,)))[0])
+        return self._blocked(1, lambda xb, yb: (w @ self.values(xb, yb),), x, y)[0]
+
+    def expand_gradient(self, weights, x, y):
+        """The gradient (d/dx, d/dy) of expand, term by term, at the same points."""
+        w = np.asarray(weights, dtype=float)
+
+        def terms(xb, yb):
+            (fx, fy), (dfx, dfy) = self._factors(xb, yb, derivative=True)
+            dfx *= fy
+            fx *= dfy
+            return w @ dfx, w @ fx
+
+        return self._blocked(2, terms, x, y)
+
+    def expand_grid(self, weights, xs, ys) -> np.ndarray:
+        """expand on the tensor grid of the 1-D axes xs and ys, shape (ny, nx).
+
+        One matrix product of the factor matrices, Fy(ys)^T @ (w * Fx(xs)):
+        O(K * (nx + ny)) transcendental evaluations instead of O(K * nx * ny).
+        """
+        w = np.asarray(weights, dtype=float)
+        nx, ny = len(xs), len(ys)
+        n = max(nx, ny)
+        (fx, fy), _ = self._factors(np.pad(xs, (0, n - nx)), np.pad(ys, (0, n - ny)))
+        return fy[:, :ny].T @ (w[:, None] * fx[:, :nx])
 
     @property
     def max_delta(self) -> float:

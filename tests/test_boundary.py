@@ -14,7 +14,6 @@ from steklov import (
     boundary_partial_sum,
     builtin_boundary,
     corner_bilinear_reduction,
-    eval_boundary,
     integrate_boundary,
     steklov_coefficients,
 )
@@ -28,13 +27,13 @@ def rect():
 
 def test_eval_boundary_builtin_values(rect):
     bd1 = builtin_boundary("bd1", rect)
-    assert eval_boundary(bd1, Side.G1, 0.33) == 1.0
-    assert eval_boundary(bd1, Side.G2, -0.7) == 1.0
-    assert eval_boundary(bd1, Side.G4, 0.0) == -1.0
+    assert bd1.value(Side.G1, 0.33) == 1.0
+    assert bd1.value(Side.G2, -0.7) == 1.0
+    assert bd1.value(Side.G4, 0.0) == -1.0
     f2 = builtin_boundary("f2", rect)
-    assert eval_boundary(f2, Side.G1, 0.1) == pytest.approx(1.0 / 1.01, rel=1e-15)
+    assert f2.value(Side.G1, 0.1) == pytest.approx(1.0 / 1.01, rel=1e-15)
     zero = BoundaryFunction.constant(0.0, rect)
-    assert eval_boundary(zero, Side.G3, -0.4) == 0.0
+    assert zero.value(Side.G3, -0.4) == 0.0
 
 
 def test_two_sided_corner_values(rect):

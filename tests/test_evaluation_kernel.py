@@ -1,6 +1,7 @@
-"""The modes x points kernel: array evaluation agrees with the scalar paths."""
+"""The separable mode kernel: array evaluation agrees with the scalar paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from steklov import (
     boundary_sup,
     build_spectrum_by_count,
     builtin_boundary,
+    grid_points,
     solve_dirichlet,
     solve_robin,
     steklov_coefficients,
@@ -51,7 +53,6 @@ def test_values_match_scalar_modes(spec):
     assert S.shape == (len(spec.nonconstant), len(x))
     for row, md in zip(S, spec.nonconstant):
         close(row, [md._value_unchecked(a, b) for a, b in zip(x.tolist(), y.tolist())])
-        close(row, md.value_array(x, y))
 
 
 def test_values_of_constant_only_spectrum():
@@ -142,3 +143,108 @@ def test_boundary_sup_value_and_nan():
     assert boundary_sup(g.value, rect, 100) == pytest.approx(scalar, rel=TOL)
     nan_on_g3 = lambda side, ts: np.full(ts.shape, math.nan if side.name == "G3" else 1.0)
     assert math.isnan(boundary_sup(nan_on_g3, rect, 16))
+
+
+def boundary_and_corner_points(rect, n=9):
+    """Points on all four sides, the four corners among them, plus the center."""
+    h = rect.h
+    ts = np.linspace(-1.0, 1.0, n)
+    x = np.concatenate([np.ones(n), -np.ones(n), ts, ts, [0.0]])
+    y = np.concatenate([h * ts, h * ts, np.full(n, h), np.full(n, -h), [0.0]])
+    return x, y
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.1])
+def test_gradients_match_scalar_modes(h):
+    rect = Rectangle(h)
+    spec = build_spectrum_by_count(rect, 80)
+    x, y = boundary_and_corner_points(rect)
+    (fx, fy), (dfx, dfy) = spec._factors(x, y, derivative=True)
+    pts = list(zip(x.tolist(), y.tolist()))
+    for j, md in enumerate(spec.nonconstant):
+        ref = np.array([md.gradient(a, b) for a, b in pts])
+        scale = TOL * max(1.0, np.abs(ref).max())
+        np.testing.assert_allclose(dfx[j] * fy[j], ref[:, 0], rtol=TOL, atol=scale)
+        np.testing.assert_allclose(fx[j] * dfy[j], ref[:, 1], rtol=TOL, atol=scale)
+    w = np.random.default_rng(7).normal(size=len(spec.nonconstant)) / (1.0 + np.arange(80))
+    gx, gy = spec.expand_gradient(w, x, y)
+    for i, (a, b) in enumerate(pts):
+        terms = [md.gradient(a, b) for md in spec.nonconstant]
+        assert gx[i] == pytest.approx(math.fsum(wj * t[0] for wj, t in zip(w, terms)), rel=TOL, abs=TOL)
+        assert gy[i] == pytest.approx(math.fsum(wj * t[1] for wj, t in zip(w, terms)), rel=TOL, abs=TOL)
+    assert all(isinstance(v, float) for v in spec.expand_gradient(w, 0.3, -0.1 * h))
+
+
+@pytest.fixture(scope="module")
+def grid_cases():
+    """Approximations with and without a corner lift, and constant-only ones."""
+    sq, thin = Rectangle(1.0), Rectangle(0.6)
+    return [
+        solve_dirichlet(builtin_boundary("f1", sq), build_spectrum_by_count(sq, 41), use_corner_reduction=True),
+        solve_robin(builtin_boundary("f2", thin), 2.0, build_spectrum_by_count(thin, 60)),
+        solve_dirichlet(builtin_boundary("f2", thin), build_spectrum_by_count(thin, 0), use_corner_reduction=True),
+        solve_dirichlet(builtin_boundary("f3", thin), build_spectrum_by_count(thin, 0)),
+    ]
+
+
+@pytest.mark.parametrize("nx, ny", [(7, 4), (3, 12), (2, 2), (31, 31)])
+def test_eval_grid_matches_eval_array(grid_cases, nx, ny):
+    for u in grid_cases:
+        U = u.eval_grid(nx, ny)
+        assert U.shape == (ny, nx)
+        np.testing.assert_allclose(U, u.eval_array(*grid_points(u.rect, nx, ny)), rtol=TOL, atol=TOL)
+
+
+def test_eval_array_and_gradients_keep_shape_and_broadcast():
+    rect = Rectangle(0.7)
+    u = solve_dirichlet(builtin_boundary("f1", rect), build_spectrum_by_count(rect, 41), use_corner_reduction=True)
+    X, Y = grid_points(rect, 9, 5)
+    flat = u.eval_array(X.ravel(), Y.ravel())
+    assert u.eval_array(X, Y).shape == (5, 9)
+    np.testing.assert_array_equal(u.eval_array(X, Y).ravel(), flat)
+    gx, gy = u.gradient_arrays(X, Y)
+    fgx, fgy = u.gradient_arrays(X.ravel(), Y.ravel())
+    assert gx.shape == gy.shape == (5, 9)
+    np.testing.assert_array_equal(gx.ravel(), fgx)
+    np.testing.assert_array_equal(gy.ravel(), fgy)
+    xs = np.linspace(-0.9, 0.9, 6)
+    along = u.eval_array(xs, 0.25)
+    assert along.shape == (6,)
+    close(along, [u.eval(a, 0.25) for a in xs.tolist()])
+    bx, by = u.gradient_arrays(0.25, xs * rect.h)
+    assert bx.shape == by.shape == (6,)
+    for i, b in enumerate((xs * rect.h).tolist()):
+        ex, ey = u.eval_gradient(0.25, b)
+        assert (bx[i], by[i]) == (pytest.approx(ex, rel=TOL, abs=TOL), pytest.approx(ey, rel=TOL, abs=TOL))
+
+
+def test_boundary_normal_derivative_on_arrays_matches_scalar(spec):
+    rect = spec.rectangle
+    g = builtin_boundary("f1", rect)
+    for u in (solve_dirichlet(g, spec, use_corner_reduction=True), solve_robin(g, 2.0, spec)):
+        for side in SIDES:
+            ts = side_params(rect, side)
+            dn = u.boundary_normal_derivative(side, ts)
+            assert dn.shape == ts.shape
+            close(dn, [u.boundary_normal_derivative(side, t) for t in ts.tolist()])
+            t = float(ts[3])
+            assert isinstance(u.boundary_normal_derivative(side, t), float)
+            if u.lift is None:  # and the per-mode sum it replaces
+                ref = math.fsum(w * md.normal_derivative_on(side, t) for w, md in zip(u.weights, spec.nonconstant))
+                assert u.boundary_normal_derivative(side, t) == pytest.approx(ref, rel=TOL, abs=TOL)
+
+
+def test_evaluators_stay_far_below_one_modes_by_points_matrix():
+    """K = 80 modes at N = 2e5 points: one K x N matrix would take 128 MB."""
+    rect = Rectangle(0.5)
+    u = solve_dirichlet(builtin_boundary("f3", rect), build_spectrum_by_count(rect, 80), use_corner_reduction=True)
+    rng = np.random.default_rng(2)
+    x, y = rng.uniform(-1.0, 1.0, 200_000), rng.uniform(-0.5, 0.5, 200_000)
+    for run in (lambda: u.eval_array(x, y), lambda: u.gradient_arrays(x, y), lambda: u.eval_grid(500, 400)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -14,14 +14,13 @@ from steklov import (
     PER_FAMILY,
     Rectangle,
     SIDES,
+    Side,
     SpectrumError,
     boundary_norm_constant,
     build_spectrum,
     build_spectrum_by_count,
     find_roots,
     make_mode,
-    mode_normal_derivative,
-    mode_value,
     scale_mode,
     spectrum_from_json,
     spectrum_to_json,
@@ -45,18 +44,18 @@ def gauss_boundary_matrix(spec, n=240):
 def test_constant_mode():
     rect = Rectangle(0.8)
     md = make_mode(FamilyTag.CONST, rect)
-    assert mode_value(md, 0.3, -0.2) == 1.0
+    assert md.value(0.3, -0.2) == 1.0
     assert md.delta == 0.0 and md.norm_const == 1.0
-    assert mode_normal_derivative(md, 1.0, 0.1) == 0.0
+    assert md.normal_derivative_on(Side.G1, 0.1) == 0.0
 
 
 def test_xy_mode_square_only():
     rect = Rectangle(1.0)
     md = make_mode(FamilyTag.XY, rect)
     assert md.delta == 1.0
-    assert mode_value(md, 0.5, 0.5) == pytest.approx(math.sqrt(3.0) * 0.25, rel=1e-15)
+    assert md.value(0.5, 0.5) == pytest.approx(math.sqrt(3.0) * 0.25, rel=1e-15)
     # outward derivative on the right side is sqrt(3)*y
-    assert mode_normal_derivative(md, 1.0, 0.5) == pytest.approx(math.sqrt(3.0) * 0.5, rel=1e-15)
+    assert md.normal_derivative_on(Side.G1, 0.5) == pytest.approx(math.sqrt(3.0) * 0.5, rel=1e-15)
     with pytest.raises(SpectrumError):
         make_mode(FamilyTag.XY, Rectangle(0.5))
 
@@ -96,15 +95,6 @@ def test_mode_value_outside_domain():
     md = make_mode(FamilyTag.CONST, Rectangle(0.5))
     with pytest.raises(GeometryError):
         md.value(0.0, 0.6)
-
-
-def test_normal_derivative_rejects_corner_and_interior():
-    rect = Rectangle(1.0)
-    md = make_mode(FamilyTag.XY, rect)
-    with pytest.raises(GeometryError):
-        mode_normal_derivative(md, 1.0, 1.0)
-    with pytest.raises(GeometryError):
-        mode_normal_derivative(md, 0.2, 0.2)
 
 
 def test_steklov_identity_at_random_boundary_points(spec_pf5):
@@ -267,11 +257,12 @@ def test_vectorized_value_matches_scalar(spec_pf5):
     rng = random.Random(11)
     xs = np.array([rng.uniform(-1, 1) for _ in range(40)])
     ys = np.array([rng.uniform(-1, 1) for _ in range(40)])
-    for md in spec_pf5.modes[::7]:
-        arr = md.value_array(xs, ys)
+    (fx, fy), (dfx, dfy) = spec_pf5._factors(xs, ys, derivative=True)
+    for j, md in enumerate(spec_pf5.nonconstant):
+        arr = fx[j] * fy[j]
         ref = np.array([md.value(x, y) for x, y in zip(xs, ys)])
         assert np.abs(arr - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
-        gx, gy = md.gradient_arrays(xs, ys)
+        gx, gy = dfx[j] * fy[j], fx[j] * dfy[j]
         gref = np.array([md.gradient(x, y) for x, y in zip(xs, ys)])
         assert np.abs(gx - gref[:, 0]).max() <= 1e-12 * max(1.0, np.abs(gref).max())
         assert np.abs(gy - gref[:, 1]).max() <= 1e-12 * max(1.0, np.abs(gref).max())
