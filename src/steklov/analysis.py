@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ import numpy as np
 from .boundary import (
     BoundaryFunction,
     SteklovCoefficients,
+    _integrate_panels,
     boundary_partial_sum,
     mode_gram_matrix,
     steklov_coefficients,
@@ -54,17 +55,15 @@ from .spectrum import (
 # ---------------------------------------------------------------------------
 
 
-def boundary_l2(fn: Callable[[Side, float], float], rect: Rectangle,
+def boundary_l2(fn: Callable[[Side, np.ndarray], np.ndarray], rect: Rectangle,
                 abstol: float = 1e-12, reltol: float = 1e-9) -> float:
-    """Weighted boundary L2 norm of a (side, t) map, by adaptive quadrature."""
-    from scipy.integrate import quad
+    """Weighted boundary L2 norm of a (side, t) map, by panel-adaptive quadrature.
 
-    total = 0.0
-    for side in SIDES:
-        lo, hi = rect.side_interval(side)
-        v, _ = quad(lambda t: fn(side, t) ** 2, lo, hi, epsabs=abstol, epsrel=reltol, limit=250)
-        total += v
-    return math.sqrt(max(total, 0.0) / rect.perimeter)
+    fn is called with numpy arrays of side parameters and returns the values
+    there, as for boundary_sup; (abstol, reltol) apply to the integral of fn^2.
+    """
+    sq, _ = _integrate_panels(rect, lambda side, t: fn(side, t) ** 2, abstol, reltol, 250)
+    return math.sqrt(max(float(sq[0]), 0.0) / rect.perimeter)
 
 
 def boundary_sup(fn: Callable[[Side, np.ndarray], np.ndarray], rect: Rectangle,
@@ -107,7 +106,7 @@ def interior_sup(fn_on_grid, rect: Rectangle, nx: int = 101, ny: int = 101) -> f
 
 def boundary_error(
     g: BoundaryFunction,
-    gm: Callable[[Side, float], float],
+    gm: Callable[[Side, np.ndarray], np.ndarray],
     samples_per_side: int = 1000,
     abstol: float = 1e-12,
     reltol: float = 1e-9,
@@ -228,10 +227,6 @@ class ErrorReport:
         return {name: getattr(self, name) for name in REPORT_FIELDS}
 
 
-def reports_to_json(reports: Sequence[ErrorReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
-
-
 def reports_to_csv_rows(reports: Sequence[ErrorReport]):
     yield list(REPORT_FIELDS)
     for r in reports:
@@ -292,7 +287,7 @@ def convergence_study(
         ref_boundary = BoundaryFunction.from_xy(exact.value, rect).value
         ref_interior = np.vectorize(exact.value)
     elif kind.name == "dirichlet":
-        ref_boundary = lambda side, t: g.value(side, t)
+        ref_boundary = g.value
         ref_interior = u_deep.eval_array
     else:
         ref_boundary = u_deep.boundary_value
@@ -379,22 +374,7 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "passed": self.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "passed": c.passed,
-                        "worst": c.worst,
-                        "tol": c.tol,
-                        "detail": c.detail,
-                    }
-                    for c in self.checks
-                ],
-            },
-            indent=2,
-        )
+        return json.dumps({"passed": self.passed, "checks": [asdict(c) for c in self.checks]}, indent=2)
 
 
 def _random_boundary_points(rect: Rectangle, rng: random.Random, n: int):

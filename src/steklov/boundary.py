@@ -21,11 +21,13 @@ halved. All integrals are S @ (w * g) at both levels, with S the (K, N)
 matrix of Spectrum.values evaluated _BLOCK nodes at a time, and g evaluated
 once per node. S is evaluated on G1 and G2 only: G3 and G4 are their point
 reflections, and every mode is even or odd under p -> -p. An entry's error
-estimate is |I1 - I0|, its value I1; an entry whose estimate misses
-max(abstol, reltol * |I1|) is recomputed by adaptive Gauss-Kronrod
-(integrate_boundary), which raises QuadratureError naming the mode if it
-fails too. The orthonormality Gram matrix of a spectrum (mode_gram_matrix)
-uses the level-1 nodes.
+estimate is |I1 - I0|, its value I1. The orthonormality Gram matrix of a
+spectrum (mode_gram_matrix) uses the level-1 nodes.
+
+Every other boundary integral is one panel-adaptive rule on arrays of nodes
+(_integrate_panels): integrate_boundary, analysis.boundary_l2, and the
+fallback that recomputes, in one call, every coefficient whose estimate
+misses max(abstol, reltol * |I1|).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import expressions
 from .geometry import Rectangle, Side, SIDES
@@ -42,12 +43,13 @@ from .spectrum import FamilyTag, Spectrum, SteklovMode, family_class
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge on some side."""
+    """Adaptive quadrature failed to converge on some side; entry numbers the integrand."""
 
-    def __init__(self, message: str, side: Side, partial_value: float, estimate: float):
+    def __init__(self, message: str, side: Side, partial_value: float, estimate: float, entry: int = 0):
         self.side = side
         self.partial_value = partial_value
         self.estimate = estimate
+        self.entry = entry
         super().__init__(
             f"{message} on {side.name} (partial value {partial_value:.6g}, "
             f"error estimate {estimate:.3g})"
@@ -121,11 +123,6 @@ class BoundaryFunction:
             return _map_points(fn, x, y)
         return fn(x, y)
 
-    def value_xy(self, x: float, y: float) -> float:
-        """Value at a boundary point given by coordinates (non-corner)."""
-        side = self.rect.classify_boundary_point(x, y)
-        return self.side_maps[side](x, y)
-
     def corner_values(self, corner: tuple[float, float]) -> dict[Side, float]:
         """The corner's value as seen from each adjoining side."""
         out = {}
@@ -196,69 +193,83 @@ def _side_parameter(rect: Rectangle, side: Side, x: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# adaptive quadrature
+# panel-adaptive quadrature
 # ---------------------------------------------------------------------------
 
 
-def _quad_side(fn, lo, hi, epsabs, epsrel, limit, side):
-    out = quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
-    value, estimate = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureError(out[3].strip().replace("\n", " "), side, value, estimate)
-    return value, estimate
+def _panel_sums(fn, side_of: np.ndarray, a: np.ndarray, b: np.ndarray, pieces: int, entries: int) -> np.ndarray:
+    """(P, pieces, m): Gauss-Legendre sums of fn over `pieces` equal parts of
+    each panel [a, b] on SIDES[side_of]. fn is called per side, on at most
+    _ENTRIES // entries nodes (but at least one panel) at a time."""
+    out = None
+    per_call = max(1, _ENTRIES // (entries * pieces * _PANEL_POINTS))
+    for k in np.unique(side_of):
+        on_side = np.flatnonzero(side_of == k)
+        for on in (on_side[i:i + per_call] for i in range(0, on_side.size, per_call)):
+            step = ((b[on] - a[on]) / pieces)[:, None, None]
+            t = (a[on, None, None] + step * (np.arange(pieces)[:, None] + 0.5 * (_GL_NODES + 1.0))).ravel()
+            v = np.asarray(fn(SIDES[k], t), dtype=float)
+            v = np.broadcast_to(v, v.shape[:-1] + t.shape).reshape(-1, on.size, pieces, _PANEL_POINTS)
+            if out is None:
+                out = np.empty((side_of.size, pieces, v.shape[0]))
+            out[on] = np.moveaxis(v @ _GL_WEIGHTS, 0, -1) * (0.5 * step)
+    return out
 
 
-def integrate_boundary(
-    f,
-    abstol: float = 1e-10,
-    reltol: float = 1e-6,
-    limit: int = 200,
-    rect: Rectangle | None = None,
-):
-    """Raw arc-length integral of f over the boundary, plus an error estimate.
+def _integrate_panels(rect: Rectangle, fn, abstol: float, reltol: float, limit: int,
+                      nu_max: float = 0.0, entries: int = 1):
+    """(I, estimate): raw arc-length integrals of fn over the boundary, shape (m,).
 
-    f is a BoundaryFunction, or a callable(x, y) if rect is given. Each side
-    runs through adaptive Gauss-Kronrod; after a first pass at (abstol,
-    reltol), the integral is re-refined toward min(abstol, reltol*|I|) when
-    the initial estimate misses that target (down to a rounding floor).
+    fn(side, t) maps an array of n side parameters to n values, or to (m, n)
+    values of m = entries integrands. Each side starts from _panel_breaks(nu_max)
+    (nu_max 0: no frequency known). A panel's value is the sum over its two
+    halves, its estimate |halves - whole|; every panel that misses its length
+    share of max(abstol, reltol * |I|) for some integrand is bisected, until
+    none does. Once bisection would add more than `limit` panels to a side,
+    QuadratureError reports the integrand furthest from its target; a NaN
+    never meets its target.
+    """
+    breaks = [lo + _panel_breaks(hi - lo, nu_max) for lo, hi in map(rect.side_interval, SIDES)]
+    side_of = np.repeat(np.arange(len(SIDES)), [br.size - 1 for br in breaks])
+    a, b = np.concatenate([br[:-1] for br in breaks]), np.concatenate([br[1:] for br in breaks])
+    whole = _panel_sums(fn, side_of, a, b, 1, entries)[:, 0]
+    halves = np.empty((0, 2, whole.shape[1]))  # sums over the two halves of each panel
+    added = np.zeros(len(SIDES), dtype=int)
+    while True:
+        fresh = slice(len(halves), None)
+        halves = np.concatenate((halves, _panel_sums(fn, side_of[fresh], a[fresh], b[fresh], 2, entries)))
+        value = halves.sum(axis=1)
+        est = np.abs(value - whole)
+        target = np.maximum(abstol, reltol * np.abs(value.sum(axis=0)))
+        miss = ~(est <= (b - a)[:, None] / rect.perimeter * target).all(axis=1)
+        if not miss.any():
+            return value.sum(axis=0), est.sum(axis=0)
+        added += np.bincount(side_of[miss], minlength=len(SIDES))
+        if (added > limit).any():
+            k = int(np.argmax(added > limit))
+            on = side_of == k
+            side_est = est[on].sum(axis=0)
+            entry = int(np.argmax(side_est / target))
+            raise QuadratureError(f"no convergence within {limit} panel bisections", SIDES[k],
+                                  float(value[on, entry].sum()), float(side_est[entry]), entry)
+        # a missed panel becomes its two halves, whose whole sums are known
+        keep, mid = ~miss, a[miss] + (b[miss] - a[miss]) / 2  # the split point of _panel_sums
+        side_of = np.concatenate((side_of[keep], side_of[miss], side_of[miss]))
+        a, b = np.concatenate((a[keep], a[miss], mid)), np.concatenate((b[keep], mid, b[miss]))
+        whole = np.concatenate((whole[keep], halves[miss, 0], halves[miss, 1]))
+        halves = halves[keep]
+
+
+def integrate_boundary(f: BoundaryFunction, abstol: float = 1e-10, reltol: float = 1e-6, limit: int = 200):
+    """Raw arc-length integral of the BoundaryFunction f and an error estimate.
+
+    The panel-adaptive rule of _integrate_panels: the estimate meets
+    max(abstol, reltol * |I|), or QuadratureError after `limit` bisections of a side.
     """
     if abstol <= 0.0 or reltol <= 0.0:
         raise ValueError("tolerances must be positive")
-    if not isinstance(f, BoundaryFunction):
-        if rect is None:
-            raise ValueError("a bare callable needs an explicit rect")
-        f = BoundaryFunction.from_xy(f, rect)
-
-    def side_integrand(side):
-        fn = f.side_maps[side]
-        r = f.rect
-        return lambda t: fn(*r.side_point(side, t))
-
-    total = err = 0.0
-    pass1 = []
-    for side in SIDES:
-        lo, hi = f.rect.side_interval(side)
-        v, e = _quad_side(side_integrand(side), lo, hi, abstol, reltol, limit, side)
-        pass1.append((side, v, e))
-        total += v
-        err += e
-
-    target = max(min(abstol, reltol * abs(total)), 1e-14 * (1.0 + abs(total)))
-    if err > target:
-        total2 = err2 = 0.0
-        try:
-            for side, _, _ in pass1:
-                lo, hi = f.rect.side_interval(side)
-                v, e = _quad_side(
-                    side_integrand(side), lo, hi, 0.25 * target, reltol, limit, side
-                )
-                total2 += v
-                err2 += e
-        except QuadratureError:
-            return total, err  # keep the successful first pass
-        if err2 < err:
-            return total2, err2
-    return total, err
+    value, estimate = _integrate_panels(f.rect, f.value, abstol, reltol, limit)
+    return float(value[0]), float(estimate[0])
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +318,7 @@ _PANEL_WIDTH = 16.0
 _GRADING = 4.0
 _CORNER_PANEL = 1e-3
 _BLOCK = 64  # nodes per block of S: S never exists as a whole (K, N) matrix
+_ENTRIES = 2**16  # integrand values per call of a panel-adaptive integrand
 
 # Corner breakpoints as fractions of the panel width: 1e-3, 4e-3, ..., 0.256.
 _CORNER_BREAKS = _CORNER_PANEL * _GRADING ** np.arange(
@@ -315,10 +327,11 @@ _CORNER_BREAKS = _CORNER_PANEL * _GRADING ** np.arange(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_POINTS)
 
 
-def _panel_breaks(length: float, width: float) -> np.ndarray:
-    """Panel breakpoints on [0, length]: equal panels no wider than `width`
-    in the middle, graded geometrically toward both ends."""
-    w = min(width, 0.5 * length)
+def _panel_breaks(length: float, nu_max: float) -> np.ndarray:
+    """Panel breakpoints on [0, length]: equal panels no wider than
+    _PANEL_WIDTH / nu_max in the middle (half the length for nu_max 0),
+    graded geometrically toward both ends."""
+    w = min(_PANEL_WIDTH / nu_max if nu_max > 0.0 else math.inf, 0.5 * length)
     n_mid = max(1, math.ceil((length - 2.0 * w) / w))
     corner = w * np.concatenate(([0.0], _CORNER_BREAKS))
     middle = np.linspace(w, length - w, n_mid + 1)
@@ -338,10 +351,9 @@ def _boundary_nodes(rect: Rectangle, nu_max: float, level: int):
     _REFLECTED[side] are the same t, at the points (-x, -y). Level 1 halves
     every panel of level 0.
     """
-    width = _PANEL_WIDTH / nu_max if nu_max > 0.0 else math.inf
     for side in _REFLECTED:
         lo, hi = rect.side_interval(side)
-        breaks = _panel_breaks(hi - lo, width)
+        breaks = _panel_breaks(hi - lo, nu_max)
         if level:
             breaks = np.sort(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]))))
         mid = 0.5 * (breaks[:-1] + breaks[1:])[:, None]
@@ -396,9 +408,10 @@ def steklov_coefficients(
 ) -> SteklovCoefficients:
     """Weighted boundary inner products of g with every spectrum mode.
 
-    Fixed-node quadrature at two levels (see the module docstring); entries
-    whose two-level difference misses max(abstol, reltol * |I|) on the raw
-    integral I are recomputed adaptively with (abstol, reltol, limit).
+    Fixed-node quadrature at two levels (see the module docstring); the
+    entries whose two-level difference misses max(abstol, reltol * |I|) on
+    the raw integral I are recomputed together by panel-adaptive quadrature
+    with (abstol, reltol, limit).
     """
     if g.rect != spec.rectangle:
         raise ValueError("boundary data and spectrum live on different rectangles")
@@ -420,33 +433,28 @@ def steklov_coefficients(
     estimates = np.abs(raw[:, 1] - raw[:, 0])
     # a NaN estimate misses its target too
     missed = np.flatnonzero(~(estimates <= np.maximum(abstol, reltol * np.abs(values))))
-    for j in missed:
-        values[j], estimates[j] = _adaptive_coefficient(g, spec.modes[j], abstol, reltol, limit)
+    if missed.size:
+        # the missed nonconstant modes as a spectrum of their own, so that
+        # only their rows are evaluated; row 0 is the constant mode
+        sub = Spectrum(rect, (spec.modes[0],) + tuple(spec.modes[j] for j in missed if j), spec.selection, spec.depth)
+        rows = slice(0 if missed[0] == 0 else 1, None)
+
+        def integrand(side, t):
+            s = np.vstack((np.ones(t.size), sub.values(*rect.side_point(side, t))))
+            return s[rows] * g.value(side, t)
+
+        try:
+            values[missed], estimates[missed] = _integrate_panels(rect, integrand, abstol, reltol, limit, nu_max, missed.size)
+        except QuadratureError as exc:
+            mode = spec.modes[missed[exc.entry]]
+            label = "mean value" if mode.family is FamilyTag.CONST else f"mode {mode.family.value}, nu={mode.nu:.6g}"
+            raise QuadratureError(
+                f"coefficient quadrature failed for {label}: {exc}",
+                exc.side, exc.partial_value / rect.perimeter, exc.estimate / rect.perimeter,
+            ) from exc
     values /= rect.perimeter
     estimates /= rect.perimeter
     return SteklovCoefficients(spec, float(values[0]), tuple(values[1:].tolist()), tuple(estimates.tolist()))
-
-
-def _adaptive_coefficient(g: BoundaryFunction, mode: SteklovMode, abstol, reltol, limit):
-    """Raw integral of g * mode and its estimate by integrate_boundary."""
-    if mode.family is FamilyTag.CONST:
-        integrand = g
-    else:
-        integrand = BoundaryFunction(g.rect, {
-            side: (lambda x, y, fn=fn: fn(x, y) * mode._value_unchecked(x, y))
-            for side, fn in g.side_maps.items()
-        })
-    try:
-        return integrate_boundary(integrand, abstol, reltol, limit)
-    except QuadratureError as exc:
-        perim = g.rect.perimeter
-        label = "mean value" if mode.family is FamilyTag.CONST else f"mode {mode.family.value}, nu={mode.nu:.6g}"
-        raise QuadratureError(
-            f"coefficient quadrature failed for {label}: {exc}",
-            exc.side,
-            exc.partial_value / perim,
-            exc.estimate / perim,
-        ) from exc
 
 
 def boundary_partial_sum(c: SteklovCoefficients, side: Side, t):

@@ -78,7 +78,7 @@ class Rectangle:
 
         t is a float, or a numpy array of parameters for which the two
         coordinates come back as arrays of t's shape. The float path stays
-        free of numpy: quadrature calls it once per node.
+        free of numpy.
         """
         lo, hi = self.side_interval(side)
         if isinstance(t, np.ndarray):

@@ -163,18 +163,12 @@ def reproduce_pointwise(table_id: int, ws: Optional[TableWorkspace] = None,
     )
 
 
-def _data_rerr(ws: TableWorkspace, name: str, h: float, m: int, norm: str,
-               policy: str) -> float:
-    rect = Rectangle(h)
-    g = builtin_boundary(name, rect)
-    coeffs = ws.coefficients(name, h, ws.base_spectrum(h, policy))
-    sub = ws.truncation(h, "dirichlet", m, policy)
+def _data_rerr(g: BoundaryFunction, coeffs, sub: Spectrum, norm: str) -> float:
+    """Boundary error of g's partial sum over sub, relative to g, in norm "inf" or "2"."""
     cox = coeffs.restrict(sub)
     diff = lambda side, t: g.value(side, t) - boundary_partial_sum(cox, side, t)
-    gfun = lambda side, t: g.value(side, t)
-    if norm == "inf":
-        return boundary_sup(diff, rect) / boundary_sup(gfun, rect)
-    return boundary_l2(diff, rect) / boundary_l2(gfun, rect)
+    norm_of = boundary_sup if norm == "inf" else boundary_l2
+    return norm_of(diff, g.rect) / norm_of(g.value, g.rect)
 
 
 def reproduce_rerr(table_id: int, ws: Optional[TableWorkspace] = None,
@@ -188,7 +182,9 @@ def reproduce_rerr(table_id: int, ws: Optional[TableWorkspace] = None,
         rows = []
         for name, printed_row in data["values"].items():
             for i, m in enumerate(ref.M_VALUES):
-                val = _data_rerr(ws, name, h, m, norm, policy)
+                coeffs = ws.coefficients(name, h, ws.base_spectrum(h, policy))
+                sub = ws.truncation(h, "dirichlet", m, policy)
+                val = _data_rerr(builtin_boundary(name, Rectangle(h)), coeffs, sub, norm)
                 printed = printed_row[i]
                 within, note = _grade_rel(val, printed, ref.RERR_TOL)
                 rows.append((name, m, val, printed, abs(val - printed) / printed, within, note))
@@ -233,11 +229,7 @@ def reproduce_corner(ws: Optional[TableWorkspace] = None,
         sub = ws.truncation(h, "dirichlet", m, policy)
         vals = []
         for fn, coeffs in ((g, co), (g_reduced, co_r)):
-            cox = coeffs.restrict(sub)
-            diff = lambda side, t: fn.value(side, t) - boundary_partial_sum(cox, side, t)
-            base_fn = lambda side, t: fn.value(side, t)
-            vals.append(boundary_sup(diff, rect) / boundary_sup(base_fn, rect))
-            vals.append(boundary_l2(diff, rect) / boundary_l2(base_fn, rect))
+            vals += [_data_rerr(fn, coeffs, sub, "inf"), _data_rerr(fn, coeffs, sub, "2")]
         # computed order: inf f1, l2 f1, inf f1+4, l2 f1+4 -> printed column order
         ordered = (vals[0], vals[2], vals[1], vals[3])
         for col, val, printed in zip(columns, ordered, ref.CORNER_TABLE["rows"][m]):

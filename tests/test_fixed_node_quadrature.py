@@ -83,7 +83,7 @@ def test_smooth_data_need_no_fallback(monkeypatch):
     rect = Rectangle(0.5)
     spec = build_spectrum_by_count(rect, 400)
     calls = []
-    monkeypatch.setattr(boundary, "integrate_boundary", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(boundary, "_integrate_panels", lambda *a, **k: calls.append(a))
     steklov_coefficients(builtin_boundary("f3", rect), spec)
     assert calls == []
 
@@ -92,21 +92,48 @@ def test_interior_kink_falls_back_only_where_needed(monkeypatch):
     rect = Rectangle(1.0)
     spec = build_spectrum(rect, 2)
     g = BoundaryFunction.from_expression("abs(x - 0.3)", rect)
-    adaptive = boundary.integrate_boundary
-    calls = []
+    adaptive = boundary._integrate_panels
+    entries = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return adaptive(*args, **kwargs)
+        values, estimates = adaptive(*args, **kwargs)
+        entries.append(len(values))
+        return values, estimates
 
-    monkeypatch.setattr(boundary, "integrate_boundary", counted)
+    monkeypatch.setattr(boundary, "_integrate_panels", counted)
     co = steklov_coefficients(g, spec, ABSTOL, RELTOL)
-    assert 0 < len(calls) < len(spec.modes)
+    # one fallback call, for some but not all entries
+    assert len(entries) == 1 and 0 < entries[0] < len(spec.modes)
 
     # the kink sits at t = -0.3 on G2 (x = -t) and t = 0.3 on G4 (x = t)
     kinks = {Side.G2: [-0.3], Side.G4: [0.3]}
     perim = rect.perimeter
     ref = reference_integrals([g], spec, kinks)[:, 0] / perim
+    got = np.array((co.gbar,) + co.values)
+    target = np.maximum(ABSTOL / perim, RELTOL * np.abs(ref))
+    assert (np.abs(got - ref) <= target).all()
+
+
+def test_kinked_data_fallback_is_accurate_and_cheap():
+    """abs(x - 0.3) with 400 modes on the square: about a quarter of the
+    entries miss the fixed-node estimate. The fallback meets each target
+    against a reference split at the kink, and evaluates the data at far
+    fewer points than one scalar adaptive run per entry did (about 487k)."""
+    rect = Rectangle(1.0)
+    spec = build_spectrum_by_count(rect, 400)
+    points = [0]
+
+    def kink(x, y):
+        points[0] += np.size(x)
+        return np.abs(x - 0.3)
+
+    co = steklov_coefficients(BoundaryFunction.from_xy(kink, rect), spec, ABSTOL, RELTOL)
+    assert points[0] <= 50_000
+
+    kinks = {Side.G2: [-0.3], Side.G4: [0.3]}
+    perim = rect.perimeter
+    plain = BoundaryFunction.from_expression("abs(x - 0.3)", rect)
+    ref = reference_integrals([plain], spec, kinks)[:, 0] / perim
     got = np.array((co.gbar,) + co.values)
     target = np.maximum(ABSTOL / perim, RELTOL * np.abs(ref))
     assert (np.abs(got - ref) <= target).all()

@@ -1,0 +1,103 @@
+"""The panel-adaptive boundary quadrature behind integrate_boundary and
+boundary_l2: closed-form integrals, error estimates and failure on NaN; and
+the package import: numpy only, with an explicit list of public names."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import steklov
+from steklov import (
+    BoundaryFunction,
+    QuadratureError,
+    Rectangle,
+    SIDES,
+    Side,
+    boundary_l2,
+    integrate_boundary,
+)
+
+ABSTOL, RELTOL = 1e-12, 1e-10
+HS = (1.0, 0.5, 0.1, 0.01)
+
+
+def assert_within_target(f, exact):
+    value, estimate = integrate_boundary(f, ABSTOL, RELTOL)
+    target = max(ABSTOL, RELTOL * abs(exact))
+    assert abs(value - exact) <= target
+    assert estimate <= target
+
+
+@pytest.mark.parametrize("h", HS)
+@pytest.mark.parametrize("a, b", [(3.0, 7.0), (-0.5, 40.0)])
+def test_exp_cos_integral(h, a, b):
+    rect = Rectangle(h)
+    f = BoundaryFunction.from_xy(lambda x, y: np.exp(a * x) * np.cos(b * y), rect)
+    # vertical sides: e^{+-a} * 2 sin(b h) / b; horizontal: cos(b h) * 2 sinh(a) / a
+    exact = 4.0 * math.cosh(a) * math.sin(b * h) / b + 4.0 * math.cos(b * h) * math.sinh(a) / a
+    assert_within_target(f, exact)
+
+
+@pytest.mark.parametrize("h", HS)
+@pytest.mark.parametrize("c", [0.3, -0.71, 1.0 / 3.0])
+def test_interior_kink_integral(h, c):
+    rect = Rectangle(h)
+    f = BoundaryFunction.from_xy(lambda x, y: np.abs(x - c), rect)
+    # vertical sides 2h(1 - c) and 2h(1 + c); each horizontal side 1 + c^2
+    assert_within_target(f, 4.0 * h + 2.0 + 2.0 * c * c)
+
+
+@pytest.mark.parametrize("h", HS)
+def test_boundary_l2_of_known_trace(h):
+    rect = Rectangle(h)
+    seen = []
+
+    def trace(side, t):
+        seen.append(isinstance(t, np.ndarray))
+        return np.cos(5.0 * t) + (side is Side.G1)
+
+    # integral of cos(5t)^2 over [-a, a] is a + sin(10a)/10; on G1 add
+    # 2 * integral of cos(5t) plus the length 2h
+    sq = sum(a + math.sin(10.0 * a) / 10.0 for a in (h, 1.0, h, 1.0))
+    sq += 4.0 * math.sin(5.0 * h) / 5.0 + 2.0 * h
+    assert boundary_l2(trace, rect) == pytest.approx(math.sqrt(sq / rect.perimeter), rel=1e-12, abs=1e-14)
+    assert seen and all(seen)
+
+
+@pytest.mark.parametrize("nan_where", ["everywhere", "near one corner"])
+def test_nan_integrand_fails_within_limit(nan_where):
+    rect = Rectangle(0.5)
+    limit = 40
+    calls = []
+
+    def nan_data(x, y):
+        calls.append(1)
+        if nan_where == "everywhere":
+            return np.full(np.shape(x), np.nan)
+        return np.where(x + y > 1.4, np.nan, x)
+
+    with pytest.raises(QuadratureError) as err:
+        integrate_boundary(BoundaryFunction.from_xy(nan_data, rect), limit=limit)
+    assert err.value.side in SIDES
+    # each round bisects at least one panel and calls the map once per side
+    assert len(calls) <= len(SIDES) * (len(SIDES) * limit + 2)
+
+
+def test_import_leaves_scipy_out():
+    src = Path(steklov.__file__).resolve().parents[1]
+    code = "import sys, steklov; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_public_names_are_listed():
+    public = {name for name, obj in vars(steklov).items()
+              if not name.startswith("_") and not isinstance(obj, type(steklov))}
+    assert sorted(steklov.__all__) == sorted(public)
