@@ -347,9 +347,10 @@ def _boundary_nodes(rect: Rectangle, nu_max: float, level: int):
     """Composite Gauss-Legendre nodes on G1 and G2, level 0 or 1.
 
     Yields (side, t, x, y, weight) per side: t holds the side parameters and
-    weight the arc-length weights. The nodes of the reflected side
-    _REFLECTED[side] are the same t, at the points (-x, -y). Level 1 halves
-    every panel of level 0.
+    weight the arc-length weights; the coordinate that is constant on the
+    side (x on G1, y on G2) is one value, an array of length 1. The nodes of
+    the reflected side _REFLECTED[side] are the same t, at the points
+    (-x, -y). Level 1 halves every panel of level 0.
     """
     for side in _REFLECTED:
         lo, hi = rect.side_interval(side)
@@ -359,11 +360,13 @@ def _boundary_nodes(rect: Rectangle, nu_max: float, level: int):
         mid = 0.5 * (breaks[:-1] + breaks[1:])[:, None]
         half = 0.5 * np.diff(breaks)[:, None]
         t = (lo + mid + half * _GL_NODES).ravel()
-        yield (side, t, *rect.side_point(side, t), (half * _GL_WEIGHTS).ravel())
+        x, y = rect.side_point(side, t)
+        x, y = (x[:1], y) if side is Side.G1 else (x, y[:1])
+        yield side, t, x, y, (half * _GL_WEIGHTS).ravel()
 
 
 def _nu_max(spec: Spectrum) -> float:
-    return max((md.nu for md in spec.nonconstant), default=0.0)
+    return float(spec.arrays.nu.max(initial=0.0))
 
 
 def _reflection_signs(spec: Spectrum) -> np.ndarray:
@@ -375,10 +378,14 @@ def _reflection_signs(spec: Spectrum) -> np.ndarray:
 
 
 def _mode_blocks(spec: Spectrum, x: np.ndarray, y: np.ndarray):
-    """(slice, Spectrum.values block) over consecutive blocks of _BLOCK nodes."""
-    for start in range(0, x.size, _BLOCK):
+    """(slice, Spectrum.values block) over consecutive blocks of _BLOCK nodes.
+
+    One of x and y may be a single coordinate shared by all nodes; it is
+    evaluated once per block.
+    """
+    for start in range(0, max(x.size, y.size), _BLOCK):
         block = slice(start, start + _BLOCK)
-        yield block, spec.values(x[block], y[block])
+        yield block, spec.values(x if x.size == 1 else x[block], y if y.size == 1 else y[block])
 
 
 def mode_gram_matrix(spec: Spectrum) -> np.ndarray:

@@ -24,7 +24,17 @@ the periodic factor, which gives guaranteed brackets for bisection.
 
 Hyperbolic factors are evaluated in exponentially rescaled form, exp(nu*aH)
 factored out of both the raw profile and the normalization constant, so modes
-remain finite in double precision for nu up to roughly 700.
+remain finite in double precision far beyond the overflow of cosh: with 8000
+modes at h = 1 (nu up to about 3142) the top mode, F3, still has a trace
+close to 2 sin(nu y) on G1, as its normalization implies. Only the unscaled
+normConst = norm_scaled * exp(-nu*aH) underflows to 0.0 at that size (already
+at 1000 modes for h = 0.001); the evaluators use the scaled pair, and the
+unscaled value shows only in the cache column and boundary_norm_constant.
+
+Spectra are built on arrays. Branch k of a family brackets one root, so each
+branch's eigenvalue has known bounds before anything is solved; only the
+branches that can hold a kept mode are solved, all families in one lock-step
+bisection (plus Newton polish) over numpy arrays.
 
 A Spectrum evaluates all its nonconstant modes at once from these separable
 factors: the (K, N) matrix of values, the weighted expansion and its gradient
@@ -37,8 +47,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,6 +225,7 @@ def _cot(theta: float) -> float:
 
 
 _TINY_THETA = 1e-9  # left edge of the extra F3 branch for h < 1
+_ENDPOINT_RTOL = 100.0 * 2.220446049250313e-16  # residual at rounding level, per unit f'
 
 
 def find_roots(family: FamilyTag, rect: Rectangle, count: int, tol: float = 1e-12) -> list[float]:
@@ -264,7 +276,7 @@ def _solve_branch(family, info, a_t, a_h, k, lo, hi, tol) -> float:
         # rounding level instead of demanding a sign change.
         for theta_end, fend, nu_end in ((lo, flo, bracket_nu[0]), (hi, fhi, bracket_nu[1])):
             scale = max(1.0, abs(_char_local(info, a_t, a_h, k, theta_end)[1]))
-            if abs(fend) <= 100.0 * 2.220446049250313e-16 * scale:
+            if abs(fend) <= _ENDPOINT_RTOL * scale:
                 return nu_end
         raise RootFindError(family, k, bracket_nu, f"f(ends) = ({flo:.3g}, {fhi:.3g})")
 
@@ -362,6 +374,186 @@ def _norm_scaled(family: FamilyTag, nu: float, rect: Rectangle) -> tuple[float, 
             f"{scaled_integral}"
         )
     return math.sqrt(rect.perimeter / scaled_integral), s
+
+
+# ---------------------------------------------------------------------------
+# array forms: the branches of all families at once
+# ---------------------------------------------------------------------------
+
+# Per-mode arrays name the family by its code, FamilyTag.order (CONST 0, XY 1,
+# F1..F8 2..9). These tables give each code's profile; CONST and XY read False.
+_TAGS = tuple(FamilyTag)
+_CODE = {tag: code for code, tag in enumerate(_TAGS)}
+_XY, _F3, _F4 = _CODE[FamilyTag.XY], _CODE[FamilyTag.F3], _CODE[FamilyTag.F4]
+
+
+def _per_code(prop) -> np.ndarray:
+    return np.array([tag in _FAMILIES and prop(_FAMILIES[tag]) for tag in _TAGS])
+
+
+_HYP_X = _per_code(lambda info: info.hyp_axis == "x")
+_COSH = _per_code(lambda info: info.hyp == "cosh")
+_COS = _per_code(lambda info: info.trig == "cos")
+# the characteristic function: tan(theta) (else cot) plus _SIGN * tanh
+_TAN = _COS == _COSH
+_SIGN = np.where(_COS, 1.0, -1.0)
+
+# The kinds of one-dimensional factors, in the order _factor_plan sorts them,
+# and per code the kind of the hyperbolic factor, on axis _HYP_AXIS (0 for x,
+# 1 for y), and of the other one; xy is linear along x and along y.
+_KINDS = ("cos", "cosh", "linear", "sin", "sinh")
+_HYP_KIND = np.array([_KINDS.index(_FAMILIES[tag].hyp if tag in _FAMILIES else "linear") for tag in _TAGS])
+_TRIG_KIND = np.array([_KINDS.index(_FAMILIES[tag].trig if tag in _FAMILIES else "linear") for tag in _TAGS])
+_HYP_AXIS = np.array([int(tag in _FAMILIES and _FAMILIES[tag].hyp_axis == "y") for tag in _TAGS])
+
+
+def _extents(code: np.ndarray, rect: Rectangle):
+    """(aT, aH) per element, as _axis_extents."""
+    hyp_x = _HYP_X[code]
+    return np.where(hyp_x, rect.h, 1.0), np.where(hyp_x, 1.0, rect.h)
+
+
+def _eigenvalues(code: np.ndarray, nu: np.ndarray, rect: Rectangle) -> np.ndarray:
+    """eigenvalue_of per element of the arrays of separable codes and frequencies."""
+    t = np.tanh(nu * _extents(code, rect)[1])
+    return np.where(_COSH[code], nu * t, nu / t)
+
+
+def _norms_scaled(code: np.ndarray, nu: np.ndarray, rect: Rectangle):
+    """_norm_scaled per element: the arrays normConst * exp(nu*aH) and nu*aH."""
+    a_t, a_h = _extents(code, rect)
+    cosh, cos = _COSH[code], _COS[code]
+    s = nu * a_h
+    e2 = np.exp(-2.0 * s)
+    tail = -np.expm1(-4.0 * s) / (4.0 * nu)
+    hyp_edge = 0.5 * np.where(cosh, 1.0 + e2, -np.expm1(-2.0 * s))
+    small = a_h * s * s * (2.0 / 3.0 - 4.0 * s / 3.0 + 22.0 * s * s / 15.0)
+    hyp_int = np.where(cosh, a_h * e2 + tail, np.where(s < 1e-3, small, -a_h * e2 + tail))
+
+    r = nu * a_t
+    x = 2.0 * r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        one_minus_sinc = np.where(np.abs(x) < 1e-4, x * x / 6.0 - (x * x) * (x * x) / 120.0, 1.0 - np.sin(x) / x)
+    trig_edge = np.where(cos, np.cos(r), np.sin(r))
+    trig_int = np.where(cos, 2.0 * a_t - a_t * one_minus_sinc, a_t * one_minus_sinc)
+
+    scaled_integral = 2.0 * (hyp_edge * hyp_edge * trig_int + trig_edge * trig_edge * hyp_int)
+    bad = np.flatnonzero(~(scaled_integral > 0.0))
+    if bad.size:
+        i = bad[0]
+        raise SpectrumError(
+            f"nonpositive boundary square integral for {_TAGS[code[i]].value}, nu={nu[i]}: "
+            f"{scaled_integral[i]}"
+        )
+    return np.sqrt(rect.perimeter / scaled_integral), s
+
+
+def _char_arrays(theta, k_pi, a_t, a_h, tan, sign, derivative: bool = False):
+    """_char_local per element: f, or (f, f') with derivative.
+
+    The periodic factor is tan(theta) where tan is set, cot(theta) elsewhere;
+    sign is that of the tanh term.
+    """
+    nu = (k_pi + theta) / a_t
+    th = np.tanh(nu * a_h)
+    p = np.tan(theta)
+    np.divide(1.0, p, out=p, where=~tan)
+    f = p + sign * th
+    if not derivative:
+        return f
+    dp = 1.0 + p * p
+    return f, np.where(tan, dp, -dp) + sign * (1.0 - th * th) * a_h / a_t
+
+
+def _char_residuals(code: np.ndarray, nu: np.ndarray, rect: Rectangle):
+    """char_residual per element: the arrays of residuals and derivative scales."""
+    a_t, a_h = _extents(code, rect)
+    r = nu * a_t
+    k_pi = np.floor(r / math.pi + 0.5) * math.pi
+    fval, fder = _char_arrays(r - k_pi, k_pi, a_t, a_h, _TAN[code], _SIGN[code], derivative=True)
+    return fval, np.maximum(1.0, np.abs(fder))
+
+
+def _branch_table(rect: Rectangle, counts):
+    """(code, rank, k, lo, hi): the first counts[c] branches of each family code c.
+
+    The branches of find_roots, family after family: rank is the root's
+    ordinal within its family, [lo, hi] its bracket in theta on branch k.
+    """
+    counts = np.asarray(counts, dtype=int)
+    code = np.repeat(np.arange(len(_TAGS)), counts)
+    rank = np.arange(code.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    layout = [
+        _branch_layout(_FAMILIES[tag], *_axis_extents(_FAMILIES[tag], rect)) if tag in _FAMILIES else (0.0, 0.0, 0, False)
+        for tag in _TAGS
+    ]
+    lo, hi, k_start, extra = (np.array(column)[code] for column in zip(*layout))
+    k = k_start + rank - extra.astype(int)
+    return code, rank, k, np.where(extra & (rank == 0), _TINY_THETA, lo), hi
+
+
+def _solve_branches(code, k, lo, hi, rect: Rectangle, tol: float) -> np.ndarray:
+    """The root on every branch of _branch_table, all branches in lock-step.
+
+    Per branch this is _solve_branch: the same bracket, the same endpoint
+    acceptance, bisection until the bracket is at most tol * aT wide in theta,
+    then at most 3 Newton steps that stay in the bracket and shrink |f|.
+    """
+    if tol < 1e-14:
+        raise ValueError(f"tol must be >= 1e-14, got {tol}")
+    a_t, a_h = _extents(code, rect)
+    k_pi = k * math.pi
+    tan, sign = _TAN[code], _SIGN[code]
+
+    def char(theta, derivative=False):
+        return _char_arrays(theta, k_pi, a_t, a_h, tan, sign, derivative)
+
+    def fail(i, detail):
+        bracket = ((k_pi[i] + lo[i]) / a_t[i], (k_pi[i] + hi[i]) / a_t[i])
+        return RootFindError(_TAGS[code[i]], int(k[i]), bracket, detail)
+
+    flo, dlo = char(lo, True)
+    fhi, dhi = char(hi, True)
+    # For large nu the tanh factor saturates and the root sits within an ulp
+    # of a bracket end; an end whose residual is at rounding level is the root.
+    same = flo * fhi > 0.0
+    at_lo = (flo == 0.0) | (same & (np.abs(flo) <= _ENDPOINT_RTOL * np.maximum(1.0, np.abs(dlo))))
+    at_hi = ~at_lo & ((fhi == 0.0) | (same & (np.abs(fhi) <= _ENDPOINT_RTOL * np.maximum(1.0, np.abs(dhi)))))
+    done = at_lo | at_hi
+    stray = np.flatnonzero(same & ~done)
+    if stray.size:
+        i = stray[0]
+        raise fail(i, f"f(ends) = ({flo[i]:.3g}, {fhi[i]:.3g})")
+
+    end = np.where(at_lo, lo, hi)
+    a, b, fa = np.where(done, end, lo), np.where(done, end, hi), flo
+    theta_tol = tol * a_t
+    for _ in range(250):
+        live = b - a > theta_tol
+        if not live.any():
+            break
+        mid = 0.5 * (a + b)
+        fm = char(mid)
+        left = fa * fm < 0.0
+        b = np.where(live & (left | (fm == 0.0)), mid, b)
+        up = live & ~left
+        a, fa = np.where(up, mid, a), np.where(up, fm, fa)
+    else:
+        raise fail(np.flatnonzero(b - a > theta_tol)[0], "bisection iteration cap reached")
+
+    theta = 0.5 * (a + b)
+    fval, fder = char(theta, True)
+    polish = ~done
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            cand = theta - fval / fder
+            polish &= (fder != 0.0) & (lo <= cand) & (cand <= hi)
+            if not polish.any():
+                break
+            cval, cder = char(cand, True)
+            polish &= np.abs(cval) < np.abs(fval)
+            theta, fval, fder = (np.where(polish, new, old) for new, old in ((cand, theta), (cval, fval), (cder, fder)))
+    return (k_pi + theta) / a_t
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +671,55 @@ def scale_mode(mode: SteklovMode, L: float):
 _BLOCK_ENTRIES = 1 << 14
 
 
+class ModeArrays(NamedTuple):
+    """The modes of a spectrum as per-mode arrays, constant first."""
+
+    code: np.ndarray  # family code, FamilyTag.order
+    nu: np.ndarray
+    delta: np.ndarray
+    norm_scaled: np.ndarray
+    hyp_scale: np.ndarray
+    rank: np.ndarray  # family_rank
+
+    @classmethod
+    def of(cls, modes) -> "ModeArrays":
+        column = lambda name: np.array([getattr(md, name) for md in modes], dtype=float)
+        return cls(
+            np.array([_CODE[md.family] for md in modes], dtype=int),
+            column("nu"), column("delta"), column("norm_scaled"), column("hyp_scale"),
+            np.array([md.family_rank for md in modes], dtype=int),
+        )
+
+    def take(self, rows) -> "ModeArrays":
+        return ModeArrays(*(a[rows] for a in self))
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Delta-sorted collection of boundary-normalized modes, constant first."""
+    """Delta-sorted collection of boundary-normalized modes, constant first.
+
+    arrays holds the same modes as per-mode arrays; it is derived from modes
+    when not given.
+    """
 
     rectangle: Rectangle
     modes: tuple[SteklovMode, ...]
     selection: str
     depth: int  # per-family root depth M, or the retained count for global
+    arrays: ModeArrays | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.arrays is None:
+            object.__setattr__(self, "arrays", ModeArrays.of(self.modes))
+
+    @classmethod
+    def _from_arrays(cls, rect: Rectangle, arrays: ModeArrays, selection: str, depth: int) -> "Spectrum":
+        """The spectrum of the given per-mode arrays; each mode's index is its row."""
+        modes = tuple(
+            SteklovMode(_TAGS[code], nu, delta, rect, norm, scale, i, rank)
+            for i, (code, nu, delta, norm, scale, rank) in enumerate(zip(*(a.tolist() for a in arrays)))
+        )
+        return cls(rect, modes, selection, depth, arrays)
 
     @property
     def nonconstant(self) -> tuple[SteklovMode, ...]:
@@ -494,87 +727,53 @@ class Spectrum:
 
     @cached_property
     def _factor_table(self):
-        """The 2K one-dimensional factors of the nonconstant modes, for _factors.
+        """_factor_plan of both axes, for _factors."""
+        return _factor_plan(self.arrays)
 
-        Mode j+1 is Fx_j(x) * Fy_j(y). Along its hyperbolic axis a family mode
-        has the factor norm_scaled * cosh_or_sinh_scaled(nu * u), along the
-        other cos or sin(nu * v); xy is norm * x times y ("linear", nu = 1).
-        The factors are sorted by kind. Returns (axis, nu, groups, rows):
-        axis (0 for x, 1 for y) and the (2K, 1) column nu per factor; groups
-        of (kind, slice, nu, coef, hyp_scale) per kind; and rows, the (2, K)
-        positions of every mode's x- and y-factor.
-        """
-        factors = []
-        for j, md in enumerate(self.nonconstant):
-            if md.family is FamilyTag.XY:
-                factors += [("linear", 0, 1.0, md.norm_scaled, 0.0, j), ("linear", 1, 1.0, 1.0, 0.0, j)]
-                continue
-            info = _FAMILIES[md.family]
-            hyp_axis = 0 if info.hyp_axis == "x" else 1
-            factors += [
-                (info.hyp, hyp_axis, md.nu, md.norm_scaled, md.hyp_scale, j),
-                (info.trig, 1 - hyp_axis, md.nu, 1.0, 0.0, j),
-            ]
-        factors.sort(key=lambda f: f[0])
-        column = lambda i: np.array([f[i] for f in factors], dtype=float).reshape(-1, 1)
-        nu, coef, scale = column(2), column(3), column(4)
-        groups, start = [], 0
-        for kind in sorted({f[0] for f in factors}):
-            s = slice(start, start + sum(f[0] == kind for f in factors))
-            groups.append((kind, s, nu[s], coef[s], scale[s]))
-            start = s.stop
-        rows = np.zeros((2, len(self.modes) - 1), dtype=int)
-        for i, f in enumerate(factors):
-            rows[f[1], f[5]] = i
-        return np.array([f[1] for f in factors], dtype=int), nu, groups, rows
+    @cached_property
+    def _axis_tables(self):
+        """_factor_plan of the x axis alone, and of the y axis alone."""
+        return _factor_plan(self.arrays, 0), _factor_plan(self.arrays, 1)
 
     def _factors(self, x, y, derivative: bool = False):
         """((Fx, Fy), (dFx, dFy)): the separable factors of the nonconstant modes.
 
-        x and y are 1-D arrays of n coordinates each. Fx is the (K, n) matrix
-        of the factors along x at x, Fy that along y at y, so mode j+1 at
+        x and y are 1-D arrays. Fx is the (K, len(x)) matrix of the factors
+        along x at x, Fy the (K, len(y)) one along y at y, so mode j+1 at
         (x_i, y_i) is Fx[j, i] * Fy[j, i]; the derivatives are None unless
         derivative is set. The hyperbolic factors carry the norm and the
-        exp(-nu*aH) scaling.
+        exp(-nu*aH) scaling. With len(x) == len(y) both axes are evaluated in
+        one pass over the factor kinds; otherwise each axis on its own points,
+        so a length-1 axis (a side's constant coordinate) is evaluated once.
         """
-        axis, nu_all, groups, rows = self._factor_table
-        # every step runs in place where it can: large temporaries cost page faults
-        f = np.stack((np.asarray(x, dtype=float), np.asarray(y, dtype=float)))[axis]
-        f *= nu_all
-        df = np.empty_like(f) if derivative else None
-        for kind, s, nu, coef, scale in groups:
-            z = f[s]
-            if kind == "linear":
-                if derivative:
-                    df[s] = coef
-                z *= coef
-            elif kind == "cos":
-                if derivative:
-                    np.multiply(-nu, np.sin(z), out=df[s])
-                np.cos(z, out=z)
-            elif kind == "sin":
-                if derivative:
-                    np.multiply(nu, np.cos(z), out=df[s])
-                np.sin(z, out=z)
-            else:
-                az = np.abs(z)
-                half = 0.5 * np.exp(az - scale)
-                az *= -2.0
-                cosh = half * (1.0 + np.exp(az)) if kind == "cosh" or derivative else None
-                sinh = np.sign(z) * half * (-np.expm1(az)) if kind == "sinh" or derivative else None
-                hyp, dhyp = (cosh, sinh) if kind == "cosh" else (sinh, cosh)
-                if derivative:
-                    np.multiply(coef * nu, dhyp, out=df[s])
-                np.multiply(coef, hyp, out=z)
-        return (f[rows[0]], f[rows[1]]), ((df[rows[0]], df[rows[1]]) if derivative else None)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.size == y.size:
+            axis, nu, groups, rows = self._factor_table
+            # every step runs in place where it can: large temporaries cost page faults
+            f = np.stack((x, y))[axis]
+            f *= nu
+            df = _apply_kinds(f, groups, derivative)
+            pick = lambda m: (m[rows[0]], m[rows[1]])
+            return pick(f), (pick(df) if derivative else None)
+        factors = []
+        for along, coord in enumerate((x, y)):
+            _, nu, groups, rows = self._axis_tables[along]
+            f = nu * coord
+            df = _apply_kinds(f, groups, derivative)
+            factors.append((f[rows[along]], df[rows[along]] if derivative else None))
+        (fx, dfx), (fy, dfy) = factors
+        return (fx, fy), ((dfx, dfy) if derivative else None)
 
     def values(self, x, y) -> np.ndarray:
         """The nonconstant modes at N points: a (K, N) matrix, row j for mode j+1.
 
-        x and y are 1-D arrays of N coordinates (no domain check); the matrix
-        is the product of the two factor matrices of _factors.
+        x and y are 1-D arrays of N coordinates, or one of them a single
+        coordinate for all N points (no domain check); the matrix is the
+        product of the two factor matrices of _factors.
         """
         (fx, fy), _ = self._factors(x, y)
+        if fx.shape[1] < fy.shape[1]:
+            fx, fy = fy, fx
         fx *= fy
         return fx
 
@@ -625,10 +824,8 @@ class Spectrum:
         O(K * (nx + ny)) transcendental evaluations instead of O(K * nx * ny).
         """
         w = np.asarray(weights, dtype=float)
-        nx, ny = len(xs), len(ys)
-        n = max(nx, ny)
-        (fx, fy), _ = self._factors(np.pad(xs, (0, n - nx)), np.pad(ys, (0, n - ny)))
-        return fy[:, :ny].T @ (w[:, None] * fx[:, :nx])
+        (fx, fy), _ = self._factors(xs, ys)
+        return fy.T @ (w[:, None] * fx)
 
     @property
     def max_delta(self) -> float:
@@ -639,46 +836,110 @@ class Spectrum:
         if self.selection == PER_FAMILY:
             if m > self.depth:
                 raise ValueError(f"cannot select M={m} from depth {self.depth}")
-            keep = [md for md in self.nonconstant if _pf_selected(md, self.rectangle, m)]
+            rows = np.flatnonzero(_per_family_kept(self.arrays.code, self.arrays.rank, self.rectangle, m))
         else:
             count = 8 * m
             if count > len(self.nonconstant):
                 raise ValueError(f"cannot select {count} modes from {len(self.nonconstant)}")
-            keep = list(self.nonconstant[:count])
-        modes = [self.modes[0]] + keep
-        modes = [replace(md, index=i) for i, md in enumerate(modes)]
-        return Spectrum(self.rectangle, tuple(modes), self.selection, m)
+            rows = slice(0, count + 1)
+        return Spectrum._from_arrays(self.rectangle, self.arrays.take(rows), self.selection, m)
 
 
-def _class2_slot(mode: SteklovMode) -> int:
-    """Slot of a class-II mode on the square: xy first, then F3/F4 roots by depth."""
-    if mode.family is FamilyTag.XY:
-        return 0
-    if mode.family is FamilyTag.F3:
-        return 2 * mode.family_rank + 1
-    return 2 * mode.family_rank + 2
+def _factor_plan(arrays: ModeArrays, along: int | None = None):
+    """How _factors evaluates the one-dimensional factors of nonconstant modes.
+
+    Mode j+1 is Fx_j(x) * Fy_j(y). Along its hyperbolic axis a family mode
+    has the factor norm_scaled * cosh_or_sinh_scaled(nu * u), along the other
+    cos or sin(nu * v); xy is norm * x times y ("linear", nu = 1). The plan
+    covers the factors along the axis `along` (0 for x, 1 for y), or along
+    both for None, sorted by kind. Returns (axis, nu, groups, rows): per
+    factor its axis and its nu as a column; groups of (kind, slice, nu, coef,
+    hyp_scale) per kind; and rows, where rows[a, j] is the position of mode
+    j+1's factor along axis a.
+    """
+    code = arrays.code[1:]
+    n = code.size
+    kind, axis = np.empty(2 * n, dtype=int), np.empty(2 * n, dtype=int)
+    kind[0::2], kind[1::2] = _HYP_KIND[code], _TRIG_KIND[code]
+    axis[0::2] = _HYP_AXIS[code]
+    axis[1::2] = 1 - axis[0::2]
+    nu = np.repeat(np.where(code == _XY, 1.0, arrays.nu[1:]), 2)
+    coef, scale = np.ones(2 * n), np.zeros(2 * n)
+    coef[0::2], scale[0::2] = arrays.norm_scaled[1:], arrays.hyp_scale[1:]
+    index = np.arange(2 * n) if along is None else np.flatnonzero(axis == along)
+    order = index[np.argsort(kind[index], kind="stable")]
+    kind, axis, nu, coef, scale = kind[order], axis[order], nu[order, None], coef[order, None], scale[order, None]
+    rows = np.zeros((2, n), dtype=int)
+    rows[axis, order // 2] = np.arange(order.size)
+    edges = np.searchsorted(kind, np.arange(len(_KINDS) + 1)).tolist()
+    groups = [
+        (_KINDS[i], slice(lo, hi), nu[lo:hi], coef[lo:hi], scale[lo:hi])
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
+        if hi > lo
+    ]
+    return axis, nu, groups, rows
 
 
-def _pf_selected(mode: SteklovMode, rect: Rectangle, m: int) -> bool:
-    if rect.is_square and family_class(mode.family) == "II":
-        return _class2_slot(mode) < 2 * m
-    return mode.family_rank < m
+def _apply_kinds(z: np.ndarray, groups, derivative: bool):
+    """Turn z = nu * coordinate into the factors, in place, group by group.
+
+    Each group of _factor_table holds the rows of one kind. Returns the
+    derivatives of the factors, or None without derivative.
+    """
+    dz = np.empty_like(z) if derivative else None
+    for kind, s, nu, coef, scale in groups:
+        v = z[s]
+        if kind == "linear":
+            if derivative:
+                dz[s] = coef
+            v *= coef
+        elif kind == "cos":
+            if derivative:
+                np.multiply(-nu, np.sin(v), out=dz[s])
+            np.cos(v, out=v)
+        elif kind == "sin":
+            if derivative:
+                np.multiply(nu, np.cos(v), out=dz[s])
+            np.sin(v, out=v)
+        else:
+            av = np.abs(v)
+            half = 0.5 * np.exp(av - scale)
+            av *= -2.0
+            cosh = half * (1.0 + np.exp(av)) if kind == "cosh" or derivative else None
+            sinh = np.sign(v) * half * (-np.expm1(av)) if kind == "sinh" or derivative else None
+            hyp, dhyp = (cosh, sinh) if kind == "cosh" else (sinh, cosh)
+            if derivative:
+                np.multiply(coef * nu, dhyp, out=dz[s])
+            np.multiply(coef, hyp, out=v)
+    return dz
 
 
-def _sorted_with_const(rect: Rectangle, candidates: list[SteklovMode]) -> list[SteklovMode]:
-    candidates.sort(key=lambda md: (md.delta, md.family.order, md.nu))
-    modes = [make_mode(FamilyTag.CONST, rect)] + candidates
-    return [replace(md, index=i) for i, md in enumerate(modes)]
+def _per_family_kept(code: np.ndarray, rank: np.ndarray, rect: Rectangle, m: int) -> np.ndarray:
+    """Mask of the modes a per-family truncation to depth m keeps.
+
+    The first m roots of each family. On the square, xy leads the class-II
+    block, whose slots are xy, then F3 and F4 roots alternating by rank, and
+    the block keeps 2m slots (so m F3 roots and m - 1 F4 roots).
+    """
+    if not rect.is_square:
+        return rank < m
+    slot = np.where(code == _F3, 2 * rank + 1, np.where(code == _F4, 2 * rank + 2, 0))
+    class2 = (code == _XY) | (code == _F3) | (code == _F4)
+    return np.where(class2, slot < 2 * m, rank < m)
 
 
-def _candidate_pool(rect: Rectangle, per_family: int, tol: float) -> list[SteklovMode]:
-    pool = []
-    if rect.is_square and per_family > 0:
-        pool.append(make_mode(FamilyTag.XY, rect))
-    for family in _FAMILIES:
-        for rank, nu in enumerate(find_roots(family, rect, per_family, tol)):
-            pool.append(make_mode(family, rect, nu, family_rank=rank))
-    return pool
+def _spectrum_of_roots(rect: Rectangle, code, rank, nu, with_xy: bool, keep: int | None, selection: str, depth: int) -> Spectrum:
+    """The constant mode, then the `keep` smallest of the given roots (and of
+    xy, with with_xy; all of them for keep None) in (delta, family order, nu)
+    order."""
+    columns = [code, nu, _eigenvalues(code, nu, rect), *_norms_scaled(code, nu, rect), rank]
+    if with_xy:
+        columns = [np.append(c, v) for c, v in zip(columns, (_XY, 0.0, 1.0, math.sqrt(3.0), 0.0, 0))]
+    code, nu, delta = columns[:3]
+    order = np.lexsort((nu, code, delta))[:keep]
+    const = (_CODE[FamilyTag.CONST], 0.0, 0.0, 1.0, 0.0, 0)
+    arrays = ModeArrays(*(np.concatenate(([v], c[order])) for v, c in zip(const, columns)))
+    return Spectrum._from_arrays(rect, arrays, selection, depth)
 
 
 def build_spectrum(
@@ -693,22 +954,40 @@ def build_spectrum(
     if m < 1:
         raise ValueError(f"spectrum depth must be >= 1, got {m}")
     if selection == PER_FAMILY:
-        pool = _candidate_pool(rect, m, tol)
-        keep = [md for md in pool if _pf_selected(md, rect, m)]
-        return Spectrum(rect, tuple(_sorted_with_const(rect, keep)), PER_FAMILY, m)
+        counts = [m if tag in _FAMILIES else 0 for tag in _TAGS]
+        code, rank, k, lo, hi = _branch_table(rect, counts)
+        kept = _per_family_kept(code, rank, rect, m)
+        code, rank, k, lo, hi = (c[kept] for c in (code, rank, k, lo, hi))
+        nu = _solve_branches(code, k, lo, hi, rect, tol)
+        return _spectrum_of_roots(rect, code, rank, nu, rect.is_square, None, PER_FAMILY, m)
     if selection == GLOBAL_SORTED:
         return build_spectrum_by_count(rect, 8 * m, tol)
     raise ValueError(f"unknown selection policy {selection!r}")
 
 
 def build_spectrum_by_count(rect: Rectangle, count: int, tol: float = 1e-12) -> Spectrum:
-    """Constant mode plus the `count` smallest nonconstant eigenpairs."""
+    """Constant mode plus the `count` smallest nonconstant eigenpairs.
+
+    Only the branches that can hold one of them are solved. The root of
+    branch k lies in a known bracket and delta increases with nu, so the
+    branch's eigenvalue has known bounds. Let U be the count-th smallest
+    upper bound over the first `count` branches of every family (and xy,
+    delta = 1, on the square): at least `count` modes have delta <= U, so a
+    branch whose lower bound exceeds U holds none of the kept ones.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    pool = _candidate_pool(rect, count, tol)
-    pool.sort(key=lambda md: (md.delta, md.family.order, md.nu))
-    keep = pool[:count]
-    return Spectrum(rect, tuple(_sorted_with_const(rect, keep)), GLOBAL_SORTED, count)
+    with_xy = rect.is_square and count > 0
+    code, rank, k, lo, hi = _branch_table(rect, [count if tag in _FAMILIES else 0 for tag in _TAGS])
+    if count:
+        a_t = _extents(code, rect)[0]
+        lower, upper = (_eigenvalues(code, (k * math.pi + theta) / a_t, rect) for theta in (lo, hi))
+        cutoff = np.partition(np.append(upper, 1.0) if with_xy else upper, count - 1)[count - 1]
+        # the slack covers rounding in the bounds; it adds a root only on a near tie
+        solve = lower <= cutoff * (1.0 + 1e-12)
+        code, rank, k, lo, hi = (c[solve] for c in (code, rank, k, lo, hi))
+    nu = _solve_branches(code, k, lo, hi, rect, tol)
+    return _spectrum_of_roots(rect, code, rank, nu, with_xy, count, GLOBAL_SORTED, count)
 
 
 # ---------------------------------------------------------------------------
@@ -739,42 +1018,71 @@ def save_spectrum(spec: Spectrum, path) -> None:
 
 
 def spectrum_from_json(text: str, residual_tol: float = 1e-8) -> Spectrum:
-    """Rebuild a spectrum from its cache form, revalidating the eigendata."""
+    """Rebuild a spectrum from its cache form, revalidating the eigendata.
+
+    Every separable nu must solve its characteristic equation to within
+    residual_tol (relative to the derivative scale); delta and normConst are
+    recomputed from nu and must match the cached ones. The first row that
+    fails raises.
+    """
     data = json.loads(text)
     rect = Rectangle(float(data["h"]))
     selection = data["selection"]
     if selection not in (PER_FAMILY, GLOBAL_SORTED):
         raise SpectrumError(f"unknown selection policy {selection!r} in cache")
 
-    ranks: dict[FamilyTag, int] = {}
-    modes = []
-    for i, row in enumerate(data["modes"]):
-        family = FamilyTag(row["family"])
-        nu = float(row["nu"])
-        if i == 0 and family is not FamilyTag.CONST:
-            raise SpectrumError("cache must list the constant mode first")
-        if family.is_separable:
-            resid, scale = char_residual(family, nu, rect)
-            if abs(resid) > residual_tol * scale:
-                raise SpectrumError(
-                    f"cached nu={nu} fails the {family.value} characteristic "
-                    f"equation: residual {resid:.3g}"
-                )
-        rank = ranks.get(family, 0)
-        ranks[family] = rank + 1
-        mode = make_mode(family, rect, nu, family_rank=rank)
-        for name, got in (("delta", float(row["delta"])), ("normConst", float(row["normConst"]))):
-            ref = mode.delta if name == "delta" else mode.norm_const
-            tol = 1e-12 if name == "delta" else 1e-10
-            if ref > 1e-290 and abs(got - ref) > tol * max(1.0, abs(ref)):
-                raise SpectrumError(
-                    f"cached {name}={got} disagrees with recomputed {ref} "
-                    f"for {family.value}, nu={nu}"
-                )
-        modes.append(replace(mode, index=i))
+    rows = data["modes"]
+    code = np.array([_CODE[FamilyTag(row["family"])] for row in rows], dtype=int)
+    if code.size and code[0] != _CODE[FamilyTag.CONST]:
+        raise SpectrumError("cache must list the constant mode first")
+    nu = np.array([float(row["nu"]) for row in rows])
+    cached = {name: np.array([float(row[name]) for row in rows]) for name in ("delta", "normConst")}
 
-    depth = max(ranks.values(), default=1)
-    return Spectrum(rect, tuple(modes), selection, depth)
+    sep = np.flatnonzero(code > _XY)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a nu of 0 or inf fails below
+        resid, scale = _char_residuals(code[sep], nu[sep], rect)
+    bad = np.zeros(code.size, dtype=bool)
+    bad[sep] = ~(np.abs(resid) <= residual_tol * scale)
+    bad_xy = (code == _XY) & (not rect.is_square)
+    bad_nu = np.zeros(code.size, dtype=bool)
+    bad_nu[sep] = ~(nu[sep] > 0.0)
+    first = np.flatnonzero(bad | bad_xy | bad_nu)
+    if first.size:
+        i = first[0]
+        family = _TAGS[code[i]]
+        if bad[i]:
+            raise SpectrumError(
+                f"cached nu={nu[i]} fails the {family.value} characteristic "
+                f"equation: residual {resid[np.searchsorted(sep, i)]:.3g}"
+            )
+        if bad_xy[i]:
+            raise SpectrumError("the xy mode exists only on the square (h = 1)")
+        raise ValueError(f"nu must be positive, got {nu[i]}")
+
+    # the constant and xy rows as make_mode builds them, whatever nu they list
+    nu[code <= _XY] = 0.0
+    delta = np.where(code == _XY, 1.0, 0.0)
+    norm_scaled = np.where(code == _XY, math.sqrt(3.0), 1.0)
+    hyp_scale = np.zeros(code.size)
+    delta[sep] = _eigenvalues(code[sep], nu[sep], rect)
+    norm_scaled[sep], hyp_scale[sep] = _norms_scaled(code[sep], nu[sep], rect)
+    for name, ref, tol in (("delta", delta, 1e-12), ("normConst", norm_scaled * np.exp(-hyp_scale), 1e-10)):
+        got = cached[name]
+        off = np.flatnonzero((ref > 1e-290) & (np.abs(got - ref) > tol * np.maximum(1.0, np.abs(ref))))
+        if off.size:
+            i = off[0]
+            raise SpectrumError(
+                f"cached {name}={got[i]} disagrees with recomputed {ref[i]} "
+                f"for {_TAGS[code[i]].value}, nu={nu[i]}"
+            )
+
+    # family_rank: the row's ordinal among the rows of its family
+    order = np.argsort(code, kind="stable")
+    rank = np.empty_like(code)
+    rank[order] = np.arange(code.size) - np.searchsorted(code[order], code[order])
+    depth = int(np.bincount(code).max()) if code.size else 1
+    arrays = ModeArrays(code, nu, delta, norm_scaled, hyp_scale, rank)
+    return Spectrum._from_arrays(rect, arrays, selection, depth)
 
 
 def load_spectrum(path, residual_tol: float = 1e-8) -> Spectrum:

@@ -67,6 +67,7 @@ class TableWorkspace:
         self.depth = depth
         self._spectra: dict = {}
         self._coeffs: dict = {}
+        self._norms: dict = {}  # (data, h, norm) -> boundary norm of the data
         self._rerr_rows: dict = {}  # (table_id, policy) -> rows of tables 4-9, reused by table 10
 
     def deep_spectrum(self, h: float) -> Spectrum:
@@ -87,6 +88,13 @@ class TableWorkspace:
             self._coeffs[key] = steklov_coefficients(g, spec, self.abstol, self.reltol)
         return self._coeffs[key]
 
+    def data_norm(self, g: BoundaryFunction, norm: str) -> float:
+        """The boundary norm "inf" or "2" of the data g, once per (data, h, norm)."""
+        key = (g.name, g.rect.h, norm)
+        if key not in self._norms:
+            self._norms[key] = _norm_of(norm)(g.value, g.rect)
+        return self._norms[key]
+
     def base_spectrum(self, h: float, policy: str) -> Spectrum:
         """The spectrum coefficients are computed against, per policy."""
         if policy == PER_FAMILY:
@@ -97,7 +105,8 @@ class TableWorkspace:
         if policy == POLICY_PREFIX:
             count = ref.nonconstant_count(kind, m)
             deep = self.deep_spectrum(h)
-            return Spectrum(deep.rectangle, deep.modes[: count + 1], GLOBAL_SORTED, count)
+            head = slice(0, count + 1)
+            return Spectrum(deep.rectangle, deep.modes[head], GLOBAL_SORTED, count, deep.arrays.take(head))
         if policy == PER_FAMILY:
             return self.per_family_spectrum(h, m)
         if policy == GLOBAL_SORTED:
@@ -163,12 +172,15 @@ def reproduce_pointwise(table_id: int, ws: Optional[TableWorkspace] = None,
     )
 
 
-def _data_rerr(g: BoundaryFunction, coeffs, sub: Spectrum, norm: str) -> float:
+def _norm_of(norm: str):
+    return boundary_sup if norm == "inf" else boundary_l2
+
+
+def _data_rerr(ws: TableWorkspace, g: BoundaryFunction, coeffs, sub: Spectrum, norm: str) -> float:
     """Boundary error of g's partial sum over sub, relative to g, in norm "inf" or "2"."""
     cox = coeffs.restrict(sub)
     diff = lambda side, t: g.value(side, t) - boundary_partial_sum(cox, side, t)
-    norm_of = boundary_sup if norm == "inf" else boundary_l2
-    return norm_of(diff, g.rect) / norm_of(g.value, g.rect)
+    return _norm_of(norm)(diff, g.rect) / ws.data_norm(g, norm)
 
 
 def reproduce_rerr(table_id: int, ws: Optional[TableWorkspace] = None,
@@ -184,7 +196,7 @@ def reproduce_rerr(table_id: int, ws: Optional[TableWorkspace] = None,
             for i, m in enumerate(ref.M_VALUES):
                 coeffs = ws.coefficients(name, h, ws.base_spectrum(h, policy))
                 sub = ws.truncation(h, "dirichlet", m, policy)
-                val = _data_rerr(builtin_boundary(name, Rectangle(h)), coeffs, sub, norm)
+                val = _data_rerr(ws, builtin_boundary(name, Rectangle(h)), coeffs, sub, norm)
                 printed = printed_row[i]
                 within, note = _grade_rel(val, printed, ref.RERR_TOL)
                 rows.append((name, m, val, printed, abs(val - printed) / printed, within, note))
@@ -229,7 +241,7 @@ def reproduce_corner(ws: Optional[TableWorkspace] = None,
         sub = ws.truncation(h, "dirichlet", m, policy)
         vals = []
         for fn, coeffs in ((g, co), (g_reduced, co_r)):
-            vals += [_data_rerr(fn, coeffs, sub, "inf"), _data_rerr(fn, coeffs, sub, "2")]
+            vals += [_data_rerr(ws, fn, coeffs, sub, "inf"), _data_rerr(ws, fn, coeffs, sub, "2")]
         # computed order: inf f1, l2 f1, inf f1+4, l2 f1+4 -> printed column order
         ordered = (vals[0], vals[2], vals[1], vals[3])
         for col, val, printed in zip(columns, ordered, ref.CORNER_TABLE["rows"][m]):

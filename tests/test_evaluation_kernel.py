@@ -55,6 +55,20 @@ def test_values_match_scalar_modes(spec):
         close(row, [md._value_unchecked(a, b) for a, b in zip(x.tolist(), y.tolist())])
 
 
+def test_values_with_one_constant_coordinate(spec):
+    # a side's constant coordinate passed once gives the same matrix, bit for
+    # bit, as the same coordinate repeated at every node
+    h = spec.rectangle.h
+    t = np.linspace(-h, h, 70)
+    for x, y in ((np.array([1.0]), t), (np.linspace(-1.0, 1.0, 70), np.array([h]))):
+        full = spec.values(*np.broadcast_arrays(x, y))
+        assert np.array_equal(spec.values(x, y), full)
+        (fx, fy), (dfx, dfy) = spec._factors(x, y, derivative=True)
+        (gx, gy), (dgx, dgy) = spec._factors(*np.broadcast_arrays(x, y), derivative=True)
+        for one, every in ((fx, gx), (fy, gy), (dfx, dgx), (dfy, dgy)):
+            assert np.array_equal(np.broadcast_to(one, every.shape), every)
+
+
 def test_values_of_constant_only_spectrum():
     spec = build_spectrum_by_count(Rectangle(0.7), 0)
     assert spec.values(np.zeros(3), np.zeros(3)).shape == (0, 3)

@@ -82,3 +82,26 @@ def test_table_10_reuses_tables_4_to_9(monkeypatch):
     monkeypatch.undo()
     fresh = reproduce_table(10, TableWorkspace())
     assert memoised.rows == fresh.rows
+
+
+def test_data_norms_are_computed_once_per_data_h_and_norm(monkeypatch):
+    import steklov.tables as tables
+    from steklov.boundary import BoundaryFunction
+
+    real = tables._norm_of
+    computed = []
+
+    def norm_of(norm):
+        def counted(f, rect):
+            data = getattr(f, "__self__", None)  # the norm of the data itself, not of an error
+            if isinstance(data, BoundaryFunction):
+                computed.append((data.name, rect.h, norm))
+            return real(norm)(f, rect)
+
+        return counted
+
+    monkeypatch.setattr(tables, "_norm_of", norm_of)
+    ws = TableWorkspace()
+    for tid in range(4, 12):
+        reproduce_table(tid, ws)
+    assert computed and len(computed) == len(set(computed))
