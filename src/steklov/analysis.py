@@ -28,7 +28,9 @@ import numpy as np
 from .boundary import (
     BoundaryFunction,
     SteklovCoefficients,
+    _boundary_nodes,
     _integrate_panels,
+    _nu_max,
     boundary_partial_sum,
     mode_gram_matrix,
     steklov_coefficients,
@@ -46,7 +48,6 @@ from .spectrum import (
     PER_FAMILY,
     Spectrum,
     build_spectrum,
-    scale_mode,
 )
 
 
@@ -401,50 +402,58 @@ def check_orthonormality(spec: Spectrum, tol: float) -> CheckResult:
 
 
 def check_steklov_residual(spec: Spectrum, tol: float, rng: random.Random, n_points=100) -> CheckResult:
+    """Worst |dn s - delta s| / ((1 + delta) * max(peak |s|, 1)) of the
+    nonconstant modes at n_points random boundary points off the corners,
+    all modes at once on the kernel; peak is each mode's largest |s| there."""
     rect = spec.rectangle
-    worst = 0.0
-    for mode in spec.modes:
-        pts = _random_boundary_points(rect, rng, n_points)
-        peak = max(abs(mode.trace(s, t)) for s, t in pts)
-        scale = (1.0 + mode.delta) * max(peak, 1.0)
-        for s, t in pts:
-            resid = abs(mode.normal_derivative_on(s, t) - mode.delta * mode.trace(s, t))
-            worst = max(worst, resid / scale)
+    pts = _random_boundary_points(rect, rng, n_points)
+    x, y = (np.array(c) for c in zip(*(rect.side_point(side, t) for side, t in pts)))
+    nx, ny = (np.array(c) for c in zip(*(rect.outward_normal(side) for side, _ in pts)))
+    (fx, fy), (dfx, dfy) = spec._factors(x, y, derivative=True)
+    values = fx * fy
+    dn = dfx * fy * nx + fx * dfy * ny
+    delta = spec.arrays.delta[1:, None]
+    peak = np.maximum(np.abs(values).max(axis=1, initial=0.0), 1.0)[:, None]
+    worst = float((np.abs(dn - delta * values) / ((1.0 + delta) * peak)).max(initial=0.0))
     return CheckResult("steklov-residual", worst <= tol, worst, tol)
 
 
+# The five-point stencils of check_harmonicity, in units of the step w: the
+# center, then x+w, x-w, y+w, y-w at step w and at step w/2.
+_STENCIL_X = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 0.5, -0.5, 0.0, 0.0])
+_STENCIL_Y = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.5, -0.5])
+
+
 def check_harmonicity(spec: Spectrum, min_order: float, floor: float, rng: random.Random) -> CheckResult:
-    """Five-point Laplacian shrinks at second order (the modes are harmonic)."""
+    """Five-point Laplacian shrinks at second order (the modes are harmonic).
+
+    Each nonconstant mode at a random interior point of its own, with steps
+    w = min(0.02, 0.5 / max(nu, 1)) and w/2, all modes in one kernel call.
+    The order is log2 of the ratio of the two Laplacians; a mode whose
+    Laplacian at w/2 is at most floor * max(|s|, 1) * (1 + nu)^2 is already
+    at rounding level and is skipped.
+    """
     rect = spec.rectangle
-    worst_order = math.inf
-    detail = ""
-    for mode in spec.modes:
-        if mode.family is FamilyTag.CONST:
-            continue
-        x = rng.uniform(-0.6, 0.6)
-        y = rng.uniform(-0.6 * rect.h, 0.6 * rect.h)
-        scale = max(abs(mode._value_unchecked(x, y)), 1.0) * (1.0 + mode.nu) ** 2
+    nu = spec.arrays.nu[1:]
+    center = np.array([(rng.uniform(-0.6, 0.6), rng.uniform(-0.6 * rect.h, 0.6 * rect.h)) for _ in nu]).reshape(-1, 2)
+    x, y = center[:, :1], center[:, 1:]
+    w = np.minimum(0.02, 0.5 / np.maximum(nu, 1.0))
+    v = spec._own_values(x + w[:, None] * _STENCIL_X, y + w[:, None] * _STENCIL_Y)
 
-        def lap(w):
-            return (
-                mode._value_unchecked(x + w, y)
-                + mode._value_unchecked(x - w, y)
-                + mode._value_unchecked(x, y + w)
-                + mode._value_unchecked(x, y - w)
-                - 4.0 * mode._value_unchecked(x, y)
-            ) / (w * w)
+    def lap(first, step):
+        return (v[:, first] + v[:, first + 1] + v[:, first + 2] + v[:, first + 3] - 4.0 * v[:, 0]) / (step * step)
 
-        w = min(0.02, 0.5 / max(mode.nu, 1.0))
-        l1, l2 = abs(lap(w)), abs(lap(0.5 * w))
-        if l2 <= floor * scale:
-            continue  # already at rounding level
-        order = math.log2(l1 / l2) if l1 > 0 else math.inf
-        if order < worst_order:
-            worst_order = order
-            detail = f"{mode.family.value}#{mode.family_rank} at ({x:.3f},{y:.3f})"
-    if worst_order is math.inf:
+    l1, l2 = np.abs(lap(1, w)), np.abs(lap(5, 0.5 * w))
+    scale = np.maximum(np.abs(v[:, 0]), 1.0) * (1.0 + nu) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        order = np.where(l2 <= floor * scale, np.inf, np.where(l1 > 0, np.log2(l1 / l2), np.inf))
+    if not order.size or order.min() == np.inf:
         return CheckResult("interior-harmonicity", True, float("inf"), min_order, "all at rounding level")
-    return CheckResult("interior-harmonicity", worst_order >= min_order, worst_order, min_order, detail)
+    j = int(np.argmin(order))  # a NaN order is the worst
+    mode = spec.nonconstant[j]
+    detail = f"{mode.family.value}#{mode.family_rank} at ({x[j, 0]:.3f},{y[j, 0]:.3f})"
+    worst = float(order[j])
+    return CheckResult("interior-harmonicity", worst >= min_order, worst, min_order, detail)
 
 
 def check_delta_monotone(spec: Spectrum) -> CheckResult:
@@ -463,15 +472,30 @@ def check_delta_monotone(spec: Spectrum) -> CheckResult:
     return CheckResult("delta-monotone-per-family", ok, worst, 0.0)
 
 
-def check_scaling(spec: Spectrum, tol: float, rng: random.Random) -> CheckResult:
+def check_scaling(spec: Spectrum, tol: float) -> CheckResult:
+    """The dilated Steklov quotient of the first 12 modes.
+
+    Dilated by L, a mode s becomes s(p / L) on the dilated rectangle, with
+    eigenvalue delta / L. Its Steklov quotient, the boundary integral of
+    s * dn(s) over that of s^2, is the quotient of s on the rectangle divided
+    by L. The quotients are sums over the level-1 coefficient nodes of G1
+    and G2 (G3 and G4 add the same sums, by reflection), from the kernel's
+    values and derivatives; each must equal delta / L to tol, relative.
+    """
+    head = Spectrum._from_arrays(spec.rectangle, spec.arrays.take(slice(0, 12)), spec.selection, spec.depth)
+    num = np.zeros(len(head.nonconstant))
+    den = np.zeros(len(head.nonconstant))
+    for side, _, x, y, w in _boundary_nodes(head.rectangle, _nu_max(head), 1):
+        (fx, fy), (dfx, dfy) = head._factors(x, y, derivative=True)
+        values = fx * fy
+        dn = dfx * fy if side is Side.G1 else fx * dfy  # the outward normal is +x on G1, +y on G2
+        num += (values * dn) @ w
+        den += (values * values) @ w
+    delta = head.arrays.delta[1:]
     worst = 0.0
-    for mode in spec.modes[: min(len(spec.modes), 12)]:
-        for L in (1.0, 2.0, 0.5, 3.7):
-            d_scaled, ev = scale_mode(mode, L)
-            worst = max(worst, abs(d_scaled - mode.delta / L))
-            x = rng.uniform(-0.9, 0.9)
-            y = rng.uniform(-0.9 * spec.rectangle.h, 0.9 * spec.rectangle.h)
-            worst = max(worst, abs(ev(L * x, L * y) - mode._value_unchecked(x, y)))
+    for L in (1.0, 2.0, 0.5, 3.7):
+        dilated = num / den / L
+        worst = max(worst, float((np.abs(dilated - delta / L) / (delta / L)).max(initial=0.0)))
     return CheckResult("dilation-scaling", worst <= tol, worst, tol)
 
 
@@ -495,6 +519,6 @@ def invariant_suite(spec: Spectrum, tols: TolProfile = TolProfile(), seed: int =
         check_steklov_residual(spec, tols.steklov_residual, rng),
         check_harmonicity(spec, tols.harmonicity_order, tols.harmonicity_floor, rng),
         check_delta_monotone(spec),
-        check_scaling(spec, tols.scaling, rng),
+        check_scaling(spec, tols.scaling),
     )
     return SuiteReport(checks)

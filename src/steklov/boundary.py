@@ -39,7 +39,7 @@ import numpy as np
 
 from . import expressions
 from .geometry import Rectangle, Side, SIDES
-from .spectrum import FamilyTag, Spectrum, SteklovMode, family_class
+from .spectrum import _ODD, FamilyTag, Spectrum, SteklovMode
 
 
 class QuadratureError(RuntimeError):
@@ -374,7 +374,7 @@ def _reflection_signs(spec: Spectrum) -> np.ndarray:
 
     Classes I and II are even under the point reflection, III and IV odd.
     """
-    return np.array([1.0 if family_class(md.family) in ("I", "II") else -1.0 for md in spec.modes])
+    return np.where(_ODD[spec.arrays.code], -1.0, 1.0)
 
 
 def _mode_blocks(spec: Spectrum, x: np.ndarray, y: np.ndarray):
@@ -443,7 +443,7 @@ def steklov_coefficients(
     if missed.size:
         # the missed nonconstant modes as a spectrum of their own, so that
         # only their rows are evaluated; row 0 is the constant mode
-        sub = Spectrum(rect, (spec.modes[0],) + tuple(spec.modes[j] for j in missed if j), spec.selection, spec.depth)
+        sub = Spectrum._from_arrays(rect, spec.arrays.take(np.union1d(0, missed)), spec.selection, spec.depth)
         rows = slice(0 if missed[0] == 0 else 1, None)
 
         def integrand(side, t):

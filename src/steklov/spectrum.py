@@ -31,15 +31,21 @@ normConst = norm_scaled * exp(-nu*aH) underflows to 0.0 at that size (already
 at 1000 modes for h = 0.001); the evaluators use the scaled pair, and the
 unscaled value shows only in the cache column and boundary_norm_constant.
 
-Spectra are built on arrays. Branch k of a family brackets one root, so each
-branch's eigenvalue has known bounds before anything is solved; only the
-branches that can hold a kept mode are solved, all families in one lock-step
-bisection (plus Newton polish) over numpy arrays.
+The mode math has one implementation, on numpy arrays indexed by mode.
+Branch k of a family brackets one root, so each branch's eigenvalue has
+known bounds before anything is solved; only the branches that can hold a
+kept mode are solved, all families in one lock-step bisection (plus Newton
+polish). Eigenvalues, normalization pairs and characteristic residuals are
+computed per element of the same arrays. The public functions of one family
+(find_roots, char_residual, eigenvalue_of, boundary_norm_constant and
+make_mode) are these array forms on one family's branches or on length-1
+arrays.
 
-A Spectrum evaluates all its nonconstant modes at once from these separable
-factors: the (K, N) matrix of values, the weighted expansion and its gradient
-at points (in blocks of bounded size), and the expansion on a tensor grid as
-one matrix product of the two factor matrices.
+A SteklovMode is a plain record. A Spectrum evaluates all its nonconstant
+modes at once from their separable factors: the (K, N) matrix of values, the
+weighted expansion and its gradient at points (in blocks of bounded size),
+and the expansion on a tensor grid as one matrix product of the two factor
+matrices.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Rectangle, Side
+from .geometry import Rectangle
 
 PER_FAMILY = "per-family"
 GLOBAL_SORTED = "global-sorted"
@@ -118,264 +124,6 @@ _FAMILIES: dict[FamilyTag, _FamilyInfo] = {
 }
 
 
-def family_info(family: FamilyTag) -> _FamilyInfo:
-    try:
-        return _FAMILIES[family]
-    except KeyError:
-        raise SpectrumError(f"{family} has no separable profile") from None
-
-
-def family_class(family: FamilyTag) -> str:
-    if family is FamilyTag.CONST:
-        return "I"
-    if family is FamilyTag.XY:
-        return "II"
-    return _FAMILIES[family].sym_class
-
-
-def _axis_extents(info: _FamilyInfo, rect: Rectangle) -> tuple[float, float]:
-    """(aT, aH): half-extents of the trigonometric and hyperbolic axes."""
-    if info.hyp_axis == "x":
-        return rect.h, 1.0
-    return 1.0, rect.h
-
-
-# ---------------------------------------------------------------------------
-# scaled hyperbolic helpers: value * exp(-s) with s >= |z|, overflow free
-# ---------------------------------------------------------------------------
-
-
-def _cosh_scaled(z: float, s: float) -> float:
-    az = abs(z)
-    return 0.5 * math.exp(az - s) * (1.0 + math.exp(-2.0 * az))
-
-
-def _sinh_scaled(z: float, s: float) -> float:
-    az = abs(z)
-    mag = 0.5 * math.exp(az - s) * (-math.expm1(-2.0 * az))
-    return mag if z >= 0.0 else -mag
-
-
-def _one_minus_sinc(x: float) -> float:
-    """1 - sin(x)/x, accurate near x = 0."""
-    if abs(x) < 1e-4:
-        x2 = x * x
-        return x2 / 6.0 - x2 * x2 / 120.0
-    return 1.0 - math.sin(x) / x
-
-
-def _sinh_square_integral_scaled(a: float, nu: float) -> float:
-    """exp(-2*nu*a) * integral of sinh(nu t)^2 over [-a, a]."""
-    s = nu * a
-    if s < 1e-3:
-        # exp(-2s) * (-a + sinh(2s)/(2 nu)) ~ a s^2 (2/3 - 4s/3 + 22 s^2/15)
-        return a * s * s * (2.0 / 3.0 - 4.0 * s / 3.0 + 22.0 * s * s / 15.0)
-    return -a * math.exp(-2.0 * s) + (-math.expm1(-4.0 * s)) / (4.0 * nu)
-
-
-def _cosh_square_integral_scaled(a: float, nu: float) -> float:
-    """exp(-2*nu*a) * integral of cosh(nu t)^2 over [-a, a]."""
-    s = nu * a
-    return a * math.exp(-2.0 * s) + (-math.expm1(-4.0 * s)) / (4.0 * nu)
-
-
-# ---------------------------------------------------------------------------
-# characteristic equations and root finding
-# ---------------------------------------------------------------------------
-
-# Branch layout in the local variable theta = nu*aT - k*pi. The periodic
-# factor is evaluated at theta, which avoids large-argument trig reduction.
-_QP = 0.25 * math.pi
-_HP = 0.5 * math.pi
-
-
-def _branch_layout(info: _FamilyInfo, a_t: float, a_h: float):
-    """(theta_lo, theta_hi, k_start, extra_k0) for one family."""
-    if info.trig == "cos":
-        if info.hyp == "cosh":
-            return -_QP, 0.0, 1, False  # tan(theta) = -tanh
-        return -_HP, -_QP, 1, False  # cot(theta) = -tanh
-    if info.hyp == "cosh":
-        return _QP, _HP, 0, False  # cot(theta) = tanh
-    # sin/sinh: tan(theta) = tanh; an extra low branch exists when the
-    # trigonometric axis is the shorter one (F3 for h < 1)
-    return 0.0, _QP, 1, a_t < a_h
-
-
-def _char_local(info: _FamilyInfo, a_t: float, a_h: float, k: int, theta: float):
-    """Characteristic function and derivative at branch k, local angle theta."""
-    nu = (k * math.pi + theta) / a_t
-    th = math.tanh(nu * a_h)
-    dth = (1.0 - th * th) * a_h / a_t
-    if info.trig == "cos":
-        if info.hyp == "cosh":
-            t = math.tan(theta)
-            return t + th, (1.0 + t * t) + dth
-        c = _cot(theta)
-        return c + th, -(1.0 + c * c) + dth
-    if info.hyp == "cosh":
-        c = _cot(theta)
-        return c - th, -(1.0 + c * c) - dth
-    t = math.tan(theta)
-    return t - th, (1.0 + t * t) - dth
-
-
-def _cot(theta: float) -> float:
-    return math.cos(theta) / math.sin(theta)
-
-
-_TINY_THETA = 1e-9  # left edge of the extra F3 branch for h < 1
-_ENDPOINT_RTOL = 100.0 * 2.220446049250313e-16  # residual at rounding level, per unit f'
-
-
-def find_roots(family: FamilyTag, rect: Rectangle, count: int, tol: float = 1e-12) -> list[float]:
-    """The `count` smallest positive roots of a family's characteristic equation.
-
-    Each root is bracketed on a single branch of the periodic factor and
-    refined by bisection until the bracket width (in nu) is at most `tol`,
-    then polished with a few Newton steps inside the bracket.
-    """
-    if not family.is_separable:
-        raise SpectrumError(f"{family.value} has no characteristic equation")
-    if tol < 1e-14:
-        raise ValueError(f"tol must be >= 1e-14, got {tol}")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    info = family_info(family)
-    a_t, a_h = _axis_extents(info, rect)
-    lo0, hi0, k_start, extra_k0 = _branch_layout(info, a_t, a_h)
-
-    branches = []
-    if extra_k0:
-        branches.append((0, _TINY_THETA, hi0))
-    k = k_start
-    while len(branches) < count:
-        branches.append((k, lo0, hi0))
-        k += 1
-    branches = branches[:count]
-
-    roots = []
-    for k, lo, hi in branches:
-        roots.append(_solve_branch(family, info, a_t, a_h, k, lo, hi, tol))
-    return roots
-
-
-def _solve_branch(family, info, a_t, a_h, k, lo, hi, tol) -> float:
-    def f(theta):
-        return _char_local(info, a_t, a_h, k, theta)[0]
-
-    bracket_nu = ((k * math.pi + lo) / a_t, (k * math.pi + hi) / a_t)
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return bracket_nu[0]
-    if fhi == 0.0:
-        return bracket_nu[1]
-    if flo * fhi > 0.0:
-        # For large nu the tanh factor saturates and the root sits within an
-        # ulp of a bracket endpoint; accept an endpoint whose residual is at
-        # rounding level instead of demanding a sign change.
-        for theta_end, fend, nu_end in ((lo, flo, bracket_nu[0]), (hi, fhi, bracket_nu[1])):
-            scale = max(1.0, abs(_char_local(info, a_t, a_h, k, theta_end)[1]))
-            if abs(fend) <= _ENDPOINT_RTOL * scale:
-                return nu_end
-        raise RootFindError(family, k, bracket_nu, f"f(ends) = ({flo:.3g}, {fhi:.3g})")
-
-    theta_tol = tol * a_t
-    a, b, fa = lo, hi, flo
-    for _ in range(250):
-        if b - a <= theta_tol:
-            break
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            a = b = mid
-            break
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    else:
-        raise RootFindError(family, k, bracket_nu, "bisection iteration cap reached")
-
-    theta = 0.5 * (a + b)
-    fval, fder = _char_local(info, a_t, a_h, k, theta)
-    for _ in range(3):
-        if fder == 0.0:
-            break
-        step = fval / fder
-        cand = theta - step
-        if not (lo <= cand <= hi):
-            break
-        cval, cder = _char_local(info, a_t, a_h, k, cand)
-        if abs(cval) >= abs(fval):
-            break
-        theta, fval, fder = cand, cval, cder
-    return (k * math.pi + theta) / a_t
-
-
-def char_residual(family: FamilyTag, nu: float, rect: Rectangle) -> tuple[float, float]:
-    """(residual, derivative scale) of the characteristic equation at nu."""
-    info = family_info(family)
-    a_t, a_h = _axis_extents(info, rect)
-    r = nu * a_t
-    k = int(math.floor(r / math.pi + 0.5))
-    theta = r - k * math.pi
-    fval, fder = _char_local(info, a_t, a_h, k, theta)
-    return fval, max(1.0, abs(fder))
-
-
-def eigenvalue_of(family: FamilyTag, nu: float, rect: Rectangle) -> float:
-    """Steklov eigenvalue for a separable frequency: nu*tanh(nu*aH) or nu*coth(nu*aH)."""
-    if nu <= 0.0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    info = family_info(family)
-    _, a_h = _axis_extents(info, rect)
-    t = math.tanh(nu * a_h)
-    return nu * t if info.hyp == "cosh" else nu / t
-
-
-def boundary_norm_constant(family: FamilyTag, nu: float, rect: Rectangle) -> float:
-    """Multiplier making the trace satisfy integral(s^2) = perimeter on the boundary."""
-    if family is FamilyTag.CONST:
-        return 1.0
-    if family is FamilyTag.XY:
-        if not rect.is_square:
-            raise SpectrumError("the xy mode exists only on the square (h = 1)")
-        return math.sqrt(3.0)
-    scaled, s = _norm_scaled(family, nu, rect)
-    return scaled * math.exp(-s)
-
-
-def _norm_scaled(family: FamilyTag, nu: float, rect: Rectangle) -> tuple[float, float]:
-    """(normConst * exp(nu*aH), nu*aH): the stable normalization pair."""
-    info = family_info(family)
-    a_t, a_h = _axis_extents(info, rect)
-    s = nu * a_h
-
-    if info.hyp == "cosh":
-        hyp_edge = _cosh_scaled(s, s)
-        hyp_int = _cosh_square_integral_scaled(a_h, nu)
-    else:
-        hyp_edge = _sinh_scaled(s, s)
-        hyp_int = _sinh_square_integral_scaled(a_h, nu)
-
-    r = nu * a_t
-    if info.trig == "cos":
-        trig_edge = math.cos(r)
-        trig_int = 2.0 * a_t - a_t * _one_minus_sinc(2.0 * r)  # a_t + sin(2r)/(2 nu)
-    else:
-        trig_edge = math.sin(r)
-        trig_int = a_t * _one_minus_sinc(2.0 * r)  # a_t - sin(2r)/(2 nu)
-
-    scaled_integral = 2.0 * (hyp_edge * hyp_edge * trig_int + trig_edge * trig_edge * hyp_int)
-    if not (scaled_integral > 0.0):
-        raise SpectrumError(
-            f"nonpositive boundary square integral for {family.value}, nu={nu}: "
-            f"{scaled_integral}"
-        )
-    return math.sqrt(rect.perimeter / scaled_integral), s
-
-
 # ---------------------------------------------------------------------------
 # array forms: the branches of all families at once
 # ---------------------------------------------------------------------------
@@ -397,6 +145,29 @@ _COS = _per_code(lambda info: info.trig == "cos")
 # the characteristic function: tan(theta) (else cot) plus _SIGN * tanh
 _TAN = _COS == _COSH
 _SIGN = np.where(_COS, 1.0, -1.0)
+# odd under the point reflection p -> -p: classes III and IV
+_ODD = _per_code(lambda info: info.sym_class in ("III", "IV"))
+
+# Branch k of a family brackets one root in the local variable
+# theta = nu*aT - k*pi, where the periodic factor is evaluated without
+# large-argument trig reduction. Per profile (trig, hyp): the bracket
+# [lo, hi] in theta and the first k. A sin/sinh family has one extra low
+# branch, k = 0 from theta = _TINY_THETA, when its trigonometric axis is the
+# shorter one (F3 for h < 1).
+_QP = 0.25 * math.pi
+_HP = 0.5 * math.pi
+_BRACKETS = {
+    ("cos", "cosh"): (-_QP, 0.0, 1),  # tan(theta) = -tanh
+    ("cos", "sinh"): (-_HP, -_QP, 1),  # cot(theta) = -tanh
+    ("sin", "cosh"): (_QP, _HP, 0),  # cot(theta) = tanh
+    ("sin", "sinh"): (0.0, _QP, 1),  # tan(theta) = tanh
+}
+_LO, _HI, _K_START = np.array(
+    [_BRACKETS[_FAMILIES[tag].trig, _FAMILIES[tag].hyp] if tag in _FAMILIES else (0.0, 0.0, 0) for tag in _TAGS]
+).T
+_EXTRA = _per_code(lambda info: (info.trig, info.hyp) == ("sin", "sinh"))
+_TINY_THETA = 1e-9
+_ENDPOINT_RTOL = 100.0 * 2.220446049250313e-16  # residual at rounding level, per unit f'
 
 # The kinds of one-dimensional factors, in the order _factor_plan sorts them,
 # and per code the kind of the hyperbolic factor, on axis _HYP_AXIS (0 for x,
@@ -408,19 +179,27 @@ _HYP_AXIS = np.array([int(tag in _FAMILIES and _FAMILIES[tag].hyp_axis == "y") f
 
 
 def _extents(code: np.ndarray, rect: Rectangle):
-    """(aT, aH) per element, as _axis_extents."""
+    """(aT, aH) per element: the half-extents of the trigonometric and
+    hyperbolic axes of each code's profile."""
     hyp_x = _HYP_X[code]
     return np.where(hyp_x, rect.h, 1.0), np.where(hyp_x, 1.0, rect.h)
 
 
 def _eigenvalues(code: np.ndarray, nu: np.ndarray, rect: Rectangle) -> np.ndarray:
-    """eigenvalue_of per element of the arrays of separable codes and frequencies."""
+    """The eigenvalues nu*tanh(nu*aH) (cosh profiles) or nu*coth(nu*aH) (sinh
+    profiles) of arrays of separable codes and frequencies."""
     t = np.tanh(nu * _extents(code, rect)[1])
     return np.where(_COSH[code], nu * t, nu / t)
 
 
 def _norms_scaled(code: np.ndarray, nu: np.ndarray, rect: Rectangle):
-    """_norm_scaled per element: the arrays normConst * exp(nu*aH) and nu*aH."""
+    """The stable normalization pairs: the arrays normConst * exp(nu*aH) and nu*aH.
+
+    normConst makes the boundary square integral of the mode equal to the
+    perimeter. The hyperbolic edge value and square integral are taken with
+    exp(nu*aH) factored out (a sinh square integral by its series for
+    nu*aH < 1e-3), and 1 - sin(x)/x by its series for |x| < 1e-4.
+    """
     a_t, a_h = _extents(code, rect)
     cosh, cos = _COSH[code], _COS[code]
     s = nu * a_h
@@ -449,10 +228,12 @@ def _norms_scaled(code: np.ndarray, nu: np.ndarray, rect: Rectangle):
 
 
 def _char_arrays(theta, k_pi, a_t, a_h, tan, sign, derivative: bool = False):
-    """_char_local per element: f, or (f, f') with derivative.
+    """The characteristic function on branch k at local angle theta, per
+    element: f, or (f, f') with derivative.
 
-    The periodic factor is tan(theta) where tan is set, cot(theta) elsewhere;
-    sign is that of the tanh term.
+    f is the periodic factor, tan(theta) where tan is set and cot(theta)
+    elsewhere, plus sign * tanh(nu*aH), with nu = (k*pi + theta) / aT and
+    k_pi = k*pi; f' is its derivative in theta.
     """
     nu = (k_pi + theta) / a_t
     th = np.tanh(nu * a_h)
@@ -466,7 +247,8 @@ def _char_arrays(theta, k_pi, a_t, a_h, tan, sign, derivative: bool = False):
 
 
 def _char_residuals(code: np.ndarray, nu: np.ndarray, rect: Rectangle):
-    """char_residual per element: the arrays of residuals and derivative scales."""
+    """The arrays of residuals f and derivative scales max(1, |f'|) of the
+    characteristic equation at the frequencies nu, each on its nearest branch."""
     a_t, a_h = _extents(code, rect)
     r = nu * a_t
     k_pi = np.floor(r / math.pi + 0.5) * math.pi
@@ -483,21 +265,19 @@ def _branch_table(rect: Rectangle, counts):
     counts = np.asarray(counts, dtype=int)
     code = np.repeat(np.arange(len(_TAGS)), counts)
     rank = np.arange(code.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    layout = [
-        _branch_layout(_FAMILIES[tag], *_axis_extents(_FAMILIES[tag], rect)) if tag in _FAMILIES else (0.0, 0.0, 0, False)
-        for tag in _TAGS
-    ]
-    lo, hi, k_start, extra = (np.array(column)[code] for column in zip(*layout))
-    k = k_start + rank - extra.astype(int)
-    return code, rank, k, np.where(extra & (rank == 0), _TINY_THETA, lo), hi
+    a_t, a_h = _extents(code, rect)
+    extra = _EXTRA[code] & (a_t < a_h)
+    k = _K_START[code].astype(int) + rank - extra.astype(int)
+    return code, rank, k, np.where(extra & (rank == 0), _TINY_THETA, _LO[code]), _HI[code]
 
 
 def _solve_branches(code, k, lo, hi, rect: Rectangle, tol: float) -> np.ndarray:
     """The root on every branch of _branch_table, all branches in lock-step.
 
-    Per branch this is _solve_branch: the same bracket, the same endpoint
-    acceptance, bisection until the bracket is at most tol * aT wide in theta,
-    then at most 3 Newton steps that stay in the bracket and shrink |f|.
+    Each branch keeps its bracket end when that end's residual is at rounding
+    level (both ends of the same sign is an error otherwise), or bisects until
+    the bracket is at most tol * aT wide in theta, then takes at most 3
+    Newton steps that stay in the bracket and shrink |f|.
     """
     if tol < 1e-14:
         raise ValueError(f"tol must be >= 1e-14, got {tol}")
@@ -557,13 +337,62 @@ def _solve_branches(code, k, lo, hi, rect: Rectangle, tol: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# public eigendata of one family: the array forms above on its branches or on
+# length-1 arrays
+# ---------------------------------------------------------------------------
+
+
+def find_roots(family: FamilyTag, rect: Rectangle, count: int, tol: float = 1e-12) -> list[float]:
+    """The `count` smallest positive roots of a family's characteristic equation.
+
+    Each root is bracketed on a single branch of the periodic factor and
+    refined by bisection until the bracket width (in nu) is at most `tol`,
+    then polished with a few Newton steps inside the bracket.
+    """
+    if not family.is_separable:
+        raise SpectrumError(f"{family.value} has no characteristic equation")
+    if tol < 1e-14:
+        raise ValueError(f"tol must be >= 1e-14, got {tol}")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    code, _, k, lo, hi = _branch_table(rect, [count if tag is family else 0 for tag in _TAGS])
+    return _solve_branches(code, k, lo, hi, rect, tol).tolist()
+
+
+def _separable(family: FamilyTag, nu: float):
+    """(code, nu) of one separable mode as length-1 arrays for the array forms."""
+    if not family.is_separable:
+        raise SpectrumError(f"{family} has no separable profile")
+    return np.array([_CODE[family]]), np.array([float(nu)])
+
+
+def char_residual(family: FamilyTag, nu: float, rect: Rectangle) -> tuple[float, float]:
+    """(residual, derivative scale) of the characteristic equation at nu."""
+    resid, scale = _char_residuals(*_separable(family, nu), rect)
+    return float(resid[0]), float(scale[0])
+
+
+def eigenvalue_of(family: FamilyTag, nu: float, rect: Rectangle) -> float:
+    """Steklov eigenvalue for a separable frequency: nu*tanh(nu*aH) or nu*coth(nu*aH)."""
+    if nu <= 0.0:
+        raise ValueError(f"nu must be positive, got {nu}")
+    return float(_eigenvalues(*_separable(family, nu), rect)[0])
+
+
+def boundary_norm_constant(family: FamilyTag, nu: float, rect: Rectangle) -> float:
+    """Multiplier making the trace satisfy integral(s^2) = perimeter on the boundary."""
+    return make_mode(family, rect, nu).norm_const
+
+
+# ---------------------------------------------------------------------------
 # modes
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SteklovMode:
-    """One boundary-normalized eigenpair, evaluable on the closed rectangle."""
+    """One boundary-normalized eigenpair: the record of its family, frequency,
+    eigenvalue and normalization. Spectrum evaluates its modes."""
 
     family: FamilyTag
     nu: float
@@ -582,60 +411,6 @@ class SteklovMode:
     def key(self) -> tuple[str, float]:
         return (self.family.value, self.nu)
 
-    def value(self, x: float, y: float) -> float:
-        self.rect.require_inside(x, y)
-        return self._value_unchecked(x, y)
-
-    def _value_unchecked(self, x: float, y: float) -> float:
-        fam = self.family
-        if fam is FamilyTag.CONST:
-            return 1.0
-        if fam is FamilyTag.XY:
-            return self.norm_scaled * x * y
-        info = _FAMILIES[fam]
-        u, v = (x, y) if info.hyp_axis == "x" else (y, x)
-        if info.hyp == "cosh":
-            hyp = _cosh_scaled(self.nu * u, self.hyp_scale)
-        else:
-            hyp = _sinh_scaled(self.nu * u, self.hyp_scale)
-        trig = math.cos(self.nu * v) if info.trig == "cos" else math.sin(self.nu * v)
-        return self.norm_scaled * hyp * trig
-
-    def gradient(self, x: float, y: float) -> tuple[float, float]:
-        self.rect.require_inside(x, y)
-        return self._gradient_unchecked(x, y)
-
-    def _gradient_unchecked(self, x: float, y: float) -> tuple[float, float]:
-        fam = self.family
-        if fam is FamilyTag.CONST:
-            return (0.0, 0.0)
-        if fam is FamilyTag.XY:
-            return (self.norm_scaled * y, self.norm_scaled * x)
-        info = _FAMILIES[fam]
-        u, v = (x, y) if info.hyp_axis == "x" else (y, x)
-        nu, s = self.nu, self.hyp_scale
-        if info.hyp == "cosh":
-            hyp, dhyp = _cosh_scaled(nu * u, s), _sinh_scaled(nu * u, s)
-        else:
-            hyp, dhyp = _sinh_scaled(nu * u, s), _cosh_scaled(nu * u, s)
-        if info.trig == "cos":
-            trig, dtrig = math.cos(nu * v), -math.sin(nu * v)
-        else:
-            trig, dtrig = math.sin(nu * v), math.cos(nu * v)
-        du = self.norm_scaled * nu * dhyp * trig
-        dv = self.norm_scaled * nu * hyp * dtrig
-        return (du, dv) if info.hyp_axis == "x" else (dv, du)
-
-    def trace(self, side: Side, t: float) -> float:
-        x, y = self.rect.side_point(side, t)
-        return self._value_unchecked(x, y)
-
-    def normal_derivative_on(self, side: Side, t: float) -> float:
-        x, y = self.rect.side_point(side, t)
-        gx, gy = self._gradient_unchecked(x, y)
-        nx, ny = self.rect.outward_normal(side)
-        return gx * nx + gy * ny
-
 
 def make_mode(family: FamilyTag, rect: Rectangle, nu: float = 0.0, family_rank: int = 0) -> SteklovMode:
     if family is FamilyTag.CONST:
@@ -645,19 +420,8 @@ def make_mode(family: FamilyTag, rect: Rectangle, nu: float = 0.0, family_rank: 
             raise SpectrumError("the xy mode exists only on the square (h = 1)")
         return SteklovMode(family, 0.0, 1.0, rect, math.sqrt(3.0), 0.0, family_rank=family_rank)
     delta = eigenvalue_of(family, nu, rect)
-    scaled, s = _norm_scaled(family, nu, rect)
-    return SteklovMode(family, nu, delta, rect, scaled, s, family_rank=family_rank)
-
-
-def scale_mode(mode: SteklovMode, L: float):
-    """Dilate by L: eigenvalue delta/L, evaluator p -> mode((p/L))."""
-    if L <= 0.0:
-        raise ValueError(f"dilation factor must be positive, got {L}")
-
-    def evaluator(x: float, y: float) -> float:
-        return mode.value(x / L, y / L)
-
-    return mode.delta / L, evaluator
+    scaled, s = _norms_scaled(*_separable(family, nu), rect)
+    return SteklovMode(family, nu, delta, rect, float(scaled[0]), float(s[0]), family_rank=family_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +541,19 @@ class Spectrum:
         fx *= fy
         return fx
 
+    def _own_values(self, x, y) -> np.ndarray:
+        """Each nonconstant mode at points of its own.
+
+        x and y are (K, m) arrays; entry (j, i) of the (K, m) result is mode
+        j+1 at (x[j, i], y[j, i]), from the factors of _factors.
+        """
+        axis, nu, groups, rows = self._factor_table
+        mode = np.empty(axis.size, dtype=int)
+        mode[rows] = np.arange(rows.shape[1])  # the mode of each factor row
+        f = np.stack((np.asarray(x, dtype=float), np.asarray(y, dtype=float)))[axis, mode] * nu
+        _apply_kinds(f, groups, False)
+        return f[rows[0]] * f[rows[1]]
+
     def _blocked(self, count: int, terms, x, y):
         """terms(xb, yb), a tuple of `count` arrays, over blocks of the points.
 
@@ -832,17 +609,22 @@ class Spectrum:
         return self.modes[-1].delta if len(self.modes) > 1 else 0.0
 
     def select(self, m: int) -> "Spectrum":
-        """Nested truncation to a shallower depth under the same policy."""
+        """Nested truncation to a shallower depth under the same policy.
+
+        Per family: the first m roots of each family, depth m. Global: the
+        8m smallest nonconstant modes, depth 8m.
+        """
         if self.selection == PER_FAMILY:
             if m > self.depth:
                 raise ValueError(f"cannot select M={m} from depth {self.depth}")
             rows = np.flatnonzero(_per_family_kept(self.arrays.code, self.arrays.rank, self.rectangle, m))
+            depth = m
         else:
-            count = 8 * m
-            if count > len(self.nonconstant):
-                raise ValueError(f"cannot select {count} modes from {len(self.nonconstant)}")
-            rows = slice(0, count + 1)
-        return Spectrum._from_arrays(self.rectangle, self.arrays.take(rows), self.selection, m)
+            depth = 8 * m
+            if depth > len(self.nonconstant):
+                raise ValueError(f"cannot select {depth} modes from {len(self.nonconstant)}")
+            rows = slice(0, depth + 1)
+        return Spectrum._from_arrays(self.rectangle, self.arrays.take(rows), self.selection, depth)
 
 
 def _factor_plan(arrays: ModeArrays, along: int | None = None):
@@ -1033,7 +815,7 @@ def spectrum_from_json(text: str, residual_tol: float = 1e-8) -> Spectrum:
 
     rows = data["modes"]
     code = np.array([_CODE[FamilyTag(row["family"])] for row in rows], dtype=int)
-    if code.size and code[0] != _CODE[FamilyTag.CONST]:
+    if not code.size or code[0] != _CODE[FamilyTag.CONST]:
         raise SpectrumError("cache must list the constant mode first")
     nu = np.array([float(row["nu"]) for row in rows])
     cached = {name: np.array([float(row[name]) for row in rows]) for name in ("delta", "normConst")}
@@ -1080,7 +862,8 @@ def spectrum_from_json(text: str, residual_tol: float = 1e-8) -> Spectrum:
     order = np.argsort(code, kind="stable")
     rank = np.empty_like(code)
     rank[order] = np.arange(code.size) - np.searchsorted(code[order], code[order])
-    depth = int(np.bincount(code).max()) if code.size else 1
+    # per family, the most roots of one family; global, the retained count
+    depth = int(np.bincount(code).max()) if selection == PER_FAMILY else code.size - 1
     arrays = ModeArrays(code, nu, delta, norm_scaled, hyp_scale, rank)
     return Spectrum._from_arrays(rect, arrays, selection, depth)
 

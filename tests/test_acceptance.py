@@ -27,7 +27,6 @@ from steklov import (
     invariant_suite,
     robin_bound,
     robin_dnorm_tail_sq,
-    scale_mode,
     solve_dirichlet,
     solve_neumann,
     solve_robin,
@@ -36,7 +35,10 @@ from steklov import (
 )
 from steklov import reference_tables as ref
 from steklov.spectrum import GLOBAL_SORTED, PER_FAMILY, Spectrum, build_spectrum_by_count
+from steklov.analysis import check_scaling
 from steklov.tables import TableWorkspace, reproduce_rerr, reproduce_table
+
+import scalar_reference as scalar
 
 POINTWISE_TOL = 1e-4
 EXACT_ROW_TOL = 1e-6
@@ -197,11 +199,11 @@ def test_criterion_6_property_suite(spec_pf5, deep_square, deeper_square):
     # Robin eigen-data identity exact to 1e-9
     md = spec_pf5.nonconstant[4]
     gid = BoundaryFunction.from_xy(
-        lambda x, y: (1.0 + md.delta) * md._value_unchecked(x, y), rect
+        lambda x, y: (1.0 + md.delta) * scalar.value_unchecked(md, x, y), rect
     )
     uid = solve_robin(gid, 1.0, spec_pf5)
     ident = max(
-        abs(uid.eval(x, y) - md.value(x, y))
+        abs(uid.eval(x, y) - scalar.value(md, x, y))
         for x, y in ((0.3, 0.4), (-0.7, 0.1), (1.0, 0.5), (0.0, 0.0))
     )
     checks["robin-eigendata<=1e-9"] = ident <= 1e-9
@@ -215,13 +217,9 @@ def test_criterion_6_property_suite(spec_pf5, deep_square, deeper_square):
     )
     checks["robin-bound-dominates"] = dom
 
-    # dilation scaling exact to 1e-12
-    sc = max(
-        abs(scale_mode(m, L)[0] - m.delta / L)
-        for m in spec_pf5.modes[:10]
-        for L in (0.5, 2.0, 7.3)
-    )
-    checks["dilation-scaling<=1e-12"] = sc <= 1e-12
+    # dilation scaling exact to 1e-12: the dilated Steklov quotient of each
+    # of the first modes is its eigenvalue over the dilation factor
+    checks["dilation-scaling<=1e-12"] = check_scaling(spec_pf5, 1e-12).passed
 
     elapsed = time.perf_counter() - t0
     checks[f"runtime<60s ({elapsed:.1f}s)"] = elapsed < 60.0

@@ -1,6 +1,7 @@
 """Error norms, bounds, convergence reports, and the invariant suite."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from steklov import (
     BoundaryFunction,
     ErrorReport,
+    FamilyTag,
     ProblemKind,
     Rectangle,
     Side,
@@ -18,6 +20,7 @@ from steklov import (
     boundary_l2,
     boundary_partial_sum,
     boundary_sup,
+    build_spectrum,
     builtin_boundary,
     coefficient_tail,
     convergence_study,
@@ -37,8 +40,17 @@ from steklov import (
     spectral_tail,
     steklov_coefficients,
 )
-from steklov.analysis import REPORT_FIELDS, reports_to_csv_rows
+from steklov import spectrum as spectrum_module
+from steklov.analysis import (
+    REPORT_FIELDS,
+    check_harmonicity,
+    check_scaling,
+    check_steklov_residual,
+    reports_to_csv_rows,
+)
 from steklov.spectrum import GLOBAL_SORTED, Spectrum
+
+import scalar_reference as ref
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +67,7 @@ def test_boundary_error_of_exact_partial_sum(rect, spec_pf5):
     co = steklov_coefficients(g, spec_pf5)
     gm_fun = BoundaryFunction.from_xy(
         lambda x, y: co.gbar
-        + sum(v * md._value_unchecked(x, y) for v, md in zip(co.values, spec_pf5.nonconstant)),
+        + sum(v * ref.value_unchecked(md, x, y) for v, md in zip(co.values, spec_pf5.nonconstant)),
         rect,
     )
     l2, sup = boundary_error(gm_fun, lambda s, t: boundary_partial_sum(co, s, t))
@@ -161,7 +173,7 @@ def test_dnorm_of_normalized_mode(rect, spec_pf5):
 
 def test_robin_bound_zero_tail(rect, spec_pf5):
     md = spec_pf5.nonconstant[0]
-    g = BoundaryFunction.from_xy(lambda x, y: 2.0 * md._value_unchecked(x, y), rect)
+    g = BoundaryFunction.from_xy(lambda x, y: 2.0 * ref.value_unchecked(md, x, y), rect)
     co = steklov_coefficients(g, spec_pf5)
     m = len(spec_pf5.nonconstant)
     assert coefficient_tail(co, 5) <= 1e-12
@@ -230,6 +242,40 @@ def test_invariant_suite_detects_corrupted_norm(square):
     assert "boundary-orthonormality" in failing
 
 
+def failing_checks(spec):
+    return {c.name for c in invariant_suite(spec, seed=0).checks if not c.passed}
+
+
+def test_invariant_suite_detects_corrupted_delta(square):
+    spec = build_spectrum(square, 1)
+    tols = TolProfile()
+    assert check_steklov_residual(spec, tols.steklov_residual, random.Random(0)).passed
+    assert check_scaling(spec, tols.scaling).passed
+    delta = spec.arrays.delta.copy()
+    delta[3] *= 1.0 + 1e-6
+    broken = Spectrum._from_arrays(square, spec.arrays._replace(delta=delta), spec.selection, spec.depth)
+    assert {"steklov-residual", "dilation-scaling"} <= failing_checks(broken)
+
+
+def test_invariant_suite_detects_unharmonic_kernel(square, monkeypatch):
+    # a kernel whose hyperbolic and trigonometric factors of one mode use different nu
+    spec = build_spectrum(square, 1)
+    tols = TolProfile()
+    assert check_harmonicity(spec, tols.harmonicity_order, tols.harmonicity_floor, random.Random(0)).passed
+    j = next(i for i, md in enumerate(spec.nonconstant) if md.family is FamilyTag.F1)
+    plan = spectrum_module._factor_plan
+
+    def skewed_plan(arrays, along=None):
+        axis, nu, groups, rows = plan(arrays, along)
+        trig = 1 - spectrum_module._HYP_AXIS[arrays.code[j + 1]]
+        if along is None or along == trig:
+            nu[rows[trig, j]] *= 1.1  # the groups hold views of nu
+        return axis, nu, groups, rows
+
+    monkeypatch.setattr(spectrum_module, "_factor_plan", skewed_plan)
+    assert "interior-harmonicity" in failing_checks(build_spectrum(square, 1))
+
+
 def test_single_constant_spectrum_passes(square):
     from steklov import build_spectrum_by_count
 
@@ -266,7 +312,7 @@ def test_finite_expansion_converges_to_zero_error(rect, spec_pf5):
     co_data = steklov_coefficients(builtin_boundary("f2", rect), spec_pf5.select(2))
     gm = BoundaryFunction.from_xy(
         lambda x, y: co_data.gbar
-        + sum(v * md._value_unchecked(x, y)
+        + sum(v * ref.value_unchecked(md, x, y)
               for v, md in zip(co_data.values, spec_pf5.select(2).nonconstant)),
         rect,
     )

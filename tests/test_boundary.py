@@ -19,6 +19,8 @@ from steklov import (
 )
 from steklov.catalog import f1
 
+import scalar_reference as ref
+
 
 @pytest.fixture(scope="module")
 def rect():
@@ -76,7 +78,7 @@ def test_mode_product_integrates_to_zero(spec_pf5):
     rect = spec_pf5.rectangle
     mi, mj = spec_pf5.nonconstant[0], spec_pf5.nonconstant[7]
     g = BoundaryFunction.from_xy(
-        lambda x, y: mi._value_unchecked(x, y) * mj._value_unchecked(x, y), rect
+        lambda x, y: ref.value_unchecked(mi, x, y) * ref.value_unchecked(mj, x, y), rect
     )
     val, _ = integrate_boundary(g)
     assert abs(val) <= 1e-8 * rect.perimeter
@@ -91,7 +93,7 @@ def test_coefficients_of_constant(spec_pf5):
 
 def test_coefficients_of_mode_trace(spec_pf5):
     md = spec_pf5.nonconstant[4]
-    g = BoundaryFunction.from_xy(lambda x, y: md._value_unchecked(x, y), spec_pf5.rectangle)
+    g = BoundaryFunction.from_xy(lambda x, y: ref.value_unchecked(md, x, y), spec_pf5.rectangle)
     co = steklov_coefficients(g, spec_pf5)
     assert co.coefficient(md) == pytest.approx(1.0, abs=1e-8)
     others = [abs(v) for m, v in zip(spec_pf5.nonconstant, co.values) if m.key != md.key]
@@ -161,7 +163,7 @@ def test_projection_idempotence(rect, spec_pf5):
     def gm(x, y):
         acc = co.gbar
         for v, md in zip(co.values, spec_pf5.nonconstant):
-            acc += v * md._value_unchecked(x, y)
+            acc += v * ref.value_unchecked(md, x, y)
         return acc
 
     co2 = steklov_coefficients(BoundaryFunction.from_xy(gm, rect), spec_pf5)

@@ -1,4 +1,6 @@
-"""The separable mode kernel: array evaluation agrees with the scalar paths."""
+"""The separable mode kernel: array evaluation agrees with the scalar paths.
+
+The scalar mode formulas are those of scalar_reference."""
 
 import math
 import tracemalloc
@@ -20,6 +22,8 @@ from steklov import (
     solve_robin,
     steklov_coefficients,
 )
+
+import scalar_reference as ref
 
 TOL = 1e-13
 H_VALUES = (1.0, 0.5)  # the square carries the xy mode; h < 1 does not
@@ -52,7 +56,7 @@ def test_values_match_scalar_modes(spec):
     S = spec.values(x, y)
     assert S.shape == (len(spec.nonconstant), len(x))
     for row, md in zip(S, spec.nonconstant):
-        close(row, [md._value_unchecked(a, b) for a, b in zip(x.tolist(), y.tolist())])
+        close(row, [ref.value_unchecked(md, a, b) for a, b in zip(x.tolist(), y.tolist())])
 
 
 def test_values_with_one_constant_coordinate(spec):
@@ -104,9 +108,9 @@ def test_partial_sum_on_arrays_matches_scalar(spec):
         close(boundary_partial_sum(co, side, ts), [boundary_partial_sum(co, side, t) for t in ts.tolist()])
         # and the scalar path against the per-mode trace sum it replaces
         t = float(ts[5])
-        ref = co.gbar + math.fsum(v * md.trace(side, t) for v, md in zip(co.values, spec.nonconstant))
+        want = co.gbar + math.fsum(v * ref.trace(md, side, t) for v, md in zip(co.values, spec.nonconstant))
         assert isinstance(boundary_partial_sum(co, side, t), float)
-        assert boundary_partial_sum(co, side, t) == pytest.approx(ref, rel=TOL, abs=TOL)
+        assert boundary_partial_sum(co, side, t) == pytest.approx(want, rel=TOL, abs=TOL)
 
 
 def test_approximation_boundary_value_on_arrays_matches_scalar(spec):
@@ -117,11 +121,11 @@ def test_approximation_boundary_value_on_arrays_matches_scalar(spec):
             ts = side_params(rect, side)
             close(u.boundary_value(side, ts), [u.boundary_value(side, t) for t in ts.tolist()])
         x, y = 0.3, -0.2 * rect.h
-        ref = u.constant_term + u._lift_value(x, y) + math.fsum(
-            w * md._value_unchecked(x, y) for w, md in zip(u.weights, spec.nonconstant)
+        want = u.constant_term + u._lift_value(x, y) + math.fsum(
+            w * ref.value_unchecked(md, x, y) for w, md in zip(u.weights, spec.nonconstant)
         )
         assert isinstance(u.eval(x, y), float)
-        assert u.eval(x, y) == pytest.approx(ref, rel=TOL, abs=TOL)
+        assert u.eval(x, y) == pytest.approx(want, rel=TOL, abs=TOL)
 
 
 @pytest.mark.parametrize("h", H_VALUES)
@@ -176,14 +180,14 @@ def test_gradients_match_scalar_modes(h):
     (fx, fy), (dfx, dfy) = spec._factors(x, y, derivative=True)
     pts = list(zip(x.tolist(), y.tolist()))
     for j, md in enumerate(spec.nonconstant):
-        ref = np.array([md.gradient(a, b) for a, b in pts])
-        scale = TOL * max(1.0, np.abs(ref).max())
-        np.testing.assert_allclose(dfx[j] * fy[j], ref[:, 0], rtol=TOL, atol=scale)
-        np.testing.assert_allclose(fx[j] * dfy[j], ref[:, 1], rtol=TOL, atol=scale)
+        want = np.array([ref.gradient(md, a, b) for a, b in pts])
+        scale = TOL * max(1.0, np.abs(want).max())
+        np.testing.assert_allclose(dfx[j] * fy[j], want[:, 0], rtol=TOL, atol=scale)
+        np.testing.assert_allclose(fx[j] * dfy[j], want[:, 1], rtol=TOL, atol=scale)
     w = np.random.default_rng(7).normal(size=len(spec.nonconstant)) / (1.0 + np.arange(80))
     gx, gy = spec.expand_gradient(w, x, y)
     for i, (a, b) in enumerate(pts):
-        terms = [md.gradient(a, b) for md in spec.nonconstant]
+        terms = [ref.gradient(md, a, b) for md in spec.nonconstant]
         assert gx[i] == pytest.approx(math.fsum(wj * t[0] for wj, t in zip(w, terms)), rel=TOL, abs=TOL)
         assert gy[i] == pytest.approx(math.fsum(wj * t[1] for wj, t in zip(w, terms)), rel=TOL, abs=TOL)
     assert all(isinstance(v, float) for v in spec.expand_gradient(w, 0.3, -0.1 * h))
@@ -244,8 +248,8 @@ def test_boundary_normal_derivative_on_arrays_matches_scalar(spec):
             t = float(ts[3])
             assert isinstance(u.boundary_normal_derivative(side, t), float)
             if u.lift is None:  # and the per-mode sum it replaces
-                ref = math.fsum(w * md.normal_derivative_on(side, t) for w, md in zip(u.weights, spec.nonconstant))
-                assert u.boundary_normal_derivative(side, t) == pytest.approx(ref, rel=TOL, abs=TOL)
+                want = math.fsum(w * ref.normal_derivative_on(md, side, t) for w, md in zip(u.weights, spec.nonconstant))
+                assert u.boundary_normal_derivative(side, t) == pytest.approx(want, rel=TOL, abs=TOL)
 
 
 def test_evaluators_stay_far_below_one_modes_by_points_matrix():

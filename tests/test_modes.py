@@ -1,4 +1,4 @@
-"""Mode evaluation, normalization, spectra, and the cache file."""
+"""Mode evaluation on the kernel, normalization, spectra, and the cache file."""
 
 import math
 import random
@@ -8,23 +8,42 @@ import numpy as np
 import pytest
 
 from steklov import (
+    BoundaryFunction,
     FamilyTag,
     GeometryError,
     GLOBAL_SORTED,
     PER_FAMILY,
     Rectangle,
     SIDES,
-    Side,
+    Spectrum,
     SpectrumError,
     boundary_norm_constant,
     build_spectrum,
     build_spectrum_by_count,
     find_roots,
     make_mode,
-    scale_mode,
+    solve_dirichlet,
     spectrum_from_json,
     spectrum_to_json,
 )
+
+import scalar_reference as ref
+
+
+def one_mode(md):
+    """The spectrum of the constant and md, to evaluate md on the kernel."""
+    return Spectrum(md.rect, (make_mode(FamilyTag.CONST, md.rect), md), PER_FAMILY, 1)
+
+
+def kernel_value(md, x, y):
+    """md at the points of the arrays x, y (or floats), by the kernel."""
+    return one_mode(md).values(*np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y)))[0]
+
+
+def kernel_rows(spec, x, y):
+    """(values, d/dx, d/dy) of the nonconstant modes at the points x, y: (K, N) each."""
+    (fx, fy), (dfx, dfy) = spec._factors(x, y, derivative=True)
+    return fx * fy, dfx * fy, fx * dfy
 
 
 def gauss_boundary_matrix(spec, n=240):
@@ -36,7 +55,7 @@ def gauss_boundary_matrix(spec, n=240):
         lo, hi = rect.side_interval(side)
         ts = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         ws = 0.5 * (hi - lo) * wts
-        vals = np.array([[md.trace(side, t) for t in ts] for md in spec.modes])
+        vals = np.vstack((np.ones(ts.size), spec.values(*rect.side_point(side, ts))))
         G += (vals * ws) @ vals.T
     return G / rect.perimeter
 
@@ -44,18 +63,18 @@ def gauss_boundary_matrix(spec, n=240):
 def test_constant_mode():
     rect = Rectangle(0.8)
     md = make_mode(FamilyTag.CONST, rect)
-    assert md.value(0.3, -0.2) == 1.0
-    assert md.delta == 0.0 and md.norm_const == 1.0
-    assert md.normal_derivative_on(Side.G1, 0.1) == 0.0
+    assert (md.nu, md.delta, md.norm_scaled, md.hyp_scale) == (0.0, 0.0, 1.0, 0.0)
+    assert md.norm_const == 1.0 and md.key == ("const", 0.0)
 
 
 def test_xy_mode_square_only():
     rect = Rectangle(1.0)
     md = make_mode(FamilyTag.XY, rect)
     assert md.delta == 1.0
-    assert md.value(0.5, 0.5) == pytest.approx(math.sqrt(3.0) * 0.25, rel=1e-15)
+    assert kernel_value(md, 0.5, 0.5)[0] == pytest.approx(math.sqrt(3.0) * 0.25, rel=1e-15)
     # outward derivative on the right side is sqrt(3)*y
-    assert md.normal_derivative_on(Side.G1, 0.5) == pytest.approx(math.sqrt(3.0) * 0.5, rel=1e-15)
+    _, gx, _ = kernel_rows(one_mode(md), np.array([1.0]), np.array([0.5]))
+    assert gx[0, 0] == pytest.approx(math.sqrt(3.0) * 0.5, rel=1e-15)
     with pytest.raises(SpectrumError):
         make_mode(FamilyTag.XY, Rectangle(0.5))
 
@@ -79,7 +98,7 @@ def test_norm_constant_matches_quadrature(family, h):
         lo, hi = rect.side_interval(side)
         ts = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         ws = 0.5 * (hi - lo) * wts
-        total += sum(w * md.trace(side, t) ** 2 for t, w in zip(ts, ws))
+        total += ws @ kernel_value(md, *rect.side_point(side, ts)) ** 2
     assert total == pytest.approx(rect.perimeter, rel=1e-9)
 
 
@@ -87,31 +106,34 @@ def test_mode_value_decay_ratio():
     rect = Rectangle(1.0)
     nu = find_roots(FamilyTag.F1, rect, 1)[0]
     md = make_mode(FamilyTag.F1, rect, nu, 0)
-    ratio = md.value(0.0, 0.0) / md.value(1.0, 0.0)
+    center, edge = kernel_value(md, np.array([0.0, 1.0]), 0.0)
+    ratio = center / edge
     assert ratio == pytest.approx(1.0 / math.cosh(nu), rel=1e-12)
 
 
 def test_mode_value_outside_domain():
-    md = make_mode(FamilyTag.CONST, Rectangle(0.5))
+    # modes are evaluated through an expansion, whose point evaluators check the domain
+    rect = Rectangle(0.5)
+    u = solve_dirichlet(BoundaryFunction.constant(1.0, rect), build_spectrum_by_count(rect, 8))
     with pytest.raises(GeometryError):
-        md.value(0.0, 0.6)
+        u.eval(0.0, 0.6)
+    with pytest.raises(GeometryError):
+        u.eval_gradient(0.0, 0.6)
 
 
 def test_steklov_identity_at_random_boundary_points(spec_pf5):
     rng = random.Random(3)
     rect = spec_pf5.rectangle
-    for md in spec_pf5.modes:
-        peak = 1.0
-        samples = []
-        for _ in range(100):
-            side = rng.choice(SIDES)
-            lo, hi = rect.side_interval(side)
-            t = lo + (hi - lo) * (0.001 + 0.998 * rng.random())
-            samples.append((side, t))
-            peak = max(peak, abs(md.trace(side, t)))
-        for side, t in samples:
-            resid = abs(md.normal_derivative_on(side, t) - md.delta * md.trace(side, t))
-            assert resid <= 1e-8 * (1.0 + md.delta) * peak
+    for _ in range(100):
+        side = rng.choice(SIDES)
+        lo, hi = rect.side_interval(side)
+        t = lo + (hi - lo) * (0.001 + 0.998 * rng.random())
+        x, y = rect.side_point(side, t)
+        nx, ny = rect.outward_normal(side)
+        s, gx, gy = kernel_rows(spec_pf5, np.array([x]), np.array([y]))
+        delta = spec_pf5.arrays.delta[1:, None]
+        peak = np.maximum(np.abs(s), 1.0)
+        assert (np.abs(gx * nx + gy * ny - delta * s) <= 1e-8 * (1.0 + delta) * peak).all()
 
 
 def test_boundary_orthonormality_oracle(spec_pf5):
@@ -126,10 +148,10 @@ def test_interior_harmonicity_order():
     md = make_mode(FamilyTag.F5, rect, nu, 0)
 
     def lap(x, y, w):
-        return (
-            md.value(x + w, y) + md.value(x - w, y) + md.value(x, y + w) + md.value(x, y - w)
-            - 4.0 * md.value(x, y)
-        ) / (w * w)
+        east, west, north, south, center = kernel_value(
+            md, np.array([x + w, x - w, x, x, x]), np.array([y, y, y + w, y - w, y])
+        )
+        return (east + west + north + south - 4.0 * center) / (w * w)
 
     l1, l2 = abs(lap(0.21, -0.33, 0.02)), abs(lap(0.21, -0.33, 0.01))
     assert math.log2(l1 / l2) > 1.9
@@ -140,30 +162,25 @@ def test_overflow_safety_large_nu():
     nu = find_roots(FamilyTag.F1, rect, 222)[-1]
     assert nu > 600.0
     md = make_mode(FamilyTag.F1, rect, nu, 221)
-    vals = [md.value(x, y) for x in (-1.0, 0.0, 0.37, 1.0) for y in (-0.5, 0.0, 0.5)]
-    assert all(math.isfinite(v) for v in vals)
-    assert max(abs(v) for v in vals) < 1e3
-    gx, gy = md.gradient(1.0, 0.25)
-    assert math.isfinite(gx) and math.isfinite(gy)
+    x, y = (a.ravel() for a in np.meshgrid([-1.0, 0.0, 0.37, 1.0], [-0.5, 0.0, 0.5]))
+    vals = kernel_value(md, x, y)
+    assert np.isfinite(vals).all()
+    assert np.abs(vals).max() < 1e3
+    _, gx, gy = kernel_rows(one_mode(md), np.array([1.0]), np.array([0.25]))
+    assert math.isfinite(gx[0, 0]) and math.isfinite(gy[0, 0])
 
 
-def test_scale_mode():
+def test_dilated_mode_steklov_identity():
+    # dilated by L = 2, the mode p -> s(p / 2) on (-2, 2)^2 has eigenvalue delta / 2
     rect = Rectangle(1.0)
     nu = find_roots(FamilyTag.F1, rect, 1)[0]
     md = make_mode(FamilyTag.F1, rect, nu, 0)
-    d1, ev1 = scale_mode(md, 1.0)
-    assert d1 == md.delta and ev1(0.3, 0.4) == md.value(0.3, 0.4)
-    d2, ev2 = scale_mode(md, 2.0)
-    assert d2 == md.delta / 2.0
-    # one-sided finite difference of the dilated mode along the outward normal
-    eps = 1e-5
+    L, eps = 2.0, 1e-5
     x, y = 2.0, 0.6
-    dn = (3 * ev2(x, y) - 4 * ev2(x - eps, y) + ev2(x - 2 * eps, y)) / (2 * eps)
-    assert dn == pytest.approx(d2 * ev2(x, y), rel=1e-6)
-    d0, _ = scale_mode(make_mode(FamilyTag.CONST, rect), 5.0)
-    assert d0 == 0.0
-    with pytest.raises(ValueError):
-        scale_mode(md, 0.0)
+    # one-sided finite difference of the dilated mode along the outward normal
+    here, in1, in2 = kernel_value(md, np.array([x, x - eps, x - 2 * eps]) / L, y / L)
+    dn = (3 * here - 4 * in1 + in2) / (2 * eps)
+    assert dn == pytest.approx(md.delta / L * here, rel=1e-6)
 
 
 def test_per_family_spectrum_counts(square, spec_pf5):
@@ -245,12 +262,36 @@ def test_cache_roundtrip(spec_pf5):
     assert spec2.selection == spec_pf5.selection
 
 
+@pytest.mark.parametrize(
+    "h, selection, depth, m, sub_depth",
+    [(1.0, GLOBAL_SORTED, 41, 3, 24), (0.6, GLOBAL_SORTED, 40, 2, 16), (1.0, PER_FAMILY, 5, 3, 3), (0.6, PER_FAMILY, 4, 2, 2)],
+)
+def test_depth_survives_cache_and_select(h, selection, depth, m, sub_depth):
+    # depth is the per-family root depth M, or a global spectrum's retained count
+    rect = Rectangle(h)
+    spec = build_spectrum(rect, depth, PER_FAMILY) if selection == PER_FAMILY else build_spectrum_by_count(rect, depth)
+    loaded = spectrum_from_json(spectrum_to_json(spec))
+    assert spec.depth == loaded.depth == depth
+    subs = [s.select(m) for s in (spec, loaded)]
+    for sub in subs:
+        assert sub.depth == sub_depth
+        assert spectrum_from_json(spectrum_to_json(sub)).depth == sub_depth
+    assert [md.key for md in subs[0].modes] == [md.key for md in subs[1].modes]
+    if selection == GLOBAL_SORTED:
+        assert len(subs[0].nonconstant) == sub_depth
+
+
 def test_cache_rejects_corrupted_nu(spec_pf5):
     text = spectrum_to_json(spec_pf5)
     md = spec_pf5.nonconstant[0]
     bad = text.replace(format(md.nu, ".17g"), format(md.nu * 1.001, ".17g"), 1)
     with pytest.raises(SpectrumError):
         spectrum_from_json(bad)
+
+
+def test_cache_rejects_empty_mode_list():
+    with pytest.raises(SpectrumError):
+        spectrum_from_json('{"h": 1.0, "selection": "global-sorted", "modes": []}')
 
 
 def test_vectorized_value_matches_scalar(spec_pf5):
@@ -260,9 +301,9 @@ def test_vectorized_value_matches_scalar(spec_pf5):
     (fx, fy), (dfx, dfy) = spec_pf5._factors(xs, ys, derivative=True)
     for j, md in enumerate(spec_pf5.nonconstant):
         arr = fx[j] * fy[j]
-        ref = np.array([md.value(x, y) for x, y in zip(xs, ys)])
-        assert np.abs(arr - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+        want = np.array([ref.value(md, x, y) for x, y in zip(xs, ys)])
+        assert np.abs(arr - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
         gx, gy = dfx[j] * fy[j], fx[j] * dfy[j]
-        gref = np.array([md.gradient(x, y) for x, y in zip(xs, ys)])
+        gref = np.array([ref.gradient(md, x, y) for x, y in zip(xs, ys)])
         assert np.abs(gx - gref[:, 0]).max() <= 1e-12 * max(1.0, np.abs(gref).max())
         assert np.abs(gy - gref[:, 1]).max() <= 1e-12 * max(1.0, np.abs(gref).max())

@@ -27,6 +27,8 @@ from steklov import (
     steklov_coefficients,
 )
 
+import scalar_reference as ref
+
 
 @pytest.fixture(scope="module")
 def rect():
@@ -50,10 +52,10 @@ def test_dirichlet_constant_data(rect, spec_pf5):
 
 def test_dirichlet_eigen_data_identity(rect, spec_pf5):
     md = spec_pf5.nonconstant[6]
-    g = BoundaryFunction.from_xy(lambda x, y: md._value_unchecked(x, y), rect)
+    g = BoundaryFunction.from_xy(lambda x, y: ref.value_unchecked(md, x, y), rect)
     u = solve_dirichlet(g, spec_pf5)
     for p in ((0.25, -0.6), (0.0, 0.0), (0.95, 0.2)):
-        assert u.eval(*p) == pytest.approx(md.value(*p), abs=1e-8)
+        assert u.eval(*p) == pytest.approx(ref.value(md, *p), abs=1e-8)
 
 
 def test_robin_constant_data(rect, spec_pf5):
@@ -68,19 +70,19 @@ def test_robin_eigen_data_identity(rect, spec_pf5):
     b = 1.0
     for md in (spec_pf5.nonconstant[0], spec_pf5.nonconstant[9]):
         g = BoundaryFunction.from_xy(
-            lambda x, y, md=md: (b + md.delta) * md._value_unchecked(x, y), rect
+            lambda x, y, md=md: (b + md.delta) * ref.value_unchecked(md, x, y), rect
         )
         u = solve_robin(g, b, spec_pf5)
         for p in ((0.4, 0.1), (-0.3, 0.9), (1.0, 0.5)):
-            assert u.eval(*p) == pytest.approx(md.value(*p), abs=1e-9)
+            assert u.eval(*p) == pytest.approx(ref.value(md, *p), abs=1e-9)
 
 
 def test_neumann_eigen_data_identity(rect, spec_pf5):
     md = spec_pf5.nonconstant[3]
-    g = BoundaryFunction.from_xy(lambda x, y: md.delta * md._value_unchecked(x, y), rect)
+    g = BoundaryFunction.from_xy(lambda x, y: md.delta * ref.value_unchecked(md, x, y), rect)
     u = solve_neumann(g, spec_pf5)
     for p in ((0.4, 0.1), (-0.3, 0.9)):
-        assert u.eval(*p) == pytest.approx(md.value(*p), abs=1e-9)
+        assert u.eval(*p) == pytest.approx(ref.value(md, *p), abs=1e-9)
 
 
 def test_neumann_incompatible_data_rejected(rect, spec_pf5):
@@ -149,7 +151,7 @@ def test_neumann_flux_residual(rect, spec_pf5):
     co = steklov_coefficients(g, spec_pf5)
     u = solve_neumann(g, spec_pf5, coefficients=co)
     gm = lambda side, t: co.gbar + sum(
-        v * md.trace(side, t) for v, md in zip(co.values, spec_pf5.nonconstant)
+        v * ref.trace(md, side, t) for v, md in zip(co.values, spec_pf5.nonconstant)
     )
     for side in SIDES:
         for t in (-0.9, -0.2, 0.44):

@@ -1,37 +1,31 @@
 """The array spectrum builder against the scalar root finder and mode maker.
 
-The scalar path (find_roots, make_mode and the old sort key over a pool of
-candidate modes) is the reference: the array builder must keep the same modes
-in the same order, with nu within the root tolerance and delta to rounding.
+The scalar path of scalar_reference (find_roots, make_mode and the old sort
+key over a pool of candidate modes) is the reference: the array builder must
+keep the same modes in the same order, with nu within the root tolerance and
+delta to rounding, and the public one-family functions must agree with it.
 """
 
 import json
 import math
+import random
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steklov import (
-    FamilyTag,
-    Rectangle,
-    build_spectrum,
-    build_spectrum_by_count,
-    char_residual,
-    eigenvalue_of,
-    find_roots,
-    make_mode,
-)
+import steklov
+from steklov import FamilyTag, Rectangle, TolProfile, build_spectrum, build_spectrum_by_count
+from steklov.analysis import check_scaling, check_steklov_residual
 from steklov.spectrum import (
     PER_FAMILY,
     SpectrumError,
     _FAMILIES,
-    _axis_extents,
-    _branch_layout,
-    _char_local,
     spectrum_from_json,
     spectrum_to_json,
 )
+
+import scalar_reference as ref
 
 SEPARABLE = list(_FAMILIES)
 HS = [1.0, 0.8, 0.5, 0.1, 1e-3]
@@ -54,10 +48,10 @@ def reference_modes(rect, roots_per_family, count):
     The pool holds xy (on the square) and the first roots_per_family[f]
     roots of each family f, from find_roots and make_mode.
     """
-    pool = [make_mode(FamilyTag.XY, rect)] if rect.is_square and count > 0 else []
+    pool = [ref.make_mode(FamilyTag.XY, rect)] if rect.is_square and count > 0 else []
     for family in SEPARABLE:
-        for rank, nu in enumerate(find_roots(family, rect, roots_per_family[family], TOL)):
-            pool.append(make_mode(family, rect, nu, family_rank=rank))
+        for rank, nu in enumerate(ref.find_roots(family, rect, roots_per_family[family], TOL)):
+            pool.append(ref.make_mode(family, rect, nu, family_rank=rank))
     pool.sort(key=lambda md: (md.delta, md.family.order, md.nu))
     return pool[:count]
 
@@ -79,11 +73,11 @@ def test_global_build_matches_scalar_reference(h, count):
     assert [md.index for md in spec.modes] == list(range(count + 1))
     kept = by_family(spec)
     for family, modes in kept.items():
-        roots = find_roots(family, rect, len(modes), TOL)
+        roots = ref.find_roots(family, rect, len(modes), TOL)
         assert [md.family_rank for md in modes] == list(range(len(modes)))
         for md, nu in zip(modes, roots):
             assert abs(md.nu - nu) <= TOL
-            assert abs(md.delta - eigenvalue_of(family, nu, rect)) <= TOL * md.delta
+            assert abs(md.delta - ref.eigenvalue_of(family, nu, rect)) <= TOL * md.delta
     # delta increases with nu within a family, so a pool that holds one root
     # more than was kept of every family selects like the pool of `count`
     # roots per family
@@ -111,15 +105,55 @@ def test_saturated_branches_take_the_bracket_end():
     saturated = set()
     for family, modes in by_family(build_spectrum_by_count(rect, 400)).items():
         info = _FAMILIES[family]
-        a_t, a_h = _axis_extents(info, rect)
-        lo, hi, k_start, extra = _branch_layout(info, a_t, a_h)
-        for md, nu in zip(modes, find_roots(family, rect, len(modes), TOL)):
+        a_t, a_h = ref._axis_extents(info, rect)
+        lo, hi, k_start, extra = ref._branch_layout(info, a_t, a_h)
+        for md, nu in zip(modes, ref.find_roots(family, rect, len(modes), TOL)):
             k = k_start + md.family_rank - int(extra)
-            if _char_local(info, a_t, a_h, k, lo)[0] * _char_local(info, a_t, a_h, k, hi)[0] > 0.0:
+            if ref._char_local(info, a_t, a_h, k, lo)[0] * ref._char_local(info, a_t, a_h, k, hi)[0] > 0.0:
                 saturated.add((family, k))
                 assert md.nu == nu
                 assert md.nu in ((k * math.pi + lo) / a_t, (k * math.pi + hi) / a_t)
     assert (FamilyTag.F1, 7) in saturated
+
+
+@pytest.mark.parametrize("family", SEPARABLE)
+@pytest.mark.parametrize("h", HS)
+def test_public_eigendata_match_scalar_reference(h, family):
+    rect = Rectangle(h)
+    roots = steklov.find_roots(family, rect, 300, TOL)
+    want = ref.find_roots(family, rect, 300, TOL)
+    assert max(abs(a - b) for a, b in zip(roots, want)) <= TOL
+    for rank, nu in enumerate(want[:: 23]):
+        md, md_ref = steklov.make_mode(family, rect, nu, rank), ref.make_mode(family, rect, nu, rank)
+        assert abs(steklov.eigenvalue_of(family, nu, rect) - md_ref.delta) <= TOL * md_ref.delta
+        assert md.delta == steklov.eigenvalue_of(family, nu, rect) and md.hyp_scale == md_ref.hyp_scale
+        assert md.norm_scaled == pytest.approx(md_ref.norm_scaled, rel=1e-12)
+        norm = steklov.boundary_norm_constant(family, nu, rect)
+        assert norm == md.norm_const == pytest.approx(ref.boundary_norm_constant(family, nu, rect), rel=1e-12, abs=1e-300)
+        resid, scale = steklov.char_residual(family, nu, rect)
+        resid_ref, scale_ref = ref.char_residual(family, nu, rect)
+        assert scale == pytest.approx(scale_ref, rel=1e-12)
+        assert abs(resid - resid_ref) <= TOL * scale
+
+
+def test_public_eigendata_keep_their_errors():
+    rect = Rectangle(0.5)
+    for family in (FamilyTag.CONST, FamilyTag.XY):
+        for call in (lambda: steklov.find_roots(family, rect, 2), lambda: steklov.char_residual(family, 1.0, rect),
+                     lambda: steklov.eigenvalue_of(family, 1.0, rect)):
+            with pytest.raises(SpectrumError):
+                call()
+    with pytest.raises(SpectrumError):
+        steklov.boundary_norm_constant(FamilyTag.XY, 0.0, rect)
+    with pytest.raises(ValueError):
+        steklov.find_roots(FamilyTag.F2, rect, -1)
+    with pytest.raises(ValueError):
+        steklov.find_roots(FamilyTag.F2, rect, 1, tol=1e-15)
+    for nu in (0.0, -1.0):
+        for call in (lambda: steklov.eigenvalue_of(FamilyTag.F5, nu, rect), lambda: steklov.make_mode(FamilyTag.F5, rect, nu),
+                     lambda: steklov.boundary_norm_constant(FamilyTag.F5, nu, rect)):
+            with pytest.raises(ValueError):
+                call()
 
 
 @pytest.mark.parametrize("h, count", [(0.8, 41), (0.5, 41), (0.1, 41), (1e-3, 2000)])
@@ -129,7 +163,7 @@ def test_extra_f3_branch_below_the_square(h, count):
     first = by_family(build_spectrum_by_count(rect, count))[FamilyTag.F3][0]
     assert first.family_rank == 0
     assert 0.0 < first.nu * h <= math.pi / 4.0
-    assert abs(first.nu - find_roots(FamilyTag.F3, rect, 1, TOL)[0]) <= TOL
+    assert abs(first.nu - ref.find_roots(FamilyTag.F3, rect, 1, TOL)[0]) <= TOL
 
 
 @pytest.mark.parametrize("count", [1000, 2000])
@@ -161,5 +195,9 @@ def test_global_build_properties(h, count):
     for family, modes in by_family(spec).items():
         assert all(b.nu > a.nu for a, b in zip(modes, modes[1:]))
         for md in modes:
-            resid, scale = char_residual(family, md.nu, rect)
+            resid, scale = ref.char_residual(family, md.nu, rect)
             assert abs(resid) <= 10.0 * TOL * scale
+    tols = TolProfile()
+    for check in (check_steklov_residual(spec, tols.steklov_residual, random.Random(count)),
+                  check_scaling(spec, tols.scaling)):
+        assert check.passed, check.line()
