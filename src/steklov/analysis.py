@@ -286,7 +286,7 @@ def convergence_study(
 
     if exact is not None:
         ref_boundary = BoundaryFunction.from_xy(exact.value, rect).value
-        ref_interior = np.vectorize(exact.value)
+        ref_interior = exact.value
     elif kind.name == "dirichlet":
         ref_boundary = g.value
         ref_interior = u_deep.eval_array

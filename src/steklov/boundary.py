@@ -171,8 +171,9 @@ class BoundaryFunction:
 def _map_points(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """fn at every point of the arrays x, y.
 
-    A map written for floats (math functions, branches on the value) raises
-    TypeError or ValueError on arrays; it is then called point by point.
+    The builtin data and expression data take arrays. A foreign map written
+    for floats (math functions, branches on the value) raises TypeError or
+    ValueError on arrays; it is then called point by point.
     """
     try:
         out = np.asarray(fn(x, y), dtype=float)

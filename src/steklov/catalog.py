@@ -14,6 +14,9 @@ Flux-type data with known solutions on R_h:
 
 bd1 and bd2 are deliberately discontinuous at corners even though their
 solutions are smooth.
+
+Every formula here is written with numpy: it takes floats or arrays that
+broadcast together, and returns a float or an array of the broadcast shape.
 """
 
 from __future__ import annotations
@@ -22,71 +25,92 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .boundary import BoundaryFunction
 from .geometry import Rectangle, Side
+from .solvers import ProblemKind
 
 BUILTIN_NAMES = ("f1", "f2", "f3", "bd1", "bd2", "bd3")
 
 
 @dataclass(frozen=True)
 class ExactSolution:
+    """A harmonic function and the boundary value problem whose data it solves."""
+
     name: str
     value: Callable[[float, float], float]
     gradient: Callable[[float, float], tuple[float, float]]
+    problem: ProblemKind
 
 
-def f1(x: float, y: float) -> float:
+def f1(x, y):
     return x**4 - 6.0 * x * x * y * y + y**4
 
 
-def f1_gradient(x: float, y: float) -> tuple[float, float]:
+def f1_gradient(x, y):
     return (4.0 * x**3 - 12.0 * x * y * y, 4.0 * y**3 - 12.0 * x * x * y)
 
 
-def f2(x: float, y: float) -> float:
+def f2(x, y):
     w = 2.0 - x
     return w / (w * w + y * y)
 
 
-def f2_gradient(x: float, y: float) -> tuple[float, float]:
+def f2_gradient(x, y):
     # f2 = Re 1/(2-z); d/dz 1/(2-z) = 1/(2-z)^2, grad = (Re F', -Im F')
     w = 2.0 - x
     d = w * w + y * y
     return ((w * w - y * y) / (d * d), -2.0 * w * y / (d * d))
 
 
-def f3(x: float, y: float) -> float:
-    return 0.5 * math.log((x - 3.0) ** 2 + (y - 3.0) ** 2)
+def f3(x, y):
+    return 0.5 * np.log((x - 3.0) ** 2 + (y - 3.0) ** 2)
 
 
-def f3_gradient(x: float, y: float) -> tuple[float, float]:
+def f3_gradient(x, y):
     r2 = (x - 3.0) ** 2 + (y - 3.0) ** 2
     return ((x - 3.0) / r2, (y - 3.0) / r2)
+
+
+def _at_points(x, y, *components):
+    """Each component at the broadcast shape of x and y; a float at one point."""
+    shape = np.broadcast(x, y).shape
+    return tuple(np.broadcast_to(c, shape).copy()[()] for c in components)
 
 
 def _u_linear(x, y):
     return x + y
 
 
+def _u_linear_gradient(x, y):
+    return _at_points(x, y, 1.0, 1.0)
+
+
 def _u_saddle(x, y):
     return x * x - y * y
 
 
+def _u_saddle_gradient(x, y):
+    return _at_points(x, y, 2.0 * x, -2.0 * y)
+
+
 def _u_exp_sin(x, y):
-    return math.exp(x) * math.sin(y)
+    return np.exp(x) * np.sin(y)
+
+
+def _u_exp_sin_gradient(x, y):
+    ex = np.exp(x)
+    return (ex * np.sin(y), ex * np.cos(y))
 
 
 EXACT_SOLUTIONS = {
-    "f1": ExactSolution("f1", f1, f1_gradient),
-    "f2": ExactSolution("f2", f2, f2_gradient),
-    "f3": ExactSolution("f3", f3, f3_gradient),
-    "bd1": ExactSolution("x+y", _u_linear, lambda x, y: (1.0, 1.0)),
-    "bd2": ExactSolution("x^2-y^2", _u_saddle, lambda x, y: (2.0 * x, -2.0 * y)),
-    "bd3": ExactSolution(
-        "e^x sin y",
-        _u_exp_sin,
-        lambda x, y: (math.exp(x) * math.sin(y), math.exp(x) * math.cos(y)),
-    ),
+    "f1": ExactSolution("f1", f1, f1_gradient, ProblemKind.dirichlet()),
+    "f2": ExactSolution("f2", f2, f2_gradient, ProblemKind.dirichlet()),
+    "f3": ExactSolution("f3", f3, f3_gradient, ProblemKind.dirichlet()),
+    "bd1": ExactSolution("x+y", _u_linear, _u_linear_gradient, ProblemKind.neumann()),
+    "bd2": ExactSolution("x^2-y^2", _u_saddle, _u_saddle_gradient, ProblemKind.neumann()),
+    "bd3": ExactSolution("e^x sin y", _u_exp_sin, _u_exp_sin_gradient, ProblemKind.robin(1.0)),
 }
 
 
@@ -117,10 +141,10 @@ def builtin_boundary(name: str, rect: Rectangle, b: Optional[float] = None) -> B
         return BoundaryFunction.from_sides(
             rect,
             {
-                Side.G1: lambda x, y: 2.0 * math.e * math.sin(y),
-                Side.G2: lambda x, y, c=edge: math.exp(x) * c,
+                Side.G1: lambda x, y: 2.0 * math.e * np.sin(y),
+                Side.G2: lambda x, y, c=edge: np.exp(x) * c,
                 Side.G3: 0.0,
-                Side.G4: lambda x, y, c=edge: -math.exp(x) * c,
+                Side.G4: lambda x, y, c=edge: -np.exp(x) * c,
             },
             "bd3",
         )

@@ -10,6 +10,15 @@ Commands:
 Exit codes: 0 success, 1 failed checks (invariant suite, or table entries out
 of tolerance), 2 invalid configuration or incompatible data, 3 root-finder
 failure.
+
+Numeric CSVs (grids, point values, spectrum listings, coefficients) are
+written from column arrays, one block of rows at a time: a grid row is
+formatted and written before the next is computed, and every number is
+formatted once, as `%.{digits}g`. `--with-exact` takes builtin data only for
+the problem they pose (f1-f3 Dirichlet, bd1 and bd2 Neumann, bd3 Robin
+b = 1) and evaluates the exact solution on the grid axes. A Neumann solution
+is fixed up to a constant; the solve keeps the one with zero boundary mean,
+so the exact solution's perimeter-weighted boundary mean is subtracted.
 """
 
 from __future__ import annotations
@@ -18,14 +27,25 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import reference_tables as ref
 from .analysis import TolProfile, invariant_suite
-from .boundary import BoundaryFunction, QuadratureError
+from .boundary import BoundaryFunction, QuadratureError, integrate_boundary
 from .catalog import boundary_data_from_spec, builtin_boundary, exact_solution_for
 from .geometry import GeometryError, Rectangle
-from .solvers import IncompatibleDataError, grid_points, solve_dirichlet, solve_neumann, solve_robin
+from .solvers import (
+    NEUMANN,
+    IncompatibleDataError,
+    _grid_axes,
+    solve_dirichlet,
+    solve_neumann,
+    solve_robin,
+)
 from .spectrum import (
     GLOBAL_SORTED,
     PER_FAMILY,
@@ -51,17 +71,41 @@ def _fmt(x, digits: int) -> str:
     return str(x)
 
 
-def _write_csv(path, rows, digits: int):
-    rows = ([_fmt(v, digits) for v in row] for row in rows)
+@contextmanager
+def _output(path):
+    """The text stream for an output path; None or '-' is standard output."""
     if path in (None, "-"):
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        for row in rows:
-            w.writerow(row)
+        yield sys.stdout
     else:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            for row in rows:
-                w.writerow(row)
+            yield fh
+
+
+def _write_csv(path, rows, digits: int):
+    """Rows of mixed values through csv.writer, which quotes text as needed."""
+    with _output(path) as out:
+        w = csv.writer(out, lineterminator="\n")
+        for row in rows:
+            w.writerow([_fmt(v, digits) for v in row])
+
+
+def _write_columns(path, header, blocks, digits: int):
+    """A numeric CSV: the header, then the rows of each block in turn.
+
+    A block is a list of equally long columns. A float array's cells are
+    formatted `%.{digits}g`; a list of strings is written as it is; one
+    string stands for the same text in every row of the block. Each block is
+    formatted and written before the next is drawn, so blocks may be
+    generated lazily and the table never sits in memory whole.
+    """
+    cell = f"%.{digits}g"
+    with _output(path) as out:
+        out.write(",".join(header) + "\n")
+        for columns in blocks:
+            line = ",".join(cell if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+            cells = [c.tolist() if isinstance(c, np.ndarray) else repeat(c) if isinstance(c, str) else c
+                     for c in columns]
+            out.write("".join(map(line.__mod__, zip(*cells))))
 
 
 def _add_precision(p: argparse.ArgumentParser):
@@ -121,11 +165,17 @@ def cmd_spectrum(args) -> int:
     spec = _spectrum_from_args(args)
     out = args.out or "spectrum.json"
     save_spectrum(spec, out)
-    listing = [("index", "family", "nu", "delta")]
-    listing += [(md.index, md.family.value, md.nu, md.delta) for md in spec.modes]
-    _write_csv(args.csv, listing, args.digits)
+    _write_columns(args.csv, ("index", "family", "nu", "delta"), [_mode_columns(spec.modes)], args.digits)
     print(f"wrote {len(spec.modes)} modes to {out}" + (f" and {args.csv}" if args.csv else ""))
     return 0
+
+
+def _mode_columns(modes, *values):
+    """Listing columns of modes: index, family, nu, delta, then any value arrays."""
+    return [[str(md.index) for md in modes], [md.family.value for md in modes],
+            np.array([md.nu for md in modes], dtype=float),
+            np.array([md.delta for md in modes], dtype=float),
+            *(np.asarray(v, dtype=float) for v in values)]
 
 
 def _load_points(spec_text: str):
@@ -156,11 +206,47 @@ def _boundary_from_arg(text: str, rect: Rectangle, b=None):
     raise ValueError(f"--g takes builtin:NAME, expr:SRC, or file:PATH, got {text!r}")
 
 
+def _exact_value(args, rect: Rectangle):
+    """The value of the exact solution for --with-exact, or None.
+
+    Builtin data with a known solution must be solved as the problem they
+    pose. For Neumann data the solution's perimeter-weighted boundary mean is
+    subtracted, since the solve keeps the solution with zero boundary mean.
+    """
+    exact = exact_solution_for(args.g[8:]) if args.g.startswith("builtin:") else None
+    if not args.with_exact or exact is None:
+        return None
+    if exact.problem.name != args.kind:
+        raise ValueError(
+            f"--with-exact: {args.g} is {exact.problem.name} data (exact solution "
+            f"{exact.name}), not {args.kind} data"
+        )
+    if exact.problem.name != NEUMANN:
+        return exact.value
+    # The boundary is symmetric under p -> -p, so the mean of u is that of
+    # (u(p) + u(-p)) / 2, which is exactly 0 for an odd u such as x + y.
+    even = BoundaryFunction.from_xy(lambda x, y: exact.value(x, y) + exact.value(-x, -y), rect)
+    mean = integrate_boundary(even, args.abstol, args.reltol)[0] / (2.0 * rect.perimeter)
+    return lambda x, y: exact.value(x, y) - mean
+
+
+def _grid_rows(U, xs, ys, exact, digits: int):
+    """One block of columns per row of the grid values U, x varying fastest."""
+    xs_text = [f"{x:.{digits}g}" for x in xs.tolist()]
+    for y, row in zip(ys.tolist(), U):
+        block = [xs_text, f"{y:.{digits}g}", row]
+        if exact is not None:
+            e = exact(xs, y)
+            block += [e, row - e]
+        yield block
+
+
 def cmd_solve(args, grid_only: bool = False) -> int:
     spec = _spectrum_from_args(args)
     rect = spec.rectangle
     b = args.b if args.kind == "robin" else None
     g = _boundary_from_arg(args.g, rect, b)
+    exact = _exact_value(args, rect)
     common = dict(abstol=args.abstol, reltol=args.reltol)
     if args.kind == "dirichlet":
         u = solve_dirichlet(g, spec, use_corner_reduction=args.corner_reduction, **common)
@@ -170,55 +256,37 @@ def cmd_solve(args, grid_only: bool = False) -> int:
         u = solve_robin(g, args.b, spec, **common)
     else:
         u = solve_neumann(g, spec, **common)
-
-    exact = exact_solution_for(args.g[8:]) if args.g.startswith("builtin:") else None
-    use_exact = args.with_exact and exact is not None
+    header = ["x", "y", "u"] + (["exact", "error"] if exact is not None else [])
 
     if args.print_coefficients:
-        rows = [("index", "family", "nu", "delta", "coefficient", "weight")]
-        rows += [
-            (md.index, md.family.value, md.nu, md.delta, c, w)
-            for md, c, w in zip(spec.nonconstant, u.coefficients.values, u.weights)
-        ]
-        _write_csv(None, rows, args.digits)
+        _write_columns(None, ("index", "family", "nu", "delta", "coefficient", "weight"),
+                       [_mode_columns(spec.nonconstant, u.coefficients.values, u.weights)], args.digits)
 
     wrote = []
     if args.grid:
         U = u.eval_grid(args.grid, args.grid)
-        X, Y = grid_points(rect, args.grid, args.grid)
-        header = ["x", "y", "u"] + (["exact", "error"] if use_exact else [])
-        rows = [header]
-        for iy in range(args.grid):
-            for ix in range(args.grid):
-                row = [X[iy, ix], Y[iy, ix], U[iy, ix]]
-                if use_exact:
-                    e = exact.value(X[iy, ix], Y[iy, ix])
-                    row += [e, U[iy, ix] - e]
-                rows.append(row)
-        _write_csv(args.out, rows, args.digits)
+        xs, ys = _grid_axes(rect, args.grid, args.grid)
+        _write_columns(args.out, header, _grid_rows(U, xs, ys, exact, args.digits), args.digits)
         wrote.append(args.out or "stdout")
     elif grid_only:
         raise ValueError("the grid command requires --grid N")
 
     if args.points and not grid_only:
-        pts = _load_points(args.points)
-        header = ["x", "y", "u"] + (["exact", "error"] if use_exact else [])
-        rows = [header]
-        for x, y in pts:
-            row = [x, y, u.eval(x, y)]
-            if use_exact:
-                e = exact.value(x, y)
-                row += [e, row[2] - e]
-            rows.append(row)
+        pts = np.array(_load_points(args.points), dtype=float).reshape(-1, 2)
+        x, y = pts[:, 0], pts[:, 1]
+        columns = [x, y, np.array([u.eval(a, c) for a, c in pts.tolist()], dtype=float)]
+        if exact is not None:
+            e = exact(x, y)
+            columns += [e, columns[2] - e]
         if args.format == "json":
-            payload = [dict(zip(header, r)) for r in rows[1:]]
+            payload = [dict(zip(header, r)) for r in zip(*(c.tolist() for c in columns))]
             text = json.dumps(payload, indent=2)
             if args.points_out in (None, "-"):
                 print(text)
             else:
                 Path(args.points_out).write_text(text + "\n", encoding="utf-8")
         else:
-            _write_csv(args.points_out, rows, args.digits)
+            _write_columns(args.points_out, header, [columns], args.digits)
         wrote.append(args.points_out or "stdout")
     if wrote:
         print(f"# wrote: {', '.join(wrote)}", file=sys.stderr)

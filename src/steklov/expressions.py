@@ -5,12 +5,20 @@ functions (sin, cos, tan, sinh, cosh, tanh, exp, ln, sqrt, abs), the
 constants pi and e, and numeric literals. Parsing is Pratt-style with
 standard precedence; trees pretty-print back to source that reparses to an
 identical tree.
+
+evaluate takes floats or numpy arrays. Floats are evaluated with `math`.
+Arrays are evaluated with numpy, with floating-point errors raised; when one
+is raised the points are evaluated again one by one with `math`, so a
+domain error, an overflow or a division by zero raises the same exception
+as at a float, never a NaN or a warning.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ExpressionError(ValueError):
@@ -32,6 +40,19 @@ _FUNCTIONS = {
     "ln": math.log,
     "sqrt": math.sqrt,
     "abs": abs,
+}
+
+_NP_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "tanh": np.tanh,
+    "exp": np.exp,
+    "ln": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
 }
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -76,7 +97,29 @@ class Call:
 Node = Num | Var | Const | Neg | BinOp | Call
 
 
-def evaluate(node: Node, x: float, y: float) -> float:
+def evaluate(node: Node, x, y):
+    """The tree's value at (x, y): a float, or an array of the broadcast
+    shape where x or y is an array.
+
+    On arrays a floating-point error (ln or sqrt of a negative, overflow,
+    division by zero) or a complex power sends every point through the float
+    path, which raises what `math` and float arithmetic raise there.
+    """
+    if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+        return _evaluate(node, x, y, _FUNCTIONS)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            out = _evaluate(node, x, y, _NP_FUNCTIONS)
+        if not np.iscomplexobj(out):
+            return out if np.shape(out) == x.shape else np.full(x.shape, out)
+    except FloatingPointError:
+        pass
+    values = [_evaluate(node, a, b, _FUNCTIONS) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+    return np.array(values, dtype=float).reshape(x.shape)
+
+
+def _evaluate(node: Node, x, y, functions):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -84,10 +127,10 @@ def evaluate(node: Node, x: float, y: float) -> float:
     if isinstance(node, Const):
         return _CONSTANTS[node.name]
     if isinstance(node, Neg):
-        return -evaluate(node.operand, x, y)
+        return -_evaluate(node.operand, x, y, functions)
     if isinstance(node, BinOp):
-        a = evaluate(node.left, x, y)
-        b = evaluate(node.right, x, y)
+        a = _evaluate(node.left, x, y, functions)
+        b = _evaluate(node.right, x, y, functions)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -97,7 +140,7 @@ def evaluate(node: Node, x: float, y: float) -> float:
         if node.op == "/":
             return a / b
         return a**b
-    return _FUNCTIONS[node.func](evaluate(node.arg, x, y))
+    return functions[node.func](_evaluate(node.arg, x, y, functions))
 
 
 # --- lexer -------------------------------------------------------------

@@ -275,3 +275,41 @@ def test_tables_rejects_flags_it_ignores(capsys, flag):
         run(["tables", "--which", "1", *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+
+def test_with_exact_neumann_drops_the_boundary_mean(tmp_path):
+    # x^2 - y^2 has boundary mean 13/36 on R_0.5; the zero-mean solve drops it
+    out = tmp_path / "g.csv"
+    assert run(["grid", "--g", "builtin:bd2", "--kind", "neumann", "--h", "0.5", "--count", "200",
+                "--grid", "41", "--with-exact", "--digits", "17", "--out", str(out)]) == 0
+    rows = [[float(v) for v in r] for r in read_csv(out)[1:]]
+    errors = [r[4] for r in rows]
+    assert max(abs(e) for e in errors) < 1e-2
+    inner = [abs(r[4]) for r in rows if abs(r[0]) < 0.9 and abs(r[1]) < 0.4]
+    assert max(inner) < 2e-3
+    x, y, _, exact, _ = rows[len(rows) // 2]
+    assert (x, y) == (0.0, 0.0) and exact == pytest.approx(-13.0 / 36.0, rel=1e-9)
+
+
+def test_with_exact_odd_neumann_solution_is_not_shifted(tmp_path):
+    out = tmp_path / "g.csv"
+    assert run(["grid", "--g", "builtin:bd1", "--kind", "neumann", "--h", "0.7", "--M", "2",
+                "--grid", "9", "--with-exact", "--digits", "17", "--out", str(out)]) == 0
+    assert all(float(r[3]) == float(r[0]) + float(r[1]) for r in read_csv(out)[1:])
+
+
+@pytest.mark.parametrize("data, kind, poses", [
+    ("bd1", "dirichlet", "neumann"),
+    ("bd2", "robin", "neumann"),
+    ("f1", "neumann", "dirichlet"),
+    ("f3", "robin", "dirichlet"),
+    ("bd3", "dirichlet", "robin"),
+])
+def test_with_exact_rejects_data_of_another_problem(tmp_path, capsys, data, kind, poses):
+    out = tmp_path / "g.csv"
+    argv = ["grid", "--g", f"builtin:{data}", "--kind", kind, "--h", "1", "--M", "2",
+            "--grid", "5", "--with-exact", "--out", str(out)]
+    assert run(argv + ["--b", "1"] * (kind == "robin")) == 2
+    err = capsys.readouterr().err
+    assert f"builtin:{data} is {poses} data" in err and f"not {kind} data" in err
+    assert not out.exists()

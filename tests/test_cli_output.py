@@ -1,0 +1,160 @@
+"""CLI numeric CSVs against a reference writer, and the memory of a large grid.
+
+The reference writes each row through `csv.writer`, formats every value with
+`format(v, f".{digits}g")` and takes exact solutions from `math` formulas
+evaluated point by point. The CLI formats column arrays and evaluates exact
+solutions with numpy, whose log, exp and sin may differ from `math` by an
+ulp, so the exact and error columns are compared within that; every other
+column, and every file without them, must be byte-identical.
+"""
+
+import csv
+import io
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from steklov import Rectangle, build_spectrum_by_count, builtin_boundary, grid_points
+from steklov.cli import main
+from steklov.solvers import solve_dirichlet, solve_neumann, solve_robin
+
+COUNT = 24
+GRID = 13
+POINTS = [(0.5, 0.5), (0.0, 0.0), (-0.3, 0.2), (0.99, -0.41), (1.0, 0.25), (-1.0, -0.5)]
+
+REFERENCE_EXACT = {
+    "f1": lambda x, y: x**4 - 6.0 * x * x * y * y + y**4,
+    "f2": lambda x, y: (2.0 - x) / ((2.0 - x) * (2.0 - x) + y * y),
+    "f3": lambda x, y: 0.5 * math.log((x - 3.0) ** 2 + (y - 3.0) ** 2),
+    "bd1": lambda x, y: x + y,  # zero boundary mean on every rectangle
+    "bd3": lambda x, y: math.exp(x) * math.sin(y),
+}
+CASES = [("f1", "dirichlet"), ("f2", "dirichlet"), ("f3", "dirichlet"), ("bd1", "neumann"), ("bd3", "robin")]
+
+
+def _fmt(x, digits):
+    if isinstance(x, bool):
+        return str(x)
+    if isinstance(x, float):
+        return format(x, f".{digits}g")
+    return str(x)
+
+
+def reference_csv(rows, digits) -> str:
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        w.writerow([_fmt(v, digits) for v in row])
+    return out.getvalue()
+
+
+def reference_solution_files(name, kind, h, digits, with_exact):
+    """The grid and point CSVs, written row by row through csv.writer."""
+    rect = Rectangle(h)
+    spec = build_spectrum_by_count(rect, COUNT)
+    g = builtin_boundary(name, rect, 1.0 if kind == "robin" else None)
+    u = {"dirichlet": lambda: solve_dirichlet(g, spec), "neumann": lambda: solve_neumann(g, spec),
+         "robin": lambda: solve_robin(g, 1.0, spec)}[kind]()
+    exact = REFERENCE_EXACT[name]
+    header = ["x", "y", "u"] + (["exact", "error"] if with_exact else [])
+
+    def row(x, y, value):
+        if not with_exact:
+            return [x, y, value]
+        e = exact(x, y)
+        return [x, y, value, e, value - e]
+
+    U = u.eval_grid(GRID, GRID)
+    X, Y = grid_points(rect, GRID, GRID)
+    grid = [header] + [row(float(X[i, j]), float(Y[i, j]), float(U[i, j]))
+                       for i in range(GRID) for j in range(GRID)]
+    points = [header] + [row(x, y, float(u.eval(x, y))) for x, y in POINTS if abs(y) <= h]
+    return reference_csv(grid, digits), reference_csv(points, digits)
+
+
+def _digit_unit(text, digits):
+    """One unit in the last printed digit of a %.{digits}g number."""
+    v = abs(float(text))
+    return 0.0 if v == 0.0 else 10.0 ** (math.floor(math.log10(v)) - digits + 1)
+
+
+def assert_same_table(got, want, digits):
+    got_rows = [line.split(",") for line in got.splitlines()]
+    want_rows = [line.split(",") for line in want.splitlines()]
+    assert got_rows[0] == want_rows[0] and len(got_rows) == len(want_rows)
+    for g, w in zip(got_rows[1:], want_rows[1:]):
+        assert g[:3] == w[:3]
+        if len(w) == 3:
+            continue
+        u, e, err = (float(v) for v in g[2:])
+        e_ref, err_ref = float(w[3]), float(w[4])
+        # exact: an ulp at the scale of the formula's O(1) terms, plus the printed rounding
+        ulp = np.spacing(max(abs(e_ref), 1.0))
+        assert abs(e - e_ref) <= ulp + _digit_unit(g[3], digits), (g, w)
+        assert abs(err - err_ref) <= ulp + _digit_unit(g[4], digits) + _digit_unit(w[4], digits), (g, w)
+        if digits == 17:  # 17 digits round-trip, so error is exactly u - exact
+            assert err == u - e
+
+
+@pytest.mark.parametrize("digits", ["6", "17"])
+@pytest.mark.parametrize("h", ["1", "0.5"])
+@pytest.mark.parametrize("name, kind", CASES)
+def test_grid_and_point_files_match_the_reference_writer(tmp_path, name, kind, h, digits):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in POINTS if abs(y) <= float(h)))
+    for with_exact in (False, True):
+        grid_csv, points_csv = tmp_path / "grid.csv", tmp_path / "points.csv"
+        argv = ["solve", "--g", f"builtin:{name}", "--kind", kind, "--h", h, "--count", str(COUNT),
+                "--digits", digits, "--grid", str(GRID), "--out", str(grid_csv),
+                "--points", f"file:{pts}", "--points-out", str(points_csv)]
+        argv += ["--b", "1"] * (kind == "robin") + ["--with-exact"] * with_exact
+        assert main(argv) == 0
+        want_grid, want_points = reference_solution_files(name, kind, float(h), int(digits), with_exact)
+        if with_exact:
+            assert_same_table(grid_csv.read_text(), want_grid, int(digits))
+            assert_same_table(points_csv.read_text(), want_points, int(digits))
+        else:
+            assert grid_csv.read_text() == want_grid
+            assert points_csv.read_text() == want_points
+
+
+@pytest.mark.parametrize("digits", ["6", "17"])
+@pytest.mark.parametrize("h", ["1", "0.6"])
+def test_spectrum_listing_matches_the_reference_writer(tmp_path, h, digits):
+    listing = tmp_path / "s.csv"
+    assert main(["spectrum", "--h", h, "--count", "120", "--digits", digits,
+                 "--out", str(tmp_path / "s.json"), "--csv", str(listing)]) == 0
+    spec = build_spectrum_by_count(Rectangle(float(h)), 120)
+    rows = [("index", "family", "nu", "delta")]
+    rows += [(md.index, md.family.value, md.nu, md.delta) for md in spec.modes]
+    assert listing.read_text() == reference_csv(rows, int(digits))
+
+
+def test_coefficient_echo_matches_the_reference_writer(capsys):
+    assert main(["solve", "--g", "builtin:f3", "--h", "0.9", "--count", "30", "--digits", "17",
+                 "--print-coefficients", "--points", "paper", "--points-out", "-"]) == 0
+    echo = capsys.readouterr().out.split("x,y,u\n")[0]
+    rect = Rectangle(0.9)
+    spec = build_spectrum_by_count(rect, 30)
+    u = solve_dirichlet(builtin_boundary("f3", rect), spec)
+    rows = [("index", "family", "nu", "delta", "coefficient", "weight")]
+    rows += [(md.index, md.family.value, md.nu, md.delta, c, w)
+             for md, c, w in zip(spec.nonconstant, u.coefficients.values, u.weights)]
+    assert echo == reference_csv(rows, 17)
+
+
+def test_large_grid_is_streamed(tmp_path):
+    """A 501 x 501 grid with exact columns never holds its rows in memory."""
+    out = tmp_path / "g.csv"
+    argv = ["grid", "--g", "builtin:f3", "--count", "41", "--grid", "501", "--with-exact", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    with open(out, "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + 501 * 501

@@ -2,7 +2,9 @@
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,3 +130,77 @@ def tree_strategy(draw, depth=3):
 @given(tree_strategy())
 def test_pretty_print_reparses_identically(tree):
     assert ex.parse(ex.to_source(tree)) == tree
+
+
+def _scalar_values(tree, xs, ys):
+    """Float evaluation point by point; the exception type of the first failing point."""
+    out = []
+    for x, y in zip(xs, ys):
+        try:
+            out.append(ex.evaluate(tree, x, y))
+        except (ZeroDivisionError, OverflowError, ValueError, TypeError) as err:
+            return type(err)
+    return np.array(out, dtype=float) if all(isinstance(v, float) for v in out) else TypeError
+
+
+def test_random_trees_on_arrays_match_float_evaluation():
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([[0.3, 1.0, -0.25, 0.0], rng.uniform(-1.0, 1.0, 60)])
+    ys = np.concatenate([[-0.7, 1.0, 0.8, 0.0], rng.uniform(-1.0, 1.0, 60)])
+    raised = 0
+    for _ in range(300):
+        tree = random_tree(4)
+        want = _scalar_values(tree, xs.tolist(), ys.tolist())
+        if isinstance(want, type):
+            raised += 1
+            with pytest.raises(want):
+                ex.evaluate(tree, xs, ys)
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ex.evaluate(tree, xs, ys)
+        assert got.shape == xs.shape
+        assert np.all((got == want) | (np.abs(got - want) <= 1e-13 * np.abs(want))), ex.to_source(tree)
+    assert raised > 0
+
+
+@pytest.mark.parametrize("src, error", [
+    ("ln(x)", ValueError),
+    ("sqrt(x - 2)", ValueError),
+    ("exp(1000 * x)", OverflowError),
+    ("1 / x", ZeroDivisionError),
+])
+def test_array_domain_errors_raise_as_floats_do(src, error):
+    tree = ex.parse(src)
+    xs = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(error):
+        ex.evaluate(tree, 0.0 if error is not OverflowError else 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            ex.evaluate(tree, xs, 0.0)
+
+
+def test_complex_power_on_arrays_is_a_type_error():
+    # a float gives a complex number; an array of them cannot hold one
+    tree = ex.parse("(x - 2)^0.5")
+    assert isinstance(ex.evaluate(tree, 1.0, 0.0), complex)
+    with pytest.raises(TypeError):
+        ex.evaluate(tree, np.linspace(-1.0, 1.0, 5), 0.0)
+
+
+def test_array_underflow_and_float_overflow_do_not_raise():
+    xs = np.linspace(-1.0, 1.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for src in ("exp(-1000 * (x + 1.5))", "x * 1e308 * 10"):
+            got = ex.evaluate(ex.parse(src), xs, 0.0)
+            assert got.tolist() == [ex.evaluate(ex.parse(src), x, 0.0) for x in xs.tolist()]
+    assert got[0] == -math.inf and got[-1] == math.inf
+
+
+def test_array_evaluation_broadcasts_and_fills_constants():
+    got = ex.evaluate(ex.parse("2 * pi"), np.zeros((2, 3)), 1.0)
+    assert got.shape == (2, 3) and np.all(got == 2 * math.pi)
+    grid = ex.evaluate(ex.parse("x - y"), np.arange(3.0), np.arange(2.0)[:, None])
+    assert grid.tolist() == [[0.0, 1.0, 2.0], [-1.0, 0.0, 1.0]]
