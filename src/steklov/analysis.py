@@ -35,6 +35,7 @@ from .boundary import (
     mode_gram_matrix,
     steklov_coefficients,
 )
+from .catalog import zero_mean_solution
 from .geometry import Rectangle, Side, SIDES
 from .solvers import (
     NEUMANN,
@@ -150,13 +151,12 @@ def spectral_tail(coeffs: SteklovCoefficients, m: int) -> float:
     The raw Dirichlet gradient-error integral equals perimeter times this
     value, by the boundary normalization of the modes.
     """
-    modes = coeffs.spectrum.nonconstant
-    return sum(md.delta * v * v for md, v in zip(modes[m:], coeffs.values[m:]))
+    return float(coeffs.spectrum.arrays.delta[1 + m:] @ coeffs.values[m:] ** 2)
 
 
 def coefficient_tail(coeffs: SteklovCoefficients, m: int) -> float:
     """sum of ghat_j^2 beyond the first m nonconstant modes."""
-    return sum(v * v for v in coeffs.values[m:])
+    return float(coeffs.values[m:] @ coeffs.values[m:])
 
 
 def robin_bound(coeffs: SteklovCoefficients, b: float, m: int) -> float:
@@ -166,12 +166,10 @@ def robin_bound(coeffs: SteklovCoefficients, b: float, m: int) -> float:
     where d_{m+1} is the first omitted eigenvalue of the (delta-ordered)
     spectrum. The same eigenvalue convention as the solver denominators.
     """
-    modes = coeffs.spectrum.nonconstant
-    if m >= len(modes):
-        raise ValueError(
-            f"spectrum holds {len(modes)} nonconstant modes; need at least {m + 1}"
-        )
-    d_next = modes[m].delta
+    n = coeffs.values.size
+    if m >= n:
+        raise ValueError(f"spectrum holds {n} nonconstant modes; need at least {m + 1}")
+    d_next = float(coeffs.spectrum.arrays.delta[m + 1])
     return (1.0 + d_next) / (b + d_next) ** 2 * coefficient_tail(coeffs, m)
 
 
@@ -188,11 +186,8 @@ def neumann_bound(coeffs: SteklovCoefficients, m: int) -> float:
 def robin_dnorm_tail_sq(coeffs: SteklovCoefficients, b: float, m: int) -> float:
     """Spectral graph-norm gap between the m-term Robin solve and the deepest
     one available in coeffs: sum of (ghat/(b+d))^2 (1+d) over omitted modes."""
-    modes = coeffs.spectrum.nonconstant
-    return sum(
-        (v / (b + md.delta)) ** 2 * (1.0 + md.delta)
-        for md, v in zip(modes[m:], coeffs.values[m:])
-    )
+    d = coeffs.spectrum.arrays.delta[1 + m:]
+    return float((coeffs.values[m:] / (b + d)) ** 2 @ (1.0 + d))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +280,8 @@ def convergence_study(
     u_deep = solve(kind, g, deep, coefficients=coeffs)
 
     if exact is not None:
-        ref_boundary = BoundaryFunction.from_xy(exact.value, rect).value
-        ref_interior = exact.value
+        ref_interior = zero_mean_solution(exact.value, rect, abstol, reltol) if kind.name == NEUMANN else exact.value
+        ref_boundary = BoundaryFunction.from_xy(ref_interior, rect).value
     elif kind.name == "dirichlet":
         ref_boundary = g.value
         ref_interior = u_deep.eval_array
@@ -311,9 +306,9 @@ def convergence_study(
         int_diff = lambda X, Y: ref_interior(X, Y) - u.eval_array(X, Y)
         ei2 = interior_l2(int_diff, rect)
         eisup = interior_sup(int_diff, rect, *grid)
-        n_kept = len(sub.nonconstant)
+        n_kept = sub.size - 1
         bound = None
-        if n_kept < len(deep.nonconstant):
+        if n_kept < deep.size - 1:
             if kind.name == "robin":
                 bound = robin_bound(coeffs, kind.b, n_kept)
             elif kind.name == NEUMANN:
@@ -392,13 +387,17 @@ def _random_boundary_points(rect: Rectangle, rng: random.Random, n: int):
 def check_orthonormality(spec: Spectrum, tol: float) -> CheckResult:
     """Worst deviation of the boundary Gram matrix (constant mode included)
     from the identity."""
-    dev = np.abs(mode_gram_matrix(spec) - np.eye(len(spec.modes)))
+    dev = np.abs(mode_gram_matrix(spec) - np.eye(spec.size))
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
     i, j = min(i, j), max(i, j)
     worst = float(dev[i, j])
-    mi, mj = spec.modes[i], spec.modes[j]
-    pair = f"({mi.family.value}#{mi.family_rank}, {mj.family.value}#{mj.family_rank})"
+    pair = f"({_mode_name(spec, i)}, {_mode_name(spec, j)})"
     return CheckResult("boundary-orthonormality", worst <= tol, worst, tol, pair)
+
+
+def _mode_name(spec: Spectrum, row: int) -> str:
+    """family#rank of the mode in the given row, for check details."""
+    return f"{spec.family(row).value}#{spec.arrays.rank[row]}"
 
 
 def check_steklov_residual(spec: Spectrum, tol: float, rng: random.Random, n_points=100) -> CheckResult:
@@ -450,26 +449,19 @@ def check_harmonicity(spec: Spectrum, min_order: float, floor: float, rng: rando
     if not order.size or order.min() == np.inf:
         return CheckResult("interior-harmonicity", True, float("inf"), min_order, "all at rounding level")
     j = int(np.argmin(order))  # a NaN order is the worst
-    mode = spec.nonconstant[j]
-    detail = f"{mode.family.value}#{mode.family_rank} at ({x[j, 0]:.3f},{y[j, 0]:.3f})"
+    detail = f"{_mode_name(spec, j + 1)} at ({x[j, 0]:.3f},{y[j, 0]:.3f})"
     worst = float(order[j])
     return CheckResult("interior-harmonicity", worst >= min_order, worst, min_order, detail)
 
 
 def check_delta_monotone(spec: Spectrum) -> CheckResult:
-    by_family: dict = {}
-    for mode in spec.nonconstant:
-        by_family.setdefault(mode.family, []).append(mode)
-    ok = True
-    worst = 0.0
-    for fam, modes in by_family.items():
-        modes.sort(key=lambda m: m.family_rank)
-        for a, b in zip(modes, modes[1:]):
-            gap = b.delta - a.delta
-            if gap <= 0 and fam.is_separable:
-                ok = False
-                worst = min(worst, gap)
-    return CheckResult("delta-monotone-per-family", ok, worst, 0.0)
+    """delta strictly increases with the family rank in every separable family."""
+    a = spec.arrays
+    rows = np.flatnonzero(a.code > FamilyTag.XY.order)
+    rows = rows[np.lexsort((a.rank[rows], a.code[rows]))]
+    gaps = np.diff(a.delta[rows])[np.diff(a.code[rows]) == 0]
+    bad = gaps[~(gaps > 0)]
+    return CheckResult("delta-monotone-per-family", not bad.size, float(bad.min(initial=0.0)), 0.0)
 
 
 def check_scaling(spec: Spectrum, tol: float) -> CheckResult:
@@ -482,9 +474,8 @@ def check_scaling(spec: Spectrum, tol: float) -> CheckResult:
     and G2 (G3 and G4 add the same sums, by reflection), from the kernel's
     values and derivatives; each must equal delta / L to tol, relative.
     """
-    head = Spectrum._from_arrays(spec.rectangle, spec.arrays.take(slice(0, 12)), spec.selection, spec.depth)
-    num = np.zeros(len(head.nonconstant))
-    den = np.zeros(len(head.nonconstant))
+    head = spec.take(slice(0, 12))
+    num, den = np.zeros((2, head.size - 1))
     for side, _, x, y, w in _boundary_nodes(head.rectangle, _nu_max(head), 1):
         (fx, fy), (dfx, dfy) = head._factors(x, y, derivative=True)
         values = fx * fy
@@ -500,13 +491,12 @@ def check_scaling(spec: Spectrum, tol: float) -> CheckResult:
 
 
 def check_structure(spec: Spectrum) -> CheckResult:
-    ok = spec.modes[0].family is FamilyTag.CONST
-    deltas = [m.delta for m in spec.modes]
-    ok = ok and deltas == sorted(deltas)
-    if spec.rectangle.is_square and len(spec.modes) > 9:
-        ok = ok and any(m.family is FamilyTag.XY for m in spec.modes)
-    keys = [m.key for m in spec.modes]
-    ok = ok and len(set(keys)) == len(keys)
+    """Constant first, delta nondecreasing, xy on a square of over 9 modes, no (family, nu) twice."""
+    a = spec.arrays
+    ok = a.code[0] == FamilyTag.CONST.order and (a.delta[1:] >= a.delta[:-1]).all()
+    if spec.rectangle.is_square and spec.size > 9:
+        ok = ok and (a.code == FamilyTag.XY.order).any()
+    ok = bool(ok and np.unique(a.keys).size == spec.size)
     return CheckResult("spectrum-structure", ok, 0.0 if ok else 1.0, 0.0)
 
 

@@ -33,13 +33,13 @@ misses max(abstol, reltol * |I1|).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expressions
 from .geometry import Rectangle, Side, SIDES
-from .spectrum import _ODD, FamilyTag, Spectrum, SteklovMode
+from .spectrum import _ODD, Spectrum
 
 
 class QuadratureError(RuntimeError):
@@ -278,36 +278,44 @@ def integrate_boundary(f: BoundaryFunction, abstol: float = 1e-10, reltol: float
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: per-mode results are shared (Dirichlet weights are the coefficients)."""
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class SteklovCoefficients:
-    """Mean value and mode coefficients of boundary data against a spectrum."""
+    """Mean value and mode coefficients of boundary data against a spectrum.
+
+    Read-only float64 arrays: values[j] belongs to spectrum row j + 1, estimates[j] to row j.
+    """
 
     spectrum: Spectrum
     gbar: float
-    values: tuple[float, ...]  # aligned with spectrum.nonconstant
-    estimates: tuple[float, ...]  # quadrature error estimates, gbar first
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._index.update(
-            {md.key: j for j, md in enumerate(self.spectrum.nonconstant)}
-        )
-
-    def coefficient(self, mode: SteklovMode) -> float:
-        return self.values[self._index[mode.key]]
+    values: np.ndarray
+    estimates: np.ndarray  # quadrature error estimates, gbar first
 
     def restrict(self, sub: Spectrum) -> "SteklovCoefficients":
-        """Coefficients for a nested truncation of the same spectrum."""
-        vals = tuple(self.values[self._index[md.key]] for md in sub.nonconstant)
-        ests = (self.estimates[0],) + tuple(
-            self.estimates[1 + self._index[md.key]] for md in sub.nonconstant
-        )
-        return SteklovCoefficients(sub, self.gbar, vals, ests)
+        """Coefficients for a sub-spectrum whose modes are all modes of this one.
+
+        Each mode of sub is found by its (family, nu); a mode that is not
+        here raises ValueError.
+        """
+        keys, want = self.spectrum.arrays.keys, sub.arrays.keys[1:]
+        order = np.argsort(keys)
+        rows = order[np.minimum(np.searchsorted(keys, want, sorter=order), keys.size - 1)]
+        missing = np.flatnonzero(keys[rows] != want)
+        if missing.size:
+            i = missing[0] + 1
+            raise ValueError(f"mode {sub.family(i).value}, nu={float(sub.arrays.nu[i])!r} is not in the coefficients' spectrum")
+        values, estimates = self.values[rows - 1], self.estimates[np.r_[0, rows]]
+        return SteklovCoefficients(sub, self.gbar, _readonly(values), _readonly(estimates))
 
     @property
     def weighted_norm_sq(self) -> float:
         """gbar^2 + sum ghat_j^2, the squared partial-sum norm."""
-        return self.gbar * self.gbar + sum(v * v for v in self.values)
+        return self.gbar * self.gbar + float(self.values @ self.values)
 
 
 # Fixed-node quadrature. A panel is at most _PANEL_WIDTH / nu_max wide, so
@@ -398,7 +406,7 @@ def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
     orthogonal.
     """
     rect = spec.rectangle
-    gram = np.zeros((len(spec.modes), len(spec.modes)))
+    gram = np.zeros((spec.size, spec.size))
     for _, _, x, y, w in _boundary_nodes(rect, _nu_max(spec), 1):
         for block, s in _mode_blocks(spec, x, y):
             s = np.vstack((np.ones(s.shape[1]), s))
@@ -428,9 +436,9 @@ def steklov_coefficients(
     rect = spec.rectangle
     nu_max = _nu_max(spec)
     sigma = _reflection_signs(spec)
-    raw = np.empty((len(spec.modes), 2))  # column: level; rows: constant, then the modes
+    raw = np.empty((spec.size, 2))  # column: level; rows: constant, then the modes
     for level in (0, 1):
-        sums = np.zeros((len(spec.modes), 2))  # columns: over G1 and G2, over G3 and G4
+        sums = np.zeros((spec.size, 2))  # columns: over G1 and G2, over G3 and G4
         for side, t, x, y, w in _boundary_nodes(rect, nu_max, level):
             wg = w[:, None] * np.column_stack((g.value(side, t), g.value(_REFLECTED[side], t)))
             sums[0] += wg.sum(axis=0)
@@ -444,7 +452,7 @@ def steklov_coefficients(
     if missed.size:
         # the missed nonconstant modes as a spectrum of their own, so that
         # only their rows are evaluated; row 0 is the constant mode
-        sub = Spectrum._from_arrays(rect, spec.arrays.take(np.union1d(0, missed)), spec.selection, spec.depth)
+        sub = spec.take(np.union1d(0, missed))
         rows = slice(0 if missed[0] == 0 else 1, None)
 
         def integrand(side, t):
@@ -454,15 +462,15 @@ def steklov_coefficients(
         try:
             values[missed], estimates[missed] = _integrate_panels(rect, integrand, abstol, reltol, limit, nu_max, missed.size)
         except QuadratureError as exc:
-            mode = spec.modes[missed[exc.entry]]
-            label = "mean value" if mode.family is FamilyTag.CONST else f"mode {mode.family.value}, nu={mode.nu:.6g}"
+            row = missed[exc.entry]
+            label = f"mode {spec.family(row).value}, nu={spec.arrays.nu[row]:.6g}" if row else "mean value"
             raise QuadratureError(
                 f"coefficient quadrature failed for {label}: {exc}",
                 exc.side, exc.partial_value / rect.perimeter, exc.estimate / rect.perimeter,
             ) from exc
     values /= rect.perimeter
     estimates /= rect.perimeter
-    return SteklovCoefficients(spec, float(values[0]), tuple(values[1:].tolist()), tuple(estimates.tolist()))
+    return SteklovCoefficients(spec, float(values[0]), _readonly(values[1:]), _readonly(estimates))
 
 
 def boundary_partial_sum(c: SteklovCoefficients, side: Side, t):

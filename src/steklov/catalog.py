@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .boundary import BoundaryFunction
+from .boundary import BoundaryFunction, integrate_boundary
 from .geometry import Rectangle, Side
 from .solvers import ProblemKind
 
@@ -112,6 +112,18 @@ EXACT_SOLUTIONS = {
     "bd2": ExactSolution("x^2-y^2", _u_saddle, _u_saddle_gradient, ProblemKind.neumann()),
     "bd3": ExactSolution("e^x sin y", _u_exp_sin, _u_exp_sin_gradient, ProblemKind.robin(1.0)),
 }
+
+
+def zero_mean_solution(value, rect: Rectangle, abstol: float = 1e-10, reltol: float = 1e-6):
+    """value(x, y) minus its perimeter-weighted boundary mean on rect: the
+    solution a Neumann solve, which keeps a zero boundary mean, approximates.
+
+    The boundary is symmetric under p -> -p, so the mean of u is that of
+    (u(p) + u(-p)) / 2, which is exactly 0 for an odd u such as x + y.
+    """
+    even = BoundaryFunction.from_xy(lambda x, y: value(x, y) + value(-x, -y), rect)
+    mean = integrate_boundary(even, abstol, reltol)[0] / (2.0 * rect.perimeter)
+    return lambda x, y: value(x, y) - mean
 
 
 def builtin_boundary(name: str, rect: Rectangle, b: Optional[float] = None) -> BoundaryFunction:

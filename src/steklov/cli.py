@@ -35,8 +35,8 @@ import numpy as np
 
 from . import reference_tables as ref
 from .analysis import TolProfile, invariant_suite
-from .boundary import BoundaryFunction, QuadratureError, integrate_boundary
-from .catalog import boundary_data_from_spec, builtin_boundary, exact_solution_for
+from .boundary import BoundaryFunction, QuadratureError
+from .catalog import boundary_data_from_spec, builtin_boundary, exact_solution_for, zero_mean_solution
 from .geometry import GeometryError, Rectangle
 from .solvers import (
     NEUMANN,
@@ -49,6 +49,7 @@ from .solvers import (
 from .spectrum import (
     GLOBAL_SORTED,
     PER_FAMILY,
+    FamilyTag,
     RootFindError,
     Spectrum,
     build_spectrum,
@@ -165,17 +166,17 @@ def cmd_spectrum(args) -> int:
     spec = _spectrum_from_args(args)
     out = args.out or "spectrum.json"
     save_spectrum(spec, out)
-    _write_columns(args.csv, ("index", "family", "nu", "delta"), [_mode_columns(spec.modes)], args.digits)
-    print(f"wrote {len(spec.modes)} modes to {out}" + (f" and {args.csv}" if args.csv else ""))
+    _write_columns(args.csv, ("index", "family", "nu", "delta"), [_mode_columns(spec, slice(None))], args.digits)
+    print(f"wrote {spec.size} modes to {out}" + (f" and {args.csv}" if args.csv else ""))
     return 0
 
 
-def _mode_columns(modes, *values):
-    """Listing columns of modes: index, family, nu, delta, then any value arrays."""
-    return [[str(md.index) for md in modes], [md.family.value for md in modes],
-            np.array([md.nu for md in modes], dtype=float),
-            np.array([md.delta for md in modes], dtype=float),
-            *(np.asarray(v, dtype=float) for v in values)]
+def _mode_columns(spec: Spectrum, rows, *values):
+    """Listing columns of the spectrum's rows: index, family, nu, delta, then any value arrays."""
+    a = spec.arrays
+    names = [tag.value for tag in FamilyTag]
+    return [[str(i) for i in np.arange(spec.size)[rows].tolist()], [names[c] for c in a.code[rows].tolist()],
+            a.nu[rows], a.delta[rows], *(np.asarray(v, dtype=float) for v in values)]
 
 
 def _load_points(spec_text: str):
@@ -223,11 +224,7 @@ def _exact_value(args, rect: Rectangle):
         )
     if exact.problem.name != NEUMANN:
         return exact.value
-    # The boundary is symmetric under p -> -p, so the mean of u is that of
-    # (u(p) + u(-p)) / 2, which is exactly 0 for an odd u such as x + y.
-    even = BoundaryFunction.from_xy(lambda x, y: exact.value(x, y) + exact.value(-x, -y), rect)
-    mean = integrate_boundary(even, args.abstol, args.reltol)[0] / (2.0 * rect.perimeter)
-    return lambda x, y: exact.value(x, y) - mean
+    return zero_mean_solution(exact.value, rect, args.abstol, args.reltol)
 
 
 def _grid_rows(U, xs, ys, exact, digits: int):
@@ -260,7 +257,7 @@ def cmd_solve(args, grid_only: bool = False) -> int:
 
     if args.print_coefficients:
         _write_columns(None, ("index", "family", "nu", "delta", "coefficient", "weight"),
-                       [_mode_columns(spec.nonconstant, u.coefficients.values, u.weights)], args.digits)
+                       [_mode_columns(spec, slice(1, None), u.coefficients.values, u.weights)], args.digits)
 
     wrote = []
     if args.grid:

@@ -26,6 +26,7 @@ import numpy as np
 from .boundary import (
     BoundaryFunction,
     SteklovCoefficients,
+    _readonly,
     corner_bilinear_reduction,
     integrate_boundary,
     steklov_coefficients,
@@ -81,14 +82,14 @@ class ProblemKind:
         return cls(NEUMANN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteklovApproximation:
     """Evaluable truncated expansion solution on the closed rectangle."""
 
     kind: ProblemKind
     spectrum: Spectrum
     coefficients: SteklovCoefficients
-    weights: tuple[float, ...]  # aligned with spectrum.nonconstant
+    weights: np.ndarray  # read-only, aligned with coefficients.values
     constant_term: float
     lift: Optional[tuple[float, float, float, float]] = None  # bilinear a0..a3
 
@@ -160,20 +161,16 @@ class SteklovApproximation:
 
     def restrict(self, sub: Spectrum) -> "SteklovApproximation":
         """The same solve truncated to a nested sub-spectrum."""
-        coeffs = self.coefficients.restrict(sub)
-        weights = _weights_for(self.kind, coeffs)
-        return SteklovApproximation(
-            self.kind, sub, coeffs, weights, self.constant_term, self.lift
-        )
+        return _approximation(self.kind, sub, self.coefficients.restrict(sub), self.constant_term, self.lift)
 
 
-def _weights_for(kind: ProblemKind, coeffs: SteklovCoefficients) -> tuple[float, ...]:
-    modes = coeffs.spectrum.nonconstant
-    if kind.name == DIRICHLET:
-        return tuple(coeffs.values)
-    if kind.name == ROBIN:
-        return tuple(g / (kind.b + md.delta) for g, md in zip(coeffs.values, modes))
-    return tuple(g / md.delta for g, md in zip(coeffs.values, modes))
+def _approximation(kind: ProblemKind, spec: Spectrum, coeffs: SteklovCoefficients, constant: float, lift=None):
+    """The expansion of kind over spec. Its weights are ghat_j / (b + d_j),
+    b = 0 for Neumann, and for Dirichlet the coefficients themselves."""
+    weights = coeffs.values
+    if kind.name != DIRICHLET:
+        weights = _readonly(weights / (kind.b + coeffs.spectrum.arrays.delta[1:]))
+    return SteklovApproximation(kind, spec, coeffs, weights, constant, lift)
 
 
 def solve_dirichlet(
@@ -192,10 +189,7 @@ def solve_dirichlet(
         coefficients = None  # coefficients of the reduced data are required
     if coefficients is None:
         coefficients = steklov_coefficients(g, spec, abstol, reltol)
-    kind = ProblemKind.dirichlet()
-    return SteklovApproximation(
-        kind, spec, coefficients, _weights_for(kind, coefficients), coefficients.gbar, lift
-    )
+    return _approximation(ProblemKind.dirichlet(), spec, coefficients, coefficients.gbar, lift)
 
 
 def solve_robin(
@@ -210,9 +204,7 @@ def solve_robin(
     kind = ProblemKind.robin(b)
     if coefficients is None:
         coefficients = steklov_coefficients(g, spec, abstol, reltol)
-    return SteklovApproximation(
-        kind, spec, coefficients, _weights_for(kind, coefficients), coefficients.gbar / b
-    )
+    return _approximation(kind, spec, coefficients, coefficients.gbar / b)
 
 
 def neumann_mean_tolerance(g: BoundaryFunction, reltol: float = 1e-8) -> float:
@@ -232,16 +224,13 @@ def solve_neumann(
     reltol: float = 1e-6,
 ) -> SteklovApproximation:
     """Minimum-norm solution of D_nu u = g; data must have zero boundary mean."""
-    kind = ProblemKind.neumann()
     if coefficients is None:
         coefficients = steklov_coefficients(g, spec, abstol, reltol)
     if mean_tol is None:
         mean_tol = neumann_mean_tolerance(g)
     if abs(coefficients.gbar) > mean_tol:
         raise IncompatibleDataError(coefficients.gbar, mean_tol)
-    return SteklovApproximation(
-        kind, spec, coefficients, _weights_for(kind, coefficients), 0.0
-    )
+    return _approximation(ProblemKind.neumann(), spec, coefficients, 0.0)
 
 
 def solve(

@@ -41,11 +41,13 @@ computed per element of the same arrays. The public functions of one family
 make_mode) are these array forms on one family's branches or on length-1
 arrays.
 
-A SteklovMode is a plain record. A Spectrum evaluates all its nonconstant
-modes at once from their separable factors: the (K, N) matrix of values, the
-weighted expansion and its gradient at points (in blocks of bounded size),
-and the expansion on a tensor grid as one matrix product of the two factor
-matrices.
+A Spectrum is its per-mode arrays (ModeArrays), constant mode first; per-mode
+results downstream are arrays aligned with its rows, and sub-spectra are row
+subsets (take, head). SteklovMode records are a view, built when first read.
+A Spectrum evaluates all its nonconstant modes at once from their separable
+factors: the (K, N) matrix of values, the weighted expansion and its gradient
+at points (in blocks of bounded size), and the expansion on a tensor grid as
+one matrix product of the two factor matrices.
 """
 
 from __future__ import annotations
@@ -445,49 +447,58 @@ class ModeArrays(NamedTuple):
     hyp_scale: np.ndarray
     rank: np.ndarray  # family_rank
 
-    @classmethod
-    def of(cls, modes) -> "ModeArrays":
-        column = lambda name: np.array([getattr(md, name) for md in modes], dtype=float)
-        return cls(
-            np.array([_CODE[md.family] for md in modes], dtype=int),
-            column("nu"), column("delta"), column("norm_scaled"), column("hyp_scale"),
-            np.array([md.family_rank for md in modes], dtype=int),
-        )
-
-    def take(self, rows) -> "ModeArrays":
-        return ModeArrays(*(a[rows] for a in self))
+    @property
+    def keys(self) -> np.ndarray:
+        """(family, nu) of each mode as the complex number code + i*nu; numpy
+        sorts and searches complex arrays by real part, then imaginary part."""
+        return self.code + 1j * self.nu
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Delta-sorted collection of boundary-normalized modes, constant first.
+    """Delta-sorted boundary-normalized modes, constant first, as per-mode arrays.
 
-    arrays holds the same modes as per-mode arrays; it is derived from modes
-    when not given.
+    modes is a view of the arrays as SteklovMode records (index = row), built when first read.
     """
 
     rectangle: Rectangle
-    modes: tuple[SteklovMode, ...]
+    arrays: ModeArrays = field(repr=False)
     selection: str
     depth: int  # per-family root depth M, or the retained count for global
-    arrays: ModeArrays | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.arrays is None:
-            object.__setattr__(self, "arrays", ModeArrays.of(self.modes))
-
-    @classmethod
-    def _from_arrays(cls, rect: Rectangle, arrays: ModeArrays, selection: str, depth: int) -> "Spectrum":
-        """The spectrum of the given per-mode arrays; each mode's index is its row."""
-        modes = tuple(
-            SteklovMode(_TAGS[code], nu, delta, rect, norm, scale, i, rank)
-            for i, (code, nu, delta, norm, scale, rank) in enumerate(zip(*(a.tolist() for a in arrays)))
-        )
-        return cls(rect, modes, selection, depth, arrays)
 
     @property
+    def size(self) -> int:
+        """The number of modes, the constant included."""
+        return self.arrays.code.size
+
+    @cached_property
+    def modes(self) -> tuple[SteklovMode, ...]:
+        rect = self.rectangle
+        return tuple(
+            SteklovMode(_TAGS[code], nu, delta, rect, norm, scale, i, rank)
+            for i, (code, nu, delta, norm, scale, rank) in enumerate(zip(*(a.tolist() for a in self.arrays)))
+        )
+
+    @cached_property
     def nonconstant(self) -> tuple[SteklovMode, ...]:
         return self.modes[1:]
+
+    def family(self, row: int) -> FamilyTag:
+        """The family of the mode in the given row."""
+        return _TAGS[self.arrays.code[row]]
+
+    def take(self, rows, depth: int | None = None) -> "Spectrum":
+        """The modes in rows (indices or a slice; row 0 is the constant) as a
+        spectrum of the same selection, of this depth unless depth is given."""
+        arrays = ModeArrays(*(a[rows] for a in self.arrays))
+        return Spectrum(self.rectangle, arrays, self.selection, self.depth if depth is None else depth)
+
+    def head(self, count: int) -> "Spectrum":
+        """The constant and the first `count` nonconstant modes: a global
+        prefix of depth count."""
+        if not 0 <= count < self.size:
+            raise ValueError(f"cannot take {count} modes from {self.size - 1}")
+        return Spectrum(self.rectangle, self.take(slice(0, count + 1)).arrays, GLOBAL_SORTED, count)
 
     @cached_property
     def _factor_table(self):
@@ -567,7 +578,7 @@ class Spectrum:
         shape = x.shape
         x, y = x.ravel(), y.ravel()
         out = np.empty((count, x.size))
-        step = max(64, _BLOCK_ENTRIES // max(1, len(self.modes) - 1))
+        step = max(64, _BLOCK_ENTRIES // max(1, self.size - 1))
         for start in range(0, x.size, step):
             block = slice(start, start + step)
             out[:, block] = terms(x[block], y[block])
@@ -606,7 +617,7 @@ class Spectrum:
 
     @property
     def max_delta(self) -> float:
-        return self.modes[-1].delta if len(self.modes) > 1 else 0.0
+        return float(self.arrays.delta[-1])  # the constant mode's delta is 0
 
     def select(self, m: int) -> "Spectrum":
         """Nested truncation to a shallower depth under the same policy.
@@ -614,17 +625,11 @@ class Spectrum:
         Per family: the first m roots of each family, depth m. Global: the
         8m smallest nonconstant modes, depth 8m.
         """
-        if self.selection == PER_FAMILY:
-            if m > self.depth:
-                raise ValueError(f"cannot select M={m} from depth {self.depth}")
-            rows = np.flatnonzero(_per_family_kept(self.arrays.code, self.arrays.rank, self.rectangle, m))
-            depth = m
-        else:
-            depth = 8 * m
-            if depth > len(self.nonconstant):
-                raise ValueError(f"cannot select {depth} modes from {len(self.nonconstant)}")
-            rows = slice(0, depth + 1)
-        return Spectrum._from_arrays(self.rectangle, self.arrays.take(rows), self.selection, depth)
+        if self.selection != PER_FAMILY:
+            return self.head(8 * m)
+        if m > self.depth:
+            raise ValueError(f"cannot select M={m} from depth {self.depth}")
+        return self.take(np.flatnonzero(_per_family_kept(self.arrays.code, self.arrays.rank, self.rectangle, m)), m)
 
 
 def _factor_plan(arrays: ModeArrays, along: int | None = None):
@@ -685,10 +690,12 @@ def _apply_kinds(z: np.ndarray, groups, derivative: bool):
             np.sin(v, out=v)
         else:
             av = np.abs(v)
-            half = 0.5 * np.exp(av - scale)
+            half = np.exp(av - scale)
+            half *= 0.5
             av *= -2.0
-            cosh = half * (1.0 + np.exp(av)) if kind == "cosh" or derivative else None
+            # sinh first: cosh takes av's memory (every full-size temporary page-faults)
             sinh = np.sign(v) * half * (-np.expm1(av)) if kind == "sinh" or derivative else None
+            cosh = half * np.add(np.exp(av, out=av), 1.0, out=av) if kind == "cosh" or derivative else None
             hyp, dhyp = (cosh, sinh) if kind == "cosh" else (sinh, cosh)
             if derivative:
                 np.multiply(coef * nu, dhyp, out=dz[s])
@@ -721,7 +728,7 @@ def _spectrum_of_roots(rect: Rectangle, code, rank, nu, with_xy: bool, keep: int
     order = np.lexsort((nu, code, delta))[:keep]
     const = (_CODE[FamilyTag.CONST], 0.0, 0.0, 1.0, 0.0, 0)
     arrays = ModeArrays(*(np.concatenate(([v], c[order])) for v, c in zip(const, columns)))
-    return Spectrum._from_arrays(rect, arrays, selection, depth)
+    return Spectrum(rect, arrays, selection, depth)
 
 
 def build_spectrum(
@@ -781,10 +788,11 @@ def spectrum_to_json(spec: Spectrum) -> str:
     def g17(x: float) -> str:
         return format(x, ".17g")
 
+    # normConst per row with math.exp, as SteklovMode.norm_const computes it
     rows = ",\n".join(
         '    {"family": "%s", "nu": %s, "delta": %s, "normConst": %s}'
-        % (md.family.value, g17(md.nu), g17(md.delta), g17(md.norm_const))
-        for md in spec.modes
+        % (_TAGS[code].value, g17(nu), g17(delta), g17(norm * math.exp(-scale)))
+        for code, nu, delta, norm, scale in zip(*(a.tolist() for a in spec.arrays[:5]))
     )
     return (
         "{\n"
@@ -864,8 +872,7 @@ def spectrum_from_json(text: str, residual_tol: float = 1e-8) -> Spectrum:
     rank[order] = np.arange(code.size) - np.searchsorted(code[order], code[order])
     # per family, the most roots of one family; global, the retained count
     depth = int(np.bincount(code).max()) if selection == PER_FAMILY else code.size - 1
-    arrays = ModeArrays(code, nu, delta, norm_scaled, hyp_scale, rank)
-    return Spectrum._from_arrays(rect, arrays, selection, depth)
+    return Spectrum(rect, ModeArrays(code, nu, delta, norm_scaled, hyp_scale, rank), selection, depth)
 
 
 def load_spectrum(path, residual_tol: float = 1e-8) -> Spectrum:

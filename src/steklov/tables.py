@@ -103,15 +103,11 @@ class TableWorkspace:
 
     def truncation(self, h: float, kind: str, m: int, policy: str) -> Spectrum:
         if policy == POLICY_PREFIX:
-            count = ref.nonconstant_count(kind, m)
-            deep = self.deep_spectrum(h)
-            head = slice(0, count + 1)
-            return Spectrum(deep.rectangle, deep.modes[head], GLOBAL_SORTED, count, deep.arrays.take(head))
+            return self.deep_spectrum(h).head(ref.nonconstant_count(kind, m))
         if policy == PER_FAMILY:
             return self.per_family_spectrum(h, m)
         if policy == GLOBAL_SORTED:
-            deep = self.deep_spectrum(h)
-            return deep.select(m)
+            return self.deep_spectrum(h).select(m)
         raise ValueError(f"unknown policy {policy!r}")
 
 

@@ -34,7 +34,7 @@ from steklov import (
     steklov_coefficients,
 )
 from steklov import reference_tables as ref
-from steklov.spectrum import GLOBAL_SORTED, PER_FAMILY, Spectrum, build_spectrum_by_count
+from steklov.spectrum import GLOBAL_SORTED, PER_FAMILY, build_spectrum_by_count
 from steklov.analysis import check_scaling
 from steklov.tables import TableWorkspace, reproduce_rerr, reproduce_table
 
@@ -43,10 +43,6 @@ import scalar_reference as scalar
 POINTWISE_TOL = 1e-4
 EXACT_ROW_TOL = 1e-6
 RERR_TOL = 0.05
-
-
-def prefix(deep, count):
-    return Spectrum(deep.rectangle, deep.modes[: count + 1], GLOBAL_SORTED, count)
 
 
 def _verdict(criterion, ok, detail=""):
@@ -121,7 +117,7 @@ def test_criterion_5_solution_experiments(all_table_results, deep_square):
         g = builtin_boundary(name, rect, 1.0 if name == "bd3" else None)
         exact = exact_solution_for(name)
         co = steklov_coefficients(g, deep_square)
-        sub = prefix(deep_square, count)
+        sub = deep_square.head(count)
         cox = co.restrict(sub)
         u = (solve_neumann(g, sub, coefficients=cox) if kind == "n"
              else solve_robin(g, 1.0, sub, coefficients=cox))
@@ -149,7 +145,7 @@ def test_criterion_6_property_suite(spec_pf5, deep_square, deeper_square):
     for name in ("f1", "f2", "f3", "bd1", "bd2", "bd3"):
         g = builtin_boundary(name, rect, 1.0 if name == "bd3" else None)
         co = steklov_coefficients(g, deep_square)
-        cox = co.restrict(prefix(deep_square, 23))
+        cox = co.restrict(deep_square.head(23))
         gsq = boundary_l2(lambda s, t: g.value(s, t), rect) ** 2
         errsq = boundary_l2(
             lambda s, t: g.value(s, t) - boundary_partial_sum(cox, s, t), rect
@@ -163,7 +159,7 @@ def test_criterion_6_property_suite(spec_pf5, deep_square, deeper_square):
     co1 = steklov_coefficients(g1, deeper_square)
     h1_ok = True
     for count in (15, 23):
-        sub = prefix(deeper_square, count)
+        sub = deeper_square.head(count)
         u = solve_dirichlet(g1, sub, coefficients=co1.restrict(sub))
 
         def grad_err(X, Y):
@@ -183,7 +179,7 @@ def test_criterion_6_property_suite(spec_pf5, deep_square, deeper_square):
         g = builtin_boundary(name, rect)
         exact = exact_solution_for(name)
         co = steklov_coefficients(g, deep_square)
-        sub = prefix(deep_square, 23)
+        sub = deep_square.head(23)
         u = solve_dirichlet(g, sub, coefficients=co.restrict(sub))
         X, Y = grid_points(rect, 101, 101)
         inner = np.abs(np.vectorize(exact.value)(X, Y) - u.eval_array(X, Y)).max()

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,7 +47,7 @@ from steklov.analysis import (
     check_steklov_residual,
     reports_to_csv_rows,
 )
-from steklov.spectrum import GLOBAL_SORTED, Spectrum
+from steklov.spectrum import Spectrum
 
 import scalar_reference as ref
 
@@ -56,10 +55,6 @@ import scalar_reference as ref
 @pytest.fixture(scope="module")
 def rect():
     return Rectangle(1.0)
-
-
-def prefix(deep, count):
-    return Spectrum(deep.rectangle, deep.modes[: count + 1], GLOBAL_SORTED, count)
 
 
 def test_boundary_error_of_exact_partial_sum(rect, spec_pf5):
@@ -84,7 +79,7 @@ def test_rerr_matches_published_value(rect, deep_square):
     # rerr_inf of f1 at M=2 on the square, against the printed 6.59553e-3
     g = builtin_boundary("f1", rect)
     co = steklov_coefficients(g, deep_square)
-    cox = co.restrict(prefix(deep_square, 15))
+    cox = co.restrict(deep_square.head(15))
     l2, sup = boundary_error(g, lambda s, t: boundary_partial_sum(cox, s, t))
     gsup = boundary_sup(lambda s, t: g.value(s, t), rect, include_corners=False)
     assert sup / gsup == pytest.approx(6.59553e-3, rel=0.05)
@@ -96,7 +91,7 @@ def test_pointwise_table_values(rect, deep_square):
     g = builtin_boundary("f1", rect)
     exact = exact_solution_for("f1")
     co = steklov_coefficients(g, deep_square)
-    sub = prefix(deep_square, 23)
+    sub = deep_square.head(23)
     u = solve_dirichlet(g, sub, coefficients=co.restrict(sub))
     rows = pointwise_table(exact.value, u, [(0.9, 0.1)])
     (_, approx, exact_val, err) = rows[0]
@@ -110,7 +105,7 @@ def test_pointwise_table_values(rect, deep_square):
 def test_rerr_scale_invariance(rect, deep_square):
     g = builtin_boundary("f3", rect)
     g10 = g.scale(10.0)
-    sub = prefix(deep_square, 15)
+    sub = deep_square.head(15)
     out = []
     for data in (g, g10):
         co = steklov_coefficients(data, sub)
@@ -130,7 +125,7 @@ def test_spectral_pythagoras_all_catalog_data(rect, deep_square):
     for name in ("f1", "f2", "f3", "bd1", "bd2", "bd3"):
         g = builtin_boundary(name, rect, 1.0 if name == "bd3" else None)
         co = steklov_coefficients(g, deep_square)
-        cox = co.restrict(prefix(deep_square, 23))
+        cox = co.restrict(deep_square.head(23))
         gsq = boundary_l2(lambda s, t: g.value(s, t), rect) ** 2
         errsq = boundary_l2(
             lambda s, t: g.value(s, t) - boundary_partial_sum(cox, s, t), rect
@@ -144,7 +139,7 @@ def test_h1_tail_identity(rect, deeper_square):
     exact = exact_solution_for("f1")
     co = steklov_coefficients(g, deeper_square)
     for count in (15, 23):
-        sub = prefix(deeper_square, count)
+        sub = deeper_square.head(count)
         u = solve_dirichlet(g, sub, coefficients=co.restrict(sub))
 
         def grad_err(X, Y):
@@ -194,7 +189,7 @@ def test_robin_bound_monotone_and_dominates(rect, deep_square):
     # dual route at one depth: quadrature graph norm of (deep - truncated)
     m = 5
     u_deep = solve_robin(g, b, deep_square, coefficients=co)
-    u_m = u_deep.restrict(prefix(deep_square, m))
+    u_m = u_deep.restrict(deep_square.head(m))
     diff_weights = tuple(
         wd - (u_m.weights[i] if i < m else 0.0) for i, wd in enumerate(u_deep.weights)
     )
@@ -232,10 +227,9 @@ def test_invariant_suite_detects_corrupted_norm(square):
     from steklov import build_spectrum
 
     spec = build_spectrum(square, 1)
-    bad = spec.nonconstant[2]
-    modes = list(spec.modes)
-    modes[bad.index] = replace(bad, norm_scaled=bad.norm_scaled * 1.01)
-    broken = Spectrum(square, tuple(modes), spec.selection, spec.depth)
+    norm_scaled = spec.arrays.norm_scaled.copy()
+    norm_scaled[3] *= 1.01  # the third nonconstant mode
+    broken = Spectrum(square, spec.arrays._replace(norm_scaled=norm_scaled), spec.selection, spec.depth)
     report = invariant_suite(broken, seed=0)
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
@@ -253,7 +247,7 @@ def test_invariant_suite_detects_corrupted_delta(square):
     assert check_scaling(spec, tols.scaling).passed
     delta = spec.arrays.delta.copy()
     delta[3] *= 1.0 + 1e-6
-    broken = Spectrum._from_arrays(square, spec.arrays._replace(delta=delta), spec.selection, spec.depth)
+    broken = Spectrum(square, spec.arrays._replace(delta=delta), spec.selection, spec.depth)
     assert {"steklov-residual", "dilation-scaling"} <= failing_checks(broken)
 
 
@@ -326,7 +320,7 @@ def test_interior_beats_boundary_for_experiments(rect, deep_square):
         g = builtin_boundary(name, rect, 1.0 if name == "bd3" else None)
         exact = exact_solution_for(name)
         co = steklov_coefficients(g, deep_square)
-        sub = prefix(deep_square, count)
+        sub = deep_square.head(count)
         cox = co.restrict(sub)
         u = (solve_neumann(g, sub, coefficients=cox) if kind == "n"
              else solve_robin(g, 1.0, sub, coefficients=cox))
@@ -343,3 +337,25 @@ def test_report_serialization_fields():
     rows = list(reports_to_csv_rows([rep]))
     assert rows[0] == list(REPORT_FIELDS)
     assert rows[1][-1] == ""  # absent bound serializes empty
+
+
+def test_convergence_study_neumann_against_zero_mean_exact():
+    # a Neumann solve keeps the zero-mean solution; x^2 - y^2 has boundary
+    # mean 13/36 on R_0.5, which dominated the error before the shift
+    rect = Rectangle(0.5)
+    reports = convergence_study(builtin_boundary("bd2", rect), [2, 3], kind=ProblemKind.neumann(),
+                                exact=exact_solution_for("bd2"), reference_m=4)
+    assert all(r.err_sup_boundary < 0.1 for r in reports), [r.err_sup_boundary for r in reports]
+    assert reports[1].err_L2_boundary < reports[0].err_L2_boundary
+
+
+def test_zero_mean_solution_leaves_an_odd_solution_as_it_is():
+    # bd1's solution x + y is odd under p -> -p, so its boundary mean is exactly 0
+    from steklov.catalog import zero_mean_solution
+
+    rect = Rectangle(0.5)
+    u = exact_solution_for("bd1").value
+    X, Y = grid_points(rect, 13, 9)
+    assert np.array_equal(zero_mean_solution(u, rect)(X, Y), u(X, Y))
+    shifted = zero_mean_solution(exact_solution_for("bd2").value, rect)
+    assert shifted(0.0, 0.0) == pytest.approx(-13.0 / 36.0, abs=1e-12)

@@ -65,7 +65,7 @@ def case(request):
 def test_coefficients_match_refined_nodes(case):
     spec, ref, coeffs = case
     for k, co in enumerate(coeffs):
-        got = np.array((co.gbar,) + co.values)
+        got = np.r_[co.gbar, co.values]
         assert np.abs(got - ref[:, k]).max() <= 1e-12, DATA[k]
 
 
@@ -73,7 +73,7 @@ def test_estimates_within_their_targets(case):
     spec, _, coeffs = case
     perim = spec.rectangle.perimeter
     for k, co in enumerate(coeffs):
-        values = np.abs(np.array((co.gbar,) + co.values))
+        values = np.abs(np.r_[co.gbar, co.values])
         targets = np.maximum(ABSTOL / perim, RELTOL * values)
         assert len(co.estimates) == len(spec.modes)
         assert (np.array(co.estimates) <= targets).all(), DATA[k]
@@ -109,7 +109,7 @@ def test_interior_kink_falls_back_only_where_needed(monkeypatch):
     kinks = {Side.G2: [-0.3], Side.G4: [0.3]}
     perim = rect.perimeter
     ref = reference_integrals([g], spec, kinks)[:, 0] / perim
-    got = np.array((co.gbar,) + co.values)
+    got = np.r_[co.gbar, co.values]
     target = np.maximum(ABSTOL / perim, RELTOL * np.abs(ref))
     assert (np.abs(got - ref) <= target).all()
 
@@ -134,7 +134,7 @@ def test_kinked_data_fallback_is_accurate_and_cheap():
     perim = rect.perimeter
     plain = BoundaryFunction.from_expression("abs(x - 0.3)", rect)
     ref = reference_integrals([plain], spec, kinks)[:, 0] / perim
-    got = np.array((co.gbar,) + co.values)
+    got = np.r_[co.gbar, co.values]
     target = np.maximum(ABSTOL / perim, RELTOL * np.abs(ref))
     assert (np.abs(got - ref) <= target).all()
 

@@ -27,12 +27,16 @@ from steklov import (
     spectrum_to_json,
 )
 
+from steklov.spectrum import ModeArrays
+
 import scalar_reference as ref
 
 
 def one_mode(md):
     """The spectrum of the constant and md, to evaluate md on the kernel."""
-    return Spectrum(md.rect, (make_mode(FamilyTag.CONST, md.rect), md), PER_FAMILY, 1)
+    rows = ((FamilyTag.CONST.order, 0.0, 0.0, 1.0, 0.0, 0),
+            (md.family.order, md.nu, md.delta, md.norm_scaled, md.hyp_scale, md.family_rank))
+    return Spectrum(md.rect, ModeArrays(*map(np.array, zip(*rows))), PER_FAMILY, 1)
 
 
 def kernel_value(md, x, y):

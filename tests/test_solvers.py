@@ -226,13 +226,11 @@ def test_corner_reduction_equivalence(rect, spec_pf5):
 
 def test_max_principle_bound(rect, deep_square):
     # interior error is controlled by the boundary trace error
-    from steklov.spectrum import GLOBAL_SORTED, Spectrum
-
     for name in ("f1", "f2", "f3"):
         g = builtin_boundary(name, rect)
         exact = exact_solution_for(name)
         co = steklov_coefficients(g, deep_square)
-        sub = Spectrum(rect, deep_square.modes[:24], GLOBAL_SORTED, 23)
+        sub = deep_square.head(23)
         u = solve_dirichlet(g, sub, coefficients=co.restrict(sub))
         X, Y = grid_points(rect, 101, 101)
         interior_sup = np.abs(np.vectorize(exact.value)(X, Y) - u.eval_array(X, Y)).max()
@@ -249,12 +247,10 @@ def test_max_principle_bound(rect, deep_square):
 
 
 def test_restrict_matches_fresh_solve(rect, deep_square):
-    from steklov.spectrum import GLOBAL_SORTED, Spectrum
-
     g = builtin_boundary("f2", rect)
     co = steklov_coefficients(g, deep_square)
     u_deep = solve_dirichlet(g, deep_square, coefficients=co)
-    sub = Spectrum(rect, deep_square.modes[:16], GLOBAL_SORTED, 15)
+    sub = deep_square.head(15)
     u_sub = u_deep.restrict(sub)
     u_fresh = solve_dirichlet(g, sub)
     for p in ((0.3, 0.3), (-0.9, 0.1)):
