@@ -166,7 +166,20 @@ class SteklovApproximation:
 
 def _approximation(kind: ProblemKind, spec: Spectrum, coeffs: SteklovCoefficients, constant: float, lift=None):
     """The expansion of kind over spec. Its weights are ghat_j / (b + d_j),
-    b = 0 for Neumann, and for Dirichlet the coefficients themselves."""
+    b = 0 for Neumann, and for Dirichlet the coefficients themselves.
+
+    The coefficients must belong to spec: the same rectangle and the same
+    modes, (family, nu), row by row; ValueError otherwise.
+    """
+    other = coeffs.spectrum
+    if other is not spec and (
+        other.rectangle != spec.rectangle or not np.array_equal(other.arrays.keys, spec.arrays.keys)
+    ):
+        raise ValueError(
+            f"the coefficients belong to another spectrum ({other.size - 1} modes at h = {other.rectangle.h}) "
+            f"than the one solved over ({spec.size - 1} modes at h = {spec.rectangle.h}); "
+            "use coefficients.restrict(spec) for a sub-spectrum"
+        )
     weights = coeffs.values
     if kind.name != DIRICHLET:
         weights = _readonly(weights / (kind.b + coeffs.spectrum.arrays.delta[1:]))

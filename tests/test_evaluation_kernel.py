@@ -23,6 +23,8 @@ from steklov import (
     steklov_coefficients,
 )
 
+from steklov import spectrum as spectrum_module
+
 import scalar_reference as ref
 
 TOL = 1e-13
@@ -266,3 +268,73 @@ def test_evaluators_stay_far_below_one_modes_by_points_matrix():
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+# The trig factors come from one tangent of the half angle; the bound is 2 ulp
+# of 1 against libm's cos and sin of the same theta = nu * coordinate.
+TRIG_ATOL = 4.5e-16
+
+
+@pytest.fixture(scope="module", params=[1.0, 0.5, 0.001])
+def ceiling_factors(request):
+    """_factors of an 8000-mode spectrum (the nu ceiling) at edge, zero, tiny
+    and random coordinates, with the trig and hyperbolic rows of every
+    family mode picked out."""
+    h = request.param
+    spec = build_spectrum_by_count(Rectangle(h), 8000)
+    rng = np.random.default_rng(11)
+    special = np.array([1.0, -1.0, 0.0, -0.0, 0.5, -0.25, 1e-4, -3e-7, 1e-12, 5e-300])
+    x = np.concatenate([special, rng.uniform(-1.0, 1.0, 150)])
+    y = h * np.concatenate([special, rng.uniform(-1.0, 1.0, 150)])
+    (fx, fy), (dfx, dfy) = spec._factors(x, y, derivative=True)
+    arrays = spec.arrays
+    family = arrays.code[1:] != spectrum_module._XY
+    code = arrays.code[1:][family]
+    hyp_x = (spectrum_module._HYP_AXIS[code] == 0)[:, None]
+    pick = lambda m_x, m_y, along_x: np.where(along_x, m_x[family], m_y[family])
+    return {
+        "nu": arrays.nu[1:][family, None],
+        "cos": spectrum_module._COS[code][:, None],
+        "cosh": spectrum_module._COSH[code][:, None],
+        "norm": arrays.norm_scaled[1:][family, None],
+        "scale": arrays.hyp_scale[1:][family, None],
+        "trig": (pick(fx, fy, ~hyp_x), pick(dfx, dfy, ~hyp_x), np.where(hyp_x, y, x)),
+        "hyp": (pick(fx, fy, hyp_x), pick(dfx, dfy, hyp_x), np.where(hyp_x, x, y)),
+    }
+
+
+def test_trig_factor_rows_match_libm(ceiling_factors):
+    c = ceiling_factors
+    nu, cos = c["nu"], c["cos"]
+    f, df, v = c["trig"]
+    theta = nu * v
+    assert nu.max() > 3000.0
+    want = np.where(cos, np.cos(theta), np.sin(theta))
+    assert np.abs(f - want).max() <= TRIG_ATOL
+    # the derivatives -nu sin and nu cos: the same bound per unit nu, plus the
+    # rounding of both products
+    dwant = np.where(cos, -nu * np.sin(theta), nu * np.cos(theta))
+    assert np.all(np.abs(df - dwant) <= TRIG_ATOL * nu + np.spacing(np.abs(dwant)))
+    # sin keeps its relative accuracy at small angles
+    small = ~cos & (np.abs(theta) <= 1e-3) & (theta != 0.0)
+    assert small.sum() > 1000
+    assert np.all(np.abs(f - want)[small] <= TRIG_ATOL * np.abs(want)[small])
+    assert np.all(f[~cos & (theta == 0.0)] == 0.0) and np.all(f[cos & (theta == 0.0)] == 1.0)
+
+
+def test_hyperbolic_factor_rows_are_the_exp_formulas_bit_for_bit(ceiling_factors):
+    # the exponentially scaled cosh and sinh, each kind evaluated on its own
+    c = ceiling_factors
+    nu, norm, scale, cosh_rows = c["nu"], c["norm"], c["scale"], c["cosh"]
+    f, df, u = c["hyp"]
+    z = nu * u
+    av = np.abs(z)
+    half = np.exp(av - scale)
+    half *= 0.5
+    av *= -2.0
+    sinh = np.sign(z) * half * (-np.expm1(av))
+    cosh = half * (np.exp(av) + 1.0)
+    want = np.where(cosh_rows, norm * cosh, norm * sinh)
+    dwant = np.where(cosh_rows, (norm * nu) * sinh, (norm * nu) * cosh)
+    assert np.array_equal(f.view(np.int64), want.view(np.int64))
+    assert np.array_equal(df.view(np.int64), dwant.view(np.int64))

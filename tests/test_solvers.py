@@ -17,6 +17,8 @@ from steklov import (
     Side,
     SIDES,
     boundary_partial_sum,
+    build_spectrum,
+    build_spectrum_by_count,
     builtin_boundary,
     exact_solution_for,
     grid_points,
@@ -255,3 +257,28 @@ def test_restrict_matches_fresh_solve(rect, deep_square):
     u_fresh = solve_dirichlet(g, sub)
     for p in ((0.3, 0.3), (-0.9, 0.1)):
         assert u_sub.eval(*p) == pytest.approx(u_fresh.eval(*p), abs=1e-10)
+
+
+def test_coefficients_of_another_spectrum_are_rejected():
+    # coefficients for 24 global modes paired with 24 per-family modes by
+    # position evaluated 0.580378 at (0.3, 0.2) instead of 0.580411
+    thin = Rectangle(0.5)
+    g = builtin_boundary("f2", thin)
+    spec = build_spectrum(thin, 3)
+    others = (
+        steklov_coefficients(g, build_spectrum_by_count(thin, 24)),
+        steklov_coefficients(g, build_spectrum(thin, 2)),
+        steklov_coefficients(builtin_boundary("f2", Rectangle(0.6)), build_spectrum(Rectangle(0.6), 3)),
+    )
+    for co in others:
+        for run in (
+            lambda: solve_dirichlet(g, spec, coefficients=co),
+            lambda: solve_robin(g, 2.0, spec, coefficients=co),
+            lambda: solve_neumann(g, spec, mean_tol=math.inf, coefficients=co),
+        ):
+            with pytest.raises(ValueError, match="another spectrum"):
+                run()
+    # coefficients of an equal spectrum built anew are accepted
+    u = solve_dirichlet(g, spec, coefficients=steklov_coefficients(g, build_spectrum(thin, 3)))
+    assert u.eval(0.3, 0.2) == pytest.approx(solve_dirichlet(g, spec).eval(0.3, 0.2), abs=1e-12)
+    assert u.eval(0.3, 0.2) == pytest.approx(0.580411, abs=1e-6)
