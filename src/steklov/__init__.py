@@ -55,7 +55,6 @@ from .analysis import (
     ErrorReport,
     SuiteReport,
     TolProfile,
-    boundary_error,
     boundary_l2,
     boundary_sup,
     coefficient_tail,
@@ -64,9 +63,7 @@ from .analysis import (
     interior_l2,
     interior_sup,
     invariant_suite,
-    monotone_boundary_trend,
     neumann_bound,
-    pointwise_table,
     robin_bound,
     robin_dnorm_tail_sq,
     spectral_tail,
@@ -86,10 +83,9 @@ __all__ = [
     "BoundaryGradientWarning", "IncompatibleDataError", "ProblemKind",
     "SteklovApproximation", "grid_points", "neumann_mean_tolerance", "solve",
     "solve_dirichlet", "solve_neumann", "solve_robin", "CheckResult",
-    "ErrorReport", "SuiteReport", "TolProfile", "boundary_error",
-    "boundary_l2", "boundary_sup", "coefficient_tail", "convergence_study",
-    "dnorm_sq", "interior_l2", "interior_sup", "invariant_suite",
-    "monotone_boundary_trend", "neumann_bound", "pointwise_table",
+    "ErrorReport", "SuiteReport", "TolProfile", "boundary_l2",
+    "boundary_sup", "coefficient_tail", "convergence_study", "dnorm_sq",
+    "interior_l2", "interior_sup", "invariant_suite", "neumann_bound",
     "robin_bound", "robin_dnorm_tail_sq", "spectral_tail",
 ]
 

@@ -31,14 +31,15 @@ from .boundary import (
     _boundary_nodes,
     _integrate_panels,
     _nu_max,
-    boundary_partial_sum,
     mode_gram_matrix,
     steklov_coefficients,
 )
 from .catalog import zero_mean_solution
 from .geometry import Rectangle, Side, SIDES
 from .solvers import (
+    DIRICHLET,
     NEUMANN,
+    ROBIN,
     ProblemKind,
     SteklovApproximation,
     grid_points,
@@ -64,8 +65,13 @@ def boundary_l2(fn: Callable[[Side, np.ndarray], np.ndarray], rect: Rectangle,
     fn is called with numpy arrays of side parameters and returns the values
     there, as for boundary_sup; (abstol, reltol) apply to the integral of fn^2.
     """
-    sq, _ = _integrate_panels(rect, lambda side, t: fn(side, t) ** 2, abstol, reltol, 250)
-    return math.sqrt(max(float(sq[0]), 0.0) / rect.perimeter)
+    return float(_boundary_l2s(fn, rect, 1, abstol, reltol)[0])
+
+
+def _boundary_l2s(fn, rect: Rectangle, entries: int, abstol: float = 1e-12, reltol: float = 1e-9) -> np.ndarray:
+    """boundary_l2 of each of the `entries` rows of fn's (entries, n) values."""
+    sq, _ = _integrate_panels(rect, lambda side, t: fn(side, t) ** 2, abstol, reltol, 250, entries=entries)
+    return np.sqrt(np.maximum(sq, 0.0) / rect.perimeter)
 
 
 def boundary_sup(fn: Callable[[Side, np.ndarray], np.ndarray], rect: Rectangle,
@@ -73,20 +79,51 @@ def boundary_sup(fn: Callable[[Side, np.ndarray], np.ndarray], rect: Rectangle,
     """Sampled boundary sup of a (side, t) map.
 
     fn is called once per side with a numpy array of side parameters, the
-    nodes lo + i*step (i = 0..n) with corners, or the cell midpoints
-    lo + (i + 0.5)*step (i = 0..n-1) without, and returns the values there.
-    A NaN value makes the sup NaN.
+    nodes of _sup_nodes, and returns the values there. A NaN value makes the
+    sup NaN.
     """
-    sups = []
+    return float(np.max([np.abs(fn(side, ts)).max(initial=0.0)
+                         for side, ts in _sup_nodes(rect, samples_per_side, include_corners)]))
+
+
+def _sup_nodes(rect: Rectangle, samples_per_side: int = 1000, include_corners: bool = True):
+    """(side, t) per side: the nodes lo + i*step (i = 0..n) with corners, or
+    the cell midpoints lo + (i + 0.5)*step (i = 0..n-1) without."""
     for side in SIDES:
         lo, hi = rect.side_interval(side)
         step = (hi - lo) / samples_per_side
         if include_corners:
-            ts = lo + np.arange(samples_per_side + 1) * step
+            yield side, lo + np.arange(samples_per_side + 1) * step
         else:
-            ts = lo + (np.arange(samples_per_side) + 0.5) * step
-        sups.append(np.abs(fn(side, ts)).max(initial=0.0))
-    return float(np.max(sups))
+            yield side, lo + (np.arange(samples_per_side) + 0.5) * step
+
+
+def _truncation_errors(ref: Callable[[Side, np.ndarray], np.ndarray], u: SteklovApproximation,
+                       subs: Sequence[Spectrum]) -> tuple[np.ndarray, np.ndarray]:
+    """(sup, L2): the boundary_sup and boundary_l2 of ref, then of ref - u|sub
+    for every sub, from one sweep of the boundary.
+
+    u is an expansion over a base spectrum, and each sub a sub-spectrum of
+    it: u|sub is u.restrict(sub), the weight row u.weights masked to sub's
+    modes with u's constant term and lift. Both arrays hold 1 + len(subs)
+    entries. The sup is sampled on boundary_sup's nodes, and the L2 norms
+    share one panel-adaptive quadrature with boundary_l2's tolerances. The
+    modes are evaluated once per node block for all subs.
+    """
+    rect = u.rect
+    masks = np.zeros((len(subs), u.weights.size))
+    for mask, sub in zip(masks, subs):
+        mask[u.spectrum.rows_of(sub)[1:] - 1] = 1.0
+    weights = u.weights * masks
+
+    def errors(side, t):
+        out = np.empty((1 + len(subs), t.size))
+        out[0] = ref(side, t)
+        np.subtract(out[0], u._sum(*rect.side_point(side, t), weights), out=out[1:])
+        return out
+
+    sups = np.max([np.abs(errors(side, ts)).max(axis=1) for side, ts in _sup_nodes(rect)], axis=0)
+    return sups, _boundary_l2s(errors, rect, 1 + len(subs))
 
 
 def interior_l2(fn_on_grid: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -104,27 +141,6 @@ def interior_l2(fn_on_grid: Callable[[np.ndarray, np.ndarray], np.ndarray],
 def interior_sup(fn_on_grid, rect: Rectangle, nx: int = 101, ny: int = 101) -> float:
     X, Y = grid_points(rect, nx, ny)
     return float(np.abs(fn_on_grid(X, Y)).max())
-
-
-def boundary_error(
-    g: BoundaryFunction,
-    gm: Callable[[Side, np.ndarray], np.ndarray],
-    samples_per_side: int = 1000,
-    abstol: float = 1e-12,
-    reltol: float = 1e-9,
-) -> tuple[float, float]:
-    """(weighted L2, sampled sup) of g minus a boundary evaluator.
-
-    The sup is sampled half a step away from corners so that two-sided corner
-    values of discontinuous data never enter.
-    """
-    if samples_per_side < 16:
-        raise ValueError("need at least 16 samples per side")
-    rect = g.rect
-    diff = lambda side, t: g.value(side, t) - gm(side, t)
-    l2 = boundary_l2(diff, rect, abstol, reltol)
-    sup = boundary_sup(diff, rect, samples_per_side, include_corners=False)
-    return l2, sup
 
 
 def dnorm_sq(approx: SteklovApproximation, n_gauss: int = 64) -> float:
@@ -194,19 +210,6 @@ def robin_dnorm_tail_sq(coeffs: SteklovCoefficients, b: float, m: int) -> float:
 # reports
 # ---------------------------------------------------------------------------
 
-REPORT_FIELDS = (
-    "M",
-    "rerr_inf",
-    "rerr_2",
-    "err_L2_boundary",
-    "err_sup_boundary",
-    "err_L2_interior",
-    "err_sup_interior",
-    "spectral_tail",
-    "robin_bound",
-)
-
-
 @dataclass(frozen=True)
 class ErrorReport:
     M: int
@@ -218,33 +221,6 @@ class ErrorReport:
     err_sup_interior: float
     spectral_tail: float
     robin_bound: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in REPORT_FIELDS}
-
-
-def reports_to_csv_rows(reports: Sequence[ErrorReport]):
-    yield list(REPORT_FIELDS)
-    for r in reports:
-        row = []
-        for name in REPORT_FIELDS:
-            v = getattr(r, name)
-            row.append("" if v is None else v)
-        yield row
-
-
-def pointwise_table(
-    exact: Callable[[float, float], float],
-    approx: SteklovApproximation,
-    points: Sequence[tuple[float, float]],
-):
-    """Per point: approximate value, exact value, absolute error."""
-    rows = []
-    for x, y in points:
-        a = approx.eval(x, y)
-        e = exact(x, y)
-        rows.append(((x, y), a, e, abs(a - e)))
-    return rows
 
 
 def convergence_study(
@@ -263,9 +239,10 @@ def convergence_study(
     With an exact solution the errors are against it. Otherwise the deepest
     expansion built here is the surrogate truth; pass reference_m (40 is a
     safe default for smooth data) to make that reference deeper than
-    max(m_values). For Dirichlet runs the boundary error is that of the data
-    partial sum; for flux problems without a closed form it is measured
-    against the surrogate's trace.
+    max(m_values). For flux problems without a closed form the boundary
+    error is measured against the surrogate's trace, for Dirichlet runs
+    against the data. The boundary columns of every depth come from one
+    sweep of the boundary (_truncation_errors).
 
     The bound column is the Robin graph-norm bound; for Neumann runs it is
     the same expression at b = 0, whose published statement is ambiguous
@@ -282,56 +259,37 @@ def convergence_study(
     if exact is not None:
         ref_interior = zero_mean_solution(exact.value, rect, abstol, reltol) if kind.name == NEUMANN else exact.value
         ref_boundary = BoundaryFunction.from_xy(ref_interior, rect).value
-    elif kind.name == "dirichlet":
-        ref_boundary = g.value
-        ref_interior = u_deep.eval_array
     else:
-        ref_boundary = u_deep.boundary_value
+        ref_boundary = g.value if kind.name == DIRICHLET else u_deep.boundary_value
         ref_interior = u_deep.eval_array
 
-    ref_sup = boundary_sup(ref_boundary, rect)
-    ref_l2 = boundary_l2(ref_boundary, rect)
-
+    subs = [deep.select(m) for m in m_values]
+    (ref_sup, *esups), (ref_l2, *el2s) = _truncation_errors(ref_boundary, u_deep, subs)
     reports = []
-    for m in m_values:
-        sub = deep.select(m)
+    for m, sub, esup, el2 in zip(m_values, subs, esups, el2s):
         u = u_deep.restrict(sub)
-        if exact is None and kind.name == "dirichlet":
-            cox = coeffs.restrict(sub)
-            diff = lambda side, t: g.value(side, t) - boundary_partial_sum(cox, side, t)
-        else:
-            diff = lambda side, t: ref_boundary(side, t) - u.boundary_value(side, t)
-        el2 = boundary_l2(diff, rect)
-        esup = boundary_sup(diff, rect)
         int_diff = lambda X, Y: ref_interior(X, Y) - u.eval_array(X, Y)
-        ei2 = interior_l2(int_diff, rect)
-        eisup = interior_sup(int_diff, rect, *grid)
         n_kept = sub.size - 1
         bound = None
         if n_kept < deep.size - 1:
-            if kind.name == "robin":
+            if kind.name == ROBIN:
                 bound = robin_bound(coeffs, kind.b, n_kept)
             elif kind.name == NEUMANN:
                 bound = neumann_bound(coeffs, n_kept)
         reports.append(
             ErrorReport(
                 M=m,
-                rerr_inf=esup / ref_sup if ref_sup > 0 else float("nan"),
-                rerr_2=el2 / ref_l2 if ref_l2 > 0 else float("nan"),
-                err_L2_boundary=el2,
-                err_sup_boundary=esup,
-                err_L2_interior=ei2,
-                err_sup_interior=eisup,
+                rerr_inf=float(esup / ref_sup) if ref_sup > 0 else float("nan"),
+                rerr_2=float(el2 / ref_l2) if ref_l2 > 0 else float("nan"),
+                err_L2_boundary=float(el2),
+                err_sup_boundary=float(esup),
+                err_L2_interior=interior_l2(int_diff, rect),
+                err_sup_interior=interior_sup(int_diff, rect, *grid),
                 spectral_tail=spectral_tail(coeffs, n_kept),
                 robin_bound=bound,
             )
         )
     return reports
-
-
-def monotone_boundary_trend(reports: Sequence[ErrorReport]) -> bool:
-    errs = [r.err_L2_boundary for r in reports]
-    return all(b <= a * (1.0 + 1e-12) for a, b in zip(errs, errs[1:]))
 
 
 # ---------------------------------------------------------------------------

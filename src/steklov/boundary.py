@@ -302,14 +302,8 @@ class SteklovCoefficients:
         Each mode of sub is found by its (family, nu); a mode that is not
         here raises ValueError.
         """
-        keys, want = self.spectrum.arrays.keys, sub.arrays.keys[1:]
-        order = np.argsort(keys)
-        rows = order[np.minimum(np.searchsorted(keys, want, sorter=order), keys.size - 1)]
-        missing = np.flatnonzero(keys[rows] != want)
-        if missing.size:
-            i = missing[0] + 1
-            raise ValueError(f"mode {sub.family(i).value}, nu={float(sub.arrays.nu[i])!r} is not in the coefficients' spectrum")
-        values, estimates = self.values[rows - 1], self.estimates[np.r_[0, rows]]
+        rows = self.spectrum.rows_of(sub)
+        values, estimates = self.values[rows[1:] - 1], self.estimates[rows]
         return SteklovCoefficients(sub, self.gbar, _readonly(values), _readonly(estimates))
 
     @property

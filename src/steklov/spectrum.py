@@ -197,13 +197,22 @@ def _eigenvalues(code: np.ndarray, nu: np.ndarray, rect: Rectangle) -> np.ndarra
     return np.where(_COSH[code], nu * t, nu / t)
 
 
+# 1 / (2k + 3)! for k = 6, ..., 0: with z = x^2, 1 - sin(x)/x is
+# z * P(-z) and sinh(x) - x is x * z * P(z) for the polynomial P of these
+# coefficients, to within 1e-17 relative for |x| < _SERIES_MAX.
+_SERIES = np.array([1.0 / math.factorial(2 * k + 3) for k in range(6, -1, -1)])
+_SERIES_MAX = 0.5
+
+
 def _norms_scaled(code: np.ndarray, nu: np.ndarray, rect: Rectangle):
     """The stable normalization pairs: the arrays normConst * exp(nu*aH) and nu*aH.
 
     normConst makes the boundary square integral of the mode equal to the
     perimeter. The hyperbolic edge value and square integral are taken with
-    exp(nu*aH) factored out (a sinh square integral by its series for
-    nu*aH < 1e-3), and 1 - sin(x)/x by its series for |x| < 1e-4.
+    exp(nu*aH) factored out. Where they cancel, 1 - sin(x)/x (x = 2*nu*aT)
+    and the scaled sinh square integral exp(-2s) * (sinh(2s) - 2s) / (2*nu)
+    (s = nu*aH) are their Horner series, for |x| < 0.5 and 2s < 0.5; the
+    table spectra (h in {1, 0.8, 0.5}) have x >= 1.03 and 2s >= 1.1.
     """
     a_t, a_h = _extents(code, rect)
     cosh, cos = _COSH[code], _COS[code]
@@ -211,13 +220,14 @@ def _norms_scaled(code: np.ndarray, nu: np.ndarray, rect: Rectangle):
     e2 = np.exp(-2.0 * s)
     tail = -np.expm1(-4.0 * s) / (4.0 * nu)
     hyp_edge = 0.5 * np.where(cosh, 1.0 + e2, -np.expm1(-2.0 * s))
-    small = a_h * s * s * (2.0 / 3.0 - 4.0 * s / 3.0 + 22.0 * s * s / 15.0)
-    hyp_int = np.where(cosh, a_h * e2 + tail, np.where(s < 1e-3, small, -a_h * e2 + tail))
-
     r = nu * a_t
     x = 2.0 * r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        one_minus_sinc = np.where(np.abs(x) < 1e-4, x * x / 6.0 - (x * x) * (x * x) / 120.0, 1.0 - np.sin(x) / x)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # only in values np.where discards
+        z = 4.0 * s * s
+        sinh_series = a_h * e2 * z * np.polyval(_SERIES, z)
+        z = x * x
+        one_minus_sinc = np.where(np.abs(x) < _SERIES_MAX, z * np.polyval(_SERIES, -z), 1.0 - np.sin(x) / x)
+    hyp_int = np.where(cosh, a_h * e2 + tail, np.where(2.0 * s < _SERIES_MAX, sinh_series, -a_h * e2 + tail))
     trig_edge = np.where(cos, np.cos(r), np.sin(r))
     trig_int = np.where(cos, 2.0 * a_t - a_t * one_minus_sinc, a_t * one_minus_sinc)
 
@@ -499,6 +509,21 @@ class Spectrum:
         arrays = ModeArrays(*(a[rows] for a in self.arrays))
         return Spectrum(self.rectangle, arrays, self.selection, self.depth if depth is None else depth)
 
+    def rows_of(self, sub: "Spectrum") -> np.ndarray:
+        """The rows of this spectrum that hold the modes of sub, in sub's order.
+
+        Each mode is found by its (family, nu); a mode of sub that is not
+        here raises ValueError.
+        """
+        keys, want = self.arrays.keys, sub.arrays.keys
+        order = np.argsort(keys)
+        rows = order[np.minimum(np.searchsorted(keys, want, sorter=order), keys.size - 1)]
+        missing = np.flatnonzero(keys[rows] != want)
+        if missing.size:
+            i = missing[0]
+            raise ValueError(f"mode {sub.family(i).value}, nu={float(sub.arrays.nu[i])!r} is not in the coefficients' spectrum")
+        return rows
+
     def head(self, count: int) -> "Spectrum":
         """The constant and the first `count` nonconstant modes: a global
         prefix of depth count."""
@@ -572,11 +597,11 @@ class Spectrum:
         return f[rows[0]] * f[rows[1]]
 
     def _blocked(self, count: int, terms, x, y):
-        """terms(xb, yb), a tuple of `count` arrays, over blocks of the points.
+        """terms(xb, yb), `count` rows of values, over blocks of the points.
 
         x and y broadcast together; a block holds _BLOCK_ENTRIES // K points,
-        at least 64. Returns floats at one point (scalar x and y), else arrays
-        of the broadcast shape.
+        at least 64. Returns `count` floats at one point (scalar x and y),
+        else `count` arrays of the broadcast shape.
         """
         if np.ndim(x) == 0 and np.ndim(y) == 0:
             return tuple(float(part[0]) for part in terms(np.array([x], dtype=float), np.array([y], dtype=float)))
@@ -594,10 +619,14 @@ class Spectrum:
         """sum_j weights[j] * s_j(x, y) over the nonconstant modes.
 
         x and y broadcast together; a float at one point, an array of the
-        broadcast shape otherwise.
+        broadcast shape otherwise. An (m, K) stack of weights gives the m
+        sums from one evaluation of the modes, an array of shape (m,) plus
+        the broadcast shape.
         """
         w = np.asarray(weights, dtype=float)
-        return self._blocked(1, lambda xb, yb: (w @ self.values(xb, yb),), x, y)[0]
+        if w.ndim == 1:
+            return self._blocked(1, lambda xb, yb: (w @ self.values(xb, yb),), x, y)[0]
+        return np.array(self._blocked(len(w), lambda xb, yb: w @ self.values(xb, yb), x, y))
 
     def expand_gradient(self, weights, x, y):
         """The gradient (d/dx, d/dy) of expand, term by term, at the same points."""

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import reference_tables as ref
-from .analysis import boundary_l2, boundary_sup
-from .boundary import BoundaryFunction, boundary_partial_sum, steklov_coefficients
+from .analysis import _truncation_errors
+from .boundary import BoundaryFunction, steklov_coefficients
 from .catalog import builtin_boundary, exact_solution_for
 from .geometry import Rectangle
-from .solvers import solve_dirichlet, solve_neumann, solve_robin
+from .solvers import ProblemKind, solve, solve_dirichlet
 from .spectrum import (
     GLOBAL_SORTED,
     PER_FAMILY,
@@ -59,7 +59,7 @@ class TableResult:
 
 
 class TableWorkspace:
-    """Memoizes spectra, coefficient sets and rerr table rows across table reproductions."""
+    """Memoizes spectra, coefficient sets and truncation sweeps across table reproductions."""
 
     def __init__(self, abstol: float = 1e-10, reltol: float = 1e-6, depth: int = 41):
         self.abstol = abstol
@@ -67,8 +67,7 @@ class TableWorkspace:
         self.depth = depth
         self._spectra: dict = {}
         self._coeffs: dict = {}
-        self._norms: dict = {}  # (data, h, norm) -> boundary norm of the data
-        self._rerr_rows: dict = {}  # (table_id, policy) -> rows of tables 4-9, reused by table 10
+        self._sweeps: dict = {}  # (data, h, policy) -> _truncation_errors of the M_VALUES truncations
 
     def deep_spectrum(self, h: float) -> Spectrum:
         if h not in self._spectra:
@@ -81,19 +80,30 @@ class TableWorkspace:
             self._spectra[key] = build_spectrum(Rectangle(h), 5, PER_FAMILY)
         return self._spectra[key].select(m)
 
-    def coefficients(self, name: str, h: float, spec: Spectrum):
-        key = (name, h, spec.selection)
+    def coefficients(self, g: BoundaryFunction, spec: Spectrum):
+        """The coefficients of g against spec, once per (data, h, selection)."""
+        key = (g.name, g.rect.h, spec.selection)
         if key not in self._coeffs:
-            g = builtin_boundary(name, spec.rectangle)
             self._coeffs[key] = steklov_coefficients(g, spec, self.abstol, self.reltol)
         return self._coeffs[key]
 
-    def data_norm(self, g: BoundaryFunction, norm: str) -> float:
-        """The boundary norm "inf" or "2" of the data g, once per (data, h, norm)."""
-        key = (g.name, g.rect.h, norm)
-        if key not in self._norms:
-            self._norms[key] = _norm_of(norm)(g.value, g.rect)
-        return self._norms[key]
+    def sweep(self, g: BoundaryFunction, policy: str, kind: ProblemKind = ProblemKind.dirichlet(),
+              reference=None):
+        """(sup, L2) of the reference and of its error at every M of M_VALUES.
+
+        The solve of g under kind over the policy's base spectrum, truncated
+        to each M, against reference (a (side, t) map; g itself by default);
+        entry 0 holds the norms of the reference, entry 1 + i those of the
+        error at M_VALUES[i]. One _truncation_errors sweep per (data, h, policy).
+        """
+        h = g.rect.h
+        key = (g.name, h, policy)
+        if key not in self._sweeps:
+            base = self.base_spectrum(h, policy)
+            u = solve(kind, g, base, coefficients=self.coefficients(g, base))
+            subs = [self.truncation(h, kind.name, m, policy) for m in ref.M_VALUES]
+            self._sweeps[key] = _truncation_errors(reference or g.value, u, subs)
+        return self._sweeps[key]
 
     def base_spectrum(self, h: float, policy: str) -> Spectrum:
         """The spectrum coefficients are computed against, per policy."""
@@ -137,7 +147,7 @@ def reproduce_pointwise(table_id: int, ws: Optional[TableWorkspace] = None,
     rect = Rectangle(h)
     g = builtin_boundary(name, rect)
     exact = exact_solution_for(name)
-    coeffs = ws.coefficients(name, h, ws.base_spectrum(h, policy))
+    coeffs = ws.coefficients(g, ws.base_spectrum(h, policy))
 
     header = ("row", "point", "computed", "printed", "abs_diff", "within", "note")
     rows = []
@@ -168,15 +178,12 @@ def reproduce_pointwise(table_id: int, ws: Optional[TableWorkspace] = None,
     )
 
 
-def _norm_of(norm: str):
-    return boundary_sup if norm == "inf" else boundary_l2
-
-
-def _data_rerr(ws: TableWorkspace, g: BoundaryFunction, coeffs, sub: Spectrum, norm: str) -> float:
-    """Boundary error of g's partial sum over sub, relative to g, in norm "inf" or "2"."""
-    cox = coeffs.restrict(sub)
-    diff = lambda side, t: g.value(side, t) - boundary_partial_sum(cox, side, t)
-    return _norm_of(norm)(diff, g.rect) / ws.data_norm(g, norm)
+def _graded_rerr(norms, i: int, printed: float, implied=None):
+    """(computed, printed, rel_diff, within, note) of the relative error
+    norms[1 + i] / norms[0] at M_VALUES[i], graded against the printed entry."""
+    val = float(norms[1 + i] / norms[0])
+    within, note = _grade_rel(val, printed, ref.RERR_TOL, implied)
+    return val, printed, abs(val - printed) / printed, within, note
 
 
 def reproduce_rerr(table_id: int, ws: Optional[TableWorkspace] = None,
@@ -185,25 +192,12 @@ def reproduce_rerr(table_id: int, ws: Optional[TableWorkspace] = None,
     data = ref.RERR_TABLES[table_id]
     norm, h = data["norm"], data["h"]
     header = ("data", "M", "computed", "printed", "rel_diff", "within", "note")
-    key = (table_id, policy)
-    if key not in ws._rerr_rows:
-        rows = []
-        for name, printed_row in data["values"].items():
-            for i, m in enumerate(ref.M_VALUES):
-                coeffs = ws.coefficients(name, h, ws.base_spectrum(h, policy))
-                sub = ws.truncation(h, "dirichlet", m, policy)
-                val = _data_rerr(ws, builtin_boundary(name, Rectangle(h)), coeffs, sub, norm)
-                printed = printed_row[i]
-                within, note = _grade_rel(val, printed, ref.RERR_TOL)
-                rows.append((name, m, val, printed, abs(val - printed) / printed, within, note))
-        ws._rerr_rows[key] = tuple(rows)
-    return TableResult(
-        table_id,
-        f"rerr_{norm} of f1/f2/f3, h={h}",
-        header,
-        list(ws._rerr_rows[key]),
-        "5% rel",
-    )
+    rows = []
+    for name, printed_row in data["values"].items():
+        sup, l2 = ws.sweep(builtin_boundary(name, Rectangle(h)), policy)
+        for i, m in enumerate(ref.M_VALUES):
+            rows.append((name, m, *_graded_rerr(sup if norm == "inf" else l2, i, printed_row[i])))
+    return TableResult(table_id, f"rerr_{norm} of f1/f2/f3, h={h}", header, rows, "5% rel")
 
 
 def reproduce_rerr_combined(ws: Optional[TableWorkspace] = None,
@@ -222,27 +216,15 @@ def reproduce_rerr_combined(ws: Optional[TableWorkspace] = None,
 def reproduce_corner(ws: Optional[TableWorkspace] = None,
                      policy: str = POLICY_PREFIX) -> TableResult:
     ws = ws or TableWorkspace()
-    h = ref.CORNER_TABLE["h"]
-    rect = Rectangle(h)
-    g = builtin_boundary("f1", rect)
-    g_reduced = g.shift(4.0)  # f1's corner bilinear is the constant -4
-    base = ws.base_spectrum(h, policy)
-    co = ws.coefficients("f1", h, base)
-    co_r = steklov_coefficients(g_reduced, base, ws.abstol, ws.reltol)
-
+    g = builtin_boundary("f1", Rectangle(ref.CORNER_TABLE["h"]))
+    # f1's corner bilinear is the constant -4
+    (sup, l2), (sup_r, l2_r) = ws.sweep(g, policy), ws.sweep(g.shift(4.0), policy)
     header = ("column", "M", "computed", "printed", "rel_diff", "within", "note")
-    columns = ("rerr_inf(f1)", "rerr_inf(f1+4)", "rerr_2(f1)", "rerr_2(f1+4)")
+    columns = (("rerr_inf(f1)", sup), ("rerr_inf(f1+4)", sup_r), ("rerr_2(f1)", l2), ("rerr_2(f1+4)", l2_r))
     rows = []
     for i, m in enumerate(ref.M_VALUES):
-        sub = ws.truncation(h, "dirichlet", m, policy)
-        vals = []
-        for fn, coeffs in ((g, co), (g_reduced, co_r)):
-            vals += [_data_rerr(ws, fn, coeffs, sub, "inf"), _data_rerr(ws, fn, coeffs, sub, "2")]
-        # computed order: inf f1, l2 f1, inf f1+4, l2 f1+4 -> printed column order
-        ordered = (vals[0], vals[2], vals[1], vals[3])
-        for col, val, printed in zip(columns, ordered, ref.CORNER_TABLE["rows"][m]):
-            within, note = _grade_rel(val, printed, ref.RERR_TOL)
-            rows.append((col, m, val, printed, abs(val - printed) / printed, within, note))
+        for (col, norms), printed in zip(columns, ref.CORNER_TABLE["rows"][m]):
+            rows.append((col, m, *_graded_rerr(norms, i, printed)))
     return TableResult(11, "corner reduction, f1 vs f1+4, h=1", header, rows, "5% rel")
 
 
@@ -250,15 +232,12 @@ def reproduce_solution(table_id: int, ws: Optional[TableWorkspace] = None,
                        policy: str = POLICY_PREFIX) -> TableResult:
     ws = ws or TableWorkspace()
     data = ref.SOLUTION_TABLES[table_id]
-    name, kind, h = data["data"], data["kind"], data["h"]
+    name, h = data["data"], data["h"]
     rect = Rectangle(h)
     g = builtin_boundary(name, rect)
     exact = exact_solution_for(name)
-    coeffs = ws.coefficients(name, h, ws.base_spectrum(h, policy))
-
-    ex_b = BoundaryFunction.from_xy(exact.value, rect).value
-    ex_sup = boundary_sup(ex_b, rect)
-    ex_l2 = boundary_l2(ex_b, rect)
+    kind = ProblemKind.neumann() if data["kind"] == "neumann" else ProblemKind.robin(data["b"])
+    sup, l2 = ws.sweep(g, policy, kind, BoundaryFunction.from_xy(exact.value, rect).value)
 
     swapped = data["columns_swapped"]
     notes = []
@@ -270,25 +249,14 @@ def reproduce_solution(table_id: int, ws: Optional[TableWorkspace] = None,
     header = ("norm", "M", "computed", "printed", "rel_diff", "within", "note")
     rows = []
     for i, m in enumerate(ref.M_VALUES):
-        sub = ws.truncation(h, kind, m, policy)
-        cox = coeffs.restrict(sub)
-        if kind == "neumann":
-            u = solve_neumann(g, sub, coefficients=cox)
-        else:
-            u = solve_robin(g, data["b"], sub, coefficients=cox)
-        diff = lambda side, t: ex_b(side, t) - u.boundary_value(side, t)
-        comp = {"inf": boundary_sup(diff, rect) / ex_sup, "2": boundary_l2(diff, rect) / ex_l2}
-        for norm in ("inf", "2"):
-            col = "rerr_" + ("inf" if norm == "inf" else "2")
-            printed_col = ("rerr_2" if norm == "inf" else "rerr_inf") if swapped else col
-            printed = data[printed_col][i]
+        for col, other, norms in (("rerr_inf", "rerr_2", sup), ("rerr_2", "rerr_inf", l2)):
+            printed_col = other if swapped else col
             implied = data["misprints"].get((printed_col, m))
-            within, note = _grade_rel(comp[norm], printed, ref.RERR_TOL, implied)
+            *graded, note = _graded_rerr(norms, i, data[printed_col][i], implied)
             if swapped and not note:
                 note = f"printed under the {printed_col} head"
-            rows.append((col, m, comp[norm], printed,
-                         abs(comp[norm] - printed) / printed, within, note))
-    title = f"{kind} experiment, data {name}, exact {exact.name}, h={h}"
+            rows.append((col, m, *graded, note))
+    title = f"{kind.name} experiment, data {name}, exact {exact.name}, h={h}"
     return TableResult(table_id, title, header, rows, "5% rel", notes)
 
 

@@ -8,14 +8,12 @@ import pytest
 
 from steklov import (
     BoundaryFunction,
-    ErrorReport,
     FamilyTag,
     ProblemKind,
     Rectangle,
     Side,
     SIDES,
     TolProfile,
-    boundary_error,
     boundary_l2,
     boundary_partial_sum,
     boundary_sup,
@@ -28,9 +26,7 @@ from steklov import (
     grid_points,
     interior_l2,
     invariant_suite,
-    monotone_boundary_trend,
     neumann_bound,
-    pointwise_table,
     robin_bound,
     robin_dnorm_tail_sq,
     solve_dirichlet,
@@ -41,11 +37,9 @@ from steklov import (
 )
 from steklov import spectrum as spectrum_module
 from steklov.analysis import (
-    REPORT_FIELDS,
     check_harmonicity,
     check_scaling,
     check_steklov_residual,
-    reports_to_csv_rows,
 )
 from steklov.spectrum import Spectrum
 
@@ -57,49 +51,18 @@ def rect():
     return Rectangle(1.0)
 
 
-def test_boundary_error_of_exact_partial_sum(rect, spec_pf5):
-    g = builtin_boundary("f2", rect)
-    co = steklov_coefficients(g, spec_pf5)
-    gm_fun = BoundaryFunction.from_xy(
-        lambda x, y: co.gbar
-        + sum(v * ref.value_unchecked(md, x, y) for v, md in zip(co.values, spec_pf5.nonconstant)),
-        rect,
-    )
-    l2, sup = boundary_error(gm_fun, lambda s, t: boundary_partial_sum(co, s, t))
-    assert l2 <= 1e-9 and sup <= 1e-9
-
-
-def test_boundary_error_requires_enough_samples(rect):
-    g = builtin_boundary("f1", rect)
-    with pytest.raises(ValueError):
-        boundary_error(g, lambda s, t: 0.0, samples_per_side=4)
-
-
 def test_rerr_matches_published_value(rect, deep_square):
     # rerr_inf of f1 at M=2 on the square, against the printed 6.59553e-3
     g = builtin_boundary("f1", rect)
     co = steklov_coefficients(g, deep_square)
     cox = co.restrict(deep_square.head(15))
-    l2, sup = boundary_error(g, lambda s, t: boundary_partial_sum(cox, s, t))
+    diff = lambda s, t: g.value(s, t) - boundary_partial_sum(cox, s, t)
+    sup = boundary_sup(diff, rect, include_corners=False)
+    l2 = boundary_l2(diff, rect)
     gsup = boundary_sup(lambda s, t: g.value(s, t), rect, include_corners=False)
     assert sup / gsup == pytest.approx(6.59553e-3, rel=0.05)
     gl2 = boundary_l2(lambda s, t: g.value(s, t), rect)
     assert l2 / gl2 == pytest.approx(5.22051e-3, rel=0.01)
-
-
-def test_pointwise_table_values(rect, deep_square):
-    g = builtin_boundary("f1", rect)
-    exact = exact_solution_for("f1")
-    co = steklov_coefficients(g, deep_square)
-    sub = deep_square.head(23)
-    u = solve_dirichlet(g, sub, coefficients=co.restrict(sub))
-    rows = pointwise_table(exact.value, u, [(0.9, 0.1)])
-    (_, approx, exact_val, err) = rows[0]
-    assert approx == pytest.approx(0.607979, abs=1e-4)
-    assert err == pytest.approx(0.000379, abs=1e-4)
-    assert exact_val == pytest.approx(0.6076, abs=1e-12)
-    ident = pointwise_table(lambda x, y: u.eval(x, y), u, [(0.2, 0.2)])
-    assert ident[0][3] == 0.0
 
 
 def test_rerr_scale_invariance(rect, deep_square):
@@ -283,7 +246,8 @@ def test_convergence_study_matches_square_table(rect):
     want = (5.22051e-3, 1.57535e-3, 3.1167e-4)
     for rep, ref in zip(reports, want):
         assert rep.rerr_2 == pytest.approx(ref, rel=0.01)
-    assert monotone_boundary_trend(reports)
+    errs = [r.err_L2_boundary for r in reports]
+    assert all(b <= a * (1.0 + 1e-12) for a, b in zip(errs, errs[1:]))
     assert all(r.robin_bound is None for r in reports)
 
 
@@ -328,15 +292,6 @@ def test_interior_beats_boundary_for_experiments(rect, deep_square):
         E = np.abs(np.vectorize(exact.value)(X, Y) - u.eval_array(X, Y))
         center = (np.abs(X) <= 0.5) & (np.abs(Y) <= 0.5)
         assert E[center].max() < E.max()
-
-
-def test_report_serialization_fields():
-    rep = ErrorReport(2, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, None)
-    d = rep.to_dict()
-    assert tuple(d) == REPORT_FIELDS
-    rows = list(reports_to_csv_rows([rep]))
-    assert rows[0] == list(REPORT_FIELDS)
-    assert rows[1][-1] == ""  # absent bound serializes empty
 
 
 def test_convergence_study_neumann_against_zero_mean_exact():

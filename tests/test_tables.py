@@ -4,7 +4,7 @@ import pytest
 
 from steklov import reference_tables as ref
 from steklov.spectrum import PER_FAMILY
-from steklov.tables import TableWorkspace, reproduce_rerr, reproduce_table
+from steklov.tables import POLICY_PREFIX, TableWorkspace, reproduce_rerr, reproduce_table
 
 
 @pytest.mark.parametrize("tid", list(range(1, 15)))
@@ -68,40 +68,42 @@ def test_summary_and_csv_shape(all_table_results):
     assert len(rows) == r.n_total + 1
 
 
-def test_table_10_reuses_tables_4_to_9(monkeypatch):
+def _count_sweeps(monkeypatch):
+    """The (data, h) of every truncation sweep the tables run from here on."""
     import steklov.tables as tables
 
+    real = tables._truncation_errors
+    sweeps = []
+
+    def counted(reference, u, subs):
+        sweeps.append((reference.__self__.name, u.rect.h))  # reference is the data's value
+        return real(reference, u, subs)
+
+    monkeypatch.setattr(tables, "_truncation_errors", counted)
+    return sweeps
+
+
+def test_table_10_reuses_tables_4_to_9(monkeypatch):
     ws = TableWorkspace()
     for tid in range(4, 10):
         reproduce_table(tid, ws)
-    calls = []
-    real = tables._data_rerr
-    monkeypatch.setattr(tables, "_data_rerr", lambda *a: calls.append(a) or real(*a))
+    sweeps = _count_sweeps(monkeypatch)
     memoised = reproduce_table(10, ws)
-    assert calls == []
+    assert sweeps == []
     monkeypatch.undo()
     fresh = reproduce_table(10, TableWorkspace())
     assert memoised.rows == fresh.rows
 
 
 def test_data_norms_are_computed_once_per_data_h_and_norm(monkeypatch):
-    import steklov.tables as tables
-    from steklov.boundary import BoundaryFunction
-
-    real = tables._norm_of
-    computed = []
-
-    def norm_of(norm):
-        def counted(f, rect):
-            data = getattr(f, "__self__", None)  # the norm of the data itself, not of an error
-            if isinstance(data, BoundaryFunction):
-                computed.append((data.name, rect.h, norm))
-            return real(norm)(f, rect)
-
-        return counted
-
-    monkeypatch.setattr(tables, "_norm_of", norm_of)
-    ws = TableWorkspace()
-    for tid in range(4, 12):
-        reproduce_table(tid, ws)
-    assert computed and len(computed) == len(set(computed))
+    # one sweep per (data, h, policy) yields the data's norms and every rerr
+    # entry of tables 4-11: f1-f3 at each height serve its sup and its L2
+    # table, f1 at h = 1 also table 11, whose f1+4 adds one sweep
+    sweeps = _count_sweeps(monkeypatch)
+    want = sorted({(name, h) for name in ("f1", "f2", "f3") for h in (1.0, 0.8, 0.5)} | {("f1+4.0", 1.0)})
+    for policy in (POLICY_PREFIX, PER_FAMILY):
+        ws = TableWorkspace()
+        for tid in range(4, 12):
+            reproduce_table(tid, ws, policy)
+        assert sorted(sweeps) == want, policy
+        sweeps.clear()
