@@ -9,11 +9,8 @@ from .spectrum import (
     Spectrum,
     SpectrumError,
     SteklovMode,
-    boundary_norm_constant,
     build_spectrum,
     build_spectrum_by_count,
-    char_residual,
-    eigenvalue_of,
     find_roots,
     load_spectrum,
     make_mode,
@@ -72,8 +69,8 @@ from .analysis import (
 __all__ = [
     "GeometryError", "Rectangle", "Side", "SIDES", "FamilyTag",
     "GLOBAL_SORTED", "PER_FAMILY", "RootFindError", "Spectrum",
-    "SpectrumError", "SteklovMode", "boundary_norm_constant", "build_spectrum",
-    "build_spectrum_by_count", "char_residual", "eigenvalue_of", "find_roots",
+    "SpectrumError", "SteklovMode", "build_spectrum",
+    "build_spectrum_by_count", "find_roots",
     "load_spectrum", "make_mode", "save_spectrum",
     "spectrum_from_json", "spectrum_to_json", "BoundaryFunction",
     "CornerMismatchError", "QuadratureError", "SteklovCoefficients",

@@ -39,7 +39,6 @@ from .geometry import Rectangle, Side, SIDES
 from .solvers import (
     DIRICHLET,
     NEUMANN,
-    ROBIN,
     ProblemKind,
     SteklovApproximation,
     grid_points,
@@ -270,12 +269,7 @@ def convergence_study(
         u = u_deep.restrict(sub)
         int_diff = lambda X, Y: ref_interior(X, Y) - u.eval_array(X, Y)
         n_kept = sub.size - 1
-        bound = None
-        if n_kept < deep.size - 1:
-            if kind.name == ROBIN:
-                bound = robin_bound(coeffs, kind.b, n_kept)
-            elif kind.name == NEUMANN:
-                bound = neumann_bound(coeffs, n_kept)
+        bound = robin_bound(coeffs, kind.b, n_kept) if kind.name != DIRICHLET and n_kept < deep.size - 1 else None
         reports.append(
             ErrorReport(
                 M=m,

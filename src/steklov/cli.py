@@ -3,7 +3,7 @@
 Commands:
     spectrum   compute eigenpairs, write the JSON cache and a CSV listing
     solve      solve a boundary value problem, write grids / point values
-    grid       grid-only variant of solve
+    grid       grid-only variant of solve; it takes no point flags
     tables     recompute the published tables and grade agreement
     check      run the spectrum invariant suite
 
@@ -11,10 +11,14 @@ Exit codes: 0 success, 1 failed checks (invariant suite, or table entries out
 of tolerance), 2 invalid configuration or incompatible data, 3 root-finder
 failure.
 
+`solve` and `grid` build the problem kind from --kind and --b and solve through
+`solvers.solve`, so a flag of another kind exits 2: --b is Robin-only (and
+required there), --corner-reduction Dirichlet-only.
+
 Numeric CSVs (grids, point values, spectrum listings, coefficients) are
 written from column arrays, one block of rows at a time: a grid row is
 formatted and written before the next is computed, and every number is
-formatted once, as `%.{digits}g`. `--with-exact` takes builtin data only for
+formatted once, as `%.{digits}g`. `--with-exact` takes builtin data only, for
 the problem they pose (f1-f3 Dirichlet, bd1 and bd2 Neumann, bd3 Robin
 b = 1) and evaluates the exact solution on the grid axes. A Neumann solution
 is fixed up to a constant; the solve keeps the one with zero boundary mean,
@@ -38,14 +42,7 @@ from .analysis import TolProfile, invariant_suite
 from .boundary import BoundaryFunction, QuadratureError
 from .catalog import boundary_data_from_spec, builtin_boundary, exact_solution_for, zero_mean_solution
 from .geometry import GeometryError, Rectangle
-from .solvers import (
-    NEUMANN,
-    IncompatibleDataError,
-    _grid_axes,
-    solve_dirichlet,
-    solve_neumann,
-    solve_robin,
-)
+from .solvers import NEUMANN, ROBIN, IncompatibleDataError, ProblemKind, _grid_axes, solve
 from .spectrum import (
     GLOBAL_SORTED,
     PER_FAMILY,
@@ -208,15 +205,18 @@ def _boundary_from_arg(text: str, rect: Rectangle, b=None):
 
 
 def _exact_value(args, rect: Rectangle):
-    """The value of the exact solution for --with-exact, or None.
+    """The value of the exact solution for --with-exact, or None without it.
 
-    Builtin data with a known solution must be solved as the problem they
-    pose. For Neumann data the solution's perimeter-weighted boundary mean is
-    subtracted, since the solve keeps the solution with zero boundary mean.
+    The data must be builtin data with a known solution, solved as the
+    problem they pose. For Neumann data the solution's perimeter-weighted
+    boundary mean is subtracted, since the solve keeps the solution with zero
+    boundary mean.
     """
-    exact = exact_solution_for(args.g[8:]) if args.g.startswith("builtin:") else None
-    if not args.with_exact or exact is None:
+    if not args.with_exact:
         return None
+    exact = exact_solution_for(args.g[8:]) if args.g.startswith("builtin:") else None
+    if exact is None:
+        raise ValueError(f"--with-exact needs builtin:NAME data with a known solution, got {args.g}")
     if exact.problem.name != args.kind:
         raise ValueError(
             f"--with-exact: {args.g} is {exact.problem.name} data (exact solution "
@@ -239,20 +239,12 @@ def _grid_rows(U, xs, ys, exact, digits: int):
 
 
 def cmd_solve(args, grid_only: bool = False) -> int:
+    kind = ProblemKind(args.kind, 0.0 if args.b is None else args.b)
     spec = _spectrum_from_args(args)
     rect = spec.rectangle
-    b = args.b if args.kind == "robin" else None
-    g = _boundary_from_arg(args.g, rect, b)
+    g = _boundary_from_arg(args.g, rect, kind.b if kind.name == ROBIN else None)
     exact = _exact_value(args, rect)
-    common = dict(abstol=args.abstol, reltol=args.reltol)
-    if args.kind == "dirichlet":
-        u = solve_dirichlet(g, spec, use_corner_reduction=args.corner_reduction, **common)
-    elif args.kind == "robin":
-        if args.b is None or args.b <= 0:
-            raise ValueError("--kind robin requires --b > 0")
-        u = solve_robin(g, args.b, spec, **common)
-    else:
-        u = solve_neumann(g, spec, **common)
+    u = solve(kind, g, spec, use_corner_reduction=args.corner_reduction, abstol=args.abstol, reltol=args.reltol)
     header = ["x", "y", "u"] + (["exact", "error"] if exact is not None else [])
 
     if args.print_coefficients:
@@ -268,7 +260,7 @@ def cmd_solve(args, grid_only: bool = False) -> int:
     elif grid_only:
         raise ValueError("the grid command requires --grid N")
 
-    if args.points and not grid_only:
+    if not grid_only and args.points:
         pts = np.array(_load_points(args.points), dtype=float).reshape(-1, 2)
         x, y = pts[:, 0], pts[:, 1]
         columns = [x, y, np.array([u.eval(a, c) for a, c in pts.tolist()], dtype=float)]
@@ -356,21 +348,22 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         _add_truncation(p)
         p.add_argument("--kind", choices=("dirichlet", "robin", "neumann"), default="dirichlet")
-        p.add_argument("--b", type=float, default=None, help="Robin constant (b > 0)")
+        p.add_argument("--b", type=float, default=None, help="Robin constant (b > 0; Robin only)")
         p.add_argument("--g", required=True, help="boundary data: builtin:NAME | expr:SRC | file:PATH")
         p.add_argument("--grid", type=int, default=101 if grid_only else None,
                        help="write an N x N grid CSV")
-        p.add_argument("--points", default=None,
-                       help="point evaluations: 'paper' or file:PATH")
         p.add_argument("--out", default=None, help="grid CSV path (default stdout)")
-        p.add_argument("--points-out", dest="points_out", default=None,
-                       help="point-evaluation output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="format of point evaluations")
+        if not grid_only:
+            p.add_argument("--points", default=None,
+                           help="point evaluations: 'paper' or file:PATH")
+            p.add_argument("--points-out", dest="points_out", default=None,
+                           help="point-evaluation output path (default stdout)")
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="format of point evaluations")
         p.add_argument("--with-exact", dest="with_exact", action="store_true",
-                       help="add exact/error columns for builtin data with known solutions")
+                       help="add exact/error columns (builtin data with known solutions only)")
         p.add_argument("--corner-reduction", dest="corner_reduction", action="store_true",
-                       help="subtract the corner bilinear before expanding (Dirichlet)")
+                       help="subtract the corner bilinear before expanding (Dirichlet only)")
         p.add_argument("--print-coefficients", dest="print_coefficients", action="store_true")
         p.add_argument("--cache", default=None, help="load the spectrum from a cache file")
         p.set_defaults(func=lambda a, go=grid_only: cmd_solve(a, grid_only=go))

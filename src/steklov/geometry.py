@@ -119,7 +119,17 @@ class Rectangle:
         """Point membership in the closed rectangle (with optional slack)."""
         return abs(x) <= 1.0 + tol and abs(y) <= self.h + tol
 
-    def require_inside(self, x: float, y: float) -> None:
+    def require_inside(self, x, y) -> None:
+        """GeometryError unless (x, y) lies in the closed rectangle.
+
+        For arrays that broadcast, every point is checked, a NaN coordinate
+        counts as outside, and the message names the first point outside.
+        """
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            outside = ~((np.abs(x) <= 1.0) & (np.abs(y) <= self.h))
+            if not outside.any():
+                return
+            x, y = (np.broadcast_to(c, outside.shape)[outside].flat[0] for c in (x, y))
         if not self.contains(x, y):
             raise GeometryError(
                 f"point ({x}, {y}) outside the closed rectangle [-1,1] x [-{self.h},{self.h}]"

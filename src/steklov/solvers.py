@@ -12,6 +12,10 @@ boundary, which is the convention under which boundary data equal to
 (b + d_k) * s_k yields exactly u = s_k. The Dirichlet solve can subtract the
 corner-interpolating bilinear a0 + a1 x + a2 y + a3 xy first (it is harmonic)
 and carry it as an explicit lift, which improves convergence of the rest.
+
+`solve(kind, g, spec, ...)` is the one implementation of these rules, and
+refuses an option of another kind; solve_dirichlet, solve_robin and
+solve_neumann are calls of it.
 """
 
 from __future__ import annotations
@@ -148,11 +152,15 @@ class SteklovApproximation:
 
     def eval_array(self, x, y) -> np.ndarray:
         """Vectorized values at arbitrary points of the closed rectangle (x, y broadcast)."""
-        return self._sum(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        self.rect.require_inside(x, y)
+        return self._sum(x, y)
 
     def gradient_arrays(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized gradient components at points that broadcast."""
-        return self._gradient(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        """Vectorized gradient components at points of the closed rectangle that broadcast."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        self.rect.require_inside(x, y)
+        return self._gradient(x, y)
 
     def boundary_value(self, side: Side, t):
         """Trace of the approximation at side(t); an array for an array of parameters."""
@@ -191,6 +199,43 @@ def _approximation(kind: ProblemKind, spec: Spectrum, coeffs: SteklovCoefficient
     return SteklovApproximation(kind, spec, coeffs, weights, constant, lift)
 
 
+def solve(
+    kind: ProblemKind,
+    g: BoundaryFunction,
+    spec: Spectrum,
+    coefficients: Optional[SteklovCoefficients] = None,
+    use_corner_reduction: bool = False,
+    mean_tol: Optional[float] = None,
+    abstol: float = 1e-10,
+    reltol: float = 1e-6,
+) -> SteklovApproximation:
+    """The expansion solution of the problem kind with data g, truncated to spec.
+
+    use_corner_reduction is Dirichlet-only (it recomputes the coefficients of
+    the reduced data); mean_tol, the Neumann compatibility tolerance, defaults
+    to neumann_mean_tolerance(g). An option of another kind is a ValueError.
+    """
+    if use_corner_reduction and kind.name != DIRICHLET:
+        raise ValueError(f"the corner reduction applies to Dirichlet problems, not {kind.name}")
+    if mean_tol is not None and kind.name != NEUMANN:
+        raise ValueError(f"mean_tol applies to Neumann problems, not {kind.name}")
+    lift = None
+    if use_corner_reduction:
+        a0, a1, a2, a3, g = corner_bilinear_reduction(g, spec.rectangle)
+        lift = (a0, a1, a2, a3)
+        coefficients = None  # coefficients of the reduced data are required
+    if coefficients is None:
+        coefficients = steklov_coefficients(g, spec, abstol, reltol)
+    if kind.name == NEUMANN:
+        mean_tol = neumann_mean_tolerance(g) if mean_tol is None else mean_tol
+        if abs(coefficients.gbar) > mean_tol:
+            raise IncompatibleDataError(coefficients.gbar, mean_tol)
+        constant = 0.0
+    else:
+        constant = coefficients.gbar / kind.b if kind.name == ROBIN else coefficients.gbar
+    return _approximation(kind, spec, coefficients, constant, lift)
+
+
 def solve_dirichlet(
     g: BoundaryFunction,
     spec: Spectrum,
@@ -200,14 +245,7 @@ def solve_dirichlet(
     reltol: float = 1e-6,
 ) -> SteklovApproximation:
     """Harmonic extension of g, truncated to the given spectrum."""
-    lift = None
-    if use_corner_reduction:
-        a0, a1, a2, a3, g = corner_bilinear_reduction(g, spec.rectangle)
-        lift = (a0, a1, a2, a3)
-        coefficients = None  # coefficients of the reduced data are required
-    if coefficients is None:
-        coefficients = steklov_coefficients(g, spec, abstol, reltol)
-    return _approximation(ProblemKind.dirichlet(), spec, coefficients, coefficients.gbar, lift)
+    return solve(ProblemKind.dirichlet(), g, spec, coefficients, use_corner_reduction, abstol=abstol, reltol=reltol)
 
 
 def solve_robin(
@@ -219,10 +257,7 @@ def solve_robin(
     reltol: float = 1e-6,
 ) -> SteklovApproximation:
     """Galerkin solution of D_nu u + b u = g over the spectrum's modes."""
-    kind = ProblemKind.robin(b)
-    if coefficients is None:
-        coefficients = steklov_coefficients(g, spec, abstol, reltol)
-    return _approximation(kind, spec, coefficients, coefficients.gbar / b)
+    return solve(ProblemKind.robin(b), g, spec, coefficients, abstol=abstol, reltol=reltol)
 
 
 def neumann_mean_tolerance(g: BoundaryFunction, reltol: float = 1e-8) -> float:
@@ -242,27 +277,7 @@ def solve_neumann(
     reltol: float = 1e-6,
 ) -> SteklovApproximation:
     """Minimum-norm solution of D_nu u = g; data must have zero boundary mean."""
-    if coefficients is None:
-        coefficients = steklov_coefficients(g, spec, abstol, reltol)
-    if mean_tol is None:
-        mean_tol = neumann_mean_tolerance(g)
-    if abs(coefficients.gbar) > mean_tol:
-        raise IncompatibleDataError(coefficients.gbar, mean_tol)
-    return _approximation(ProblemKind.neumann(), spec, coefficients, 0.0)
-
-
-def solve(
-    kind: ProblemKind,
-    g: BoundaryFunction,
-    spec: Spectrum,
-    **kwargs,
-) -> SteklovApproximation:
-    """Dispatch on the problem kind."""
-    if kind.name == DIRICHLET:
-        return solve_dirichlet(g, spec, **kwargs)
-    if kind.name == ROBIN:
-        return solve_robin(g, kind.b, spec, **kwargs)
-    return solve_neumann(g, spec, **kwargs)
+    return solve(ProblemKind.neumann(), g, spec, coefficients, mean_tol=mean_tol, abstol=abstol, reltol=reltol)
 
 
 def _grid_axes(rect: Rectangle, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:

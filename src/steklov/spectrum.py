@@ -29,17 +29,16 @@ modes at h = 1 (nu up to about 3142) the top mode, F3, still has a trace
 close to 2 sin(nu y) on G1, as its normalization implies. Only the unscaled
 normConst = norm_scaled * exp(-nu*aH) underflows to 0.0 at that size (already
 at 1000 modes for h = 0.001); the evaluators use the scaled pair, and the
-unscaled value shows only in the cache column and boundary_norm_constant.
+unscaled value shows only in the cache column and SteklovMode.norm_const.
 
 The mode math has one implementation, on numpy arrays indexed by mode.
 Branch k of a family brackets one root, so each branch's eigenvalue has
 known bounds before anything is solved; only the branches that can hold a
 kept mode are solved, all families in one lock-step bisection (plus Newton
 polish). Eigenvalues, normalization pairs and characteristic residuals are
-computed per element of the same arrays. The public functions of one family
-(find_roots, char_residual, eigenvalue_of, boundary_norm_constant and
-make_mode) are these array forms on one family's branches or on length-1
-arrays.
+computed per element of the same arrays. The public functions of one family,
+find_roots and make_mode, are these array forms on one family's branches or
+on length-1 arrays.
 
 A Spectrum is its per-mode arrays (ModeArrays), constant mode first; per-mode
 results downstream are arrays aligned with its rows, and sub-spectra are row
@@ -374,31 +373,6 @@ def find_roots(family: FamilyTag, rect: Rectangle, count: int, tol: float = 1e-1
     return _solve_branches(code, k, lo, hi, rect, tol).tolist()
 
 
-def _separable(family: FamilyTag, nu: float):
-    """(code, nu) of one separable mode as length-1 arrays for the array forms."""
-    if not family.is_separable:
-        raise SpectrumError(f"{family} has no separable profile")
-    return np.array([_CODE[family]]), np.array([float(nu)])
-
-
-def char_residual(family: FamilyTag, nu: float, rect: Rectangle) -> tuple[float, float]:
-    """(residual, derivative scale) of the characteristic equation at nu."""
-    resid, scale = _char_residuals(*_separable(family, nu), rect)
-    return float(resid[0]), float(scale[0])
-
-
-def eigenvalue_of(family: FamilyTag, nu: float, rect: Rectangle) -> float:
-    """Steklov eigenvalue for a separable frequency: nu*tanh(nu*aH) or nu*coth(nu*aH)."""
-    if nu <= 0.0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    return float(_eigenvalues(*_separable(family, nu), rect)[0])
-
-
-def boundary_norm_constant(family: FamilyTag, nu: float, rect: Rectangle) -> float:
-    """Multiplier making the trace satisfy integral(s^2) = perimeter on the boundary."""
-    return make_mode(family, rect, nu).norm_const
-
-
 # ---------------------------------------------------------------------------
 # modes
 # ---------------------------------------------------------------------------
@@ -434,9 +408,12 @@ def make_mode(family: FamilyTag, rect: Rectangle, nu: float = 0.0, family_rank: 
         if not rect.is_square:
             raise SpectrumError("the xy mode exists only on the square (h = 1)")
         return SteklovMode(family, 0.0, 1.0, rect, math.sqrt(3.0), 0.0, family_rank=family_rank)
-    delta = eigenvalue_of(family, nu, rect)
-    scaled, s = _norms_scaled(*_separable(family, nu), rect)
-    return SteklovMode(family, nu, delta, rect, float(scaled[0]), float(s[0]), family_rank=family_rank)
+    if nu <= 0.0:
+        raise ValueError(f"nu must be positive, got {nu}")
+    code, nus = np.array([_CODE[family]]), np.array([float(nu)])
+    scaled, s = _norms_scaled(code, nus, rect)
+    delta = _eigenvalues(code, nus, rect)[0]
+    return SteklovMode(family, nu, float(delta), rect, float(scaled[0]), float(s[0]), family_rank=family_rank)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .analysis import _truncation_errors
 from .boundary import BoundaryFunction, steklov_coefficients
 from .catalog import builtin_boundary, exact_solution_for
 from .geometry import Rectangle
-from .solvers import ProblemKind, solve, solve_dirichlet
+from .solvers import DIRICHLET, ProblemKind, solve, solve_dirichlet
 from .spectrum import (
     GLOBAL_SORTED,
     PER_FAMILY,
@@ -67,7 +67,7 @@ class TableWorkspace:
         self.depth = depth
         self._spectra: dict = {}
         self._coeffs: dict = {}
-        self._sweeps: dict = {}  # (data, h, policy) -> _truncation_errors of the M_VALUES truncations
+        self._sweeps: dict = {}  # (data, h, policy, kind) -> _truncation_errors of the M_VALUES truncations
 
     def deep_spectrum(self, h: float) -> Spectrum:
         if h not in self._spectra:
@@ -87,22 +87,26 @@ class TableWorkspace:
             self._coeffs[key] = steklov_coefficients(g, spec, self.abstol, self.reltol)
         return self._coeffs[key]
 
-    def sweep(self, g: BoundaryFunction, policy: str, kind: ProblemKind = ProblemKind.dirichlet(),
-              reference=None):
-        """(sup, L2) of the reference and of its error at every M of M_VALUES.
+    def sweep(self, g: BoundaryFunction, policy: str, kind: ProblemKind = ProblemKind.dirichlet()):
+        """(sup, L2) of the reference trace and of its error at every M of M_VALUES.
 
         The solve of g under kind over the policy's base spectrum, truncated
-        to each M, against reference (a (side, t) map; g itself by default);
-        entry 0 holds the norms of the reference, entry 1 + i those of the
-        error at M_VALUES[i]. One _truncation_errors sweep per (data, h, policy).
+        to each M, against the reference: g itself for Dirichlet, otherwise
+        the trace of the catalog's exact solution for g. Entry 0 holds the
+        norms of the reference, entry 1 + i those of the error at
+        M_VALUES[i]. One _truncation_errors sweep per (data, h, policy, kind).
         """
         h = g.rect.h
-        key = (g.name, h, policy)
+        key = (g.name, h, policy, kind)
         if key not in self._sweeps:
+            if kind.name == DIRICHLET:
+                reference = g.value
+            else:
+                reference = BoundaryFunction.from_xy(exact_solution_for(g.name).value, g.rect).value
             base = self.base_spectrum(h, policy)
             u = solve(kind, g, base, coefficients=self.coefficients(g, base))
             subs = [self.truncation(h, kind.name, m, policy) for m in ref.M_VALUES]
-            self._sweeps[key] = _truncation_errors(reference or g.value, u, subs)
+            self._sweeps[key] = _truncation_errors(reference, u, subs)
         return self._sweeps[key]
 
     def base_spectrum(self, h: float, policy: str) -> Spectrum:
@@ -237,7 +241,7 @@ def reproduce_solution(table_id: int, ws: Optional[TableWorkspace] = None,
     g = builtin_boundary(name, rect)
     exact = exact_solution_for(name)
     kind = ProblemKind.neumann() if data["kind"] == "neumann" else ProblemKind.robin(data["b"])
-    sup, l2 = ws.sweep(g, policy, kind, BoundaryFunction.from_xy(exact.value, rect).value)
+    sup, l2 = ws.sweep(g, policy, kind)
 
     swapped = data["columns_swapped"]
     notes = []

@@ -313,3 +313,40 @@ def test_with_exact_rejects_data_of_another_problem(tmp_path, capsys, data, kind
     err = capsys.readouterr().err
     assert f"builtin:{data} is {poses} data" in err and f"not {kind} data" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--kind", "dirichlet", "--b", "3"], "dirichlet does not take a Robin constant"),
+    (["--kind", "neumann", "--b", "1"], "neumann does not take a Robin constant"),
+    (["--kind", "robin"], "Robin problems need b > 0"),
+    (["--kind", "robin", "--b", "1", "--corner-reduction"], "the corner reduction applies to Dirichlet problems, not robin"),
+    (["--kind", "neumann", "--corner-reduction"], "the corner reduction applies to Dirichlet problems, not neumann"),
+])
+def test_flags_of_another_kind_exit_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "g.csv"
+    assert run(["solve", "--g", "builtin:bd1", "--h", "1", "--M", "2", "--grid", "5",
+                "--out", str(out), *flags]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--points", "paper"], ["--points-out", "p.csv"], ["--format", "json"]])
+def test_grid_takes_no_point_flags(tmp_path, capsys, flag):
+    out = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["grid", "--g", "builtin:f1", "--M", "2", "--grid", "5", "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data", ["expr:x*y", "file"])
+def test_with_exact_needs_builtin_data(tmp_path, capsys, data):
+    if data == "file":
+        spec = tmp_path / "g.json"
+        spec.write_text(json.dumps({"expr": "x*y"}))
+        data = f"file:{spec}"
+    out = tmp_path / "g.csv"
+    assert run(["solve", "--g", data, "--M", "2", "--grid", "5", "--with-exact", "--out", str(out)]) == 2
+    assert f"--with-exact needs builtin:NAME data with a known solution, got {data}" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,6 +3,7 @@
 The scalar mode formulas are those of scalar_reference."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from steklov import (
     BoundaryFunction,
     FamilyTag,
+    GeometryError,
     Rectangle,
     SIDES,
     boundary_partial_sum,
@@ -338,3 +340,18 @@ def test_hyperbolic_factor_rows_are_the_exp_formulas_bit_for_bit(ceiling_factors
     dwant = np.where(cosh_rows, (norm * nu) * sinh, (norm * nu) * cosh)
     assert np.array_equal(f.view(np.int64), want.view(np.int64))
     assert np.array_equal(df.view(np.int64), dwant.view(np.int64))
+
+
+def test_array_evaluators_check_the_domain():
+    # outside the rectangle the 80-mode sum of f3 on R_0.5 grows like
+    # exp(nu * dist): 3.4e4 at (1.5, 0), its gradient 4.5e6
+    rect = Rectangle(0.5)
+    u = solve_dirichlet(builtin_boundary("f3", rect), build_spectrum_by_count(rect, 80))
+    cases = (([0.2, 1.5], [0.0, 0.0], "(1.5, 0.0)"), (0.3, [0.1, -0.5000001], "(0.3, -0.5000001)"),
+             ([0.0, float("nan")], 0.2, "(nan, 0.2)"), (np.zeros((2, 1)), [0.1, 0.2, 0.7], "(0.0, 0.7)"))
+    for x, y, point in cases:
+        for evaluate in (u.eval_array, u.gradient_arrays):
+            with pytest.raises(GeometryError, match=re.escape(f"point {point} outside")):
+                evaluate(x, y)
+    corners = np.array([-1.0, 1.0]), np.array([-0.5, 0.5])
+    close(u.eval_array(*corners), [u.eval(-1.0, -0.5), u.eval(1.0, 0.5)])

@@ -17,7 +17,6 @@ from steklov import (
     SIDES,
     Spectrum,
     SpectrumError,
-    boundary_norm_constant,
     build_spectrum,
     build_spectrum_by_count,
     find_roots,
@@ -85,8 +84,8 @@ def test_xy_mode_square_only():
 
 def test_norm_constants():
     rect = Rectangle(1.0)
-    assert boundary_norm_constant(FamilyTag.CONST, 0.0, rect) == 1.0
-    assert boundary_norm_constant(FamilyTag.XY, 0.0, rect) == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    assert make_mode(FamilyTag.CONST, rect).norm_const == 1.0
+    assert make_mode(FamilyTag.XY, rect).norm_const == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("family", [FamilyTag.F1, FamilyTag.F3, FamilyTag.F6, FamilyTag.F8])

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from steklov import FamilyTag, Rectangle, RootFindError, char_residual, eigenvalue_of, find_roots
+from steklov import FamilyTag, Rectangle, RootFindError, find_roots, make_mode
+
+from scalar_reference import char_residual, eigenvalue_of
 
 SEPARABLE = [getattr(FamilyTag, f"F{k}") for k in range(1, 9)]
 
@@ -110,9 +112,10 @@ def test_eigenvalue_rules():
     assert eigenvalue_of(FamilyTag.F2, nu2, rect2) == pytest.approx(nu2 * math.tanh(0.5 * nu2), rel=1e-15)
 
 
-def test_eigenvalue_of_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        eigenvalue_of(FamilyTag.F1, 0.0, Rectangle(1.0))
+def test_make_mode_rejects_nonpositive():
+    for nu in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            make_mode(FamilyTag.F1, Rectangle(1.0), nu)
 
 
 def test_tolerance_floor_enforced():

@@ -282,3 +282,14 @@ def test_coefficients_of_another_spectrum_are_rejected():
     u = solve_dirichlet(g, spec, coefficients=steklov_coefficients(g, build_spectrum(thin, 3)))
     assert u.eval(0.3, 0.2) == pytest.approx(solve_dirichlet(g, spec).eval(0.3, 0.2), abs=1e-12)
     assert u.eval(0.3, 0.2) == pytest.approx(0.580411, abs=1e-6)
+
+
+def test_solve_refuses_options_of_another_kind(spec_pf5):
+    g = builtin_boundary("bd1", spec_pf5.rectangle)
+    with pytest.raises(ValueError, match="corner reduction applies to Dirichlet problems, not robin"):
+        solve(ProblemKind.robin(1.0), g, spec_pf5, use_corner_reduction=True)
+    with pytest.raises(ValueError, match="corner reduction applies to Dirichlet problems, not neumann"):
+        solve(ProblemKind.neumann(), g, spec_pf5, use_corner_reduction=True)
+    for kind in (ProblemKind.dirichlet(), ProblemKind.robin(1.0)):
+        with pytest.raises(ValueError, match=f"mean_tol applies to Neumann problems, not {kind.name}"):
+            solve(kind, g, spec_pf5, mean_tol=1e-8)
