@@ -127,7 +127,12 @@ def _truncation_errors(ref: Callable[[Side, np.ndarray], np.ndarray], u: Steklov
 
 def interior_l2(fn_on_grid: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 rect: Rectangle, n: int = 64) -> float:
-    """Plain L2(Omega) norm via n x n tensor Gauss-Legendre quadrature."""
+    """Plain L2(Omega) norm via n x n tensor Gauss-Legendre quadrature.
+
+    fn_on_grid gets np.meshgrid arrays, a tensor grid: eval_array and
+    gradient_arrays cost K*2n factor evaluations and one matrix product per
+    output there, not K*n^2 evaluations.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(n)
     xs = nodes
     ys = rect.h * nodes
@@ -138,12 +143,19 @@ def interior_l2(fn_on_grid: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def interior_sup(fn_on_grid, rect: Rectangle, nx: int = 101, ny: int = 101) -> float:
+    """Sampled sup on grid_points, a tensor grid: eval_array costs K*(nx+ny)
+    factor evaluations and one matrix product there, not K*nx*ny."""
     X, Y = grid_points(rect, nx, ny)
     return float(np.abs(fn_on_grid(X, Y)).max())
 
 
 def dnorm_sq(approx: SteklovApproximation, n_gauss: int = 64) -> float:
-    """Quadrature value of the weighted graph norm squared of an expansion."""
+    """Quadrature value of the weighted graph norm squared of an expansion.
+
+    The gradient part runs gradient_arrays on interior_l2's tensor grid:
+    K*2*n_gauss factor evaluations and two matrix products, not
+    K*n_gauss^2 evaluations.
+    """
     rect = approx.rect
 
     def grad_sq(X, Y):

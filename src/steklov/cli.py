@@ -8,12 +8,14 @@ Commands:
     check      run the spectrum invariant suite
 
 Exit codes: 0 success, 1 failed checks (invariant suite, or table entries out
-of tolerance), 2 invalid configuration or incompatible data, 3 root-finder
-failure.
+of tolerance), 2 invalid configuration (an input file that cannot be read
+among them) or incompatible data, 3 root-finder failure.
 
 `solve` and `grid` build the problem kind from --kind and --b and solve through
 `solvers.solve`, so a flag of another kind exits 2: --b is Robin-only (and
-required there), --corner-reduction Dirichlet-only.
+required there), --corner-reduction Dirichlet-only. Before solving they
+refuse a grid of fewer than 2 points per axis, and a `solve` with none of
+--grid, --points and --print-coefficients, which would write nothing.
 
 Numeric CSVs (grids, point values, spectrum listings, coefficients) are
 written from column arrays, one block of rows at a time: a grid row is
@@ -42,7 +44,7 @@ from .analysis import TolProfile, invariant_suite
 from .boundary import BoundaryFunction, QuadratureError
 from .catalog import boundary_data_from_spec, builtin_boundary, exact_solution_for, zero_mean_solution
 from .geometry import GeometryError, Rectangle
-from .solvers import NEUMANN, ROBIN, IncompatibleDataError, ProblemKind, _grid_axes, solve
+from .solvers import NEUMANN, ROBIN, IncompatibleDataError, ProblemKind, _grid_axes, _require_grid, solve
 from .spectrum import (
     GLOBAL_SORTED,
     PER_FAMILY,
@@ -239,6 +241,10 @@ def _grid_rows(U, xs, ys, exact, digits: int):
 
 
 def cmd_solve(args, grid_only: bool = False) -> int:
+    if args.grid is not None:  # always set for grid, whose --grid defaults to 101
+        _require_grid(args.grid, args.grid)
+    elif not (args.points or args.print_coefficients):
+        raise ValueError("solve writes nothing: give --grid N, --points or --print-coefficients")
     kind = ProblemKind(args.kind, 0.0 if args.b is None else args.b)
     spec = _spectrum_from_args(args)
     rect = spec.rectangle
@@ -252,13 +258,11 @@ def cmd_solve(args, grid_only: bool = False) -> int:
                        [_mode_columns(spec, slice(1, None), u.coefficients.values, u.weights)], args.digits)
 
     wrote = []
-    if args.grid:
+    if args.grid is not None:
         U = u.eval_grid(args.grid, args.grid)
         xs, ys = _grid_axes(rect, args.grid, args.grid)
         _write_columns(args.out, header, _grid_rows(U, xs, ys, exact, args.digits), args.digits)
         wrote.append(args.out or "stdout")
-    elif grid_only:
-        raise ValueError("the grid command requires --grid N")
 
     if not grid_only and args.points:
         pts = np.array(_load_points(args.points), dtype=float).reshape(-1, 2)
@@ -395,7 +399,7 @@ def main(argv=None) -> int:
     except RootFindError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ROOTFIND
-    except (IncompatibleDataError, GeometryError, QuadratureError, ValueError) as exc:
+    except (IncompatibleDataError, GeometryError, QuadratureError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -118,12 +118,29 @@ class SteklovApproximation:
 
     def _gradient(self, x, y):
         """Term-by-term gradient of _sum at the same points."""
-        gx, gy = self.spectrum.expand_gradient(self.weights, x, y)
+        return self._lifted(*self.spectrum.expand_gradient(self.weights, x, y), x, y)
+
+    def _lifted(self, gx, gy, x, y):
+        """The gradient of the expansion, (gx, gy) at (x, y), plus the lift's."""
         if self.lift is not None:
             a0, a1, a2, a3 = self.lift
             gx += a1 + a3 * y
             gy += a2 + a3 * x
         return gx, gy
+
+    def _grid_sum(self, xs, ys):
+        """_sum on the tensor grid of the axes xs and ys, shape (ny, nx), from
+        one matrix product of the factor matrices (Spectrum.expand_grid)."""
+        U = self.spectrum.expand_grid(self.weights, xs, ys)
+        U += self.constant_term + self._lift_value(xs, ys[:, None])
+        return U
+
+    def _grid_gradient(self, xs, ys):
+        """_gradient on the tensor grid of the axes xs and ys, shape (ny, nx):
+        (Fy^T @ (w * dFx), dFy^T @ (w * Fx)), one matrix product per component."""
+        (fx, fy), (dfx, dfy) = self.spectrum._factors(xs, ys, derivative=True)
+        w = np.asarray(self.weights, dtype=float)[:, None]
+        return self._lifted(fy.T @ (w * dfx), dfy.T @ (w * fx), xs, ys[:, None])
 
     def eval(self, x: float, y: float) -> float:
         """Value at a point of the closed rectangle."""
@@ -143,24 +160,28 @@ class SteklovApproximation:
 
     def eval_grid(self, nx: int, ny: int) -> np.ndarray:
         """Values on the closed tensor grid of grid_points, shape (ny, nx), x varying fastest."""
-        if nx < 2 or ny < 2:
-            raise ValueError("grids need at least 2 points per axis")
-        xs, ys = _grid_axes(self.rect, nx, ny)
-        U = self.spectrum.expand_grid(self.weights, xs, ys)
-        U += self.constant_term + self._lift_value(xs, ys[:, None])
-        return U
+        _require_grid(nx, ny)
+        return self._grid_sum(*_grid_axes(self.rect, nx, ny))
 
     def eval_array(self, x, y) -> np.ndarray:
-        """Vectorized values at arbitrary points of the closed rectangle (x, y broadcast)."""
+        """Vectorized values at arbitrary points of the closed rectangle (x, y broadcast).
+
+        On a tensor grid (_tensor_axes) one matrix product of its axes' factors.
+        """
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         self.rect.require_inside(x, y)
-        return self._sum(x, y)
+        axes = _tensor_axes(x, y)
+        return self._sum(x, y) if axes is None else self._grid_sum(*axes)
 
     def gradient_arrays(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized gradient components at points of the closed rectangle that broadcast."""
+        """Vectorized gradient components at points of the closed rectangle that broadcast.
+
+        On a tensor grid (_tensor_axes) two matrix products of its axes' factors.
+        """
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         self.rect.require_inside(x, y)
-        return self._gradient(x, y)
+        axes = _tensor_axes(x, y)
+        return self._gradient(x, y) if axes is None else self._grid_gradient(*axes)
 
     def boundary_value(self, side: Side, t):
         """Trace of the approximation at side(t); an array for an array of parameters."""
@@ -280,8 +301,30 @@ def solve_neumann(
     return solve(ProblemKind.neumann(), g, spec, coefficients, mean_tol=mean_tol, abstol=abstol, reltol=reltol)
 
 
+def _require_grid(nx: int, ny: int) -> None:
+    """ValueError unless a grid of nx by ny points has at least 2 per axis."""
+    if nx < 2 or ny < 2:
+        raise ValueError("grids need at least 2 points per axis")
+
+
 def _grid_axes(rect: Rectangle, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(-1.0, 1.0, nx), np.linspace(-rect.h, rect.h, ny)
+
+
+def _tensor_axes(x: np.ndarray, y: np.ndarray):
+    """(xs, ys) when x and y broadcast to the tensor grid np.meshgrid(xs, ys),
+    else None.
+
+    That is: 2-D and nonempty after broadcasting, x constant down every
+    column and y constant along every row, as grid_points gives. An
+    indexing="ij" grid, or a grid with one point moved, is not one.
+    """
+    if max(x.ndim, y.ndim) != 2:
+        return None
+    x, y = np.broadcast_arrays(x, y)
+    if not x.size or not ((x == x[:1]).all() and (y == y[:, :1]).all()):
+        return None
+    return x[0], y[:, 0]
 
 
 def grid_points(rect: Rectangle, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:

@@ -350,3 +350,42 @@ def test_with_exact_needs_builtin_data(tmp_path, capsys, data):
     assert run(["solve", "--g", data, "--M", "2", "--grid", "5", "--with-exact", "--out", str(out)]) == 2
     assert f"--with-exact needs builtin:NAME data with a known solution, got {data}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--g", "file:{missing}.json", "--M", "1", "--print-coefficients"],
+    ["--g", "builtin:f1", "--cache", "{missing}.json", "--print-coefficients"],
+    ["--g", "builtin:f1", "--M", "1", "--points", "file:{missing}.csv"],
+])
+def test_missing_input_file_exits_2(tmp_path, capsys, flags):
+    missing = tmp_path / "missing"
+    assert run(["solve", "--h", "1", *(f.format(missing=missing) for f in flags)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Makes building the spectrum fail the test: a refused command must not get there."""
+    def refuse(args):
+        raise AssertionError("the spectrum was built")
+
+    monkeypatch.setattr("steklov.cli._spectrum_from_args", refuse)
+
+
+@pytest.mark.parametrize("command, n", [("solve", "0"), ("grid", "0"), ("grid", "1")])
+def test_grid_of_fewer_than_two_points_exits_2_before_solving(tmp_path, capsys, no_solve, command, n):
+    out = tmp_path / "g.csv"
+    assert run([command, "--g", "builtin:f1", "--M", "1", "--grid", n, "--out", str(out)]) == 2
+    assert "error: grids need at least 2 points per axis" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_that_writes_nothing_exits_2_before_solving(capsys, no_solve):
+    assert run(["solve", "--g", "builtin:f1", "--M", "1", "--with-exact"]) == 2
+    assert "error: solve writes nothing" in capsys.readouterr().err
+
+
+def test_print_coefficients_alone_is_output(capsys):
+    assert run(["solve", "--g", "builtin:f1", "--h", "1", "--M", "1", "--print-coefficients"]) == 0
+    assert capsys.readouterr().out.startswith("index,family,nu,delta,coefficient,weight\n")

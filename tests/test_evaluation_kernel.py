@@ -214,7 +214,80 @@ def test_eval_grid_matches_eval_array(grid_cases, nx, ny):
     for u in grid_cases:
         U = u.eval_grid(nx, ny)
         assert U.shape == (ny, nx)
-        np.testing.assert_allclose(U, u.eval_array(*grid_points(u.rect, nx, ny)), rtol=TOL, atol=TOL)
+        # both are the factor product on the grid's axes plus the constant and the lift
+        np.testing.assert_array_equal(U, u.eval_array(*grid_points(u.rect, nx, ny)))
+
+
+def assert_same_to_rounding(got, want):
+    """A tensor grid and its flattened points sum the modes in different
+    orders: equal to TOL times the scale of the values."""
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=TOL * max(1.0, np.abs(want).max(initial=0.0)))
+
+
+@pytest.fixture(scope="module", params=[1.0, 0.5, 0.1])
+def meshgrid_cases(request):
+    """Expansions at one h with 0, 41 and 400 modes, each with and without the corner lift."""
+    rect = Rectangle(request.param)
+    g = builtin_boundary("f3", rect)
+    cases = []
+    for count in (0, 41, 400):
+        spec = build_spectrum_by_count(rect, count)
+        cases += [solve_dirichlet(g, spec, use_corner_reduction=True), solve_dirichlet(g, spec)]
+    assert cases[2].lift is not None and cases[3].lift is None
+    return cases
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1), (2, 2), (5, 9), (31, 17)])
+def test_meshgrid_matches_its_flattened_points(meshgrid_cases, shape):
+    rect = meshgrid_cases[0].rect
+    rng = np.random.default_rng(sum(shape))
+    ny, nx = shape
+    X, Y = np.meshgrid(rng.uniform(-1.0, 1.0, nx), rng.uniform(-rect.h, rect.h, ny))
+    for u in meshgrid_cases:
+        value = u.eval_array(X, Y)
+        assert value.shape == shape
+        assert_same_to_rounding(value.ravel(), u.eval_array(X.ravel(), Y.ravel()))
+        for grid, flat in zip(u.gradient_arrays(X, Y), u.gradient_arrays(X.ravel(), Y.ravel())):
+            assert grid.shape == shape
+            assert_same_to_rounding(grid.ravel(), flat)
+
+
+def test_other_two_dimensional_inputs_keep_the_blocked_path(meshgrid_cases):
+    # an indexing="ij" grid and a meshgrid with one point moved are not tensor
+    # grids: their values equal the flattened evaluation bit for bit
+    rect = meshgrid_cases[0].rect
+    xs, ys = np.linspace(-1.0, 1.0, 9), np.linspace(-rect.h, rect.h, 5)
+    ij = np.meshgrid(xs, ys, indexing="ij")
+    moved_x, moved_y = np.meshgrid(xs, ys), np.meshgrid(xs, ys)
+    moved_x[0][2, 3] = 0.5 * (xs[3] + xs[4])
+    moved_y[1][3, 2] = 0.5 * (ys[3] + ys[4])
+    for u in meshgrid_cases:
+        for X, Y in (ij, moved_x, moved_y):
+            np.testing.assert_array_equal(u.eval_array(X, Y).ravel(), u.eval_array(X.ravel(), Y.ravel()))
+            for grid, flat in zip(u.gradient_arrays(X, Y), u.gradient_arrays(X.ravel(), Y.ravel())):
+                np.testing.assert_array_equal(grid.ravel(), flat)
+
+
+def test_meshgrid_evaluates_the_factors_of_its_axes_only(monkeypatch):
+    rect = Rectangle(0.7)
+    u = solve_dirichlet(builtin_boundary("f1", rect), build_spectrum_by_count(rect, 41), use_corner_reduction=True)
+    X, Y = grid_points(rect, 31, 17)
+    columns = []
+    apply_kinds = spectrum_module._apply_kinds
+
+    def counting(z, spans, derivative):
+        columns.append(z.shape[1])
+        return apply_kinds(z, spans, derivative)
+
+    monkeypatch.setattr(spectrum_module, "_apply_kinds", counting)
+    for evaluate in (u.eval_array, u.gradient_arrays):
+        columns.clear()
+        evaluate(X, Y)
+        assert 0 < sum(columns) <= 31 + 17
+    columns.clear()
+    u.eval_array(X.ravel(), Y.ravel())
+    assert sum(columns) == 31 * 17
 
 
 def test_eval_array_and_gradients_keep_shape_and_broadcast():
@@ -223,12 +296,12 @@ def test_eval_array_and_gradients_keep_shape_and_broadcast():
     X, Y = grid_points(rect, 9, 5)
     flat = u.eval_array(X.ravel(), Y.ravel())
     assert u.eval_array(X, Y).shape == (5, 9)
-    np.testing.assert_array_equal(u.eval_array(X, Y).ravel(), flat)
+    assert_same_to_rounding(u.eval_array(X, Y).ravel(), flat)
     gx, gy = u.gradient_arrays(X, Y)
     fgx, fgy = u.gradient_arrays(X.ravel(), Y.ravel())
     assert gx.shape == gy.shape == (5, 9)
-    np.testing.assert_array_equal(gx.ravel(), fgx)
-    np.testing.assert_array_equal(gy.ravel(), fgy)
+    assert_same_to_rounding(gx.ravel(), fgx)
+    assert_same_to_rounding(gy.ravel(), fgy)
     xs = np.linspace(-0.9, 0.9, 6)
     along = u.eval_array(xs, 0.25)
     assert along.shape == (6,)
