@@ -17,6 +17,7 @@ Norm conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -31,6 +32,7 @@ from .boundary import (
     _boundary_nodes,
     _integrate_panels,
     _nu_max,
+    _readonly,
     mode_gram_matrix,
     steklov_coefficients,
 )
@@ -125,6 +127,12 @@ def _truncation_errors(ref: Callable[[Side, np.ndarray], np.ndarray], u: Steklov
     return sups, _boundary_l2s(errors, rect, 1 + len(subs))
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1] as read-only (nodes, weights)."""
+    return tuple(_readonly(a) for a in np.polynomial.legendre.leggauss(n))
+
+
 def interior_l2(fn_on_grid: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 rect: Rectangle, n: int = 64) -> float:
     """Plain L2(Omega) norm via n x n tensor Gauss-Legendre quadrature.
@@ -133,7 +141,7 @@ def interior_l2(fn_on_grid: Callable[[np.ndarray, np.ndarray], np.ndarray],
     gradient_arrays cost K*2n factor evaluations and one matrix product per
     output there, not K*n^2 evaluations.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _gauss_legendre(n)
     xs = nodes
     ys = rect.h * nodes
     X, Y = np.meshgrid(xs, ys)
@@ -435,8 +443,11 @@ def check_scaling(spec: Spectrum, tol: float) -> CheckResult:
     eigenvalue delta / L. Its Steklov quotient, the boundary integral of
     s * dn(s) over that of s^2, is the quotient of s on the rectangle divided
     by L. The quotients are sums over the level-1 coefficient nodes of G1
-    and G2 (G3 and G4 add the same sums, by reflection), from the kernel's
-    values and derivatives; each must equal delta / L to tol, relative.
+    and G2, the t > 0 halves of _boundary_nodes, from the kernel's values
+    and derivatives; each must equal delta / L to tol, relative. s * dn(s)
+    and s^2 are even in t on every side and under the point reflection, so
+    the other halves and G3 and G4 add the same sums: the quotient is that
+    of the whole boundary.
     """
     head = spec.take(slice(0, 12))
     num, den = np.zeros((2, head.size - 1))

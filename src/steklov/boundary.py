@@ -19,10 +19,19 @@ O(1/nu) layers of cosh(nu x) sit. Every mode trace is analytic on each side,
 so these panels converge geometrically. Level 1 is level 0 with every panel
 halved. All integrals are S @ (w * g) at both levels, with S the (K, N)
 matrix of Spectrum.values evaluated _BLOCK nodes at a time, and g evaluated
-once per node. S is evaluated on G1 and G2 only: G3 and G4 are their point
-reflections, and every mode is even or odd under p -> -p. An entry's error
-estimate is |I1 - I0|, its value I1. The orthonormality Gram matrix of a
-spectrum (mode_gram_matrix) uses the level-1 nodes.
+once per node. An entry's error estimate is |I1 - I0|, its value I1.
+
+S is evaluated on a quarter of the boundary, the t > 0 halves of G1 and G2.
+The panels of a side are symmetric about t = 0 and _PANEL_POINTS is even,
+so the side's nodes are those t and their mirror images -t; G3 and G4 are
+the point reflections of G1 and G2 at the same parameters. Along each side
+every mode is even or odd in t (its factor along the side is cos or cosh,
+or sin, sinh or linear), and it is even or odd under p -> -p. So the data
+enter folded, w * (g(t) + g(-t)) and w * (g(t) - g(-t)) on a side and on
+its reflected side, and each mode takes the even or the odd pair of its
+sums. The orthonormality Gram matrix of a spectrum (mode_gram_matrix) uses
+the level-1 nodes and the same symmetry: modes of different parity classes
+are orthogonal, and each class block is 4 times its sum over these nodes.
 
 Every other boundary integral is one panel-adaptive rule on arrays of nodes
 (_integrate_panels): integrate_boundary, analysis.boundary_l2, and the
@@ -39,7 +48,7 @@ import numpy as np
 
 from . import expressions
 from .geometry import Rectangle, Side, SIDES
-from .spectrum import _ODD, Spectrum
+from .spectrum import _ODD_ALONG, Spectrum
 
 
 class QuadratureError(RuntimeError):
@@ -173,11 +182,15 @@ def _map_points(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     The builtin data and expression data take arrays. A foreign map written
     for floats (math functions, branches on the value) raises TypeError or
-    ValueError on arrays; it is then called point by point.
+    ValueError on arrays; it is then called point by point. An error that
+    expression data raised from their own point-by-point pass is raised as
+    it is: the points would only raise it again.
     """
     try:
         out = np.asarray(fn(x, y), dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError) as exc:
+        if expressions.raised_pointwise(exc):
+            raise
         out = [fn(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
         return np.array(out, dtype=float).reshape(x.shape)
     return out if out.shape == x.shape else np.broadcast_to(out, x.shape).copy()
@@ -342,18 +355,23 @@ def _panel_breaks(length: float, nu_max: float) -> np.ndarray:
 
 
 # G3 and G4 are the point reflections of G1 and G2 at the same parameter:
-# G3(t) = -G1(t) and G4(t) = -G2(t).
+# G3(t) = -G1(t) and G4(t) = -G2(t). The parameter of G1 runs along y
+# (t = y), that of G2 along x (t = -x).
 _REFLECTED = {Side.G1: Side.G3, Side.G2: Side.G4}
+_ALONG = {Side.G1: 1, Side.G2: 0}
 
 
 def _boundary_nodes(rect: Rectangle, nu_max: float, level: int):
-    """Composite Gauss-Legendre nodes on G1 and G2, level 0 or 1.
+    """Composite Gauss-Legendre nodes with t > 0 on G1 and G2, level 0 or 1.
 
-    Yields (side, t, x, y, weight) per side: t holds the side parameters and
-    weight the arc-length weights; the coordinate that is constant on the
-    side (x on G1, y on G2) is one value, an array of length 1. The nodes of
-    the reflected side _REFLECTED[side] are the same t, at the points
-    (-x, -y). Level 1 halves every panel of level 0.
+    Yields (side, t, x, y, weight) per side: t holds the positive side
+    parameters and weight their arc-length weights; the coordinate that is
+    constant on the side (x on G1, y on G2) is one value, an array of length
+    1. The panels are symmetric about t = 0 and have an even number of
+    nodes, so no node sits at t = 0: the full node set of the side is t and
+    -t, with the same weights, and that of the reflected side
+    _REFLECTED[side] is the same, at the points (-x, -y). Level 1 halves
+    every panel of level 0.
     """
     for side in _REFLECTED:
         lo, hi = rect.side_interval(side)
@@ -363,21 +381,28 @@ def _boundary_nodes(rect: Rectangle, nu_max: float, level: int):
         mid = 0.5 * (breaks[:-1] + breaks[1:])[:, None]
         half = 0.5 * np.diff(breaks)[:, None]
         t = (lo + mid + half * _GL_NODES).ravel()
+        positive = t > 0.0
+        t = t[positive]
         x, y = rect.side_point(side, t)
         x, y = (x[:1], y) if side is Side.G1 else (x, y[:1])
-        yield side, t, x, y, (half * _GL_WEIGHTS).ravel()
+        yield side, t, x, y, (half * _GL_WEIGHTS).ravel()[positive]
 
 
 def _nu_max(spec: Spectrum) -> float:
     return float(spec.arrays.nu.max(initial=0.0))
 
 
-def _reflection_signs(spec: Spectrum) -> np.ndarray:
-    """sigma_j with s_j(-x, -y) = sigma_j * s_j(x, y), constant mode first.
+def _parities(spec: Spectrum):
+    """(odd, sigma), constant mode first.
 
-    Classes I and II are even under the point reflection, III and IV odd.
+    odd[j, a] tells whether mode j is odd along axis a (0 for x, 1 for y):
+    s_j(-x, y) = -s_j(x, y) for a = 0. Along a side, mode j is then even or
+    odd in the side parameter t, by the column _ALONG[side]. sigma[j] is the
+    sign with s_j(-x, -y) = sigma[j] * s_j(x, y): -1 for the modes odd along
+    one axis only (classes III and IV).
     """
-    return np.where(_ODD[spec.arrays.code], -1.0, 1.0)
+    odd = _ODD_ALONG[spec.arrays.code]
+    return odd, np.where(odd[:, 0] != odd[:, 1], -1.0, 1.0)
 
 
 def _mode_blocks(spec: Spectrum, x: np.ndarray, y: np.ndarray):
@@ -395,18 +420,56 @@ def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
     """Weighted boundary inner products of all modes, constant first.
 
     The (K+1, K+1) matrix S W S^T / |dOmega| on the level-1 nodes; for an
-    orthonormal spectrum it is the identity. The nodes of G3 and G4 enter
-    through the reflection signs, so modes of opposite sign are exactly
-    orthogonal.
+    orthonormal spectrum it is the identity. Two modes of different parity
+    classes (odd along x or not, odd along y or not) are exactly orthogonal:
+    on every side their product is odd in t, or the sums over a side and its
+    reflected side cancel. Within a class the product is even in t and under
+    the point reflection, so each class block is 4 times its sum over the
+    t > 0 nodes of G1 and G2.
     """
     rect = spec.rectangle
-    gram = np.zeros((spec.size, spec.size))
+    odd, _ = _parities(spec)
+    parity_class = 2 * odd[:, 0] + odd[:, 1]
+    classes = [np.flatnonzero(parity_class == c) for c in range(4)]
+    blocks = [np.zeros((rows.size, rows.size)) for rows in classes]
     for _, _, x, y, w in _boundary_nodes(rect, _nu_max(spec), 1):
         for block, s in _mode_blocks(spec, x, y):
             s = np.vstack((np.ones(s.shape[1]), s))
-            gram += (s * w[block]) @ s.T
-    sigma = _reflection_signs(spec)
-    return gram * (1.0 + np.outer(sigma, sigma)) / rect.perimeter
+            for rows, gram in zip(classes, blocks):
+                sc = s[rows]
+                gram += (sc * w[block]) @ sc.T
+    out = np.zeros((spec.size, spec.size))
+    for rows, gram in zip(classes, blocks):
+        out[np.ix_(rows, rows)] = gram * (4.0 / rect.perimeter)
+    return out
+
+
+def _fixed_node_integrals(g: BoundaryFunction, spec: Spectrum) -> np.ndarray:
+    """(K+1, 2): raw integrals of g against the constant and every mode, by level.
+
+    On the t > 0 nodes of a side, the data enter folded: w * (g(t) + g(-t))
+    and w * (g(t) - g(-t)) on the side and on its reflected side. A mode even
+    in t takes the even pair of its sums, a mode odd in t the odd pair, and
+    the reflected side's sum enters with the mode's reflection sign.
+    """
+    rect = spec.rectangle
+    nu_max = _nu_max(spec)
+    odd, sigma = _parities(spec)
+    raw = np.zeros((spec.size, 2))
+    for level in (0, 1):
+        for side, t, x, y, w in _boundary_nodes(rect, nu_max, level):
+            both = np.concatenate((t, -t))
+            # g at t and at -t, on the side and on its reflected side
+            (gp, gm), (rp, rm) = (g.value(on, both).reshape(2, -1) for on in (side, _REFLECTED[side]))
+            # columns: even on the side, even on the reflected side, odd on each
+            folded = w[:, None] * np.column_stack((gp + gm, rp + rm, gp - gm, rp - rm))
+            sums = np.zeros((spec.size, 4))
+            sums[0] = folded.sum(axis=0)
+            for block, s in _mode_blocks(spec, x, y):
+                sums[1:] += s @ folded[block]
+            pair = np.where(odd[:, _ALONG[side], None], sums[:, 2:], sums[:, :2])
+            raw[:, level] += pair[:, 0] + sigma * pair[:, 1]
+    return raw
 
 
 def steklov_coefficients(
@@ -428,17 +491,7 @@ def steklov_coefficients(
     if abstol <= 0.0 or reltol <= 0.0:
         raise ValueError("tolerances must be positive")
     rect = spec.rectangle
-    nu_max = _nu_max(spec)
-    sigma = _reflection_signs(spec)
-    raw = np.empty((spec.size, 2))  # column: level; rows: constant, then the modes
-    for level in (0, 1):
-        sums = np.zeros((spec.size, 2))  # columns: over G1 and G2, over G3 and G4
-        for side, t, x, y, w in _boundary_nodes(rect, nu_max, level):
-            wg = w[:, None] * np.column_stack((g.value(side, t), g.value(_REFLECTED[side], t)))
-            sums[0] += wg.sum(axis=0)
-            for block, s in _mode_blocks(spec, x, y):
-                sums[1:] += s @ wg[block]
-        raw[:, level] = sums[:, 0] + sigma * sums[:, 1]
+    raw = _fixed_node_integrals(g, spec)
     values = raw[:, 1].copy()
     estimates = np.abs(raw[:, 1] - raw[:, 0])
     # a NaN estimate misses its target too
@@ -454,7 +507,7 @@ def steklov_coefficients(
             return s[rows] * g.value(side, t)
 
         try:
-            values[missed], estimates[missed] = _integrate_panels(rect, integrand, abstol, reltol, limit, nu_max, missed.size)
+            values[missed], estimates[missed] = _integrate_panels(rect, integrand, abstol, reltol, limit, _nu_max(spec), missed.size)
         except QuadratureError as exc:
             row = missed[exc.entry]
             label = f"mode {spec.family(row).value}, nu={spec.arrays.nu[row]:.6g}" if row else "mean value"

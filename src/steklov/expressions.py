@@ -103,7 +103,8 @@ def evaluate(node: Node, x, y):
 
     On arrays a floating-point error (ln or sqrt of a negative, overflow,
     division by zero) or a complex power sends every point through the float
-    path, which raises what `math` and float arithmetic raise there.
+    path, which raises what `math` and float arithmetic raise there; a
+    TypeError or ValueError from that path is marked for raised_pointwise.
     """
     if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
         return _evaluate(node, x, y, _FUNCTIONS)
@@ -115,8 +116,18 @@ def evaluate(node: Node, x, y):
             return out if np.shape(out) == x.shape else np.full(x.shape, out)
     except FloatingPointError:
         pass
-    values = [_evaluate(node, a, b, _FUNCTIONS) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
-    return np.array(values, dtype=float).reshape(x.shape)
+    try:
+        values = [_evaluate(node, a, b, _FUNCTIONS) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+        return np.array(values, dtype=float).reshape(x.shape)
+    except (TypeError, ValueError) as exc:
+        exc.steklov_pointwise = True  # read by raised_pointwise
+        raise
+
+
+def raised_pointwise(exc: BaseException) -> bool:
+    """Whether exc came out of evaluate's point-by-point float path on
+    arrays: evaluating the same points as floats raises it again."""
+    return getattr(exc, "steklov_pointwise", False)
 
 
 def _evaluate(node: Node, x, y, functions):

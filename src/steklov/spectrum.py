@@ -110,18 +110,17 @@ class _FamilyInfo:
     hyp_axis: str  # 'x' or 'y': axis carrying the hyperbolic factor
     hyp: str  # 'cosh' or 'sinh'
     trig: str  # 'cos' or 'sin'
-    sym_class: str  # 'I'..'IV'
 
 
 _FAMILIES: dict[FamilyTag, _FamilyInfo] = {
-    FamilyTag.F1: _FamilyInfo("x", "cosh", "cos", "I"),
-    FamilyTag.F2: _FamilyInfo("y", "cosh", "cos", "I"),
-    FamilyTag.F3: _FamilyInfo("x", "sinh", "sin", "II"),
-    FamilyTag.F4: _FamilyInfo("y", "sinh", "sin", "II"),
-    FamilyTag.F5: _FamilyInfo("x", "cosh", "sin", "III"),
-    FamilyTag.F6: _FamilyInfo("y", "sinh", "cos", "III"),
-    FamilyTag.F7: _FamilyInfo("x", "sinh", "cos", "IV"),
-    FamilyTag.F8: _FamilyInfo("y", "cosh", "sin", "IV"),
+    FamilyTag.F1: _FamilyInfo("x", "cosh", "cos"),
+    FamilyTag.F2: _FamilyInfo("y", "cosh", "cos"),
+    FamilyTag.F3: _FamilyInfo("x", "sinh", "sin"),
+    FamilyTag.F4: _FamilyInfo("y", "sinh", "sin"),
+    FamilyTag.F5: _FamilyInfo("x", "cosh", "sin"),
+    FamilyTag.F6: _FamilyInfo("y", "sinh", "cos"),
+    FamilyTag.F7: _FamilyInfo("x", "sinh", "cos"),
+    FamilyTag.F8: _FamilyInfo("y", "cosh", "sin"),
 }
 
 
@@ -146,8 +145,6 @@ _COS = _per_code(lambda info: info.trig == "cos")
 # the characteristic function: tan(theta) (else cot) plus _SIGN * tanh
 _TAN = _COS == _COSH
 _SIGN = np.where(_COS, 1.0, -1.0)
-# odd under the point reflection p -> -p: classes III and IV
-_ODD = _per_code(lambda info: info.sym_class in ("III", "IV"))
 
 # Branch k of a family brackets one root in the local variable
 # theta = nu*aT - k*pi, where the periodic factor is evaluated without
@@ -180,6 +177,15 @@ _SPANS = (("trig", 0, 2), ("hyp", 2, 4), ("linear", 4, 5))  # (span, first, end)
 _HYP_KIND = np.array([_KINDS.index(_FAMILIES[tag].hyp if tag in _FAMILIES else "linear") for tag in _TAGS])
 _TRIG_KIND = np.array([_KINDS.index(_FAMILIES[tag].trig if tag in _FAMILIES else "linear") for tag in _TAGS])
 _HYP_AXIS = np.array([int(tag in _FAMILIES and _FAMILIES[tag].hyp_axis == "y") for tag in _TAGS])
+# Per code, whether its factor along x (column 0) and along y (column 1) is
+# odd: sin, sinh and linear are, cos and cosh are not. The constant is even
+# along both axes, xy odd along both. A mode is odd under the point
+# reflection p -> -p (classes III and IV) when it is odd along one axis only.
+_ODD_ALONG = np.isin(
+    np.where(_HYP_AXIS[:, None] == np.arange(2), _HYP_KIND[:, None], _TRIG_KIND[:, None]),
+    [_KINDS.index(kind) for kind in ("sin", "sinh", "linear")],
+)
+_ODD_ALONG[_CODE[FamilyTag.CONST]] = False
 
 
 def _extents(code: np.ndarray, rect: Rectangle):

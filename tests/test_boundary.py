@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from steklov import (
@@ -17,6 +18,7 @@ from steklov import (
     integrate_boundary,
     steklov_coefficients,
 )
+from steklov import expressions
 from steklov.catalog import f1
 
 import scalar_reference as ref
@@ -229,3 +231,18 @@ def test_boundary_data_from_spec(rect):
     assert g.value(Side.G3, 0.25) == pytest.approx(0.5, rel=1e-14)
     with pytest.raises(ValueError):
         boundary_data_from_spec({"nope": 1}, rect)
+
+
+def test_expression_domain_error_is_evaluated_twice_at_most(rect, monkeypatch):
+    """ln(x) data on G2, where x = -t: numpy raises on the array, the
+    expression's float pass raises at the first point, and the data's array
+    map raises that error without calling the map point by point again."""
+    calls = []
+    monkeypatch.setitem(expressions._NP_FUNCTIONS, "ln", lambda v: calls.append("array") or np.log(v))
+    monkeypatch.setitem(expressions._FUNCTIONS, "ln", lambda v: calls.append("float") or math.log(v))
+    g = BoundaryFunction.from_expression("ln(x)", rect)
+    for data in (g, g.shift(1.0)):
+        calls.clear()
+        with pytest.raises(ValueError, match="^math domain error$"):
+            data.value(Side.G2, np.linspace(0.5, -0.5, 5))
+        assert calls == ["array", "float"], data.name

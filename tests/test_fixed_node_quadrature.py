@@ -1,5 +1,6 @@
-"""Fixed-node boundary quadrature: coefficients, two-level estimates, the
-adaptive fallback and the Gram-matrix orthonormality check."""
+"""Fixed-node boundary quadrature: the half-side node layout and its parity
+fold, coefficients, two-level estimates, the adaptive fallback and the
+Gram-matrix orthonormality check."""
 
 import json
 
@@ -16,7 +17,7 @@ from steklov import (
     builtin_boundary,
     steklov_coefficients,
 )
-from steklov import boundary
+from steklov import boundary, spectrum
 from steklov.boundary import mode_gram_matrix
 from steklov.cli import main
 
@@ -49,6 +50,108 @@ def reference_integrals(g_list, spec, breaks=None, points=32, width=4.0):
 
 
 ABSTOL, RELTOL = 1e-10, 1e-6
+
+
+def panel_nodes(rect, side, nu_max, level):
+    """All composite Gauss-Legendre nodes and weights of a side, one panel at a time."""
+    lo, hi = rect.side_interval(side)
+    breaks = boundary._panel_breaks(hi - lo, nu_max)
+    if level:
+        breaks = np.sort(np.r_[breaks, 0.5 * (breaks[:-1] + breaks[1:])])
+    nodes, weights = np.polynomial.legendre.leggauss(boundary._PANEL_POINTS)
+    t = np.concatenate([lo + a + 0.5 * (b - a) * (nodes + 1.0) for a, b in zip(breaks[:-1], breaks[1:])])
+    w = np.concatenate([0.5 * (b - a) * weights for a, b in zip(breaks[:-1], breaks[1:])])
+    return t, w
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.1, 1e-3])
+@pytest.mark.parametrize("level", [0, 1])
+def test_half_nodes_and_their_mirror_images_are_the_panel_nodes(h, level):
+    rect = Rectangle(h)
+    for nu_max in (0.0, 3.0, 200.0):
+        for side, t, x, y, w in boundary._boundary_nodes(rect, nu_max, level):
+            full_t, full_w = panel_nodes(rect, side, nu_max, level)
+            assert (t > 0.0).all() and 2 * t.size == full_t.size
+            order = np.argsort(np.r_[-t, t])
+            assert np.abs(np.r_[-t, t][order] - np.sort(full_t)).max() <= 4e-16 * rect.side_length(side)
+            assert np.abs(np.r_[w, w][order] - full_w[np.argsort(full_t)]).max() <= 1e-16
+            if side is Side.G1:  # G1(t) = (1, t), G2(t) = (-t, h)
+                assert x.tolist() == [1.0] and np.array_equal(y, t)
+            else:
+                assert np.array_equal(x, -t) and y.tolist() == [h]
+
+
+def full_node_integrals(g, spec):
+    """(K+1, 2) raw integrals per level as plain sums over the symmetric
+    node set: on each side and its reflected side, the half nodes t of
+    _boundary_nodes and their mirror images -t, with the same weights.
+    Also the largest sum of |w * g * s| over the entries and levels, the
+    scale of the rounding in the sums."""
+    rect = spec.rectangle
+    raw, magnitude = np.zeros((2, spec.size, 2))
+    for level in (0, 1):
+        for side, t, _, _, w in boundary._boundary_nodes(rect, spec.arrays.nu.max(), level):
+            t, w = np.r_[t, -t], np.r_[w, w]
+            for on in (side, boundary._REFLECTED[side]):
+                s = np.vstack((np.ones(t.size), spec.values(*rect.side_point(on, t))))
+                wg = w * g.value(on, t)
+                raw[:, level] += s @ wg
+                magnitude[:, level] += np.abs(s) @ np.abs(wg)
+    return raw, magnitude.max()
+
+
+FOLD_DATA = {
+    # even and odd parts along every side
+    "parities": lambda rect: BoundaryFunction.from_expression("exp(x)*sin(y) + x*y^2 + x^3", rect),
+    "corners": lambda rect: BoundaryFunction.from_sides(
+        rect, {Side.G1: lambda x, y: 1.0 + y, Side.G2: 2.0, Side.G3: lambda x, y: x * y - 3.0, Side.G4: -1.0}),
+    "bd1": lambda rect: builtin_boundary("bd1", rect),
+    "bd2": lambda rect: builtin_boundary("bd2", rect),
+    "bd3": lambda rect: builtin_boundary("bd3", rect),
+}
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.1, 1e-3])
+@pytest.mark.parametrize("count", [41, 400])
+def test_fold_matches_full_node_sums(h, count):
+    rect = Rectangle(h)
+    spec = build_spectrum_by_count(rect, count)
+    perim = rect.perimeter
+    for name, make in FOLD_DATA.items():
+        g = make(rect)
+        plain, magnitude = full_node_integrals(g, spec)
+        # not max |plain|: on h = 1e-3, bd1 cancels to about 0.006 of its magnitude, bd3 to rounding
+        tol = 1e-14 * magnitude
+        assert np.abs(boundary._fixed_node_integrals(g, spec) - plain).max() <= tol, name
+        # every entry meets its target at the fixed nodes: no fallback
+        co = steklov_coefficients(g, spec, ABSTOL, RELTOL)
+        assert np.abs(np.r_[co.gbar, co.values] * perim - plain[:, 1]).max() <= tol, name
+        assert np.abs(co.estimates * perim - np.abs(plain[:, 1] - plain[:, 0])).max() <= tol, name
+
+
+def test_mode_factors_are_evaluated_at_half_the_nodes(monkeypatch):
+    """Each level evaluates the factors along G1 and G2 at their t > 0 nodes,
+    N/2 per side for N nodes, and the side's constant coordinate once per
+    block of nodes."""
+    rect = Rectangle(0.5)
+    spec = build_spectrum_by_count(rect, 400)
+    apply_kinds = spectrum._apply_kinds
+    columns = []
+
+    def counted(z, spans, derivative):
+        columns.append(z.shape[1])
+        return apply_kinds(z, spans, derivative)
+
+    monkeypatch.setattr(spectrum, "_apply_kinds", counted)
+    steklov_coefficients(builtin_boundary("f3", rect), spec)  # no fallback (test_smooth_data_need_no_fallback)
+    along, constant = 0, 0
+    for level in (0, 1):
+        for side in (Side.G1, Side.G2):
+            nodes = panel_nodes(rect, side, spec.arrays.nu.max(), level)[0].size
+            along += nodes // 2
+            constant += -(-(nodes // 2) // boundary._BLOCK)
+    assert sum(c for c in columns if c > 1) == along
+    assert columns.count(1) == constant
 
 
 @pytest.fixture(scope="module", params=[1.0, 0.5, 0.1])
