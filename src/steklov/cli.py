@@ -14,17 +14,24 @@ among them) or incompatible data, 3 root-finder failure.
 `solve` and `grid` build the problem kind from --kind and --b and solve through
 `solvers.solve`, so a flag of another kind exits 2: --b is Robin-only (and
 required there), --corner-reduction Dirichlet-only. Before solving they
-refuse a grid of fewer than 2 points per axis, and a `solve` with none of
---grid, --points and --print-coefficients, which would write nothing.
+refuse a grid of fewer than 2 points per axis, a `solve` with none of
+--grid, --points and --print-coefficients, which would write nothing, and a
+--points file with a line that is not two numbers (the error names the file,
+the line number and its text) or with a point outside the rectangle.
 
 Numeric CSVs (grids, point values, spectrum listings, coefficients) are
-written from column arrays, one block of rows at a time: a grid row is
-formatted and written before the next is computed, and every number is
-formatted once, as `%.{digits}g`. `--with-exact` takes builtin data only, for
-the problem they pose (f1-f3 Dirichlet, bd1 and bd2 Neumann, bd3 Robin
-b = 1) and evaluates the exact solution on the grid axes. A Neumann solution
-is fixed up to a constant; the solve keeps the one with zero boundary mean,
-so the exact solution's perimeter-weighted boundary mean is subtracted.
+written from column arrays, one block of rows at a time: a grid is written in
+bands of about 2**12 values, each formatted and written before the next is
+computed. Every number is formatted once, exactly as `%.{digits}g`
+(`cells.py`): at 6 digits the cells are built as byte matrices by numpy and
+only the cells whose rounding cannot be proven from one float product (0,
+nan, inf, subnormals, magnitudes outside about 1e-17..1e28, near-ties) go
+through Python's `%`; at 17 digits every row goes through one `%` template.
+`--with-exact` takes builtin data only, for the problem they pose (f1-f3
+Dirichlet, bd1 and bd2 Neumann, bd3 Robin b = 1) and evaluates the exact
+solution on the grid axes. A Neumann solution is fixed up to a constant; the
+solve keeps the one with zero boundary mean, so the exact solution's
+perimeter-weighted boundary mean is subtracted.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -90,22 +96,16 @@ def _write_csv(path, rows, digits: int):
 
 
 def _write_columns(path, header, blocks, digits: int):
-    """A numeric CSV: the header, then the rows of each block in turn.
-
-    A block is a list of equally long columns. A float array's cells are
-    formatted `%.{digits}g`; a list of strings is written as it is; one
-    string stands for the same text in every row of the block. Each block is
-    formatted and written before the next is drawn, so blocks may be
-    generated lazily and the table never sits in memory whole.
+    """A numeric CSV: the header, then the rows of each block (`cells.block_text`)
+    in turn. Each block is formatted and written before the next is drawn, so
+    blocks may be generated lazily and the table never sits in memory whole.
     """
-    cell = f"%.{digits}g"
+    from . import cells  # loaded by the first numeric CSV only
+
     with _output(path) as out:
         out.write(",".join(header) + "\n")
         for columns in blocks:
-            line = ",".join(cell if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
-            cells = [c.tolist() if isinstance(c, np.ndarray) else repeat(c) if isinstance(c, str) else c
-                     for c in columns]
-            out.write("".join(map(line.__mod__, zip(*cells))))
+            out.write(cells.block_text(columns, digits))
 
 
 def _add_precision(p: argparse.ArgumentParser):
@@ -179,18 +179,23 @@ def _mode_columns(spec: Spectrum, rows, *values):
 
 
 def _load_points(spec_text: str):
+    """Probe points: 'paper', or 'file:PATH' with one x,y per line (blank lines
+    are skipped, and so are header lines starting with x before the first point)."""
     if spec_text == "paper":
         return list(ref.PROBE_POINTS)
     if spec_text.startswith("file:"):
         path = spec_text[5:]
         pts = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
-                if not line or line.lower().startswith("x"):
+                if not line or (not pts and line.lower().startswith("x")):
                     continue
-                a, b = line.split(",")[:2]
-                pts.append((float(a), float(b)))
+                try:
+                    a, b = line.split(",")[:2]
+                    pts.append((float(a), float(b)))
+                except ValueError:
+                    raise ValueError(f"{path}, line {number}: expected x,y numbers, got {line!r}") from None
         return pts
     raise ValueError(f"--points takes 'paper' or 'file:PATH', got {spec_text!r}")
 
@@ -229,14 +234,28 @@ def _exact_value(args, rect: Rectangle):
     return zero_mean_solution(exact.value, rect, args.abstol, args.reltol)
 
 
+_BAND_CELLS = 2**12  # grid values per block of `_grid_rows`
+
+
 def _grid_rows(U, xs, ys, exact, digits: int):
-    """One block of columns per row of the grid values U, x varying fastest."""
-    xs_text = [f"{x:.{digits}g}" for x in xs.tolist()]
-    for y, row in zip(ys.tolist(), U):
-        block = [xs_text, f"{y:.{digits}g}", row]
+    """Blocks of columns for bands of about `_BAND_CELLS` values of the grid
+    values U, x varying fastest; the axis labels are formatted once.
+
+    The exact solution is evaluated row by row with y a Python float, as a
+    single-row evaluation would: numpy's array power and sin may differ from
+    the scalar path in the last bit of the y-only terms.
+    """
+    nx = xs.size
+    band = max(1, _BAND_CELLS // nx)
+    xs_text = np.array([f"{x:.{digits}g}" for x in xs.tolist()], dtype="S")
+    ys_text = np.array([f"{y:.{digits}g}" for y in ys.tolist()], dtype="S")
+    for r in range(0, ys.size, band):
+        rows = min(band, ys.size - r)
+        u = U[r:r + rows].ravel()
+        block = [np.tile(xs_text, rows), np.repeat(ys_text[r:r + rows], nx), u]
         if exact is not None:
-            e = exact(xs, y)
-            block += [e, row - e]
+            e = np.concatenate([exact(xs, y) for y in ys[r:r + rows].tolist()])
+            block += [e, u - e]
         yield block
 
 
@@ -245,9 +264,12 @@ def cmd_solve(args, grid_only: bool = False) -> int:
         _require_grid(args.grid, args.grid)
     elif not (args.points or args.print_coefficients):
         raise ValueError("solve writes nothing: give --grid N, --points or --print-coefficients")
+    points = None if grid_only or not args.points else np.array(_load_points(args.points), dtype=float).reshape(-1, 2)
     kind = ProblemKind(args.kind, 0.0 if args.b is None else args.b)
     spec = _spectrum_from_args(args)
     rect = spec.rectangle
+    if points is not None:
+        rect.require_inside(points[:, 0], points[:, 1])
     g = _boundary_from_arg(args.g, rect, kind.b if kind.name == ROBIN else None)
     exact = _exact_value(args, rect)
     u = solve(kind, g, spec, use_corner_reduction=args.corner_reduction, abstol=args.abstol, reltol=args.reltol)
@@ -264,10 +286,9 @@ def cmd_solve(args, grid_only: bool = False) -> int:
         _write_columns(args.out, header, _grid_rows(U, xs, ys, exact, args.digits), args.digits)
         wrote.append(args.out or "stdout")
 
-    if not grid_only and args.points:
-        pts = np.array(_load_points(args.points), dtype=float).reshape(-1, 2)
-        x, y = pts[:, 0], pts[:, 1]
-        columns = [x, y, np.array([u.eval(a, c) for a, c in pts.tolist()], dtype=float)]
+    if points is not None:
+        x, y = points[:, 0], points[:, 1]
+        columns = [x, y, np.array([u.eval(a, c) for a, c in points.tolist()], dtype=float)]
         if exact is not None:
             e = exact(x, y)
             columns += [e, columns[2] - e]

@@ -373,6 +373,29 @@ def no_solve(monkeypatch):
     monkeypatch.setattr("steklov.cli._spectrum_from_args", refuse)
 
 
+@pytest.mark.parametrize("text, number, line", [
+    ("x,y\n0.1,0.2\n0.5\n", 3, "'0.5'"),
+    ("0.1,0.2\n\n0.3,zero\n", 3, "'0.3,zero'"),
+    ("x,y\n0.1,0.2\nx,y\n", 3, "'x,y'"),  # a header only before the first point
+])
+def test_bad_points_line_names_file_and_line(tmp_path, capsys, no_solve, text, number, line):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(text)
+    assert run(["solve", "--g", "builtin:f1", "--M", "1", "--points", f"file:{pts}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {pts}, line {number}: expected x,y numbers, got {line}\n"
+
+
+def test_points_outside_the_rectangle_exit_2_before_writing(tmp_path, capsys):
+    pts, grid = tmp_path / "pts.csv", tmp_path / "g.csv"
+    pts.write_text("x,y\n0.1,0.2\n0.3,0.9\n")
+    assert run(["solve", "--g", "builtin:f1", "--h", "0.5", "--M", "1", "--grid", "3", "--out", str(grid),
+                "--points", f"file:{pts}", "--print-coefficients"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: point (0.3, 0.9) outside the closed rectangle" in err
+    assert not grid.exists()
+
+
 @pytest.mark.parametrize("command, n", [("solve", "0"), ("grid", "0"), ("grid", "1")])
 def test_grid_of_fewer_than_two_points_exits_2_before_solving(tmp_path, capsys, no_solve, command, n):
     out = tmp_path / "g.csv"

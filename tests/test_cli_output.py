@@ -6,6 +6,10 @@ evaluated point by point. The CLI formats column arrays and evaluates exact
 solutions with numpy, whose log, exp and sin may differ from `math` by an
 ulp, so the exact and error columns are compared within that; every other
 column, and every file without them, must be byte-identical.
+
+The vectorised cell formatter (`cells.float_cells`) is held to Python's `%`
+on adversarial values, and the writer to the reference on mixed, one-row and
+empty blocks and to the row template on whole grids.
 """
 
 import csv
@@ -17,6 +21,7 @@ import numpy as np
 import pytest
 
 from steklov import Rectangle, build_spectrum_by_count, builtin_boundary, grid_points
+from steklov import cells, cli
 from steklov.cli import main
 from steklov.solvers import solve_dirichlet, solve_neumann, solve_robin
 
@@ -158,3 +163,75 @@ def test_large_grid_is_streamed(tmp_path):
     assert peak < 16 * 2**20
     with open(out, "rb") as fh:
         assert sum(1 for _ in fh) == 1 + 501 * 501
+
+
+def _cell_rows(matrix):
+    """The text of each row of a 0-padded cell matrix."""
+    rows = np.concatenate([matrix, np.full((len(matrix), 1), ord("\n"), dtype=np.uint8)], axis=1)
+    return rows[rows != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _adversarial_values():
+    """About 3e5 values, both signs, where a vectorised %.6g can go wrong."""
+    rng = np.random.default_rng(20161)
+    up, down = 10.0 ** np.arange(0, 31), 10.0 ** np.arange(1, 31)
+    six = rng.integers(10**5, 10**6, 1000).astype(float)
+    ties = np.concatenate([np.outer(six + 0.5, up).ravel(), np.outer(six + 0.5, 1 / down).ravel(),
+                           ((six + 0.5)[:, None] / down[None, :23]).ravel()])  # 123456.5, 0.1234565, ...
+    carries = np.concatenate([(1e6 - 0.5) * up, (1e6 - 0.5) / down, (1e7 - 0.5) / down])  # 999999.5, 9.999995
+    switches = np.array([1e-5, 1e-4, 9.999995e-5, 9.9999949e-5, 99999.95, 999999.5, 999999.4999, 1e5, 1e6])
+    special = np.array([0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308, 1.7e308,
+                        np.finfo(float).max, 1e22, 1e23, 1e-22, 1e-23])
+    edges = np.concatenate([ties[::97], carries, switches, special, up, 1 / down])
+    bits = rng.integers(0, 2**63, 30000, dtype=np.int64).view(np.float64)  # any exponent, nan payloads
+    spread = rng.standard_normal(30000) * 10.0 ** rng.uniform(-19, 29, 30000)
+    with np.errstate(over="ignore"):
+        above = np.nextafter(edges, np.inf)  # max -> inf
+    a = np.concatenate([ties, carries, edges, np.nextafter(edges, 0), above, bits, spread])
+    return np.concatenate([a, -a])
+
+
+@pytest.mark.parametrize("digits", [6, 17])
+def test_float_cells_match_python_percent(digits):
+    a = _adversarial_values()
+    cell = f"%.{digits}g"
+    assert _cell_rows(cells.float_cells(a, digits)) == [cell % v for v in a.tolist()]
+
+
+@pytest.mark.parametrize("digits", [6, 17])
+@pytest.mark.parametrize("rows", [0, 1, 9])
+def test_mixed_blocks_match_the_reference_writer(tmp_path, rows, digits):
+    rng = np.random.default_rng(rows)
+    u = rng.standard_normal(rows) * 10.0 ** rng.integers(-9, 9, rows)
+    u[: min(rows, 5)] = [np.nan, -np.inf, -0.0, 0.0, np.inf][: min(rows, 5)]
+    labels = [f"r{i}" for i in range(rows)]
+    tags = np.array([b"xy", b"f1", b"const"] * 3, dtype="S")[:rows]
+    block = [labels, "same", u, tags, -u[::-1].copy()]
+    out = tmp_path / "t.csv"
+    cli._write_columns(out, ("a", "b", "c", "d", "e"), [block, block], digits)
+    rows_ref = [(name, "same", v, t.decode(), w)
+                for name, v, t, w in zip(labels, u.tolist(), tags, block[4].tolist())]
+    assert out.read_text() == reference_csv([("a", "b", "c", "d", "e")] + rows_ref * 2, digits)
+
+
+@pytest.mark.parametrize("with_exact", [False, True])
+def test_points_file_without_points_writes_the_header(tmp_path, with_exact):
+    pts, out = tmp_path / "pts.csv", tmp_path / "out.csv"
+    pts.write_text("x,y\n")
+    assert main(["solve", "--g", "builtin:f1", "--count", "4", "--points", f"file:{pts}",
+                 "--points-out", str(out)] + ["--with-exact"] * with_exact) == 0
+    assert out.read_text() == "x,y,u" + ",exact,error" * with_exact + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--g", "builtin:f1", "--h", "1"],
+    ["--g", "builtin:bd2", "--kind", "neumann", "--h", "0.5"],  # exponent-form error cells
+])
+def test_grid_cells_match_the_row_template(tmp_path, monkeypatch, argv):
+    """A 201 x 201 grid with exact columns at 6 digits, byte for byte."""
+    matrices, template = tmp_path / "matrices.csv", tmp_path / "template.csv"
+    common = ["grid", *argv, "--count", "41", "--grid", "201", "--with-exact"]
+    assert main(common + ["--out", str(matrices)]) == 0
+    monkeypatch.setattr(cells, "EXACT_DIGITS", 0)  # every block through the row template
+    assert main(common + ["--out", str(template)]) == 0
+    assert matrices.read_bytes() == template.read_bytes()
