@@ -75,6 +75,7 @@ def _boundary_l2s(fn, rect: Rectangle, entries: int, abstol: float = 1e-12, relt
     return np.sqrt(np.maximum(sq, 0.0) / rect.perimeter)
 
 
+# samples_per_side and include_corners stay parameters: the benchmark's tracer binds them.
 def boundary_sup(fn: Callable[[Side, np.ndarray], np.ndarray], rect: Rectangle,
                  samples_per_side: int = 1000, include_corners: bool = True) -> float:
     """Sampled boundary sup of a (side, t) map.
@@ -120,7 +121,10 @@ def _truncation_errors(ref: Callable[[Side, np.ndarray], np.ndarray], u: Steklov
     def errors(side, t):
         out = np.empty((1 + len(subs), t.size))
         out[0] = ref(side, t)
-        np.subtract(out[0], u._sum(*rect.side_point(side, t), weights), out=out[1:])
+        x, y = rect.side_point(side, t)
+        # the side's fixed coordinate as one value: its factors are evaluated once
+        x, y = (x[:1], y) if side.is_vertical else (x, y[:1])
+        np.subtract(out[0], u._sum(x, y, weights), out=out[1:])
         return out
 
     sups = np.max([np.abs(errors(side, ts)).max(axis=1) for side, ts in _sup_nodes(rect)], axis=0)
@@ -157,12 +161,12 @@ def interior_sup(fn_on_grid, rect: Rectangle, nx: int = 101, ny: int = 101) -> f
     return float(np.abs(fn_on_grid(X, Y)).max())
 
 
-def dnorm_sq(approx: SteklovApproximation, n_gauss: int = 64) -> float:
+def dnorm_sq(approx: SteklovApproximation) -> float:
     """Quadrature value of the weighted graph norm squared of an expansion.
 
-    The gradient part runs gradient_arrays on interior_l2's tensor grid:
-    K*2*n_gauss factor evaluations and two matrix products, not
-    K*n_gauss^2 evaluations.
+    The gradient part runs gradient_arrays on interior_l2's default tensor
+    grid, n = 64: K*2n factor evaluations and two matrix products, not K*n^2
+    evaluations.
     """
     rect = approx.rect
 
@@ -170,7 +174,7 @@ def dnorm_sq(approx: SteklovApproximation, n_gauss: int = 64) -> float:
         gx, gy = approx.gradient_arrays(X, Y)
         return np.sqrt(gx * gx + gy * gy)
 
-    grad_part = interior_l2(grad_sq, rect, n_gauss) ** 2
+    grad_part = interior_l2(grad_sq, rect) ** 2
     trace_part = boundary_l2(approx.boundary_value, rect) ** 2 * rect.perimeter
     return (grad_part + trace_part) / rect.perimeter
 

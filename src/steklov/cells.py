@@ -13,7 +13,7 @@ subnormals, magnitudes outside about 1e-17..1e28, near-ties) to Python's
 (`--digits 17`) go through one `%` template per row, which is faster there.
 Both give the same bytes.
 
-The command line imports this module on its first numeric CSV, so commands
+The command line imports this module on its first CSV, so commands
 that write none do not load it.
 """
 

@@ -19,14 +19,16 @@ refuse a grid of fewer than 2 points per axis, a `solve` with none of
 --points file with a line that is not two numbers (the error names the file,
 the line number and its text) or with a point outside the rectangle.
 
-Numeric CSVs (grids, point values, spectrum listings, coefficients) are
-written from column arrays, one block of rows at a time: a grid is written in
-bands of about 2**12 values, each formatted and written before the next is
-computed. Every number is formatted once, exactly as `%.{digits}g`
-(`cells.py`): at 6 digits the cells are built as byte matrices by numpy and
-only the cells whose rounding cannot be proven from one float product (0,
-nan, inf, subnormals, magnitudes outside about 1e-17..1e28, near-ties) go
-through Python's `%`; at 17 digits every row goes through one `%` template.
+Every CSV (grids, point values, spectrum listings, coefficients, table
+files) is written from column arrays, one block of rows at a time: a grid is
+written in bands of about 2**12 values, each formatted and written before the
+next is computed. No cell is quoted: the text cells (labels, families, table
+notes) hold no comma, quote or newline. Every number is formatted once,
+exactly as `%.{digits}g` (`cells.py`): at 6 digits the cells are built as
+byte matrices by numpy and only the cells whose rounding cannot be proven
+from one float product (0, nan, inf, subnormals, magnitudes outside about
+1e-17..1e28, near-ties) go through Python's `%`; at 17 digits every row goes
+through one `%` template.
 `--with-exact` takes builtin data only, for the problem they pose (f1-f3
 Dirichlet, bd1 and bd2 Neumann, bd3 Robin b = 1) and evaluates the exact
 solution on the grid axes. A Neumann solution is fixed up to a constant; the
@@ -37,7 +39,6 @@ perimeter-weighted boundary mean is subtracted.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import contextmanager
@@ -69,14 +70,6 @@ EXIT_BAD_CONFIG = 2
 EXIT_ROOTFIND = 3
 
 
-def _fmt(x, digits: int) -> str:
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, float):
-        return format(x, f".{digits}g")
-    return str(x)
-
-
 @contextmanager
 def _output(path):
     """The text stream for an output path; None or '-' is standard output."""
@@ -87,20 +80,12 @@ def _output(path):
             yield fh
 
 
-def _write_csv(path, rows, digits: int):
-    """Rows of mixed values through csv.writer, which quotes text as needed."""
-    with _output(path) as out:
-        w = csv.writer(out, lineterminator="\n")
-        for row in rows:
-            w.writerow([_fmt(v, digits) for v in row])
-
-
 def _write_columns(path, header, blocks, digits: int):
-    """A numeric CSV: the header, then the rows of each block (`cells.block_text`)
+    """A CSV: the header, then the rows of each block (`cells.block_text`)
     in turn. Each block is formatted and written before the next is drawn, so
     blocks may be generated lazily and the table never sits in memory whole.
     """
-    from . import cells  # loaded by the first numeric CSV only
+    from . import cells  # loaded by the first CSV only
 
     with _output(path) as out:
         out.write(",".join(header) + "\n")
@@ -321,7 +306,8 @@ def cmd_tables(args) -> int:
             print(f"  note: {note}")
         all_ok = all_ok and result.n_within == result.n_total
         if outdir:
-            _write_csv(outdir / f"table_{tid:02d}.csv", result.csv_rows(), args.digits)
+            blocks = [result.columns()] if result.rows else []
+            _write_columns(outdir / f"table_{tid:02d}.csv", result.header, blocks, args.digits)
     print("all tables within tolerance" if all_ok else "some entries out of tolerance")
     return 0 if all_ok else EXIT_CHECK_FAILED
 

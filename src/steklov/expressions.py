@@ -3,8 +3,8 @@
 Supports + - * / ^ (right-associative power), unary minus, one-argument
 functions (sin, cos, tan, sinh, cosh, tanh, exp, ln, sqrt, abs), the
 constants pi and e, and numeric literals. Parsing is Pratt-style with
-standard precedence; trees pretty-print back to source that reparses to an
-identical tree.
+standard precedence. The tests print random trees back to source and check
+that it reparses to an identical tree.
 
 evaluate takes floats or numpy arrays. Floats are evaluated with `math`.
 Arrays are evaluated with numpy, with floating-point errors raised; when one
@@ -296,45 +296,3 @@ class _Parser:
 def parse(src: str) -> Node:
     """Parse source text into an expression tree."""
     return _Parser(src).parse()
-
-
-# --- pretty printer ----------------------------------------------------
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return _BIN_PREC[node.op]
-    if isinstance(node, Neg):
-        return _UNARY_PREC
-    return 100
-
-
-def to_source(node: Node) -> str:
-    """Minimal-parenthesis source form; reparses to an identical tree."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, (Var, Const)):
-        return node.name
-    if isinstance(node, Neg):
-        inner = to_source(node.operand)
-        if _prec(node.operand) < _UNARY_PREC:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.func}({to_source(node.arg)})"
-    prec = _BIN_PREC[node.op]
-    left = to_source(node.left)
-    right = to_source(node.right)
-    if node.op == "^":
-        if _prec(node.left) <= prec:
-            left = f"({left})"
-        if _prec(node.right) < prec:
-            right = f"({right})"
-    else:
-        if _prec(node.left) < prec:
-            left = f"({left})"
-        # the ops are left-associative: an equal-precedence right child only
-        # keeps its shape through a reparse when parenthesized
-        if _prec(node.right) <= prec or isinstance(node.right, Neg):
-            right = f"({right})"
-    return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"

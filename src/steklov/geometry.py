@@ -56,11 +56,6 @@ class Rectangle:
         return 4.0 * (1.0 + self.h)
 
     @property
-    def corners(self) -> tuple[tuple[float, float], ...]:
-        h = self.h
-        return ((1.0, h), (-1.0, h), (-1.0, -h), (1.0, -h))
-
-    @property
     def is_square(self) -> bool:
         return self.h == 1.0
 
@@ -68,10 +63,6 @@ class Rectangle:
         """Parameter interval of a side: [-h, h] for vertical, [-1, 1] for horizontal."""
         a = self.h if side.is_vertical else 1.0
         return (-a, a)
-
-    def side_length(self, side: Side) -> float:
-        lo, hi = self.side_interval(side)
-        return hi - lo
 
     def side_point(self, side: Side, t):
         """Boundary point at parameter t, counterclockwise orientation.
@@ -115,10 +106,6 @@ class Rectangle:
             Side.G4: (0.0, -1.0),
         }[side]
 
-    def contains(self, x: float, y: float, tol: float = 0.0) -> bool:
-        """Point membership in the closed rectangle (with optional slack)."""
-        return abs(x) <= 1.0 + tol and abs(y) <= self.h + tol
-
     def require_inside(self, x, y) -> None:
         """GeometryError unless (x, y) lies in the closed rectangle.
 
@@ -130,27 +117,10 @@ class Rectangle:
             if not outside.any():
                 return
             x, y = (np.broadcast_to(c, outside.shape)[outside].flat[0] for c in (x, y))
-        if not self.contains(x, y):
+        if not (abs(x) <= 1.0 and abs(y) <= self.h):
             raise GeometryError(
                 f"point ({x}, {y}) outside the closed rectangle [-1,1] x [-{self.h},{self.h}]"
             )
-
-    def classify_boundary_point(self, x: float, y: float, tol: float = 1e-12):
-        """Return the side a boundary point lies on.
-
-        Raises GeometryError for interior/exterior points and for corners,
-        where the outward normal is undefined.
-        """
-        self.require_inside(x, y)
-        on_x = abs(abs(x) - 1.0) <= tol
-        on_y = abs(abs(y) - self.h) <= tol
-        if on_x and on_y:
-            raise GeometryError(f"({x}, {y}) is a corner: normal direction undefined")
-        if on_x:
-            return Side.G1 if x > 0 else Side.G3
-        if on_y:
-            return Side.G2 if y > 0 else Side.G4
-        raise GeometryError(f"({x}, {y}) does not lie on the rectangle boundary")
 
     def corner_params(self, corner: tuple[float, float]) -> dict[Side, float]:
         """The two (side, parameter) addresses of a corner point."""

@@ -257,6 +257,7 @@ def solve(
     return _approximation(kind, spec, coefficients, constant, lift)
 
 
+# solve_dirichlet, solve_robin and solve_neumann are kept: the benchmark's workloads call them.
 def solve_dirichlet(
     g: BoundaryFunction,
     spec: Spectrum,
@@ -281,12 +282,16 @@ def solve_robin(
     return solve(ProblemKind.robin(b), g, spec, coefficients, abstol=abstol, reltol=reltol)
 
 
-def neumann_mean_tolerance(g: BoundaryFunction, reltol: float = 1e-8) -> float:
-    """Default compatibility tolerance: reltol times the boundary L2 norm of g."""
+# The Neumann compatibility tolerance relative to the boundary L2 norm of g.
+_NEUMANN_MEAN_RELTOL = 1e-8
+
+
+def neumann_mean_tolerance(g: BoundaryFunction) -> float:
+    """Default compatibility tolerance: _NEUMANN_MEAN_RELTOL times the boundary L2 norm of g."""
     sq, _ = integrate_boundary(
         BoundaryFunction(g.rect, {s: (lambda x, y, fn=fn: fn(x, y) ** 2) for s, fn in g.side_maps.items()})
     )
-    return reltol * math.sqrt(max(sq, 0.0) / g.rect.perimeter)
+    return _NEUMANN_MEAN_RELTOL * math.sqrt(max(sq, 0.0) / g.rect.perimeter)
 
 
 def solve_neumann(

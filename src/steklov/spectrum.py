@@ -26,10 +26,11 @@ Hyperbolic factors are evaluated in exponentially rescaled form, exp(nu*aH)
 factored out of both the raw profile and the normalization constant, so modes
 remain finite in double precision far beyond the overflow of cosh: with 8000
 modes at h = 1 (nu up to about 3142) the top mode, F3, still has a trace
-close to 2 sin(nu y) on G1, as its normalization implies. Only the unscaled
+close to 2 sin(nu y) on G1, as its normalization implies. The unscaled
 normConst = norm_scaled * exp(-nu*aH) underflows to 0.0 at that size (already
-at 1000 modes for h = 0.001); the evaluators use the scaled pair, and the
-unscaled value shows only in the cache column and SteklovMode.norm_const.
+at 1000 modes for h = 0.001), so nothing stores it: the cache file holds
+family, nu and delta. A cache that lists normConst, as older ones do, has it
+checked against the recomputed value wherever that value is representable.
 
 The mode math has one implementation, on numpy arrays indexed by mode.
 Branch k of a family brackets one root, so each branch's eigenvalue has
@@ -38,11 +39,12 @@ kept mode are solved, all families in one lock-step bisection (plus Newton
 polish). Eigenvalues, normalization pairs and characteristic residuals are
 computed per element of the same arrays. The public functions of one family,
 find_roots and make_mode, are these array forms on one family's branches or
-on length-1 arrays.
+on length-1 arrays; only tests and the benchmark's tracer call them.
 
 A Spectrum is its per-mode arrays (ModeArrays), constant mode first; per-mode
 results downstream are arrays aligned with its rows, and sub-spectra are row
-subsets (take, head). SteklovMode records are a view, built when first read.
+subsets (take, head). SteklovMode records (Spectrum.modes) are a view, built
+when first read; the package itself never reads them.
 A Spectrum evaluates all its nonconstant modes at once from their separable
 factors: the (K, N) matrix of values, the weighted expansion and its gradient
 at points (in blocks of bounded size), and the expansion on a tensor grid as
@@ -362,6 +364,7 @@ def _solve_branches(code, k, lo, hi, rect: Rectangle, tol: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Kept for the benchmark, whose tracer wraps it by name.
 def find_roots(family: FamilyTag, rect: Rectangle, count: int, tol: float = 1e-12) -> list[float]:
     """The `count` smallest positive roots of a family's characteristic equation.
 
@@ -384,6 +387,7 @@ def find_roots(family: FamilyTag, rect: Rectangle, count: int, tol: float = 1e-1
 # ---------------------------------------------------------------------------
 
 
+# Kept for the benchmark, which reads nu and delta from Spectrum.modes.
 @dataclass(frozen=True)
 class SteklovMode:
     """One boundary-normalized eigenpair: the record of its family, frequency,
@@ -399,14 +403,11 @@ class SteklovMode:
     family_rank: int = 0  # root ordinal within the family
 
     @property
-    def norm_const(self) -> float:
-        return self.norm_scaled * math.exp(-self.hyp_scale)
-
-    @property
     def key(self) -> tuple[str, float]:
         return (self.family.value, self.nu)
 
 
+# Kept for the benchmark, whose tracer wraps it by name.
 def make_mode(family: FamilyTag, rect: Rectangle, nu: float = 0.0, family_rank: int = 0) -> SteklovMode:
     if family is FamilyTag.CONST:
         return SteklovMode(family, 0.0, 0.0, rect, 1.0, 0.0, family_rank=family_rank)
@@ -470,6 +471,7 @@ class Spectrum:
         """The number of modes, the constant included."""
         return self.arrays.code.size
 
+    # Kept for the benchmark: its cache check and its tracer read the records.
     @cached_property
     def modes(self) -> tuple[SteklovMode, ...]:
         rect = self.rectangle
@@ -477,10 +479,6 @@ class Spectrum:
             SteklovMode(_TAGS[code], nu, delta, rect, norm, scale, i, rank)
             for i, (code, nu, delta, norm, scale, rank) in enumerate(zip(*(a.tolist() for a in self.arrays)))
         )
-
-    @cached_property
-    def nonconstant(self) -> tuple[SteklovMode, ...]:
-        return self.modes[1:]
 
     def family(self, row: int) -> FamilyTag:
         """The family of the mode in the given row."""
@@ -583,19 +581,22 @@ class Spectrum:
         """terms(xb, yb), `count` rows of values, over blocks of the points.
 
         x and y broadcast together; a block holds _BLOCK_ENTRIES // K points,
-        at least 64. Returns `count` floats at one point (scalar x and y),
-        else `count` arrays of the broadcast shape.
+        at least 64. A coordinate of size 1, shared by all points (a side's
+        fixed coordinate), is passed to every block as it is, so that
+        _factors evaluates its factors once. Returns `count` floats at one
+        point (scalar x and y), else `count` arrays of the broadcast shape.
         """
         if np.ndim(x) == 0 and np.ndim(y) == 0:
             return tuple(float(part[0]) for part in terms(np.array([x], dtype=float), np.array([y], dtype=float)))
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        shape = x.shape
-        x, y = x.ravel(), y.ravel()
-        out = np.empty((count, x.size))
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        x, y = (c.ravel() if c.size == 1 else np.broadcast_to(c, shape).ravel() for c in (x, y))
+        n = max(x.size, y.size)
+        out = np.empty((count, n))
         step = max(64, _BLOCK_ENTRIES // max(1, self.size - 1))
-        for start in range(0, x.size, step):
+        for start in range(0, n, step):
             block = slice(start, start + step)
-            out[:, block] = terms(x[block], y[block])
+            out[:, block] = terms(x if x.size == 1 else x[block], y if y.size == 1 else y[block])
         return tuple(out.reshape((count,) + shape))
 
     def expand(self, weights, x, y):
@@ -616,6 +617,7 @@ class Spectrum:
         w = np.asarray(weights, dtype=float)
 
         def terms(xb, yb):
+            xb, yb = np.broadcast_arrays(xb, yb)  # the in-place products need equal shapes
             (fx, fy), (dfx, dfy) = self._factors(xb, yb, derivative=True)
             dfx *= fy
             fx *= dfy
@@ -632,10 +634,6 @@ class Spectrum:
         w = np.asarray(weights, dtype=float)
         (fx, fy), _ = self._factors(xs, ys)
         return fy.T @ (w[:, None] * fx)
-
-    @property
-    def max_delta(self) -> float:
-        return float(self.arrays.delta[-1])  # the constant mode's delta is 0
 
     def select(self, m: int) -> "Spectrum":
         """Nested truncation to a shallower depth under the same policy.
@@ -846,14 +844,14 @@ def build_spectrum_by_count(rect: Rectangle, count: int, tol: float = 1e-12) -> 
 
 
 def spectrum_to_json(spec: Spectrum) -> str:
+    """The cache form: h, the selection and each mode's family, nu and delta."""
+
     def g17(x: float) -> str:
         return format(x, ".17g")
 
-    # normConst per row with math.exp, as SteklovMode.norm_const computes it
     rows = ",\n".join(
-        '    {"family": "%s", "nu": %s, "delta": %s, "normConst": %s}'
-        % (_TAGS[code].value, g17(nu), g17(delta), g17(norm * math.exp(-scale)))
-        for code, nu, delta, norm, scale in zip(*(a.tolist() for a in spec.arrays[:5]))
+        '    {"family": "%s", "nu": %s, "delta": %s}' % (_TAGS[code].value, g17(nu), g17(delta))
+        for code, nu, delta in zip(*(a.tolist() for a in spec.arrays[:3]))
     )
     return (
         "{\n"
@@ -868,13 +866,19 @@ def save_spectrum(spec: Spectrum, path) -> None:
         fh.write(spectrum_to_json(spec))
 
 
-def spectrum_from_json(text: str, residual_tol: float = 1e-8) -> Spectrum:
+# A cached nu must solve its characteristic equation to this residual,
+# relative to the derivative scale.
+_RESIDUAL_TOL = 1e-8
+
+
+def spectrum_from_json(text: str) -> Spectrum:
     """Rebuild a spectrum from its cache form, revalidating the eigendata.
 
     Every separable nu must solve its characteristic equation to within
-    residual_tol (relative to the derivative scale); delta and normConst are
-    recomputed from nu and must match the cached ones. The first row that
-    fails raises.
+    _RESIDUAL_TOL; delta is recomputed from nu and must match the cached
+    one, and so must normConst where the cache lists it (caches written
+    before the column was dropped) and the recomputed value is above 1e-290.
+    The first row that fails raises.
     """
     data = json.loads(text)
     rect = Rectangle(float(data["h"]))
@@ -887,13 +891,14 @@ def spectrum_from_json(text: str, residual_tol: float = 1e-8) -> Spectrum:
     if not code.size or code[0] != _CODE[FamilyTag.CONST]:
         raise SpectrumError("cache must list the constant mode first")
     nu = np.array([float(row["nu"]) for row in rows])
-    cached = {name: np.array([float(row[name]) for row in rows]) for name in ("delta", "normConst")}
+    names = ("delta", "normConst") if "normConst" in rows[0] else ("delta",)
+    cached = {name: np.array([float(row[name]) for row in rows]) for name in names}
 
     sep = np.flatnonzero(code > _XY)
     with np.errstate(divide="ignore", invalid="ignore"):  # a nu of 0 or inf fails below
         resid, scale = _char_residuals(code[sep], nu[sep], rect)
     bad = np.zeros(code.size, dtype=bool)
-    bad[sep] = ~(np.abs(resid) <= residual_tol * scale)
+    bad[sep] = ~(np.abs(resid) <= _RESIDUAL_TOL * scale)
     bad_xy = (code == _XY) & (not rect.is_square)
     bad_nu = np.zeros(code.size, dtype=bool)
     bad_nu[sep] = ~(nu[sep] > 0.0)
@@ -917,8 +922,9 @@ def spectrum_from_json(text: str, residual_tol: float = 1e-8) -> Spectrum:
     hyp_scale = np.zeros(code.size)
     delta[sep] = _eigenvalues(code[sep], nu[sep], rect)
     norm_scaled[sep], hyp_scale[sep] = _norms_scaled(code[sep], nu[sep], rect)
-    for name, ref, tol in (("delta", delta, 1e-12), ("normConst", norm_scaled * np.exp(-hyp_scale), 1e-10)):
-        got = cached[name]
+    recomputed = {"delta": (delta, 1e-12), "normConst": (norm_scaled * np.exp(-hyp_scale), 1e-10)}
+    for name, got in cached.items():
+        ref, tol = recomputed[name]
         off = np.flatnonzero((ref > 1e-290) & (np.abs(got - ref) > tol * np.maximum(1.0, np.abs(ref))))
         if off.size:
             i = off[0]
@@ -936,6 +942,6 @@ def spectrum_from_json(text: str, residual_tol: float = 1e-8) -> Spectrum:
     return Spectrum(rect, ModeArrays(code, nu, delta, norm_scaled, hyp_scale, rank), selection, depth)
 
 
-def load_spectrum(path, residual_tol: float = 1e-8) -> Spectrum:
+def load_spectrum(path) -> Spectrum:
     with open(path, encoding="utf-8") as fh:
-        return spectrum_from_json(fh.read(), residual_tol)
+        return spectrum_from_json(fh.read())

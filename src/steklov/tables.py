@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import reference_tables as ref
 from .analysis import _truncation_errors
 from .boundary import BoundaryFunction, steklov_coefficients
@@ -52,26 +54,29 @@ class TableResult:
             f"within {self.tolerance}"
         )
 
-    def csv_rows(self):
-        yield list(self.header)
-        for r in self.rows:
-            yield list(r)
+    def columns(self) -> list:
+        """The rows as the columns of one CSV block: a float column as a float
+        array, any other as the str of each cell."""
+        return [np.array(c) if isinstance(c[0], float) else [str(v) for v in c] for c in zip(*self.rows)]
+
+
+# Modes of the deep global spectrum that the series-prefix and global tables truncate.
+_DEEP_COUNT = 41
 
 
 class TableWorkspace:
     """Memoizes spectra, coefficient sets and truncation sweeps across table reproductions."""
 
-    def __init__(self, abstol: float = 1e-10, reltol: float = 1e-6, depth: int = 41):
+    def __init__(self, abstol: float = 1e-10, reltol: float = 1e-6):
         self.abstol = abstol
         self.reltol = reltol
-        self.depth = depth
         self._spectra: dict = {}
         self._coeffs: dict = {}
         self._sweeps: dict = {}  # (data, h, policy, kind) -> _truncation_errors of the M_VALUES truncations
 
     def deep_spectrum(self, h: float) -> Spectrum:
         if h not in self._spectra:
-            self._spectra[h] = build_spectrum_by_count(Rectangle(h), self.depth)
+            self._spectra[h] = build_spectrum_by_count(Rectangle(h), _DEEP_COUNT)
         return self._spectra[h]
 
     def per_family_spectrum(self, h: float, m: int) -> Spectrum:

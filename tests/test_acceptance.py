@@ -193,7 +193,7 @@ def test_criterion_6_property_suite(spec_pf5, deep_square, deeper_square):
     checks["max-principle"] = mp_ok
 
     # Robin eigen-data identity exact to 1e-9
-    md = spec_pf5.nonconstant[4]
+    md = spec_pf5.modes[5]
     gid = BoundaryFunction.from_xy(
         lambda x, y: (1.0 + md.delta) * scalar.value_unchecked(md, x, y), rect
     )
@@ -228,7 +228,7 @@ def test_criterion_7_eigenvalue_series():
     detail = []
     for h in (1.0, 0.8, 0.5):
         spec = build_spectrum_by_count(Rectangle(h), 80)
-        deltas = [m.delta for m in spec.nonconstant]
+        deltas = [m.delta for m in spec.modes[1:]]
         nondec = deltas == sorted(deltas)
         unbounded = deltas[79] > deltas[39] > deltas[9]
         ok = ok and nondec and unbounded

@@ -231,7 +231,7 @@ def test_check_honours_count_and_global(monkeypatch):
                         lambda spec, tols, seed: seen.append(spec) or SuiteReport(()))
     assert run(["check", "--h", "0.8", "--count", "7"]) == 0
     assert run(["check", "--h", "0.8", "--global", "1"]) == 0
-    assert [len(s.nonconstant) for s in seen] == [7, 8]
+    assert [s.size - 1 for s in seen] == [7, 8]
     assert all(s.selection == "global-sorted" for s in seen)
 
 

@@ -9,7 +9,8 @@ column, and every file without them, must be byte-identical.
 
 The vectorised cell formatter (`cells.float_cells`) is held to Python's `%`
 on adversarial values, and the writer to the reference on mixed, one-row and
-empty blocks and to the row template on whole grids.
+empty blocks, on table files (text, int, float and bool columns) and to the
+row template on whole grids.
 """
 
 import csv
@@ -24,6 +25,7 @@ from steklov import Rectangle, build_spectrum_by_count, builtin_boundary, grid_p
 from steklov import cells, cli
 from steklov.cli import main
 from steklov.solvers import solve_dirichlet, solve_neumann, solve_robin
+from steklov.tables import TableWorkspace, reproduce_table
 
 COUNT = 24
 GRID = 13
@@ -146,8 +148,20 @@ def test_coefficient_echo_matches_the_reference_writer(capsys):
     u = solve_dirichlet(builtin_boundary("f3", rect), spec)
     rows = [("index", "family", "nu", "delta", "coefficient", "weight")]
     rows += [(md.index, md.family.value, md.nu, md.delta, c, w)
-             for md, c, w in zip(spec.nonconstant, u.coefficients.values, u.weights)]
+             for md, c, w in zip(spec.modes[1:], u.coefficients.values, u.weights)]
     assert echo == reference_csv(rows, 17)
+
+
+@pytest.mark.parametrize("digits", ["6", "17"])
+def test_table_files_match_the_reference_writer(tmp_path, capsys, digits):
+    ids = (1, 4, 10, 11, 12)
+    assert main(["tables", "--which", ",".join(map(str, ids)), "--digits", digits, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    ws = TableWorkspace()
+    for tid in ids:
+        result = reproduce_table(tid, ws)
+        want = reference_csv([result.header] + result.rows, int(digits))
+        assert (tmp_path / f"table_{tid:02d}.csv").read_text() == want
 
 
 def test_large_grid_is_streamed(tmp_path):

@@ -49,7 +49,7 @@ def spec(request):
 
 def test_square_spectrum_has_xy_mode():
     spec = build_spectrum_by_count(Rectangle(1.0), 41)
-    assert any(md.family is FamilyTag.XY for md in spec.nonconstant)
+    assert any(md.family is FamilyTag.XY for md in spec.modes[1:])
 
 
 def test_values_match_scalar_modes(spec):
@@ -58,8 +58,8 @@ def test_values_match_scalar_modes(spec):
     x = np.concatenate([rng.uniform(-1, 1, 50), [1.0, -1.0, 0.0, 1.0]])
     y = np.concatenate([rng.uniform(-h, h, 50), [h, -h, 0.0, 0.0]])
     S = spec.values(x, y)
-    assert S.shape == (len(spec.nonconstant), len(x))
-    for row, md in zip(S, spec.nonconstant):
+    assert S.shape == (spec.size - 1, len(x))
+    for row, md in zip(S, spec.modes[1:]):
         close(row, [ref.value_unchecked(md, a, b) for a, b in zip(x.tolist(), y.tolist())])
 
 
@@ -75,6 +75,11 @@ def test_values_with_one_constant_coordinate(spec):
         (gx, gy), (dgx, dgy) = spec._factors(*np.broadcast_arrays(x, y), derivative=True)
         for one, every in ((fx, gx), (fy, gy), (dfx, dgx), (dfy, dgy)):
             assert np.array_equal(np.broadcast_to(one, every.shape), every)
+    # expand passes it to each block of its points (1001 points: several blocks)
+    w = np.random.default_rng(5).normal(size=(3, spec.size - 1))
+    t = np.linspace(-h, h, 1001)
+    for x, y in ((np.array([-1.0]), t), (t / h, np.array([h]))):
+        assert np.array_equal(spec.expand(w, x, y), spec.expand(w, *np.broadcast_arrays(x, y)))
 
 
 def test_values_of_constant_only_spectrum():
@@ -112,7 +117,7 @@ def test_partial_sum_on_arrays_matches_scalar(spec):
         close(boundary_partial_sum(co, side, ts), [boundary_partial_sum(co, side, t) for t in ts.tolist()])
         # and the scalar path against the per-mode trace sum it replaces
         t = float(ts[5])
-        want = co.gbar + math.fsum(v * ref.trace(md, side, t) for v, md in zip(co.values, spec.nonconstant))
+        want = co.gbar + math.fsum(v * ref.trace(md, side, t) for v, md in zip(co.values, spec.modes[1:]))
         assert isinstance(boundary_partial_sum(co, side, t), float)
         assert boundary_partial_sum(co, side, t) == pytest.approx(want, rel=TOL, abs=TOL)
 
@@ -126,7 +131,7 @@ def test_approximation_boundary_value_on_arrays_matches_scalar(spec):
             close(u.boundary_value(side, ts), [u.boundary_value(side, t) for t in ts.tolist()])
         x, y = 0.3, -0.2 * rect.h
         want = u.constant_term + u._lift_value(x, y) + math.fsum(
-            w * ref.value_unchecked(md, x, y) for w, md in zip(u.weights, spec.nonconstant)
+            w * ref.value_unchecked(md, x, y) for w, md in zip(u.weights, spec.modes[1:])
         )
         assert isinstance(u.eval(x, y), float)
         assert u.eval(x, y) == pytest.approx(want, rel=TOL, abs=TOL)
@@ -183,15 +188,15 @@ def test_gradients_match_scalar_modes(h):
     x, y = boundary_and_corner_points(rect)
     (fx, fy), (dfx, dfy) = spec._factors(x, y, derivative=True)
     pts = list(zip(x.tolist(), y.tolist()))
-    for j, md in enumerate(spec.nonconstant):
+    for j, md in enumerate(spec.modes[1:]):
         want = np.array([ref.gradient(md, a, b) for a, b in pts])
         scale = TOL * max(1.0, np.abs(want).max())
         np.testing.assert_allclose(dfx[j] * fy[j], want[:, 0], rtol=TOL, atol=scale)
         np.testing.assert_allclose(fx[j] * dfy[j], want[:, 1], rtol=TOL, atol=scale)
-    w = np.random.default_rng(7).normal(size=len(spec.nonconstant)) / (1.0 + np.arange(80))
+    w = np.random.default_rng(7).normal(size=spec.size - 1) / (1.0 + np.arange(80))
     gx, gy = spec.expand_gradient(w, x, y)
     for i, (a, b) in enumerate(pts):
-        terms = [ref.gradient(md, a, b) for md in spec.nonconstant]
+        terms = [ref.gradient(md, a, b) for md in spec.modes[1:]]
         assert gx[i] == pytest.approx(math.fsum(wj * t[0] for wj, t in zip(w, terms)), rel=TOL, abs=TOL)
         assert gy[i] == pytest.approx(math.fsum(wj * t[1] for wj, t in zip(w, terms)), rel=TOL, abs=TOL)
     assert all(isinstance(v, float) for v in spec.expand_gradient(w, 0.3, -0.1 * h))
@@ -325,7 +330,7 @@ def test_boundary_normal_derivative_on_arrays_matches_scalar(spec):
             t = float(ts[3])
             assert isinstance(u.boundary_normal_derivative(side, t), float)
             if u.lift is None:  # and the per-mode sum it replaces
-                want = math.fsum(w * ref.normal_derivative_on(md, side, t) for w, md in zip(u.weights, spec.nonconstant))
+                want = math.fsum(w * ref.normal_derivative_on(md, side, t) for w, md in zip(u.weights, spec.modes[1:]))
                 assert u.boundary_normal_derivative(side, t) == pytest.approx(want, rel=TOL, abs=TOL)
 
 

@@ -11,6 +11,48 @@ from hypothesis import given, settings, strategies as st
 from steklov import expressions as ex
 
 
+# --- printer: the round-trip oracle of the parser's precedence and associativity
+
+
+def _prec(node) -> int:
+    if isinstance(node, ex.BinOp):
+        return ex._BIN_PREC[node.op]
+    if isinstance(node, ex.Neg):
+        return ex._UNARY_PREC
+    return 100
+
+
+def to_source(node) -> str:
+    """Minimal-parenthesis source form; reparses to an identical tree."""
+    if isinstance(node, ex.Num):
+        return repr(node.value)
+    if isinstance(node, (ex.Var, ex.Const)):
+        return node.name
+    if isinstance(node, ex.Neg):
+        inner = to_source(node.operand)
+        if _prec(node.operand) < ex._UNARY_PREC:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(node, ex.Call):
+        return f"{node.func}({to_source(node.arg)})"
+    prec = ex._BIN_PREC[node.op]
+    left = to_source(node.left)
+    right = to_source(node.right)
+    if node.op == "^":
+        if _prec(node.left) <= prec:
+            left = f"({left})"
+        if _prec(node.right) < prec:
+            right = f"({right})"
+    else:
+        if _prec(node.left) < prec:
+            left = f"({left})"
+        # the ops are left-associative: an equal-precedence right child only
+        # keeps its shape through a reparse when parenthesized
+        if _prec(node.right) <= prec or isinstance(node.right, ex.Neg):
+            right = f"({right})"
+    return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
+
+
 def test_quartic_example():
     tree = ex.parse("x^4 - 6*x^2*y^2 + y^4")
     assert ex.evaluate(tree, 0.9, 0.9) == pytest.approx(-2.6244, abs=1e-12)
@@ -91,7 +133,7 @@ def test_random_trees_round_trip_and_match_direct_evaluation():
     points = [(0.3, -0.7), (1.0, 1.0), (-0.25, 0.8)]
     for _ in range(100):
         tree = random_tree(4)
-        printed = ex.to_source(tree)
+        printed = to_source(tree)
         reparsed = ex.parse(printed)
         assert reparsed == tree, printed
         for x, y in points:
@@ -129,7 +171,7 @@ def tree_strategy(draw, depth=3):
 @settings(max_examples=60, deadline=None)
 @given(tree_strategy())
 def test_pretty_print_reparses_identically(tree):
-    assert ex.parse(ex.to_source(tree)) == tree
+    assert ex.parse(to_source(tree)) == tree
 
 
 def _scalar_values(tree, xs, ys):
@@ -160,7 +202,7 @@ def test_random_trees_on_arrays_match_float_evaluation():
             warnings.simplefilter("error")
             got = ex.evaluate(tree, xs, ys)
         assert got.shape == xs.shape
-        assert np.all((got == want) | (np.abs(got - want) <= 1e-13 * np.abs(want))), ex.to_source(tree)
+        assert np.all((got == want) | (np.abs(got - want) <= 1e-13 * np.abs(want))), to_source(tree)
     assert raised > 0
 
 

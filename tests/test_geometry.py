@@ -5,10 +5,14 @@ import pytest
 from steklov import GeometryError, Rectangle, Side, SIDES
 
 
+CORNERS = ((1.0, 0.5), (-1.0, 0.5), (-1.0, -0.5), (1.0, -0.5))  # of Rectangle(0.5)
+
+
 def test_perimeter_and_corners():
     r = Rectangle(0.8)
     assert r.perimeter == 4.0 * 1.8
-    assert set(r.corners) == {(1.0, 0.8), (-1.0, 0.8), (-1.0, -0.8), (1.0, -0.8)}
+    ends = {r.side_point(side, r.side_interval(side)[1]) for side in SIDES}
+    assert ends == {(1.0, 0.8), (-1.0, 0.8), (-1.0, -0.8), (1.0, -0.8)}
 
 
 @pytest.mark.parametrize("h", [0.0, -0.2, 1.5, math.inf, math.nan])
@@ -19,7 +23,7 @@ def test_bad_aspect_ratio_rejected(h):
 
 def test_side_lengths_sum_to_perimeter():
     r = Rectangle(0.37)
-    assert sum(r.side_length(s) for s in SIDES) == pytest.approx(r.perimeter, rel=1e-15)
+    assert sum(hi - lo for lo, hi in map(r.side_interval, SIDES)) == pytest.approx(r.perimeter, rel=1e-15)
 
 
 def test_counterclockwise_parametrization():
@@ -42,21 +46,20 @@ def test_side_parameter_domain():
 
 def test_corner_params_cover_both_sides():
     r = Rectangle(0.5)
-    for corner in r.corners:
+    for corner in CORNERS:
         params = r.corner_params(corner)
         assert len(params) == 2
         for side, t in params.items():
             assert r.side_point(side, t) == corner
 
 
-def test_classify_boundary_point():
-    r = Rectangle(1.0)
-    assert r.classify_boundary_point(1.0, 0.3) is Side.G1
-    assert r.classify_boundary_point(-0.2, -1.0) is Side.G4
-    with pytest.raises(GeometryError):
-        r.classify_boundary_point(1.0, 1.0)  # corner
-    with pytest.raises(GeometryError):
-        r.classify_boundary_point(0.5, 0.5)  # interior
+def test_require_inside_takes_the_closed_rectangle():
+    r = Rectangle(0.5)
+    for x, y in CORNERS + ((0.0, 0.0), (-0.3, 0.5)):
+        r.require_inside(x, y)
+    for x, y in ((1.0000001, 0.0), (0.0, -0.51), (math.nan, 0.0)):
+        with pytest.raises(GeometryError, match="outside the closed rectangle"):
+            r.require_inside(x, y)
 
 
 def test_side_point_on_arrays_matches_scalar():

@@ -55,10 +55,10 @@ def test_records_stay_lazy_through_a_solve(spec400):
     assert invariant_suite(spec, seed=0).passed
     spectrum_to_json(spec)
     for s in (spec, sub):
-        assert "modes" not in s.__dict__ and "nonconstant" not in s.__dict__
+        assert "modes" not in s.__dict__
     # the view is there on request, one record per row
     assert [md.index for md in spec.modes] == list(range(spec.size))
-    assert spec.nonconstant[4].nu == spec.arrays.nu[5]
+    assert spec.modes[5].nu == spec.arrays.nu[5]
 
 
 @pytest.mark.parametrize("policy", (POLICY_PREFIX, PER_FAMILY, GLOBAL_SORTED))
@@ -90,7 +90,7 @@ def test_weights_are_coefficients_over_b_plus_delta(spec400):
     delta = spec400.arrays.delta[1:]
     assert np.array_equal(u_r.weights, co.values / (2.0 + delta))
     j = 17
-    assert u_r.weights[j] == co.values[j] / (2.0 + spec400.nonconstant[j].delta)
+    assert u_r.weights[j] == co.values[j] / (2.0 + spec400.modes[j + 1].delta)
 
 
 def test_restrict_maps_rows_by_family_and_nu(spec400):
@@ -100,8 +100,8 @@ def test_restrict_maps_rows_by_family_and_nu(spec400):
     deep = build_spectrum(spec400.rectangle, 5)
     co_deep = steklov_coefficients(builtin_boundary("f3", spec400.rectangle), deep)
     cox = co_deep.restrict(sub)
-    for j, md in enumerate(sub.nonconstant):
-        row = next(md2.index for md2 in deep.nonconstant if md2.key == md.key)
+    for j, md in enumerate(sub.modes[1:]):
+        row = next(md2.index for md2 in deep.modes[1:] if md2.key == md.key)
         assert cox.values[j] == co_deep.values[row - 1]
         assert cox.estimates[j + 1] == co_deep.estimates[row]
     assert cox.estimates[0] == co_deep.estimates[0] and cox.gbar == co_deep.gbar
@@ -111,7 +111,7 @@ def test_restrict_maps_rows_by_family_and_nu(spec400):
 def test_restrict_to_another_rectangle_names_the_first_missing_mode(spec400):
     co, _ = solves(spec400)
     other = build_spectrum_by_count(Rectangle(0.5), 10)
-    md = other.nonconstant[0]
+    md = other.modes[1]
     with pytest.raises(ValueError, match=re.escape(f"mode {md.family.value}, nu={md.nu!r} is not in")):
         co.restrict(other)
 
@@ -120,7 +120,7 @@ def test_restrict_to_a_mode_absent_from_the_parent(spec400):
     co, _ = solves(spec400)
     parent = spec400.head(30)
     co30 = co.restrict(parent)
-    md = spec400.nonconstant[30]  # the first mode beyond the parent's
+    md = spec400.modes[31]  # the first mode beyond the parent's
     with pytest.raises(ValueError, match=re.escape(f"mode {md.family.value}, nu={md.nu!r} is not in")):
         co30.restrict(spec400.head(60))
     assert co30.restrict(parent.head(10)).values.size == 10
@@ -140,7 +140,7 @@ def test_take_and_head_are_row_subsets(spec400):
     with pytest.raises(ValueError):
         spec400.head(401)
     assert spec400.head(400).size == spec400.size
-    assert math.isclose(spec400.max_delta, spec400.modes[-1].delta, rel_tol=0.0)
+    assert spec400.arrays.delta[-1] == spec400.arrays.delta.max() == spec400.modes[-1].delta
 
 
 def test_structure_check_reads_the_arrays(spec400):

@@ -1,5 +1,6 @@
 """Mode evaluation on the kernel, normalization, spectra, and the cache file."""
 
+import json
 import math
 import random
 from dataclasses import replace
@@ -67,7 +68,7 @@ def test_constant_mode():
     rect = Rectangle(0.8)
     md = make_mode(FamilyTag.CONST, rect)
     assert (md.nu, md.delta, md.norm_scaled, md.hyp_scale) == (0.0, 0.0, 1.0, 0.0)
-    assert md.norm_const == 1.0 and md.key == ("const", 0.0)
+    assert md.key == ("const", 0.0)
 
 
 def test_xy_mode_square_only():
@@ -84,8 +85,9 @@ def test_xy_mode_square_only():
 
 def test_norm_constants():
     rect = Rectangle(1.0)
-    assert make_mode(FamilyTag.CONST, rect).norm_const == 1.0
-    assert make_mode(FamilyTag.XY, rect).norm_const == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    for family, norm in ((FamilyTag.CONST, 1.0), (FamilyTag.XY, math.sqrt(3.0))):
+        md = make_mode(family, rect)
+        assert md.hyp_scale == 0.0 and md.norm_scaled == pytest.approx(norm, rel=1e-15)
 
 
 @pytest.mark.parametrize("family", [FamilyTag.F1, FamilyTag.F3, FamilyTag.F6, FamilyTag.F8])
@@ -198,14 +200,14 @@ def test_flat_rectangle_spectrum_counts():
     spec = build_spectrum(Rectangle(0.5), 3)
     assert len(spec.modes) == 25
     per_family = {}
-    for md in spec.nonconstant:
+    for md in spec.modes[1:]:
         per_family[md.family] = per_family.get(md.family, 0) + 1
     assert all(v == 3 for v in per_family.values())
 
 
 def test_square_class2_block_composition(spec_pf5):
     # xy leads class II and displaces the deepest separable slot
-    c2 = [m for m in spec_pf5.nonconstant
+    c2 = [m for m in spec_pf5.modes[1:]
           if m.family in (FamilyTag.XY, FamilyTag.F3, FamilyTag.F4)]
     assert len(c2) == 10
     assert sum(1 for m in c2 if m.family is FamilyTag.XY) == 1
@@ -221,7 +223,7 @@ def test_spectrum_sorted_and_unique(spec_pf5):
     assert spec_pf5.modes[0].family is FamilyTag.CONST
     # degenerate square pairs (equal frequency, different profile) are both kept
     by_family = {}
-    for m in spec_pf5.nonconstant:
+    for m in spec_pf5.modes[1:]:
         by_family.setdefault(m.family, []).append(m.nu)
     assert by_family[FamilyTag.F1] == by_family[FamilyTag.F2]
     assert by_family[FamilyTag.F5] == by_family[FamilyTag.F8]
@@ -240,17 +242,17 @@ def test_select_is_nested(spec_pf5):
 
 def test_global_spectrum_by_count(square):
     spec = build_spectrum_by_count(square, 80)
-    assert len(spec.nonconstant) == 80
-    deltas = [m.delta for m in spec.nonconstant]
+    assert spec.size - 1 == 80
+    deltas = [m.delta for m in spec.modes[1:]]
     assert deltas == sorted(deltas)
     sub = spec.select(2)  # first 16
-    assert len(sub.nonconstant) == 16
-    assert [m.key for m in sub.nonconstant] == [m.key for m in spec.nonconstant[:16]]
+    assert sub.size - 1 == 16
+    assert [m.key for m in sub.modes[1:]] == [m.key for m in spec.modes[1:17]]
 
 
 def test_global_policy_build(square):
     spec = build_spectrum(square, 2, GLOBAL_SORTED)
-    assert len(spec.nonconstant) == 16
+    assert spec.size - 1 == 16
     assert spec.selection == GLOBAL_SORTED
 
 
@@ -261,7 +263,8 @@ def test_cache_roundtrip(spec_pf5):
     for a, b in zip(spec_pf5.modes, spec2.modes):
         assert a.key == b.key
         assert a.delta == b.delta
-        assert a.norm_const == pytest.approx(b.norm_const, rel=1e-15)
+        assert a.hyp_scale == pytest.approx(b.hyp_scale, rel=1e-15)
+        assert a.norm_scaled == pytest.approx(b.norm_scaled, rel=1e-15)
     assert spec2.selection == spec_pf5.selection
 
 
@@ -281,15 +284,48 @@ def test_depth_survives_cache_and_select(h, selection, depth, m, sub_depth):
         assert spectrum_from_json(spectrum_to_json(sub)).depth == sub_depth
     assert [md.key for md in subs[0].modes] == [md.key for md in subs[1].modes]
     if selection == GLOBAL_SORTED:
-        assert len(subs[0].nonconstant) == sub_depth
+        assert subs[0].size - 1 == sub_depth
 
 
 def test_cache_rejects_corrupted_nu(spec_pf5):
     text = spectrum_to_json(spec_pf5)
-    md = spec_pf5.nonconstant[0]
+    md = spec_pf5.modes[1]
     bad = text.replace(format(md.nu, ".17g"), format(md.nu * 1.001, ".17g"), 1)
     with pytest.raises(SpectrumError):
         spectrum_from_json(bad)
+
+
+def with_norm_const(spec):
+    """The cache text of spec in the older format, whose rows also list the
+    unscaled normConst = norm_scaled * exp(-hyp_scale), as that writer computed it."""
+    data = json.loads(spectrum_to_json(spec))
+    for row, norm, scale in zip(data["modes"], spec.arrays.norm_scaled.tolist(), spec.arrays.hyp_scale.tolist()):
+        row["normConst"] = norm * math.exp(-scale)
+    return json.dumps(data)
+
+
+def test_cache_lists_family_nu_and_delta(spec_pf5):
+    rows = json.loads(spectrum_to_json(spec_pf5))["modes"]
+    assert {tuple(row) for row in rows} == {("family", "nu", "delta")}
+    assert [(row["nu"], row["delta"]) for row in rows] == list(zip(spec_pf5.arrays.nu.tolist(), spec_pf5.arrays.delta.tolist()))
+
+
+def test_cache_with_norm_const_loads_to_the_same_arrays():
+    # at h = 0.001 the unscaled normConst of the top modes underflows to 0.0
+    spec = build_spectrum_by_count(Rectangle(0.001), 1000)
+    text = with_norm_const(spec)
+    assert sum(row["normConst"] == 0.0 for row in json.loads(text)["modes"]) >= 2
+    for loaded in (spectrum_from_json(text), spectrum_from_json(spectrum_to_json(spec))):
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.arrays, spec.arrays))
+        assert (loaded.selection, loaded.depth) == (spec.selection, spec.depth)
+
+
+@pytest.mark.parametrize("column", ["delta", "normConst"])
+def test_cache_rejects_corrupted_delta_or_norm_const(spec_pf5, column):
+    data = json.loads(with_norm_const(spec_pf5))
+    data["modes"][3][column] *= 1.001
+    with pytest.raises(SpectrumError, match=f"cached {column}="):
+        spectrum_from_json(json.dumps(data))
 
 
 def test_cache_rejects_empty_mode_list():
@@ -302,7 +338,7 @@ def test_vectorized_value_matches_scalar(spec_pf5):
     xs = np.array([rng.uniform(-1, 1) for _ in range(40)])
     ys = np.array([rng.uniform(-1, 1) for _ in range(40)])
     (fx, fy), (dfx, dfy) = spec_pf5._factors(xs, ys, derivative=True)
-    for j, md in enumerate(spec_pf5.nonconstant):
+    for j, md in enumerate(spec_pf5.modes[1:]):
         arr = fx[j] * fy[j]
         want = np.array([ref.value(md, x, y) for x, y in zip(xs, ys)])
         assert np.abs(arr - want).max() <= 1e-14 * max(1.0, np.abs(want).max())

@@ -28,6 +28,7 @@ from steklov import (
     solve_robin,
     steklov_coefficients,
 )
+from steklov.catalog import f1, f2
 
 import scalar_reference as ref
 
@@ -53,7 +54,7 @@ def test_dirichlet_constant_data(rect, spec_pf5):
 
 
 def test_dirichlet_eigen_data_identity(rect, spec_pf5):
-    md = spec_pf5.nonconstant[6]
+    md = spec_pf5.modes[7]
     g = BoundaryFunction.from_xy(lambda x, y: ref.value_unchecked(md, x, y), rect)
     u = solve_dirichlet(g, spec_pf5)
     for p in ((0.25, -0.6), (0.0, 0.0), (0.95, 0.2)):
@@ -70,7 +71,7 @@ def test_robin_constant_data(rect, spec_pf5):
 def test_robin_eigen_data_identity(rect, spec_pf5):
     # data (b + delta_k) s_k must return exactly s_k: pins the eigenvalue convention
     b = 1.0
-    for md in (spec_pf5.nonconstant[0], spec_pf5.nonconstant[9]):
+    for md in (spec_pf5.modes[1], spec_pf5.modes[10]):
         g = BoundaryFunction.from_xy(
             lambda x, y, md=md: (b + md.delta) * ref.value_unchecked(md, x, y), rect
         )
@@ -80,7 +81,7 @@ def test_robin_eigen_data_identity(rect, spec_pf5):
 
 
 def test_neumann_eigen_data_identity(rect, spec_pf5):
-    md = spec_pf5.nonconstant[3]
+    md = spec_pf5.modes[4]
     g = BoundaryFunction.from_xy(lambda x, y: md.delta * ref.value_unchecked(md, x, y), rect)
     u = solve_neumann(g, spec_pf5)
     for p in ((0.4, 0.1), (-0.3, 0.9)):
@@ -109,7 +110,7 @@ def test_linearity(rect, spec_pf5):
     g1 = builtin_boundary("f1", rect)
     g2 = builtin_boundary("f2", rect)
     alpha, beta = 2.0, -3.0
-    combo = BoundaryFunction.linear_combination([(alpha, g1), (beta, g2)])
+    combo = BoundaryFunction.from_xy(lambda x, y: alpha * f1(x, y) + beta * f2(x, y), rect)
     co1 = steklov_coefficients(g1, spec_pf5)
     co2 = steklov_coefficients(g2, spec_pf5)
     for kind in (ProblemKind.dirichlet(), ProblemKind.robin(1.5)):
@@ -139,7 +140,7 @@ def test_robin_boundary_residual(rect, spec_pf5):
     co = steklov_coefficients(g, spec_pf5)
     u = solve_robin(g, b, spec_pf5, coefficients=co)
     rng = random.Random(5)
-    dmax = spec_pf5.max_delta
+    dmax = spec_pf5.arrays.delta[-1]
     for _ in range(60):
         side = rng.choice(SIDES)
         lo, hi = rect.side_interval(side)
@@ -153,12 +154,12 @@ def test_neumann_flux_residual(rect, spec_pf5):
     co = steklov_coefficients(g, spec_pf5)
     u = solve_neumann(g, spec_pf5, coefficients=co)
     gm = lambda side, t: co.gbar + sum(
-        v * ref.trace(md, side, t) for v, md in zip(co.values, spec_pf5.nonconstant)
+        v * ref.trace(md, side, t) for v, md in zip(co.values, spec_pf5.modes[1:])
     )
     for side in SIDES:
         for t in (-0.9, -0.2, 0.44):
             assert u.boundary_normal_derivative(side, t) == pytest.approx(
-                gm(side, t), abs=1e-8 * (1.0 + spec_pf5.max_delta)
+                gm(side, t), abs=1e-8 * (1.0 + spec_pf5.arrays.delta[-1])
             )
 
 

@@ -65,9 +65,9 @@ def test_unknown_table_id():
 def test_summary_and_csv_shape(all_table_results):
     r = all_table_results[14]
     assert "table 14" in r.summary_line()
-    rows = list(r.csv_rows())
-    assert rows[0] == list(r.header)
-    assert len(rows) == r.n_total + 1
+    columns = r.columns()
+    assert len(columns) == len(r.header)
+    assert all(len(c) == r.n_total for c in columns)
 
 
 def _count_sweeps(monkeypatch):
