@@ -100,35 +100,45 @@ def _sup_nodes(rect: Rectangle, samples_per_side: int = 1000, include_corners: b
             yield side, lo + (np.arange(samples_per_side) + 0.5) * step
 
 
-def _truncation_errors(ref: Callable[[Side, np.ndarray], np.ndarray], u: SteklovApproximation,
-                       subs: Sequence[Spectrum]) -> tuple[np.ndarray, np.ndarray]:
-    """(sup, L2): the boundary_sup and boundary_l2 of ref, then of ref - u|sub
-    for every sub, from one sweep of the boundary.
+def _truncation_errors(pairs: Sequence[tuple[Callable[[Side, np.ndarray], np.ndarray], SteklovApproximation]],
+                       subs: Sequence[Spectrum]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(sup, L2) per (ref, u) pair: the boundary_sup and boundary_l2 of ref,
+    then of ref - u|sub for every sub, from one sweep of the boundary for
+    all pairs.
 
-    u is an expansion over a base spectrum, and each sub a sub-spectrum of
-    it: u|sub is u.restrict(sub), the weight row u.weights masked to sub's
-    modes with u's constant term and lift. Both arrays hold 1 + len(subs)
-    entries. The sup is sampled on boundary_sup's nodes, and the L2 norms
-    share one panel-adaptive quadrature with boundary_l2's tolerances. The
-    modes are evaluated once per node block for all subs.
+    Every u is an expansion over one base spectrum, and each sub a
+    sub-spectrum of it: u|sub is u.restrict(sub), the weight row u.weights
+    masked to sub's modes with u's constant term and lift. Both arrays of a
+    pair hold 1 + len(subs) entries. The sup is sampled on boundary_sup's
+    nodes, and the L2 norms of all pairs share one panel-adaptive quadrature
+    with boundary_l2's tolerances, whose panels are refined wherever any
+    entry misses its target: an entry's panels can only be finer than in a
+    sweep of its own. The modes are evaluated once per node block for all
+    pairs and subs. Expansions over different base spectra raise ValueError.
     """
-    rect = u.rect
-    masks = np.zeros((len(subs), u.weights.size))
+    base = pairs[0][1].spectrum
+    if any(u.spectrum is not base for _, u in pairs):
+        raise ValueError("the expansions of one truncation sweep must share one base spectrum")
+    rect = base.rectangle
+    masks = np.zeros((len(subs), base.size - 1))
     for mask, sub in zip(masks, subs):
-        mask[u.spectrum.rows_of(sub)[1:] - 1] = 1.0
-    weights = u.weights * masks
+        mask[base.rows_of(sub)[1:] - 1] = 1.0
+    weights = np.concatenate([u.weights * masks for _, u in pairs])
 
     def errors(side, t):
-        out = np.empty((1 + len(subs), t.size))
-        out[0] = ref(side, t)
+        out = np.empty((len(pairs), 1 + len(subs), t.size))
         x, y = rect.side_point(side, t)
         # the side's fixed coordinate as one value: its factors are evaluated once
         x, y = (x[:1], y) if side.is_vertical else (x, y[:1])
-        np.subtract(out[0], u._sum(x, y, weights), out=out[1:])
-        return out
+        sums = base.expand(weights, x, y).reshape(len(pairs), len(subs), -1)
+        for (ref, u), rows, s in zip(pairs, out, sums):
+            rows[0] = ref(side, t)
+            np.subtract(rows[0], u.constant_term + u._lift_value(x, y) + s, out=rows[1:])
+        return out.reshape(-1, t.size)
 
     sups = np.max([np.abs(errors(side, ts)).max(axis=1) for side, ts in _sup_nodes(rect)], axis=0)
-    return sups, _boundary_l2s(errors, rect, 1 + len(subs))
+    l2s = _boundary_l2s(errors, rect, sups.size)
+    return list(zip(sups.reshape(len(pairs), -1), l2s.reshape(len(pairs), -1)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -287,7 +297,7 @@ def convergence_study(
         ref_interior = u_deep.eval_array
 
     subs = [deep.select(m) for m in m_values]
-    (ref_sup, *esups), (ref_l2, *el2s) = _truncation_errors(ref_boundary, u_deep, subs)
+    [((ref_sup, *esups), (ref_l2, *el2s))] = _truncation_errors([(ref_boundary, u_deep)], subs)
     reports = []
     for m, sub, esup, el2 in zip(m_values, subs, esups, el2s):
         u = u_deep.restrict(sub)

@@ -58,6 +58,7 @@ from .spectrum import (
     FamilyTag,
     RootFindError,
     Spectrum,
+    SpectrumError,
     build_spectrum,
     build_spectrum_by_count,
     load_spectrum,
@@ -406,7 +407,7 @@ def main(argv=None) -> int:
     except RootFindError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ROOTFIND
-    except (IncompatibleDataError, GeometryError, QuadratureError, ValueError, OSError) as exc:
+    except (IncompatibleDataError, GeometryError, QuadratureError, SpectrumError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -881,18 +881,23 @@ def spectrum_from_json(text: str) -> Spectrum:
     The first row that fails raises.
     """
     data = json.loads(text)
-    rect = Rectangle(float(data["h"]))
-    selection = data["selection"]
+    try:
+        rect, selection, rows = Rectangle(float(data["h"])), data["selection"], data["modes"]
+    except KeyError as exc:
+        raise SpectrumError(f"cache has no {exc.args[0]!r}") from None
     if selection not in (PER_FAMILY, GLOBAL_SORTED):
         raise SpectrumError(f"unknown selection policy {selection!r} in cache")
 
-    rows = data["modes"]
-    code = np.array([_CODE[FamilyTag(row["family"])] for row in rows], dtype=int)
+    try:
+        code = np.array([_CODE[FamilyTag(row["family"])] for row in rows], dtype=int)
+        nu = np.array([float(row["nu"]) for row in rows])
+        names = ("delta", "normConst") if rows and "normConst" in rows[0] else ("delta",)
+        cached = {name: np.array([float(row[name]) for row in rows]) for name in names}
+    except KeyError as exc:
+        i = next(i for i, row in enumerate(rows) if exc.args[0] not in row)
+        raise SpectrumError(f"cache row {i} has no {exc.args[0]!r}") from None
     if not code.size or code[0] != _CODE[FamilyTag.CONST]:
         raise SpectrumError("cache must list the constant mode first")
-    nu = np.array([float(row["nu"]) for row in rows])
-    names = ("delta", "normConst") if "normConst" in rows[0] else ("delta",)
-    cached = {name: np.array([float(row[name]) for row in rows]) for name in names}
 
     sep = np.flatnonzero(code > _XY)
     with np.errstate(divide="ignore", invalid="ignore"):  # a nu of 0 or inf fails below
@@ -908,12 +913,12 @@ def spectrum_from_json(text: str) -> Spectrum:
         family = _TAGS[code[i]]
         if bad[i]:
             raise SpectrumError(
-                f"cached nu={nu[i]} fails the {family.value} characteristic "
+                f"cache row {i}: nu={nu[i]} fails the {family.value} characteristic "
                 f"equation: residual {resid[np.searchsorted(sep, i)]:.3g}"
             )
         if bad_xy[i]:
-            raise SpectrumError("the xy mode exists only on the square (h = 1)")
-        raise ValueError(f"nu must be positive, got {nu[i]}")
+            raise SpectrumError(f"cache row {i}: the xy mode exists only on the square (h = 1)")
+        raise ValueError(f"cache row {i}: nu must be positive, got {nu[i]}")
 
     # the constant and xy rows as make_mode builds them, whatever nu they list
     nu[code <= _XY] = 0.0
@@ -929,7 +934,7 @@ def spectrum_from_json(text: str) -> Spectrum:
         if off.size:
             i = off[0]
             raise SpectrumError(
-                f"cached {name}={got[i]} disagrees with recomputed {ref[i]} "
+                f"cache row {i}: cached {name}={got[i]} disagrees with recomputed {ref[i]} "
                 f"for {_TAGS[code[i]].value}, nu={nu[i]}"
             )
 

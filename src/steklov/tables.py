@@ -65,14 +65,19 @@ _DEEP_COUNT = 41
 
 
 class TableWorkspace:
-    """Memoizes spectra, coefficient sets and truncation sweeps across table reproductions."""
+    """Memoizes spectra, coefficient sets and truncation sweeps across table reproductions.
+
+    The truncation errors of a (data, h, policy, kind) are computed once,
+    and the data missing at one call of sweeps are measured together: one
+    sweep of the boundary per (h, policy, kind) batch.
+    """
 
     def __init__(self, abstol: float = 1e-10, reltol: float = 1e-6):
         self.abstol = abstol
         self.reltol = reltol
         self._spectra: dict = {}
         self._coeffs: dict = {}
-        self._sweeps: dict = {}  # (data, h, policy, kind) -> _truncation_errors of the M_VALUES truncations
+        self._sweeps: dict = {}  # (data, h, policy, kind) -> (sup, L2) of the M_VALUES truncations
 
     def deep_spectrum(self, h: float) -> Spectrum:
         if h not in self._spectra:
@@ -92,6 +97,26 @@ class TableWorkspace:
             self._coeffs[key] = steklov_coefficients(g, spec, self.abstol, self.reltol)
         return self._coeffs[key]
 
+    def sweeps(self, gs, policy: str, kind: ProblemKind = ProblemKind.dirichlet()) -> list:
+        """The sweep of each data in gs, which share one height.
+
+        The data not yet memoised are swept together: one _truncation_errors
+        sweep per (h, policy, kind) batch, which evaluates the modes once per
+        node for every truncation of every data. Its L2 panels are refined
+        wherever any entry misses its target, so an entry's panels can only
+        be finer than in a sweep of its own.
+        """
+        keys = [(g.name, g.rect.h, policy, kind) for g in gs]
+        missing = {key: g for key, g in zip(keys, gs) if key not in self._sweeps}
+        if missing:
+            h = gs[0].rect.h
+            base = self.base_spectrum(h, policy)
+            pairs = [(_reference(g, kind), solve(kind, g, base, coefficients=self.coefficients(g, base)))
+                     for g in missing.values()]
+            subs = [self.truncation(h, kind.name, m, policy) for m in ref.M_VALUES]
+            self._sweeps.update(zip(missing, _truncation_errors(pairs, subs)))
+        return [self._sweeps[key] for key in keys]
+
     def sweep(self, g: BoundaryFunction, policy: str, kind: ProblemKind = ProblemKind.dirichlet()):
         """(sup, L2) of the reference trace and of its error at every M of M_VALUES.
 
@@ -99,20 +124,11 @@ class TableWorkspace:
         to each M, against the reference: g itself for Dirichlet, otherwise
         the trace of the catalog's exact solution for g. Entry 0 holds the
         norms of the reference, entry 1 + i those of the error at
-        M_VALUES[i]. One _truncation_errors sweep per (data, h, policy, kind).
+        M_VALUES[i]. sweeps([g], policy, kind)[0]: memoised per (data, h,
+        policy, kind), and swept in one batch with the other data of a
+        sweeps call.
         """
-        h = g.rect.h
-        key = (g.name, h, policy, kind)
-        if key not in self._sweeps:
-            if kind.name == DIRICHLET:
-                reference = g.value
-            else:
-                reference = BoundaryFunction.from_xy(exact_solution_for(g.name).value, g.rect).value
-            base = self.base_spectrum(h, policy)
-            u = solve(kind, g, base, coefficients=self.coefficients(g, base))
-            subs = [self.truncation(h, kind.name, m, policy) for m in ref.M_VALUES]
-            self._sweeps[key] = _truncation_errors(reference, u, subs)
-        return self._sweeps[key]
+        return self.sweeps([g], policy, kind)[0]
 
     def base_spectrum(self, h: float, policy: str) -> Spectrum:
         """The spectrum coefficients are computed against, per policy."""
@@ -128,6 +144,14 @@ class TableWorkspace:
         if policy == GLOBAL_SORTED:
             return self.deep_spectrum(h).select(m)
         raise ValueError(f"unknown policy {policy!r}")
+
+
+def _reference(g: BoundaryFunction, kind: ProblemKind):
+    """The trace a solve of g under kind is measured against: g itself for
+    Dirichlet, otherwise the trace of the catalog's exact solution for g."""
+    if kind.name == DIRICHLET:
+        return g.value
+    return BoundaryFunction.from_xy(exact_solution_for(g.name).value, g.rect).value
 
 
 def _grade_abs(computed, printed, tol, implied=None):
@@ -202,8 +226,9 @@ def reproduce_rerr(table_id: int, ws: Optional[TableWorkspace] = None,
     norm, h = data["norm"], data["h"]
     header = ("data", "M", "computed", "printed", "rel_diff", "within", "note")
     rows = []
-    for name, printed_row in data["values"].items():
-        sup, l2 = ws.sweep(builtin_boundary(name, Rectangle(h)), policy)
+    rect = Rectangle(h)
+    norms = ws.sweeps([builtin_boundary(name, rect) for name in data["values"]], policy)
+    for (name, printed_row), (sup, l2) in zip(data["values"].items(), norms):
         for i, m in enumerate(ref.M_VALUES):
             rows.append((name, m, *_graded_rerr(sup if norm == "inf" else l2, i, printed_row[i])))
     return TableResult(table_id, f"rerr_{norm} of f1/f2/f3, h={h}", header, rows, "5% rel")
@@ -227,7 +252,7 @@ def reproduce_corner(ws: Optional[TableWorkspace] = None,
     ws = ws or TableWorkspace()
     g = builtin_boundary("f1", Rectangle(ref.CORNER_TABLE["h"]))
     # f1's corner bilinear is the constant -4
-    (sup, l2), (sup_r, l2_r) = ws.sweep(g, policy), ws.sweep(g.shift(4.0), policy)
+    (sup, l2), (sup_r, l2_r) = ws.sweeps([g, g.shift(4.0)], policy)
     header = ("column", "M", "computed", "printed", "rel_diff", "within", "note")
     columns = (("rerr_inf(f1)", sup), ("rerr_inf(f1+4)", sup_r), ("rerr_2(f1)", l2), ("rerr_2(f1+4)", l2_r))
     rows = []

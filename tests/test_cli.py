@@ -364,6 +364,21 @@ def test_missing_input_file_exits_2(tmp_path, capsys, flags):
     assert err.startswith("error: ") and "No such file or directory" in err
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda data: data["modes"][3].update(delta=data["modes"][3]["delta"] * 1.01), "cache row 3: cached delta="),
+    (lambda data: data["modes"][3].pop("delta"), "cache row 3 has no 'delta'"),
+    (lambda data: data.pop("selection"), "cache has no 'selection'"),
+], ids=["scaled-delta", "deleted-delta", "deleted-selection"])
+def test_corrupt_cache_exits_2_and_says_where(tmp_path, capsys, half_cache, corrupt, message):
+    data = json.loads(half_cache.read_text())
+    corrupt(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["solve", "--cache", str(bad), "--g", "builtin:f1", "--points", "paper"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.fixture
 def no_solve(monkeypatch):
     """Makes building the spectrum fail the test: a refused command must not get there."""

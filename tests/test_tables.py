@@ -71,15 +71,17 @@ def test_summary_and_csv_shape(all_table_results):
 
 
 def _count_sweeps(monkeypatch):
-    """The (data, h) of every truncation sweep the tables run from here on."""
+    """The truncation sweeps the tables run from here on: per call, the
+    (data, h) of each pair it measures."""
     import steklov.tables as tables
 
     real = tables._truncation_errors
     sweeps = []
 
-    def counted(reference, u, subs):
-        sweeps.append((reference.__self__.name, u.rect.h))  # reference is the data's value
-        return real(reference, u, subs)
+    def counted(pairs, subs):
+        # a Dirichlet reference is the data's value
+        sweeps.append([(reference.__self__.name, u.rect.h) for reference, u in pairs])
+        return real(pairs, subs)
 
     monkeypatch.setattr(tables, "_truncation_errors", counted)
     return sweeps
@@ -100,15 +102,23 @@ def test_table_10_reuses_tables_4_to_9(monkeypatch):
 def test_data_norms_are_computed_once_per_data_h_and_norm(monkeypatch):
     # one sweep per (data, h, policy) yields the data's norms and every rerr
     # entry of tables 4-11: f1-f3 at each height serve its sup and its L2
-    # table, f1 at h = 1 also table 11, whose f1+4 adds one sweep
+    # table, f1 at h = 1 also table 11, whose f1+4 adds one sweep. The data
+    # of a height are swept in one call: four calls per policy
     sweeps = _count_sweeps(monkeypatch)
     want = sorted({(name, h) for name in ("f1", "f2", "f3") for h in (1.0, 0.8, 0.5)} | {("f1+4.0", 1.0)})
     for policy in (POLICY_PREFIX, PER_FAMILY):
         ws = TableWorkspace()
         for tid in range(4, 12):
             reproduce_table(tid, ws, policy)
-        assert sorted(sweeps) == want, policy
+        assert sorted(pair for call in sweeps for pair in call) == want, policy
+        assert len(sweeps) == 4, (policy, sweeps)
         sweeps.clear()
+
+
+def test_a_batch_of_sweeps_shares_one_height():
+    ws = TableWorkspace()
+    with pytest.raises(ValueError, match="different rectangles"):
+        ws.sweeps([builtin_boundary("f1", Rectangle(1.0)), builtin_boundary("f1", Rectangle(0.5))], POLICY_PREFIX)
 
 
 def test_sweeps_are_memoised_per_problem_kind():

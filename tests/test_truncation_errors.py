@@ -20,6 +20,7 @@ from steklov import (
     solve,
 )
 from steklov.analysis import _truncation_errors
+from steklov.tables import TableWorkspace
 
 RTOL = 1e-12
 
@@ -50,8 +51,14 @@ def test_sweep_equals_the_norms_of_each_truncation(name, kind, h, policy):
     ref = g.value if kind.name == "dirichlet" else BoundaryFunction.from_xy(exact_solution_for(name).value, rect).value
     base, subs = _base_and_subs(rect, kind, policy)
     u = solve(kind, g, base)
-    sups, l2s = _truncation_errors(ref, u, subs)
+    [(sups, l2s)] = _truncation_errors([(ref, u)], subs)
     assert sups.shape == l2s.shape == (1 + len(subs),)
+    _assert_own_norms(sups, l2s, ref, u, subs)
+
+
+def _assert_own_norms(sups, l2s, ref, u, subs):
+    """sups and l2s are boundary_sup and boundary_l2 of ref and of ref - u|sub per sub, to RTOL."""
+    rect = u.rect
     want = [(boundary_sup(ref, rect), boundary_l2(ref, rect))]
     for sub in subs:
         diff = lambda side, t, v=u.restrict(sub): ref(side, t) - v.boundary_value(side, t)
@@ -83,7 +90,7 @@ def test_nan_on_a_side_never_gives_a_finite_entry(square_solve):
     g, u, subs = square_solve
     bad = _with_nan(g, lambda side, x, y: np.full(np.shape(x), side is Side.G2))
     try:
-        sups, l2s = _truncation_errors(bad.value, u, subs)
+        [(sups, l2s)] = _truncation_errors([(bad.value, u)], subs)
     except QuadratureError:
         return
     assert np.isnan(sups).all(), sups
@@ -94,6 +101,60 @@ def test_nan_at_a_sampled_corner_makes_every_sup_nan(square_solve):
     # the sup nodes include the corners; the L2 nodes never reach them
     g, u, subs = square_solve
     bad = _with_nan(g, lambda side, x, y: (x == 1.0) & (y == 1.0))
-    sups, l2s = _truncation_errors(bad.value, u, subs)
+    [(sups, l2s)] = _truncation_errors([(bad.value, u)], subs)
     assert np.isnan(sups).all(), sups
-    assert np.allclose(l2s, _truncation_errors(g.value, u, subs)[1], rtol=1e-12, atol=0.0)
+    assert np.allclose(l2s, _truncation_errors([(g.value, u)], subs)[0][1], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("policy", ["prefix", "per-family", "global-sorted"])
+@pytest.mark.parametrize("h", [1.0, 0.8, 0.5])
+def test_batched_sweep_equals_the_one_pair_sweeps(h, policy):
+    # the tables' batch at one height: f1, f2 and f3 over one base spectrum
+    ws = TableWorkspace()
+    rect = Rectangle(h)
+    base = ws.base_spectrum(h, policy)
+    subs = [ws.truncation(h, "dirichlet", m, policy) for m in (2, 3, 5)]
+    pairs = [(g.value, solve(ProblemKind.dirichlet(), g, base))
+             for g in (builtin_boundary(name, rect) for name in ("f1", "f2", "f3"))]
+    batched = _truncation_errors(pairs, subs)
+    assert len(batched) == len(pairs)
+    for pair, (sups, l2s) in zip(pairs, batched):
+        [(own_sups, own_l2s)] = _truncation_errors([pair], subs)
+        assert np.array_equal(sups, own_sups) and np.array_equal(l2s, own_l2s), (sups - own_sups, l2s - own_l2s)
+
+
+def _counting(ref):
+    """A counting wrapper of ref, and the list that receives the number of nodes of each of its calls."""
+    calls = []
+
+    def counted(side, t):
+        calls.append(t.size)
+        return ref(side, t)
+
+    return counted, calls
+
+
+def test_batch_refined_for_one_member_keeps_every_entry_exact():
+    # a narrow bump on G2 makes the panels of its pair finer than f1 needs alone
+    rect = Rectangle(1.0)
+    base = build_spectrum_by_count(rect, 41)
+    subs = [base.head(15), base.head(23), base.head(39)]
+    smooth = builtin_boundary("f1", rect)
+    bump = BoundaryFunction.from_xy(lambda x, y: np.exp(-200.0 * ((x - 0.3) ** 2 + (y - 1.0) ** 2)), rect, "bump")
+    us = [solve(ProblemKind.dirichlet(), g, base) for g in (smooth, bump)]
+    in_batch, batch_nodes = _counting(smooth.value)
+    batched = _truncation_errors([(in_batch, us[0]), (bump.value, us[1])], subs)
+    alone, own_nodes = _counting(smooth.value)
+    _truncation_errors([(alone, us[0])], subs)
+    assert sum(batch_nodes) > sum(own_nodes)  # the smooth data's panels are finer in the batch
+    for (g, u), (sups, l2s) in zip(zip((smooth, bump), us), batched):
+        _assert_own_norms(sups, l2s, g.value, u, subs)
+
+
+def test_pairs_over_different_base_spectra_are_refused():
+    rect = Rectangle(0.5)
+    g = builtin_boundary("f2", rect)
+    deep, per_family = build_spectrum_by_count(rect, 41), build_spectrum(rect, 5)
+    pairs = [(g.value, solve(ProblemKind.dirichlet(), g, spec)) for spec in (deep, per_family)]
+    with pytest.raises(ValueError, match="share one base spectrum"):
+        _truncation_errors(pairs, [deep.head(15)])
