@@ -51,7 +51,6 @@ from .analysis import (
     CheckResult,
     ErrorReport,
     SuiteReport,
-    TolProfile,
     boundary_l2,
     boundary_sup,
     coefficient_tail,
@@ -80,7 +79,7 @@ __all__ = [
     "BoundaryGradientWarning", "IncompatibleDataError", "ProblemKind",
     "SteklovApproximation", "grid_points", "neumann_mean_tolerance", "solve",
     "solve_dirichlet", "solve_neumann", "solve_robin", "CheckResult",
-    "ErrorReport", "SuiteReport", "TolProfile", "boundary_l2",
+    "ErrorReport", "SuiteReport", "boundary_l2",
     "boundary_sup", "coefficient_tail", "convergence_study", "dnorm_sq",
     "interior_l2", "interior_sup", "invariant_suite", "neumann_bound",
     "robin_bound", "robin_dnorm_tail_sq", "spectral_tail",

@@ -48,7 +48,6 @@ from .solvers import (
 )
 from .spectrum import (
     FamilyTag,
-    PER_FAMILY,
     Spectrum,
     build_spectrum,
 )
@@ -58,20 +57,24 @@ from .spectrum import (
 # norms
 # ---------------------------------------------------------------------------
 
+_L2_ABSTOL, _L2_RELTOL = 1e-12, 1e-9  # boundary_l2's targets for the integral of fn^2
+_GAUSS_POINTS = 64  # per axis of interior_l2's tensor Gauss-Legendre rule
+_SUP_GRID = 101  # grid_points per axis of interior_sup
 
-def boundary_l2(fn: Callable[[Side, np.ndarray], np.ndarray], rect: Rectangle,
-                abstol: float = 1e-12, reltol: float = 1e-9) -> float:
+
+def boundary_l2(fn: Callable[[Side, np.ndarray], np.ndarray], rect: Rectangle) -> float:
     """Weighted boundary L2 norm of a (side, t) map, by panel-adaptive quadrature.
 
     fn is called with numpy arrays of side parameters and returns the values
-    there, as for boundary_sup; (abstol, reltol) apply to the integral of fn^2.
+    there, as for boundary_sup; the integral of fn^2 meets
+    max(1e-12, 1e-9 * |I|).
     """
-    return float(_boundary_l2s(fn, rect, 1, abstol, reltol)[0])
+    return float(_boundary_l2s(fn, rect, 1)[0])
 
 
-def _boundary_l2s(fn, rect: Rectangle, entries: int, abstol: float = 1e-12, reltol: float = 1e-9) -> np.ndarray:
+def _boundary_l2s(fn, rect: Rectangle, entries: int) -> np.ndarray:
     """boundary_l2 of each of the `entries` rows of fn's (entries, n) values."""
-    sq, _ = _integrate_panels(rect, lambda side, t: fn(side, t) ** 2, abstol, reltol, 250, entries=entries)
+    sq, _ = _integrate_panels(rect, lambda side, t: fn(side, t) ** 2, _L2_ABSTOL, _L2_RELTOL, 250, entries=entries)
     return np.sqrt(np.maximum(sq, 0.0) / rect.perimeter)
 
 
@@ -147,15 +150,14 @@ def _gauss_legendre(n: int):
     return tuple(_readonly(a) for a in np.polynomial.legendre.leggauss(n))
 
 
-def interior_l2(fn_on_grid: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                rect: Rectangle, n: int = 64) -> float:
-    """Plain L2(Omega) norm via n x n tensor Gauss-Legendre quadrature.
+def interior_l2(fn_on_grid: Callable[[np.ndarray, np.ndarray], np.ndarray], rect: Rectangle) -> float:
+    """Plain L2(Omega) norm via 64 x 64 tensor Gauss-Legendre quadrature.
 
     fn_on_grid gets np.meshgrid arrays, a tensor grid: eval_array and
-    gradient_arrays cost K*2n factor evaluations and one matrix product per
-    output there, not K*n^2 evaluations.
+    gradient_arrays cost K*128 factor evaluations and one matrix product per
+    output there, not K*64^2 evaluations.
     """
-    nodes, weights = _gauss_legendre(n)
+    nodes, weights = _gauss_legendre(_GAUSS_POINTS)
     xs = nodes
     ys = rect.h * nodes
     X, Y = np.meshgrid(xs, ys)
@@ -164,18 +166,18 @@ def interior_l2(fn_on_grid: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return math.sqrt(float((W * vals * vals).sum()))
 
 
-def interior_sup(fn_on_grid, rect: Rectangle, nx: int = 101, ny: int = 101) -> float:
-    """Sampled sup on grid_points, a tensor grid: eval_array costs K*(nx+ny)
-    factor evaluations and one matrix product there, not K*nx*ny."""
-    X, Y = grid_points(rect, nx, ny)
+def interior_sup(fn_on_grid, rect: Rectangle) -> float:
+    """Sampled sup on the 101 x 101 grid_points, a tensor grid: eval_array
+    costs K*202 factor evaluations and one matrix product there, not K*101^2."""
+    X, Y = grid_points(rect, _SUP_GRID, _SUP_GRID)
     return float(np.abs(fn_on_grid(X, Y)).max())
 
 
 def dnorm_sq(approx: SteklovApproximation) -> float:
     """Quadrature value of the weighted graph norm squared of an expansion.
 
-    The gradient part runs gradient_arrays on interior_l2's default tensor
-    grid, n = 64: K*2n factor evaluations and two matrix products, not K*n^2
+    The gradient part runs gradient_arrays on interior_l2's 64 x 64 tensor
+    grid: K*128 factor evaluations and two matrix products, not K*64^2
     evaluations.
     """
     rect = approx.rect
@@ -260,18 +262,17 @@ def convergence_study(
     g: BoundaryFunction,
     m_values: Sequence[int],
     kind: ProblemKind = ProblemKind.dirichlet(),
-    selection: str = PER_FAMILY,
     exact=None,
-    abstol: float = 1e-10,
-    reltol: float = 1e-6,
-    grid: tuple[int, int] = (101, 101),
     reference_m: Optional[int] = None,
 ) -> list[ErrorReport]:
     """One ErrorReport per truncation depth, sharing a single coefficient set.
 
-    With an exact solution the errors are against it. Otherwise the deepest
-    expansion built here is the surrogate truth; pass reference_m (40 is a
-    safe default for smooth data) to make that reference deeper than
+    The expansions are per-family truncations of one per-family spectrum,
+    whose coefficients have steklov_coefficients' default tolerances; the
+    interior columns are interior_l2 and interior_sup. With an exact
+    solution the errors are against it. Otherwise the deepest expansion
+    built here is the surrogate truth; pass reference_m (40 is a safe
+    default for smooth data) to make that reference deeper than
     max(m_values). For flux problems without a closed form the boundary
     error is measured against the surrogate's trace, for Dirichlet runs
     against the data. The boundary columns of every depth come from one
@@ -285,12 +286,12 @@ def convergence_study(
         raise ValueError("m_values must be increasing")
     rect = g.rect
     depth = max(m_values) if reference_m is None else max(reference_m, max(m_values))
-    deep = build_spectrum(rect, depth, selection)
-    coeffs = steklov_coefficients(g, deep, abstol, reltol)
+    deep = build_spectrum(rect, depth)
+    coeffs = steklov_coefficients(g, deep)
     u_deep = solve(kind, g, deep, coefficients=coeffs)
 
     if exact is not None:
-        ref_interior = zero_mean_solution(exact.value, rect, abstol, reltol) if kind.name == NEUMANN else exact.value
+        ref_interior = zero_mean_solution(exact.value, rect) if kind.name == NEUMANN else exact.value
         ref_boundary = BoundaryFunction.from_xy(ref_interior, rect).value
     else:
         ref_boundary = g.value if kind.name == DIRICHLET else u_deep.boundary_value
@@ -312,7 +313,7 @@ def convergence_study(
                 err_L2_boundary=float(el2),
                 err_sup_boundary=float(esup),
                 err_L2_interior=interior_l2(int_diff, rect),
-                err_sup_interior=interior_sup(int_diff, rect, *grid),
+                err_sup_interior=interior_sup(int_diff, rect),
                 spectral_tail=spectral_tail(coeffs, n_kept),
                 robin_bound=bound,
             )
@@ -325,13 +326,13 @@ def convergence_study(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TolProfile:
-    orthonormality: float = 1e-8
-    steklov_residual: float = 1e-8
-    harmonicity_order: float = 1.8
-    harmonicity_floor: float = 1e-7
-    scaling: float = 1e-12
+# invariant_suite's tolerances
+ORTHONORMALITY_TOL = 1e-8
+STEKLOV_RESIDUAL_TOL = 1e-8
+HARMONICITY_ORDER = 1.8
+HARMONICITY_FLOOR = 1e-7
+SCALING_TOL = 1e-12
+_RESIDUAL_POINTS = 100  # random boundary points of check_steklov_residual
 
 
 @dataclass(frozen=True)
@@ -386,12 +387,12 @@ def _mode_name(spec: Spectrum, row: int) -> str:
     return f"{spec.family(row).value}#{spec.arrays.rank[row]}"
 
 
-def check_steklov_residual(spec: Spectrum, tol: float, rng: random.Random, n_points=100) -> CheckResult:
+def check_steklov_residual(spec: Spectrum, tol: float, rng: random.Random) -> CheckResult:
     """Worst |dn s - delta s| / ((1 + delta) * max(peak |s|, 1)) of the
-    nonconstant modes at n_points random boundary points off the corners,
-    all modes at once on the kernel; peak is each mode's largest |s| there."""
+    nonconstant modes at 100 random boundary points off the corners, all
+    modes at once on the kernel; peak is each mode's largest |s| there."""
     rect = spec.rectangle
-    pts = _random_boundary_points(rect, rng, n_points)
+    pts = _random_boundary_points(rect, rng, _RESIDUAL_POINTS)
     x, y = (np.array(c) for c in zip(*(rect.side_point(side, t) for side, t in pts)))
     nx, ny = (np.array(c) for c in zip(*(rect.outward_normal(side) for side, _ in pts)))
     (fx, fy), (dfx, dfy) = spec._factors(x, y, derivative=True)
@@ -489,15 +490,16 @@ def check_structure(spec: Spectrum) -> CheckResult:
     return CheckResult("spectrum-structure", ok, 0.0 if ok else 1.0, 0.0)
 
 
-def invariant_suite(spec: Spectrum, tols: TolProfile = TolProfile(), seed: int = 0) -> SuiteReport:
-    """Orthonormality, Steklov residual, harmonicity, monotonicity, scaling."""
+def invariant_suite(spec: Spectrum, seed: int = 0) -> SuiteReport:
+    """Orthonormality, Steklov residual, harmonicity, monotonicity, scaling,
+    at the tolerances above; seed draws the random points."""
     rng = random.Random(seed)
     checks = (
         check_structure(spec),
-        check_orthonormality(spec, tols.orthonormality),
-        check_steklov_residual(spec, tols.steklov_residual, rng),
-        check_harmonicity(spec, tols.harmonicity_order, tols.harmonicity_floor, rng),
+        check_orthonormality(spec, ORTHONORMALITY_TOL),
+        check_steklov_residual(spec, STEKLOV_RESIDUAL_TOL, rng),
+        check_harmonicity(spec, HARMONICITY_ORDER, HARMONICITY_FLOOR, rng),
         check_delta_monotone(spec),
-        check_scaling(spec, tols.scaling),
+        check_scaling(spec, SCALING_TOL),
     )
     return SuiteReport(checks)

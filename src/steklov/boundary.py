@@ -219,9 +219,11 @@ def _integrate_panels(rect: Rectangle, fn, abstol: float, reltol: float, limit: 
     (nu_max 0: no frequency known). A panel's value is the sum over its two
     halves, its estimate |halves - whole|; every panel that misses its length
     share of max(abstol, reltol * |I|) for some integrand is bisected, until
-    none does. Once bisection would add more than `limit` panels to a side,
-    QuadratureError reports the integrand furthest from its target; a NaN
-    never meets its target.
+    none does. A panel too short to split, whose midpoint rounds onto an
+    end, is kept as it is if its estimates are finite: its estimate still
+    counts in the total. Once bisection would add more than `limit` panels
+    to a side, QuadratureError reports the integrand furthest from its
+    target; a NaN never meets its target.
     """
     breaks = [lo + _panel_breaks(hi - lo, nu_max) for lo, hi in map(rect.side_interval, SIDES)]
     side_of = np.repeat(np.arange(len(SIDES)), [br.size - 1 for br in breaks])
@@ -235,7 +237,9 @@ def _integrate_panels(rect: Rectangle, fn, abstol: float, reltol: float, limit: 
         value = halves.sum(axis=1)
         est = np.abs(value - whole)
         target = np.maximum(abstol, reltol * np.abs(value.sum(axis=0)))
-        miss = ~(est <= (b - a)[:, None] / rect.perimeter * target).all(axis=1)
+        mid = a + (b - a) / 2  # the split point of _panel_sums
+        final = ((mid == a) | (mid == b)) & np.isfinite(est).all(axis=1)
+        miss = ~(est <= (b - a)[:, None] / rect.perimeter * target).all(axis=1) & ~final
         if not miss.any():
             return value.sum(axis=0), est.sum(axis=0)
         added += np.bincount(side_of[miss], minlength=len(SIDES))
@@ -247,9 +251,9 @@ def _integrate_panels(rect: Rectangle, fn, abstol: float, reltol: float, limit: 
             raise QuadratureError(f"no convergence within {limit} panel bisections", SIDES[k],
                                   float(value[on, entry].sum()), float(side_est[entry]), entry)
         # a missed panel becomes its two halves, whose whole sums are known
-        keep, mid = ~miss, a[miss] + (b[miss] - a[miss]) / 2  # the split point of _panel_sums
+        keep = ~miss
         side_of = np.concatenate((side_of[keep], side_of[miss], side_of[miss]))
-        a, b = np.concatenate((a[keep], a[miss], mid)), np.concatenate((b[keep], mid, b[miss]))
+        a, b = np.concatenate((a[keep], a[miss], mid[miss])), np.concatenate((b[keep], mid[miss], b[miss]))
         whole = np.concatenate((whole[keep], halves[miss, 0], halves[miss, 1]))
         halves = halves[keep]
 

@@ -7,6 +7,11 @@ Commands:
     tables     recompute the published tables and grade agreement
     check      run the spectrum invariant suite
 
+Each subcommand defines only the options it reads: a flag it would ignore
+exits 2 as an unrecognized argument. --M M keeps the first M roots of each
+family (default 5), --count N the N smallest nonconstant eigenvalues; the two
+exclude each other, and --cache excludes both.
+
 Exit codes: 0 success, 1 failed checks (invariant suite, or table entries out
 of tolerance), 2 invalid configuration (an input file that cannot be read
 among them) or incompatible data, 3 root-finder failure.
@@ -47,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reference_tables as ref
-from .analysis import TolProfile, invariant_suite
+from .analysis import invariant_suite
 from .boundary import BoundaryFunction, QuadratureError
 from .catalog import boundary_data_from_spec, builtin_boundary, exact_solution_for, zero_mean_solution
 from .geometry import GeometryError, Rectangle
@@ -94,42 +99,35 @@ def _write_columns(path, header, blocks, digits: int):
             out.write(cells.block_text(columns, digits))
 
 
-def _add_precision(p: argparse.ArgumentParser):
-    p.add_argument("--abstol", type=float, default=1e-10, help="quadrature absolute tolerance")
-    p.add_argument("--reltol", type=float, default=1e-6, help="quadrature relative tolerance")
+def _add_digits(p: argparse.ArgumentParser):
     p.add_argument("--digits", type=int, choices=(6, 17), default=6, help="significant digits in output")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_precision(p: argparse.ArgumentParser):
+    p.add_argument("--abstol", type=float, default=1e-10, help="quadrature absolute tolerance")
+    p.add_argument("--reltol", type=float, default=1e-6, help="quadrature relative tolerance")
+    _add_digits(p)
+
+
+def _add_spectrum(p: argparse.ArgumentParser):
+    """The options `_spectrum_from_args` reads: --h and the truncation."""
     p.add_argument("--h", type=float, default=None,
                    help="aspect ratio of the rectangle (0 < h <= 1; default 1, or the --cache's h)")
-    _add_precision(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-
-
-_TRUNCATION_FLAGS = {"per_family": "--per-family", "global_m": "--global", "count": "--count", "M": "--M"}
-
-
-def _add_truncation(p: argparse.ArgumentParser):
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--per-family", dest="per_family", type=int, metavar="M",
-                   help="keep the first M roots of each family")
-    g.add_argument("--global", dest="global_m", type=int, metavar="M",
-                   help="keep the 8M smallest eigenvalues overall")
     g.add_argument("--count", type=int, metavar="N",
                    help="keep the N smallest nonconstant eigenvalues")
     g.add_argument("--M", type=int, default=None,
-                   help="shorthand for --per-family M")
+                   help="keep the first M roots of each family (default 5)")
 
 
 def _spectrum_from_args(args) -> Spectrum:
     """The spectrum the truncation flags (or --cache) select; --h defaults to 1.
 
     A cache fixes h and the truncation: an omitted --h takes the cache's, a
-    different one is an error, and so is any truncation flag.
+    different one is an error, and so is a truncation flag.
     """
     if getattr(args, "cache", None):
-        given = [flag for dest, flag in _TRUNCATION_FLAGS.items() if getattr(args, dest) is not None]
+        given = [f"--{dest}" for dest in ("count", "M") if getattr(args, dest) is not None]
         if given:
             raise ValueError(f"--cache fixes the truncation; drop {', '.join(given)}")
         spec = load_spectrum(args.cache)
@@ -141,10 +139,7 @@ def _spectrum_from_args(args) -> Spectrum:
     rect = Rectangle(1.0 if args.h is None else args.h)
     if args.count is not None:
         return build_spectrum_by_count(rect, args.count)
-    if args.global_m is not None:
-        return build_spectrum(rect, args.global_m, GLOBAL_SORTED)
-    m = args.per_family if args.per_family is not None else (args.M if args.M is not None else 5)
-    return build_spectrum(rect, m, PER_FAMILY)
+    return build_spectrum(rect, 5 if args.M is None else args.M, PER_FAMILY)
 
 
 def cmd_spectrum(args) -> int:
@@ -332,7 +327,7 @@ def _parse_which(text: str):
 
 def cmd_check(args) -> int:
     spec = _spectrum_from_args(args)
-    report = invariant_suite(spec, TolProfile(), seed=args.seed)
+    report = invariant_suite(spec, seed=args.seed)
     for c in report.checks:
         print(c.line())
     if args.json:
@@ -349,16 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="compute and cache eigenpairs")
-    _add_common(p)
-    _add_truncation(p)
+    _add_spectrum(p)
+    _add_digits(p)
     p.add_argument("--out", default="spectrum.json", help="JSON cache path")
     p.add_argument("--csv", default=None, help="CSV listing path (default stdout)")
     p.set_defaults(func=cmd_spectrum)
 
     for name, grid_only in (("solve", False), ("grid", True)):
         p = sub.add_parser(name, help="solve a boundary value problem")
-        _add_common(p)
-        _add_truncation(p)
+        _add_spectrum(p)
+        _add_precision(p)
         p.add_argument("--kind", choices=("dirichlet", "robin", "neumann"), default="dirichlet")
         p.add_argument("--b", type=float, default=None, help="Robin constant (b > 0; Robin only)")
         p.add_argument("--g", required=True, help="boundary data: builtin:NAME | expr:SRC | file:PATH")
@@ -391,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("check", help="run the invariant suite")
-    _add_common(p)
-    _add_truncation(p)
+    _add_spectrum(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.add_argument("--json", default=None, help="write the report as JSON")
     p.set_defaults(func=cmd_check)
 

@@ -107,14 +107,9 @@ class SteklovApproximation:
         a0, a1, a2, a3 = self.lift
         return a0 + a1 * x + a2 * y + a3 * x * y
 
-    def _sum(self, x, y, weights=None):
-        """constant + lift + sum_j w_j s_j at points that broadcast; a float at one point.
-
-        weights, an (m, K) stack of weight rows, replaces self.weights and
-        gives the m sums (Spectrum.expand).
-        """
-        w = self.weights if weights is None else weights
-        return self.constant_term + self._lift_value(x, y) + self.spectrum.expand(w, x, y)
+    def _sum(self, x, y):
+        """constant + lift + sum_j w_j s_j at points that broadcast; a float at one point."""
+        return self.constant_term + self._lift_value(x, y) + self.spectrum.expand(self.weights, x, y)
 
     def _gradient(self, x, y):
         """Term-by-term gradient of _sum at the same points."""

@@ -293,16 +293,18 @@ def _branch_table(rect: Rectangle, counts):
     return code, rank, k, np.where(extra & (rank == 0), _TINY_THETA, _LO[code]), _HI[code]
 
 
+_ROOT_TOL = 1e-12  # bracket width in nu of the roots the spectrum builders solve
+
+
 def _solve_branches(code, k, lo, hi, rect: Rectangle, tol: float) -> np.ndarray:
     """The root on every branch of _branch_table, all branches in lock-step.
 
     Each branch keeps its bracket end when that end's residual is at rounding
     level (both ends of the same sign is an error otherwise), or bisects until
     the bracket is at most tol * aT wide in theta, then takes at most 3
-    Newton steps that stay in the bracket and shrink |f|.
+    Newton steps that stay in the bracket and shrink |f|. tol is _ROOT_TOL,
+    or find_roots' checked argument.
     """
-    if tol < 1e-14:
-        raise ValueError(f"tol must be >= 1e-14, got {tol}")
     a_t, a_h = _extents(code, rect)
     k_pi = k * math.pi
     tan, sign = _TAN[code], _SIGN[code]
@@ -365,7 +367,7 @@ def _solve_branches(code, k, lo, hi, rect: Rectangle, tol: float) -> np.ndarray:
 
 
 # Kept for the benchmark, whose tracer wraps it by name.
-def find_roots(family: FamilyTag, rect: Rectangle, count: int, tol: float = 1e-12) -> list[float]:
+def find_roots(family: FamilyTag, rect: Rectangle, count: int, tol: float = _ROOT_TOL) -> list[float]:
     """The `count` smallest positive roots of a family's characteristic equation.
 
     Each root is bracketed on a single branch of the periodic factor and
@@ -790,14 +792,13 @@ def _spectrum_of_roots(rect: Rectangle, code, rank, nu, with_xy: bool, keep: int
     return Spectrum(rect, arrays, selection, depth)
 
 
-def build_spectrum(
-    rect: Rectangle, m: int, selection: str = PER_FAMILY, tol: float = 1e-12
-) -> Spectrum:
+def build_spectrum(rect: Rectangle, m: int, selection: str = PER_FAMILY) -> Spectrum:
     """Constant mode plus the per-family or globally smallest eigenpairs.
 
     Per-family: the first m roots of each family (on the square, xy leads the
     class-II block and the block keeps its 2m slots). Global: the 8m smallest
-    eigenvalues over all families merged.
+    eigenvalues over all families merged. The roots are bisected to brackets
+    of _ROOT_TOL in nu, as in find_roots.
     """
     if m < 1:
         raise ValueError(f"spectrum depth must be >= 1, got {m}")
@@ -806,14 +807,14 @@ def build_spectrum(
         code, rank, k, lo, hi = _branch_table(rect, counts)
         kept = _per_family_kept(code, rank, rect, m)
         code, rank, k, lo, hi = (c[kept] for c in (code, rank, k, lo, hi))
-        nu = _solve_branches(code, k, lo, hi, rect, tol)
+        nu = _solve_branches(code, k, lo, hi, rect, _ROOT_TOL)
         return _spectrum_of_roots(rect, code, rank, nu, rect.is_square, None, PER_FAMILY, m)
     if selection == GLOBAL_SORTED:
-        return build_spectrum_by_count(rect, 8 * m, tol)
+        return build_spectrum_by_count(rect, 8 * m)
     raise ValueError(f"unknown selection policy {selection!r}")
 
 
-def build_spectrum_by_count(rect: Rectangle, count: int, tol: float = 1e-12) -> Spectrum:
+def build_spectrum_by_count(rect: Rectangle, count: int) -> Spectrum:
     """Constant mode plus the `count` smallest nonconstant eigenpairs.
 
     Only the branches that can hold one of them are solved. The root of
@@ -834,7 +835,7 @@ def build_spectrum_by_count(rect: Rectangle, count: int, tol: float = 1e-12) -> 
         # the slack covers rounding in the bounds; it adds a root only on a near tie
         solve = lower <= cutoff * (1.0 + 1e-12)
         code, rank, k, lo, hi = (c[solve] for c in (code, rank, k, lo, hi))
-    nu = _solve_branches(code, k, lo, hi, rect, tol)
+    nu = _solve_branches(code, k, lo, hi, rect, _ROOT_TOL)
     return _spectrum_of_roots(rect, code, rank, nu, with_xy, count, GLOBAL_SORTED, count)
 
 

@@ -13,7 +13,6 @@ from steklov import (
     Rectangle,
     Side,
     SIDES,
-    TolProfile,
     boundary_l2,
     boundary_partial_sum,
     boundary_sup,
@@ -37,6 +36,10 @@ from steklov import (
 )
 from steklov import spectrum as spectrum_module
 from steklov.analysis import (
+    HARMONICITY_FLOOR,
+    HARMONICITY_ORDER,
+    SCALING_TOL,
+    STEKLOV_RESIDUAL_TOL,
     check_harmonicity,
     check_scaling,
     check_steklov_residual,
@@ -173,7 +176,7 @@ def test_neumann_bound_is_b_zero_form(rect, deep_square):
 
 
 def test_invariant_suite_passes(spec_pf5):
-    report = invariant_suite(spec_pf5, TolProfile(), seed=0)
+    report = invariant_suite(spec_pf5, seed=0)
     assert report.passed, "\n".join(c.line() for c in report.checks)
     names = {c.name for c in report.checks}
     assert {"boundary-orthonormality", "steklov-residual", "interior-harmonicity",
@@ -205,9 +208,8 @@ def failing_checks(spec):
 
 def test_invariant_suite_detects_corrupted_delta(square):
     spec = build_spectrum(square, 1)
-    tols = TolProfile()
-    assert check_steklov_residual(spec, tols.steklov_residual, random.Random(0)).passed
-    assert check_scaling(spec, tols.scaling).passed
+    assert check_steklov_residual(spec, STEKLOV_RESIDUAL_TOL, random.Random(0)).passed
+    assert check_scaling(spec, SCALING_TOL).passed
     delta = spec.arrays.delta.copy()
     delta[3] *= 1.0 + 1e-6
     broken = Spectrum(square, spec.arrays._replace(delta=delta), spec.selection, spec.depth)
@@ -217,8 +219,7 @@ def test_invariant_suite_detects_corrupted_delta(square):
 def test_invariant_suite_detects_unharmonic_kernel(square, monkeypatch):
     # a kernel whose hyperbolic and trigonometric factors of one mode use different nu
     spec = build_spectrum(square, 1)
-    tols = TolProfile()
-    assert check_harmonicity(spec, tols.harmonicity_order, tols.harmonicity_floor, random.Random(0)).passed
+    assert check_harmonicity(spec, HARMONICITY_ORDER, HARMONICITY_FLOOR, random.Random(0)).passed
     j = next(i for i, md in enumerate(spec.modes[1:]) if md.family is FamilyTag.F1)
     plan = spectrum_module._factor_plan
 

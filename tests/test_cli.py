@@ -1,12 +1,13 @@
 """Command-line behavior: outputs, exit codes, determinism, cache fidelity."""
 
+import argparse
 import csv
 import json
 import math
 
 import pytest
 
-from steklov.cli import main
+from steklov.cli import build_parser, main
 
 
 def run(args):
@@ -21,7 +22,7 @@ def read_csv(path):
 def test_spectrum_writes_cache_and_listing(tmp_path):
     cache = tmp_path / "s.json"
     listing = tmp_path / "s.csv"
-    assert run(["spectrum", "--h", "1", "--per-family", "1",
+    assert run(["spectrum", "--h", "1", "--M", "1",
                 "--out", str(cache), "--csv", str(listing)]) == 0
     rows = read_csv(listing)
     assert rows[0] == ["index", "family", "nu", "delta"]
@@ -228,11 +229,10 @@ def test_check_honours_count_and_global(monkeypatch):
 
     seen = []
     monkeypatch.setattr("steklov.cli.invariant_suite",
-                        lambda spec, tols, seed: seen.append(spec) or SuiteReport(()))
+                        lambda spec, seed: seen.append(spec) or SuiteReport(()))
     assert run(["check", "--h", "0.8", "--count", "7"]) == 0
-    assert run(["check", "--h", "0.8", "--global", "1"]) == 0
-    assert [s.size - 1 for s in seen] == [7, 8]
-    assert all(s.selection == "global-sorted" for s in seen)
+    [spec] = seen
+    assert spec.size - 1 == 7 and spec.selection == "global-sorted"
 
 
 @pytest.mark.parametrize("command", [
@@ -241,7 +241,7 @@ def test_check_honours_count_and_global(monkeypatch):
     ["grid", "--g", "builtin:f1", "--grid", "5"],
     ["check"],
 ])
-@pytest.mark.parametrize("flag", ["--M", "--per-family", "--global"])
+@pytest.mark.parametrize("flag", ["--M"])
 def test_zero_depth_exits_2(tmp_path, command, flag):
     argv = command + [flag, "0"]
     if command[0] in ("spectrum", "grid"):
@@ -249,7 +249,7 @@ def test_zero_depth_exits_2(tmp_path, command, flag):
     assert run(argv) == 2
 
 
-@pytest.mark.parametrize("other", [["--count", "5"], ["--per-family", "2"], ["--global", "1"]])
+@pytest.mark.parametrize("other", [["--count", "5"]])
 def test_m_excludes_other_truncation_flags(tmp_path, capsys, other):
     argv = ["spectrum", "--h", "0.8", "--M", "3", *other,
             "--out", str(tmp_path / "s.json"), "--csv", str(tmp_path / "s.csv")]
@@ -260,7 +260,7 @@ def test_m_excludes_other_truncation_flags(tmp_path, capsys, other):
     assert not (tmp_path / "s.json").exists()
 
 
-@pytest.mark.parametrize("flag", [["--M", "2"], ["--count", "300"], ["--per-family", "2"], ["--global", "1"]])
+@pytest.mark.parametrize("flag", [["--M", "2"], ["--count", "300"]])
 def test_cache_rejects_truncation_flags(tmp_path, half_cache, capsys, flag):
     out = tmp_path / "g.csv"
     assert run(["grid", "--g", "builtin:f1", "--cache", str(half_cache), *flag,
@@ -269,12 +269,56 @@ def test_cache_rejects_truncation_flags(tmp_path, half_cache, capsys, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", [["--h", "0.3"], ["--seed", "1"], ["--threads", "7"]])
-def test_tables_rejects_flags_it_ignores(capsys, flag):
+_UNREAD_FLAGS = [
+    ("tables --which 1", "--h 0.3"), ("tables --which 1", "--seed 1"), ("tables --which 1", "--threads 7"),
+    ("spectrum", "--abstol 1e-9"), ("spectrum", "--reltol 1e-5"), ("spectrum", "--seed 1"),
+    ("spectrum", "--per-family 2"), ("spectrum", "--global 1"),
+    ("solve --g builtin:f1 --print-coefficients", "--seed 1"),
+    ("solve --g builtin:f1 --print-coefficients", "--per-family 2"),
+    ("solve --g builtin:f1 --print-coefficients", "--global 1"),
+    ("grid --g builtin:f1", "--seed 1"), ("grid --g builtin:f1", "--per-family 2"), ("grid --g builtin:f1", "--global 1"),
+    ("check", "--abstol 1e-9"), ("check", "--reltol 1e-5"), ("check", "--digits 17"),
+    ("check", "--per-family 2"), ("check", "--global 1"),
+]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS, ids=[c.split()[0] + f.split()[0] for c, f in _UNREAD_FLAGS])
+def test_commands_reject_flags_they_do_not_read(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
-        run(["tables", "--which", "1", *flag])
+        run([*command.split(), *flag.split()])
     assert exc.value.code == 2
-    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+    assert "unrecognized arguments: " + flag.split()[0] in capsys.readouterr().err
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "_read", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --h 0.5 --M 1 --out {tmp}/s.json --csv {tmp}/s.csv",
+    "solve --g builtin:f1 --M 1 --grid 3 --out {tmp}/g.csv --points paper --points-out {tmp}/p.csv",
+    "grid --g builtin:f1 --M 1 --grid 3 --out {tmp}/g.csv",
+    "tables --which 1 --out {tmp}/tables",
+    "check --M 1 --json {tmp}/c.json",
+], ids=lambda argv: argv.split()[0])
+def test_every_option_is_read_by_its_command(tmp_path, capsys, argv):
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    argv = argv.format(tmp=tmp_path).split()
+    args = parser.parse_args(argv, namespace=_ReadRecorder())
+    args._read.clear()  # parsing reads every destination
+    assert args.func(args) == 0
+    defined = {a.dest for a in commands.choices[argv[0]]._actions if a.option_strings} - {"help"}
+    assert defined - args._read == set()
 
 
 def test_with_exact_neumann_drops_the_boundary_mean(tmp_path):

@@ -88,6 +88,17 @@ def test_nan_integrand_fails_within_limit(nan_where):
     assert len(calls) <= len(SIDES) * (len(SIDES) * limit + 2)
 
 
+def test_nonintegrable_pole_fails():
+    # the panels that miss their targets near the pole grow in number each
+    # round: the limit ends the refinement, not panels too short to split
+    rect = Rectangle(1.0)
+    f = BoundaryFunction.from_xy(lambda x, y: 1.0 / np.abs(x - 0.3), rect)
+    with pytest.raises(QuadratureError):
+        integrate_boundary(f)
+    with pytest.raises(QuadratureError):
+        boundary_l2(f.value, rect)
+
+
 def test_import_leaves_scipy_out():
     src = Path(steklov.__file__).resolve().parents[1]
     code = "import sys, steklov; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steklov
-from steklov import FamilyTag, Rectangle, TolProfile, build_spectrum, build_spectrum_by_count
-from steklov.analysis import check_scaling, check_steklov_residual
+from steklov import FamilyTag, Rectangle, build_spectrum, build_spectrum_by_count
+from steklov.analysis import SCALING_TOL, STEKLOV_RESIDUAL_TOL, check_scaling, check_steklov_residual
 from steklov.spectrum import (
     PER_FAMILY,
     SpectrumError,
@@ -193,7 +193,6 @@ def test_global_build_properties(h, count):
         for md in modes:
             resid, scale = ref.char_residual(family, md.nu, rect)
             assert abs(resid) <= 10.0 * TOL * scale
-    tols = TolProfile()
-    for check in (check_steklov_residual(spec, tols.steklov_residual, random.Random(count)),
-                  check_scaling(spec, tols.scaling)):
+    for check in (check_steklov_residual(spec, STEKLOV_RESIDUAL_TOL, random.Random(count)),
+                  check_scaling(spec, SCALING_TOL)):
         assert check.passed, check.line()

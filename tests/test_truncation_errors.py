@@ -10,6 +10,7 @@ from steklov import (
     ProblemKind,
     QuadratureError,
     Rectangle,
+    SIDES,
     Side,
     boundary_l2,
     boundary_sup,
@@ -149,6 +150,46 @@ def test_batch_refined_for_one_member_keeps_every_entry_exact():
     assert sum(batch_nodes) > sum(own_nodes)  # the smooth data's panels are finer in the batch
     for (g, u), (sups, l2s) in zip(zip((smooth, bump), us), batched):
         _assert_own_norms(sups, l2s, g.value, u, subs)
+
+
+@pytest.fixture(scope="module")
+def kinked_solve():
+    # |x - 0.3| + y has a kink in G2 (at t = -0.3) and in G4 (at t = 0.3)
+    rect = Rectangle(1.0)
+    g = BoundaryFunction.from_xy(lambda x, y: np.abs(x - 0.3) + y, rect)
+    base = build_spectrum_by_count(rect, 41)
+    return g, solve(ProblemKind.dirichlet(), g, base), {k: base.head(k) for k in (15, 23, 39)}
+
+
+def _kink_split_l2(fn, rect):
+    """boundary_l2 of fn by scipy's quad, with G2 and G4 split at the kink."""
+    from scipy.integrate import quad
+
+    sq = 0.0
+    for side in SIDES:
+        kink = {Side.G2: [-0.3], Side.G4: [0.3]}.get(side)
+        sq += quad(lambda t: fn(side, t) ** 2, *rect.side_interval(side), points=kink,
+                   epsabs=1e-15, epsrel=1e-12, limit=200)[0]
+    return math.sqrt(sq / rect.perimeter)
+
+
+def _truncation_error(g, u, sub):
+    return lambda side, t, v=u.restrict(sub): g.value(side, t) - v.boundary_value(side, t)
+
+
+@pytest.mark.parametrize("k", [15, 23, 39])
+def test_kinked_truncation_error_converges(kinked_solve, k):
+    # its bisection reaches panels next to the kink whose midpoint rounds onto an end
+    g, u, subs = kinked_solve
+    error = _truncation_error(g, u, subs[k])
+    assert boundary_l2(error, u.rect) == pytest.approx(_kink_split_l2(error, u.rect), rel=1e-9, abs=0.0)
+
+
+def test_kinked_sweep_converges(kinked_solve):
+    g, u, subs = kinked_solve
+    [(_, l2s)] = _truncation_errors([(g.value, u)], list(subs.values()))
+    want = [_kink_split_l2(_truncation_error(g, u, sub), u.rect) for sub in subs.values()]
+    np.testing.assert_allclose(l2s[1:], want, rtol=1e-9, atol=0.0)
 
 
 def test_pairs_over_different_base_spectra_are_refused():
