@@ -29,9 +29,11 @@ import numpy as np
 from .boundary import (
     BoundaryFunction,
     SteklovCoefficients,
+    _REFLECTED,
     _boundary_nodes,
     _integrate_panels,
     _nu_max,
+    _parities,
     _readonly,
     mode_gram_matrix,
     steklov_coefficients,
@@ -116,8 +118,19 @@ def _truncation_errors(pairs: Sequence[tuple[Callable[[Side, np.ndarray], np.nda
     nodes, and the L2 norms of all pairs share one panel-adaptive quadrature
     with boundary_l2's tolerances, whose panels are refined wherever any
     entry misses its target: an entry's panels can only be finer than in a
-    sweep of its own. The modes are evaluated once per node block for all
-    pairs and subs. Expansions over different base spectra raise ValueError.
+    sweep of its own. Expansions over different base spectra raise ValueError.
+
+    The modes are evaluated once per node block for all pairs and subs, and
+    on G1 and G2 only. G3 and G4 are the point reflections of G1 and G2 at
+    the same parameters, where mode j takes the sign sigma_j
+    (boundary._parities): a block on G1 or G2 also gives the sums on its
+    reflected side, (weights * sigma) @ S, as a product of its own, with the
+    same sums as an evaluation there. They are used when that side is next
+    called at the same parameters, which holds for the sup nodes and for L2
+    panels that were split alike; otherwise the side is evaluated as it is.
+    The sup nodes are taken in the order G1, G3, G2, G4, so their mirrored
+    sums are used at once: held while G2 was evaluated, they grew the heap
+    past malloc's top pad, about 30 page faults per side in some processes.
     """
     base = pairs[0][1].spectrum
     if any(u.spectrum is not base for _, u in pairs):
@@ -127,19 +140,40 @@ def _truncation_errors(pairs: Sequence[tuple[Callable[[Side, np.ndarray], np.nda
     for mask, sub in zip(masks, subs):
         mask[base.rows_of(sub)[1:] - 1] = 1.0
     weights = np.concatenate([u.weights * masks for _, u in pairs])
+    reflected_weights = weights * _parities(base)[1][1:]
+    reflected = {side: [] for side in _REFLECTED.values()}  # G3, G4: (t, mirrored sums) of each G1, G2 call
+
+    def mode_sums(side, t, x, y, sums):
+        """weights @ S at side(t) into sums, in the blocks of Spectrum.expand."""
+        if side in _REFLECTED:
+            mirrored = np.empty((len(weights), t.size))
+            for block, xb, yb in base._point_blocks(x, y):
+                s = base.values(xb, yb)
+                sums[..., block] = (weights @ s).reshape(sums.shape[:-1] + (-1,))
+                mirrored[:, block] = reflected_weights @ s
+            reflected[_REFLECTED[side]].append((t, mirrored))
+            return
+        queue = reflected[side]
+        if queue and np.array_equal(queue[0][0], t):
+            sums[...] = queue.pop(0)[1].reshape(sums.shape)
+            return
+        queue.clear()  # split otherwise than its reflected side
+        sums[...] = base.expand(weights, x, y).reshape(sums.shape)
 
     def errors(side, t):
         out = np.empty((len(pairs), 1 + len(subs), t.size))
         x, y = rect.side_point(side, t)
         # the side's fixed coordinate as one value: its factors are evaluated once
         x, y = (x[:1], y) if side.is_vertical else (x, y[:1])
-        sums = base.expand(weights, x, y).reshape(len(pairs), len(subs), -1)
-        for (ref, u), rows, s in zip(pairs, out, sums):
+        mode_sums(side, t, x, y, out[:, 1:])
+        for (ref, u), rows in zip(pairs, out):
             rows[0] = ref(side, t)
-            np.subtract(rows[0], u.constant_term + u._lift_value(x, y) + s, out=rows[1:])
+            np.subtract(rows[0], u.constant_term + u._lift_value(x, y) + rows[1:], out=rows[1:])
         return out.reshape(-1, t.size)
 
-    sups = np.max([np.abs(errors(side, ts)).max(axis=1) for side, ts in _sup_nodes(rect)], axis=0)
+    sup_nodes = dict(_sup_nodes(rect))
+    sides = [on for side in _REFLECTED for on in (side, _REFLECTED[side])]
+    sups = np.max([np.abs(errors(side, sup_nodes[side])).max(axis=1) for side in sides], axis=0)
     l2s = _boundary_l2s(errors, rect, sups.size)
     return list(zip(sups.reshape(len(pairs), -1), l2s.reshape(len(pairs), -1)))
 

@@ -18,8 +18,12 @@ _GRADING, smallest corner panel _CORNER_PANEL of the panel width), where the
 O(1/nu) layers of cosh(nu x) sit. Every mode trace is analytic on each side,
 so these panels converge geometrically. Level 1 is level 0 with every panel
 halved. All integrals are S @ (w * g) at both levels, with S the (K, N)
-matrix of Spectrum.values evaluated _BLOCK nodes at a time, and g evaluated
-once per node. An entry's error estimate is |I1 - I0|, its value I1.
+matrix of Spectrum.values and g evaluated once per node. S is evaluated on
+up to spectrum._BLOCK_ENTRIES mode x node entries at a time, a whole number
+of _BLOCK-node column blocks, and every product is taken one _BLOCK-node
+column block at a time. Data that share a spectrum share its S: one pass
+over the nodes gives the coefficients of all of them. An entry's error
+estimate is |I1 - I0|, its value I1.
 
 S is evaluated on a quarter of the boundary, the t > 0 halves of G1 and G2.
 The panels of a side are symmetric about t = 0 and _PANEL_POINTS is even,
@@ -48,7 +52,7 @@ import numpy as np
 
 from . import expressions
 from .geometry import Rectangle, Side, SIDES
-from .spectrum import _ODD_ALONG, Spectrum
+from .spectrum import _BLOCK_ENTRIES, _ODD_ALONG, Spectrum
 
 
 class QuadratureError(RuntimeError):
@@ -145,7 +149,8 @@ class BoundaryFunction:
             side: (lambda x, y, fn=fn, c=c: fn(x, y) + c)
             for side, fn in self.side_maps.items()
         }
-        return BoundaryFunction(self.rect, maps, f"{self.name}+{c}")
+        # derived names name derived data only: unnamed data stay unnamed
+        return BoundaryFunction(self.rect, maps, self.name and f"{self.name}+{c}")
 
     def subtract_bilinear(self, a0: float, a1: float, a2: float, a3: float) -> "BoundaryFunction":
         maps = {
@@ -154,7 +159,7 @@ class BoundaryFunction:
             )
             for side, fn in self.side_maps.items()
         }
-        return BoundaryFunction(self.rect, maps, f"{self.name}-bilinear")
+        return BoundaryFunction(self.rect, maps, self.name and f"{self.name}-bilinear")
 
 
 def _map_points(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -318,7 +323,7 @@ _PANEL_POINTS = 24
 _PANEL_WIDTH = 16.0
 _GRADING = 4.0
 _CORNER_PANEL = 1e-3
-_BLOCK = 64  # nodes per block of S: S never exists as a whole (K, N) matrix
+_BLOCK = 64  # nodes per column block of the products with S; S never exists as a whole (K, N) matrix
 _ENTRIES = 2**16  # integrand values per call of a panel-adaptive integrand
 
 # Corner breakpoints as fractions of the panel width: 1e-3, 4e-3, ..., 0.256.
@@ -393,12 +398,19 @@ def _parities(spec: Spectrum):
 def _mode_blocks(spec: Spectrum, x: np.ndarray, y: np.ndarray):
     """(slice, Spectrum.values block) over consecutive blocks of _BLOCK nodes.
 
-    One of x and y may be a single coordinate shared by all nodes; it is
-    evaluated once per block.
+    Spectrum.values is evaluated on as many whole _BLOCK-node blocks as fit
+    in _BLOCK_ENTRIES mode x node entries, one block at least (384 nodes at
+    K = 41, 64 from K = 256 on), and each of its _BLOCK-column slices is
+    yielded: the values are those of a call per block, and the products
+    with them are the same. One of x and y may be a single coordinate
+    shared by all nodes; it is evaluated once per call.
     """
-    for start in range(0, max(x.size, y.size), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        yield block, spec.values(x if x.size == 1 else x[block], y if y.size == 1 else y[block])
+    step = _BLOCK * max(1, _BLOCK_ENTRIES // (_BLOCK * max(1, spec.size - 1)))
+    for start in range(0, max(x.size, y.size), step):
+        nodes = slice(start, start + step)
+        s = spec.values(x if x.size == 1 else x[nodes], y if y.size == 1 else y[nodes])
+        for first in range(0, s.shape[1], _BLOCK):
+            yield slice(start + first, start + first + _BLOCK), s[:, first:first + _BLOCK]
 
 
 def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
@@ -429,32 +441,38 @@ def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
     return out
 
 
-def _fixed_node_integrals(g: BoundaryFunction, spec: Spectrum) -> np.ndarray:
-    """(K+1, 2): raw integrals of g against the constant and every mode, by level.
+def _fixed_node_integrals(gs, spec: Spectrum) -> list[np.ndarray]:
+    """(K+1, 2) per data in gs: raw integrals against the constant and every mode, by level.
 
     On the t > 0 nodes of a side, the data enter folded: w * (g(t) + g(-t))
     and w * (g(t) - g(-t)) on the side and on its reflected side. A mode even
     in t takes the even pair of its sums, a mode odd in t the odd pair, and
-    the reflected side's sum enters with the mode's reflection sign.
+    the reflected side's sum enters with the mode's reflection sign. The
+    modes are evaluated once per node for all the data; each data takes its
+    own product with every block, as it would alone.
     """
     rect = spec.rectangle
     nu_max = _nu_max(spec)
     odd, sigma = _parities(spec)
-    raw = np.zeros((spec.size, 2))
+    raws = [np.zeros((spec.size, 2)) for _ in gs]
     for level in (0, 1):
         for side, t, x, y, w in _boundary_nodes(rect, nu_max, level):
             both = np.concatenate((t, -t))
-            # g at t and at -t, on the side and on its reflected side
-            (gp, gm), (rp, rm) = (g.value(on, both).reshape(2, -1) for on in (side, _REFLECTED[side]))
-            # columns: even on the side, even on the reflected side, odd on each
-            folded = w[:, None] * np.column_stack((gp + gm, rp + rm, gp - gm, rp - rm))
-            sums = np.zeros((spec.size, 4))
-            sums[0] = folded.sum(axis=0)
+            folded = []
+            for g in gs:
+                # g at t and at -t, on the side and on its reflected side
+                (gp, gm), (rp, rm) = (g.value(on, both).reshape(2, -1) for on in (side, _REFLECTED[side]))
+                # columns: even on the side, even on the reflected side, odd on each
+                folded.append(w[:, None] * np.column_stack((gp + gm, rp + rm, gp - gm, rp - rm)))
+            sums = [np.zeros((spec.size, 4)) for _ in gs]
             for block, s in _mode_blocks(spec, x, y):
-                sums[1:] += s @ folded[block]
-            pair = np.where(odd[:, _ALONG[side], None], sums[:, 2:], sums[:, :2])
-            raw[:, level] += pair[:, 0] + sigma * pair[:, 1]
-    return raw
+                for f, total in zip(folded, sums):
+                    total[1:] += s @ f[block]
+            for raw, f, total in zip(raws, folded, sums):
+                total[0] = f.sum(axis=0)
+                pair = np.where(odd[:, _ALONG[side], None], total[:, 2:], total[:, :2])
+                raw[:, level] += pair[:, 0] + sigma * pair[:, 1]
+    return raws
 
 
 def steklov_coefficients(
@@ -471,12 +489,25 @@ def steklov_coefficients(
     the raw integral I are recomputed together by panel-adaptive quadrature
     with (abstol, reltol, limit).
     """
-    if g.rect != spec.rectangle:
+    return _coefficient_sets([g], spec, abstol, reltol, limit)[0]
+
+
+def _coefficient_sets(gs, spec: Spectrum, abstol: float, reltol: float, limit: int = 200) -> list[SteklovCoefficients]:
+    """steklov_coefficients of each data in gs, from one fixed-node pass
+    (_fixed_node_integrals); each data's fallback is its own."""
+    if any(g.rect != spec.rectangle for g in gs):
         raise ValueError("boundary data and spectrum live on different rectangles")
     if abstol <= 0.0 or reltol <= 0.0:
         raise ValueError("tolerances must be positive")
+    raws = _fixed_node_integrals(gs, spec)
+    return [_coefficients(g, spec, raw, abstol, reltol, limit) for g, raw in zip(gs, raws)]
+
+
+def _coefficients(g: BoundaryFunction, spec: Spectrum, raw: np.ndarray,
+                  abstol: float, reltol: float, limit: int) -> SteklovCoefficients:
+    """steklov_coefficients of g from its fixed-node integrals raw: the
+    entries that miss their targets fall back to panel-adaptive quadrature."""
     rect = spec.rectangle
-    raw = _fixed_node_integrals(g, spec)
     values = raw[:, 1].copy()
     estimates = np.abs(raw[:, 1] - raw[:, 0])
     # a NaN estimate misses its target too

@@ -593,13 +593,19 @@ class Spectrum:
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         shape = np.broadcast_shapes(x.shape, y.shape)
         x, y = (c.ravel() if c.size == 1 else np.broadcast_to(c, shape).ravel() for c in (x, y))
-        n = max(x.size, y.size)
-        out = np.empty((count, n))
-        step = max(64, _BLOCK_ENTRIES // max(1, self.size - 1))
-        for start in range(0, n, step):
-            block = slice(start, start + step)
-            out[:, block] = terms(x if x.size == 1 else x[block], y if y.size == 1 else y[block])
+        out = np.empty((count, max(x.size, y.size)))
+        for block, xb, yb in self._point_blocks(x, y):
+            out[:, block] = terms(xb, yb)
         return tuple(out.reshape((count,) + shape))
+
+    def _point_blocks(self, x, y):
+        """(slice, x block, y block) over the points of the 1-D arrays x and
+        y, _BLOCK_ENTRIES // K points a block and at least 64; a coordinate
+        of size 1 is passed to every block as it is."""
+        step = max(64, _BLOCK_ENTRIES // max(1, self.size - 1))
+        for start in range(0, max(x.size, y.size), step):
+            block = slice(start, start + step)
+            yield block, (x if x.size == 1 else x[block]), (y if y.size == 1 else y[block])
 
     def expand(self, weights, x, y):
         """sum_j weights[j] * s_j(x, y) over the nonconstant modes.

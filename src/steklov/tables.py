@@ -16,7 +16,7 @@ import numpy as np
 
 from . import reference_tables as ref
 from .analysis import _truncation_errors
-from .boundary import BoundaryFunction, steklov_coefficients
+from .boundary import BoundaryFunction, _coefficient_sets, steklov_coefficients
 from .catalog import builtin_boundary, exact_solution_for
 from .geometry import Rectangle
 from .solvers import DIRICHLET, ProblemKind, solve, solve_dirichlet
@@ -69,7 +69,9 @@ class TableWorkspace:
 
     The truncation errors of a (data, h, policy, kind) are computed once,
     and the data missing at one call of sweeps are measured together: one
-    sweep of the boundary per (h, policy, kind) batch.
+    sweep of the boundary per (h, policy, kind) batch. Data are memoised by
+    name; unnamed data raise ValueError, since any two of them would share
+    one entry.
     """
 
     def __init__(self, abstol: float = 1e-10, reltol: float = 1e-6):
@@ -92,7 +94,7 @@ class TableWorkspace:
 
     def coefficients(self, g: BoundaryFunction, spec: Spectrum):
         """The coefficients of g against spec, once per (data, h, selection)."""
-        key = (g.name, g.rect.h, spec.selection)
+        key = _memo_key(g, spec.selection)
         if key not in self._coeffs:
             self._coeffs[key] = steklov_coefficients(g, spec, self.abstol, self.reltol)
         return self._coeffs[key]
@@ -102,15 +104,23 @@ class TableWorkspace:
 
         The data not yet memoised are swept together: one _truncation_errors
         sweep per (h, policy, kind) batch, which evaluates the modes once per
-        node for every truncation of every data. Its L2 panels are refined
-        wherever any entry misses its target, so an entry's panels can only
-        be finer than in a sweep of its own.
+        node, on G1 and G2 only, for every truncation of every data. Its L2
+        panels are refined wherever any entry misses its target, so an
+        entry's panels can only be finer than in a sweep of its own. The
+        coefficient sets the batch still lacks come from one fixed-node pass
+        over the base spectrum (boundary._coefficient_sets), each equal to
+        its steklov_coefficients.
         """
-        keys = [(g.name, g.rect.h, policy, kind) for g in gs]
+        keys = [_memo_key(g, policy, kind) for g in gs]
         missing = {key: g for key, g in zip(keys, gs) if key not in self._sweeps}
         if missing:
             h = gs[0].rect.h
             base = self.base_spectrum(h, policy)
+            lacking = {key: g for g in missing.values()
+                       if (key := _memo_key(g, base.selection)) not in self._coeffs}
+            if lacking:
+                sets = _coefficient_sets(list(lacking.values()), base, self.abstol, self.reltol)
+                self._coeffs.update(zip(lacking, sets))
             pairs = [(_reference(g, kind), solve(kind, g, base, coefficients=self.coefficients(g, base)))
                      for g in missing.values()]
             subs = [self.truncation(h, kind.name, m, policy) for m in ref.M_VALUES]
@@ -144,6 +154,13 @@ class TableWorkspace:
         if policy == GLOBAL_SORTED:
             return self.deep_spectrum(h).select(m)
         raise ValueError(f"unknown policy {policy!r}")
+
+
+def _memo_key(g: BoundaryFunction, *rest) -> tuple:
+    """(name, h, *rest): the memo key of g in a TableWorkspace; ValueError for unnamed data."""
+    if not g.name:
+        raise ValueError("a TableWorkspace memoises boundary data by name, and this data has none")
+    return (g.name, g.rect.h, *rest)
 
 
 def _reference(g: BoundaryFunction, kind: ProblemKind):

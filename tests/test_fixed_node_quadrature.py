@@ -122,11 +122,118 @@ def test_fold_matches_full_node_sums(h, count):
         plain, magnitude = full_node_integrals(g, spec)
         # not max |plain|: on h = 1e-3, bd1 cancels to about 0.006 of its magnitude, bd3 to rounding
         tol = 1e-14 * magnitude
-        assert np.abs(boundary._fixed_node_integrals(g, spec) - plain).max() <= tol, name
+        assert np.abs(boundary._fixed_node_integrals([g], spec)[0] - plain).max() <= tol, name
         # every entry meets its target at the fixed nodes: no fallback
         co = steklov_coefficients(g, spec, ABSTOL, RELTOL)
         assert np.abs(np.r_[co.gbar, co.values] * perim - plain[:, 1]).max() <= tol, name
         assert np.abs(co.estimates * perim - np.abs(plain[:, 1] - plain[:, 0])).max() <= tol, name
+
+
+def integrals_by_64_nodes(g, spec):
+    """_fixed_node_integrals of g alone, with Spectrum.values evaluated on
+    64 nodes per call."""
+    rect = spec.rectangle
+    odd, sigma = boundary._parities(spec)
+    raw = np.zeros((spec.size, 2))
+    for level in (0, 1):
+        for side, t, x, y, w in boundary._boundary_nodes(rect, spec.arrays.nu.max(), level):
+            both = np.r_[t, -t]
+            (gp, gm), (rp, rm) = (g.value(on, both).reshape(2, -1) for on in (side, boundary._REFLECTED[side]))
+            folded = w[:, None] * np.column_stack((gp + gm, rp + rm, gp - gm, rp - rm))
+            sums = np.zeros((spec.size, 4))
+            sums[0] = folded.sum(axis=0)
+            for start in range(0, t.size, 64):
+                block = slice(start, start + 64)
+                sums[1:] += spec.values(x if x.size == 1 else x[block], y if y.size == 1 else y[block]) @ folded[block]
+            pair = np.where(odd[:, boundary._ALONG[side], None], sums[:, 2:], sums[:, :2])
+            raw[:, level] += pair[:, 0] + sigma * pair[:, 1]
+    return raw
+
+
+def gram_by_64_nodes(spec):
+    """mode_gram_matrix with Spectrum.values evaluated on 64 nodes per call."""
+    rect = spec.rectangle
+    odd, _ = boundary._parities(spec)
+    classes = [np.flatnonzero(2 * odd[:, 0] + odd[:, 1] == c) for c in range(4)]
+    out = np.zeros((spec.size, spec.size))
+    for rows in classes:
+        gram = np.zeros((rows.size, rows.size))
+        for _, t, x, y, w in boundary._boundary_nodes(rect, spec.arrays.nu.max(), 1):
+            for start in range(0, t.size, 64):
+                block = slice(start, start + 64)
+                s = spec.values(x if x.size == 1 else x[block], y if y.size == 1 else y[block])
+                sc = np.vstack((np.ones(s.shape[1]), s))[rows]
+                gram += (sc * w[block]) @ sc.T
+        out[np.ix_(rows, rows)] = gram * (4.0 / rect.perimeter)
+    return out
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 1e-3])
+@pytest.mark.parametrize("count", [41, 400])
+def test_blocks_give_the_sums_of_64_node_evaluations(h, count):
+    # 41 modes: Spectrum.values on 384 nodes per call; 400 modes: on 64
+    rect = Rectangle(h)
+    spec = build_spectrum_by_count(rect, count)
+    data = [make(rect) for make in FOLD_DATA.values()]
+    for name, g, raw in zip(FOLD_DATA, data, boundary._fixed_node_integrals(data, spec)):
+        assert np.array_equal(raw, integrals_by_64_nodes(g, spec)), name
+    assert np.array_equal(mode_gram_matrix(spec), gram_by_64_nodes(spec))
+
+
+def test_evaluation_blocks_are_whole_64_node_blocks_within_the_entry_budget(monkeypatch):
+    # 16384 mode x node entries: 6 blocks of 64 nodes at 41 modes, 1 from 256 modes on
+    rect = Rectangle(0.5)
+    calls = []
+    values = spectrum.Spectrum.values
+
+    def counted(self, x, y):
+        out = values(self, x, y)
+        calls.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(spectrum.Spectrum, "values", counted)
+    for count, step in ((41, 384), (255, 64), (256, 64), (400, 64)):
+        spec = build_spectrum_by_count(rect, count)
+        x, y = np.array([1.0]), np.linspace(-0.5, 0.5, 1000)
+        calls.clear()
+        slices = list(boundary._mode_blocks(spec, x, y))
+        assert calls == [step] * (1000 // step) + [1000 % step], count
+        assert [b.start for b, _ in slices] == list(range(0, 1000, 64))
+        assert all(s.shape == (count, min(64, 1000 - b.start)) for b, s in slices)
+
+
+def test_coefficient_sets_equal_single_calls(monkeypatch):
+    # the kinked data take the fallback, the smooth ones do not
+    rect = Rectangle(1.0)
+    spec = build_spectrum(rect, 2)
+    data = [builtin_boundary("f1", rect), BoundaryFunction.from_expression("abs(x - 0.3)", rect),
+            builtin_boundary("bd2", rect)]
+    single = [steklov_coefficients(g, spec, ABSTOL, RELTOL) for g in data]
+    adaptive = boundary._integrate_panels
+    fallbacks = []
+
+    def counted(*args, **kwargs):
+        fallbacks.append(args[1])
+        return adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(boundary, "_integrate_panels", counted)
+    batch = boundary._coefficient_sets(data, spec, ABSTOL, RELTOL)
+    assert len(fallbacks) == 1
+    for g, one, co in zip(data, single, batch):
+        assert co.spectrum is spec
+        assert co.gbar == one.gbar, g.name
+        assert np.array_equal(co.values, one.values), g.name
+        assert np.array_equal(co.estimates, one.estimates), g.name
+
+
+def test_coefficient_sets_keep_the_checks_of_single_calls():
+    spec = build_spectrum(Rectangle(1.0), 2)
+    data = [builtin_boundary("f1", Rectangle(1.0)), builtin_boundary("f1", Rectangle(0.5))]
+    with pytest.raises(ValueError, match="different rectangles"):
+        boundary._coefficient_sets(data, spec, ABSTOL, RELTOL)
+    for abstol, reltol in ((0.0, RELTOL), (ABSTOL, -1.0)):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            boundary._coefficient_sets(data[:1], spec, abstol, reltol)
 
 
 def test_mode_factors_are_evaluated_at_half_the_nodes(monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from steklov import ProblemKind, Rectangle, builtin_boundary
+from steklov import BoundaryFunction, ProblemKind, Rectangle, builtin_boundary, steklov_coefficients
 from steklov import reference_tables as ref
 from steklov.spectrum import PER_FAMILY
 from steklov.tables import POLICY_PREFIX, TableWorkspace, reproduce_rerr, reproduce_table
@@ -113,6 +113,66 @@ def test_data_norms_are_computed_once_per_data_h_and_norm(monkeypatch):
         assert sorted(pair for call in sweeps for pair in call) == want, policy
         assert len(sweeps) == 4, (policy, sweeps)
         sweeps.clear()
+
+
+def _count_coefficient_passes(monkeypatch):
+    """The fixed-node coefficient passes from here on: per pass, the (data, h) of each data it integrates."""
+    from steklov import boundary
+
+    real = boundary._fixed_node_integrals
+    passes = []
+
+    def counted(gs, spec):
+        passes.append([(g.name, g.rect.h) for g in gs])
+        return real(gs, spec)
+
+    monkeypatch.setattr(boundary, "_fixed_node_integrals", counted)
+    return passes
+
+
+@pytest.mark.parametrize("policy", [POLICY_PREFIX, PER_FAMILY])
+def test_a_height_takes_one_coefficient_pass(monkeypatch, policy):
+    # tables 1-3 each integrate one data at h = 1, f1-f3 at h = 0.8 and 0.5
+    # share one pass per height, f1 at h = 1 is memoised for table 11, whose
+    # f1+4 takes a pass of its own, and tables 12-14 one data each: 9 passes,
+    # one per data and height would be 13
+    passes = _count_coefficient_passes(monkeypatch)
+    ws = TableWorkspace()
+    for tid in range(1, 15):
+        reproduce_table(tid, ws, policy)
+    assert passes == [[("f1", 1.0)], [("f2", 1.0)], [("f3", 1.0)],
+                      [("f1", 0.8), ("f2", 0.8), ("f3", 0.8)], [("f1", 0.5), ("f2", 0.5), ("f3", 0.5)],
+                      [("f1+4.0", 1.0)], [("bd1", 1.0)], [("bd2", 1.0)], [("bd3", 1.0)]]
+
+
+def test_batched_coefficient_sets_equal_single_ones():
+    ws = TableWorkspace()
+    rect = Rectangle(0.8)
+    data = [builtin_boundary(name, rect) for name in ("f1", "f2", "f3")]
+    ws.sweeps(data, POLICY_PREFIX)
+    base = ws.base_spectrum(0.8, POLICY_PREFIX)
+    for g in data:
+        batched, single = ws.coefficients(g, base), steklov_coefficients(g, base)
+        assert batched.gbar == single.gbar
+        assert np.array_equal(batched.values, single.values) and np.array_equal(batched.estimates, single.estimates)
+
+
+def test_unnamed_data_are_refused():
+    # memoised by name, from_xy(x) and from_xy(5) shared one entry: the
+    # second call returned gbar 0.0, the mean of x, instead of 5
+    rect = Rectangle(1.0)
+    ws = TableWorkspace()
+    spec = ws.base_spectrum(1.0, POLICY_PREFIX)
+    maps = (lambda x, y: x, lambda x, y: np.full(np.shape(x), 5.0))
+    x, five = (BoundaryFunction.from_xy(fn, rect) for fn in maps)
+    for g in (x, five, five.shift(1.0), five.subtract_bilinear(1.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="by name"):
+            ws.coefficients(g, spec)
+        with pytest.raises(ValueError, match="by name"):
+            ws.sweeps([g], POLICY_PREFIX)
+    named = [BoundaryFunction.from_xy(fn, rect, name) for fn, name in zip(maps, ("x", "5"))]
+    assert [ws.coefficients(g, spec).gbar for g in named] == pytest.approx([0.0, 5.0], abs=1e-12)
+    assert [sup[0] for sup, _ in ws.sweeps(named, POLICY_PREFIX)] == pytest.approx([1.0, 5.0], rel=1e-12)
 
 
 def test_a_batch_of_sweeps_shares_one_height():

@@ -20,6 +20,7 @@ from steklov import (
     exact_solution_for,
     solve,
 )
+from steklov import analysis, spectrum
 from steklov.analysis import _truncation_errors
 from steklov.tables import TableWorkspace
 
@@ -122,6 +123,92 @@ def test_batched_sweep_equals_the_one_pair_sweeps(h, policy):
     for pair, (sups, l2s) in zip(pairs, batched):
         [(own_sups, own_l2s)] = _truncation_errors([pair], subs)
         assert np.array_equal(sups, own_sups) and np.array_equal(l2s, own_l2s), (sups - own_sups, l2s - own_l2s)
+
+
+def _four_side_sweep(pairs, subs):
+    """_truncation_errors with the modes evaluated on every side, G3 and G4 included."""
+    base = pairs[0][1].spectrum
+    rect = base.rectangle
+    masks = np.zeros((len(subs), base.size - 1))
+    for mask, sub in zip(masks, subs):
+        mask[base.rows_of(sub)[1:] - 1] = 1.0
+    weights = np.concatenate([u.weights * masks for _, u in pairs])
+
+    def errors(side, t):
+        out = np.empty((len(pairs), 1 + len(subs), t.size))
+        x, y = rect.side_point(side, t)
+        x, y = (x[:1], y) if side.is_vertical else (x, y[:1])
+        sums = base.expand(weights, x, y).reshape(len(pairs), len(subs), -1)
+        for (ref, u), rows, s in zip(pairs, out, sums):
+            rows[0] = ref(side, t)
+            np.subtract(rows[0], u.constant_term + u._lift_value(x, y) + s, out=rows[1:])
+        return out.reshape(-1, t.size)
+
+    sups = np.max([np.abs(errors(side, ts)).max(axis=1) for side, ts in analysis._sup_nodes(rect)], axis=0)
+    l2s = analysis._boundary_l2s(errors, rect, sups.size)
+    return list(zip(sups.reshape(len(pairs), -1), l2s.reshape(len(pairs), -1)))
+
+
+def _assert_same_sweeps(got, want):
+    assert len(got) == len(want)
+    for (sups, l2s), (want_sups, want_l2s) in zip(got, want):
+        assert np.array_equal(sups, want_sups), sups - want_sups
+        assert np.array_equal(l2s, want_l2s), l2s - want_l2s
+
+
+@pytest.mark.parametrize("policy", ["prefix", "per-family", "global-sorted"])
+@pytest.mark.parametrize("h", [1.0, 0.8, 0.5])
+def test_mirrored_sides_equal_evaluated_sides(h, policy):
+    # the tables' batch of f1-f3 at one height: G3 and G4 from the blocks of G1 and G2
+    ws = TableWorkspace()
+    rect = Rectangle(h)
+    base = ws.base_spectrum(h, policy)
+    subs = [ws.truncation(h, "dirichlet", m, policy) for m in (2, 3, 5)]
+    pairs = [(g.value, solve(ProblemKind.dirichlet(), g, base))
+             for g in (builtin_boundary(name, rect) for name in ("f1", "f2", "f3"))]
+    _assert_same_sweeps(_truncation_errors(pairs, subs), _four_side_sweep(pairs, subs))
+
+
+def _counted_values(monkeypatch):
+    """The number of nodes Spectrum.values is evaluated on from here on, as a one-item list."""
+    values = spectrum.Spectrum.values
+    nodes = [0]
+
+    def counted(self, x, y):
+        out = values(self, x, y)
+        nodes[0] += out.shape[1]
+        return out
+
+    monkeypatch.setattr(spectrum.Spectrum, "values", counted)
+    return nodes
+
+
+def test_a_sweep_evaluates_the_modes_on_half_its_nodes(monkeypatch, square_solve):
+    g, u, subs = square_solve
+    ref, sides = _counting(g.value)
+    evaluated = _counted_values(monkeypatch)
+    _truncation_errors([(ref, u)], subs)
+    assert sum(sides) > 4 * 1001  # the sup nodes and the L2 panels
+    assert 2 * evaluated[0] == sum(sides)
+
+
+def test_sides_split_otherwise_than_their_reflections_are_evaluated(monkeypatch):
+    # |y - 0.3| on G3 only (t = -y there): the L2 panels of G3 are bisected
+    # toward the kink, those of G1 are not
+    rect = Rectangle(1.0)
+    g = BoundaryFunction.from_sides(rect, {Side.G1: lambda x, y: y * y, Side.G2: lambda x, y: x,
+                                           Side.G3: lambda x, y: np.abs(y - 0.3), Side.G4: lambda x, y: -x})
+    base = build_spectrum_by_count(rect, 41)
+    u = solve(ProblemKind.dirichlet(), g, base)
+    subs = [base.head(15), base.head(23), base.head(39)]
+    ref, sides = _counting(g.value)
+    evaluated = _counted_values(monkeypatch)
+    got = _truncation_errors([(ref, u)], subs)
+    assert 2 * evaluated[0] > sum(sides)  # some calls on G3 were evaluated
+    monkeypatch.undo()
+    _assert_same_sweeps(got, _four_side_sweep([(g.value, u)], subs))
+    [(sups, l2s)] = got
+    _assert_own_norms(sups, l2s, g.value, u, subs)
 
 
 def _counting(ref):
