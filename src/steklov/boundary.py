@@ -10,20 +10,22 @@ boundary-normalized eigenfunctions are an orthonormal family and the
 coefficient of data g against mode j is ghat_j = integral(g * s_j) / |dOmega|.
 Raw (unweighted) arc-length integrals are what integrate_boundary returns.
 
-Coefficients come from one fixed node set per (rectangle, nu_max), where
-nu_max is the largest frequency of the spectrum. Each side is cut into
-composite Gauss-Legendre panels of _PANEL_POINTS nodes, no wider than
-_PANEL_WIDTH / nu_max, and graded geometrically toward both corners (ratio
-_GRADING, smallest corner panel _CORNER_PANEL of the panel width), where the
-O(1/nu) layers of cosh(nu x) sit. Every mode trace is analytic on each side,
-so these panels converge geometrically. Level 1 is level 0 with every panel
-halved. All integrals are S @ (w * g) at both levels, with S the (K, N)
-matrix of Spectrum.values and g evaluated once per node. S is evaluated on
-up to spectrum._BLOCK_ENTRIES mode x node entries at a time, a whole number
-of _BLOCK-node column blocks, and every product is taken one _BLOCK-node
-column block at a time. Data that share a spectrum share its S: one pass
-over the nodes gives the coefficients of all of them. An entry's error
-estimate is |I1 - I0|, its value I1.
+Coefficients come from one fixed node set per (rectangle, nu), where nu is
+the highest frequency of the integrand: nu_max, the largest frequency of the
+spectrum, for a mode trace times the data, and 2 * nu_max for the product of
+two mode traces (the Gram matrix). Each side is cut into composite
+Gauss-Legendre panels of _PANEL_POINTS nodes, no wider than _PANEL_WIDTH /
+nu, and graded geometrically toward both corners (ratio _GRADING, smallest
+corner panel _CORNER_PANEL of the panel width), where the O(1/nu) layers of
+cosh(nu x) sit. Every mode trace is analytic on each side, so these panels
+converge geometrically. Level 1 is level 0 with every panel halved. All
+integrals are S @ (w * g) at both levels, with S the (K, N) matrix of
+Spectrum.values and g evaluated once per node. S is evaluated on up to
+spectrum._BLOCK_ENTRIES mode x node entries at a time, a whole number of
+_BLOCK-node column blocks, and every product is taken one _BLOCK-node column
+block at a time. Data that share a spectrum share its S: one pass over the
+nodes gives the coefficients of all of them. An entry's error estimate is
+|I1 - I0|, its value I1.
 
 S is evaluated on a quarter of the boundary, the t > 0 halves of G1 and G2.
 The panels of a side are symmetric about t = 0 and _PANEL_POINTS is even,
@@ -34,8 +36,9 @@ or sin, sinh or linear), and it is even or odd under p -> -p. So the data
 enter folded, w * (g(t) + g(-t)) and w * (g(t) - g(-t)) on a side and on
 its reflected side, and each mode takes the even or the odd pair of its
 sums. The orthonormality Gram matrix of a spectrum (mode_gram_matrix) uses
-the level-1 nodes and the same symmetry: modes of different parity classes
-are orthogonal, and each class block is 4 times its sum over these nodes.
+the level-1 nodes for 2 * nu_max and the same symmetry: modes of different
+parity classes are orthogonal, and each class block is 4 times its sum over
+these nodes.
 
 Every other boundary integral is one panel-adaptive rule on arrays of nodes
 (_integrate_panels): integrate_boundary, analysis.boundary_l2, and the
@@ -220,11 +223,12 @@ def _integrate_panels(rect: Rectangle, fn, abstol: float, reltol: float, limit: 
     """(I, estimate): raw arc-length integrals of fn over the boundary, shape (m,).
 
     fn(side, t) maps an array of n side parameters to n values, or to (m, n)
-    values of m = entries integrands. Each side starts from _panel_breaks(nu_max)
-    (nu_max 0: no frequency known). A panel's value is the sum over its two
-    halves, its estimate |halves - whole|; every panel that misses its length
-    share of max(abstol, reltol * |I|) for some integrand is bisected, until
-    none does. A panel too short to split, whose midpoint rounds onto an
+    values of m = entries integrands. Each side starts from
+    _panel_breaks(nu_max), nu_max the integrands' top frequency (0: none
+    known). A panel's value is the sum over its two halves, its estimate
+    |halves - whole|; every panel that misses its length share of
+    max(abstol, reltol * |I|) for some integrand is bisected, until none
+    does. A panel too short to split, whose midpoint rounds onto an
     end, is kept as it is if its estimates are finite: its estimate still
     counts in the total. Once bisection would add more than `limit` panels
     to a side, QuadratureError reports the integrand furthest from its
@@ -315,12 +319,13 @@ class SteklovCoefficients:
         return self.gbar * self.gbar + float(self.values @ self.values)
 
 
-# Fixed-node quadrature. A panel is at most _PANEL_WIDTH / nu_max wide, so
-# the product of two mode traces turns through at most 2 * _PANEL_WIDTH
-# radians (or e-folds) across it, which _PANEL_POINTS Gauss-Legendre nodes
-# integrate to rounding.
+# Fixed-node quadrature. A panel is at most _PANEL_WIDTH / nu wide for an
+# integrand of top frequency nu (nu_max for a mode trace times the data,
+# 2 * nu_max for the product of two traces), so the integrand turns through
+# at most _PANEL_WIDTH radians (or e-folds) across it, which _PANEL_POINTS
+# Gauss-Legendre nodes integrate to rounding.
 _PANEL_POINTS = 24
-_PANEL_WIDTH = 16.0
+_PANEL_WIDTH = 32.0
 _GRADING = 4.0
 _CORNER_PANEL = 1e-3
 _BLOCK = 64  # nodes per column block of the products with S; S never exists as a whole (K, N) matrix
@@ -333,11 +338,11 @@ _CORNER_BREAKS = _CORNER_PANEL * _GRADING ** np.arange(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_POINTS)
 
 
-def _panel_breaks(length: float, nu_max: float) -> np.ndarray:
-    """Panel breakpoints on [0, length]: equal panels no wider than
-    _PANEL_WIDTH / nu_max in the middle (half the length for nu_max 0),
-    graded geometrically toward both ends."""
-    w = min(_PANEL_WIDTH / nu_max if nu_max > 0.0 else math.inf, 0.5 * length)
+def _panel_breaks(length: float, nu: float) -> np.ndarray:
+    """Panel breakpoints on [0, length] for an integrand of top frequency nu:
+    equal panels no wider than _PANEL_WIDTH / nu in the middle (half the
+    length for nu 0), graded geometrically toward both ends."""
+    w = min(_PANEL_WIDTH / nu if nu > 0.0 else math.inf, 0.5 * length)
     n_mid = max(1, math.ceil((length - 2.0 * w) / w))
     corner = w * np.concatenate(([0.0], _CORNER_BREAKS))
     middle = np.linspace(w, length - w, n_mid + 1)
@@ -351,8 +356,9 @@ _REFLECTED = {Side.G1: Side.G3, Side.G2: Side.G4}
 _ALONG = {Side.G1: 1, Side.G2: 0}
 
 
-def _boundary_nodes(rect: Rectangle, nu_max: float, level: int):
-    """Composite Gauss-Legendre nodes with t > 0 on G1 and G2, level 0 or 1.
+def _boundary_nodes(rect: Rectangle, nu: float, level: int):
+    """Composite Gauss-Legendre nodes with t > 0 on G1 and G2, level 0 or 1,
+    on the panels of _panel_breaks for an integrand of top frequency nu.
 
     Yields (side, t, x, y, weight) per side: t holds the positive side
     parameters and weight their arc-length weights; the coordinate that is
@@ -365,7 +371,7 @@ def _boundary_nodes(rect: Rectangle, nu_max: float, level: int):
     """
     for side in _REFLECTED:
         lo, hi = rect.side_interval(side)
-        breaks = _panel_breaks(hi - lo, nu_max)
+        breaks = _panel_breaks(hi - lo, nu)
         if level:
             breaks = np.sort(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]))))
         mid = 0.5 * (breaks[:-1] + breaks[1:])[:, None]
@@ -416,10 +422,11 @@ def _mode_blocks(spec: Spectrum, x: np.ndarray, y: np.ndarray):
 def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
     """Weighted boundary inner products of all modes, constant first.
 
-    The (K+1, K+1) matrix S W S^T / |dOmega| on the level-1 nodes; for an
-    orthonormal spectrum it is the identity. Two modes of different parity
-    classes (odd along x or not, odd along y or not) are exactly orthogonal:
-    on every side their product is odd in t, or the sums over a side and its
+    The (K+1, K+1) matrix S W S^T / |dOmega| on the level-1 nodes for the
+    products of two traces, of top frequency 2 * nu_max; for an orthonormal
+    spectrum it is the identity. Two modes of different parity classes (odd
+    along x or not, odd along y or not) are exactly orthogonal: on every
+    side their product is odd in t, or the sums over a side and its
     reflected side cancel. Within a class the product is even in t and under
     the point reflection, so each class block is 4 times its sum over the
     t > 0 nodes of G1 and G2.
@@ -429,7 +436,7 @@ def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
     parity_class = 2 * odd[:, 0] + odd[:, 1]
     classes = [np.flatnonzero(parity_class == c) for c in range(4)]
     blocks = [np.zeros((rows.size, rows.size)) for rows in classes]
-    for _, _, x, y, w in _boundary_nodes(rect, _nu_max(spec), 1):
+    for _, _, x, y, w in _boundary_nodes(rect, 2.0 * _nu_max(spec), 1):
         for block, s in _mode_blocks(spec, x, y):
             s = np.vstack((np.ones(s.shape[1]), s))
             for rows, gram in zip(classes, blocks):

@@ -93,8 +93,8 @@ class TableWorkspace:
         return self._spectra[key].select(m)
 
     def coefficients(self, g: BoundaryFunction, spec: Spectrum):
-        """The coefficients of g against spec, once per (data, h, selection)."""
-        key = _memo_key(g, spec.selection)
+        """The coefficients of g against spec, once per (data, h, selection, modes)."""
+        key = _coefficients_key(g, spec)
         if key not in self._coeffs:
             self._coeffs[key] = steklov_coefficients(g, spec, self.abstol, self.reltol)
         return self._coeffs[key]
@@ -117,7 +117,7 @@ class TableWorkspace:
             h = gs[0].rect.h
             base = self.base_spectrum(h, policy)
             lacking = {key: g for g in missing.values()
-                       if (key := _memo_key(g, base.selection)) not in self._coeffs}
+                       if (key := _coefficients_key(g, base)) not in self._coeffs}
             if lacking:
                 sets = _coefficient_sets(list(lacking.values()), base, self.abstol, self.reltol)
                 self._coeffs.update(zip(lacking, sets))
@@ -161,6 +161,12 @@ def _memo_key(g: BoundaryFunction, *rest) -> tuple:
     if not g.name:
         raise ValueError("a TableWorkspace memoises boundary data by name, and this data has none")
     return (g.name, g.rect.h, *rest)
+
+
+def _coefficients_key(g: BoundaryFunction, spec: Spectrum) -> tuple:
+    """The memo key of g's coefficients against spec: two spectra of one
+    selection at one height may hold different modes."""
+    return _memo_key(g, spec.selection, spec.arrays.keys.tobytes())
 
 
 def _reference(g: BoundaryFunction, kind: ProblemKind):

@@ -81,16 +81,17 @@ def test_half_nodes_and_their_mirror_images_are_the_panel_nodes(h, level):
                 assert np.array_equal(x, -t) and y.tolist() == [h]
 
 
-def full_node_integrals(g, spec):
+def full_node_integrals(g, spec, nu=None):
     """(K+1, 2) raw integrals per level as plain sums over the symmetric
-    node set: on each side and its reflected side, the half nodes t of
-    _boundary_nodes and their mirror images -t, with the same weights.
-    Also the largest sum of |w * g * s| over the entries and levels, the
-    scale of the rounding in the sums."""
+    node set for top frequency nu (default nu_max): on each side and its
+    reflected side, the half nodes t of _boundary_nodes and their mirror
+    images -t, with the same weights. Also the largest sum of |w * g * s|
+    over the entries and levels, the scale of the rounding in the sums."""
     rect = spec.rectangle
+    nu = spec.arrays.nu.max() if nu is None else nu
     raw, magnitude = np.zeros((2, spec.size, 2))
     for level in (0, 1):
-        for side, t, _, _, w in boundary._boundary_nodes(rect, spec.arrays.nu.max(), level):
+        for side, t, _, _, w in boundary._boundary_nodes(rect, nu, level):
             t, w = np.r_[t, -t], np.r_[w, w]
             for on in (side, boundary._REFLECTED[side]):
                 s = np.vstack((np.ones(t.size), spec.values(*rect.side_point(on, t))))
@@ -129,6 +130,45 @@ def test_fold_matches_full_node_sums(h, count):
         assert np.abs(co.estimates * perim - np.abs(plain[:, 1] - plain[:, 0])).max() <= tol, name
 
 
+WIDE_DATA = {
+    "f1": lambda rect: builtin_boundary("f1", rect),
+    "f2": lambda rect: builtin_boundary("f2", rect),
+    "f3": lambda rect: builtin_boundary("f3", rect),
+    "bd3": lambda rect: builtin_boundary("bd3", rect, 1.0),
+    "exp(x)*cos(y)": lambda rect: BoundaryFunction.from_expression("exp(x)*cos(y)", rect),
+}
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.1, 1e-3])
+@pytest.mark.parametrize("count", [41, 400])
+def test_one_trace_panels_match_finer_nodes(monkeypatch, h, count):
+    # a coefficient integrand, one trace times the data, turns through at
+    # most _PANEL_WIDTH radians on a panel of _PANEL_WIDTH / nu_max; the
+    # reference is the level-1 node set for 2 * nu_max, whose panels are
+    # half as wide
+    rect = Rectangle(h)
+    spec = build_spectrum_by_count(rect, count)
+    fallbacks = []
+    monkeypatch.setattr(boundary, "_integrate_panels", lambda *a, **k: fallbacks.append(a))
+    for name, make in WIDE_DATA.items():
+        g = make(rect)
+        finer, magnitude = full_node_integrals(g, spec, 2 * spec.arrays.nu.max())
+        co = steklov_coefficients(g, spec, ABSTOL, RELTOL)
+        assert fallbacks == [], name
+        assert np.abs(np.r_[co.gbar, co.values] * rect.perimeter - finer[:, 1]).max() <= 1e-14 * magnitude, name
+
+
+def test_a_400_mode_coefficient_set_takes_1440_nodes_on_the_square():
+    # 400 modes on the square: the coefficient nodes (t > 0, both levels)
+    # are 1440, the Gram's level-1 nodes for 2 * nu_max 1440 as well; with
+    # the Gram's panels the coefficients took 2160
+    rect = Rectangle(1.0)
+    nu_max = build_spectrum_by_count(rect, 400).arrays.nu.max()
+    coefficient_nodes = sum(t.size for level in (0, 1) for _, t, *_ in boundary._boundary_nodes(rect, nu_max, level))
+    gram_nodes = sum(t.size for _, t, *_ in boundary._boundary_nodes(rect, 2 * nu_max, 1))
+    assert (coefficient_nodes, gram_nodes) == (1440, 1440)
+
+
 def integrals_by_64_nodes(g, spec):
     """_fixed_node_integrals of g alone, with Spectrum.values evaluated on
     64 nodes per call."""
@@ -151,14 +191,15 @@ def integrals_by_64_nodes(g, spec):
 
 
 def gram_by_64_nodes(spec):
-    """mode_gram_matrix with Spectrum.values evaluated on 64 nodes per call."""
+    """mode_gram_matrix with Spectrum.values evaluated on 64 nodes per call,
+    on the nodes for products of two traces (top frequency 2 * nu_max)."""
     rect = spec.rectangle
     odd, _ = boundary._parities(spec)
     classes = [np.flatnonzero(2 * odd[:, 0] + odd[:, 1] == c) for c in range(4)]
     out = np.zeros((spec.size, spec.size))
     for rows in classes:
         gram = np.zeros((rows.size, rows.size))
-        for _, t, x, y, w in boundary._boundary_nodes(rect, spec.arrays.nu.max(), 1):
+        for _, t, x, y, w in boundary._boundary_nodes(rect, 2 * spec.arrays.nu.max(), 1):
             for start in range(0, t.size, 64):
                 block = slice(start, start + 64)
                 s = spec.values(x if x.size == 1 else x[block], y if y.size == 1 else y[block])

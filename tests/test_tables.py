@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from steklov import BoundaryFunction, ProblemKind, Rectangle, builtin_boundary, steklov_coefficients
+from steklov import (
+    BoundaryFunction,
+    ProblemKind,
+    Rectangle,
+    build_spectrum_by_count,
+    builtin_boundary,
+    solve_dirichlet,
+    steklov_coefficients,
+)
 from steklov import reference_tables as ref
 from steklov.spectrum import PER_FAMILY
 from steklov.tables import POLICY_PREFIX, TableWorkspace, reproduce_rerr, reproduce_table
@@ -173,6 +181,21 @@ def test_unnamed_data_are_refused():
     named = [BoundaryFunction.from_xy(fn, rect, name) for fn, name in zip(maps, ("x", "5"))]
     assert [ws.coefficients(g, spec).gbar for g in named] == pytest.approx([0.0, 5.0], abs=1e-12)
     assert [sup[0] for sup, _ in ws.sweeps(named, POLICY_PREFIX)] == pytest.approx([1.0, 5.0], rel=1e-12)
+
+
+def test_coefficients_are_memoised_per_spectrum_modes():
+    # keyed by (name, h, selection), the 41-mode set was returned for the
+    # 100-mode spectrum of the same selection, and solve refused it
+    rect = Rectangle(1.0)
+    g = builtin_boundary("f1", rect)
+    ws = TableWorkspace()
+    small, large = (build_spectrum_by_count(rect, count) for count in (41, 100))
+    assert ws.coefficients(g, small).spectrum is small
+    co = ws.coefficients(g, large)
+    assert co.spectrum is large and co.values.size == 100
+    assert np.array_equal(co.values, steklov_coefficients(g, large).values)
+    assert ws.coefficients(g, small).spectrum is small
+    solve_dirichlet(g, large, coefficients=co)
 
 
 def test_a_batch_of_sweeps_shares_one_height():
