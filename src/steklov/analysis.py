@@ -491,16 +491,17 @@ def check_scaling(spec: Spectrum, tol: float) -> CheckResult:
     Dilated by L, a mode s becomes s(p / L) on the dilated rectangle, with
     eigenvalue delta / L. Its Steklov quotient, the boundary integral of
     s * dn(s) over that of s^2, is the quotient of s on the rectangle divided
-    by L. The quotients are sums over the level-1 nodes of G1 and G2 for
-    products of two traces (top frequency 2 * nu_max), the t > 0 halves of
-    _boundary_nodes, from the kernel's values and derivatives; each must
-    equal delta / L to tol, relative. s * dn(s) and s^2 are even in t on
-    every side and under the point reflection, so the other halves and G3
-    and G4 add the same sums: the quotient is that of the whole boundary.
+    by L. The quotients are sums under the Kronrod weights of the node set
+    for products of two traces (top frequency 2 * nu_max), the t > 0 halves
+    of G1 and G2 of _boundary_nodes, from the kernel's values and
+    derivatives; each must equal delta / L to tol, relative. s * dn(s) and
+    s^2 are even in t on every side and under the point reflection, so the
+    other halves and G3 and G4 add the same sums: the quotient is that of
+    the whole boundary.
     """
     head = spec.take(slice(0, 12))
     num, den = np.zeros((2, head.size - 1))
-    for side, _, x, y, w in _boundary_nodes(head.rectangle, 2.0 * _nu_max(head), 1):
+    for side, _, x, y, _, w in _boundary_nodes(head.rectangle, 2.0 * _nu_max(head)):
         (fx, fy), (dfx, dfy) = head._factors(x, y, derivative=True)
         values = fx * fy
         dn = dfx * fy if side is Side.G1 else fx * dfy  # the outward normal is +x on G1, +y on G2

@@ -13,41 +13,47 @@ Raw (unweighted) arc-length integrals are what integrate_boundary returns.
 Coefficients come from one fixed node set per (rectangle, nu), where nu is
 the highest frequency of the integrand: nu_max, the largest frequency of the
 spectrum, for a mode trace times the data, and 2 * nu_max for the product of
-two mode traces (the Gram matrix). Each side is cut into composite
-Gauss-Legendre panels of _PANEL_POINTS nodes, no wider than _PANEL_WIDTH /
-nu, and graded geometrically toward both corners (ratio _GRADING, smallest
-corner panel _CORNER_PANEL of the panel width), where the O(1/nu) layers of
-cosh(nu x) sit. Every mode trace is analytic on each side, so these panels
-converge geometrically. Level 1 is level 0 with every panel halved. All
-integrals are S @ (w * g) at both levels, with S the (K, N) matrix of
-Spectrum.values and g evaluated once per node. S is evaluated on up to
-spectrum._BLOCK_ENTRIES mode x node entries at a time, a whole number of
-_BLOCK-node column blocks, and every product is taken one _BLOCK-node column
-block at a time. Data that share a spectrum share its S: one pass over the
-nodes gives the coefficients of all of them. An entry's error estimate is
-|I1 - I0|, its value I1.
+two mode traces (the Gram matrix). Each side is cut into panels no wider
+than _PANEL_WIDTH / nu, graded geometrically toward both corners (ratio
+_GRADING, smallest corner panel _CORNER_PANEL of the panel width), where the
+O(1/nu) layers of cosh(nu x) sit; the middle of the side takes an even
+number of equal panels. Every mode trace is analytic on each side, so these
+panels converge geometrically. Each panel carries the 2 * _PANEL_POINTS + 1
+nodes of the Gauss-Kronrod rule K49 that extends the _PANEL_POINTS-point
+Gauss-Legendre rule G24 (_kronrod_rule): the G24 nodes are among them, and
+a node set has two weight vectors, the Gauss weights (0 at the Kronrod-only
+nodes) and the Kronrod weights. All integrals are S @ (w * g) under both,
+with S the (K, N) matrix of Spectrum.values and g evaluated once per node.
+S is evaluated on up to spectrum._BLOCK_ENTRIES mode x node entries at a
+time, a whole number of _BLOCK-node column blocks, and every product is
+taken one _BLOCK-node column block at a time. Data that share a spectrum
+share its S: one pass over the nodes gives the coefficients of all of them.
+An entry's value is its K49 sum, its error estimate |K49 - G24|, the error
+of the G24 sum over whole panels.
 
 S is evaluated on a quarter of the boundary, the t > 0 halves of G1 and G2.
-The panels of a side are symmetric about t = 0 and _PANEL_POINTS is even,
-so the side's nodes are those t and their mirror images -t; G3 and G4 are
-the point reflections of G1 and G2 at the same parameters. Along each side
+The panels of a side are symmetric about t = 0, which the even middle
+panel count makes a breakpoint, so no node sits at t = 0 and the side's
+nodes are those t and their mirror images -t; G3 and G4 are the point
+reflections of G1 and G2 at the same parameters. Along each side
 every mode is even or odd in t (its factor along the side is cos or cosh,
 or sin, sinh or linear), and it is even or odd under p -> -p. So the data
 enter folded, w * (g(t) + g(-t)) and w * (g(t) - g(-t)) on a side and on
 its reflected side, and each mode takes the even or the odd pair of its
 sums. The orthonormality Gram matrix of a spectrum (mode_gram_matrix) uses
-the level-1 nodes for 2 * nu_max and the same symmetry: modes of different
-parity classes are orthogonal, and each class block is 4 times its sum over
-these nodes.
+the Kronrod weights of the node set for 2 * nu_max and the same symmetry:
+modes of different parity classes are orthogonal, and each class block is 4
+times its sum over these nodes.
 
 Every other boundary integral is one panel-adaptive rule on arrays of nodes
 (_integrate_panels): integrate_boundary, analysis.boundary_l2, and the
 fallback that recomputes, in one call, every coefficient whose estimate
-misses max(abstol, reltol * |I1|).
+misses max(abstol, reltol * |I|), I its K49 sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -295,6 +301,8 @@ class SteklovCoefficients:
     """Mean value and mode coefficients of boundary data against a spectrum.
 
     Read-only float64 arrays: values[j] belongs to spectrum row j + 1, estimates[j] to row j.
+    An estimate is |K49 - G24| of the entry's fixed-node sums (module
+    docstring), or the panel-adaptive estimate of an entry that fell back.
     """
 
     spectrum: Spectrum
@@ -323,7 +331,10 @@ class SteklovCoefficients:
 # integrand of top frequency nu (nu_max for a mode trace times the data,
 # 2 * nu_max for the product of two traces), so the integrand turns through
 # at most _PANEL_WIDTH radians (or e-folds) across it, which _PANEL_POINTS
-# Gauss-Legendre nodes integrate to rounding.
+# Gauss-Legendre nodes integrate to rounding. The fixed-node rule takes the
+# 2 * _PANEL_POINTS + 1 nodes of its Gauss-Kronrod extension on each panel
+# (_kronrod_rule): the Kronrod sum is the value, its difference from the
+# Gauss sum on the same nodes the estimate.
 _PANEL_POINTS = 24
 _PANEL_WIDTH = 32.0
 _GRADING = 4.0
@@ -338,12 +349,59 @@ _CORNER_BREAKS = _CORNER_PANEL * _GRADING ** np.arange(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_POINTS)
 
 
+@functools.cache
+def _kronrod_rule():
+    """(nodes, Kronrod weights, Gauss weights) of the Gauss-Kronrod rule on
+    [-1, 1] that extends the n = _PANEL_POINTS point Gauss-Legendre rule
+    by n + 1 nodes, exact for polynomials of degree 3n + 1.
+
+    The Jacobi-Kronrod matrix comes from the Legendre recurrence by
+    Laurie's algorithm (D. P. Laurie, Math. Comp. 66 (1997) 1133-1145); for
+    a symmetric weight its diagonal is 0, and so are the recurrence
+    coefficients a. The nodes are its eigenvalues, the weights 2 times the
+    squared first components of its eigenvectors, both made symmetric
+    about 0. The Gauss nodes interlace with the others, at the odd
+    positions; they and the Gauss weights are those of leggauss verbatim.
+    The Gauss weights are 0 at the other nodes.
+    """
+    n = _PANEL_POINTS
+    b = np.zeros(2 * n + 1)  # the Legendre recurrence up to ceil(3n / 2), then Laurie's
+    i = np.arange(1.0, (3 * n + 1) // 2 + 1)
+    b[0], b[1:i.size + 1] = 2.0, i * i / (4.0 * i * i - 1.0)
+    s, t = np.zeros((2, n // 2 + 2))  # two rows of Laurie's mixed moments
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - (m - k)
+            u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    off = np.sqrt(b[1:])
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    kronrod = 2.0 * vectors[0] ** 2
+    nodes, kronrod = 0.5 * (nodes - nodes[::-1]), 0.5 * (kronrod + kronrod[::-1])
+    gauss = np.zeros_like(kronrod)
+    nodes[1::2], gauss[1::2] = _GL_NODES, _GL_WEIGHTS
+    return nodes, kronrod, gauss
+
+
 def _panel_breaks(length: float, nu: float) -> np.ndarray:
     """Panel breakpoints on [0, length] for an integrand of top frequency nu:
-    equal panels no wider than _PANEL_WIDTH / nu in the middle (half the
-    length for nu 0), graded geometrically toward both ends."""
+    an even number of equal panels no wider than _PANEL_WIDTH / nu in the
+    middle (half the length for nu 0), graded geometrically toward both
+    ends. So the midpoint of [0, length] is always a breakpoint."""
     w = min(_PANEL_WIDTH / nu if nu > 0.0 else math.inf, 0.5 * length)
-    n_mid = max(1, math.ceil((length - 2.0 * w) / w))
+    n_mid = 2 * max(1, math.ceil((length - 2.0 * w) / (2.0 * w)))
     corner = w * np.concatenate(([0.0], _CORNER_BREAKS))
     middle = np.linspace(w, length - w, n_mid + 1)
     return np.unique(np.concatenate((corner, middle, length - corner)))
@@ -356,32 +414,31 @@ _REFLECTED = {Side.G1: Side.G3, Side.G2: Side.G4}
 _ALONG = {Side.G1: 1, Side.G2: 0}
 
 
-def _boundary_nodes(rect: Rectangle, nu: float, level: int):
-    """Composite Gauss-Legendre nodes with t > 0 on G1 and G2, level 0 or 1,
-    on the panels of _panel_breaks for an integrand of top frequency nu.
+def _boundary_nodes(rect: Rectangle, nu: float):
+    """Composite Gauss-Kronrod nodes with t > 0 on G1 and G2, on the panels
+    of _panel_breaks for an integrand of top frequency nu.
 
-    Yields (side, t, x, y, weight) per side: t holds the positive side
-    parameters and weight their arc-length weights; the coordinate that is
-    constant on the side (x on G1, y on G2) is one value, an array of length
-    1. The panels are symmetric about t = 0 and have an even number of
-    nodes, so no node sits at t = 0: the full node set of the side is t and
-    -t, with the same weights, and that of the reflected side
-    _REFLECTED[side] is the same, at the points (-x, -y). Level 1 halves
-    every panel of level 0.
+    Yields (side, t, x, y, gauss, kronrod) per side: t holds the positive
+    side parameters, gauss and kronrod their arc-length weights under the
+    two rules of _kronrod_rule (gauss is 0 at the Kronrod-only nodes). The
+    coordinate that is constant on the side (x on G1, y on G2) is one value,
+    an array of length 1. The panels are symmetric about t = 0, which is a
+    breakpoint, so no node sits at t = 0: the full node set of the side is
+    t and -t, with the same weights, and that of the reflected side
+    _REFLECTED[side] is the same, at the points (-x, -y).
     """
+    nodes, kronrod, gauss = _kronrod_rule()
     for side in _REFLECTED:
         lo, hi = rect.side_interval(side)
         breaks = _panel_breaks(hi - lo, nu)
-        if level:
-            breaks = np.sort(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]))))
         mid = 0.5 * (breaks[:-1] + breaks[1:])[:, None]
         half = 0.5 * np.diff(breaks)[:, None]
-        t = (lo + mid + half * _GL_NODES).ravel()
+        t = (lo + mid + half * nodes).ravel()
         positive = t > 0.0
         t = t[positive]
         x, y = rect.side_point(side, t)
         x, y = (x[:1], y) if side is Side.G1 else (x, y[:1])
-        yield side, t, x, y, (half * _GL_WEIGHTS).ravel()[positive]
+        yield side, t, x, y, (half * gauss).ravel()[positive], (half * kronrod).ravel()[positive]
 
 
 def _nu_max(spec: Spectrum) -> float:
@@ -422,12 +479,12 @@ def _mode_blocks(spec: Spectrum, x: np.ndarray, y: np.ndarray):
 def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
     """Weighted boundary inner products of all modes, constant first.
 
-    The (K+1, K+1) matrix S W S^T / |dOmega| on the level-1 nodes for the
-    products of two traces, of top frequency 2 * nu_max; for an orthonormal
-    spectrum it is the identity. Two modes of different parity classes (odd
-    along x or not, odd along y or not) are exactly orthogonal: on every
-    side their product is odd in t, or the sums over a side and its
-    reflected side cancel. Within a class the product is even in t and under
+    The (K+1, K+1) matrix S W S^T / |dOmega|, W the Kronrod weights of the
+    node set for the products of two traces, of top frequency 2 * nu_max
+    (_boundary_nodes); for an orthonormal spectrum it is the identity. Two
+    modes of different parity classes (odd along x or not, odd along y or
+    not) are exactly orthogonal: on every side their product is odd in t,
+    or the sums over a side and its reflected side cancel. Within a class the product is even in t and under
     the point reflection, so each class block is 4 times its sum over the
     t > 0 nodes of G1 and G2.
     """
@@ -436,7 +493,7 @@ def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
     parity_class = 2 * odd[:, 0] + odd[:, 1]
     classes = [np.flatnonzero(parity_class == c) for c in range(4)]
     blocks = [np.zeros((rows.size, rows.size)) for rows in classes]
-    for _, _, x, y, w in _boundary_nodes(rect, 2.0 * _nu_max(spec), 1):
+    for _, _, x, y, _, w in _boundary_nodes(rect, 2.0 * _nu_max(spec)):
         for block, s in _mode_blocks(spec, x, y):
             s = np.vstack((np.ones(s.shape[1]), s))
             for rows, gram in zip(classes, blocks):
@@ -449,36 +506,39 @@ def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
 
 
 def _fixed_node_integrals(gs, spec: Spectrum) -> list[np.ndarray]:
-    """(K+1, 2) per data in gs: raw integrals against the constant and every mode, by level.
+    """(K+1, 2) per data in gs: raw integrals against the constant and every
+    mode, by the Gauss rule (column 0) and the Kronrod rule (column 1).
 
     On the t > 0 nodes of a side, the data enter folded: w * (g(t) + g(-t))
-    and w * (g(t) - g(-t)) on the side and on its reflected side. A mode even
-    in t takes the even pair of its sums, a mode odd in t the odd pair, and
-    the reflected side's sum enters with the mode's reflection sign. The
-    modes are evaluated once per node for all the data; each data takes its
-    own product with every block, as it would alone.
+    and w * (g(t) - g(-t)) on the side and on its reflected side, under the
+    Gauss and the Kronrod weights. A mode even in t takes the even pair of
+    its sums, a mode odd in t the odd pair, and the reflected side's sum
+    enters with the mode's reflection sign. The modes are evaluated once per
+    node for all the data; each data takes its own product with every
+    block, as it would alone.
     """
     rect = spec.rectangle
-    nu_max = _nu_max(spec)
     odd, sigma = _parities(spec)
     raws = [np.zeros((spec.size, 2)) for _ in gs]
-    for level in (0, 1):
-        for side, t, x, y, w in _boundary_nodes(rect, nu_max, level):
-            both = np.concatenate((t, -t))
-            folded = []
-            for g in gs:
-                # g at t and at -t, on the side and on its reflected side
-                (gp, gm), (rp, rm) = (g.value(on, both).reshape(2, -1) for on in (side, _REFLECTED[side]))
-                # columns: even on the side, even on the reflected side, odd on each
-                folded.append(w[:, None] * np.column_stack((gp + gm, rp + rm, gp - gm, rp - rm)))
-            sums = [np.zeros((spec.size, 4)) for _ in gs]
-            for block, s in _mode_blocks(spec, x, y):
-                for f, total in zip(folded, sums):
-                    total[1:] += s @ f[block]
-            for raw, f, total in zip(raws, folded, sums):
-                total[0] = f.sum(axis=0)
-                pair = np.where(odd[:, _ALONG[side], None], total[:, 2:], total[:, :2])
-                raw[:, level] += pair[:, 0] + sigma * pair[:, 1]
+    for side, t, x, y, gauss, kronrod in _boundary_nodes(rect, _nu_max(spec)):
+        both = np.concatenate((t, -t))
+        folded = []
+        for g in gs:
+            # g at t and at -t, on the side and on its reflected side
+            (gp, gm), (rp, rm) = (g.value(on, both).reshape(2, -1) for on in (side, _REFLECTED[side]))
+            # columns: even on the side, even on the reflected side, odd on
+            # each; under the Gauss weights, then under the Kronrod weights
+            f = np.column_stack((gp + gm, rp + rm, gp - gm, rp - rm))
+            folded.append(np.hstack((gauss[:, None] * f, kronrod[:, None] * f)))
+        sums = [np.zeros((spec.size, 8)) for _ in gs]
+        for block, s in _mode_blocks(spec, x, y):
+            for f, total in zip(folded, sums):
+                total[1:] += s @ f[block]
+        for raw, f, total in zip(raws, folded, sums):
+            total[0] = f.sum(axis=0)
+            total = total.reshape(spec.size, 2, 4)
+            pair = np.where(odd[:, _ALONG[side], None, None], total[..., 2:], total[..., :2])
+            raw += pair[..., 0] + sigma[:, None] * pair[..., 1]
     return raws
 
 
@@ -491,10 +551,11 @@ def steklov_coefficients(
 ) -> SteklovCoefficients:
     """Weighted boundary inner products of g with every spectrum mode.
 
-    Fixed-node quadrature at two levels (see the module docstring); the
-    entries whose two-level difference misses max(abstol, reltol * |I|) on
-    the raw integral I are recomputed together by panel-adaptive quadrature
-    with (abstol, reltol, limit).
+    Fixed-node quadrature by the Gauss-Kronrod pair G24 and K49 on every
+    panel (see the module docstring): each entry is its K49 sum, its
+    estimate |K49 - G24|. The entries whose estimate misses
+    max(abstol, reltol * |I|) on the raw K49 integral I are recomputed
+    together by panel-adaptive quadrature with (abstol, reltol, limit).
     """
     return _coefficient_sets([g], spec, abstol, reltol, limit)[0]
 

@@ -1,6 +1,12 @@
-"""Fixed-node boundary quadrature: the half-side node layout and its parity
-fold, coefficients, two-level estimates, the adaptive fallback and the
-Gram-matrix orthonormality check."""
+"""Fixed-node boundary quadrature: the Gauss-Kronrod rule, the half-side
+node layout and its parity fold, coefficients, their Kronrod-minus-Gauss
+estimates, the adaptive fallback and the Gram-matrix orthonormality check.
+
+Each panel of a side carries the 49 nodes of the Gauss-Kronrod extension
+K49 of the 24-point Gauss-Legendre rule G24, whose nodes are among them.
+The middle of a side is cut into an even number of panels, so its midpoint
+t = 0 is a breakpoint and no node (K49 has one at each panel centre) sits
+there. A coefficient is the K49 sum, its estimate |K49 - G24|."""
 
 import json
 
@@ -52,29 +58,56 @@ def reference_integrals(g_list, spec, breaks=None, points=32, width=4.0):
 ABSTOL, RELTOL = 1e-10, 1e-6
 
 
-def panel_nodes(rect, side, nu_max, level):
-    """All composite Gauss-Legendre nodes and weights of a side, one panel at a time."""
+def test_kronrod_rule_is_exact_to_degree_73():
+    # exactness to degree 3 * 24 + 1 with the 24 Gauss nodes among its own
+    # defines the 49-point Kronrod extension uniquely
+    nodes, kronrod, gauss = boundary._kronrod_rule()
+    moments = kronrod @ np.polynomial.legendre.legvander(nodes, 74)
+    exact = np.r_[2.0, np.zeros(74)]
+    assert np.abs(moments - exact)[:74].max() <= 4e-15
+    assert abs(moments[74]) > 1e-6
+
+
+def test_kronrod_rule_extends_leggauss_24():
+    nodes, kronrod, gauss = boundary._kronrod_rule()
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(24)
+    assert nodes.shape == kronrod.shape == gauss.shape == (49,)
+    assert np.array_equal(nodes[1::2], gl_nodes) and np.array_equal(gauss[1::2], gl_weights)
+    assert (gauss[::2] == 0.0).all()
+    assert (kronrod > 0.0).all()
+    assert (np.abs(nodes) < 1.0).all() and (np.diff(nodes) > 0.0).all()
+
+
+def panel_nodes(rect, side, nu):
+    """All composite Gauss-Kronrod nodes of a side, one panel at a time,
+    with their Gauss weights (row 0) and Kronrod weights (row 1)."""
     lo, hi = rect.side_interval(side)
-    breaks = boundary._panel_breaks(hi - lo, nu_max)
-    if level:
-        breaks = np.sort(np.r_[breaks, 0.5 * (breaks[:-1] + breaks[1:])])
-    nodes, weights = np.polynomial.legendre.leggauss(boundary._PANEL_POINTS)
-    t = np.concatenate([lo + a + 0.5 * (b - a) * (nodes + 1.0) for a, b in zip(breaks[:-1], breaks[1:])])
-    w = np.concatenate([0.5 * (b - a) * weights for a, b in zip(breaks[:-1], breaks[1:])])
+    breaks = boundary._panel_breaks(hi - lo, nu)
+    nodes, kronrod, gauss = boundary._kronrod_rule()
+    panels = list(zip(breaks[:-1], breaks[1:]))
+    t = np.concatenate([lo + a + 0.5 * (b - a) * (nodes + 1.0) for a, b in panels])
+    w = np.concatenate([0.5 * (b - a) * np.stack((gauss, kronrod)) for a, b in panels], axis=1)
     return t, w
 
 
 @pytest.mark.parametrize("h", [1.0, 0.5, 0.1, 1e-3])
-@pytest.mark.parametrize("level", [0, 1])
-def test_half_nodes_and_their_mirror_images_are_the_panel_nodes(h, level):
+@pytest.mark.parametrize("rule", [0, 1])  # the Gauss weights, the Kronrod weights
+def test_half_nodes_and_their_mirror_images_are_the_panel_nodes(h, rule):
     rect = Rectangle(h)
-    for nu_max in (0.0, 3.0, 200.0):
-        for side, t, x, y, w in boundary._boundary_nodes(rect, nu_max, level):
-            full_t, full_w = panel_nodes(rect, side, nu_max, level)
+    # nu 40: with at most 32 / nu per panel, one middle panel would cover
+    # the middle of the sides of length 2 at h = 1, with its centre node at
+    # t = 0; the count is even, so t = 0 is a break there as everywhere
+    for nu in (0.0, 3.0, 40.0, 200.0):
+        for side, t, x, y, *weights in boundary._boundary_nodes(rect, nu):
+            full_t, full_w = panel_nodes(rect, side, nu)
+            length = 2.0 * rect.side_interval(side)[1]
+            assert np.abs(boundary._panel_breaks(length, nu) - 0.5 * length).min() <= 4e-16 * length
+            assert np.abs(full_t).min() > 1e-5 * length
             assert (t > 0.0).all() and 2 * t.size == full_t.size
             order = np.argsort(np.r_[-t, t])
-            assert np.abs(np.r_[-t, t][order] - np.sort(full_t)).max() <= 8e-16 * rect.side_interval(side)[1]
-            assert np.abs(np.r_[w, w][order] - full_w[np.argsort(full_t)]).max() <= 1e-16
+            assert np.abs(np.r_[-t, t][order] - np.sort(full_t)).max() <= 8e-16 * length
+            w = weights[rule]
+            assert np.abs(np.r_[w, w][order] - full_w[rule, np.argsort(full_t)]).max() <= 1e-16
             if side is Side.G1:  # G1(t) = (1, t), G2(t) = (-t, h)
                 assert x.tolist() == [1.0] and np.array_equal(y, t)
             else:
@@ -82,22 +115,23 @@ def test_half_nodes_and_their_mirror_images_are_the_panel_nodes(h, level):
 
 
 def full_node_integrals(g, spec, nu=None):
-    """(K+1, 2) raw integrals per level as plain sums over the symmetric
-    node set for top frequency nu (default nu_max): on each side and its
-    reflected side, the half nodes t of _boundary_nodes and their mirror
-    images -t, with the same weights. Also the largest sum of |w * g * s|
-    over the entries and levels, the scale of the rounding in the sums."""
+    """(K+1, 2) raw integrals by the Gauss and the Kronrod weights, as plain
+    sums over the symmetric node set for top frequency nu (default nu_max):
+    on each side and its reflected side, the half nodes t of _boundary_nodes
+    and their mirror images -t, with the same weights. Also the largest sum
+    of |w * g * s| over the entries and rules, the scale of the rounding in
+    the sums."""
     rect = spec.rectangle
     nu = spec.arrays.nu.max() if nu is None else nu
     raw, magnitude = np.zeros((2, spec.size, 2))
-    for level in (0, 1):
-        for side, t, _, _, w in boundary._boundary_nodes(rect, nu, level):
-            t, w = np.r_[t, -t], np.r_[w, w]
-            for on in (side, boundary._REFLECTED[side]):
-                s = np.vstack((np.ones(t.size), spec.values(*rect.side_point(on, t))))
-                wg = w * g.value(on, t)
-                raw[:, level] += s @ wg
-                magnitude[:, level] += np.abs(s) @ np.abs(wg)
+    for side, t, _, _, *weights in boundary._boundary_nodes(rect, nu):
+        t = np.r_[t, -t]
+        w = np.column_stack([np.r_[v, v] for v in weights])
+        for on in (side, boundary._REFLECTED[side]):
+            s = np.vstack((np.ones(t.size), spec.values(*rect.side_point(on, t))))
+            wg = w * g.value(on, t)[:, None]
+            raw += s @ wg
+            magnitude += np.abs(s) @ np.abs(wg)
     return raw, magnitude.max()
 
 
@@ -144,8 +178,8 @@ WIDE_DATA = {
 def test_one_trace_panels_match_finer_nodes(monkeypatch, h, count):
     # a coefficient integrand, one trace times the data, turns through at
     # most _PANEL_WIDTH radians on a panel of _PANEL_WIDTH / nu_max; the
-    # reference is the level-1 node set for 2 * nu_max, whose panels are
-    # half as wide
+    # reference is the Kronrod sum over the node set for 2 * nu_max, whose
+    # panels are half as wide
     rect = Rectangle(h)
     spec = build_spectrum_by_count(rect, count)
     fallbacks = []
@@ -158,15 +192,14 @@ def test_one_trace_panels_match_finer_nodes(monkeypatch, h, count):
         assert np.abs(np.r_[co.gbar, co.values] * rect.perimeter - finer[:, 1]).max() <= 1e-14 * magnitude, name
 
 
-def test_a_400_mode_coefficient_set_takes_1440_nodes_on_the_square():
-    # 400 modes on the square: the coefficient nodes (t > 0, both levels)
-    # are 1440, the Gram's level-1 nodes for 2 * nu_max 1440 as well; with
-    # the Gram's panels the coefficients took 2160
-    rect = Rectangle(1.0)
+@pytest.mark.parametrize("h", [1.0, 0.5])
+def test_400_mode_coefficient_and_gram_node_counts(h):
+    # 400 modes: the coefficient nodes (t > 0) and the Gram's nodes for 2 * nu_max
+    rect = Rectangle(h)
     nu_max = build_spectrum_by_count(rect, 400).arrays.nu.max()
-    coefficient_nodes = sum(t.size for level in (0, 1) for _, t, *_ in boundary._boundary_nodes(rect, nu_max, level))
-    gram_nodes = sum(t.size for _, t, *_ in boundary._boundary_nodes(rect, 2 * nu_max, 1))
-    assert (coefficient_nodes, gram_nodes) == (1440, 1440)
+    coefficient_nodes = sum(t.size for _, t, *_ in boundary._boundary_nodes(rect, nu_max))
+    gram_nodes = sum(t.size for _, t, *_ in boundary._boundary_nodes(rect, 2 * nu_max))
+    assert (coefficient_nodes, gram_nodes) == {1.0: (980, 1470), 0.5: (1029, 1519)}[h]
 
 
 def integrals_by_64_nodes(g, spec):
@@ -175,31 +208,33 @@ def integrals_by_64_nodes(g, spec):
     rect = spec.rectangle
     odd, sigma = boundary._parities(spec)
     raw = np.zeros((spec.size, 2))
-    for level in (0, 1):
-        for side, t, x, y, w in boundary._boundary_nodes(rect, spec.arrays.nu.max(), level):
-            both = np.r_[t, -t]
-            (gp, gm), (rp, rm) = (g.value(on, both).reshape(2, -1) for on in (side, boundary._REFLECTED[side]))
-            folded = w[:, None] * np.column_stack((gp + gm, rp + rm, gp - gm, rp - rm))
-            sums = np.zeros((spec.size, 4))
-            sums[0] = folded.sum(axis=0)
-            for start in range(0, t.size, 64):
-                block = slice(start, start + 64)
-                sums[1:] += spec.values(x if x.size == 1 else x[block], y if y.size == 1 else y[block]) @ folded[block]
-            pair = np.where(odd[:, boundary._ALONG[side], None], sums[:, 2:], sums[:, :2])
-            raw[:, level] += pair[:, 0] + sigma * pair[:, 1]
+    for side, t, x, y, gauss, kronrod in boundary._boundary_nodes(rect, spec.arrays.nu.max()):
+        both = np.r_[t, -t]
+        (gp, gm), (rp, rm) = (g.value(on, both).reshape(2, -1) for on in (side, boundary._REFLECTED[side]))
+        f = np.column_stack((gp + gm, rp + rm, gp - gm, rp - rm))
+        folded = np.hstack((gauss[:, None] * f, kronrod[:, None] * f))
+        sums = np.zeros((spec.size, 8))
+        sums[0] = folded.sum(axis=0)
+        for start in range(0, t.size, 64):
+            block = slice(start, start + 64)
+            sums[1:] += spec.values(x if x.size == 1 else x[block], y if y.size == 1 else y[block]) @ folded[block]
+        for rule, cols in enumerate((sums[:, :4], sums[:, 4:])):
+            pair = np.where(odd[:, boundary._ALONG[side], None], cols[:, 2:], cols[:, :2])
+            raw[:, rule] += pair[:, 0] + sigma * pair[:, 1]
     return raw
 
 
 def gram_by_64_nodes(spec):
     """mode_gram_matrix with Spectrum.values evaluated on 64 nodes per call,
-    on the nodes for products of two traces (top frequency 2 * nu_max)."""
+    on the nodes for products of two traces (top frequency 2 * nu_max),
+    with their Kronrod weights."""
     rect = spec.rectangle
     odd, _ = boundary._parities(spec)
     classes = [np.flatnonzero(2 * odd[:, 0] + odd[:, 1] == c) for c in range(4)]
     out = np.zeros((spec.size, spec.size))
     for rows in classes:
         gram = np.zeros((rows.size, rows.size))
-        for _, t, x, y, w in boundary._boundary_nodes(rect, 2 * spec.arrays.nu.max(), 1):
+        for _, t, x, y, _, w in boundary._boundary_nodes(rect, 2 * spec.arrays.nu.max()):
             for start in range(0, t.size, 64):
                 block = slice(start, start + 64)
                 s = spec.values(x if x.size == 1 else x[block], y if y.size == 1 else y[block])
@@ -278,9 +313,9 @@ def test_coefficient_sets_keep_the_checks_of_single_calls():
 
 
 def test_mode_factors_are_evaluated_at_half_the_nodes(monkeypatch):
-    """Each level evaluates the factors along G1 and G2 at their t > 0 nodes,
-    N/2 per side for N nodes, and the side's constant coordinate once per
-    block of nodes."""
+    """The one node set evaluates the factors along G1 and G2 at their t > 0
+    nodes, N/2 per side for N nodes, and the side's constant coordinate
+    once per block of nodes."""
     rect = Rectangle(0.5)
     spec = build_spectrum_by_count(rect, 400)
     apply_kinds = spectrum._apply_kinds
@@ -293,11 +328,10 @@ def test_mode_factors_are_evaluated_at_half_the_nodes(monkeypatch):
     monkeypatch.setattr(spectrum, "_apply_kinds", counted)
     steklov_coefficients(builtin_boundary("f3", rect), spec)  # no fallback (test_smooth_data_need_no_fallback)
     along, constant = 0, 0
-    for level in (0, 1):
-        for side in (Side.G1, Side.G2):
-            nodes = panel_nodes(rect, side, spec.arrays.nu.max(), level)[0].size
-            along += nodes // 2
-            constant += -(-(nodes // 2) // boundary._BLOCK)
+    for side in (Side.G1, Side.G2):
+        nodes = panel_nodes(rect, side, spec.arrays.nu.max())[0].size
+        along += nodes // 2
+        constant += -(-(nodes // 2) // boundary._BLOCK)
     assert sum(c for c in columns if c > 1) == along
     assert columns.count(1) == constant
 

@@ -9,11 +9,15 @@ numbers, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_tables.py
 
-and say in the change why the entries moved.
+and say in the change why the entries moved. Before it writes, the script
+prints how many entries moved and the largest absolute and relative move
+with its (policy, table, row); it writes nothing, and exits 1, when a row
+count, a note or a `within` flag differs from the recorded file.
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,19 +73,79 @@ def test_tables_match_recorded_entries(policy, golden, all_table_results):
             assert note == ref_note, where
 
 
-def main():
-    """Write the records of every policy, one table row per line."""
+def test_audit_reports_moves_and_names_changed_flags_notes_and_rows():
+    old = {"prefix": {"1": {"rows": 2, "notes": [], "entries": [[-2.5, True, ""], [1.5e-7, True, ""]]}}}
+    new = json.loads(json.dumps(old))
+    new["prefix"]["1"]["entries"][1][0] = 1.5e-7 + 3e-15
+    report, mismatches = audit(old, new)
+    assert mismatches == []
+    assert report[0] == "1 of 2 entries moved"
+    assert report[1].startswith("largest absolute move 3e-15") and report[1].endswith("on prefix table 1 row 1")
+    assert report[2].startswith("largest relative move 2e-08")
+    new["prefix"]["1"]["entries"][0][1] = False
+    new["prefix"]["1"]["notes"] = ["a note"]
+    assert len(audit(old, new)[1]) == 2
+    new["prefix"]["1"]["rows"] = 3
+    assert audit(old, new)[1] == ["prefix table 1: 2 rows -> 3"]
+    assert audit(old, {"prefix": {}})[1] == ["prefix table 1: only in the recorded records"]
+
+
+def audit(old: dict, new: dict):
+    """(report, mismatches) of the records new against the recorded old:
+    report says how many entries moved and the largest absolute and
+    relative moves, mismatches names every table, row count, note and row
+    `within` flag or note that differs."""
+    mismatches, moves = [], []
+    for policy in sorted(old.keys() | new.keys()):
+        was, now = old.get(policy, {}), new.get(policy, {})
+        for tid in sorted(was.keys() | now.keys(), key=int):
+            where = f"{policy} table {tid}"
+            if tid not in was or tid not in now:
+                mismatches.append(f"{where}: only in the {'new' if tid in now else 'recorded'} records")
+                continue
+            a, b = was[tid], now[tid]
+            if (a["rows"], len(a["entries"])) != (b["rows"], len(b["entries"])):
+                mismatches.append(f"{where}: {a['rows']} rows -> {b['rows']}")
+                continue
+            if a["notes"] != b["notes"]:
+                mismatches.append(f"{where}: notes {a['notes']} -> {b['notes']}")
+            for i, ((v0, within0, note0), (v1, within1, note1)) in enumerate(zip(a["entries"], b["entries"])):
+                if (within0, note0) != (within1, note1):
+                    mismatches.append(f"{where} row {i}: within {within0} -> {within1}, note {note0!r} -> {note1!r}")
+                if v1 != v0:
+                    moves.append((abs(v1 - v0), abs(v1 - v0) / abs(v0) if v0 else math.inf, f"{where} row {i}"))
+    entries = sum(len(rec["entries"]) for tables in new.values() for rec in tables.values())
+    report = [f"{len(moves)} of {entries} entries moved"]
+    if moves:
+        worst = max(moves, key=lambda m: m[0])
+        report.append(f"largest absolute move {worst[0]:.3g} ({worst[1]:.3g} relative) on {worst[2]}")
+        worst = max(moves, key=lambda m: m[1])
+        report.append(f"largest relative move {worst[1]:.3g} ({worst[0]:.3g} absolute) on {worst[2]}")
+    return report, mismatches
+
+
+def main() -> int:
+    """Audit the records of every policy against the recorded file, then
+    write them, one table row per line, unless a flag, note or row count
+    differs."""
+    records = {policy: policy_records(policy) for policy in POLICIES}
+    report, mismatches = audit(json.loads(GOLDEN.read_text(encoding="utf-8")), records)
+    print("\n".join(report))
+    if mismatches:
+        print(f"not written: {len(mismatches)} differences beyond the entries' values", *mismatches, sep="\n")
+        return 1
     blocks = []
-    for policy in POLICIES:
+    for policy, records_of in records.items():
         tables = []
-        for tid, rec in policy_records(policy).items():
+        for tid, rec in records_of.items():
             entries = ",\n".join("    " + json.dumps(e) for e in rec["entries"])
             tables.append(f'  "{tid}": {{"rows": {rec["rows"]}, "notes": {json.dumps(rec["notes"])}, '
                           f'"entries": [\n{entries}\n  ]}}')
         blocks.append(f' "{policy}": {{\n' + ",\n".join(tables) + "\n }")
     GOLDEN.write_text("{\n" + ",\n".join(blocks) + "\n}\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
