@@ -13,11 +13,11 @@ Raw (unweighted) arc-length integrals are what integrate_boundary returns.
 Coefficients come from one fixed node set per (rectangle, nu), where nu is
 the highest frequency of the integrand: nu_max, the largest frequency of the
 spectrum, for a mode trace times the data, and 2 * nu_max for the product of
-two mode traces (the Gram matrix). Each side is cut into panels no wider
-than _PANEL_WIDTH / nu, graded geometrically toward both corners (ratio
-_GRADING, smallest corner panel _CORNER_PANEL of the panel width), where the
-O(1/nu) layers of cosh(nu x) sit; the middle of the side takes an even
-number of equal panels. Every mode trace is analytic on each side, so these
+two mode traces (the Gram matrix). Each side is cut into the fewest equal
+panels, an even number, no wider than _PANEL_WIDTH / nu. Across such a
+panel the integrand turns through at most _PANEL_WIDTH radians or e-folds,
+also inside the O(1/nu) corner layers of cosh(nu x), so no panel is graded
+toward the corners. Every mode trace is analytic on each side, so these
 panels converge geometrically. Each panel carries the 2 * _PANEL_POINTS + 1
 nodes of the Gauss-Kronrod rule K49 that extends the _PANEL_POINTS-point
 Gauss-Legendre rule G24 (_kronrod_rule): the G24 nodes are among them, and
@@ -32,8 +32,8 @@ An entry's value is its K49 sum, its error estimate |K49 - G24|, the error
 of the G24 sum over whole panels.
 
 S is evaluated on a quarter of the boundary, the t > 0 halves of G1 and G2.
-The panels of a side are symmetric about t = 0, which the even middle
-panel count makes a breakpoint, so no node sits at t = 0 and the side's
+The panels of a side are symmetric about t = 0, which the even panel
+count makes a breakpoint, so no node sits at t = 0 and the side's
 nodes are those t and their mirror images -t; G3 and G4 are the point
 reflections of G1 and G2 at the same parameters. Along each side
 every mode is even or odd in t (its factor along the side is cos or cosh,
@@ -48,7 +48,9 @@ times its sum over these nodes.
 Every other boundary integral is one panel-adaptive rule on arrays of nodes
 (_integrate_panels): integrate_boundary, analysis.boundary_l2, and the
 fallback that recomputes, in one call, every coefficient whose estimate
-misses max(abstol, reltol * |I|), I its K49 sum.
+misses max(abstol, reltol * |I|), I its K49 sum. It starts from the same
+equal panels and bisects where the data need it (a kink, a corner
+singularity).
 """
 
 from __future__ import annotations
@@ -229,16 +231,16 @@ def _integrate_panels(rect: Rectangle, fn, abstol: float, reltol: float, limit: 
     """(I, estimate): raw arc-length integrals of fn over the boundary, shape (m,).
 
     fn(side, t) maps an array of n side parameters to n values, or to (m, n)
-    values of m = entries integrands. Each side starts from
-    _panel_breaks(nu_max), nu_max the integrands' top frequency (0: none
-    known). A panel's value is the sum over its two halves, its estimate
-    |halves - whole|; every panel that misses its length share of
-    max(abstol, reltol * |I|) for some integrand is bisected, until none
-    does. A panel too short to split, whose midpoint rounds onto an
-    end, is kept as it is if its estimates are finite: its estimate still
-    counts in the total. Once bisection would add more than `limit` panels
-    to a side, QuadratureError reports the integrand furthest from its
-    target; a NaN never meets its target.
+    values of m = entries integrands. Each side starts from the equal
+    panels of _panel_breaks(nu_max), nu_max the integrands' top frequency
+    (0: none known, two panels). A panel's value is the sum over its two
+    halves, its estimate |halves - whole|; every panel that misses its
+    length share of max(abstol, reltol * |I|) for some integrand is
+    bisected, until none does. A panel too short to split, whose midpoint
+    rounds onto an end, is kept as it is if its estimates are finite: its
+    estimate still counts in the total. Once bisection would add more than
+    `limit` panels to a side, QuadratureError reports the integrand
+    furthest from its target; a NaN never meets its target.
     """
     breaks = [lo + _panel_breaks(hi - lo, nu_max) for lo, hi in map(rect.side_interval, SIDES)]
     side_of = np.repeat(np.arange(len(SIDES)), [br.size - 1 for br in breaks])
@@ -331,21 +333,17 @@ class SteklovCoefficients:
 # integrand of top frequency nu (nu_max for a mode trace times the data,
 # 2 * nu_max for the product of two traces), so the integrand turns through
 # at most _PANEL_WIDTH radians (or e-folds) across it, which _PANEL_POINTS
-# Gauss-Legendre nodes integrate to rounding. The fixed-node rule takes the
+# Gauss-Legendre nodes integrate to rounding. That holds for every panel of
+# the side, the corner layers of cosh(nu x) included, so the panels of a
+# side are equal (_panel_breaks). The fixed-node rule takes the
 # 2 * _PANEL_POINTS + 1 nodes of its Gauss-Kronrod extension on each panel
 # (_kronrod_rule): the Kronrod sum is the value, its difference from the
 # Gauss sum on the same nodes the estimate.
 _PANEL_POINTS = 24
 _PANEL_WIDTH = 32.0
-_GRADING = 4.0
-_CORNER_PANEL = 1e-3
 _BLOCK = 64  # nodes per column block of the products with S; S never exists as a whole (K, N) matrix
 _ENTRIES = 2**16  # integrand values per call of a panel-adaptive integrand
 
-# Corner breakpoints as fractions of the panel width: 1e-3, 4e-3, ..., 0.256.
-_CORNER_BREAKS = _CORNER_PANEL * _GRADING ** np.arange(
-    math.ceil(math.log(1.0 / _CORNER_PANEL) / math.log(_GRADING))
-)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_POINTS)
 
 
@@ -397,14 +395,10 @@ def _kronrod_rule():
 
 def _panel_breaks(length: float, nu: float) -> np.ndarray:
     """Panel breakpoints on [0, length] for an integrand of top frequency nu:
-    an even number of equal panels no wider than _PANEL_WIDTH / nu in the
-    middle (half the length for nu 0), graded geometrically toward both
-    ends. So the midpoint of [0, length] is always a breakpoint."""
-    w = min(_PANEL_WIDTH / nu if nu > 0.0 else math.inf, 0.5 * length)
-    n_mid = 2 * max(1, math.ceil((length - 2.0 * w) / (2.0 * w)))
-    corner = w * np.concatenate(([0.0], _CORNER_BREAKS))
-    middle = np.linspace(w, length - w, n_mid + 1)
-    return np.unique(np.concatenate((corner, middle, length - corner)))
+    the fewest equal panels, an even number, no wider than _PANEL_WIDTH / nu
+    (two for nu 0). So the midpoint of [0, length] is always a breakpoint."""
+    n = 2 * max(1, math.ceil(length * nu / (2.0 * _PANEL_WIDTH)))
+    return np.linspace(0.0, length, n + 1)
 
 
 # G3 and G4 are the point reflections of G1 and G2 at the same parameter:
@@ -415,8 +409,8 @@ _ALONG = {Side.G1: 1, Side.G2: 0}
 
 
 def _boundary_nodes(rect: Rectangle, nu: float):
-    """Composite Gauss-Kronrod nodes with t > 0 on G1 and G2, on the panels
-    of _panel_breaks for an integrand of top frequency nu.
+    """Composite Gauss-Kronrod nodes with t > 0 on G1 and G2, on the equal
+    panels of _panel_breaks for an integrand of top frequency nu.
 
     Yields (side, t, x, y, gauss, kronrod) per side: t holds the positive
     side parameters, gauss and kronrod their arc-length weights under the

@@ -4,9 +4,10 @@ estimates, the adaptive fallback and the Gram-matrix orthonormality check.
 
 Each panel of a side carries the 49 nodes of the Gauss-Kronrod extension
 K49 of the 24-point Gauss-Legendre rule G24, whose nodes are among them.
-The middle of a side is cut into an even number of panels, so its midpoint
-t = 0 is a breakpoint and no node (K49 has one at each panel centre) sits
-there. A coefficient is the K49 sum, its estimate |K49 - G24|."""
+A side is cut into the fewest equal panels, an even number, no wider than
+_PANEL_WIDTH / nu, so its midpoint t = 0 is a breakpoint and no node (K49
+has one at each panel centre) sits there. A coefficient is the K49 sum, its
+estimate |K49 - G24|."""
 
 import json
 
@@ -94,15 +95,29 @@ def panel_nodes(rect, side, nu):
 @pytest.mark.parametrize("rule", [0, 1])  # the Gauss weights, the Kronrod weights
 def test_half_nodes_and_their_mirror_images_are_the_panel_nodes(h, rule):
     rect = Rectangle(h)
-    # nu 40: with at most 32 / nu per panel, one middle panel would cover
-    # the middle of the sides of length 2 at h = 1, with its centre node at
-    # t = 0; the count is even, so t = 0 is a break there as everywhere
-    for nu in (0.0, 3.0, 40.0, 200.0):
+    # side lengths 2 and 2h. nu 16.5 and 158: the top frequencies of 41 and
+    # 400 modes on the square, 316 the Gram's at 400 modes, 4712 the top
+    # frequency of 12000 modes. nu 40: three panels of at most 32 / nu would
+    # cover a side of length 2, the middle one with its centre node at
+    # t = 0; the count is even (four), so t = 0 is a break there as
+    # everywhere
+    for nu in (0.0, 3.0, 16.5, 40.0, 158.0, 200.0, 316.0, 4712.0):
         for side, t, x, y, *weights in boundary._boundary_nodes(rect, nu):
             full_t, full_w = panel_nodes(rect, side, nu)
             length = 2.0 * rect.side_interval(side)[1]
-            assert np.abs(boundary._panel_breaks(length, nu) - 0.5 * length).min() <= 4e-16 * length
-            assert np.abs(full_t).min() > 1e-5 * length
+            breaks = boundary._panel_breaks(length, nu)
+            n = breaks.size - 1
+            assert n % 2 == 0 and breaks[0] == 0.0 and breaks[-1] == length
+            assert np.abs(np.diff(breaks) - length / n).max() <= 4e-16 * length
+            if nu == 0.0:
+                assert n == 2
+            else:
+                assert length / n <= boundary._PANEL_WIDTH / nu
+                assert n == 2 or length / (n - 2) > boundary._PANEL_WIDTH / nu  # two fewer would be too wide
+            assert abs(breaks[n // 2] - 0.5 * length) <= 4e-16 * length
+            # the nodes nearest t = 0 are the end nodes of the two middle panels
+            end_gap = (1.0 - boundary._kronrod_rule()[0][-1]) * 0.5 * length / n
+            assert np.abs(full_t).min() == pytest.approx(end_gap, rel=1e-6)
             assert (t > 0.0).all() and 2 * t.size == full_t.size
             order = np.argsort(np.r_[-t, t])
             assert np.abs(np.r_[-t, t][order] - np.sort(full_t)).max() <= 8e-16 * length
@@ -192,14 +207,15 @@ def test_one_trace_panels_match_finer_nodes(monkeypatch, h, count):
         assert np.abs(np.r_[co.gbar, co.values] * rect.perimeter - finer[:, 1]).max() <= 1e-14 * magnitude, name
 
 
-@pytest.mark.parametrize("h", [1.0, 0.5])
-def test_400_mode_coefficient_and_gram_node_counts(h):
-    # 400 modes: the coefficient nodes (t > 0) and the Gram's nodes for 2 * nu_max
+@pytest.mark.parametrize("h, count, nodes", [(1.0, 400, (490, 980)), (0.5, 400, (539, 1029)), (1.0, 41, (98, 196))],
+                         ids=["1.0", "0.5", "1.0-41"])
+def test_400_mode_coefficient_and_gram_node_counts(h, count, nodes):
+    # the coefficient nodes (t > 0) and the Gram's nodes for 2 * nu_max
     rect = Rectangle(h)
-    nu_max = build_spectrum_by_count(rect, 400).arrays.nu.max()
+    nu_max = build_spectrum_by_count(rect, count).arrays.nu.max()
     coefficient_nodes = sum(t.size for _, t, *_ in boundary._boundary_nodes(rect, nu_max))
     gram_nodes = sum(t.size for _, t, *_ in boundary._boundary_nodes(rect, 2 * nu_max))
-    assert (coefficient_nodes, gram_nodes) == {1.0: (980, 1470), 0.5: (1029, 1519)}[h]
+    assert (coefficient_nodes, gram_nodes) == nodes
 
 
 def integrals_by_64_nodes(g, spec):
@@ -422,6 +438,46 @@ def test_kinked_data_fallback_is_accurate_and_cheap():
     got = np.r_[co.gbar, co.values]
     target = np.maximum(ABSTOL / perim, RELTOL * np.abs(ref))
     assert (np.abs(got - ref) <= target).all()
+
+
+def corner_singular_reference(spec, points=32, width=4.0):
+    """Raw integrals of sqrt(|1 - x^2|) against the constant and every mode.
+
+    The data vanish on G1 and G3 (x = +-1). On G2 and G4 (y = +-h) the
+    substitution x = sin(theta) turns sqrt(1 - x^2) dx into cos(theta)^2
+    dtheta, a smooth integrand on [-pi/2, pi/2] whose top frequency is at
+    most nu_max: uniform composite Gauss-Legendre panels of `points` nodes
+    no wider than width / nu_max."""
+    rect = spec.rectangle
+    n = int(np.ceil(np.pi * spec.arrays.nu.max() / width))
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    edges = np.linspace(-0.5 * np.pi, 0.5 * np.pi, n + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    theta = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()
+    w = (half * weights).ravel() * np.cos(theta) ** 2
+    out = np.zeros(spec.size)
+    for y in (rect.h, -rect.h):
+        out[0] += w.sum()
+        for start in range(0, theta.size, 256):
+            block = slice(start, start + 256)
+            out[1:] += spec.values(np.sin(theta[block]), np.full(w[block].size, y)) @ w[block]
+    return out
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.1])
+@pytest.mark.parametrize("count", [41, 400])
+def test_corner_singular_data_meet_their_targets(h, count):
+    # square-root singularities at all four corners: the corner panels are
+    # as wide as the others, and the fallback bisects toward the corners
+    rect = Rectangle(h)
+    spec = build_spectrum_by_count(rect, count)
+    g = BoundaryFunction.from_expression("sqrt(abs(1 - x^2))", rect)
+    co = steklov_coefficients(g, spec, ABSTOL, RELTOL)
+    perim = rect.perimeter
+    ref = corner_singular_reference(spec) / perim
+    assert ref[0] == pytest.approx(np.pi / perim, rel=1e-14)
+    target = np.maximum(ABSTOL / perim, RELTOL * np.abs(ref))
+    assert (np.abs(np.r_[co.gbar, co.values] - ref) <= target).all()
 
 
 def test_gram_matrix_is_identity():

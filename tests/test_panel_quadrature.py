@@ -53,6 +53,14 @@ def test_interior_kink_integral(h, c):
 
 
 @pytest.mark.parametrize("h", HS)
+def test_corner_singular_integral(h):
+    # zero on the vertical sides; sqrt(1 - x^2) on each horizontal side, with
+    # square-root singularities at all four corners, integrates to pi / 2
+    rect = Rectangle(h)
+    assert_within_target(BoundaryFunction.from_expression("sqrt(abs(1 - x^2))", rect), math.pi)
+
+
+@pytest.mark.parametrize("h", HS)
 def test_boundary_l2_of_known_trace(h):
     rect = Rectangle(h)
     seen = []
