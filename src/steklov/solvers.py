@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -88,7 +89,14 @@ class ProblemKind:
 
 @dataclass(frozen=True, eq=False)
 class SteklovApproximation:
-    """Evaluable truncated expansion solution on the closed rectangle."""
+    """Evaluable truncated expansion solution on the closed rectangle.
+
+    Every evaluator sums constant + lift + sum_j w_j s_j over the modes of
+    _terms only: those whose weight is not exactly 0.0. Data with a parity
+    symmetry zero whole parity classes of weights, so these modes are never
+    evaluated; with no zero weight the sum runs over spectrum and weights
+    themselves.
+    """
 
     kind: ProblemKind
     spectrum: Spectrum
@@ -107,13 +115,27 @@ class SteklovApproximation:
         a0, a1, a2, a3 = self.lift
         return a0 + a1 * x + a2 * y + a3 * x * y
 
+    @cached_property
+    def _terms(self) -> tuple[Spectrum, np.ndarray]:
+        """(spectrum, weights) restricted to the modes whose weight is not
+        exactly 0.0 (a NaN weight is kept): the sub-spectrum of those rows,
+        the constant first, and their weights as a float array. Without a
+        zero weight, this approximation's own spectrum and weights."""
+        w = np.asarray(self.weights, dtype=float)
+        rows = np.flatnonzero(w != 0.0)
+        if rows.size == w.size:
+            return self.spectrum, w
+        return self.spectrum.take(np.concatenate(([0], rows + 1))), w[rows]
+
     def _sum(self, x, y):
         """constant + lift + sum_j w_j s_j at points that broadcast; a float at one point."""
-        return self.constant_term + self._lift_value(x, y) + self.spectrum.expand(self.weights, x, y)
+        spec, w = self._terms
+        return self.constant_term + self._lift_value(x, y) + spec.expand(w, x, y)
 
     def _gradient(self, x, y):
         """Term-by-term gradient of _sum at the same points."""
-        return self._lifted(*self.spectrum.expand_gradient(self.weights, x, y), x, y)
+        spec, w = self._terms
+        return self._lifted(*spec.expand_gradient(w, x, y), x, y)
 
     def _lifted(self, gx, gy, x, y):
         """The gradient of the expansion, (gx, gy) at (x, y), plus the lift's."""
@@ -126,15 +148,17 @@ class SteklovApproximation:
     def _grid_sum(self, xs, ys):
         """_sum on the tensor grid of the axes xs and ys, shape (ny, nx), from
         one matrix product of the factor matrices (Spectrum.expand_grid)."""
-        U = self.spectrum.expand_grid(self.weights, xs, ys)
+        spec, w = self._terms
+        U = spec.expand_grid(w, xs, ys)
         U += self.constant_term + self._lift_value(xs, ys[:, None])
         return U
 
     def _grid_gradient(self, xs, ys):
         """_gradient on the tensor grid of the axes xs and ys, shape (ny, nx):
         (Fy^T @ (w * dFx), dFy^T @ (w * Fx)), one matrix product per component."""
-        (fx, fy), (dfx, dfy) = self.spectrum._factors(xs, ys, derivative=True)
-        w = np.asarray(self.weights, dtype=float)[:, None]
+        spec, w = self._terms
+        (fx, fy), (dfx, dfy) = spec._factors(xs, ys, derivative=True)
+        w = w[:, None]
         return self._lifted(fy.T @ (w * dfx), dfy.T @ (w * fx), xs, ys[:, None])
 
     def eval(self, x: float, y: float) -> float:

@@ -2,6 +2,8 @@
 
 The scalar mode formulas are those of scalar_reference."""
 
+import dataclasses
+import functools
 import math
 import re
 import tracemalloc
@@ -13,6 +15,7 @@ from steklov import (
     BoundaryFunction,
     FamilyTag,
     GeometryError,
+    ProblemKind,
     Rectangle,
     SIDES,
     boundary_partial_sum,
@@ -20,7 +23,9 @@ from steklov import (
     build_spectrum_by_count,
     builtin_boundary,
     grid_points,
+    solve,
     solve_dirichlet,
+    solve_neumann,
     solve_robin,
     steklov_coefficients,
 )
@@ -232,7 +237,9 @@ def assert_same_to_rounding(got, want):
 
 @pytest.fixture(scope="module", params=[1.0, 0.5, 0.1])
 def meshgrid_cases(request):
-    """Expansions at one h with 0, 41 and 400 modes, each with and without the corner lift."""
+    """Expansions at one h with 0, 41 and 400 modes, each with and without the
+    corner lift; then, with 41 and 400 modes, the symmetric f1 (corner lift)
+    and bd1 (Neumann), whose zero weights leave modes unevaluated."""
     rect = Rectangle(request.param)
     g = builtin_boundary("f3", rect)
     cases = []
@@ -240,6 +247,12 @@ def meshgrid_cases(request):
         spec = build_spectrum_by_count(rect, count)
         cases += [solve_dirichlet(g, spec, use_corner_reduction=True), solve_dirichlet(g, spec)]
     assert cases[2].lift is not None and cases[3].lift is None
+    for count in (41, 400):
+        spec = build_spectrum_by_count(rect, count)
+        symmetric = [solve_dirichlet(builtin_boundary("f1", rect), spec, use_corner_reduction=True),
+                     solve_neumann(builtin_boundary("bd1", rect), spec)]
+        assert all(len(u._terms[1]) < count for u in symmetric)
+        cases += symmetric
     return cases
 
 
@@ -433,3 +446,127 @@ def test_array_evaluators_check_the_domain():
                 evaluate(x, y)
     corners = np.array([-1.0, 1.0]), np.array([-0.5, 0.5])
     close(u.eval_array(*corners), [u.eval(-1.0, -0.5), u.eval(1.0, 0.5)])
+
+
+# ---------------------------------------------------------------------------
+# only the modes with a nonzero weight are evaluated
+# ---------------------------------------------------------------------------
+
+# data, kind, h, corner reduction, modes; data with a parity symmetry
+SYMMETRIC_CASES = [
+    ("f1", "dirichlet", 1.0, True, 41),
+    ("f1", "dirichlet", 1.0, False, 41),
+    ("f1", "dirichlet", 0.8, True, 41),
+    ("f1", "dirichlet", 0.8, False, 41),
+    ("bd2", "neumann", 0.5, False, 80),
+    ("bd3", "robin", 0.8, False, 60),
+    ("bd1", "neumann", 0.1, False, 400),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_solve(name, kind, h, corner, count):
+    """The solve of catalog data over count modes, b = 1 for Robin."""
+    rect = Rectangle(h)
+    b = 1.0 if kind == "robin" else 0.0
+    g = builtin_boundary(name, rect, 1.0 if kind == "robin" else None)
+    return solve(ProblemKind(kind, b), g, build_spectrum_by_count(rect, count), use_corner_reduction=corner)
+
+
+def full_sum(u, x, y):
+    """constant + lift + the sum over every mode of u's spectrum, zero weights included."""
+    return u.constant_term + u._lift_value(x, y) + u.spectrum.expand(u.weights, x, y)
+
+
+def full_gradient(u, x, y):
+    return u._lifted(*u.spectrum.expand_gradient(u.weights, x, y), x, y)
+
+
+@pytest.mark.parametrize("case", SYMMETRIC_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_evaluators_of_the_nonzero_weights_agree_with_the_full_sum(case):
+    u = catalog_solve(*case)
+    rect, h = u.rect, u.rect.h
+    spec, w = u._terms
+    rows = u.spectrum.rows_of(spec)[1:] - 1
+    assert 0 < w.size < u.spectrum.size - 1
+    assert np.array_equal(w, u.weights[rows]) and np.all(w != 0.0)
+    assert np.all(np.delete(u.weights, rows) == 0.0)
+    rng = np.random.default_rng(23)
+    x, y = rng.uniform(-1.0, 1.0, 3000), rng.uniform(-h, h, 3000)  # several blocks
+    assert_same_to_rounding(u.eval_array(x, y), full_sum(u, x, y))
+    for got, want in zip(u.gradient_arrays(x, y), full_gradient(u, x, y)):
+        assert_same_to_rounding(got, want)
+    X, Y = np.meshgrid(np.sort(rng.uniform(-1.0, 1.0, 23)), np.sort(rng.uniform(-h, h, 17)))
+    assert_same_to_rounding(u.eval_array(X, Y), full_sum(u, X, Y))
+    for got, want in zip(u.gradient_arrays(X, Y), full_gradient(u, X, Y)):
+        assert_same_to_rounding(got, want)
+    assert_same_to_rounding(u.eval_grid(31, 19), full_sum(u, *grid_points(rect, 31, 19)))
+    a, b = x[:20], y[:20]
+    assert_same_to_rounding(np.array([u.eval(*p) for p in zip(a.tolist(), b.tolist())]), full_sum(u, a, b))
+    for got, want in zip(zip(*(u.eval_gradient(*p) for p in zip(a.tolist(), b.tolist()))), full_gradient(u, a, b)):
+        assert_same_to_rounding(np.array(got), want)
+    for side in SIDES:
+        ts = side_params(rect, side)
+        px, py = rect.side_point(side, ts)
+        assert_same_to_rounding(u.boundary_value(side, ts), full_sum(u, px, py))
+        gx, gy = full_gradient(u, px, py)
+        nx, ny = rect.outward_normal(side)
+        assert_same_to_rounding(u.boundary_normal_derivative(side, ts), gx * nx + gy * ny)
+    sub = u.restrict(u.spectrum.head((u.spectrum.size - 1) // 2))
+    assert sub._terms[0].size < sub.spectrum.size
+    assert_same_to_rounding(sub.eval_array(x, y), full_sum(sub, x, y))
+
+
+def test_data_without_a_zero_weight_evaluate_the_spectrum_itself():
+    u = catalog_solve("f3", "dirichlet", 1.0, False, 41)
+    assert np.all(u.weights != 0.0)
+    spec, w = u._terms
+    assert spec is u.spectrum and w is u.weights
+
+
+@pytest.mark.parametrize("case, evaluated", [
+    (("f1", "dirichlet", 1.0, True, 41), 21),
+    (("bd3", "robin", 0.8, False, 60), 30),
+    (("bd2", "neumann", 0.5, False, 80), 20),
+])
+def test_modes_evaluated_by_the_dense_evaluation_cases(case, evaluated):
+    # f1 on the square keeps 11 class-III weights near 1e-18: numpy's y**4
+    # is not exactly even at every quadrature node
+    spec, w = catalog_solve(*case)._terms
+    assert spec.size - 1 == w.size == evaluated
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "robin", "neumann"])
+def test_zero_data_evaluate_no_mode(kind):
+    rect = Rectangle(0.8)
+    b = 1.0 if kind == "robin" else 0.0
+    g = BoundaryFunction.from_expression("0*x", rect)
+    u = solve(ProblemKind(kind, b), g, build_spectrum_by_count(rect, 41), use_corner_reduction=kind == "dirichlet")
+    spec, w = u._terms
+    assert spec.size == 1 and w.shape == (0,)
+    x, y = np.linspace(-1.0, 1.0, 7), np.linspace(-0.8, 0.8, 7)
+    X, Y = grid_points(rect, 9, 5)  # a tensor grid: the product of K = 0 factor matrices
+    outputs = [
+        ((), u.eval(0.3, -0.2)), *(((), c) for c in u.eval_gradient(0.3, -0.2)),
+        ((7,), u.eval_array(x, y)), ((5, 9), u.eval_array(X, Y)), ((5, 9), u.eval_grid(9, 5)),
+        *(((7,), c) for c in u.gradient_arrays(x, y)), *(((5, 9), c) for c in u.gradient_arrays(X, Y)),
+    ]
+    for side in SIDES:
+        ts = side_params(rect, side, 6)
+        outputs += [((6,), u.boundary_value(side, ts)), ((6,), u.boundary_normal_derivative(side, ts))]
+    for shape, out in outputs:
+        assert np.shape(out) == shape and np.all(np.asarray(out) == 0.0)
+    assert isinstance(u.eval(0.3, -0.2), float)
+
+
+def test_a_nan_weight_is_evaluated():
+    u = catalog_solve("f1", "dirichlet", 1.0, True, 41)
+    w = np.array(u.weights)
+    w[np.flatnonzero(w == 0.0)[0]] = math.nan
+    v = dataclasses.replace(u, weights=w)
+    assert len(v._terms[1]) == len(u._terms[1]) + 1
+    X, Y = grid_points(v.rect, 5, 4)
+    outputs = [v.eval(0.2, 0.1), v.eval_array(X.ravel(), Y.ravel()), v.eval_array(X, Y), v.eval_grid(5, 4),
+               *v.gradient_arrays(X.ravel(), Y.ravel()), *v.gradient_arrays(X, Y),
+               v.boundary_value(SIDES[0], side_params(v.rect, SIDES[0], 5))]
+    assert all(np.isnan(out).all() for out in outputs)

@@ -10,9 +10,11 @@ numbers, regenerate the file with
     PYTHONPATH=src python tests/test_golden_tables.py
 
 and say in the change why the entries moved. Before it writes, the script
-prints how many entries moved and the largest absolute and relative move
-with its (policy, table, row); it writes nothing, and exits 1, when a row
-count, a note or a `within` flag differs from the recorded file.
+prints how many entries moved, the largest absolute and relative move with
+its (policy, table, row), and then every moved entry: its (policy, table,
+row), old -> new value and absolute and relative move. It writes nothing,
+and exits 1, when a row count, a note or a `within` flag differs from the
+recorded file.
 """
 
 import json
@@ -82,6 +84,7 @@ def test_audit_reports_moves_and_names_changed_flags_notes_and_rows():
     assert report[0] == "1 of 2 entries moved"
     assert report[1].startswith("largest absolute move 3e-15") and report[1].endswith("on prefix table 1 row 1")
     assert report[2].startswith("largest relative move 2e-08")
+    assert report[3:] == ["prefix table 1 row 1: 1.5e-07 -> 1.50000003e-07 (3e-15 absolute, 2e-08 relative)"]
     new["prefix"]["1"]["entries"][0][1] = False
     new["prefix"]["1"]["notes"] = ["a note"]
     assert len(audit(old, new)[1]) == 2
@@ -92,8 +95,8 @@ def test_audit_reports_moves_and_names_changed_flags_notes_and_rows():
 
 def audit(old: dict, new: dict):
     """(report, mismatches) of the records new against the recorded old:
-    report says how many entries moved and the largest absolute and
-    relative moves, mismatches names every table, row count, note and row
+    report says how many entries moved, the largest absolute and relative
+    moves, and then lists every moved entry, old -> new; mismatches names every table, row count, note and row
     `within` flag or note that differs."""
     mismatches, moves = [], []
     for policy in sorted(old.keys() | new.keys()):
@@ -113,7 +116,7 @@ def audit(old: dict, new: dict):
                 if (within0, note0) != (within1, note1):
                     mismatches.append(f"{where} row {i}: within {within0} -> {within1}, note {note0!r} -> {note1!r}")
                 if v1 != v0:
-                    moves.append((abs(v1 - v0), abs(v1 - v0) / abs(v0) if v0 else math.inf, f"{where} row {i}"))
+                    moves.append((abs(v1 - v0), abs(v1 - v0) / abs(v0) if v0 else math.inf, f"{where} row {i}", v0, v1))
     entries = sum(len(rec["entries"]) for tables in new.values() for rec in tables.values())
     report = [f"{len(moves)} of {entries} entries moved"]
     if moves:
@@ -121,6 +124,7 @@ def audit(old: dict, new: dict):
         report.append(f"largest absolute move {worst[0]:.3g} ({worst[1]:.3g} relative) on {worst[2]}")
         worst = max(moves, key=lambda m: m[1])
         report.append(f"largest relative move {worst[1]:.3g} ({worst[0]:.3g} absolute) on {worst[2]}")
+    report += [f"{where}: {v0!r} -> {v1!r} ({a:.3g} absolute, {r:.3g} relative)" for a, r, where, v0, v1 in moves]
     return report, mismatches
 
 
