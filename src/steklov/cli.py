@@ -25,12 +25,13 @@ refuse a grid of fewer than 2 points per axis, a `solve` with none of
 the line number and its text) or with a point outside the rectangle.
 
 Every CSV (grids, point values, spectrum listings, coefficients, table
-files) is written from column arrays, one block of rows at a time: a grid is
-written in bands of about 2**12 values, each formatted and written before the
-next is computed. No cell is quoted: the text cells (labels, families, table
-notes) hold no comma, quote or newline. Every number is formatted once,
-exactly as `%.{digits}g` (`cells.py`): at 6 digits the cells are built as
-byte matrices by numpy and only the cells whose rounding cannot be proven
+files) is written from column arrays, one block of rows at a time, as bytes
+(text on standard output): a grid is written in bands of about 2**13 values,
+each formatted and written before the next is computed. No cell is quoted:
+the text cells (labels, families, table notes) hold no comma, quote or
+newline. Every number is formatted once, exactly as `%.{digits}g`
+(`cells.py`): at 6 digits numpy stores the cells of a block into one byte
+buffer, a slot per cell, and only the cells whose rounding cannot be proven
 from one float product (0, nan, inf, subnormals, magnitudes outside about
 1e-17..1e28, near-ties) go through Python's `%`; at 17 digits every row goes
 through one `%` template.
@@ -78,25 +79,25 @@ EXIT_ROOTFIND = 3
 
 @contextmanager
 def _output(path):
-    """The text stream for an output path; None or '-' is standard output."""
+    """A writer of bytes to an output path; None or '-' is standard output, which takes text."""
     if path in (None, "-"):
-        yield sys.stdout
+        yield lambda data: sys.stdout.write(data.decode())
     else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            yield fh
+        with open(path, "wb") as fh:
+            yield fh.write
 
 
 def _write_columns(path, header, blocks, digits: int):
-    """A CSV: the header, then the rows of each block (`cells.block_text`)
+    """A CSV: the header, then the rows of each block (`cells.block_bytes`)
     in turn. Each block is formatted and written before the next is drawn, so
     blocks may be generated lazily and the table never sits in memory whole.
     """
     from . import cells  # loaded by the first CSV only
 
-    with _output(path) as out:
-        out.write(",".join(header) + "\n")
+    with _output(path) as write:
+        write((",".join(header) + "\n").encode())
         for columns in blocks:
-            out.write(cells.block_text(columns, digits))
+            write(cells.block_bytes(columns, digits))
 
 
 def _add_digits(p: argparse.ArgumentParser):
@@ -173,7 +174,7 @@ def _load_points(spec_text: str):
                 if not line or (not pts and line.lower().startswith("x")):
                     continue
                 try:
-                    a, b = line.split(",")[:2]
+                    a, b = line.split(",")
                     pts.append((float(a), float(b)))
                 except ValueError:
                     raise ValueError(f"{path}, line {number}: expected x,y numbers, got {line!r}") from None
@@ -215,7 +216,7 @@ def _exact_value(args, rect: Rectangle):
     return zero_mean_solution(exact.value, rect, args.abstol, args.reltol)
 
 
-_BAND_CELLS = 2**12  # grid values per block of `_grid_rows`
+_BAND_CELLS = 2**13  # grid values per block of `_grid_rows`
 
 
 def _grid_rows(U, xs, ys, exact, digits: int):
@@ -313,12 +314,10 @@ def _parse_which(text: str):
         return list(ref.ALL_TABLE_IDS)
     ids = []
     for part in text.split(","):
-        part = part.strip()
-        if "-" in part:
-            a, b = part.split("-")
-            ids.extend(range(int(a), int(b) + 1))
-        else:
-            ids.append(int(part))
+        ends = part.strip().split("-")  # one id, or the two ends of a range
+        if len(ends) > 2 or not all(e.strip().isdigit() for e in ends) or int(ends[0]) > int(ends[-1]):
+            raise ValueError(f"--which: {part.strip()!r} is neither a table id nor an ascending range a-b")
+        ids.extend(range(int(ends[0]), int(ends[-1]) + 1))
     bad = [i for i in ids if i not in ref.ALL_TABLE_IDS]
     if bad:
         raise ValueError(f"unknown table ids {bad}; valid ids are 1..14")

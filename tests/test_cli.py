@@ -184,6 +184,14 @@ def test_tables_bad_id(tmp_path):
     assert run(["tables", "--which", "99"]) == 2
 
 
+@pytest.mark.parametrize("which", ["3-1", "1-2-3"])
+def test_tables_refuse_a_which_part_that_is_no_range(capsys, which):
+    """A descending or three-ended range selects no tables; it exits 2, naming the part."""
+    assert run(["tables", "--which", f"2,{which}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --which: ") and repr(which) in err
+
+
 def test_coefficient_echo(capsys):
     assert run(["solve", "--g", "builtin:f1", "--h", "1", "--M", "1",
                 "--points", "paper", "--print-coefficients", "--points-out", "-"]) == 0
@@ -436,6 +444,7 @@ def no_solve(monkeypatch):
     ("x,y\n0.1,0.2\n0.5\n", 3, "'0.5'"),
     ("0.1,0.2\n\n0.3,zero\n", 3, "'0.3,zero'"),
     ("x,y\n0.1,0.2\nx,y\n", 3, "'x,y'"),  # a header only before the first point
+    ("x,y\n0.1,0.2,0.3\n", 2, "'0.1,0.2,0.3'"),
 ])
 def test_bad_points_line_names_file_and_line(tmp_path, capsys, no_solve, text, number, line):
     pts = tmp_path / "pts.csv"

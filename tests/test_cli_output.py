@@ -9,14 +9,17 @@ column, and every file without them, must be byte-identical.
 
 The vectorised cell formatter (`cells.float_cells`) is held to Python's `%`
 on adversarial values, and the writer to the reference on mixed, one-row and
-empty blocks, on table files (text, int, float and bool columns) and to the
-row template on whole grids.
+empty blocks, on the slot boundaries of its row buffer (text widths around
+multiples of 8, the widest fallback cells, single-column blocks), on table
+files (text, int, float and bool columns) and to the row template on whole
+grids. Standard output, redirected to an `io.StringIO`, gets the files' text.
 """
 
 import csv
 import io
 import math
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -226,6 +229,69 @@ def test_mixed_blocks_match_the_reference_writer(tmp_path, rows, digits):
     rows_ref = [(name, "same", v, t.decode(), w)
                 for name, v, t, w in zip(labels, u.tolist(), tags, block[4].tolist())]
     assert out.read_text() == reference_csv([("a", "b", "c", "d", "e")] + rows_ref * 2, digits)
+
+
+def _block_file(tmp_path, header, block, digits):
+    """The CSV `_write_columns` makes of the header and the block written twice."""
+    out = tmp_path / "t.csv"
+    cli._write_columns(out, header, [block, block], digits)
+    return out.read_text()
+
+
+@pytest.mark.parametrize("digits", [6, 17])
+@pytest.mark.parametrize("width", [7, 8, 9, 15, 16, 17])
+def test_text_slots_around_multiples_of_8_match_the_reference_writer(tmp_path, width, digits):
+    """A text slot is the column's width plus the separator, rounded up to 8 bytes."""
+    labels = ["t" * width, "u" * (width - 1), "v"]
+    u = np.array([1.5, -2.25e-7, 123456.7])
+    rows = list(zip(labels, u.tolist(), labels))
+    header = ("a", "b", "c")
+    assert _block_file(tmp_path, header, [labels, u, labels], digits) == reference_csv([header] + rows * 2, digits)
+
+
+@pytest.mark.parametrize("digits", [6, 17])
+@pytest.mark.parametrize("values", [
+    [-1.7976931348623157e308, -2.2250738585072014e-308, -5e-324],  # -1.79769e+308: 13 bytes, the widest
+    [0.0, -0.0, np.nan, np.inf, -np.inf],
+], ids=["widest", "special"])
+def test_blocks_of_fallback_cells_match_the_reference_writer(tmp_path, values, digits):
+    """Every float cell of these blocks goes through Python's `%` into its own slot."""
+    u = np.array(values)
+    block = [u, "same", -u[::-1].copy()]
+    rows = list(zip(u.tolist(), ["same"] * u.size, block[2].tolist()))
+    header = ("a", "b", "c")
+    assert _block_file(tmp_path, header, block, digits) == reference_csv([header] + rows * 2, digits)
+
+
+@pytest.mark.parametrize("digits", [6, 17])
+@pytest.mark.parametrize("rows", [0, 1, 3])
+@pytest.mark.parametrize("names", [("float",), ("text",), ("float", "str"), ("str", "float")])
+def test_single_column_and_constant_blocks_match_the_reference_writer(tmp_path, names, rows, digits):
+    u = np.array([0.25, -3.5e-9, 7.0e12])[:rows]
+    labels = ["a", "bb", "ccc"][:rows]
+    columns = {"float": (u, u.tolist()), "text": (labels, labels), "str": ("const", ["const"] * rows)}
+    block = [columns[k][0] for k in names]
+    want = [names] + list(zip(*(columns[k][1] for k in names))) * 2
+    assert _block_file(tmp_path, names, block, digits) == reference_csv(want, digits)
+
+
+def _stdout_of(argv) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def test_standard_output_gets_the_text_of_the_files(tmp_path):
+    """'-' writes to a `sys.stdout` without a binary buffer (an io.StringIO) what a file would hold."""
+    common = ["--g", "builtin:f1", "--count", "12"]
+    pts, grid = tmp_path / "pts.csv", tmp_path / "grid.csv"
+    both = _stdout_of(["solve", *common, "--print-coefficients", "--points", "paper", "--points-out", "-"])
+    echo = _stdout_of(["solve", *common, "--print-coefficients", "--points", "paper", "--points-out", str(pts)])
+    assert echo.startswith("index,family,") and both == echo + pts.read_text()
+    text = _stdout_of(["grid", *common, "--grid", "21", "--with-exact", "--out", "-"])
+    assert _stdout_of(["grid", *common, "--grid", "21", "--with-exact", "--out", str(grid)]) == ""
+    assert text == grid.read_text() and text.count("\n") == 1 + 21 * 21
 
 
 @pytest.mark.parametrize("with_exact", [False, True])
