@@ -10,7 +10,11 @@ Commands:
 Each subcommand defines only the options it reads: a flag it would ignore
 exits 2 as an unrecognized argument. --M M keeps the first M roots of each
 family (default 5), --count N the N smallest nonconstant eigenvalues; the two
-exclude each other, and --cache excludes both.
+exclude each other, and --cache excludes both. `main` may be called
+repeatedly in one process: the parser is built once and each call parses into
+a fresh namespace. `spectrum` formats each eigenpair once (`mode_texts`) for
+the cache and a 17-digit listing; its `--out -`, like every `-` output, is
+standard output. `tables --which` runs a repeated id once.
 
 Exit codes: 0 success, 1 failed checks (invariant suite, or table entries out
 of tolerance), 2 invalid configuration (an input file that cannot be read
@@ -45,6 +49,7 @@ perimeter-weighted boundary mean is subtracted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -68,7 +73,9 @@ from .spectrum import (
     build_spectrum,
     build_spectrum_by_count,
     load_spectrum,
+    mode_texts,
     save_spectrum,
+    spectrum_to_json,
 )
 from .tables import POLICY_PREFIX, TableWorkspace, reproduce_table
 
@@ -144,20 +151,30 @@ def _spectrum_from_args(args) -> Spectrum:
 
 
 def cmd_spectrum(args) -> int:
-    spec = _spectrum_from_args(args)
     out = args.out or "spectrum.json"
-    save_spectrum(spec, out)
-    _write_columns(args.csv, ("index", "family", "nu", "delta"), [_mode_columns(spec, slice(None))], args.digits)
-    print(f"wrote {spec.size} modes to {out}" + (f" and {args.csv}" if args.csv else ""))
+    if out == "-" and args.csv in (None, "-"):
+        raise ValueError("--out - and the CSV listing would both go to stdout; give --csv PATH")
+    spec = _spectrum_from_args(args)
+    texts = mode_texts(spec)  # the cache's nu and delta texts are the 17-digit listing's cells
+    if out == "-":
+        print(spectrum_to_json(spec, texts), end="")
+    else:
+        save_spectrum(spec, out, texts)
+    families, nu, delta = texts if args.digits == 17 else (texts[0], spec.arrays.nu, spec.arrays.delta)
+    columns = [list(map(str, range(spec.size))), families, nu, delta]
+    _write_columns(args.csv, ("index", "family", "nu", "delta"), [columns], args.digits)
+    # with the cache on stdout, the summary goes to stderr and stdout holds the JSON alone
+    names = " and ".join("stdout" if p == "-" else p for p in (out, args.csv) if p)
+    print(f"wrote {spec.size} modes to {names}", file=sys.stderr if out == "-" else sys.stdout)
     return 0
 
 
-def _mode_columns(spec: Spectrum, rows, *values):
-    """Listing columns of the spectrum's rows: index, family, nu, delta, then any value arrays."""
+def _mode_columns(spec: Spectrum, *values):
+    """Listing columns of the nonconstant modes: index, family, nu, delta, then the value arrays."""
     a = spec.arrays
     names = [tag.value for tag in FamilyTag]
-    return [[str(i) for i in np.arange(spec.size)[rows].tolist()], [names[c] for c in a.code[rows].tolist()],
-            a.nu[rows], a.delta[rows], *(np.asarray(v, dtype=float) for v in values)]
+    return [list(map(str, range(1, spec.size))), [names[c] for c in a.code[1:].tolist()],
+            a.nu[1:], a.delta[1:], *(np.asarray(v, dtype=float) for v in values)]
 
 
 def _load_points(spec_text: str):
@@ -259,7 +276,7 @@ def cmd_solve(args, grid_only: bool = False) -> int:
 
     if args.print_coefficients:
         _write_columns(None, ("index", "family", "nu", "delta", "coefficient", "weight"),
-                       [_mode_columns(spec, slice(1, None), u.coefficients.values, u.weights)], args.digits)
+                       [_mode_columns(spec, u.coefficients.values, u.weights)], args.digits)
 
     wrote = []
     if args.grid is not None:
@@ -318,6 +335,7 @@ def _parse_which(text: str):
         if len(ends) > 2 or not all(e.strip().isdigit() for e in ends) or int(ends[0]) > int(ends[-1]):
             raise ValueError(f"--which: {part.strip()!r} is neither a table id nor an ascending range a-b")
         ids.extend(range(int(ends[0]), int(ends[-1]) + 1))
+    ids = list(dict.fromkeys(ids))  # a repeated id runs once, at its first place
     bad = [i for i in ids if i not in ref.ALL_TABLE_IDS]
     if bad:
         raise ValueError(f"unknown table ids {bad}; valid ids are 1..14")
@@ -335,6 +353,7 @@ def cmd_check(args) -> int:
     return 0 if report.passed else EXIT_CHECK_FAILED
 
 
+@functools.cache  # one parser per process: parsing returns a fresh namespace each call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steklov",
@@ -345,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="compute and cache eigenpairs")
     _add_spectrum(p)
     _add_digits(p)
-    p.add_argument("--out", default="spectrum.json", help="JSON cache path")
+    p.add_argument("--out", default="spectrum.json", help="JSON cache path ('-' for stdout)")
     p.add_argument("--csv", default=None, help="CSV listing path (default stdout)")
     p.set_defaults(func=cmd_spectrum)
 
@@ -394,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except RootFindError as exc:

@@ -850,27 +850,33 @@ def build_spectrum_by_count(rect: Rectangle, count: int) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
-def spectrum_to_json(spec: Spectrum) -> str:
-    """The cache form: h, the selection and each mode's family, nu and delta."""
+def mode_texts(spec: Spectrum) -> tuple[list[str], list[str], list[str]]:
+    """Each mode's family name and its nu and delta as `%.17g`: the texts of
+    the cache, which a 17-digit listing shares."""
+    names = [tag.value for tag in _TAGS]
+    g17 = "%.17g".__mod__
+    code, nu, delta = (a.tolist() for a in spec.arrays[:3])
+    return [names[c] for c in code], list(map(g17, nu)), list(map(g17, delta))
 
-    def g17(x: float) -> str:
-        return format(x, ".17g")
 
-    rows = ",\n".join(
-        '    {"family": "%s", "nu": %s, "delta": %s}' % (_TAGS[code].value, g17(nu), g17(delta))
-        for code, nu, delta in zip(*(a.tolist() for a in spec.arrays[:3]))
-    )
+def spectrum_to_json(spec: Spectrum, texts=None) -> str:
+    """The cache form: h, the selection and each mode's family, nu and delta.
+
+    `texts` is `mode_texts(spec)` when the caller has it already.
+    """
+    row = '    {"family": "%s", "nu": %s, "delta": %s}'.__mod__
+    rows = ",\n".join(map(row, zip(*(texts or mode_texts(spec)))))
     return (
         "{\n"
-        f'  "h": {g17(spec.rectangle.h)},\n'
+        f'  "h": {spec.rectangle.h:.17g},\n'
         f'  "selection": "{spec.selection}",\n'
         '  "modes": [\n' + rows + "\n  ]\n}\n"
     )
 
 
-def save_spectrum(spec: Spectrum, path) -> None:
+def save_spectrum(spec: Spectrum, path, texts=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(spectrum_to_json(spec))
+        fh.write(spectrum_to_json(spec, texts))
 
 
 # A cached nu must solve its characteristic equation to this residual,

@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from steklov.cli import build_parser, main
+from steklov import PER_FAMILY, Rectangle, build_spectrum, spectrum_to_json
+from steklov.cli import _parse_which, build_parser, main
 
 
 def run(args):
@@ -178,6 +179,14 @@ def test_tables_subset(tmp_path, capsys):
     assert "table 1:" in out and "table 14:" in out
     assert (outdir / "table_01.csv").exists()
     assert (outdir / "table_14.csv").exists()
+
+
+def test_tables_which_drops_repeated_ids(capsys):
+    """A repeated id runs, prints and writes its table once, at its first place."""
+    assert _parse_which("1-3,2") == [1, 2, 3]
+    assert _parse_which("3,1-3") == [3, 1, 2]
+    assert run(["tables", "--which", "2,2"]) == 0
+    assert capsys.readouterr().out.count("table 2:") == 1
 
 
 def test_tables_bad_id(tmp_path):
@@ -480,3 +489,68 @@ def test_solve_that_writes_nothing_exits_2_before_solving(capsys, no_solve):
 def test_print_coefficients_alone_is_output(capsys):
     assert run(["solve", "--g", "builtin:f1", "--h", "1", "--M", "1", "--print-coefficients"]) == 0
     assert capsys.readouterr().out.startswith("index,family,nu,delta,coefficient,weight\n")
+
+
+def test_spectrum_out_dash_writes_the_cache_to_stdout(tmp_path, capsys, monkeypatch):
+    """`--out -` puts the JSON alone on stdout, as `-` means for every other output;
+    the summary line goes to stderr."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["spectrum", "--h", "0.5", "--M", "1", "--out", "-", "--csv", "s.csv"]) == 0
+    out, err = capsys.readouterr()
+    assert out == spectrum_to_json(build_spectrum(Rectangle(0.5), 1, PER_FAMILY))
+    assert err == "wrote 9 modes to stdout and s.csv\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
+@pytest.mark.parametrize("listing", [[], ["--csv", "-"]], ids=["csv-omitted", "csv-dash"])
+def test_spectrum_refuses_cache_and_listing_both_on_stdout(tmp_path, capsys, monkeypatch, no_solve, listing):
+    monkeypatch.chdir(tmp_path)
+    assert run(["spectrum", "--M", "1", "--out", "-", *listing]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --out - and the CSV listing would both go to stdout")
+    assert list(tmp_path.iterdir()) == []
+
+
+# spectrum with and without --csv, solve --cache then solve without it, an
+# argparse error, check; relative paths, so stdout is the same in any directory
+STATE_CALLS = [
+    "spectrum --h 0.5 --M 1 --out s.json --csv s.csv",
+    "spectrum --h 0.5 --count 6 --digits 17 --out t.json",
+    "solve --g builtin:f1 --cache s.json --grid 4 --out p.csv --print-coefficients --digits 17",
+    "solve --g builtin:f1 --h 0.5 --M 2 --grid 3 --out g.csv",
+    "spectrum --h 0.5 --bogus 1",
+    "check --h 0.5 --M 1 --seed 3 --json c.json",
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # argparse errors exit 2 from parse_args
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_in_process_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    """One parser serves every call of a process, and no call leaves state behind:
+    each gives the stdout, stderr, exit code and file bytes of the same call
+    made first in a fresh parser."""
+    assert build_parser() is build_parser()
+    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+    fresh.mkdir(), shared.mkdir()
+    monkeypatch.chdir(fresh)
+    want = []
+    for argv in STATE_CALLS:
+        build_parser.cache_clear()
+        want.append(_outcome(argv, capsys))
+    assert [w[0] for w in want] == [0, 0, 0, 0, 2, 0]
+    parser = build_parser()
+    monkeypatch.chdir(shared)
+    for _ in range(2):
+        assert [_outcome(argv, capsys) for argv in STATE_CALLS] == want
+    assert build_parser() is parser
+    assert _files(shared) == _files(fresh)

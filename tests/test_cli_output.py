@@ -24,7 +24,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from steklov import Rectangle, build_spectrum_by_count, builtin_boundary, grid_points
+from steklov import Rectangle, build_spectrum, build_spectrum_by_count, builtin_boundary, grid_points, spectrum_to_json
 from steklov import cells, cli
 from steklov.cli import main
 from steklov.solvers import solve_dirichlet, solve_neumann, solve_robin
@@ -140,6 +140,36 @@ def test_spectrum_listing_matches_the_reference_writer(tmp_path, h, digits):
     rows = [("index", "family", "nu", "delta")]
     rows += [(md.index, md.family.value, md.nu, md.delta) for md in spec.modes]
     assert listing.read_text() == reference_csv(rows, int(digits))
+
+
+# the square's xy mode is the 41-mode listing's; --M 5 keeps 5 roots per family
+SPECTRUM_CASES = [("1", ["--count", "1"]), ("1", ["--count", "41"]), ("0.6", ["--count", "1200"]),
+                  ("1", ["--M", "5"]), ("0.45", ["--M", "5"])]
+
+
+@pytest.mark.parametrize("h, truncation", SPECTRUM_CASES, ids=[f"h{h}{f[2:]}{n}" for h, (f, n) in SPECTRUM_CASES])
+def test_spectrum_cache_and_listing_share_their_texts(tmp_path, h, truncation):
+    """The cache is `spectrum_to_json` of the spectrum; the 17-digit listing's
+    rows are each mode's own `%.17g` texts, the 6-digit listing the float columns
+    through `_write_columns`."""
+    flag, n = truncation
+    rect = Rectangle(float(h))
+    spec = build_spectrum_by_count(rect, int(n)) if flag == "--count" else build_spectrum(rect, int(n))
+    header = ("index", "family", "nu", "delta")
+    for digits in ("6", "17"):
+        cache, listing = tmp_path / f"s{digits}.json", tmp_path / f"s{digits}.csv"
+        assert main(["spectrum", "--h", h, *truncation, "--digits", digits,
+                     "--out", str(cache), "--csv", str(listing)]) == 0
+        assert cache.read_text() == spectrum_to_json(spec)
+        if digits == "17":
+            rows = [f"{md.index},{md.family.value},{md.nu:.17g},{md.delta:.17g}" for md in spec.modes]
+            assert listing.read_text() == "\n".join([",".join(header), *rows]) + "\n"
+        else:
+            want = tmp_path / "want.csv"
+            a = spec.arrays
+            families = [md.family.value for md in spec.modes]
+            cli._write_columns(want, header, [[[str(i) for i in range(spec.size)], families, a.nu, a.delta]], 6)
+            assert listing.read_bytes() == want.read_bytes()
 
 
 def test_coefficient_echo_matches_the_reference_writer(capsys):
