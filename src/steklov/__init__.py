@@ -49,17 +49,14 @@ from .solvers import (
 )
 from .analysis import (
     CheckResult,
-    ErrorReport,
     SuiteReport,
     boundary_l2,
     boundary_sup,
     coefficient_tail,
-    convergence_study,
     dnorm_sq,
     interior_l2,
     interior_sup,
     invariant_suite,
-    neumann_bound,
     robin_bound,
     robin_dnorm_tail_sq,
     spectral_tail,
@@ -79,9 +76,8 @@ __all__ = [
     "BoundaryGradientWarning", "IncompatibleDataError", "ProblemKind",
     "SteklovApproximation", "grid_points", "neumann_mean_tolerance", "solve",
     "solve_dirichlet", "solve_neumann", "solve_robin", "CheckResult",
-    "ErrorReport", "SuiteReport", "boundary_l2",
-    "boundary_sup", "coefficient_tail", "convergence_study", "dnorm_sq",
-    "interior_l2", "interior_sup", "invariant_suite", "neumann_bound",
+    "SuiteReport", "boundary_l2", "boundary_sup", "coefficient_tail",
+    "dnorm_sq", "interior_l2", "interior_sup", "invariant_suite",
     "robin_bound", "robin_dnorm_tail_sq", "spectral_tail",
 ]
 

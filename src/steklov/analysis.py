@@ -1,4 +1,4 @@
-"""Error norms, convergence reports, theoretical bounds, and invariant checks.
+"""Error norms, the truncation sweep, theoretical bounds, and invariant checks.
 
 Norm conventions used throughout:
 
@@ -22,12 +22,11 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .boundary import (
-    BoundaryFunction,
     SteklovCoefficients,
     _REFLECTED,
     _boundary_nodes,
@@ -36,23 +35,10 @@ from .boundary import (
     _parities,
     _readonly,
     mode_gram_matrix,
-    steklov_coefficients,
 )
-from .catalog import zero_mean_solution
 from .geometry import Rectangle, Side, SIDES
-from .solvers import (
-    DIRICHLET,
-    NEUMANN,
-    ProblemKind,
-    SteklovApproximation,
-    grid_points,
-    solve,
-)
-from .spectrum import (
-    FamilyTag,
-    Spectrum,
-    build_spectrum,
-)
+from .solvers import SteklovApproximation, grid_points
+from .spectrum import FamilyTag, Spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +236,9 @@ def robin_bound(coeffs: SteklovCoefficients, b: float, m: int) -> float:
     (1 + d_{m+1}) / (b + d_{m+1})^2 times the spectral tail of the data,
     where d_{m+1} is the first omitted eigenvalue of the (delta-ordered)
     spectrum. The same eigenvalue convention as the solver denominators.
+    b = 0 gives the Neumann bound: the published statement of that bound is
+    ambiguous about a leftover b in the denominator, and b = 0 is the natural
+    Neumann reading.
     """
     n = coeffs.values.size
     if m >= n:
@@ -258,101 +247,11 @@ def robin_bound(coeffs: SteklovCoefficients, b: float, m: int) -> float:
     return (1.0 + d_next) / (b + d_next) ** 2 * coefficient_tail(coeffs, m)
 
 
-def neumann_bound(coeffs: SteklovCoefficients, m: int) -> float:
-    """The b = 0 form of robin_bound.
-
-    The published statement of this bound is ambiguous about a leftover b in
-    the denominator; this evaluates it at b = 0, which is the natural
-    Neumann reading.
-    """
-    return robin_bound(coeffs, 0.0, m)
-
-
 def robin_dnorm_tail_sq(coeffs: SteklovCoefficients, b: float, m: int) -> float:
     """Spectral graph-norm gap between the m-term Robin solve and the deepest
     one available in coeffs: sum of (ghat/(b+d))^2 (1+d) over omitted modes."""
     d = coeffs.spectrum.arrays.delta[1 + m:]
     return float((coeffs.values[m:] / (b + d)) ** 2 @ (1.0 + d))
-
-
-# ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ErrorReport:
-    M: int
-    rerr_inf: float
-    rerr_2: float
-    err_L2_boundary: float
-    err_sup_boundary: float
-    err_L2_interior: float
-    err_sup_interior: float
-    spectral_tail: float
-    robin_bound: Optional[float] = None
-
-
-def convergence_study(
-    g: BoundaryFunction,
-    m_values: Sequence[int],
-    kind: ProblemKind = ProblemKind.dirichlet(),
-    exact=None,
-    reference_m: Optional[int] = None,
-) -> list[ErrorReport]:
-    """One ErrorReport per truncation depth, sharing a single coefficient set.
-
-    The expansions are per-family truncations of one per-family spectrum,
-    whose coefficients have steklov_coefficients' default tolerances; the
-    interior columns are interior_l2 and interior_sup. With an exact
-    solution the errors are against it. Otherwise the deepest expansion
-    built here is the surrogate truth; pass reference_m (40 is a safe
-    default for smooth data) to make that reference deeper than
-    max(m_values). For flux problems without a closed form the boundary
-    error is measured against the surrogate's trace, for Dirichlet runs
-    against the data. The boundary columns of every depth come from one
-    sweep of the boundary (_truncation_errors).
-
-    The bound column is the Robin graph-norm bound; for Neumann runs it is
-    the same expression at b = 0, whose published statement is ambiguous
-    about a leftover b (the b = 0 reading is used here).
-    """
-    if list(m_values) != sorted(m_values):
-        raise ValueError("m_values must be increasing")
-    rect = g.rect
-    depth = max(m_values) if reference_m is None else max(reference_m, max(m_values))
-    deep = build_spectrum(rect, depth)
-    coeffs = steklov_coefficients(g, deep)
-    u_deep = solve(kind, g, deep, coefficients=coeffs)
-
-    if exact is not None:
-        ref_interior = zero_mean_solution(exact.value, rect) if kind.name == NEUMANN else exact.value
-        ref_boundary = BoundaryFunction.from_xy(ref_interior, rect).value
-    else:
-        ref_boundary = g.value if kind.name == DIRICHLET else u_deep.boundary_value
-        ref_interior = u_deep.eval_array
-
-    subs = [deep.select(m) for m in m_values]
-    [((ref_sup, *esups), (ref_l2, *el2s))] = _truncation_errors([(ref_boundary, u_deep)], subs)
-    reports = []
-    for m, sub, esup, el2 in zip(m_values, subs, esups, el2s):
-        u = u_deep.restrict(sub)
-        int_diff = lambda X, Y: ref_interior(X, Y) - u.eval_array(X, Y)
-        n_kept = sub.size - 1
-        bound = robin_bound(coeffs, kind.b, n_kept) if kind.name != DIRICHLET and n_kept < deep.size - 1 else None
-        reports.append(
-            ErrorReport(
-                M=m,
-                rerr_inf=float(esup / ref_sup) if ref_sup > 0 else float("nan"),
-                rerr_2=float(el2 / ref_l2) if ref_l2 > 0 else float("nan"),
-                err_L2_boundary=float(el2),
-                err_sup_boundary=float(esup),
-                err_L2_interior=interior_l2(int_diff, rect),
-                err_sup_interior=interior_sup(int_diff, rect),
-                spectral_tail=spectral_tail(coeffs, n_kept),
-                robin_bound=bound,
-            )
-        )
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -486,18 +385,20 @@ def check_delta_monotone(spec: Spectrum) -> CheckResult:
 
 
 def check_scaling(spec: Spectrum, tol: float) -> CheckResult:
-    """The dilated Steklov quotient of the first 12 modes.
+    """The Steklov quotient of each of the first 12 modes against its delta.
 
-    Dilated by L, a mode s becomes s(p / L) on the dilated rectangle, with
-    eigenvalue delta / L. Its Steklov quotient, the boundary integral of
-    s * dn(s) over that of s^2, is the quotient of s on the rectangle divided
-    by L. The quotients are sums under the Kronrod weights of the node set
-    for products of two traces (top frequency 2 * nu_max), the t > 0 halves
-    of G1 and G2 of _boundary_nodes, from the kernel's values and
-    derivatives; each must equal delta / L to tol, relative. s * dn(s) and
-    s^2 are even in t on every side and under the point reflection, so the
-    other halves and G3 and G4 add the same sums: the quotient is that of
-    the whole boundary.
+    The quotient, the boundary integral of s * dn(s) over that of s^2, must
+    equal delta to tol, relative. Dilated by L, a mode s becomes s(p / L) on
+    the dilated rectangle, with eigenvalue delta / L and quotient that of s
+    divided by L: both sides of the comparison scale alike, so their relative
+    difference is the same at every L, and the one comparison on the
+    rectangle itself checks every dilation without evaluating one. The
+    quotients are sums under the Kronrod weights of the node set for
+    products of two traces (top frequency 2 * nu_max), the t > 0 halves of
+    G1 and G2 of _boundary_nodes, from the kernel's values and derivatives.
+    s * dn(s) and s^2 are even in t on every side and under the point
+    reflection, so the other halves and G3 and G4 add the same sums: the
+    quotient is that of the whole boundary.
     """
     head = spec.take(slice(0, 12))
     num, den = np.zeros((2, head.size - 1))
@@ -508,10 +409,7 @@ def check_scaling(spec: Spectrum, tol: float) -> CheckResult:
         num += (values * dn) @ w
         den += (values * values) @ w
     delta = head.arrays.delta[1:]
-    worst = 0.0
-    for L in (1.0, 2.0, 0.5, 3.7):
-        dilated = num / den / L
-        worst = max(worst, float((np.abs(dilated - delta / L) / (delta / L)).max(initial=0.0)))
+    worst = float((np.abs(num / den - delta) / delta).max(initial=0.0))
     return CheckResult("dilation-scaling", worst <= tol, worst, tol)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .boundary import BoundaryFunction, integrate_boundary
 from .geometry import Rectangle, Side
-from .solvers import ProblemKind
+from .solvers import NEUMANN, ProblemKind
 
 BUILTIN_NAMES = ("f1", "f2", "f3", "bd1", "bd2", "bd3")
 
@@ -126,6 +126,16 @@ def zero_mean_solution(value, rect: Rectangle, abstol: float = 1e-10, reltol: fl
     return lambda x, y: value(x, y) - mean
 
 
+def reference_solution(exact: ExactSolution, kind: str, rect: Rectangle,
+                       abstol: float = 1e-10, reltol: float = 1e-6):
+    """The function a solve of exact's data under the problem kind named kind
+    is measured against: exact.value, or for Neumann its zero_mean_solution,
+    since the solve keeps the solution with zero boundary mean."""
+    if kind != NEUMANN:
+        return exact.value
+    return zero_mean_solution(exact.value, rect, abstol, reltol)
+
+
 def builtin_boundary(name: str, rect: Rectangle, b: Optional[float] = None) -> BoundaryFunction:
     """Construct one of the named data sets on a given rectangle.
 
@@ -173,16 +183,23 @@ def boundary_data_from_spec(obj: dict, rect: Rectangle, b: Optional[float] = Non
     Accepted shapes: {"builtin": name}, {"expr": text}, or
     {"sides": {"G1": v, ...}} where each side value is a number (constant),
     a string (expression in x and y), or a list (polynomial coefficients in
-    the side parameter, low order first).
+    the side parameter, low order first). Any other shape or type raises
+    ValueError.
     """
     from . import expressions
 
+    if not isinstance(obj, dict):
+        raise ValueError(f"boundary spec must be a JSON object, got {obj!r}")
     if "builtin" in obj:
         return builtin_boundary(obj["builtin"], rect, b)
     if "expr" in obj:
+        if not isinstance(obj["expr"], str):
+            raise ValueError(f"boundary spec expr must be a string, got {obj['expr']!r}")
         return BoundaryFunction.from_expression(obj["expr"], rect)
     if "sides" in obj:
         sides = obj["sides"]
+        if not isinstance(sides, dict):
+            raise ValueError(f"boundary spec sides must map G1..G4 to values, got {sides!r}")
         maps = {}
         polys = {}
         for side in Side:
@@ -193,10 +210,13 @@ def boundary_data_from_spec(obj: dict, rect: Rectangle, b: Optional[float] = Non
             if isinstance(entry, str):
                 tree = expressions.parse(entry)
                 maps[side] = lambda x, y, t=tree: expressions.evaluate(t, x, y)
-            elif isinstance(entry, (list, tuple)):
+            elif isinstance(entry, (list, tuple)) and all(isinstance(c, (int, float, str)) for c in entry):
                 polys[side] = entry
-            else:
+            elif isinstance(entry, (int, float)):
                 maps[side] = float(entry)
+            else:
+                raise ValueError(f"boundary spec side {side.name}: expected a number, a string or "
+                                 f"a list of coefficients, got {entry!r}")
         if polys:
             poly_fn = BoundaryFunction.from_side_polynomials(
                 rect, {s: polys.get(s, [0.0]) for s in Side}

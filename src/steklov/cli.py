@@ -14,11 +14,12 @@ exclude each other, and --cache excludes both. `main` may be called
 repeatedly in one process: the parser is built once and each call parses into
 a fresh namespace. `spectrum` formats each eigenpair once (`mode_texts`) for
 the cache and a 17-digit listing; its `--out -`, like every `-` output, is
-standard output. `tables --which` runs a repeated id once.
+standard output, and its `wrote N modes` line goes to standard error, as
+`solve`'s `# wrote:` line does. `tables --which` runs a repeated id once.
 
 Exit codes: 0 success, 1 failed checks (invariant suite, or table entries out
-of tolerance), 2 invalid configuration (an input file that cannot be read
-among them) or incompatible data, 3 root-finder failure.
+of tolerance), 2 invalid configuration (an input file that cannot be read,
+or malformed JSON, among them) or incompatible data, 3 root-finder failure.
 
 `solve` and `grid` build the problem kind from --kind and --b and solve through
 `solvers.solve`, so a flag of another kind exits 2: --b is Robin-only (and
@@ -60,9 +61,9 @@ import numpy as np
 from . import reference_tables as ref
 from .analysis import invariant_suite
 from .boundary import BoundaryFunction, QuadratureError
-from .catalog import boundary_data_from_spec, builtin_boundary, exact_solution_for, zero_mean_solution
+from .catalog import boundary_data_from_spec, builtin_boundary, exact_solution_for, reference_solution
 from .geometry import GeometryError, Rectangle
-from .solvers import NEUMANN, ROBIN, IncompatibleDataError, ProblemKind, _grid_axes, _require_grid, solve
+from .solvers import ROBIN, IncompatibleDataError, ProblemKind, _grid_axes, _require_grid, solve
 from .spectrum import (
     GLOBAL_SORTED,
     PER_FAMILY,
@@ -163,9 +164,8 @@ def cmd_spectrum(args) -> int:
     families, nu, delta = texts if args.digits == 17 else (texts[0], spec.arrays.nu, spec.arrays.delta)
     columns = [list(map(str, range(spec.size))), families, nu, delta]
     _write_columns(args.csv, ("index", "family", "nu", "delta"), [columns], args.digits)
-    # with the cache on stdout, the summary goes to stderr and stdout holds the JSON alone
     names = " and ".join("stdout" if p == "-" else p for p in (out, args.csv) if p)
-    print(f"wrote {spec.size} modes to {names}", file=sys.stderr if out == "-" else sys.stdout)
+    print(f"wrote {spec.size} modes to {names}", file=sys.stderr)
     return 0
 
 
@@ -214,9 +214,7 @@ def _exact_value(args, rect: Rectangle):
     """The value of the exact solution for --with-exact, or None without it.
 
     The data must be builtin data with a known solution, solved as the
-    problem they pose. For Neumann data the solution's perimeter-weighted
-    boundary mean is subtracted, since the solve keeps the solution with zero
-    boundary mean.
+    problem they pose; the solve is measured against catalog.reference_solution.
     """
     if not args.with_exact:
         return None
@@ -228,9 +226,7 @@ def _exact_value(args, rect: Rectangle):
             f"--with-exact: {args.g} is {exact.problem.name} data (exact solution "
             f"{exact.name}), not {args.kind} data"
         )
-    if exact.problem.name != NEUMANN:
-        return exact.value
-    return zero_mean_solution(exact.value, rect, args.abstol, args.reltol)
+    return reference_solution(exact, args.kind, rect, args.abstol, args.reltol)
 
 
 _BAND_CELLS = 2**13  # grid values per block of `_grid_rows`

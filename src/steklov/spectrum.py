@@ -891,24 +891,35 @@ def spectrum_from_json(text: str) -> Spectrum:
     _RESIDUAL_TOL; delta is recomputed from nu and must match the cached
     one, and so must normConst where the cache lists it (caches written
     before the column was dropped) and the recomputed value is above 1e-290.
-    The first row that fails raises.
+    The first row that fails raises, and so does a field of the wrong JSON
+    type: SpectrumError names it.
     """
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise SpectrumError(f"cache must be a JSON object, got {text[:40]!r}")
     try:
         rect, selection, rows = Rectangle(float(data["h"])), data["selection"], data["modes"]
     except KeyError as exc:
         raise SpectrumError(f"cache has no {exc.args[0]!r}") from None
+    except TypeError:
+        raise SpectrumError(f"cache h must be a number, got {data['h']!r}") from None
     if selection not in (PER_FAMILY, GLOBAL_SORTED):
         raise SpectrumError(f"unknown selection policy {selection!r} in cache")
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise SpectrumError("cache modes must be a list of objects")
 
+    names = ("nu", "delta", "normConst") if rows and "normConst" in rows[0] else ("nu", "delta")
     try:
         code = np.array([_CODE[FamilyTag(row["family"])] for row in rows], dtype=int)
-        nu = np.array([float(row["nu"]) for row in rows])
-        names = ("delta", "normConst") if rows and "normConst" in rows[0] else ("delta",)
-        cached = {name: np.array([float(row[name]) for row in rows]) for name in names}
+        nu, *columns = (np.array([float(row[name]) for row in rows]) for name in names)
     except KeyError as exc:
         i = next(i for i, row in enumerate(rows) if exc.args[0] not in row)
         raise SpectrumError(f"cache row {i} has no {exc.args[0]!r}") from None
+    except TypeError:  # float() of null, a list or an object
+        i, name = next((i, name) for i, row in enumerate(rows) for name in names
+                       if not isinstance(row.get(name, 0.0), (int, float, str)))
+        raise SpectrumError(f"cache row {i}: {name} must be a number, got {rows[i][name]!r}") from None
+    cached = dict(zip(names[1:], columns))
     if not code.size or code[0] != _CODE[FamilyTag.CONST]:
         raise SpectrumError("cache must list the constant mode first")
 

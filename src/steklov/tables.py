@@ -17,7 +17,7 @@ import numpy as np
 from . import reference_tables as ref
 from .analysis import _truncation_errors
 from .boundary import BoundaryFunction, _coefficient_sets, steklov_coefficients
-from .catalog import builtin_boundary, exact_solution_for
+from .catalog import builtin_boundary, exact_solution_for, reference_solution
 from .geometry import Rectangle
 from .solvers import DIRICHLET, ProblemKind, solve, solve_dirichlet
 from .spectrum import (
@@ -67,11 +67,11 @@ _DEEP_COUNT = 41
 class TableWorkspace:
     """Memoizes spectra, coefficient sets and truncation sweeps across table reproductions.
 
-    The truncation errors of a (data, h, policy, kind) are computed once,
-    and the data missing at one call of sweeps are measured together: one
-    sweep of the boundary per (h, policy, kind) batch. Data are memoised by
-    name; unnamed data raise ValueError, since any two of them would share
-    one entry.
+    sweeps is the package's one truncation study. The truncation errors of a
+    (data, h, policy, kind) are computed once, and the data missing at one
+    call of sweeps are measured together: one sweep of the boundary per
+    (h, policy, kind) batch. Data are memoised by name; unnamed data raise
+    ValueError, since any two of them would share one entry.
     """
 
     def __init__(self, abstol: float = 1e-10, reltol: float = 1e-6):
@@ -100,7 +100,11 @@ class TableWorkspace:
         return self._coeffs[key]
 
     def sweeps(self, gs, policy: str, kind: ProblemKind = ProblemKind.dirichlet()) -> list:
-        """The sweep of each data in gs, which share one height.
+        """(sup, L2) per data in gs, which share one height: the norms of the
+        reference trace, then of its error at each M of M_VALUES.
+
+        Each g is solved under kind over the policy's base spectrum,
+        truncated to each M and measured against _reference.
 
         The data not yet memoised are swept together: one _truncation_errors
         sweep per (h, policy, kind) batch, which evaluates the modes once per
@@ -121,24 +125,12 @@ class TableWorkspace:
             if lacking:
                 sets = _coefficient_sets(list(lacking.values()), base, self.abstol, self.reltol)
                 self._coeffs.update(zip(lacking, sets))
-            pairs = [(_reference(g, kind), solve(kind, g, base, coefficients=self.coefficients(g, base)))
+            pairs = [(_reference(g, kind, self.abstol, self.reltol),
+                      solve(kind, g, base, coefficients=self.coefficients(g, base)))
                      for g in missing.values()]
             subs = [self.truncation(h, kind.name, m, policy) for m in ref.M_VALUES]
             self._sweeps.update(zip(missing, _truncation_errors(pairs, subs)))
         return [self._sweeps[key] for key in keys]
-
-    def sweep(self, g: BoundaryFunction, policy: str, kind: ProblemKind = ProblemKind.dirichlet()):
-        """(sup, L2) of the reference trace and of its error at every M of M_VALUES.
-
-        The solve of g under kind over the policy's base spectrum, truncated
-        to each M, against the reference: g itself for Dirichlet, otherwise
-        the trace of the catalog's exact solution for g. Entry 0 holds the
-        norms of the reference, entry 1 + i those of the error at
-        M_VALUES[i]. sweeps([g], policy, kind)[0]: memoised per (data, h,
-        policy, kind), and swept in one batch with the other data of a
-        sweeps call.
-        """
-        return self.sweeps([g], policy, kind)[0]
 
     def base_spectrum(self, h: float, policy: str) -> Spectrum:
         """The spectrum coefficients are computed against, per policy."""
@@ -169,12 +161,14 @@ def _coefficients_key(g: BoundaryFunction, spec: Spectrum) -> tuple:
     return _memo_key(g, spec.selection, spec.arrays.keys.tobytes())
 
 
-def _reference(g: BoundaryFunction, kind: ProblemKind):
+def _reference(g: BoundaryFunction, kind: ProblemKind, abstol: float, reltol: float):
     """The trace a solve of g under kind is measured against: g itself for
-    Dirichlet, otherwise the trace of the catalog's exact solution for g."""
+    Dirichlet, otherwise the trace of catalog.reference_solution for g's
+    exact solution, which for Neumann has zero boundary mean."""
     if kind.name == DIRICHLET:
         return g.value
-    return BoundaryFunction.from_xy(exact_solution_for(g.name).value, g.rect).value
+    solution = reference_solution(exact_solution_for(g.name), kind.name, g.rect, abstol, reltol)
+    return BoundaryFunction.from_xy(solution, g.rect).value
 
 
 def _grade_abs(computed, printed, tol, implied=None):
@@ -294,7 +288,7 @@ def reproduce_solution(table_id: int, ws: Optional[TableWorkspace] = None,
     g = builtin_boundary(name, rect)
     exact = exact_solution_for(name)
     kind = ProblemKind.neumann() if data["kind"] == "neumann" else ProblemKind.robin(data["b"])
-    sup, l2 = ws.sweep(g, policy, kind)
+    [(sup, l2)] = ws.sweeps([g], policy, kind)
 
     swapped = data["columns_swapped"]
     notes = []

@@ -1,4 +1,4 @@
-"""Error norms, bounds, convergence reports, and the invariant suite."""
+"""Error norms, bounds, truncation studies, and the invariant suite."""
 
 import math
 import random
@@ -9,6 +9,7 @@ import pytest
 from steklov import (
     BoundaryFunction,
     FamilyTag,
+    PER_FAMILY,
     ProblemKind,
     Rectangle,
     Side,
@@ -19,13 +20,12 @@ from steklov import (
     build_spectrum,
     builtin_boundary,
     coefficient_tail,
-    convergence_study,
     dnorm_sq,
     exact_solution_for,
     grid_points,
     interior_l2,
+    interior_sup,
     invariant_suite,
-    neumann_bound,
     robin_bound,
     robin_dnorm_tail_sq,
     solve_dirichlet,
@@ -45,6 +45,7 @@ from steklov.analysis import (
     check_steklov_residual,
 )
 from steklov.spectrum import Spectrum
+from steklov.tables import POLICY_PREFIX, TableWorkspace
 
 import scalar_reference as ref
 
@@ -169,12 +170,6 @@ def test_robin_bound_monotone_and_dominates(rect, deep_square):
     assert measured_quad == pytest.approx(robin_dnorm_tail_sq(co, b, m), rel=1e-6)
 
 
-def test_neumann_bound_is_b_zero_form(rect, deep_square):
-    g = builtin_boundary("bd1", rect)
-    co = steklov_coefficients(g, deep_square)
-    assert neumann_bound(co, 4) == pytest.approx(robin_bound(co, 0.0, 4), rel=1e-15)
-
-
 def test_invariant_suite_passes(spec_pf5):
     report = invariant_suite(spec_pf5, seed=0)
     assert report.passed, "\n".join(c.line() for c in report.checks)
@@ -241,30 +236,29 @@ def test_single_constant_spectrum_passes(square):
     assert invariant_suite(spec, seed=0).passed
 
 
-def test_convergence_study_matches_square_table(rect):
-    g = builtin_boundary("f1", rect)
-    reports = convergence_study(g, [2, 3, 5])
-    want = (5.22051e-3, 1.57535e-3, 3.1167e-4)
-    for rep, ref in zip(reports, want):
-        assert rep.rerr_2 == pytest.approx(ref, rel=0.01)
-    errs = [r.err_L2_boundary for r in reports]
-    assert all(b <= a * (1.0 + 1e-12) for a, b in zip(errs, errs[1:]))
-    assert all(r.robin_bound is None for r in reports)
+def test_per_family_sweep_matches_square_table(rect):
+    [(_, l2)] = TableWorkspace().sweeps([builtin_boundary("f1", rect)], PER_FAMILY)
+    want = (5.22051e-3, 1.57535e-3, 3.1167e-4)  # rerr_2 at M = 2, 3, 5
+    assert l2[1:] / l2[0] == pytest.approx(want, rel=0.01)
+    assert all(b <= a * (1.0 + 1e-12) for a, b in zip(l2[1:], l2[2:]))
 
 
-def test_convergence_study_with_exact_solution(rect):
-    g = builtin_boundary("bd3", rect, 1.0)
-    exact = exact_solution_for("bd3")
-    reports = convergence_study(g, [2, 3], kind=ProblemKind.robin(1.0), exact=exact)
-    assert reports[0].rerr_2 > reports[1].rerr_2
-    assert reports[0].robin_bound is not None
-    assert reports[0].err_sup_interior <= reports[0].err_sup_boundary + 1e-6
-
-
-def test_convergence_study_rejects_unsorted(rect):
-    g = builtin_boundary("f1", rect)
-    with pytest.raises(ValueError):
-        convergence_study(g, [3, 2])
+def test_robin_sweep_against_exact_solution(rect):
+    # bd3 under Robin b = 1 against e^x sin y: the error falls with M, the
+    # graph-norm bound of the M = 2 truncation is finite, and the maximum
+    # principle holds the interior error under the boundary one. robin_bound
+    # reads the first modes of the coefficients' spectrum, so the truncation
+    # is a series prefix
+    g, kind = builtin_boundary("bd3", rect, 1.0), ProblemKind.robin(1.0)
+    ws = TableWorkspace()
+    [(sup, l2)] = ws.sweeps([g], POLICY_PREFIX, kind)
+    assert l2[1] > l2[2]
+    base, sub = ws.base_spectrum(1.0, POLICY_PREFIX), ws.truncation(1.0, kind.name, 2, POLICY_PREFIX)
+    co = ws.coefficients(g, base)
+    assert 0.0 < robin_bound(co, 1.0, sub.size - 1) < math.inf
+    u = solve_robin(g, 1.0, base, coefficients=co).restrict(sub)
+    exact = exact_solution_for("bd3").value
+    assert interior_sup(lambda X, Y: exact(X, Y) - u.eval_array(X, Y), rect) <= sup[1] + 1e-6
 
 
 def test_finite_expansion_converges_to_zero_error(rect, spec_pf5):
@@ -274,9 +268,10 @@ def test_finite_expansion_converges_to_zero_error(rect, spec_pf5):
         + sum(v * ref.value_unchecked(md, x, y)
               for v, md in zip(co_data.values, spec_pf5.select(2).modes[1:])),
         rect,
+        "f2 at M = 2",  # the workspace memoises data by name
     )
-    reports = convergence_study(gm, [2, 3])
-    assert reports[1].err_L2_boundary <= 1e-8
+    [(_, l2)] = TableWorkspace().sweeps([gm], PER_FAMILY)
+    assert l2[2] <= 1e-8  # M = 3
 
 
 def test_interior_beats_boundary_for_experiments(rect, deep_square):
@@ -293,16 +288,6 @@ def test_interior_beats_boundary_for_experiments(rect, deep_square):
         E = np.abs(np.vectorize(exact.value)(X, Y) - u.eval_array(X, Y))
         center = (np.abs(X) <= 0.5) & (np.abs(Y) <= 0.5)
         assert E[center].max() < E.max()
-
-
-def test_convergence_study_neumann_against_zero_mean_exact():
-    # a Neumann solve keeps the zero-mean solution; x^2 - y^2 has boundary
-    # mean 13/36 on R_0.5, which dominated the error before the shift
-    rect = Rectangle(0.5)
-    reports = convergence_study(builtin_boundary("bd2", rect), [2, 3], kind=ProblemKind.neumann(),
-                                exact=exact_solution_for("bd2"), reference_m=4)
-    assert all(r.err_sup_boundary < 0.1 for r in reports), [r.err_sup_boundary for r in reports]
-    assert reports[1].err_L2_boundary < reports[0].err_L2_boundary
 
 
 def test_zero_mean_solution_leaves_an_odd_solution_as_it_is():

@@ -219,10 +219,11 @@ def test_tables_exit_1_when_an_entry_fails(monkeypatch, capsys):
 
 
 @pytest.fixture()
-def half_cache(tmp_path):
+def half_cache(tmp_path, capsys):
     cache = tmp_path / "half.json"
     assert run(["spectrum", "--h", "0.5", "--count", "16",
                 "--out", str(cache), "--csv", str(tmp_path / "half.csv")]) == 0
+    capsys.readouterr()  # the summary line on stderr is not the test's output
     return cache
 
 
@@ -438,6 +439,50 @@ def test_corrupt_cache_exits_2_and_says_where(tmp_path, capsys, half_cache, corr
     assert run(["solve", "--cache", str(bad), "--g", "builtin:f1", "--points", "paper"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def _null_nu(cache):
+    cache["modes"][2]["nu"] = None
+    return cache
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--cache", lambda cache: [1, 2], "cache must be a JSON object, got '[1, 2]'"),
+    ("--cache", lambda cache: {**cache, "h": None}, "cache h must be a number, got None"),
+    ("--cache", lambda cache: {**cache, "modes": None}, "cache modes must be a list of objects"),
+    ("--cache", lambda cache: {**cache, "modes": [1]}, "cache modes must be a list of objects"),
+    ("--cache", _null_nu, "cache row 2: nu must be a number, got None"),
+    ("--g", lambda cache: {"sides": {"G1": None, "G2": 0.0, "G3": 0.0, "G4": 0.0}},
+     "boundary spec side G1: expected a number, a string or a list of coefficients, got None"),
+    ("--g", lambda cache: {"sides": [1, 2]}, "boundary spec sides must map G1..G4 to values, got [1, 2]"),
+    ("--g", lambda cache: {"expr": 5}, "boundary spec expr must be a string, got 5"),
+], ids=["cache-list", "null-h", "null-modes", "int-mode", "null-nu", "null-side", "list-sides", "int-expr"])
+def test_malformed_json_input_exits_2(tmp_path, capsys, half_cache, flag, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content(json.loads(half_cache.read_text()))))
+    source = ["--cache", str(bad), "--g", "builtin:f1"] if flag == "--cache" else ["--M", "1", "--g", f"file:{bad}"]
+    assert run(["solve", *source, "--print-coefficients"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("listing, names", [
+    ([], "spectrum.json"),
+    (["--csv", "-"], "spectrum.json and stdout"),
+    (["--csv", "s.csv"], "spectrum.json and s.csv"),
+], ids=["csv-omitted", "csv-dash", "csv-file"])
+def test_spectrum_summary_goes_to_stderr(tmp_path, capsys, monkeypatch, listing, names):
+    """stdout holds the CSV listing alone, or nothing when the listing goes to a file."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["spectrum", "--h", "0.5", "--M", "1", *listing]) == 0
+    out, err = capsys.readouterr()
+    assert err == f"wrote 9 modes to {names}\n"
+    if "s.csv" in listing:
+        assert out == ""
+        out = (tmp_path / "s.csv").read_text()
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["index", "family", "nu", "delta"] and len(rows) == 10
+    assert [r[0] for r in rows[1:]] == [str(i) for i in range(9)]
 
 
 @pytest.fixture

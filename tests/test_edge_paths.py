@@ -7,17 +7,17 @@ import pytest
 
 from steklov import (
     BoundaryFunction,
-    ProblemKind,
     QuadratureError,
     Rectangle,
     build_spectrum,
     builtin_boundary,
-    convergence_study,
-    exact_solution_for,
     integrate_boundary,
+    robin_bound,
+    robin_dnorm_tail_sq,
     steklov_coefficients,
 )
 from steklov.cli import main
+from steklov.tables import POLICY_PREFIX, TableWorkspace
 
 
 def test_panel_budget_exhaustion_carries_partial_value():
@@ -47,14 +47,15 @@ def test_deep_per_family_spectrum_flat_rectangle():
 
 
 def test_neumann_study_reports_b0_bound():
-    rect = Rectangle(1.0)
-    g = builtin_boundary("bd1", rect)
-    exact = exact_solution_for("bd1")
-    reports = convergence_study(
-        g, [1, 2], kind=ProblemKind.neumann(), exact=exact, reference_m=3
-    )
-    assert reports[0].robin_bound is not None
-    assert reports[0].robin_bound > reports[1].robin_bound > 0.0
+    # robin_bound at b = 0 is the Neumann bound of the workspace's series-prefix
+    # truncations: positive, falling with M, and above the graph-norm gap it bounds
+    ws = TableWorkspace()
+    co = ws.coefficients(builtin_boundary("bd1", Rectangle(1.0)), ws.deep_spectrum(1.0))
+    kept = [ws.truncation(1.0, "neumann", m, POLICY_PREFIX).size - 1 for m in (1, 2)]
+    bounds = [robin_bound(co, 0.0, n) for n in kept]
+    assert bounds[0] > bounds[1] > 0.0
+    for n, bound in zip(kept, bounds):
+        assert robin_dnorm_tail_sq(co, 0.0, n) <= bound
 
 
 def test_cli_points_file(tmp_path):
