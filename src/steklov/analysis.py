@@ -154,7 +154,7 @@ def _truncation_errors(pairs: Sequence[tuple[Callable[[Side, np.ndarray], np.nda
         mode_sums(side, t, x, y, out[:, 1:])
         for (ref, u), rows in zip(pairs, out):
             rows[0] = ref(side, t)
-            np.subtract(rows[0], u.constant_term + u._lift_value(x, y) + rows[1:], out=rows[1:])
+            np.subtract(rows[0], u._constant_and_lift(x, y) + rows[1:], out=rows[1:])
         return out.reshape(-1, t.size)
 
     sup_nodes = dict(_sup_nodes(rect))
@@ -328,9 +328,9 @@ def check_steklov_residual(spec: Spectrum, tol: float, rng: random.Random) -> Ch
     pts = _random_boundary_points(rect, rng, _RESIDUAL_POINTS)
     x, y = (np.array(c) for c in zip(*(rect.side_point(side, t) for side, t in pts)))
     nx, ny = (np.array(c) for c in zip(*(rect.outward_normal(side) for side, _ in pts)))
-    (fx, fy), (dfx, dfy) = spec._factors(x, y, derivative=True)
-    values = fx * fy
-    dn = dfx * fy * nx + fx * dfy * ny
+    values = spec.values(x, y)
+    gx, gy = spec.values(x, y, derivative=True)
+    dn = gx * nx + gy * ny
     delta = spec.arrays.delta[1:, None]
     peak = np.maximum(np.abs(values).max(axis=1, initial=0.0), 1.0)[:, None]
     worst = float((np.abs(dn - delta * values) / ((1.0 + delta) * peak)).max(initial=0.0))
@@ -403,9 +403,9 @@ def check_scaling(spec: Spectrum, tol: float) -> CheckResult:
     head = spec.take(slice(0, 12))
     num, den = np.zeros((2, head.size - 1))
     for side, _, x, y, _, w in _boundary_nodes(head.rectangle, 2.0 * _nu_max(head)):
-        (fx, fy), (dfx, dfy) = head._factors(x, y, derivative=True)
-        values = fx * fy
-        dn = dfx * fy if side is Side.G1 else fx * dfy  # the outward normal is +x on G1, +y on G2
+        values = head.values(x, y)
+        gx, gy = head.values(x, y, derivative=True)
+        dn = gx if side is Side.G1 else gy  # the outward normal is +x on G1, +y on G2
         num += (values * dn) @ w
         den += (values * values) @ w
     delta = head.arrays.delta[1:]

@@ -21,6 +21,7 @@ broadcast together, and returns a float or an array of the broadcast shape.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -114,6 +115,7 @@ EXACT_SOLUTIONS = {
 }
 
 
+@functools.lru_cache(maxsize=64)  # one mean per (value, rect, tolerances): fresh TableWorkspaces ask again
 def zero_mean_solution(value, rect: Rectangle, abstol: float = 1e-10, reltol: float = 1e-6):
     """value(x, y) minus its perimeter-weighted boundary mean on rect: the
     solution a Neumann solve, which keeps a zero boundary mean, approximates.

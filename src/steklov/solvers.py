@@ -91,11 +91,11 @@ class ProblemKind:
 class SteklovApproximation:
     """Evaluable truncated expansion solution on the closed rectangle.
 
-    Every evaluator sums constant + lift + sum_j w_j s_j over the modes of
-    _terms only: those whose weight is not exactly 0.0. Data with a parity
-    symmetry zero whole parity classes of weights, so these modes are never
-    evaluated; with no zero weight the sum runs over spectrum and weights
-    themselves.
+    Every evaluator is _expansion: constant + lift + sum_j w_j s_j, or its
+    gradient, over the modes of _terms only: those whose weight is not
+    exactly 0.0. Data with a parity symmetry zero whole parity classes of
+    weights, so these modes are never evaluated; with no zero weight the sum
+    runs over spectrum and weights themselves.
     """
 
     kind: ProblemKind
@@ -109,12 +109,6 @@ class SteklovApproximation:
     def rect(self) -> Rectangle:
         return self.spectrum.rectangle
 
-    def _lift_value(self, x, y):
-        if self.lift is None:
-            return 0.0
-        a0, a1, a2, a3 = self.lift
-        return a0 + a1 * x + a2 * y + a3 * x * y
-
     @cached_property
     def _terms(self) -> tuple[Spectrum, np.ndarray]:
         """(spectrum, weights) restricted to the modes whose weight is not
@@ -127,44 +121,41 @@ class SteklovApproximation:
             return self.spectrum, w
         return self.spectrum.take(np.concatenate(([0], rows + 1))), w[rows]
 
-    def _sum(self, x, y):
-        """constant + lift + sum_j w_j s_j at points that broadcast; a float at one point."""
-        spec, w = self._terms
-        return self.constant_term + self._lift_value(x, y) + spec.expand(w, x, y)
+    def _constant_and_lift(self, x, y, derivative: bool = False):
+        """The constant term plus the bilinear lift at points that broadcast;
+        with derivative, the lift's gradient, or None without a lift."""
+        if self.lift is None:  # + 0.0, the sum with a zero lift, turns a constant of -0.0 into 0.0
+            return None if derivative else self.constant_term + 0.0
+        a0, a1, a2, a3 = self.lift
+        if derivative:
+            return a1 + a3 * y, a2 + a3 * x
+        return self.constant_term + (a0 + a1 * x + a2 * y + a3 * x * y)
 
-    def _gradient(self, x, y):
-        """Term-by-term gradient of _sum at the same points."""
+    def _expansion(self, x, y, grid: bool = False, derivative: bool = False):
+        """constant + lift + sum_j w_j s_j, or with derivative its gradient,
+        at points that broadcast (Spectrum.expand; a float at one point) or,
+        with grid, on the tensor grid of the axes x and y, shape (ny, nx)
+        (Spectrum.expand_grid), adding the constant and the lift in place."""
         spec, w = self._terms
-        return self._lifted(*spec.expand_gradient(w, x, y), x, y)
-
-    def _lifted(self, gx, gy, x, y):
-        """The gradient of the expansion, (gx, gy) at (x, y), plus the lift's."""
-        if self.lift is not None:
-            a0, a1, a2, a3 = self.lift
-            gx += a1 + a3 * y
-            gy += a2 + a3 * x
+        if grid:
+            out = spec.expand_grid(w, x, y, derivative)
+            y = y[:, None]
+        else:
+            out = spec.expand(w, x, y, derivative)
+        base = self._constant_and_lift(x, y, derivative)
+        if not derivative:
+            out += base
+            return out
+        gx, gy = out
+        if base is not None:
+            gx += base[0]
+            gy += base[1]
         return gx, gy
-
-    def _grid_sum(self, xs, ys):
-        """_sum on the tensor grid of the axes xs and ys, shape (ny, nx), from
-        one matrix product of the factor matrices (Spectrum.expand_grid)."""
-        spec, w = self._terms
-        U = spec.expand_grid(w, xs, ys)
-        U += self.constant_term + self._lift_value(xs, ys[:, None])
-        return U
-
-    def _grid_gradient(self, xs, ys):
-        """_gradient on the tensor grid of the axes xs and ys, shape (ny, nx):
-        (Fy^T @ (w * dFx), dFy^T @ (w * Fx)), one matrix product per component."""
-        spec, w = self._terms
-        (fx, fy), (dfx, dfy) = spec._factors(xs, ys, derivative=True)
-        w = w[:, None]
-        return self._lifted(fy.T @ (w * dfx), dfy.T @ (w * fx), xs, ys[:, None])
 
     def eval(self, x: float, y: float) -> float:
         """Value at a point of the closed rectangle."""
         self.rect.require_inside(x, y)
-        return self._sum(x, y)
+        return self._expansion(x, y)
 
     def eval_gradient(self, x: float, y: float) -> tuple[float, float]:
         """Term-by-term gradient; one-sided (and flagged) on the boundary."""
@@ -175,40 +166,34 @@ class SteklovApproximation:
                 BoundaryGradientWarning,
                 stacklevel=2,
             )
-        return self._gradient(x, y)
+        return self._expansion(x, y, derivative=True)
 
     def eval_grid(self, nx: int, ny: int) -> np.ndarray:
         """Values on the closed tensor grid of grid_points, shape (ny, nx), x varying fastest."""
         _require_grid(nx, ny)
-        return self._grid_sum(*_grid_axes(self.rect, nx, ny))
+        return self._expansion(*_grid_axes(self.rect, nx, ny), grid=True)
 
     def eval_array(self, x, y) -> np.ndarray:
         """Vectorized values at arbitrary points of the closed rectangle (x, y broadcast).
 
-        On a tensor grid (_tensor_axes) one matrix product of its axes' factors.
+        On a tensor grid (_array_points) one matrix product of its axes' factors.
         """
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        self.rect.require_inside(x, y)
-        axes = _tensor_axes(x, y)
-        return self._sum(x, y) if axes is None else self._grid_sum(*axes)
+        return self._expansion(*_array_points(self.rect, x, y))
 
     def gradient_arrays(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized gradient components at points of the closed rectangle that broadcast.
 
-        On a tensor grid (_tensor_axes) two matrix products of its axes' factors.
+        On a tensor grid (_array_points) two matrix products of its axes' factors.
         """
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        self.rect.require_inside(x, y)
-        axes = _tensor_axes(x, y)
-        return self._gradient(x, y) if axes is None else self._grid_gradient(*axes)
+        return self._expansion(*_array_points(self.rect, x, y), derivative=True)
 
     def boundary_value(self, side: Side, t):
         """Trace of the approximation at side(t); an array for an array of parameters."""
-        return self._sum(*self.rect.side_point(side, t))
+        return self._expansion(*self.rect.side_point(side, t))
 
     def boundary_normal_derivative(self, side: Side, t):
         """Outward normal derivative at side(t); an array for an array of parameters."""
-        gx, gy = self._gradient(*self.rect.side_point(side, t))
+        gx, gy = self._expansion(*self.rect.side_point(side, t), derivative=True)
         nx, ny = self.rect.outward_normal(side)
         return gx * nx + gy * ny
 
@@ -335,20 +320,22 @@ def _grid_axes(rect: Rectangle, nx: int, ny: int) -> tuple[np.ndarray, np.ndarra
     return np.linspace(-1.0, 1.0, nx), np.linspace(-rect.h, rect.h, ny)
 
 
-def _tensor_axes(x: np.ndarray, y: np.ndarray):
-    """(xs, ys) when x and y broadcast to the tensor grid np.meshgrid(xs, ys),
-    else None.
+def _array_points(rect: Rectangle, x, y):
+    """(xs, ys, True) when the arrays x and y broadcast to the tensor grid
+    np.meshgrid(xs, ys), else (x, y, False): the arguments of _expansion.
+    GeometryError for a point outside the closed rectangle.
 
     That is: 2-D and nonempty after broadcasting, x constant down every
     column and y constant along every row, as grid_points gives. An
     indexing="ij" grid, or a grid with one point moved, is not one.
     """
-    if max(x.ndim, y.ndim) != 2:
-        return None
-    x, y = np.broadcast_arrays(x, y)
-    if not x.size or not ((x == x[:1]).all() and (y == y[:, :1]).all()):
-        return None
-    return x[0], y[:, 0]
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    rect.require_inside(x, y)
+    if max(x.ndim, y.ndim) == 2:
+        X, Y = np.broadcast_arrays(x, y)
+        if X.size and (X == X[:1]).all() and (Y == Y[:, :1]).all():
+            return X[0], Y[:, 0], True
+    return x, y, False
 
 
 def grid_points(rect: Rectangle, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:

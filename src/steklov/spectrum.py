@@ -46,9 +46,9 @@ results downstream are arrays aligned with its rows, and sub-spectra are row
 subsets (take, head). SteklovMode records (Spectrum.modes) are a view, built
 when first read; the package itself never reads them.
 A Spectrum evaluates all its nonconstant modes at once from their separable
-factors: the (K, N) matrix of values, the weighted expansion and its gradient
-at points (in blocks of bounded size), and the expansion on a tensor grid as
-one matrix product of the two factor matrices.
+factors, which no other module touches: the (K, N) matrix of values or of a
+gradient component (values), and the weighted expansion or its gradient at
+points, in blocks of bounded size (expand), or on a tensor grid (expand_grid).
 """
 
 from __future__ import annotations
@@ -411,31 +411,26 @@ class SteklovMode:
 
 # Kept for the benchmark, whose tracer wraps it by name.
 def make_mode(family: FamilyTag, rect: Rectangle, nu: float = 0.0, family_rank: int = 0) -> SteklovMode:
-    if family is FamilyTag.CONST:
-        return SteklovMode(family, 0.0, 0.0, rect, 1.0, 0.0, family_rank=family_rank)
-    if family is FamilyTag.XY:
-        if not rect.is_square:
-            raise SpectrumError("the xy mode exists only on the square (h = 1)")
-        return SteklovMode(family, 0.0, 1.0, rect, math.sqrt(3.0), 0.0, family_rank=family_rank)
-    if nu <= 0.0:
+    if family is FamilyTag.XY and not rect.is_square:
+        raise SpectrumError("the xy mode exists only on the square (h = 1)")
+    if family.is_separable and nu <= 0.0:
         raise ValueError(f"nu must be positive, got {nu}")
-    code, nus = np.array([_CODE[family]]), np.array([float(nu)])
-    scaled, s = _norms_scaled(code, nus, rect)
-    delta = _eigenvalues(code, nus, rect)[0]
-    return SteklovMode(family, nu, float(delta), rect, float(scaled[0]), float(s[0]), family_rank=family_rank)
+    arrays = _mode_arrays(rect, np.array([_CODE[family]]), np.array([float(nu)]), np.array([family_rank]))
+    nu, delta, norm_scaled, hyp_scale = (float(a[0]) for a in arrays[1:5])
+    return SteklovMode(family, nu, delta, rect, norm_scaled, hyp_scale, family_rank=family_rank)
 
 
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
 
-# Mode x point entries per kernel call of Spectrum.expand and expand_gradient.
-# Bounds their working memory at any point count (128 kB per K x block matrix).
-# Blocks of 2**12 to 2**16 entries, 80 modes, 2 vCPUs: expand at 1e5 points
-# took 222, 191, 172, 161 and 331 ms, expand_gradient at 4e4 points 115, 102,
-# 93, 193 and 256 ms (41 modes: the same order, 2**14 and 2**15 tied on
-# expand). A block keeps at least 64 points, so per-call overhead stays small
-# at large K.
+# Mode x point entries per kernel call of Spectrum.expand, with and without
+# derivative. Bounds their working memory at any point count (128 kB per
+# K x block matrix). Blocks of 2**12 to 2**16 entries, 80 modes, 2 vCPUs:
+# expand at 1e5 points took 222, 191, 172, 161 and 331 ms, its gradient at
+# 4e4 points 115, 102, 93, 193 and 256 ms (41 modes: the same order, 2**14
+# and 2**15 tied on the values). A block keeps at least 64 points, so
+# per-call overhead stays small at large K.
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -553,14 +548,18 @@ class Spectrum:
         (fx, dfx), (fy, dfy) = factors
         return (fx, fy), ((dfx, dfy) if derivative else None)
 
-    def values(self, x, y) -> np.ndarray:
+    def values(self, x, y, derivative: bool = False):
         """The nonconstant modes at N points: a (K, N) matrix, row j for mode j+1.
 
         x and y are 1-D arrays of N coordinates, or one of them a single
         coordinate for all N points (no domain check); the matrix is the
-        product of the two factor matrices of _factors.
+        product of the two factor matrices of _factors, Fx * Fy, or with
+        derivative the pair of gradient components (dFx * Fy, Fx * dFy).
         """
-        (fx, fy), _ = self._factors(x, y)
+        (fx, fy), d = self._factors(x, y, derivative)
+        if derivative:
+            dfx, dfy = d
+            return dfx * fy, fx * dfy
         if fx.shape[1] < fy.shape[1]:
             fx, fy = fy, fx
         fx *= fy
@@ -607,41 +606,34 @@ class Spectrum:
             block = slice(start, start + step)
             yield block, (x if x.size == 1 else x[block]), (y if y.size == 1 else y[block])
 
-    def expand(self, weights, x, y):
-        """sum_j weights[j] * s_j(x, y) over the nonconstant modes.
+    def expand(self, weights, x, y, derivative: bool = False):
+        """sum_j weights[j] * s_j(x, y) over the nonconstant modes, or with
+        derivative its gradient (d/dx, d/dy), term by term.
 
-        x and y broadcast together; a float at one point, an array of the
-        broadcast shape otherwise. An (m, K) stack of weights gives the m
-        sums from one evaluation of the modes, an array of shape (m,) plus
-        the broadcast shape.
+        x and y broadcast together; a float (pair) at one point, an array
+        (pair) of the broadcast shape otherwise. An (m, K) stack of weights
+        gives the m sums from one evaluation of the modes, of shape (m,) + that.
         """
         w = np.asarray(weights, dtype=float)
+        if derivative:
+            return self._blocked(2, lambda xb, yb: [w @ g for g in self.values(xb, yb, True)], x, y)
         if w.ndim == 1:
             return self._blocked(1, lambda xb, yb: (w @ self.values(xb, yb),), x, y)[0]
         return np.array(self._blocked(len(w), lambda xb, yb: w @ self.values(xb, yb), x, y))
 
-    def expand_gradient(self, weights, x, y):
-        """The gradient (d/dx, d/dy) of expand, term by term, at the same points."""
-        w = np.asarray(weights, dtype=float)
-
-        def terms(xb, yb):
-            xb, yb = np.broadcast_arrays(xb, yb)  # the in-place products need equal shapes
-            (fx, fy), (dfx, dfy) = self._factors(xb, yb, derivative=True)
-            dfx *= fy
-            fx *= dfy
-            return w @ dfx, w @ fx
-
-        return self._blocked(2, terms, x, y)
-
-    def expand_grid(self, weights, xs, ys) -> np.ndarray:
+    def expand_grid(self, weights, xs, ys, derivative: bool = False):
         """expand on the tensor grid of the 1-D axes xs and ys, shape (ny, nx).
 
-        One matrix product of the factor matrices, Fy(ys)^T @ (w * Fx(xs)):
-        O(K * (nx + ny)) transcendental evaluations instead of O(K * nx * ny).
+        One matrix product of the factor matrices per output, Fy(ys)^T @ (w * Fx(xs)),
+        or (Fy^T @ (w * dFx), dFy^T @ (w * Fx)) with derivative: O(K * (nx + ny))
+        transcendental evaluations instead of O(K * nx * ny).
         """
-        w = np.asarray(weights, dtype=float)
-        (fx, fy), _ = self._factors(xs, ys)
-        return fy.T @ (w[:, None] * fx)
+        w = np.asarray(weights, dtype=float)[:, None]
+        (fx, fy), d = self._factors(xs, ys, derivative)
+        if derivative:
+            dfx, dfy = d
+            return fy.T @ (w * dfx), dfy.T @ (w * fx)
+        return fy.T @ (w * fx)
 
     def select(self, m: int) -> "Spectrum":
         """Nested truncation to a shallower depth under the same policy.
@@ -784,18 +776,30 @@ def _per_family_kept(code: np.ndarray, rank: np.ndarray, rect: Rectangle, m: int
     return np.where(class2, slot < 2 * m, rank < m)
 
 
-def _spectrum_of_roots(rect: Rectangle, code, rank, nu, with_xy: bool, keep: int | None, selection: str, depth: int) -> Spectrum:
+def _mode_arrays(rect: Rectangle, code: np.ndarray, nu: np.ndarray, rank: np.ndarray) -> ModeArrays:
+    """The modes of these family codes, frequencies and ranks with delta,
+    norm_scaled and hyp_scale: the constant (delta 0, norm 1) and xy (delta 1,
+    norm sqrt(3)) take nu = 0, a separable mode's come from its nu."""
+    nu = np.where(code <= _XY, 0.0, nu)
+    delta = np.where(code == _XY, 1.0, 0.0)
+    norm_scaled = np.where(code == _XY, math.sqrt(3.0), 1.0)
+    hyp_scale = np.zeros(code.size)
+    sep = np.flatnonzero(code > _XY)
+    delta[sep] = _eigenvalues(code[sep], nu[sep], rect)
+    norm_scaled[sep], hyp_scale[sep] = _norms_scaled(code[sep], nu[sep], rect)
+    return ModeArrays(code, nu, delta, norm_scaled, hyp_scale, rank)
+
+
+def _spectrum_of_roots(rect: Rectangle, code, rank, nu, keep: int | None, selection: str, depth: int) -> Spectrum:
     """The constant mode, then the `keep` smallest of the given roots (and of
-    xy, with with_xy; all of them for keep None) in (delta, family order, nu)
-    order."""
-    columns = [code, nu, _eigenvalues(code, nu, rect), *_norms_scaled(code, nu, rect), rank]
-    if with_xy:
-        columns = [np.append(c, v) for c, v in zip(columns, (_XY, 0.0, 1.0, math.sqrt(3.0), 0.0, 0))]
-    code, nu, delta = columns[:3]
-    order = np.lexsort((nu, code, delta))[:keep]
-    const = (_CODE[FamilyTag.CONST], 0.0, 0.0, 1.0, 0.0, 0)
-    arrays = ModeArrays(*(np.concatenate(([v], c[order])) for v, c in zip(const, columns)))
-    return Spectrum(rect, arrays, selection, depth)
+    xy, on the square; all of them for keep None) in (delta, family order,
+    nu) order."""
+    code, rank, nu = np.append(_CODE[FamilyTag.CONST], code), np.append(0, rank), np.append(0.0, nu)
+    if rect.is_square:
+        code, rank, nu = np.append(code, _XY), np.append(rank, 0), np.append(nu, 0.0)
+    arrays = _mode_arrays(rect, code, nu, rank)
+    order = 1 + np.lexsort((arrays.nu[1:], arrays.code[1:], arrays.delta[1:]))[:keep]
+    return Spectrum(rect, ModeArrays(*(a[np.append(0, order)] for a in arrays)), selection, depth)
 
 
 def build_spectrum(rect: Rectangle, m: int, selection: str = PER_FAMILY) -> Spectrum:
@@ -814,7 +818,7 @@ def build_spectrum(rect: Rectangle, m: int, selection: str = PER_FAMILY) -> Spec
         kept = _per_family_kept(code, rank, rect, m)
         code, rank, k, lo, hi = (c[kept] for c in (code, rank, k, lo, hi))
         nu = _solve_branches(code, k, lo, hi, rect, _ROOT_TOL)
-        return _spectrum_of_roots(rect, code, rank, nu, rect.is_square, None, PER_FAMILY, m)
+        return _spectrum_of_roots(rect, code, rank, nu, None, PER_FAMILY, m)
     if selection == GLOBAL_SORTED:
         return build_spectrum_by_count(rect, 8 * m)
     raise ValueError(f"unknown selection policy {selection!r}")
@@ -832,17 +836,16 @@ def build_spectrum_by_count(rect: Rectangle, count: int) -> Spectrum:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    with_xy = rect.is_square and count > 0
     code, rank, k, lo, hi = _branch_table(rect, [count if tag in _FAMILIES else 0 for tag in _TAGS])
     if count:
         a_t = _extents(code, rect)[0]
         lower, upper = (_eigenvalues(code, (k * math.pi + theta) / a_t, rect) for theta in (lo, hi))
-        cutoff = np.partition(np.append(upper, 1.0) if with_xy else upper, count - 1)[count - 1]
+        cutoff = np.partition(np.append(upper, 1.0) if rect.is_square else upper, count - 1)[count - 1]
         # the slack covers rounding in the bounds; it adds a root only on a near tie
         solve = lower <= cutoff * (1.0 + 1e-12)
         code, rank, k, lo, hi = (c[solve] for c in (code, rank, k, lo, hi))
     nu = _solve_branches(code, k, lo, hi, rect, _ROOT_TOL)
-    return _spectrum_of_roots(rect, code, rank, nu, with_xy, count, GLOBAL_SORTED, count)
+    return _spectrum_of_roots(rect, code, rank, nu, count, GLOBAL_SORTED, count)
 
 
 # ---------------------------------------------------------------------------
@@ -884,6 +887,22 @@ def save_spectrum(spec: Spectrum, path, texts=None) -> None:
 _RESIDUAL_TOL = 1e-8
 
 
+def _row_error(rows: list, names) -> SpectrumError:
+    """The error naming the first row that lacks a field, names an unknown
+    family or holds a field in names that is not a number."""
+    for i, row in enumerate(rows):
+        missing = [name for name in ("family", *names) if name not in row]
+        if missing:
+            return SpectrumError(f"cache row {i} has no {missing[0]!r}")
+        if row["family"] not in [tag.value for tag in _TAGS]:
+            return SpectrumError(f"cache row {i}: unknown family {row['family']!r}")
+        for name in names:
+            try:
+                float(row[name])
+            except (TypeError, ValueError):
+                return SpectrumError(f"cache row {i}: {name} must be a number, got {row[name]!r}")
+
+
 def spectrum_from_json(text: str) -> Spectrum:
     """Rebuild a spectrum from its cache form, revalidating the eigendata.
 
@@ -891,8 +910,9 @@ def spectrum_from_json(text: str) -> Spectrum:
     _RESIDUAL_TOL; delta is recomputed from nu and must match the cached
     one, and so must normConst where the cache lists it (caches written
     before the column was dropped) and the recomputed value is above 1e-290.
-    The first row that fails raises, and so does a field of the wrong JSON
-    type: SpectrumError names it.
+    The first row that fails raises, and so does the first row that lacks a
+    field, names an unknown family or holds a field that is not a number
+    (null, a list, an object or other text): SpectrumError names the row.
     """
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -912,13 +932,8 @@ def spectrum_from_json(text: str) -> Spectrum:
     try:
         code = np.array([_CODE[FamilyTag(row["family"])] for row in rows], dtype=int)
         nu, *columns = (np.array([float(row[name]) for row in rows]) for name in names)
-    except KeyError as exc:
-        i = next(i for i, row in enumerate(rows) if exc.args[0] not in row)
-        raise SpectrumError(f"cache row {i} has no {exc.args[0]!r}") from None
-    except TypeError:  # float() of null, a list or an object
-        i, name = next((i, name) for i, row in enumerate(rows) for name in names
-                       if not isinstance(row.get(name, 0.0), (int, float, str)))
-        raise SpectrumError(f"cache row {i}: {name} must be a number, got {rows[i][name]!r}") from None
+    except (KeyError, TypeError, ValueError):  # a missing field, an unknown family, a field that is no number
+        raise _row_error(rows, names) from None
     cached = dict(zip(names[1:], columns))
     if not code.size or code[0] != _CODE[FamilyTag.CONST]:
         raise SpectrumError("cache must list the constant mode first")
@@ -944,14 +959,13 @@ def spectrum_from_json(text: str) -> Spectrum:
             raise SpectrumError(f"cache row {i}: the xy mode exists only on the square (h = 1)")
         raise ValueError(f"cache row {i}: nu must be positive, got {nu[i]}")
 
-    # the constant and xy rows as make_mode builds them, whatever nu they list
-    nu[code <= _XY] = 0.0
-    delta = np.where(code == _XY, 1.0, 0.0)
-    norm_scaled = np.where(code == _XY, math.sqrt(3.0), 1.0)
-    hyp_scale = np.zeros(code.size)
-    delta[sep] = _eigenvalues(code[sep], nu[sep], rect)
-    norm_scaled[sep], hyp_scale[sep] = _norms_scaled(code[sep], nu[sep], rect)
-    recomputed = {"delta": (delta, 1e-12), "normConst": (norm_scaled * np.exp(-hyp_scale), 1e-10)}
+    # family_rank: the row's ordinal among the rows of its family
+    order = np.argsort(code, kind="stable")
+    rank = np.empty_like(code)
+    rank[order] = np.arange(code.size) - np.searchsorted(code[order], code[order])
+    arrays = _mode_arrays(rect, code, nu, rank)
+    normconst = arrays.norm_scaled * np.exp(-arrays.hyp_scale)
+    recomputed = {"delta": (arrays.delta, 1e-12), "normConst": (normconst, 1e-10)}
     for name, got in cached.items():
         ref, tol = recomputed[name]
         off = np.flatnonzero((ref > 1e-290) & (np.abs(got - ref) > tol * np.maximum(1.0, np.abs(ref))))
@@ -959,16 +973,12 @@ def spectrum_from_json(text: str) -> Spectrum:
             i = off[0]
             raise SpectrumError(
                 f"cache row {i}: cached {name}={got[i]} disagrees with recomputed {ref[i]} "
-                f"for {_TAGS[code[i]].value}, nu={nu[i]}"
+                f"for {_TAGS[code[i]].value}, nu={arrays.nu[i]}"
             )
 
-    # family_rank: the row's ordinal among the rows of its family
-    order = np.argsort(code, kind="stable")
-    rank = np.empty_like(code)
-    rank[order] = np.arange(code.size) - np.searchsorted(code[order], code[order])
     # per family, the most roots of one family; global, the retained count
     depth = int(np.bincount(code).max()) if selection == PER_FAMILY else code.size - 1
-    return Spectrum(rect, ModeArrays(code, nu, delta, norm_scaled, hyp_scale, rank), selection, depth)
+    return Spectrum(rect, arrays, selection, depth)
 
 
 def load_spectrum(path) -> Spectrum:

@@ -441,9 +441,12 @@ def test_corrupt_cache_exits_2_and_says_where(tmp_path, capsys, half_cache, corr
     assert err.startswith("error: ") and message in err
 
 
-def _null_nu(cache):
-    cache["modes"][2]["nu"] = None
-    return cache
+def _row_field(row, name, value):
+    """The cache with mode row `row`'s field `name` set to value."""
+    def content(cache):
+        cache["modes"][row][name] = value
+        return cache
+    return content
 
 
 @pytest.mark.parametrize("flag, content, message", [
@@ -451,12 +454,16 @@ def _null_nu(cache):
     ("--cache", lambda cache: {**cache, "h": None}, "cache h must be a number, got None"),
     ("--cache", lambda cache: {**cache, "modes": None}, "cache modes must be a list of objects"),
     ("--cache", lambda cache: {**cache, "modes": [1]}, "cache modes must be a list of objects"),
-    ("--cache", _null_nu, "cache row 2: nu must be a number, got None"),
+    ("--cache", _row_field(2, "nu", None), "cache row 2: nu must be a number, got None"),
+    ("--cache", _row_field(3, "nu", "abc"), "cache row 3: nu must be a number, got 'abc'"),
+    ("--cache", _row_field(3, "delta", "1e"), "cache row 3: delta must be a number, got '1e'"),
+    ("--cache", _row_field(3, "family", "f9"), "cache row 3: unknown family 'f9'"),
     ("--g", lambda cache: {"sides": {"G1": None, "G2": 0.0, "G3": 0.0, "G4": 0.0}},
      "boundary spec side G1: expected a number, a string or a list of coefficients, got None"),
     ("--g", lambda cache: {"sides": [1, 2]}, "boundary spec sides must map G1..G4 to values, got [1, 2]"),
     ("--g", lambda cache: {"expr": 5}, "boundary spec expr must be a string, got 5"),
-], ids=["cache-list", "null-h", "null-modes", "int-mode", "null-nu", "null-side", "list-sides", "int-expr"])
+], ids=["cache-list", "null-h", "null-modes", "int-mode", "null-nu", "text-nu", "text-delta", "unknown-family",
+        "null-side", "list-sides", "int-expr"])
 def test_malformed_json_input_exits_2(tmp_path, capsys, half_cache, flag, content, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content(json.loads(half_cache.read_text()))))

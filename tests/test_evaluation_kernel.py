@@ -135,7 +135,7 @@ def test_approximation_boundary_value_on_arrays_matches_scalar(spec):
             ts = side_params(rect, side)
             close(u.boundary_value(side, ts), [u.boundary_value(side, t) for t in ts.tolist()])
         x, y = 0.3, -0.2 * rect.h
-        want = u.constant_term + u._lift_value(x, y) + math.fsum(
+        want = u._constant_and_lift(x, y) + math.fsum(
             w * ref.value_unchecked(md, x, y) for w, md in zip(u.weights, spec.modes[1:])
         )
         assert isinstance(u.eval(x, y), float)
@@ -199,12 +199,12 @@ def test_gradients_match_scalar_modes(h):
         np.testing.assert_allclose(dfx[j] * fy[j], want[:, 0], rtol=TOL, atol=scale)
         np.testing.assert_allclose(fx[j] * dfy[j], want[:, 1], rtol=TOL, atol=scale)
     w = np.random.default_rng(7).normal(size=spec.size - 1) / (1.0 + np.arange(80))
-    gx, gy = spec.expand_gradient(w, x, y)
+    gx, gy = spec.expand(w, x, y, derivative=True)
     for i, (a, b) in enumerate(pts):
         terms = [ref.gradient(md, a, b) for md in spec.modes[1:]]
         assert gx[i] == pytest.approx(math.fsum(wj * t[0] for wj, t in zip(w, terms)), rel=TOL, abs=TOL)
         assert gy[i] == pytest.approx(math.fsum(wj * t[1] for wj, t in zip(w, terms)), rel=TOL, abs=TOL)
-    assert all(isinstance(v, float) for v in spec.expand_gradient(w, 0.3, -0.1 * h))
+    assert all(isinstance(v, float) for v in spec.expand(w, 0.3, -0.1 * h, derivative=True))
 
 
 @pytest.fixture(scope="module")
@@ -475,11 +475,14 @@ def catalog_solve(name, kind, h, corner, count):
 
 def full_sum(u, x, y):
     """constant + lift + the sum over every mode of u's spectrum, zero weights included."""
-    return u.constant_term + u._lift_value(x, y) + u.spectrum.expand(u.weights, x, y)
+    return u._constant_and_lift(x, y) + u.spectrum.expand(u.weights, x, y)
 
 
 def full_gradient(u, x, y):
-    return u._lifted(*u.spectrum.expand_gradient(u.weights, x, y), x, y)
+    """The gradient of full_sum, term by term."""
+    gx, gy = u.spectrum.expand(u.weights, x, y, derivative=True)
+    lift = u._constant_and_lift(x, y, derivative=True)
+    return (gx, gy) if lift is None else (gx + lift[0], gy + lift[1])
 
 
 @pytest.mark.parametrize("case", SYMMETRIC_CASES, ids=lambda c: "-".join(map(str, c)))

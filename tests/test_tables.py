@@ -12,6 +12,7 @@ from steklov import (
     solve_dirichlet,
     steklov_coefficients,
 )
+from steklov import catalog
 from steklov import reference_tables as ref
 from steklov.spectrum import GLOBAL_SORTED, PER_FAMILY
 from steklov.tables import POLICY_PREFIX, TableWorkspace, reproduce_rerr, reproduce_table
@@ -215,6 +216,19 @@ def test_sweeps_are_memoised_per_problem_kind():
     np.testing.assert_array_equal(robin, fresh)
     assert not np.array_equal(robin, dirichlet)
     assert ws.sweeps([g], POLICY_PREFIX)[0] is dirichlet
+
+
+def test_a_fresh_workspace_reuses_the_boundary_means(monkeypatch):
+    """Tables 12 and 13 measure Neumann solves against zero-mean solutions;
+    their boundary means are integrated once per process, not per workspace."""
+    first = [reproduce_table(t, TableWorkspace()) for t in (12, 13)]
+    calls = []
+    integrate = catalog.integrate_boundary
+    monkeypatch.setattr(catalog, "integrate_boundary", lambda *args: calls.append(args) or integrate(*args))
+    ws = TableWorkspace()
+    again = [reproduce_table(t, ws) for t in (12, 13)]
+    assert calls == []
+    assert [r.rows for r in again] == [r.rows for r in first]
 
 
 @pytest.mark.parametrize("policy", [POLICY_PREFIX, PER_FAMILY, GLOBAL_SORTED])

@@ -141,7 +141,7 @@ def _four_side_sweep(pairs, subs):
         sums = base.expand(weights, x, y).reshape(len(pairs), len(subs), -1)
         for (ref, u), rows, s in zip(pairs, out, sums):
             rows[0] = ref(side, t)
-            np.subtract(rows[0], u.constant_term + u._lift_value(x, y) + s, out=rows[1:])
+            np.subtract(rows[0], u._constant_and_lift(x, y) + s, out=rows[1:])
         return out.reshape(-1, t.size)
 
     sups = np.max([np.abs(errors(side, ts)).max(axis=1) for side, ts in analysis._sup_nodes(rect)], axis=0)
