@@ -54,8 +54,8 @@ def boundary_l2(fn: Callable[[Side, np.ndarray], np.ndarray], rect: Rectangle) -
     """Weighted boundary L2 norm of a (side, t) map, by panel-adaptive quadrature.
 
     fn is called with numpy arrays of side parameters and returns the values
-    there, as for boundary_sup; the integral of fn^2 meets
-    max(1e-12, 1e-9 * |I|).
+    there, as for boundary_sup; the integral of fn^2, over the bisected K49
+    panels of boundary._integrate_panels, meets max(1e-12, 1e-9 * |I|).
     """
     return float(_boundary_l2s(fn, rect, 1)[0])
 
@@ -107,13 +107,16 @@ def _truncation_errors(pairs: Sequence[tuple[Callable[[Side, np.ndarray], np.nda
     sweep of its own. Expansions over different base spectra raise ValueError.
 
     The modes are evaluated once per node block for all pairs and subs, and
-    on G1 and G2 only. G3 and G4 are the point reflections of G1 and G2 at
-    the same parameters, where mode j takes the sign sigma_j
-    (boundary._parities): a block on G1 or G2 also gives the sums on its
-    reflected side, (weights * sigma) @ S, as a product of its own, with the
-    same sums as an evaluation there. They are used when that side is next
-    called at the same parameters, which holds for the sup nodes and for L2
-    panels that were split alike; otherwise the side is evaluated as it is.
+    on G1 and G2 only. Each pair takes its own product with a block, of its
+    len(subs) weight rows, so that its sums are those of a sweep of its own:
+    BLAS may round a product of more rows otherwise. G3 and G4 are the
+    point reflections of G1 and G2 at the same parameters, where mode j
+    takes the sign sigma_j (boundary._parities): a block on G1 or G2 also
+    gives the sums on its reflected side, (weights * sigma) @ S, as a
+    product of its own, with the same sums as an evaluation there. They are
+    used when that side is next called at the same parameters, which holds
+    for the sup nodes and for L2 panels that were split alike; otherwise the
+    side is evaluated as it is.
     The sup nodes are taken in the order G1, G3, G2, G4, so their mirrored
     sums are used at once: held while G2 was evaluated, they grew the heap
     past malloc's top pad, about 30 page faults per side in some processes.
@@ -125,26 +128,28 @@ def _truncation_errors(pairs: Sequence[tuple[Callable[[Side, np.ndarray], np.nda
     masks = np.zeros((len(subs), base.size - 1))
     for mask, sub in zip(masks, subs):
         mask[base.rows_of(sub)[1:] - 1] = 1.0
-    weights = np.concatenate([u.weights * masks for _, u in pairs])
+    weights = np.array([u.weights * masks for _, u in pairs])  # (pairs, subs, K)
     reflected_weights = weights * _parities(base)[1][1:]
     reflected = {side: [] for side in _REFLECTED.values()}  # G3, G4: (t, mirrored sums) of each G1, G2 call
 
     def mode_sums(side, t, x, y, sums):
-        """weights @ S at side(t) into sums, in the blocks of Spectrum.expand."""
-        if side in _REFLECTED:
-            mirrored = np.empty((len(weights), t.size))
-            for block, xb, yb in base._point_blocks(x, y):
-                s = base.values(xb, yb)
-                sums[..., block] = (weights @ s).reshape(sums.shape[:-1] + (-1,))
-                mirrored[:, block] = reflected_weights @ s
-            reflected[_REFLECTED[side]].append((t, mirrored))
-            return
-        queue = reflected[side]
+        """Each pair's weights @ S at side(t) into sums, (pairs, subs, n), in
+        the blocks of Spectrum.expand: the sums of an expand per pair."""
+        queue = reflected.get(side)
         if queue and np.array_equal(queue[0][0], t):
-            sums[...] = queue.pop(0)[1].reshape(sums.shape)
+            sums[...] = queue.pop(0)[1]
             return
-        queue.clear()  # split otherwise than its reflected side
-        sums[...] = base.expand(weights, x, y).reshape(sums.shape)
+        if queue is not None:
+            queue.clear()  # split otherwise than its reflected side
+        mirrored = np.empty_like(sums) if side in _REFLECTED else None
+        for block, xb, yb in base._point_blocks(x, y):
+            s = base.values(xb, yb)
+            for pair in range(len(pairs)):
+                sums[pair, :, block] = weights[pair] @ s
+                if mirrored is not None:
+                    mirrored[pair, :, block] = reflected_weights[pair] @ s
+        if mirrored is not None:
+            reflected[_REFLECTED[side]].append((t, mirrored))
 
     def errors(side, t):
         out = np.empty((len(pairs), 1 + len(subs), t.size))
@@ -328,8 +333,7 @@ def check_steklov_residual(spec: Spectrum, tol: float, rng: random.Random) -> Ch
     pts = _random_boundary_points(rect, rng, _RESIDUAL_POINTS)
     x, y = (np.array(c) for c in zip(*(rect.side_point(side, t) for side, t in pts)))
     nx, ny = (np.array(c) for c in zip(*(rect.outward_normal(side) for side, _ in pts)))
-    values = spec.values(x, y)
-    gx, gy = spec.values(x, y, derivative=True)
+    values, gx, gy = spec.values(x, y, derivative=True)
     dn = gx * nx + gy * ny
     delta = spec.arrays.delta[1:, None]
     peak = np.maximum(np.abs(values).max(axis=1, initial=0.0), 1.0)[:, None]
@@ -403,8 +407,7 @@ def check_scaling(spec: Spectrum, tol: float) -> CheckResult:
     head = spec.take(slice(0, 12))
     num, den = np.zeros((2, head.size - 1))
     for side, _, x, y, _, w in _boundary_nodes(head.rectangle, 2.0 * _nu_max(head)):
-        values = head.values(x, y)
-        gx, gy = head.values(x, y, derivative=True)
+        values, gx, gy = head.values(x, y, derivative=True)
         dn = gx if side is Side.G1 else gy  # the outward normal is +x on G1, +y on G2
         num += (values * dn) @ w
         den += (values * values) @ w

@@ -45,12 +45,13 @@ the Kronrod weights of the node set for 2 * nu_max and the same symmetry:
 modes of different parity classes are orthogonal, and each class block is 4
 times its sum over these nodes.
 
-Every other boundary integral is one panel-adaptive rule on arrays of nodes
+Every other boundary integral takes the same panels and rule, adaptively
 (_integrate_panels): integrate_boundary, analysis.boundary_l2, and the
 fallback that recomputes, in one call, every coefficient whose estimate
 misses max(abstol, reltol * |I|), I its K49 sum. It starts from the same
-equal panels and bisects where the data need it (a kink, a corner
-singularity).
+equal panels on all four sides, on the same nodes (_panel_nodes), and
+bisects a panel into two K49 panels where the data need it (a kink, a
+corner singularity).
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ from .spectrum import _BLOCK_ENTRIES, _ODD_ALONG, Spectrum
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge on some side; entry numbers the integrand."""
+    """Adaptive quadrature failed to converge on some side; entry numbers the
+    integrand, and reason is the message without its side clause."""
 
     def __init__(self, message: str, side: Side, partial_value: float, estimate: float, entry: int = 0):
+        self.reason = message
         self.side = side
         self.partial_value = partial_value
         self.estimate = estimate
@@ -207,22 +210,22 @@ def _side_parameter(rect: Rectangle, side: Side, x: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _panel_sums(fn, side_of: np.ndarray, a: np.ndarray, b: np.ndarray, pieces: int, entries: int) -> np.ndarray:
-    """(P, pieces, m): Gauss-Legendre sums of fn over `pieces` equal parts of
-    each panel [a, b] on SIDES[side_of]. fn is called per side, on at most
-    _ENTRIES // entries nodes (but at least one panel) at a time."""
-    out = None
-    per_call = max(1, _ENTRIES // (entries * pieces * _PANEL_POINTS))
+def _panel_sums(fn, rect: Rectangle, side_of: np.ndarray, a: np.ndarray, b: np.ndarray, entries: int) -> np.ndarray:
+    """(P, 2, m): the G24 and the K49 sums of fn over each panel [lo + a, lo + b]
+    of SIDES[side_of], lo the side's start (_panel_nodes). fn is called per
+    side, on at most _ENTRIES // entries nodes (but at least one panel) at a time."""
+    _, kronrod, gauss = _kronrod_rule()
+    rules = np.column_stack((gauss, kronrod))
+    out = np.empty((side_of.size, 2, entries))
+    per_call = max(1, _ENTRIES // (entries * kronrod.size))
     for k in np.unique(side_of):
+        lo = rect.side_interval(SIDES[k])[0]
         on_side = np.flatnonzero(side_of == k)
         for on in (on_side[i:i + per_call] for i in range(0, on_side.size, per_call)):
-            step = ((b[on] - a[on]) / pieces)[:, None, None]
-            t = (a[on, None, None] + step * (np.arange(pieces)[:, None] + 0.5 * (_GL_NODES + 1.0))).ravel()
-            v = np.asarray(fn(SIDES[k], t), dtype=float)
-            v = np.broadcast_to(v, v.shape[:-1] + t.shape).reshape(-1, on.size, pieces, _PANEL_POINTS)
-            if out is None:
-                out = np.empty((side_of.size, pieces, v.shape[0]))
-            out[on] = np.moveaxis(v @ _GL_WEIGHTS, 0, -1) * (0.5 * step)
+            t, half = _panel_nodes(lo, a[on], b[on])
+            v = np.asarray(fn(SIDES[k], t.ravel()), dtype=float)
+            v = np.broadcast_to(v, v.shape[:-1] + (t.size,)).reshape(entries, *t.shape)
+            out[on] = np.moveaxis(v @ rules, 0, -1) * half[..., None]
     return out
 
 
@@ -233,28 +236,26 @@ def _integrate_panels(rect: Rectangle, fn, abstol: float, reltol: float, limit: 
     fn(side, t) maps an array of n side parameters to n values, or to (m, n)
     values of m = entries integrands. Each side starts from the equal
     panels of _panel_breaks(nu_max), nu_max the integrands' top frequency
-    (0: none known, two panels). A panel's value is the sum over its two
-    halves, its estimate |halves - whole|; every panel that misses its
-    length share of max(abstol, reltol * |I|) for some integrand is
-    bisected, until none does. A panel too short to split, whose midpoint
-    rounds onto an end, is kept as it is if its estimates are finite: its
-    estimate still counts in the total. Once bisection would add more than
-    `limit` panels to a side, QuadratureError reports the integrand
-    furthest from its target; a NaN never meets its target.
+    (0: none known, two panels). A panel takes the rule of the fixed node
+    set: its value is the K49 sum, its estimate |K49 - G24|, from one
+    evaluation of fn at its 49 nodes. Every panel that misses its length
+    share of max(abstol, reltol * |I|) for some integrand is bisected into
+    two new panels, until none does. A panel too short to split, whose
+    midpoint rounds onto an end, is kept as it is if its estimates are
+    finite: its estimate still counts in the total. Once bisection would add
+    more than `limit` panels to a side, QuadratureError reports the
+    integrand furthest from its target; a NaN never meets its target.
     """
-    breaks = [lo + _panel_breaks(hi - lo, nu_max) for lo, hi in map(rect.side_interval, SIDES)]
+    breaks = [_panel_breaks(hi - lo, nu_max) for lo, hi in map(rect.side_interval, SIDES)]
     side_of = np.repeat(np.arange(len(SIDES)), [br.size - 1 for br in breaks])
     a, b = np.concatenate([br[:-1] for br in breaks]), np.concatenate([br[1:] for br in breaks])
-    whole = _panel_sums(fn, side_of, a, b, 1, entries)[:, 0]
-    halves = np.empty((0, 2, whole.shape[1]))  # sums over the two halves of each panel
+    sums = _panel_sums(fn, rect, side_of, a, b, entries)
     added = np.zeros(len(SIDES), dtype=int)
     while True:
-        fresh = slice(len(halves), None)
-        halves = np.concatenate((halves, _panel_sums(fn, side_of[fresh], a[fresh], b[fresh], 2, entries)))
-        value = halves.sum(axis=1)
-        est = np.abs(value - whole)
+        value = sums[:, 1]
+        est = np.abs(value - sums[:, 0])
         target = np.maximum(abstol, reltol * np.abs(value.sum(axis=0)))
-        mid = a + (b - a) / 2  # the split point of _panel_sums
+        mid = a + (b - a) / 2
         final = ((mid == a) | (mid == b)) & np.isfinite(est).all(axis=1)
         miss = ~(est <= (b - a)[:, None] / rect.perimeter * target).all(axis=1) & ~final
         if not miss.any():
@@ -267,22 +268,22 @@ def _integrate_panels(rect: Rectangle, fn, abstol: float, reltol: float, limit: 
             entry = int(np.argmax(side_est / target))
             raise QuadratureError(f"no convergence within {limit} panel bisections", SIDES[k],
                                   float(value[on, entry].sum()), float(side_est[entry]), entry)
-        # a missed panel becomes its two halves, whose whole sums are known
+        # a missed panel becomes two new panels, its halves
         keep = ~miss
         side_of = np.concatenate((side_of[keep], side_of[miss], side_of[miss]))
         a, b = np.concatenate((a[keep], a[miss], mid[miss])), np.concatenate((b[keep], mid[miss], b[miss]))
-        whole = np.concatenate((whole[keep], halves[miss, 0], halves[miss, 1]))
-        halves = halves[keep]
+        fresh = slice(np.count_nonzero(keep), None)
+        sums = np.concatenate((sums[keep], _panel_sums(fn, rect, side_of[fresh], a[fresh], b[fresh], entries)))
 
 
 def integrate_boundary(f: BoundaryFunction, abstol: float = 1e-10, reltol: float = 1e-6, limit: int = 200):
     """Raw arc-length integral of the BoundaryFunction f and an error estimate.
 
-    The panel-adaptive rule of _integrate_panels: the estimate meets
+    The bisected K49 panels of _integrate_panels: the estimate meets
     max(abstol, reltol * |I|), or QuadratureError after `limit` bisections of a side.
     """
-    if abstol <= 0.0 or reltol <= 0.0:
-        raise ValueError("tolerances must be positive")
+    if not (0.0 < abstol < math.inf and 0.0 < reltol < math.inf):
+        raise ValueError("tolerances must be positive and finite")
     value, estimate = _integrate_panels(f.rect, f.value, abstol, reltol, limit)
     return float(value[0]), float(estimate[0])
 
@@ -304,7 +305,7 @@ class SteklovCoefficients:
 
     Read-only float64 arrays: values[j] belongs to spectrum row j + 1, estimates[j] to row j.
     An estimate is |K49 - G24| of the entry's fixed-node sums (module
-    docstring), or the panel-adaptive estimate of an entry that fell back.
+    docstring), or the sum of its panels' |K49 - G24| if it fell back.
     """
 
     spectrum: Spectrum
@@ -343,8 +344,6 @@ _PANEL_POINTS = 24
 _PANEL_WIDTH = 32.0
 _BLOCK = 64  # nodes per column block of the products with S; S never exists as a whole (K, N) matrix
 _ENTRIES = 2**16  # integrand values per call of a panel-adaptive integrand
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_POINTS)
 
 
 @functools.cache
@@ -389,7 +388,7 @@ def _kronrod_rule():
     kronrod = 2.0 * vectors[0] ** 2
     nodes, kronrod = 0.5 * (nodes - nodes[::-1]), 0.5 * (kronrod + kronrod[::-1])
     gauss = np.zeros_like(kronrod)
-    nodes[1::2], gauss[1::2] = _GL_NODES, _GL_WEIGHTS
+    nodes[1::2], gauss[1::2] = np.polynomial.legendre.leggauss(n)
     return nodes, kronrod, gauss
 
 
@@ -408,6 +407,15 @@ _REFLECTED = {Side.G1: Side.G3, Side.G2: Side.G4}
 _ALONG = {Side.G1: 1, Side.G2: 0}
 
 
+def _panel_nodes(lo: float, a: np.ndarray, b: np.ndarray):
+    """(t, half): the K49 nodes of the panels [lo + a, lo + b], a (P, 49)
+    array, and their half widths, (P, 1); a and b are offsets from the side
+    start lo. The node sets of _boundary_nodes and of _integrate_panels."""
+    mid = 0.5 * (a + b)[:, None]
+    half = 0.5 * (b - a)[:, None]
+    return lo + mid + half * _kronrod_rule()[0], half
+
+
 def _boundary_nodes(rect: Rectangle, nu: float):
     """Composite Gauss-Kronrod nodes with t > 0 on G1 and G2, on the equal
     panels of _panel_breaks for an integrand of top frequency nu.
@@ -421,13 +429,12 @@ def _boundary_nodes(rect: Rectangle, nu: float):
     t and -t, with the same weights, and that of the reflected side
     _REFLECTED[side] is the same, at the points (-x, -y).
     """
-    nodes, kronrod, gauss = _kronrod_rule()
+    _, kronrod, gauss = _kronrod_rule()
     for side in _REFLECTED:
         lo, hi = rect.side_interval(side)
         breaks = _panel_breaks(hi - lo, nu)
-        mid = 0.5 * (breaks[:-1] + breaks[1:])[:, None]
-        half = 0.5 * np.diff(breaks)[:, None]
-        t = (lo + mid + half * nodes).ravel()
+        t, half = _panel_nodes(lo, breaks[:-1], breaks[1:])
+        t = t.ravel()
         positive = t > 0.0
         t = t[positive]
         x, y = rect.side_point(side, t)
@@ -559,8 +566,8 @@ def _coefficient_sets(gs, spec: Spectrum, abstol: float, reltol: float, limit: i
     (_fixed_node_integrals); each data's fallback is its own."""
     if any(g.rect != spec.rectangle for g in gs):
         raise ValueError("boundary data and spectrum live on different rectangles")
-    if abstol <= 0.0 or reltol <= 0.0:
-        raise ValueError("tolerances must be positive")
+    if not (0.0 < abstol < math.inf and 0.0 < reltol < math.inf):
+        raise ValueError("tolerances must be positive and finite")
     raws = _fixed_node_integrals(gs, spec)
     return [_coefficients(g, spec, raw, abstol, reltol, limit) for g, raw in zip(gs, raws)]
 
@@ -590,7 +597,7 @@ def _coefficients(g: BoundaryFunction, spec: Spectrum, raw: np.ndarray,
             row = missed[exc.entry]
             label = f"mode {spec.family(row).value}, nu={spec.arrays.nu[row]:.6g}" if row else "mean value"
             raise QuadratureError(
-                f"coefficient quadrature failed for {label}: {exc}",
+                f"coefficient quadrature failed for {label}: {exc.reason}",
                 exc.side, exc.partial_value / rect.perimeter, exc.estimate / rect.perimeter,
             ) from exc
     values /= rect.perimeter

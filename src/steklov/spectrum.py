@@ -554,12 +554,13 @@ class Spectrum:
         x and y are 1-D arrays of N coordinates, or one of them a single
         coordinate for all N points (no domain check); the matrix is the
         product of the two factor matrices of _factors, Fx * Fy, or with
-        derivative the pair of gradient components (dFx * Fy, Fx * dFy).
+        derivative the triple of it and the gradient components,
+        (Fx * Fy, dFx * Fy, Fx * dFy), from one evaluation of the factors.
         """
         (fx, fy), d = self._factors(x, y, derivative)
         if derivative:
             dfx, dfy = d
-            return dfx * fy, fx * dfy
+            return fx * fy, dfx * fy, fx * dfy
         if fx.shape[1] < fy.shape[1]:
             fx, fy = fy, fx
         fx *= fy
@@ -616,7 +617,11 @@ class Spectrum:
         """
         w = np.asarray(weights, dtype=float)
         if derivative:
-            return self._blocked(2, lambda xb, yb: [w @ g for g in self.values(xb, yb, True)], x, y)
+            def gradient(xb, yb):  # the gradient products alone, without the values'
+                (fx, fy), (dfx, dfy) = self._factors(xb, yb, True)
+                return w @ (dfx * fy), w @ (fx * dfy)
+
+            return self._blocked(2, gradient, x, y)
         if w.ndim == 1:
             return self._blocked(1, lambda xb, yb: (w @ self.values(xb, yb),), x, y)[0]
         return np.array(self._blocked(len(w), lambda xb, yb: w @ self.values(xb, yb), x, y))

@@ -267,6 +267,15 @@ def test_zero_depth_exits_2(tmp_path, command, flag):
     assert run(argv) == 2
 
 
+@pytest.mark.parametrize("command", [["solve", "--g", "builtin:f1", "--grid", "3"], ["tables"]], ids=["solve", "tables"])
+@pytest.mark.parametrize("tolerances", [["--abstol", "nan"], ["--abstol", "inf", "--reltol", "inf"]], ids=["nan", "inf"])
+def test_tolerances_outside_zero_to_inf_exit_2(tmp_path, capsys, command, tolerances):
+    argv = command + tolerances + ["--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "tolerances must be positive and finite" in err
+
+
 @pytest.mark.parametrize("other", [["--count", "5"]])
 def test_m_excludes_other_truncation_flags(tmp_path, capsys, other):
     argv = ["spectrum", "--h", "0.8", "--M", "3", *other,

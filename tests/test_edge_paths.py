@@ -38,6 +38,23 @@ def test_coefficient_failure_names_the_mode():
     assert "quadrature failed" in str(err.value)
 
 
+@pytest.mark.parametrize("data", ["nan above y = 0.5", "jagged"])
+def test_coefficient_failure_states_the_side_once(data):
+    # the side clause carries the raised per-perimeter partial value and estimate
+    rect = Rectangle(1.0)
+    spec = build_spectrum(rect, 1)
+    if data == "jagged":
+        g = BoundaryFunction.from_xy(lambda x, y: math.sin(500.0 * x * y + y), rect)
+    else:
+        g = BoundaryFunction.from_xy(lambda x, y: np.where(y > 0.5, np.nan, x), rect)
+    with pytest.raises(QuadratureError) as err:
+        steklov_coefficients(g, spec, abstol=1e-14, reltol=1e-13, limit=1)
+    exc = err.value
+    assert str(exc).count(" on G") == 1, str(exc)
+    assert str(exc).endswith(f" on {exc.side.name} (partial value {exc.partial_value:.6g}, "
+                             f"error estimate {exc.estimate:.3g})")
+
+
 def test_deep_per_family_spectrum_flat_rectangle():
     spec = build_spectrum(Rectangle(0.5), 10)
     deltas = [m.delta for m in spec.modes]

@@ -323,7 +323,7 @@ def test_coefficient_sets_keep_the_checks_of_single_calls():
     data = [builtin_boundary("f1", Rectangle(1.0)), builtin_boundary("f1", Rectangle(0.5))]
     with pytest.raises(ValueError, match="different rectangles"):
         boundary._coefficient_sets(data, spec, ABSTOL, RELTOL)
-    for abstol, reltol in ((0.0, RELTOL), (ABSTOL, -1.0)):
+    for abstol, reltol in ((0.0, RELTOL), (ABSTOL, -1.0), (np.nan, RELTOL), (ABSTOL, np.inf)):
         with pytest.raises(ValueError, match="tolerances must be positive"):
             boundary._coefficient_sets(data[:1], spec, abstol, reltol)
 

@@ -1,6 +1,7 @@
 """The panel-adaptive boundary quadrature behind integrate_boundary and
-boundary_l2: closed-form integrals, error estimates and failure on NaN; and
-the package import: numpy only, with an explicit list of public names."""
+boundary_l2: closed-form integrals, error estimates, its K49 panels and
+failure on NaN; and the package import: numpy only, without numpy.polynomial
+or scipy, with an explicit list of public names."""
 
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import steklov
+from steklov import boundary
 from steklov import (
     BoundaryFunction,
     QuadratureError,
@@ -107,9 +109,68 @@ def test_nonintegrable_pole_fails():
         boundary_l2(f.value, rect)
 
 
-def test_import_leaves_scipy_out():
+@pytest.mark.parametrize("tolerances", [(np.nan, RELTOL), (ABSTOL, np.nan), (np.inf, np.inf), (ABSTOL, np.inf), (0.0, RELTOL)],
+                         ids=["nan-abstol", "nan-reltol", "inf-both", "inf-reltol", "zero-abstol"])
+def test_tolerances_outside_zero_to_inf_are_refused_before_any_call(tolerances):
+    calls = []
+
+    def data(x, y):
+        calls.append(1)
+        return x
+
+    with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+        integrate_boundary(BoundaryFunction.from_xy(data, Rectangle(0.5)), *tolerances)
+    assert calls == []
+
+
+def test_smooth_integral_takes_the_k49_sums_of_the_starting_panels():
+    # two equal panels a side (nu 0), each of 49 Kronrod nodes: the value is
+    # the K49 sum, the estimate the sum of the panels' |K49 - G24|
+    rect = Rectangle(0.5)
+    nodes = []
+
+    def data(x, y):
+        nodes.append(np.size(x))
+        return np.exp(2.0 * x) * np.cos(90.0 * y)
+
+    value, estimate = integrate_boundary(BoundaryFunction.from_xy(data, rect))
+    assert sum(nodes) == 8 * 49
+    t_ref, kronrod, gauss = boundary._kronrod_rule()
+    sums = []
+    for side in SIDES:
+        lo, hi = rect.side_interval(side)
+        breaks = boundary._panel_breaks(hi - lo, 0.0)
+        for a, b in zip(breaks[:-1], breaks[1:]):
+            half = 0.5 * (b - a)
+            x, y = rect.side_point(side, lo + 0.5 * (a + b) + half * t_ref)
+            v = np.exp(2.0 * x) * np.cos(90.0 * y)
+            sums.append((half * (kronrod @ v), half * (gauss @ v)))
+    k49, g24 = np.array(sums).T
+    assert value == pytest.approx(k49.sum(), rel=1e-14)
+    assert estimate == pytest.approx(np.abs(k49 - g24).sum(), rel=1e-3)
+    assert estimate > 1e-12  # G24 misses what K49 resolves, so the estimate is not rounding
+
+
+def test_adaptive_rule_starts_on_the_coefficient_nodes():
+    # the t > 0 starting nodes on G1 and G2 are bitwise the fixed node set's
+    rect = Rectangle(0.5)
+    nu = 150.3
+    seen = {}
+
+    def ones(side, t):
+        seen.setdefault(side, t)
+        return np.ones_like(t)
+
+    boundary._integrate_panels(rect, ones, ABSTOL, RELTOL, 10, nu)
+    for side, t, *_ in boundary._boundary_nodes(rect, nu):
+        assert np.array_equal(seen[side][seen[side] > 0.0], t), side
+
+
+@pytest.mark.parametrize("package", ["scipy", "numpy.polynomial"])
+def test_import_leaves_scipy_out(package):
+    # numpy.polynomial is loaded by the first quadrature, not by the import
     src = Path(steklov.__file__).resolve().parents[1]
-    code = "import sys, steklov; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, steklov; print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
     )

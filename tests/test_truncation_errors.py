@@ -126,20 +126,20 @@ def test_batched_sweep_equals_the_one_pair_sweeps(h, policy):
 
 
 def _four_side_sweep(pairs, subs):
-    """_truncation_errors with the modes evaluated on every side, G3 and G4 included."""
+    """_truncation_errors with the modes evaluated on every side, G3 and G4
+    included, by one expand per pair."""
     base = pairs[0][1].spectrum
     rect = base.rectangle
     masks = np.zeros((len(subs), base.size - 1))
     for mask, sub in zip(masks, subs):
         mask[base.rows_of(sub)[1:] - 1] = 1.0
-    weights = np.concatenate([u.weights * masks for _, u in pairs])
 
     def errors(side, t):
         out = np.empty((len(pairs), 1 + len(subs), t.size))
         x, y = rect.side_point(side, t)
         x, y = (x[:1], y) if side.is_vertical else (x, y[:1])
-        sums = base.expand(weights, x, y).reshape(len(pairs), len(subs), -1)
-        for (ref, u), rows, s in zip(pairs, out, sums):
+        for (ref, u), rows in zip(pairs, out):
+            s = base.expand(u.weights * masks, x, y)
             rows[0] = ref(side, t)
             np.subtract(rows[0], u._constant_and_lift(x, y) + s, out=rows[1:])
         return out.reshape(-1, t.size)
