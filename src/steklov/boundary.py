@@ -69,17 +69,21 @@ from .spectrum import _BLOCK_ENTRIES, _ODD_ALONG, Spectrum
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge on some side; entry numbers the
-    integrand, and reason is the message without its side clause."""
+    integrand, reason is the message without its side clause, and floor is
+    the rounding floor of the side's estimate when the estimate is at it
+    (else None)."""
 
-    def __init__(self, message: str, side: Side, partial_value: float, estimate: float, entry: int = 0):
+    def __init__(self, message: str, side: Side, partial_value: float, estimate: float, entry: int = 0,
+                 floor: float | None = None):
         self.reason = message
         self.side = side
         self.partial_value = partial_value
         self.estimate = estimate
         self.entry = entry
+        self.floor = floor
         super().__init__(
             f"{message} on {side.name} (partial value {partial_value:.6g}, "
-            f"error estimate {estimate:.3g})"
+            f"error estimate {estimate:.3g}" + ("" if floor is None else f", rounding floor {floor:.3g}") + ")"
         )
 
 
@@ -244,7 +248,9 @@ def _integrate_panels(rect: Rectangle, fn, abstol: float, reltol: float, limit: 
     midpoint rounds onto an end, is kept as it is if its estimates are
     finite: its estimate still counts in the total. Once bisection would add
     more than `limit` panels to a side, QuadratureError reports the
-    integrand furthest from its target; a NaN never meets its target.
+    integrand furthest from its target; a NaN never meets its target. It
+    says the tolerance is below rounding, and gives the floor, when that
+    side's estimate is within 50 ulp of the magnitudes of its panel values.
     """
     breaks = [_panel_breaks(hi - lo, nu_max) for lo, hi in map(rect.side_interval, SIDES)]
     side_of = np.repeat(np.arange(len(SIDES)), [br.size - 1 for br in breaks])
@@ -266,8 +272,13 @@ def _integrate_panels(rect: Rectangle, fn, abstol: float, reltol: float, limit: 
             on = side_of == k
             side_est = est[on].sum(axis=0)
             entry = int(np.argmax(side_est / target))
-            raise QuadratureError(f"no convergence within {limit} panel bisections", SIDES[k],
-                                  float(value[on, entry].sum()), float(side_est[entry]), entry)
+            partial, side_est = float(value[on, entry].sum()), float(side_est[entry])
+            # QUADPACK's roundoff test: 50 ulp of the magnitudes of the side's panel values
+            floor = 50.0 * np.finfo(float).eps * float(np.abs(value[on, entry]).sum())
+            if side_est <= floor < math.inf:
+                raise QuadratureError(f"the tolerance is below the rounding floor after {limit} panel bisections",
+                                      SIDES[k], partial, side_est, entry, floor)
+            raise QuadratureError(f"no convergence within {limit} panel bisections", SIDES[k], partial, side_est, entry)
         # a missed panel becomes two new panels, its halves
         keep = ~miss
         side_of = np.concatenate((side_of[keep], side_of[miss], side_of[miss]))
@@ -599,6 +610,7 @@ def _coefficients(g: BoundaryFunction, spec: Spectrum, raw: np.ndarray,
             raise QuadratureError(
                 f"coefficient quadrature failed for {label}: {exc.reason}",
                 exc.side, exc.partial_value / rect.perimeter, exc.estimate / rect.perimeter,
+                floor=None if exc.floor is None else exc.floor / rect.perimeter,
             ) from exc
     values /= rect.perimeter
     estimates /= rect.perimeter

@@ -28,15 +28,15 @@ remain finite in double precision far beyond the overflow of cosh: with 8000
 modes at h = 1 (nu up to about 3142) the top mode, F3, still has a trace
 close to 2 sin(nu y) on G1, as its normalization implies. The unscaled
 normConst = norm_scaled * exp(-nu*aH) underflows to 0.0 at that size (already
-at 1000 modes for h = 0.001), so nothing stores it: the cache file holds
-family, nu and delta. A cache that lists normConst, as older ones do, has it
-checked against the recomputed value wherever that value is representable.
+at 1000 modes for h = 0.001), so nothing stores it: the cache holds family,
+nu and delta. Loading one rebuilds the spectrum its h and selection claim,
+which its rows (and an older cache's normConst column) must match.
 
 The mode math has one implementation, on numpy arrays indexed by mode.
 Branch k of a family brackets one root, so each branch's eigenvalue has
 known bounds before anything is solved; only the branches that can hold a
 kept mode are solved, all families in one lock-step bisection (plus Newton
-polish). Eigenvalues, normalization pairs and characteristic residuals are
+polish). Eigenvalues, normalization pairs and characteristic values are
 computed per element of the same arrays. The public functions of one family,
 find_roots and make_mode, are these array forms on one family's branches or
 on length-1 arrays; only tests and the benchmark's tracer call them.
@@ -266,16 +266,6 @@ def _char_arrays(theta, k_pi, a_t, a_h, tan, sign, derivative: bool = False):
         return f
     dp = 1.0 + p * p
     return f, np.where(tan, dp, -dp) + sign * (1.0 - th * th) * a_h / a_t
-
-
-def _char_residuals(code: np.ndarray, nu: np.ndarray, rect: Rectangle):
-    """The arrays of residuals f and derivative scales max(1, |f'|) of the
-    characteristic equation at the frequencies nu, each on its nearest branch."""
-    a_t, a_h = _extents(code, rect)
-    r = nu * a_t
-    k_pi = np.floor(r / math.pi + 0.5) * math.pi
-    fval, fder = _char_arrays(r - k_pi, k_pi, a_t, a_h, _TAN[code], _SIGN[code], derivative=True)
-    return fval, np.maximum(1.0, np.abs(fder))
 
 
 def _branch_table(rect: Rectangle, counts):
@@ -887,14 +877,9 @@ def save_spectrum(spec: Spectrum, path, texts=None) -> None:
         fh.write(spectrum_to_json(spec, texts))
 
 
-# A cached nu must solve its characteristic equation to this residual,
-# relative to the derivative scale.
-_RESIDUAL_TOL = 1e-8
-
-
-def _row_error(rows: list, names) -> SpectrumError:
+def _row_error(rows: list, names) -> SpectrumError | None:
     """The error naming the first row that lacks a field, names an unknown
-    family or holds a field in names that is not a number."""
+    family or holds a field in names that is not a JSON number, or None."""
     for i, row in enumerate(rows):
         missing = [name for name in ("family", *names) if name not in row]
         if missing:
@@ -902,88 +887,71 @@ def _row_error(rows: list, names) -> SpectrumError:
         if row["family"] not in [tag.value for tag in _TAGS]:
             return SpectrumError(f"cache row {i}: unknown family {row['family']!r}")
         for name in names:
-            try:
-                float(row[name])
-            except (TypeError, ValueError):
+            if type(row[name]) is not float:  # JSON integers are read as floats; a bool or text is no number
                 return SpectrumError(f"cache row {i}: {name} must be a number, got {row[name]!r}")
 
 
 def spectrum_from_json(text: str) -> Spectrum:
-    """Rebuild a spectrum from its cache form, revalidating the eigendata.
+    """The spectrum a cache claims, rebuilt, if the cache lists exactly it.
 
-    Every separable nu must solve its characteristic equation to within
-    _RESIDUAL_TOL; delta is recomputed from nu and must match the cached
-    one, and so must normConst where the cache lists it (caches written
-    before the column was dropped) and the recomputed value is above 1e-290.
-    The first row that fails raises, and so does the first row that lacks a
-    field, names an unknown family or holds a field that is not a number
-    (null, a list, an object or other text): SpectrumError names the row.
+    h and the selection define the spectrum: per family, build_spectrum to
+    the most rows one family lists; global, build_spectrum_by_count of the
+    rows after the constant. The cache must list it row for row: as many
+    rows, the same family in each, and nu and delta equal to 1e-12 relative
+    (an older cache's normConst to 1e-10, where the rebuilt value exceeds
+    1e-290). SpectrumError names the first row that differs, or that lacks
+    a field, names an unknown family or holds a field that is no JSON number.
     """
-    data = json.loads(text)
+    data = json.loads(text, parse_int=float)  # an integer beyond float range reads as inf
     if not isinstance(data, dict):
         raise SpectrumError(f"cache must be a JSON object, got {text[:40]!r}")
     try:
-        rect, selection, rows = Rectangle(float(data["h"])), data["selection"], data["modes"]
+        h, selection, rows = data["h"], data["selection"], data["modes"]
     except KeyError as exc:
         raise SpectrumError(f"cache has no {exc.args[0]!r}") from None
-    except TypeError:
-        raise SpectrumError(f"cache h must be a number, got {data['h']!r}") from None
+    if type(h) is not float:
+        raise SpectrumError(f"cache h must be a number, got {h!r}")
+    rect = Rectangle(float(h))
     if selection not in (PER_FAMILY, GLOBAL_SORTED):
         raise SpectrumError(f"unknown selection policy {selection!r} in cache")
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise SpectrumError("cache modes must be a list of objects")
+    if not rows:
+        raise SpectrumError("cache lists no modes")
+    names = ("nu", "delta", "normConst") if "normConst" in rows[0] else ("nu", "delta")
+    if error := _row_error(rows, names):
+        raise error
+    code = np.array([_CODE[FamilyTag(row["family"])] for row in rows])
+    listed = {name: np.array([row[name] for row in rows], dtype=float) for name in names}
 
-    names = ("nu", "delta", "normConst") if rows and "normConst" in rows[0] else ("nu", "delta")
-    try:
-        code = np.array([_CODE[FamilyTag(row["family"])] for row in rows], dtype=int)
-        nu, *columns = (np.array([float(row[name]) for row in rows]) for name in names)
-    except (KeyError, TypeError, ValueError):  # a missing field, an unknown family, a field that is no number
-        raise _row_error(rows, names) from None
-    cached = dict(zip(names[1:], columns))
-    if not code.size or code[0] != _CODE[FamilyTag.CONST]:
-        raise SpectrumError("cache must list the constant mode first")
-
-    sep = np.flatnonzero(code > _XY)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a nu of 0 or inf fails below
-        resid, scale = _char_residuals(code[sep], nu[sep], rect)
-    bad = np.zeros(code.size, dtype=bool)
-    bad[sep] = ~(np.abs(resid) <= _RESIDUAL_TOL * scale)
-    bad_xy = (code == _XY) & (not rect.is_square)
-    bad_nu = np.zeros(code.size, dtype=bool)
-    bad_nu[sep] = ~(nu[sep] > 0.0)
-    first = np.flatnonzero(bad | bad_xy | bad_nu)
-    if first.size:
-        i = first[0]
-        family = _TAGS[code[i]]
-        if bad[i]:
-            raise SpectrumError(
-                f"cache row {i}: nu={nu[i]} fails the {family.value} characteristic "
-                f"equation: residual {resid[np.searchsorted(sep, i)]:.3g}"
-            )
-        if bad_xy[i]:
-            raise SpectrumError(f"cache row {i}: the xy mode exists only on the square (h = 1)")
-        raise ValueError(f"cache row {i}: nu must be positive, got {nu[i]}")
-
-    # family_rank: the row's ordinal among the rows of its family
-    order = np.argsort(code, kind="stable")
-    rank = np.empty_like(code)
-    rank[order] = np.arange(code.size) - np.searchsorted(code[order], code[order])
-    arrays = _mode_arrays(rect, code, nu, rank)
-    normconst = arrays.norm_scaled * np.exp(-arrays.hyp_scale)
-    recomputed = {"delta": (arrays.delta, 1e-12), "normConst": (normconst, 1e-10)}
-    for name, got in cached.items():
-        ref, tol = recomputed[name]
-        off = np.flatnonzero((ref > 1e-290) & (np.abs(got - ref) > tol * np.maximum(1.0, np.abs(ref))))
-        if off.size:
-            i = off[0]
-            raise SpectrumError(
-                f"cache row {i}: cached {name}={got[i]} disagrees with recomputed {ref[i]} "
-                f"for {_TAGS[code[i]].value}, nu={arrays.nu[i]}"
-            )
-
-    # per family, the most roots of one family; global, the retained count
-    depth = int(np.bincount(code).max()) if selection == PER_FAMILY else code.size - 1
-    return Spectrum(rect, arrays, selection, depth)
+    if selection == PER_FAMILY:
+        spec = build_spectrum(rect, int(np.bincount(code).max()))
+    else:
+        spec = build_spectrum_by_count(rect, code.size - 1)
+    ref = spec.arrays
+    # each cached field's rebuilt value, and the relative tolerance between them
+    normconst = ref.norm_scaled * np.exp(-ref.hyp_scale)
+    rebuilt = {"nu": (ref.nu, 1e-12), "delta": (ref.delta, 1e-12), "normConst": (normconst, 1e-10)}
+    n = min(code.size, spec.size)
+    differs = {"family": code[:n] != ref.code[:n]}
+    for name, got in listed.items():
+        want, tol = rebuilt[name][0][:n], rebuilt[name][1]
+        off = ~(np.abs(got[:n] - want) <= tol * np.abs(want))  # relative: a zero must be listed as zero
+        differs[name] = off & (want > 1e-290) if name == "normConst" else off  # normConst where representable
+    first = np.flatnonzero(np.logical_or.reduce(list(differs.values())))
+    if not first.size and code.size == spec.size:
+        return spec
+    claim = f"the rebuilt {selection} spectrum of depth {spec.depth}"
+    if not first.size:
+        raise SpectrumError(f"cache row {n}: the cache lists {code.size} modes, {claim} has {spec.size}")
+    i = first[0]
+    name, family = next(name for name, off in differs.items() if off[i]), _TAGS[ref.code[i]].value
+    if name == "family":
+        raise SpectrumError(f"cache row {i}: family {rows[i]['family']} where {claim} has {family}, nu={ref.nu[i]}")
+    raise SpectrumError(
+        f"cache row {i}: cached {name}={listed[name][i]} disagrees with rebuilt {rebuilt[name][0][i]} "
+        f"for {family}, nu={ref.nu[i]}"
+    )
 
 
 def load_spectrum(path) -> Spectrum:

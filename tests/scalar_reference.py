@@ -1,8 +1,9 @@
 """Scalar reference for the mode math: Python floats, one mode at a time.
 
 The package finds roots, normalizes and evaluates modes on numpy arrays only
-(`_solve_branches`, `_eigenvalues`, `_norms_scaled`, `_char_residuals` and
-the separable factor kernel of `Spectrum`). These are the scalar formulas
+(`_solve_branches` on the characteristic function `_char_arrays`,
+`_eigenvalues`, `_norms_scaled` and the separable factor kernel of
+`Spectrum`). These are the scalar formulas
 that carried the same math before, kept here, outside the package, as an
 independent reference for the tests: a bracket-per-branch bisection with
 Newton polish, the closed-form normalization, and the value, gradient,

@@ -461,18 +461,24 @@ def _row_field(row, name, value):
 @pytest.mark.parametrize("flag, content, message", [
     ("--cache", lambda cache: [1, 2], "cache must be a JSON object, got '[1, 2]'"),
     ("--cache", lambda cache: {**cache, "h": None}, "cache h must be a number, got None"),
+    ("--cache", lambda cache: {**cache, "h": True}, "cache h must be a number, got True"),
+    ("--cache", lambda cache: {**cache, "h": "0.5"}, "cache h must be a number, got '0.5'"),
+    ("--cache", lambda cache: {**cache, "h": "abc"}, "cache h must be a number, got 'abc'"),
+    ("--cache", lambda cache: {**cache, "h": 10**400}, "aspect ratio h must be positive, got inf"),
     ("--cache", lambda cache: {**cache, "modes": None}, "cache modes must be a list of objects"),
     ("--cache", lambda cache: {**cache, "modes": [1]}, "cache modes must be a list of objects"),
     ("--cache", _row_field(2, "nu", None), "cache row 2: nu must be a number, got None"),
     ("--cache", _row_field(3, "nu", "abc"), "cache row 3: nu must be a number, got 'abc'"),
+    ("--cache", _row_field(2, "nu", "2.5"), "cache row 2: nu must be a number, got '2.5'"),
+    ("--cache", _row_field(0, "delta", False), "cache row 0: delta must be a number, got False"),
     ("--cache", _row_field(3, "delta", "1e"), "cache row 3: delta must be a number, got '1e'"),
     ("--cache", _row_field(3, "family", "f9"), "cache row 3: unknown family 'f9'"),
     ("--g", lambda cache: {"sides": {"G1": None, "G2": 0.0, "G3": 0.0, "G4": 0.0}},
      "boundary spec side G1: expected a number, a string or a list of coefficients, got None"),
     ("--g", lambda cache: {"sides": [1, 2]}, "boundary spec sides must map G1..G4 to values, got [1, 2]"),
     ("--g", lambda cache: {"expr": 5}, "boundary spec expr must be a string, got 5"),
-], ids=["cache-list", "null-h", "null-modes", "int-mode", "null-nu", "text-nu", "text-delta", "unknown-family",
-        "null-side", "list-sides", "int-expr"])
+], ids=["cache-list", "null-h", "bool-h", "numeric-text-h", "text-h", "huge-int-h", "null-modes", "int-mode", "null-nu", "text-nu",
+        "numeric-text-nu", "bool-delta", "text-delta", "unknown-family", "null-side", "list-sides", "int-expr"])
 def test_malformed_json_input_exits_2(tmp_path, capsys, half_cache, flag, content, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content(json.loads(half_cache.read_text()))))
@@ -615,3 +621,16 @@ def test_in_process_calls_share_no_state(tmp_path, capsys, monkeypatch):
         assert [_outcome(argv, capsys) for argv in STATE_CALLS] == want
     assert build_parser() is parser
     assert _files(shared) == _files(fresh)
+
+
+@pytest.mark.parametrize("flags, estimate", [
+    (["--abstol", "1e-16", "--reltol", "1e-14"], "1e-16"),
+    (["--count", "400", "--abstol", "1e-14", "--reltol", "1e-12"], "3.42e-16"),
+], ids=["M5", "count400"])
+def test_tolerance_below_rounding_says_so(capsys, flags, estimate):
+    """An estimate at the rounding floor of its panels is not a convergence failure."""
+    assert run(["solve", "--g", "builtin:f1", "--points", "paper", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "no convergence" not in err
+    assert ": the tolerance is below the rounding floor after 200 panel bisections on G1 (partial value " in err
+    assert f", error estimate {estimate}, rounding floor " in err

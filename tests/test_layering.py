@@ -1,6 +1,7 @@
 """Only spectrum.py evaluates mode factors: no other module of the package
 names the private parts of the factor kernel. Tests of the kernel itself
-may call them."""
+may call them. And no module-level private name of the package is dead:
+some package module reads each one."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,28 @@ def test_only_the_spectrum_module_touches_the_mode_factors():
     assert "spectrum.py" in [path.name for path in modules]
     found = {path.name: refs for path in modules if path.name != "spectrum.py" and (refs := list(kernel_references(path)))}
     assert found == {}
+
+
+def module_private_names(tree: ast.Module):
+    """(line, name) of every private (underscore) name a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_module_level_private_name_is_read():
+    """A private helper or constant no package module reads is dead code."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(Path(steklov.__file__).parent.glob("*.py"))}
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [(module, line, name) for module, tree in trees.items()
+              for line, name in module_private_names(tree) if name not in read]
+    assert unread == []

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steklov import (
     BoundaryFunction,
@@ -27,6 +28,7 @@ from steklov import (
     spectrum_to_json,
 )
 
+from steklov.cli import main
 from steklov.spectrum import ModeArrays
 
 import scalar_reference as ref
@@ -331,6 +333,133 @@ def test_cache_rejects_corrupted_delta_or_norm_const(spec_pf5, column):
 def test_cache_rejects_empty_mode_list():
     with pytest.raises(SpectrumError):
         spectrum_from_json('{"h": 1.0, "selection": "global-sorted", "modes": []}')
+
+
+# A cache is refused unless its rows are the spectrum its h and selection
+# define. Each edit below changes a cache in place and returns the first row
+# the loader must name; an edit of a row the spectrum lacks returns None.
+
+
+def family_rows(rows, family):
+    return [i for i, row in enumerate(rows) if row["family"] == family]
+
+
+def set_field(family, name, value):
+    """The edit setting `name` of the first `family` row to value."""
+    def edit(data, rng=None):
+        found = family_rows(data["modes"], family)
+        if found:
+            data["modes"][found[0]][name] = value
+            return found[0]
+    return edit
+
+
+def swap_f5_f8(data):
+    rows = data["modes"]
+    i, j = family_rows(rows, "f5")[0], family_rows(rows, "f8")[0]
+    rows[i], rows[j] = rows[j], rows[i]
+    return min(i, j)
+
+
+def duplicate_first_f6(data):
+    i = family_rows(data["modes"], "f6")[0]
+    data["modes"].insert(i + 1, dict(data["modes"][i]))
+    return i + 1
+
+
+def delete_second_f6(data):
+    i = family_rows(data["modes"], "f6")[1]
+    del data["modes"][i]
+    return i
+
+
+def relabel_global(data):
+    """Relabel a depth-5 per-family cache global: the first row that differs
+    is the first where the two spectra of its size differ."""
+    data["selection"] = GLOBAL_SORTED
+    rect = Rectangle(data["h"])
+    listed, claimed = build_spectrum(rect, 5).arrays, build_spectrum_by_count(rect, len(data["modes"]) - 1).arrays
+    return int(np.flatnonzero((listed.code != claimed.code) | (listed.nu != claimed.nu))[0])
+
+
+SAME_SIZE_EDITS = {
+    "const-nu-nan": set_field("const", "nu", math.nan),
+    "const-nu-3": set_field("const", "nu", 3),
+    "const-delta-3": set_field("const", "delta", 3),
+    "xy-nu-5": set_field("xy", "nu", 5),
+    "f2-delta-nan": set_field("f2", "delta", math.nan),
+}
+CACHE_EDITS = {
+    "f6-duplicated": duplicate_first_f6,
+    "second-f6-deleted": delete_second_f6,
+    "relabelled-global": relabel_global,
+    **SAME_SIZE_EDITS,
+    "f5-f8-swapped": swap_f5_f8,
+}
+
+
+@pytest.mark.parametrize("edit", CACHE_EDITS.values(), ids=CACHE_EDITS.keys())
+def test_solve_refuses_a_cache_that_is_not_its_spectrum(tmp_path, capsys, spec_pf5, edit):
+    # spec_pf5 is the cache `spectrum --h 1 --M 5` writes
+    data = json.loads(spectrum_to_json(spec_pf5))
+    row = edit(data)
+    cache = tmp_path / "edited.json"
+    cache.write_text(json.dumps(data))
+    assert main(["solve", "--cache", str(cache), "--g", "builtin:f3", "--points", "paper", "--with-exact"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cache row {row}: ")
+
+
+def separable_row(edit):
+    """The edit `edit(row)` of a random separable row (f1..f8)."""
+    def apply(data, rng):
+        found = [i for i, row in enumerate(data["modes"]) if row["family"] not in ("const", "xy")]
+        if found:
+            i = rng.choice(found)
+            edit(data["modes"][i])
+            return i
+    return apply
+
+
+def swap_two_families(data, rng):
+    """Swap a random row with a random row of another family."""
+    rows = data["modes"]
+    i = rng.randrange(len(rows))
+    others = [j for j, row in enumerate(rows) if row["family"] != rows[i]["family"]]
+    if others:
+        j = rng.choice(others)
+        rows[i], rows[j] = rows[j], rows[i]
+        return min(i, j)
+
+
+ROW_EDITS = {
+    **SAME_SIZE_EDITS,
+    "delta-nan": separable_row(lambda row: row.update(delta=math.nan)),
+    "nu-scaled": separable_row(lambda row: row.update(nu=row["nu"] * (1.0 + 1e-9))),
+    "families-swapped": swap_two_families,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    h=st.one_of(st.floats(min_value=1e-3, max_value=1.0), st.floats(min_value=1.0 - 1e-9, max_value=1.0), st.just(1.0)),
+    truncation=st.one_of(st.tuples(st.just(PER_FAMILY), st.integers(1, 8)), st.tuples(st.just(GLOBAL_SORTED), st.integers(0, 300))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cache_round_trip_is_bitwise_and_single_edits_are_refused(h, truncation, seed):
+    rect, (selection, depth) = Rectangle(h), truncation
+    spec = build_spectrum(rect, depth) if selection == PER_FAMILY else build_spectrum_by_count(rect, depth)
+    text = spectrum_to_json(spec)
+    loaded = spectrum_from_json(text)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(loaded.arrays, spec.arrays))
+    assert (loaded.selection, loaded.depth) == (spec.selection, spec.depth)
+    rng = random.Random(seed)
+    for edit in ROW_EDITS.values():
+        data = json.loads(text)
+        row = edit(data, rng)
+        if row is not None:
+            with pytest.raises(SpectrumError, match=rf"^cache row {row}: "):
+                spectrum_from_json(json.dumps(data))
 
 
 def test_vectorized_value_matches_scalar(spec_pf5):

@@ -94,8 +94,19 @@ def test_nan_integrand_fails_within_limit(nan_where):
     with pytest.raises(QuadratureError) as err:
         integrate_boundary(BoundaryFunction.from_xy(nan_data, rect), limit=limit)
     assert err.value.side in SIDES
+    assert err.value.reason == f"no convergence within {limit} panel bisections" and err.value.floor is None
     # each round bisects at least one panel and calls the map once per side
     assert len(calls) <= len(SIDES) * (len(SIDES) * limit + 2)
+
+
+def test_tolerance_below_rounding_gives_the_floor():
+    f = BoundaryFunction.from_xy(lambda x, y: np.exp(x) * np.cos(3.0 * y), Rectangle(1.0))
+    with pytest.raises(QuadratureError) as err:
+        integrate_boundary(f, abstol=1e-18, reltol=1e-17)
+    exc = err.value
+    assert exc.reason == "the tolerance is below the rounding floor after 200 panel bisections"
+    assert 0.0 < exc.estimate <= exc.floor < 1e-12
+    assert str(exc).endswith(f"error estimate {exc.estimate:.3g}, rounding floor {exc.floor:.3g})")
 
 
 def test_nonintegrable_pole_fails():

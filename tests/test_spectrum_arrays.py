@@ -22,7 +22,6 @@ from steklov.spectrum import (
     PER_FAMILY,
     SpectrumError,
     _FAMILIES,
-    _char_residuals,
     spectrum_from_json,
     spectrum_to_json,
 )
@@ -130,10 +129,6 @@ def test_public_eigendata_match_scalar_reference(h, family):
         assert abs(md.delta - md_ref.delta) <= TOL * md_ref.delta and md.hyp_scale == md_ref.hyp_scale
         assert md.norm_scaled == pytest.approx(md_ref.norm_scaled, rel=1e-12)
         assert md.norm_scaled * math.exp(-md.hyp_scale) == pytest.approx(ref.boundary_norm_constant(family, nu, rect), rel=1e-12, abs=1e-300)
-        (resid,), (scale,) = _char_residuals(np.array([md.family.order]), np.array([nu]), rect)
-        resid_ref, scale_ref = ref.char_residual(family, nu, rect)
-        assert scale == pytest.approx(scale_ref, rel=1e-12)
-        assert abs(resid - resid_ref) <= TOL * scale
 
 
 def test_public_eigendata_keep_their_errors():
