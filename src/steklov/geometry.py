@@ -43,7 +43,9 @@ class Rectangle:
     h: float
 
     def __post_init__(self):
-        if not (self.h > 0.0) or not math.isfinite(self.h):
+        if not math.isfinite(self.h):
+            raise GeometryError(f"aspect ratio h must be a finite number, got {self.h}")
+        if not self.h > 0.0:
             raise GeometryError(f"aspect ratio h must be positive, got {self.h}")
         if self.h > 1.0:
             raise GeometryError(

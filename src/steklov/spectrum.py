@@ -20,7 +20,8 @@ matching condition on the trigonometric sides:
 
 with R the eigenvalue factor tanh(nu*aH) or coth(nu*aH) and aT the half-extent
 of the trigonometric axis. Each equation has exactly one root per branch of
-the periodic factor, which gives guaranteed brackets for bisection.
+the periodic factor, which gives guaranteed brackets for a safeguarded
+Newton iteration.
 
 Hyperbolic factors are evaluated in exponentially rescaled form, exp(nu*aH)
 factored out of both the raw profile and the normalization constant, so modes
@@ -35,8 +36,8 @@ which its rows (and an older cache's normConst column) must match.
 The mode math has one implementation, on numpy arrays indexed by mode.
 Branch k of a family brackets one root, so each branch's eigenvalue has
 known bounds before anything is solved; only the branches that can hold a
-kept mode are solved, all families in one lock-step bisection (plus Newton
-polish). Eigenvalues, normalization pairs and characteristic values are
+kept mode are solved, all families in one lock-step safeguarded Newton
+iteration. Eigenvalues, normalization pairs and characteristic values are
 computed per element of the same arrays. The public functions of one family,
 find_roots and make_mode, are these array forms on one family's branches or
 on length-1 arrays; only tests and the benchmark's tracer call them.
@@ -249,23 +250,49 @@ def _norms_scaled(code: np.ndarray, nu: np.ndarray, rect: Rectangle):
     return np.sqrt(rect.perimeter / scaled_integral), s
 
 
-def _char_arrays(theta, k_pi, a_t, a_h, tan, sign, derivative: bool = False):
-    """The characteristic function on branch k at local angle theta, per
-    element: f, or (f, f') with derivative.
+# The Taylor coefficients T_n / (2n+1)! of tan(x) = x + sum_n T_n x^(2n+1) / (2n+1)!
+# for n = 1, ..., 10 (T_n the tangent numbers): with z = x^2 and Q(z) the
+# sum of the n-th coefficient times z^(n-1), tan(x) - x is x * z * Q(z) and
+# tanh(x) - x is -x * z * Q(-z), to within 3e-16 relative for |x| < _TAN_SERIES_MAX.
+_TAN_SERIES = np.array([t / math.factorial(2 * n + 1) for n, t in enumerate(
+    (2, 16, 272, 7936, 353792, 22368256, 1903757312, 209865342976, 29088885112832, 4951498053124096), 1)])
+_TAN_SERIES_MAX = 0.25
+
+
+def _char_arrays(theta, k_pi, a_t, a_h, tan, sign, extra):
+    """The characteristic function f and its derivative f' in theta on branch
+    k at local angle theta, per element.
 
     f is the periodic factor, tan(theta) where tan is set and cot(theta)
-    elsewhere, plus sign * tanh(nu*aH), with nu = (k*pi + theta) / aT and
-    k_pi = k*pi; f' is its derivative in theta.
+    elsewhere, plus sign * tanh(x), with x = nu*aH, nu = (k*pi + theta) / aT
+    and k_pi = k*pi.
+
+    extra lists the elements on the extra low branch (k = 0 of a tan row, aT
+    < aH). Near the square its root is of order sqrt(1 - h), where tan(theta)
+    and tanh(x) agree to most digits: there, where x < _TAN_SERIES_MAX, f is
+    theta * (aT - aH) / aT + (tan(theta) - theta) - (tanh(x) - x), both
+    differences from their Taylor series and aT - aH = h - 1 exact, and f' is
+    (aT - aH) / aT + tan(theta)^2 + tanh(x)^2 * aH / aT.
     """
     nu = (k_pi + theta) / a_t
-    th = np.tanh(nu * a_h)
+    x = nu * a_h
+    th = np.tanh(x)
     p = np.tan(theta)
-    np.divide(1.0, p, out=p, where=~tan)
+    cot = ~tan
+    np.divide(1.0, p, out=p, where=cot)
     f = p + sign * th
-    if not derivative:
-        return f
-    dp = 1.0 + p * p
-    return f, np.where(tan, dp, -dp) + sign * (1.0 - th * th) * a_h / a_t
+    df = p * p
+    df += 1.0
+    np.negative(df, out=df, where=cot)
+    df += sign * (1.0 - th * th) * a_h / a_t
+    near = extra[x[extra] < _TAN_SERIES_MAX]
+    if near.size:
+        t, s, slope = theta[near], x[near], (a_t[near] - a_h[near]) / a_t[near]
+        z = np.array((t * t, -s * s))
+        q = (z[..., None] ** np.arange(_TAN_SERIES.size)) @ _TAN_SERIES  # Q(t^2) and Q(-s^2)
+        f[near] = t * slope + t * t * t * q[0] + s * s * s * q[1]
+        df[near] = slope + p[near] ** 2 + th[near] ** 2 * a_h[near] / a_t[near]
+    return f, df
 
 
 def _branch_table(rect: Rectangle, counts):
@@ -283,31 +310,44 @@ def _branch_table(rect: Rectangle, counts):
     return code, rank, k, np.where(extra & (rank == 0), _TINY_THETA, _LO[code]), _HI[code]
 
 
-_ROOT_TOL = 1e-12  # bracket width in nu of the roots the spectrum builders solve
+_ROOT_TOL = 1e-12  # the last step, in nu, of the roots the spectrum builders solve
+_NEWTON_CAP = 100  # steps of _solve_branches; halving pi/2 to 1e-14 * 1e-3 takes 57
 
 
 def _solve_branches(code, k, lo, hi, rect: Rectangle, tol: float) -> np.ndarray:
     """The root on every branch of _branch_table, all branches in lock-step.
 
     Each branch keeps its bracket end when that end's residual is at rounding
-    level (both ends of the same sign is an error otherwise), or bisects until
-    the bracket is at most tol * aT wide in theta, then takes at most 3
-    Newton steps that stay in the bracket and shrink |f|. tol is _ROOT_TOL,
-    or find_roots' checked argument.
+    level (both ends of the same sign is an error otherwise). The others run
+    a safeguarded Newton iteration (rtsafe, Numerical Recipes section 9.4)
+    from the regula-falsi point of the bracket ends: each evaluation of f
+    replaces the bracket end on its side of the root, and the next point is
+    the Newton step where it lands in the bracket, else the bracket's
+    midpoint. Once a step is at most tol * aT in theta (tol in nu), a step
+    stands only if it shrinks |f|: the branch stops at its last point when
+    the next does not, or is the same float. tol is _ROOT_TOL, or
+    find_roots' checked argument; RootFindError after _NEWTON_CAP steps.
+
+    On the extra branch f is 0 at theta = 0 and falls before it rises
+    through its root; near the square f is about theta^3 - (1 - h) * theta,
+    where a Newton step from above cuts theta by only a third. There the
+    step is Newton's for f / theta as a function of theta^2: the same root,
+    an increasing function, and near the square almost a linear one.
     """
     a_t, a_h = _extents(code, rect)
     k_pi = k * math.pi
     tan, sign = _TAN[code], _SIGN[code]
+    extra = np.flatnonzero(tan & (k == 0))
 
-    def char(theta, derivative=False):
-        return _char_arrays(theta, k_pi, a_t, a_h, tan, sign, derivative)
+    def char(theta):
+        return _char_arrays(theta, k_pi, a_t, a_h, tan, sign, extra)
 
     def fail(i, detail):
         bracket = ((k_pi[i] + lo[i]) / a_t[i], (k_pi[i] + hi[i]) / a_t[i])
         return RootFindError(_TAGS[code[i]], int(k[i]), bracket, detail)
 
-    flo, dlo = char(lo, True)
-    fhi, dhi = char(hi, True)
+    flo, dlo = char(lo)
+    fhi, dhi = char(hi)
     # For large nu the tanh factor saturates and the root sits within an ulp
     # of a bracket end; an end whose residual is at rounding level is the root.
     same = flo * fhi > 0.0
@@ -319,34 +359,35 @@ def _solve_branches(code, k, lo, hi, rect: Rectangle, tol: float) -> np.ndarray:
         i = stray[0]
         raise fail(i, f"f(ends) = ({flo[i]:.3g}, {fhi[i]:.3g})")
 
-    end = np.where(at_lo, lo, hi)
-    a, b, fa = np.where(done, end, lo), np.where(done, end, hi), flo
+    a, b, fa = lo, hi, flo
     theta_tol = tol * a_t
-    for _ in range(250):
-        live = b - a > theta_tol
-        if not live.any():
-            break
-        mid = 0.5 * (a + b)
-        fm = char(mid)
-        left = fa * fm < 0.0
-        b = np.where(live & (left | (fm == 0.0)), mid, b)
-        up = live & ~left
-        a, fa = np.where(up, mid, a), np.where(up, fm, fa)
-    else:
-        raise fail(np.flatnonzero(b - a > theta_tol)[0], "bisection iteration cap reached")
-
-    theta = 0.5 * (a + b)
-    fval, fder = char(theta, True)
-    polish = ~done
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(3):
-            cand = theta - fval / fder
-            polish &= (fder != 0.0) & (lo <= cand) & (cand <= hi)
-            if not polish.any():
+    live, close = ~done, np.zeros_like(done)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only in values np.where discards
+        theta = np.where(done, np.where(at_lo, lo, hi), lo - flo * (hi - lo) / (fhi - flo))
+        best, fbest = theta, np.full(theta.shape, np.inf)  # the last point evaluated, and its |f|
+        for _ in range(_NEWTON_CAP):
+            if not live.any():
                 break
-            cval, cder = char(cand, True)
-            polish &= np.abs(cval) < np.abs(fval)
-            theta, fval, fder = (np.where(polish, new, old) for new, old in ((cand, theta), (cval, fval), (cder, fder)))
+            f, df = char(theta)
+            # once the steps are within tol, a step stands only if it shrinks |f|;
+            # a stopped branch's theta is its last point evaluated, best
+            af = np.abs(f)
+            live &= ~close | (af < fbest)
+            theta = np.where(live, theta, best)
+            best, fbest = theta, af
+            # theta becomes the bracket end on its side of the root
+            up = (f < 0.0) == (fa < 0.0)
+            a, fa, b = np.where(up, theta, a), np.where(up, f, fa), np.where(up, b, theta)
+            nxt = theta - f / df
+            if extra.size:  # the Newton step of f / theta in theta^2
+                t, g = theta[extra], f[extra] / theta[extra]
+                nxt[extra] = t * np.sqrt(1.0 - 2.0 * g / (df[extra] - g))
+            nxt = np.where((a <= nxt) & (nxt <= b), nxt, 0.5 * (a + b))
+            close |= np.abs(nxt - theta) <= theta_tol
+            live &= nxt != theta
+            theta = np.where(live, nxt, theta)
+    if live.any():
+        raise fail(np.flatnonzero(live)[0], f"no convergence in {_NEWTON_CAP} safeguarded Newton steps")
     return (k_pi + theta) / a_t
 
 
@@ -361,8 +402,10 @@ def find_roots(family: FamilyTag, rect: Rectangle, count: int, tol: float = _ROO
     """The `count` smallest positive roots of a family's characteristic equation.
 
     Each root is bracketed on a single branch of the periodic factor and
-    refined by bisection until the bracket width (in nu) is at most `tol`,
-    then polished with a few Newton steps inside the bracket.
+    refined by safeguarded Newton steps inside the bracket until a step is
+    at most `tol` in nu, then by further steps while they shrink the
+    residual: `tol` bounds the last step, and the root is within about
+    `tol` (within a few ulp at the default _ROOT_TOL).
     """
     if not family.is_separable:
         raise SpectrumError(f"{family.value} has no characteristic equation")
@@ -802,8 +845,8 @@ def build_spectrum(rect: Rectangle, m: int, selection: str = PER_FAMILY) -> Spec
 
     Per-family: the first m roots of each family (on the square, xy leads the
     class-II block and the block keeps its 2m slots). Global: the 8m smallest
-    eigenvalues over all families merged. The roots are bisected to brackets
-    of _ROOT_TOL in nu, as in find_roots.
+    eigenvalues over all families merged. The roots are solved to a last
+    step of _ROOT_TOL in nu, as in find_roots.
     """
     if m < 1:
         raise ValueError(f"spectrum depth must be >= 1, got {m}")
@@ -899,8 +942,11 @@ def spectrum_from_json(text: str) -> Spectrum:
     rows after the constant. The cache must list it row for row: as many
     rows, the same family in each, and nu and delta equal to 1e-12 relative
     (an older cache's normConst to 1e-10, where the rebuilt value exceeds
-    1e-290). SpectrumError names the first row that differs, or that lacks
-    a field, names an unknown family or holds a field that is no JSON number.
+    1e-290). The rebuilt roots, the near-square extra F3 root included, are
+    within a few ulp of the exact ones, so the 1e-12 bound checks the cached
+    numbers' accuracy, not rounding noise. SpectrumError names the first row
+    that differs, or that lacks a field, names an unknown family or holds a
+    field that is no JSON number.
     """
     data = json.loads(text, parse_int=float)  # an integer beyond float range reads as inf
     if not isinstance(data, dict):

@@ -18,6 +18,10 @@ import math
 from steklov import FamilyTag, Rectangle, RootFindError, Side, SpectrumError, SteklovMode
 from steklov.spectrum import _FAMILIES, _FamilyInfo
 
+# Aspect ratios just below the square, where the extra F3 root is of order
+# sqrt(1 - h): the near-square cases of the 40-digit oracle tests.
+NEAR_SQUARE = [1.0 - eps for eps in (1e-10, 1e-9, 3.2e-9, 1e-8, 1e-7, 1e-6)]
+
 
 def family_info(family: FamilyTag) -> _FamilyInfo:
     try:

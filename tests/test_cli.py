@@ -242,6 +242,17 @@ def test_cache_for_another_h_exits_2(tmp_path, half_cache, capsys, h):
     assert "cache is for h=0.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h, message", [
+    ("inf", "aspect ratio h must be a finite number, got inf"),
+    ("nan", "aspect ratio h must be a finite number, got nan"),
+    ("-0.5", "aspect ratio h must be positive, got -0.5"),
+])
+def test_aspect_ratio_outside_range_says_which_rule(tmp_path, capsys, h, message):
+    assert run(["grid", "--g", "builtin:f1", "--h", h, "--grid", "5", "--out", str(tmp_path / "g.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_check_honours_count_and_global(monkeypatch):
     from steklov.analysis import SuiteReport
 
@@ -464,7 +475,7 @@ def _row_field(row, name, value):
     ("--cache", lambda cache: {**cache, "h": True}, "cache h must be a number, got True"),
     ("--cache", lambda cache: {**cache, "h": "0.5"}, "cache h must be a number, got '0.5'"),
     ("--cache", lambda cache: {**cache, "h": "abc"}, "cache h must be a number, got 'abc'"),
-    ("--cache", lambda cache: {**cache, "h": 10**400}, "aspect ratio h must be positive, got inf"),
+    ("--cache", lambda cache: {**cache, "h": 10**400}, "aspect ratio h must be a finite number, got inf"),
     ("--cache", lambda cache: {**cache, "modes": None}, "cache modes must be a list of objects"),
     ("--cache", lambda cache: {**cache, "modes": [1]}, "cache modes must be a list of objects"),
     ("--cache", _row_field(2, "nu", None), "cache row 2: nu must be a number, got None"),

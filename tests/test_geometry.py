@@ -21,6 +21,14 @@ def test_bad_aspect_ratio_rejected(h):
         Rectangle(h)
 
 
+@pytest.mark.parametrize("h, rule", [(0.0, "positive"), (-0.2, "positive"), (1.5, "h <= 1"),
+                                     (math.inf, "a finite number"), (-math.inf, "a finite number"),
+                                     (math.nan, "a finite number")])
+def test_bad_aspect_ratio_names_its_rule(h, rule):
+    with pytest.raises(GeometryError, match=rule):
+        Rectangle(h)
+
+
 def test_side_lengths_sum_to_perimeter():
     r = Rectangle(0.37)
     assert sum(hi - lo for lo, hi in map(r.side_interval, SIDES)) == pytest.approx(r.perimeter, rel=1e-15)

@@ -13,6 +13,8 @@ from steklov import FamilyTag, Rectangle, build_spectrum_by_count
 from steklov.analysis import check_orthonormality
 from steklov.spectrum import _norms_scaled
 
+from scalar_reference import NEAR_SQUARE
+
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
@@ -23,8 +25,6 @@ PROFILES = {
     FamilyTag.F5: ("x", "cosh", "sin"), FamilyTag.F6: ("y", "sinh", "cos"),
     FamilyTag.F7: ("x", "sinh", "cos"), FamilyTag.F8: ("y", "cosh", "sin"),
 }
-
-NEAR_SQUARE = [1.0 - eps for eps in (1e-10, 1e-9, 3.2e-9, 1e-8, 1e-7, 1e-6)]
 
 
 def oracle_norm_scaled(family: FamilyTag, nu: float, h: float):

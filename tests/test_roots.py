@@ -1,12 +1,17 @@
-"""Characteristic-equation roots against an independent bisection oracle."""
+"""Characteristic-equation roots against an independent bisection oracle and a
+40-digit mpmath oracle, and the number of characteristic evaluations a build
+takes."""
 
 import math
 
+import numpy as np
 import pytest
 
-from steklov import FamilyTag, Rectangle, RootFindError, find_roots, make_mode
+from steklov import FamilyTag, Rectangle, RootFindError, build_spectrum_by_count, find_roots, make_mode
+from steklov import spectrum
+from steklov.spectrum import _FAMILIES
 
-from scalar_reference import char_residual, eigenvalue_of
+from scalar_reference import NEAR_SQUARE, char_residual, eigenvalue_of
 
 SEPARABLE = [getattr(FamilyTag, f"F{k}") for k in range(1, 9)]
 
@@ -131,3 +136,57 @@ def test_large_branch_saturated_tanh():
     for nu in roots[-5:]:
         resid, scale = char_residual(FamilyTag.F1, nu, rect)
         assert abs(resid) <= 1e-11 * scale
+
+
+def oracle_root(family: FamilyTag, nu: float, h: float) -> float:
+    """The root next to nu of the family's characteristic equation, at 40 digits:
+    tan(nu*aT) + R(nu) = 0 for a cos profile, cot(nu*aT) - R(nu) = 0 for a sin
+    profile, R(nu) = tanh(nu*aH) for a cosh profile and coth(nu*aH) for a sinh one."""
+    mp = pytest.importorskip("mpmath").mp
+    info = _FAMILIES[family]
+    with mp.workdps(40):
+        h = mp.mpf(h)
+        a_t, a_h = (h, mp.mpf(1)) if info.hyp_axis == "x" else (mp.mpf(1), h)
+        R = mp.tanh if info.hyp == "cosh" else mp.coth
+        if info.trig == "cos":
+            char = lambda v: mp.tan(v * a_t) + R(v * a_h)
+        else:
+            char = lambda v: mp.cot(v * a_t) - R(v * a_h)
+        return mp.findroot(char, mp.mpf(nu))
+
+
+@pytest.mark.parametrize("h", [1.0, 0.8, 0.5, 0.1, 0.01, 1e-3] + NEAR_SQUARE)
+def test_roots_match_a_40_digit_oracle(h):
+    # near the square the extra F3 root, nu of order sqrt(1 - h), is where
+    # tan(theta) and tanh(nu) cancel; it must be as accurate as the others
+    spec = build_spectrum_by_count(Rectangle(h), 400)
+    rows = np.r_[np.arange(1, 41), np.arange(41, spec.size, 37)]  # the first 40, then a sample
+    rows = rows[spec.arrays.code[rows] > 1]  # the separable modes
+    worst = 0.0
+    for row in rows:
+        nu = float(spec.arrays.nu[row])
+        want = oracle_root(spec.family(row), nu, h)
+        worst = max(worst, float(abs((nu - want) / want)))
+    assert worst <= 1e-14, worst
+
+
+@pytest.mark.parametrize("count", [41, 400, 1200])
+@pytest.mark.parametrize("h", [1.0, 0.8, 0.6])
+def test_a_build_takes_few_characteristic_evaluations(monkeypatch, h, count):
+    # the bracket ends, then one lock-step safeguarded Newton iteration
+    calls = []
+    evaluate = spectrum._char_arrays
+    monkeypatch.setattr(spectrum, "_char_arrays", lambda *args: calls.append(1) or evaluate(*args))
+    spec = build_spectrum_by_count(Rectangle(h), count)
+    assert spec.size == count + 1
+    assert 2 < len(calls) <= 16, len(calls)
+
+
+def test_root_find_errors_name_the_branch(monkeypatch):
+    # F1's branch k = 1 on the square has its root near theta = -0.7804
+    square, f1 = Rectangle(1.0), np.array([spectrum._CODE[FamilyTag.F1]])
+    with pytest.raises(RootFindError, match=r"f1: .* branch 1, .*: f\(ends\) = "):
+        spectrum._solve_branches(f1, np.array([1]), np.array([-math.pi / 4]), np.array([-0.785]), square, 1e-12)
+    monkeypatch.setattr(spectrum, "_NEWTON_CAP", 2)
+    with pytest.raises(RootFindError, match="no convergence in 2 safeguarded Newton steps"):
+        find_roots(FamilyTag.F1, Rectangle(0.8), 3)

@@ -101,7 +101,7 @@ def test_per_family_build_matches_scalar_reference(h, m):
 
 def test_saturated_branches_take_the_bracket_end():
     # where tanh rounds to 1 the root sits within an ulp of a bracket end and
-    # both ends have the same sign; bisection alone would pick the wrong end
+    # both ends have the same sign; a sign-change search alone would fail there
     rect = Rectangle(1.0)
     saturated = set()
     for family, modes in by_family(build_spectrum_by_count(rect, 400)).items():
@@ -176,7 +176,8 @@ def test_cache_rejects_nonpositive_or_infinite_nu(family, nu):
 
 
 @settings(max_examples=60, deadline=None)
-@given(h=st.floats(min_value=1e-3, max_value=1.0), count=st.integers(min_value=0, max_value=500))
+@given(h=st.floats(min_value=1e-3, max_value=1.0) | st.floats(min_value=3.0, max_value=15.0).map(lambda u: 1.0 - 10.0**-u),
+       count=st.integers(min_value=0, max_value=500))
 def test_global_build_properties(h, count):
     rect = Rectangle(h)
     spec = build_spectrum_by_count(rect, count)
