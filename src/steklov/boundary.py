@@ -40,10 +40,14 @@ every mode is even or odd in t (its factor along the side is cos or cosh,
 or sin, sinh or linear), and it is even or odd under p -> -p. So the data
 enter folded, w * (g(t) + g(-t)) and w * (g(t) - g(-t)) on a side and on
 its reflected side, and each mode takes the even or the odd pair of its
-sums. The orthonormality Gram matrix of a spectrum (mode_gram_matrix) uses
-the Kronrod weights of the node set for 2 * nu_max and the same symmetry:
-modes of different parity classes are orthogonal, and each class block is 4
-times its sum over these nodes.
+sums. Data with a symmetry cancel whole classes: where a class's pair of
+folded columns makes its sums exactly 0 for every data, bit for bit, the
+class is not evaluated on that side if that saves _SKIP_ENTRIES mode x
+node entries, and its rows keep their zeros. The orthonormality Gram
+matrix of a spectrum (mode_gram_matrix) uses the Kronrod weights of the
+node set for 2 * nu_max and the same symmetry: modes of different parity
+classes are orthogonal, and each class block is 4 times its sum over these
+nodes.
 
 Every other boundary integral takes the same panels and rule, adaptively
 (_integrate_panels): integrate_boundary, analysis.boundary_l2, and the
@@ -517,6 +521,50 @@ def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
     return out
 
 
+# A parity class whose sums cancel exactly on a side is skipped there
+# (_cancelled_classes): only the other classes are evaluated, as a
+# sub-spectrum (Spectrum.take), and the skipped rows keep their exact zeros.
+# The sub-spectrum and its factor plans cost 60-170 us (100-300 modes, one
+# CPU), the factor kernel and the products about 8 ns per mode x node
+# entry. So a side skips only when that drops at least _SKIP_ENTRIES
+# entries, about 160 us of kernel time, and a side of fewer entries in all
+# is not checked. The 400-mode solves of symmetric data drop 49k-132k
+# entries per side (not the 400 x 49 of the short sides at h = 0.1); a
+# 41-80-mode pass of the tables or of a field solve has at most 80 x 98
+# entries per side and evaluates every mode, as before.
+_SKIP_ENTRIES = 20_000
+# The folded columns come in pairs (A, B), the side's and the reflected
+# side's, per rule and parity: Gauss even, Gauss odd, Kronrod even, Kronrod
+# odd. f @ _PAIR_SUMS gives A - B and A + B of each pair, exactly (one
+# rounding of two exact terms). A parity class (2 * odd along x + odd along
+# y) cancels on a side along axis a where its pair under each rule, even or
+# odd by its parity along a, has A - B = 0 (odd along one axis only: sigma
+# -1) or A + B = 0 (sigma +1): _CANCEL_COLUMNS[a] holds those two columns.
+_PAIR_SUMS = np.kron(np.eye(4), [[1.0, 1.0], [-1.0, 1.0]])
+_ODD_X, _ODD_Y = np.divmod(np.arange(4), 2)  # per parity class
+_CANCEL_COLUMNS = [(col, col + 4) for col in (2 * odd + (_ODD_X == _ODD_Y) for odd in (_ODD_X, _ODD_Y))]
+
+
+def _cancelled_classes(folded, along: int) -> np.ndarray:
+    """(4,) bools: the parity classes whose sums are exactly 0 for every
+    folded data in `folded` (_fixed_node_integrals) on a side along axis
+    `along`, under both rules.
+
+    A class takes the even or the odd pair (A, B) of columns, by its parity
+    along the side, and sums S @ A + sigma * S @ B. Equal columns give equal
+    products, and a product of -B is minus that of B, so the sum is exactly
+    0, bit for bit, where A - B (sigma -1) or A + B (sigma +1) is 0 at
+    every node: A = -sigma * B, both 0 included, and both finite. An inf or
+    a NaN in a row makes every difference and sum of the row NaN, and no
+    class cancels there.
+    """
+    zero = np.ones(8, dtype=bool)
+    for f in folded:
+        zero &= ~(f @ _PAIR_SUMS).any(axis=0)
+    gauss, kronrod = _CANCEL_COLUMNS[along]
+    return zero[gauss] & zero[kronrod]
+
+
 def _fixed_node_integrals(gs, spec: Spectrum) -> list[np.ndarray]:
     """(K+1, 2) per data in gs: raw integrals against the constant and every
     mode, by the Gauss rule (column 0) and the Kronrod rule (column 1).
@@ -527,10 +575,13 @@ def _fixed_node_integrals(gs, spec: Spectrum) -> list[np.ndarray]:
     its sums, a mode odd in t the odd pair, and the reflected side's sum
     enters with the mode's reflection sign. The modes are evaluated once per
     node for all the data; each data takes its own product with every
-    block, as it would alone.
+    block, as it would alone. The classes whose sums cancel for every data
+    are not evaluated where that saves _SKIP_ENTRIES mode x node entries.
     """
     rect = spec.rectangle
     odd, sigma = _parities(spec)
+    parity_class = 2 * odd[1:, 0] + odd[1:, 1]
+    subs = {}  # the evaluated sub-spectrum and its rows, per set of skipped classes
     raws = [np.zeros((spec.size, 2)) for _ in gs]
     for side, t, x, y, gauss, kronrod in _boundary_nodes(rect, _nu_max(spec)):
         both = np.concatenate((t, -t))
@@ -542,12 +593,21 @@ def _fixed_node_integrals(gs, spec: Spectrum) -> list[np.ndarray]:
             # each; under the Gauss weights, then under the Kronrod weights
             f = np.column_stack((gp + gm, rp + rm, gp - gm, rp - rm))
             folded.append(np.hstack((gauss[:, None] * f, kronrod[:, None] * f)))
-        sums = [np.zeros((spec.size, 8)) for _ in gs]
-        for block, s in _mode_blocks(spec, x, y):
-            for f, total in zip(folded, sums):
-                total[1:] += s @ f[block]
-        for raw, f, total in zip(raws, folded, sums):
-            total[0] = f.sum(axis=0)
+        sub, rows = spec, slice(1, None)
+        if (spec.size - 1) * t.size >= _SKIP_ENTRIES:
+            skipped = _cancelled_classes(folded, _ALONG[side])
+            if np.count_nonzero(skipped[parity_class]) * t.size >= _SKIP_ENTRIES:
+                if (key := skipped.tobytes()) not in subs:
+                    live = 1 + np.flatnonzero(~skipped[parity_class])
+                    subs[key] = spec.take(np.append(0, live)), live
+                sub, rows = subs[key]
+        parts = [np.zeros((sub.size - 1, 8)) for _ in gs]
+        for block, s in _mode_blocks(sub, x, y):
+            for f, part in zip(folded, parts):
+                part += s @ f[block]
+        for raw, f, part in zip(raws, folded, parts):
+            total = np.zeros((spec.size, 8))
+            total[0], total[rows] = f.sum(axis=0), part
             total = total.reshape(spec.size, 2, 4)
             pair = np.where(odd[:, _ALONG[side], None, None], total[..., 2:], total[..., :2])
             raw += pair[..., 0] + sigma[:, None] * pair[..., 1]

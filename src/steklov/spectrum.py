@@ -312,6 +312,11 @@ def _branch_table(rect: Rectangle, counts):
 
 _ROOT_TOL = 1e-12  # the last step, in nu, of the roots the spectrum builders solve
 _NEWTON_CAP = 100  # steps of _solve_branches; halving pi/2 to 1e-14 * 1e-3 takes 57
+# The floor of the step tolerance in theta, in ulp of the bracket's larger
+# end: tol * aT falls below one ulp of theta (0.8-1.6) once aT < 2e-4 at
+# _ROOT_TOL, where no step can reach it. 4 ulp is 8.9e-16 at most, below
+# _ROOT_TOL * aT for every aT >= 1e-3, so it binds only on thinner rectangles.
+_STEP_ULPS = 4.0
 
 
 def _solve_branches(code, k, lo, hi, rect: Rectangle, tol: float) -> np.ndarray:
@@ -323,7 +328,8 @@ def _solve_branches(code, k, lo, hi, rect: Rectangle, tol: float) -> np.ndarray:
     from the regula-falsi point of the bracket ends: each evaluation of f
     replaces the bracket end on its side of the root, and the next point is
     the Newton step where it lands in the bracket, else the bracket's
-    midpoint. Once a step is at most tol * aT in theta (tol in nu), a step
+    midpoint. Once a step is at most tol * aT in theta (tol in nu), or
+    _STEP_ULPS ulp of the bracket's larger end if that is more, a step
     stands only if it shrinks |f|: the branch stops at its last point when
     the next does not, or is the same float. tol is _ROOT_TOL, or
     find_roots' checked argument; RootFindError after _NEWTON_CAP steps.
@@ -360,7 +366,7 @@ def _solve_branches(code, k, lo, hi, rect: Rectangle, tol: float) -> np.ndarray:
         raise fail(i, f"f(ends) = ({flo[i]:.3g}, {fhi[i]:.3g})")
 
     a, b, fa = lo, hi, flo
-    theta_tol = tol * a_t
+    theta_tol = np.maximum(tol * a_t, _STEP_ULPS * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
     live, close = ~done, np.zeros_like(done)
     with np.errstate(divide="ignore", invalid="ignore"):  # only in values np.where discards
         theta = np.where(done, np.where(at_lo, lo, hi), lo - flo * (hi - lo) / (fhi - flo))
@@ -405,7 +411,11 @@ def find_roots(family: FamilyTag, rect: Rectangle, count: int, tol: float = _ROO
     refined by safeguarded Newton steps inside the bracket until a step is
     at most `tol` in nu, then by further steps while they shrink the
     residual: `tol` bounds the last step, and the root is within about
-    `tol` (within a few ulp at the default _ROOT_TOL).
+    `tol` (within a few ulp at the default _ROOT_TOL). On a thin rectangle,
+    where `tol` times the trigonometric half-extent aT is below a few ulp of
+    the local angle nu * aT - k * pi, the last step is bounded by those ulp
+    instead, _STEP_ULPS of them: `tol` is then that many ulp divided by aT
+    (4e-12 to 9e-12 in nu at aT = 1e-4).
     """
     if not family.is_separable:
         raise SpectrumError(f"{family.value} has no characteristic equation")

@@ -10,18 +10,21 @@ has one at each panel centre) sits there. A coefficient is the K49 sum, its
 estimate |K49 - G24|."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from steklov import (
     BoundaryFunction,
+    QuadratureError,
     Rectangle,
     SIDES,
     Side,
     build_spectrum,
     build_spectrum_by_count,
     builtin_boundary,
+    corner_bilinear_reduction,
     steklov_coefficients,
 )
 from steklov import boundary, spectrum
@@ -270,6 +273,133 @@ def test_blocks_give_the_sums_of_64_node_evaluations(h, count):
     for name, g, raw in zip(FOLD_DATA, data, boundary._fixed_node_integrals(data, spec)):
         assert np.array_equal(raw, integrals_by_64_nodes(g, spec)), name
     assert np.array_equal(mode_gram_matrix(spec), gram_by_64_nodes(spec))
+
+
+SKIP_DATA = {
+    # even in x and y: only class I is live
+    "bd2": lambda rect: builtin_boundary("bd2", rect),
+    # even in y: classes I and IV
+    "f2-corner": lambda rect: corner_bilinear_reduction(builtin_boundary("f2", rect), rect)[-1],
+    "exp(x)*cos(y)": lambda rect: BoundaryFunction.from_expression("exp(x)*cos(y)", rect),
+    # odd in y: classes II and III
+    "bd3": lambda rect: builtin_boundary("bd3", rect, 1.0),
+    # odd under the point reflection: classes III and IV
+    "bd1": lambda rect: builtin_boundary("bd1", rect),
+    # no symmetry: every class
+    "f3": lambda rect: builtin_boundary("f3", rect),
+    # even in x and y up to parity noise at the Kronrod-only nodes, where
+    # only the K49 sums of class III differ from 0
+    "f1": lambda rect: builtin_boundary("f1", rect),
+}
+
+
+@pytest.mark.parametrize("skip", [boundary._SKIP_ENTRIES, 0], ids=["cost-rule", "always"])
+@pytest.mark.parametrize("h", [1.0, 1.0 - 1e-9, 0.5, 0.1])
+@pytest.mark.parametrize("count", [41, 400])
+def test_skipped_classes_keep_every_sum_bit_for_bit(monkeypatch, skip, h, count):
+    # the reference evaluates every mode; skip 0 skips every cancelled class,
+    # also where the cost rule would not
+    monkeypatch.setattr(boundary, "_SKIP_ENTRIES", skip)
+    rect = Rectangle(h)
+    spec = build_spectrum_by_count(rect, count)
+    for name, make in SKIP_DATA.items():
+        g = make(rect)
+        assert np.array_equal(boundary._fixed_node_integrals([g], spec)[0], integrals_by_64_nodes(g, spec)), name
+    # a class is skipped only where it cancels for every data of the batch
+    mixed = [SKIP_DATA["f3"](rect), SKIP_DATA["bd2"](rect)]
+    for name, g, raw in zip(("f3", "bd2"), mixed, boundary._fixed_node_integrals(mixed, spec)):
+        assert np.array_equal(raw, integrals_by_64_nodes(g, spec)), name
+
+
+def evaluated_rows(monkeypatch, g, spec):
+    """The number of modes each Spectrum.values call of a coefficient set of g
+    evaluates, per side: G1 (one x for all nodes) or G2."""
+    values = spectrum.Spectrum.values
+    rows = []
+
+    def counted(self, x, y, derivative=False):
+        rows.append(("G1" if np.size(x) == 1 else "G2", self.size - 1))
+        return values(self, x, y, derivative)
+
+    monkeypatch.setattr(spectrum.Spectrum, "values", counted)
+    steklov_coefficients(g, spec)
+    monkeypatch.setattr(spectrum.Spectrum, "values", values)
+    return sorted(set(rows))
+
+
+def test_symmetric_data_evaluate_only_their_live_classes(monkeypatch):
+    # bd2 is even in x and y, so only class I (even along both axes) is
+    # live on either side; f3 has no symmetry and evaluates every mode
+    rect = Rectangle(0.5)
+    spec = build_spectrum_by_count(rect, 400)
+    odd, _ = boundary._parities(spec)
+    per_class = np.bincount(2 * odd[1:, 0] + odd[1:, 1], minlength=4)
+    assert per_class.tolist() == [100, 100, 100, 100]
+    assert evaluated_rows(monkeypatch, builtin_boundary("bd2", rect), spec) == [("G1", 100), ("G2", 100)]
+    assert evaluated_rows(monkeypatch, builtin_boundary("f3", rect), spec) == [("G1", 400), ("G2", 400)]
+    # 41 modes on 49 nodes per side: below the cost rule, every mode
+    small = build_spectrum_by_count(rect, 41)
+    assert evaluated_rows(monkeypatch, builtin_boundary("bd2", rect), small) == [("G1", 41), ("G2", 41)]
+    # a side skips only what drops _SKIP_ENTRIES entries: with the rule at
+    # 350 modes' worth of G1's nodes, G1 would drop 300 modes' worth, and
+    # evaluates every mode
+    g1_nodes, g2_nodes = [t.size for _, t, *_ in boundary._boundary_nodes(rect, spec.arrays.nu.max())]
+    monkeypatch.setattr(boundary, "_SKIP_ENTRIES", 350 * g1_nodes)
+    assert 300 * g2_nodes >= boundary._SKIP_ENTRIES
+    assert evaluated_rows(monkeypatch, builtin_boundary("bd2", rect), spec) == [("G1", 400), ("G2", 100)]
+
+
+def spiked_bd2(spec, value, sides):
+    """bd2, even in x and y, but for the value at the first Gauss node of G1
+    (t > 0), on G1 if in sides, and at its point reflection on G3 if in sides."""
+    rect = spec.rectangle
+    _, t, _, _, gauss, _ = next(boundary._boundary_nodes(rect, spec.arrays.nu.max()))
+    node = t[gauss > 0][0]
+    maps = dict(builtin_boundary("bd2", rect).side_maps)
+    for side, y0 in ((Side.G1, node), (Side.G3, -node)):  # G1(t) = (1, t), G3(t) = (-1, -t)
+        if side in sides:
+            maps[side] = lambda x, y, fn=maps[side], y0=y0: np.where(y == y0, value, fn(x, y))
+    return BoundaryFunction(rect, maps)
+
+
+def coefficients_or_error(g, spec):
+    try:
+        co = steklov_coefficients(g, spec)
+    except QuadratureError as exc:
+        return str(exc)
+    return co.gbar, co.values, co.estimates
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("where", ["G1-node", "G1-G3-node", "G1-G3"])
+def test_non_finite_data_end_as_without_the_skip(monkeypatch, value, where):
+    # an inf at the node on G1 and at its reflection on G3 makes the even
+    # columns of G1 equal, inf at the same row under both rules, and the
+    # class IV sums inf - inf = NaN with every mode evaluated: a column
+    # that is not finite never cancels. G2 and G4 are symmetric and skip.
+    # The fallback's bisected panels miss the node and give finite
+    # coefficients; with G1 and G3 all inf or NaN it raises
+    rect = Rectangle(0.5)
+    spec = build_spectrum_by_count(rect, 400)
+    if where == "G1-G3":
+        g = BoundaryFunction.from_sides(rect, {Side.G1: value, Side.G2: -1.0, Side.G3: value, Side.G4: -1.0})
+    else:
+        g = spiked_bd2(spec, value, (Side.G1, Side.G3) if where == "G1-G3-node" else (Side.G1,))
+    outcomes = []
+    with np.errstate(invalid="ignore"):
+        # every class that cancels skipped, then every class evaluated
+        for skip in (0, math.inf):
+            monkeypatch.setattr(boundary, "_SKIP_ENTRIES", skip)
+            outcomes.append((boundary._fixed_node_integrals([g], spec)[0], coefficients_or_error(g, spec)))
+        reference = integrals_by_64_nodes(g, spec)
+    (raw, got), (raw_all, want) = outcomes
+    assert not np.isfinite(raw).all()
+    assert np.array_equal(raw, raw_all, equal_nan=True) and np.array_equal(raw, reference, equal_nan=True)
+    assert isinstance(want, str) == (where == "G1-G3")
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_evaluation_blocks_are_whole_64_node_blocks_within_the_entry_budget(monkeypatch):

@@ -12,7 +12,9 @@ KERNEL = {"_factors", "_factor_table", "_axis_tables", "_factor_plan", "_apply_k
 
 
 def kernel_references(path: Path):
-    """(line, name) of every attribute, name or import of a KERNEL name in the module at path."""
+    """(line, name) of every attribute, name, import or string of a KERNEL
+    name in the module at path; a string reaches the kernel through getattr
+    or a cached property's __dict__ entry."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Attribute):
             names = [node.attr]
@@ -20,6 +22,8 @@ def kernel_references(path: Path):
             names = [node.id]
         elif isinstance(node, ast.ImportFrom):
             names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
         else:
             continue
         yield from ((node.lineno, name) for name in names if name in KERNEL)
@@ -30,6 +34,15 @@ def test_only_the_spectrum_module_touches_the_mode_factors():
     assert "spectrum.py" in [path.name for path in modules]
     found = {path.name: refs for path in modules if path.name != "spectrum.py" and (refs := list(kernel_references(path)))}
     assert found == {}
+
+
+def test_the_coefficient_pass_reaches_no_factor_plan():
+    """boundary.py evaluates the live parity classes of a coefficient pass
+    as a row subset, Spectrum.take: the subset's factor plans are built
+    inside spectrum.py, and boundary.py names no plan, kind table or kernel."""
+    path = Path(steklov.__file__).parent / "boundary.py"
+    assert {"_factor_plan", "_factor_table", "_axis_tables", "_apply_kinds"} <= KERNEL
+    assert list(kernel_references(path)) == []
 
 
 def module_private_names(tree: ast.Module):

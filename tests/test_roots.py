@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from steklov import FamilyTag, Rectangle, RootFindError, build_spectrum_by_count, find_roots, make_mode
+from steklov import FamilyTag, Rectangle, RootFindError, build_spectrum, build_spectrum_by_count, find_roots, make_mode
 from steklov import spectrum
+from steklov.cli import main
 from steklov.spectrum import _FAMILIES
 
 from scalar_reference import NEAR_SQUARE, char_residual, eigenvalue_of
@@ -168,6 +169,35 @@ def test_roots_match_a_40_digit_oracle(h):
         want = oracle_root(spec.family(row), nu, h)
         worst = max(worst, float(abs((nu - want) / want)))
     assert worst <= 1e-14, worst
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-5])
+def test_thin_rectangle_roots_match_a_40_digit_oracle(h, tmp_path):
+    # tol * aT is 1e-16 and 1e-17 in theta there, below one ulp of theta
+    # (0.8-1.6), so the last step is bounded by a few ulp instead; every
+    # family converges, also the ones with the short trigonometric axis
+    rect = Rectangle(h)
+    spec = build_spectrum(rect, 3)
+    roots = [(spec.family(row), float(spec.arrays.nu[row])) for row in range(1, spec.size)]
+    roots += [(family, nu) for family in (FamilyTag.F5, FamilyTag.F7) for nu in find_roots(family, rect, 3)]
+    assert {family for family, _ in roots} == set(SEPARABLE)
+    worst = 0.0
+    for family, nu in roots:
+        want = oracle_root(family, nu, h)
+        worst = max(worst, float(abs((nu - want) / want)))
+    assert worst <= 1e-14, worst
+    assert main(["spectrum", "--h", repr(h), "--M", "2", "--out", str(tmp_path / "s.json")]) == 0
+
+
+@pytest.mark.parametrize("h", [1.0, 0.6, 1e-3])
+def test_the_step_floor_leaves_thicker_rectangles_bit_for_bit(monkeypatch, h):
+    # at _ROOT_TOL, tol * aT is above _STEP_ULPS ulp of every theta in a
+    # bracket for aT >= 1e-3: the roots are those without the floor
+    rect = Rectangle(h)
+    floored = [build_spectrum_by_count(rect, 1200).arrays.nu, build_spectrum(rect, 20).arrays.nu]
+    monkeypatch.setattr(spectrum, "_STEP_ULPS", 0.0)
+    plain = [build_spectrum_by_count(rect, 1200).arrays.nu, build_spectrum(rect, 20).arrays.nu]
+    assert all(np.array_equal(a, b) for a, b in zip(floored, plain))
 
 
 @pytest.mark.parametrize("count", [41, 400, 1200])
