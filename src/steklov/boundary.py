@@ -24,9 +24,9 @@ Gauss-Legendre rule G24 (_kronrod_rule): the G24 nodes are among them, and
 a node set has two weight vectors, the Gauss weights (0 at the Kronrod-only
 nodes) and the Kronrod weights. All integrals are S @ (w * g) under both,
 with S the (K, N) matrix of Spectrum.values and g evaluated once per node.
-S is evaluated on up to spectrum._BLOCK_ENTRIES mode x node entries at a
-time, a whole number of _BLOCK-node column blocks, and every product is
-taken one _BLOCK-node column block at a time. Data that share a spectrum
+S is evaluated in the blocks of nodes the spectrum chooses, and every
+product is taken one 64-node column slice at a time (Spectrum._mode_blocks),
+so no product depends on the block size. Data that share a spectrum
 share its S: one pass over the nodes gives the coefficients of all of them.
 An entry's value is its K49 sum, its error estimate |K49 - G24|, the error
 of the G24 sum over whole panels.
@@ -67,8 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions
-from .geometry import Rectangle, Side, SIDES
-from .spectrum import _BLOCK_ENTRIES, _ODD_ALONG, Spectrum
+from .geometry import GeometryError, Rectangle, Side, SIDES
+from .spectrum import _ODD_ALONG, Spectrum
 
 
 class QuadratureError(RuntimeError):
@@ -159,12 +159,14 @@ class BoundaryFunction:
         return fn(x, y)
 
     def corner_values(self, corner: tuple[float, float]) -> dict[Side, float]:
-        """The corner's value as seen from each adjoining side."""
-        out = {}
-        for side, t in self.rect.corner_params(corner).items():
-            x, y = self.rect.side_point(side, t)
-            out[side] = self.side_maps[side](x, y)
-        return out
+        """The corner's value as seen from each adjoining side, in
+        counterclockwise order: the map of G1 (x = 1) or G3 (x = -1) and of
+        G2 (y = h) or G4 (y = -h) at the corner itself."""
+        x, y = corner
+        if not (abs(x) == 1.0 and abs(y) == self.rect.h):
+            raise GeometryError(f"({x}, {y}) is not a corner of the rectangle")
+        sides = (Side.G1 if x > 0 else Side.G3, Side.G2 if y > 0 else Side.G4)
+        return {side: self.side_maps[side](x, y) for side in (sides if x * y > 0 else sides[::-1])}
 
     def shift(self, c: float) -> "BoundaryFunction":
         maps = {
@@ -252,7 +254,8 @@ def _integrate_panels(rect: Rectangle, fn, abstol: float, reltol: float, limit: 
     midpoint rounds onto an end, is kept as it is if its estimates are
     finite: its estimate still counts in the total. Once bisection would add
     more than `limit` panels to a side, QuadratureError reports the
-    integrand furthest from its target; a NaN never meets its target. It
+    integrand furthest from its target; a NaN never meets its target, and
+    the targets take |I| over the finite panel values only. It
     says the tolerance is below rounding, and gives the floor, when that
     side's estimate is within 50 ulp of the magnitudes of its panel values.
     """
@@ -264,7 +267,8 @@ def _integrate_panels(rect: Rectangle, fn, abstol: float, reltol: float, limit: 
     while True:
         value = sums[:, 1]
         est = np.abs(value - sums[:, 0])
-        target = np.maximum(abstol, reltol * np.abs(value.sum(axis=0)))
+        # a panel that is not finite misses its own target, not every other's
+        target = np.maximum(abstol, reltol * np.abs(np.where(np.isfinite(value), value, 0.0).sum(axis=0)))
         mid = a + (b - a) / 2
         final = ((mid == a) | (mid == b)) & np.isfinite(est).all(axis=1)
         miss = ~(est <= (b - a)[:, None] / rect.perimeter * target).all(axis=1) & ~final
@@ -357,7 +361,6 @@ class SteklovCoefficients:
 # Gauss sum on the same nodes the estimate.
 _PANEL_POINTS = 24
 _PANEL_WIDTH = 32.0
-_BLOCK = 64  # nodes per column block of the products with S; S never exists as a whole (K, N) matrix
 _ENTRIES = 2**16  # integrand values per call of a panel-adaptive integrand
 
 
@@ -474,24 +477,6 @@ def _parities(spec: Spectrum):
     return odd, np.where(odd[:, 0] != odd[:, 1], -1.0, 1.0)
 
 
-def _mode_blocks(spec: Spectrum, x: np.ndarray, y: np.ndarray):
-    """(slice, Spectrum.values block) over consecutive blocks of _BLOCK nodes.
-
-    Spectrum.values is evaluated on as many whole _BLOCK-node blocks as fit
-    in _BLOCK_ENTRIES mode x node entries, one block at least (384 nodes at
-    K = 41, 64 from K = 256 on), and each of its _BLOCK-column slices is
-    yielded: the values are those of a call per block, and the products
-    with them are the same. One of x and y may be a single coordinate
-    shared by all nodes; it is evaluated once per call.
-    """
-    step = _BLOCK * max(1, _BLOCK_ENTRIES // (_BLOCK * max(1, spec.size - 1)))
-    for start in range(0, max(x.size, y.size), step):
-        nodes = slice(start, start + step)
-        s = spec.values(x if x.size == 1 else x[nodes], y if y.size == 1 else y[nodes])
-        for first in range(0, s.shape[1], _BLOCK):
-            yield slice(start + first, start + first + _BLOCK), s[:, first:first + _BLOCK]
-
-
 def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
     """Weighted boundary inner products of all modes, constant first.
 
@@ -510,7 +495,7 @@ def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
     classes = [np.flatnonzero(parity_class == c) for c in range(4)]
     blocks = [np.zeros((rows.size, rows.size)) for rows in classes]
     for _, _, x, y, _, w in _boundary_nodes(rect, 2.0 * _nu_max(spec)):
-        for block, s in _mode_blocks(spec, x, y):
+        for block, s in spec._mode_blocks(x, y):
             s = np.vstack((np.ones(s.shape[1]), s))
             for rows, gram in zip(classes, blocks):
                 sc = s[rows]
@@ -602,7 +587,7 @@ def _fixed_node_integrals(gs, spec: Spectrum) -> list[np.ndarray]:
                     subs[key] = spec.take(np.append(0, live)), live
                 sub, rows = subs[key]
         parts = [np.zeros((sub.size - 1, 8)) for _ in gs]
-        for block, s in _mode_blocks(sub, x, y):
+        for block, s in sub._mode_blocks(x, y):
             for f, part in zip(folded, parts):
                 part += s @ f[block]
         for raw, f, part in zip(raws, folded, parts):

@@ -5,7 +5,7 @@ formatted `%.{digits}g`; text (a list of str or an array of ASCII bytes),
 written as it is; or one str, the same text in every row. `block_bytes`
 returns the block's CSV rows as bytes.
 
-At up to `EXACT_DIGITS` digits a block is formatted into one uint8 buffer, a
+At `EXACT_DIGITS` (6) digits a block is formatted into one uint8 buffer, a
 row per CSV row, with one slot of whole 8-byte words per column: a float
 slot is 16 bytes (a `%.6g` cell is at most 13), a text slot its width plus
 one, rounded up to 8. The cell's text starts the slot, its last byte holds
@@ -14,9 +14,9 @@ bytes (one `bytes.translate`) leaves the CSV. Float cells are stored into
 their slots as two little-endian words by `_put_floats`, which proves the
 rounding of each cell from one float product and leaves only the cells it
 cannot prove (0, nan, inf, subnormals, magnitudes outside about
-1e-17..1e28, near-ties) to Python's `%`. Wider blocks (`--digits 17`) go
-through one `%` template per row, which is faster there. Both give the same
-bytes.
+1e-17..1e28, near-ties) to Python's `%`. Blocks of any other width
+(`--digits 17`) go through one `%` template per row, which is faster there.
+Both give the same bytes.
 
 The command line imports this module on its first CSV, so commands
 that write none do not load it.
@@ -29,10 +29,10 @@ from itertools import repeat
 
 import numpy as np
 
-# Cells of at most this many significant digits are built by `_put_floats`'
-# vectorised path: the rounding of |a| * 10**k (|k| <= 22) to such an integer
-# can be proven from the float product, and the digits fit the 6-byte table
-# lookup. Wider cells are Python's own `%`.
+# Cells of this many significant digits are built by `_put_floats`' vectorised
+# path: the rounding of |a| * 10**k (|k| <= 22) to such an integer can be
+# proven from the float product, and the digits fill the 6-byte table lookup.
+# Cells of any other width are Python's own `%`.
 EXACT_DIGITS = 6
 _POWERS = np.array([float(10**k) if k >= 0 else 1.0 for k in range(-22, 23)])  # 10**k at k + 22 for k >= 0
 _FINITE = np.finfo(float)
@@ -40,10 +40,10 @@ _FINITE = np.finfo(float)
 
 @functools.cache
 def _cell_tables(digits: int):
-    """Lookup tables of `_put_floats` for `digits` <= 6, built on first use.
+    """Lookup tables of `_put_floats` for `digits` (6), built on first use.
 
-    A cell is the 6 ASCII digits `dig` of its rounded significand (padded
-    with zeros below `digits`), laid out in two little-endian 64-bit words as
+    A cell is the 6 ASCII digits `dig` of its rounded significand, laid out
+    in two little-endian 64-bit words as
 
         word0 = ((dig & low) << sl) | c0 | (tail << sh),  tail = dig & high
         word1 = (tail >> (64 - sh)) | c1
@@ -95,39 +95,25 @@ def _cell_tables(digits: int):
     return digits3, x0, *(np.ascontiguousarray(t) for t in keyed.T)
 
 
-def float_cells(a, digits: int) -> np.ndarray:
-    """`'%.{digits}g' % a[i]` as row i of a uint8 matrix, padded with 0 bytes."""
-    a = np.asarray(a, dtype=float).ravel()
-    words = np.empty((a.size, 2 if digits <= EXACT_DIGITS else 3), dtype="<u8")
-    _put_floats(words, a, digits)
-    return words.view(np.uint8)
-
-
 def _put_floats(words, a, digits: int, sep: int = 0):
-    """Stores `'%.{digits}g' % a[i]`, padded with 0 bytes, into the little-endian
-    words of row i of `words` (two words up to `EXACT_DIGITS` digits), and the
-    byte `sep` into the last byte of the row.
+    """Stores `'%.{digits}g' % a[i]`, padded with 0 bytes, into the two
+    little-endian words of row i of `words`, and the byte `sep` into the last
+    byte of the row; `digits` is `EXACT_DIGITS`.
 
     Byte-identical to Python's `%` by construction: a cell goes through the
     vectorised path only when `_rounded` proves its significand, and every
     other cell is formatted by Python's `%`: 0, -0, nan, +-inf, subnormals,
-    magnitudes outside about 1e-17..1e28, near-ties, and every cell of more
-    than `EXACT_DIGITS` digits.
+    magnitudes outside about 1e-17..1e28 and near-ties.
     """
     a = np.ascontiguousarray(a, dtype=float).ravel()
-    if digits <= EXACT_DIGITS:
-        mag = np.abs(a)
-        ok = (mag >= _FINITE.tiny) & (mag <= _FINITE.max)
-        rest = np.flatnonzero(~ok)
-    else:
-        rest = np.arange(a.size)
+    mag = np.abs(a)
+    ok = (mag >= _FINITE.tiny) & (mag <= _FINITE.max)
+    rest = np.flatnonzero(~ok)
     if rest.size < a.size:
         if rest.size:
             mag[rest] = 1.0
         d, x, unproven = _rounded(mag, digits)
         digits3, x0, low, sl, high, sh, c0, c1 = _cell_tables(digits)
-        if digits < 6:
-            d *= 10.0 ** (6 - digits)
         # d < 10**6 is an exact integer, so d * 0.001 (just above d / 1000) never rounds across an integer
         hi = np.floor(d * 0.001)
         g_hi = digits3[hi.astype(np.intp)]
@@ -211,9 +197,9 @@ def _is_float(column) -> bool:
 
 
 def block_bytes(columns, digits: int) -> bytes | bytearray:
-    """The block's CSV rows: one buffer of slots up to `EXACT_DIGITS` digits,
+    """The block's CSV rows: one buffer of slots at `EXACT_DIGITS` digits,
     else one `%` template per row."""
-    if digits > EXACT_DIGITS:
+    if digits != EXACT_DIGITS:
         return _row_text(columns, digits).encode()
     n = next(len(c) for c in columns if not isinstance(c, str))
     cells = [c if _is_float(c) else text_cells(c) for c in columns]

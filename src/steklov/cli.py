@@ -148,7 +148,7 @@ def _spectrum_from_args(args) -> Spectrum:
     rect = Rectangle(1.0 if args.h is None else args.h)
     if args.count is not None:
         return build_spectrum_by_count(rect, args.count)
-    return build_spectrum(rect, 5 if args.M is None else args.M, PER_FAMILY)
+    return build_spectrum(rect, 5 if args.M is None else args.M)
 
 
 def cmd_spectrum(args) -> int:

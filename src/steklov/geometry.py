@@ -124,20 +124,5 @@ class Rectangle:
                 f"point ({x}, {y}) outside the closed rectangle [-1,1] x [-{self.h},{self.h}]"
             )
 
-    def corner_params(self, corner: tuple[float, float]) -> dict[Side, float]:
-        """The two (side, parameter) addresses of a corner point."""
-        x, y = corner
-        h = self.h
-        table = {
-            (1.0, h): {Side.G1: h, Side.G2: -1.0},
-            (-1.0, h): {Side.G2: 1.0, Side.G3: -h},
-            (-1.0, -h): {Side.G3: h, Side.G4: -1.0},
-            (1.0, -h): {Side.G4: 1.0, Side.G1: -h},
-        }
-        try:
-            return table[(x, y)]
-        except KeyError:
-            raise GeometryError(f"({x}, {y}) is not a corner of the rectangle") from None
-
 
 SIDES = (Side.G1, Side.G2, Side.G3, Side.G4)

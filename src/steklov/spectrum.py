@@ -50,6 +50,8 @@ A Spectrum evaluates all its nonconstant modes at once from their separable
 factors, which no other module touches: the (K, N) matrix of values or of a
 gradient component (values), and the weighted expansion or its gradient at
 points, in blocks of bounded size (expand), or on a tensor grid (expand_grid).
+Its block rule (_point_blocks) is the package's one: the coefficient pass and
+the truncation sweep take their blocks from it.
 """
 
 from __future__ import annotations
@@ -108,43 +110,38 @@ class FamilyTag(enum.Enum):
         return list(FamilyTag).index(self)
 
 
-@dataclass(frozen=True)
-class _FamilyInfo:
-    hyp_axis: str  # 'x' or 'y': axis carrying the hyperbolic factor
-    hyp: str  # 'cosh' or 'sinh'
-    trig: str  # 'cos' or 'sin'
-
-
-_FAMILIES: dict[FamilyTag, _FamilyInfo] = {
-    FamilyTag.F1: _FamilyInfo("x", "cosh", "cos"),
-    FamilyTag.F2: _FamilyInfo("y", "cosh", "cos"),
-    FamilyTag.F3: _FamilyInfo("x", "sinh", "sin"),
-    FamilyTag.F4: _FamilyInfo("y", "sinh", "sin"),
-    FamilyTag.F5: _FamilyInfo("x", "cosh", "sin"),
-    FamilyTag.F6: _FamilyInfo("y", "sinh", "cos"),
-    FamilyTag.F7: _FamilyInfo("x", "sinh", "cos"),
-    FamilyTag.F8: _FamilyInfo("y", "cosh", "sin"),
-}
-
-
 # ---------------------------------------------------------------------------
 # array forms: the branches of all families at once
 # ---------------------------------------------------------------------------
 
 # Per-mode arrays name the family by its code, FamilyTag.order (CONST 0, XY 1,
-# F1..F8 2..9). These tables give each code's profile; CONST and XY read False.
+# F1..F8 2..9). _PROFILE gives each family the kinds of its factors along x
+# and along y, and every profile table below is derived from it. The kinds
+# are in the order _factor_plan sorts them, the trigonometric ones first.
 _TAGS = tuple(FamilyTag)
 _CODE = {tag: code for code, tag in enumerate(_TAGS)}
 _XY, _F3, _F4 = _CODE[FamilyTag.XY], _CODE[FamilyTag.F3], _CODE[FamilyTag.F4]
-
-
-def _per_code(prop) -> np.ndarray:
-    return np.array([tag in _FAMILIES and prop(_FAMILIES[tag]) for tag in _TAGS])
-
-
-_HYP_X = _per_code(lambda info: info.hyp_axis == "x")
-_COSH = _per_code(lambda info: info.hyp == "cosh")
-_COS = _per_code(lambda info: info.trig == "cos")
+_KINDS = ("cos", "sin", "cosh", "sinh", "linear")
+_PROFILE = {
+    FamilyTag.CONST: ("cos", "cos"),
+    FamilyTag.XY: ("linear", "linear"),
+    FamilyTag.F1: ("cosh", "cos"),
+    FamilyTag.F2: ("cos", "cosh"),
+    FamilyTag.F3: ("sinh", "sin"),
+    FamilyTag.F4: ("sin", "sinh"),
+    FamilyTag.F5: ("cosh", "sin"),
+    FamilyTag.F6: ("cos", "sinh"),
+    FamilyTag.F7: ("sinh", "cos"),
+    FamilyTag.F8: ("sin", "cosh"),
+}
+_KIND_ALONG = np.array([[_KINDS.index(kind) for kind in _PROFILE[tag]] for tag in _TAGS])
+# Per code: the axis of the hyperbolic factor, the one of the later kind (0
+# for x, 1 for y; 0 for CONST and XY), its kind and the other factor's kind.
+# The tables of the characteristic equation are read on separable codes only.
+_HYP_AXIS = np.argmax(_KIND_ALONG, axis=1)
+_HYP_KIND, _TRIG_KIND = _KIND_ALONG.max(axis=1), _KIND_ALONG.min(axis=1)
+_COSH = _HYP_KIND == _KINDS.index("cosh")
+_COS = _TRIG_KIND == _KINDS.index("cos")
 # the characteristic function: tan(theta) (else cot) plus _SIGN * tanh
 _TAN = _COS == _COSH
 _SIGN = np.where(_COS, 1.0, -1.0)
@@ -164,37 +161,27 @@ _BRACKETS = {
     ("sin", "sinh"): (0.0, _QP, 1),  # tan(theta) = tanh
 }
 _LO, _HI, _K_START = np.array(
-    [_BRACKETS[_FAMILIES[tag].trig, _FAMILIES[tag].hyp] if tag in _FAMILIES else (0.0, 0.0, 0) for tag in _TAGS]
+    [_BRACKETS.get((_KINDS[trig], _KINDS[hyp]), (0.0, 0.0, 0)) for trig, hyp in zip(_TRIG_KIND, _HYP_KIND)]
 ).T
-_EXTRA = _per_code(lambda info: (info.trig, info.hyp) == ("sin", "sinh"))
+_EXTRA = (_TRIG_KIND == _KINDS.index("sin")) & (_HYP_KIND == _KINDS.index("sinh"))
 _TINY_THETA = 1e-9
 _ENDPOINT_RTOL = 100.0 * 2.220446049250313e-16  # residual at rounding level, per unit f'
 
-# The kinds of one-dimensional factors, in the order _factor_plan sorts them,
-# and per code the kind of the hyperbolic factor, on axis _HYP_AXIS (0 for x,
-# 1 for y), and of the other one; xy is linear along x and along y. The plan
-# groups them in three spans, each evaluated in one pass by _apply_kinds:
-# trig (cos, sin), hyp (cosh, sinh) and linear.
-_KINDS = ("cos", "sin", "cosh", "sinh", "linear")
+# The plan of _factor_plan groups the factor kinds in three spans, each
+# evaluated in one pass by _apply_kinds: trig (cos, sin), hyp (cosh, sinh)
+# and linear.
 _SPANS = (("trig", 0, 2), ("hyp", 2, 4), ("linear", 4, 5))  # (span, first, end) as indices of _KINDS
-_HYP_KIND = np.array([_KINDS.index(_FAMILIES[tag].hyp if tag in _FAMILIES else "linear") for tag in _TAGS])
-_TRIG_KIND = np.array([_KINDS.index(_FAMILIES[tag].trig if tag in _FAMILIES else "linear") for tag in _TAGS])
-_HYP_AXIS = np.array([int(tag in _FAMILIES and _FAMILIES[tag].hyp_axis == "y") for tag in _TAGS])
 # Per code, whether its factor along x (column 0) and along y (column 1) is
 # odd: sin, sinh and linear are, cos and cosh are not. The constant is even
 # along both axes, xy odd along both. A mode is odd under the point
 # reflection p -> -p (classes III and IV) when it is odd along one axis only.
-_ODD_ALONG = np.isin(
-    np.where(_HYP_AXIS[:, None] == np.arange(2), _HYP_KIND[:, None], _TRIG_KIND[:, None]),
-    [_KINDS.index(kind) for kind in ("sin", "sinh", "linear")],
-)
-_ODD_ALONG[_CODE[FamilyTag.CONST]] = False
+_ODD_ALONG = np.isin(_KIND_ALONG, [_KINDS.index(kind) for kind in ("sin", "sinh", "linear")])
 
 
 def _extents(code: np.ndarray, rect: Rectangle):
     """(aT, aH) per element: the half-extents of the trigonometric and
     hyperbolic axes of each code's profile."""
-    hyp_x = _HYP_X[code]
+    hyp_x = _HYP_AXIS[code] == 0
     return np.where(hyp_x, rect.h, 1.0), np.where(hyp_x, 1.0, rect.h)
 
 
@@ -467,14 +454,16 @@ def make_mode(family: FamilyTag, rect: Rectangle, nu: float = 0.0, family_rank: 
 # spectra
 # ---------------------------------------------------------------------------
 
-# Mode x point entries per kernel call of Spectrum.expand, with and without
-# derivative. Bounds their working memory at any point count (128 kB per
-# K x block matrix). Blocks of 2**12 to 2**16 entries, 80 modes, 2 vCPUs:
-# expand at 1e5 points took 222, 191, 172, 161 and 331 ms, its gradient at
-# 4e4 points 115, 102, 93, 193 and 256 ms (41 modes: the same order, 2**14
-# and 2**15 tied on the values). A block keeps at least 64 points, so
-# per-call overhead stays small at large K.
+# Mode x point entries per kernel call over a block of points. Bounds the
+# working memory at any point count (128 kB per K x block matrix). Blocks of
+# 2**12 to 2**16 entries, 80 modes, 2 vCPUs: expand at 1e5 points took 222,
+# 191, 172, 161 and 331 ms, its gradient at 4e4 points 115, 102, 93, 193 and
+# 256 ms (41 modes: the same order, 2**14 and 2**15 tied on the values). A
+# block is a whole number of _BLOCK points, one at least, so per-call
+# overhead stays small at large K, and products taken one _BLOCK-column
+# slice at a time (_mode_blocks) do not depend on the block.
 _BLOCK_ENTRIES = 1 << 14
+_BLOCK = 64
 
 
 class ModeArrays(NamedTuple):
@@ -625,10 +614,10 @@ class Spectrum:
     def _blocked(self, count: int, terms, x, y):
         """terms(xb, yb), `count` rows of values, over blocks of the points.
 
-        x and y broadcast together; a block holds _BLOCK_ENTRIES // K points,
-        at least 64. A coordinate of size 1, shared by all points (a side's
-        fixed coordinate), is passed to every block as it is, so that
-        _factors evaluates its factors once. Returns `count` floats at one
+        x and y broadcast together, cut into the blocks of _point_blocks. A
+        coordinate of size 1, shared by all points (a side's fixed
+        coordinate), is passed to every block as it is, so that _factors
+        evaluates its factors once. Returns `count` floats at one
         point (scalar x and y), else `count` arrays of the broadcast shape.
         """
         if np.ndim(x) == 0 and np.ndim(y) == 0:
@@ -643,12 +632,24 @@ class Spectrum:
 
     def _point_blocks(self, x, y):
         """(slice, x block, y block) over the points of the 1-D arrays x and
-        y, _BLOCK_ENTRIES // K points a block and at least 64; a coordinate
-        of size 1 is passed to every block as it is."""
-        step = max(64, _BLOCK_ENTRIES // max(1, self.size - 1))
+        y: as many whole _BLOCK-point blocks as fit in _BLOCK_ENTRIES mode x
+        point entries, one at least (384 points at K = 41, 64 from K = 256
+        on). A coordinate of size 1 is passed to every block as it is."""
+        step = _BLOCK * max(1, _BLOCK_ENTRIES // (_BLOCK * max(1, self.size - 1)))
         for start in range(0, max(x.size, y.size), step):
             block = slice(start, start + step)
             yield block, (x if x.size == 1 else x[block]), (y if y.size == 1 else y[block])
+
+    def _mode_blocks(self, x, y):
+        """(slice, values block) over consecutive _BLOCK-point slices: values
+        is evaluated once per block of _point_blocks, and each of its
+        _BLOCK-column slices is yielded, so a product taken slice by slice is
+        the same at any K. One of x and y may be a single coordinate shared
+        by all points; it is evaluated once per block."""
+        for block, xb, yb in self._point_blocks(x, y):
+            s = self.values(xb, yb)
+            for first in range(0, s.shape[1], _BLOCK):
+                yield slice(block.start + first, block.start + first + _BLOCK), s[:, first:first + _BLOCK]
 
     def expand(self, weights, x, y, derivative: bool = False):
         """sum_j weights[j] * s_j(x, y) over the nonconstant modes, or with
@@ -850,26 +851,20 @@ def _spectrum_of_roots(rect: Rectangle, code, rank, nu, keep: int | None, select
     return Spectrum(rect, ModeArrays(*(a[np.append(0, order)] for a in arrays)), selection, depth)
 
 
-def build_spectrum(rect: Rectangle, m: int, selection: str = PER_FAMILY) -> Spectrum:
-    """Constant mode plus the per-family or globally smallest eigenpairs.
-
-    Per-family: the first m roots of each family (on the square, xy leads the
-    class-II block and the block keeps its 2m slots). Global: the 8m smallest
-    eigenvalues over all families merged. The roots are solved to a last
-    step of _ROOT_TOL in nu, as in find_roots.
+def build_spectrum(rect: Rectangle, m: int) -> Spectrum:
+    """Constant mode plus the first m roots of each family: the per-family
+    spectrum of depth m (on the square, xy leads the class-II block and the
+    block keeps its 2m slots). The global spectrum of the 8m smallest
+    eigenvalues is build_spectrum_by_count(rect, 8 * m). The roots are
+    solved to a last step of _ROOT_TOL in nu, as in find_roots.
     """
     if m < 1:
         raise ValueError(f"spectrum depth must be >= 1, got {m}")
-    if selection == PER_FAMILY:
-        counts = [m if tag in _FAMILIES else 0 for tag in _TAGS]
-        code, rank, k, lo, hi = _branch_table(rect, counts)
-        kept = _per_family_kept(code, rank, rect, m)
-        code, rank, k, lo, hi = (c[kept] for c in (code, rank, k, lo, hi))
-        nu = _solve_branches(code, k, lo, hi, rect, _ROOT_TOL)
-        return _spectrum_of_roots(rect, code, rank, nu, None, PER_FAMILY, m)
-    if selection == GLOBAL_SORTED:
-        return build_spectrum_by_count(rect, 8 * m)
-    raise ValueError(f"unknown selection policy {selection!r}")
+    code, rank, k, lo, hi = _branch_table(rect, [m if tag.is_separable else 0 for tag in _TAGS])
+    kept = _per_family_kept(code, rank, rect, m)
+    code, rank, k, lo, hi = (c[kept] for c in (code, rank, k, lo, hi))
+    nu = _solve_branches(code, k, lo, hi, rect, _ROOT_TOL)
+    return _spectrum_of_roots(rect, code, rank, nu, None, PER_FAMILY, m)
 
 
 def build_spectrum_by_count(rect: Rectangle, count: int) -> Spectrum:
@@ -884,7 +879,7 @@ def build_spectrum_by_count(rect: Rectangle, count: int) -> Spectrum:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    code, rank, k, lo, hi = _branch_table(rect, [count if tag in _FAMILIES else 0 for tag in _TAGS])
+    code, rank, k, lo, hi = _branch_table(rect, [count if tag.is_separable else 0 for tag in _TAGS])
     if count:
         a_t = _extents(code, rect)[0]
         lower, upper = (_eigenvalues(code, (k * math.pi + theta) / a_t, rect) for theta in (lo, hi))

@@ -89,7 +89,7 @@ class TableWorkspace:
     def per_family_spectrum(self, h: float, m: int) -> Spectrum:
         key = ("pf", h)
         if key not in self._spectra:
-            self._spectra[key] = build_spectrum(Rectangle(h), 5, PER_FAMILY)
+            self._spectra[key] = build_spectrum(Rectangle(h), 5)
         return self._spectra[key].select(m)
 
     def coefficients(self, g: BoundaryFunction, spec: Spectrum):

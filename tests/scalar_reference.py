@@ -8,15 +8,42 @@ that carried the same math before, kept here, outside the package, as an
 independent reference for the tests: a bracket-per-branch bisection with
 Newton polish, the closed-form normalization, and the value, gradient,
 trace and normal derivative of one mode at one point. The mode methods
-became functions of the mode. pytest does not collect this module.
+became functions of the mode. The family profiles are its own table too,
+written from the paper's list of the eight separable families, so that the
+package's profile tables are checked against it. pytest does not collect
+this module.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from steklov import FamilyTag, Rectangle, RootFindError, Side, SpectrumError, SteklovMode
-from steklov.spectrum import _FAMILIES, _FamilyInfo
+
+
+@dataclass(frozen=True)
+class _FamilyInfo:
+    hyp_axis: str  # 'x' or 'y': axis carrying the hyperbolic factor
+    hyp: str  # 'cosh' or 'sinh'
+    trig: str  # 'cos' or 'sin'
+
+
+# The separable families by parity class about the center:
+#   class I   (even x, even y):  F1 cosh(nu x) cos(nu y),  F2 cos(nu x) cosh(nu y)
+#   class II  (odd x, odd y):    F3 sinh(nu x) sin(nu y),  F4 sin(nu x) sinh(nu y)
+#   class III (even x, odd y):   F5 cosh(nu x) sin(nu y),  F6 cos(nu x) sinh(nu y)
+#   class IV  (odd x, even y):   F7 sinh(nu x) cos(nu y),  F8 sin(nu x) cosh(nu y)
+_FAMILIES: dict[FamilyTag, _FamilyInfo] = {
+    FamilyTag.F1: _FamilyInfo("x", "cosh", "cos"),
+    FamilyTag.F2: _FamilyInfo("y", "cosh", "cos"),
+    FamilyTag.F3: _FamilyInfo("x", "sinh", "sin"),
+    FamilyTag.F4: _FamilyInfo("y", "sinh", "sin"),
+    FamilyTag.F5: _FamilyInfo("x", "cosh", "sin"),
+    FamilyTag.F6: _FamilyInfo("y", "sinh", "cos"),
+    FamilyTag.F7: _FamilyInfo("x", "sinh", "cos"),
+    FamilyTag.F8: _FamilyInfo("y", "cosh", "sin"),
+}
 
 # Aspect ratios just below the square, where the extra F3 root is of order
 # sqrt(1 - h): the near-square cases of the 40-digit oracle tests.

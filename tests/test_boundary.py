@@ -9,6 +9,7 @@ from steklov import (
     BoundaryFunction,
     CornerMismatchError,
     FamilyTag,
+    GeometryError,
     Rectangle,
     Side,
     SIDES,
@@ -41,9 +42,24 @@ def test_eval_boundary_builtin_values(rect):
 
 
 def test_two_sided_corner_values(rect):
+    """Each corner is seen from its two sides, in counterclockwise order,
+    each side's map called at the corner itself; any other point is refused."""
     bd1 = builtin_boundary("bd1", rect)
     vals = bd1.corner_values((-1.0, 1.0))
     assert vals[Side.G2] == 1.0 and vals[Side.G3] == -1.0
+    for h in (1.0, 0.3):
+        # each side's map tells its side and the point it was called at
+        g = BoundaryFunction.from_sides(Rectangle(h), {side: lambda x, y, k=side.value: 100.0 * k + 10.0 * x + y
+                                                       for side in SIDES})
+        pairs = {(1.0, h): (Side.G1, Side.G2), (-1.0, h): (Side.G2, Side.G3),
+                 (-1.0, -h): (Side.G3, Side.G4), (1.0, -h): (Side.G4, Side.G1)}
+        for (x, y), sides in pairs.items():
+            vals = g.corner_values((x, y))
+            assert tuple(vals) == sides
+            assert vals == {side: 100.0 * side.value + 10.0 * x + y for side in sides}
+        for point in ((1.0, 0.0), (0.5, h), (1.0, 1.5 * h)):
+            with pytest.raises(GeometryError, match="not a corner"):
+                g.corner_values(point)
 
 
 def test_integrate_constant_is_perimeter(rect):
@@ -177,8 +193,7 @@ def test_corner_reduction_f1(rect):
     a0, a1, a2, a3, g1 = corner_bilinear_reduction(g, rect)
     assert (a0, a1, a2, a3) == pytest.approx((-4.0, 0.0, 0.0, 0.0), abs=1e-12)
     for corner in ((1.0, rect.h), (-1.0, rect.h), (-1.0, -rect.h), (1.0, -rect.h)):
-        for side, t in rect.corner_params(corner).items():
-            assert abs(g1.value(side, t)) <= 1e-12
+        assert all(abs(v) <= 1e-12 for v in g1.corner_values(corner).values())
 
 
 def test_corner_reduction_exact_for_bilinear_data():

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from steklov import PER_FAMILY, Rectangle, build_spectrum, spectrum_to_json
+from steklov import Rectangle, build_spectrum, spectrum_to_json
 from steklov.cli import _parse_which, build_parser, main
 
 
@@ -575,7 +575,7 @@ def test_spectrum_out_dash_writes_the_cache_to_stdout(tmp_path, capsys, monkeypa
     monkeypatch.chdir(tmp_path)
     assert run(["spectrum", "--h", "0.5", "--M", "1", "--out", "-", "--csv", "s.csv"]) == 0
     out, err = capsys.readouterr()
-    assert out == spectrum_to_json(build_spectrum(Rectangle(0.5), 1, PER_FAMILY))
+    assert out == spectrum_to_json(build_spectrum(Rectangle(0.5), 1))
     assert err == "wrote 9 modes to stdout and s.csv\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 

@@ -7,7 +7,7 @@ solutions with numpy, whose log, exp and sin may differ from `math` by an
 ulp, so the exact and error columns are compared within that; every other
 column, and every file without them, must be byte-identical.
 
-The vectorised cell formatter (`cells.float_cells`) is held to Python's `%`
+A block of one float column (`cells.block_bytes`) is held to Python's `%`
 on adversarial values, and the writer to the reference on mixed, one-row and
 empty blocks, on the slot boundaries of its row buffer (text widths around
 multiples of 8, the widest fallback cells, single-column blocks), on table
@@ -212,12 +212,6 @@ def test_large_grid_is_streamed(tmp_path):
         assert sum(1 for _ in fh) == 1 + 501 * 501
 
 
-def _cell_rows(matrix):
-    """The text of each row of a 0-padded cell matrix."""
-    rows = np.concatenate([matrix, np.full((len(matrix), 1), ord("\n"), dtype=np.uint8)], axis=1)
-    return rows[rows != 0].tobytes().decode("ascii").split("\n")[:-1]
-
-
 def _adversarial_values():
     """About 3e5 values, both signs, where a vectorised %.6g can go wrong."""
     rng = np.random.default_rng(20161)
@@ -242,7 +236,7 @@ def _adversarial_values():
 def test_float_cells_match_python_percent(digits):
     a = _adversarial_values()
     cell = f"%.{digits}g"
-    assert _cell_rows(cells.float_cells(a, digits)) == [cell % v for v in a.tolist()]
+    assert bytes(cells.block_bytes([a], digits)).decode("ascii") == "".join(cell % v + "\n" for v in a.tolist())
 
 
 @pytest.mark.parametrize("digits", [6, 17])

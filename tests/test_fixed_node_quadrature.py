@@ -370,6 +370,31 @@ def coefficients_or_error(g, spec):
     return co.gbar, co.values, co.estimates
 
 
+def test_nan_sides_do_not_bisect_the_finite_sides():
+    """The fallback's targets take |I| over the finite panels only: the NaN
+    sides fail to converge, and the finite sides are evaluated on the fixed
+    nodes and on the fallback's first panels, never bisected."""
+    rect = Rectangle(0.5)
+    spec = build_spectrum_by_count(rect, 400)
+    counted = {side: 0 for side in SIDES}
+
+    def side_map(side, value):
+        def fn(x, y):
+            counted[side] += np.size(x)
+            return np.full(np.shape(x), value)
+        return fn
+
+    values = {Side.G1: np.nan, Side.G2: 1.0, Side.G3: np.nan, Side.G4: 1.0}
+    g = BoundaryFunction(rect, {side: side_map(side, v) for side, v in values.items()})
+    with np.errstate(invalid="ignore"), pytest.raises(QuadratureError) as err:
+        steklov_coefficients(g, spec)
+    assert err.value.side in (Side.G1, Side.G3) and err.value.floor is None
+    assert err.value.reason.endswith("no convergence within 200 panel bisections")
+    nu_max = spec.arrays.nu.max()
+    for side in (Side.G2, Side.G4):
+        assert counted[side] == 2 * panel_nodes(rect, side, nu_max)[0].size
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 @pytest.mark.parametrize("where", ["G1-node", "G1-G3-node", "G1-G3"])
 def test_non_finite_data_end_as_without_the_skip(monkeypatch, value, where):
@@ -418,7 +443,7 @@ def test_evaluation_blocks_are_whole_64_node_blocks_within_the_entry_budget(monk
         spec = build_spectrum_by_count(rect, count)
         x, y = np.array([1.0]), np.linspace(-0.5, 0.5, 1000)
         calls.clear()
-        slices = list(boundary._mode_blocks(spec, x, y))
+        slices = list(spec._mode_blocks(x, y))
         assert calls == [step] * (1000 // step) + [1000 % step], count
         assert [b.start for b, _ in slices] == list(range(0, 1000, 64))
         assert all(s.shape == (count, min(64, 1000 - b.start)) for b, s in slices)
@@ -477,7 +502,7 @@ def test_mode_factors_are_evaluated_at_half_the_nodes(monkeypatch):
     for side in (Side.G1, Side.G2):
         nodes = panel_nodes(rect, side, spec.arrays.nu.max())[0].size
         along += nodes // 2
-        constant += -(-(nodes // 2) // boundary._BLOCK)
+        constant += -(-(nodes // 2) // spectrum._BLOCK)
     assert sum(c for c in columns if c > 1) == along
     assert columns.count(1) == constant
 

@@ -52,15 +52,6 @@ def test_side_parameter_domain():
         r.side_point(Side.G1, 0.51)
 
 
-def test_corner_params_cover_both_sides():
-    r = Rectangle(0.5)
-    for corner in CORNERS:
-        params = r.corner_params(corner)
-        assert len(params) == 2
-        for side, t in params.items():
-            assert r.side_point(side, t) == corner
-
-
 def test_require_inside_takes_the_closed_rectangle():
     r = Rectangle(0.5)
     for x, y in CORNERS + ((0.0, 0.0), (-0.3, 0.5)):

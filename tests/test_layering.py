@@ -1,7 +1,8 @@
 """Only spectrum.py evaluates mode factors: no other module of the package
-names the private parts of the factor kernel. Tests of the kernel itself
-may call them. And no module-level private name of the package is dead:
-some package module reads each one."""
+names the private parts of the factor kernel or its block sizes. Tests of
+the kernel itself may call them. No module-level private name of the
+package is dead: some package module reads each one. And the scalar
+reference of the tests reads no private name of the package."""
 
 import ast
 from pathlib import Path
@@ -9,24 +10,25 @@ from pathlib import Path
 import steklov
 
 KERNEL = {"_factors", "_factor_table", "_axis_tables", "_factor_plan", "_apply_kinds"}
+BLOCK_SIZES = {"_BLOCK", "_BLOCK_ENTRIES"}
 
 
-def kernel_references(path: Path):
-    """(line, name) of every attribute, name, import or string of a KERNEL
-    name in the module at path; a string reaches the kernel through getattr
-    or a cached property's __dict__ entry."""
+def kernel_references(path: Path, names=KERNEL):
+    """(line, name) of every attribute, name, import or string of one of
+    `names` in the module at path; a string reaches the kernel through
+    getattr or a cached property's __dict__ entry."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Attribute):
-            names = [node.attr]
+            found = [node.attr]
         elif isinstance(node, ast.Name):
-            names = [node.id]
+            found = [node.id]
         elif isinstance(node, ast.ImportFrom):
-            names = [alias.name for alias in node.names]
+            found = [alias.name for alias in node.names]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names = [node.value]
+            found = [node.value]
         else:
             continue
-        yield from ((node.lineno, name) for name in names if name in KERNEL)
+        yield from ((node.lineno, name) for name in found if name in names)
 
 
 def test_only_the_spectrum_module_touches_the_mode_factors():
@@ -34,6 +36,24 @@ def test_only_the_spectrum_module_touches_the_mode_factors():
     assert "spectrum.py" in [path.name for path in modules]
     found = {path.name: refs for path in modules if path.name != "spectrum.py" and (refs := list(kernel_references(path)))}
     assert found == {}
+
+
+def test_only_the_spectrum_module_sizes_evaluation_blocks():
+    """Spectrum._point_blocks is the one block rule: every other module
+    takes its blocks (_point_blocks, _mode_blocks) and names no block size."""
+    modules = sorted(Path(steklov.__file__).parent.glob("*.py"))
+    found = {path.name: refs for path in modules
+             if path.name != "spectrum.py" and (refs := list(kernel_references(path, BLOCK_SIZES)))}
+    assert found == {}
+
+
+def test_the_scalar_reference_imports_no_private_package_name():
+    """tests/scalar_reference.py keeps its own family table and formulas:
+    what it imports from steklov is public."""
+    path = Path(__file__).parent / "scalar_reference.py"
+    imported = [alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("steklov") for alias in node.names]
+    assert imported and [name for name in imported if name.startswith("_")] == []
 
 
 def test_the_coefficient_pass_reaches_no_factor_plan():

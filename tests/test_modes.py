@@ -253,7 +253,7 @@ def test_global_spectrum_by_count(square):
 
 
 def test_global_policy_build(square):
-    spec = build_spectrum(square, 2, GLOBAL_SORTED)
+    spec = build_spectrum_by_count(square, 16)  # the 8m smallest, m = 2
     assert spec.size - 1 == 16
     assert spec.selection == GLOBAL_SORTED
 
@@ -277,7 +277,7 @@ def test_cache_roundtrip(spec_pf5):
 def test_depth_survives_cache_and_select(h, selection, depth, m, sub_depth):
     # depth is the per-family root depth M, or a global spectrum's retained count
     rect = Rectangle(h)
-    spec = build_spectrum(rect, depth, PER_FAMILY) if selection == PER_FAMILY else build_spectrum_by_count(rect, depth)
+    spec = build_spectrum(rect, depth) if selection == PER_FAMILY else build_spectrum_by_count(rect, depth)
     loaded = spectrum_from_json(spectrum_to_json(spec))
     assert spec.depth == loaded.depth == depth
     subs = [s.select(m) for s in (spec, loaded)]

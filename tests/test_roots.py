@@ -10,9 +10,7 @@ import pytest
 from steklov import FamilyTag, Rectangle, RootFindError, build_spectrum, build_spectrum_by_count, find_roots, make_mode
 from steklov import spectrum
 from steklov.cli import main
-from steklov.spectrum import _FAMILIES
-
-from scalar_reference import NEAR_SQUARE, char_residual, eigenvalue_of
+from scalar_reference import _FAMILIES, NEAR_SQUARE, char_residual, eigenvalue_of
 
 SEPARABLE = [getattr(FamilyTag, f"F{k}") for k in range(1, 9)]
 

@@ -18,17 +18,11 @@ from hypothesis import given, settings, strategies as st
 import steklov
 from steklov import FamilyTag, Rectangle, build_spectrum, build_spectrum_by_count
 from steklov.analysis import SCALING_TOL, STEKLOV_RESIDUAL_TOL, check_scaling, check_steklov_residual
-from steklov.spectrum import (
-    PER_FAMILY,
-    SpectrumError,
-    _FAMILIES,
-    spectrum_from_json,
-    spectrum_to_json,
-)
+from steklov.spectrum import SpectrumError, spectrum_from_json, spectrum_to_json
 
 import scalar_reference as ref
 
-SEPARABLE = list(_FAMILIES)
+SEPARABLE = list(ref._FAMILIES)
 HS = [1.0, 0.8, 0.5, 0.1, 1e-3]
 COUNTS = [1, 8, 41, 400, 2000]
 TOL = 1e-12  # the root tolerance of find_roots and of the builders
@@ -90,7 +84,7 @@ def test_global_build_matches_scalar_reference(h, count):
 @pytest.mark.parametrize("h", HS)
 def test_per_family_build_matches_scalar_reference(h, m):
     rect = Rectangle(h)
-    spec = build_spectrum(rect, m, PER_FAMILY)
+    spec = build_spectrum(rect, m)
     depth = {family: m for family in SEPARABLE}
     if rect.is_square:
         depth[FamilyTag.F4] = m - 1  # xy takes the first slot of the class-II block
@@ -105,7 +99,7 @@ def test_saturated_branches_take_the_bracket_end():
     rect = Rectangle(1.0)
     saturated = set()
     for family, modes in by_family(build_spectrum_by_count(rect, 400)).items():
-        info = _FAMILIES[family]
+        info = ref._FAMILIES[family]
         a_t, a_h = ref._axis_extents(info, rect)
         lo, hi, k_start, extra = ref._branch_layout(info, a_t, a_h)
         for md, nu in zip(modes, ref.find_roots(family, rect, len(modes), TOL)):
