@@ -66,7 +66,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expressions
 from .geometry import GeometryError, Rectangle, Side, SIDES
 from .spectrum import _ODD_ALONG, Spectrum
 
@@ -130,7 +129,7 @@ class BoundaryFunction:
 
         def poly_map(side, cs):
             def fn(x, y, side=side, cs=tuple(float(c) for c in cs)):
-                t = _side_parameter(rect, side, x, y)
+                t = rect.side_parameter(side, x, y)
                 acc = 0.0
                 for c in reversed(cs):
                     acc = acc * t + c
@@ -147,6 +146,8 @@ class BoundaryFunction:
 
     @classmethod
     def from_expression(cls, src: str, rect: Rectangle) -> "BoundaryFunction":
+        from . import expressions  # loaded by expression data only
+
         tree = expressions.parse(src)
         return cls.from_xy(lambda x, y: expressions.evaluate(tree, x, y), rect, src)
 
@@ -198,21 +199,13 @@ def _map_points(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     try:
         out = np.asarray(fn(x, y), dtype=float)
     except (TypeError, ValueError) as exc:
+        from . import expressions
+
         if expressions.raised_pointwise(exc):
             raise
         out = [fn(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
         return np.array(out, dtype=float).reshape(x.shape)
     return out if out.shape == x.shape else np.broadcast_to(out, x.shape).copy()
-
-
-def _side_parameter(rect: Rectangle, side: Side, x: float, y: float) -> float:
-    if side is Side.G1:
-        return y
-    if side is Side.G2:
-        return -x
-    if side is Side.G3:
-        return -y
-    return x
 
 
 # ---------------------------------------------------------------------------

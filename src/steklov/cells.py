@@ -1,46 +1,46 @@
 """CSV bytes of numeric column blocks, every float exactly as `%.{digits}g`.
 
 A block is a list of equally long columns: a float array, whose cells are
-formatted `%.{digits}g`; text (a list of str or an array of ASCII bytes),
-written as it is; or one str, the same text in every row. `block_bytes`
-returns the block's CSV rows as bytes.
+formatted `%.{digits}g` (6 or 17 digits); a signed integer array, written as
+`str` writes it; text (a list of str, an array of ASCII bytes or a uint8
+matrix of them, such as `float_cells` returns), written as it is; or one
+str, the same text in every row. `block_bytes` returns the block's CSV rows
+as bytes.
 
-At `EXACT_DIGITS` (6) digits a block is formatted into one uint8 buffer, a
-row per CSV row, with one slot of whole 8-byte words per column: a float
-slot is 16 bytes (a `%.6g` cell is at most 13), a text slot its width plus
-one, rounded up to 8. The cell's text starts the slot, its last byte holds
-the comma or the newline and every byte between is 0, so dropping the 0
-bytes (one `bytes.translate`) leaves the CSV. Float cells are stored into
-their slots as two little-endian words by `_put_floats`, which proves the
-rounding of each cell from one float product and leaves only the cells it
-cannot prove (0, nan, inf, subnormals, magnitudes outside about
-1e-17..1e28, near-ties) to Python's `%`. Blocks of any other width
-(`--digits 17`) go through one `%` template per row, which is faster there.
-Both give the same bytes.
+A block is formatted into one uint8 buffer, a row per CSV row, with one slot
+of whole 8-byte words per column: a float slot is 16 bytes at 6 digits and
+24 at 17 (32 for a column with a 24-byte cell), an integer slot 24 bytes, a
+text slot its width plus one, rounded up to 8. The cell's text starts the
+slot, its last byte holds the separator (a comma, a newline, or 0 for none)
+and every byte between is 0, so dropping the 0 bytes (one `bytes.translate`)
+leaves the CSV. Float cells are stored into their slots as little-endian
+words. At 6 digits `_put_six` proves the rounding of each cell from one
+float product; at 17 digits `_put_seventeen` rounds exactly, from Dekker's
+error-free product. Only the cells they cannot store go through Python's
+`%`: 0, nan, inf, subnormals, magnitudes outside about 1e-17..1e28 (6
+digits) or [1e-6, 1e17) (17 digits) and, at 6 digits, near-ties. Every cell
+is the bytes of Python's `%`.
 
-The command line imports this module on its first CSV, so commands
-that write none do not load it.
+The command line and the spectrum cache import this module on their first
+CSV or cache, so commands that write neither do not load it.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import repeat
 
 import numpy as np
 
-# Cells of this many significant digits are built by `_put_floats`' vectorised
-# path: the rounding of |a| * 10**k (|k| <= 22) to such an integer can be
-# proven from the float product, and the digits fill the 6-byte table lookup.
-# Cells of any other width are Python's own `%`.
-EXACT_DIGITS = 6
-_POWERS = np.array([float(10**k) if k >= 0 else 1.0 for k in range(-22, 23)])  # 10**k at k + 22 for k >= 0
+_P10 = 10.0 ** np.arange(23)  # 10**k for k <= 22: exact doubles
+_POWERS = np.concatenate([np.ones(22), _P10])  # 10**k at k + 22 for k >= 0
+_INT_P10 = 10 ** np.arange(17, dtype=np.int64)
+_ZEROS_13, _ZEROS_24 = np.array([[[47], [53]], [[50], [56]]], dtype=np.uint64)  # group i's count: bit 56 -> 12 - 3i
 _FINITE = np.finfo(float)
 
 
 @functools.cache
 def _cell_tables(digits: int):
-    """Lookup tables of `_put_floats` for `digits` (6), built on first use.
+    """Lookup tables of `_put_six` for `digits` (6), built on first use.
 
     A cell is the 6 ASCII digits `dig` of its rounded significand, laid out
     in two little-endian 64-bit words as
@@ -95,17 +95,90 @@ def _cell_tables(digits: int):
     return digits3, x0, *(np.ascontiguousarray(t) for t in keyed.T)
 
 
-def _put_floats(words, a, digits: int, sep: int = 0):
-    """Stores `'%.{digits}g' % a[i]`, padded with 0 bytes, into the two
-    little-endian words of row i of `words`, and the byte `sep` into the last
-    byte of the row; `digits` is `EXACT_DIGITS`.
+@functools.cache
+def _seventeen_tables():
+    """Lookup tables of `_put_seventeen`, built on first use.
 
-    Byte-identical to Python's `%` by construction: a cell goes through the
-    vectorised path only when `_rounded` proves its significand, and every
-    other cell is formatted by Python's `%`: 0, -0, nan, +-inf, subnormals,
-    magnitudes outside about 1e-17..1e28 and near-ties.
+    `digits4` holds the 4 ASCII digits of each g < 10**4 in its low bytes and
+    the count of g's trailing zeros (4 for g = 0) in its top byte. The four
+    counts of a significand's groups, 3 bits each, index `stripped`: the
+    number s of its significant digits once trailing zeros are stripped,
+    less one.
+
+    A cell's layout depends on its key = (x + 6) * 17 + s - 1, x its
+    exponent (-6 <= x <= 16). Its column of `layout` holds the masks `low`
+    and `high` of the digit string and `const` (the point, the `0.000`
+    prefix of -4 <= x < 0 or the exponent suffix of x < -4, in its place),
+    three words each, then the bit shift of the high digits. The stripped
+    digits are in neither mask, so every byte past the cell's text is 0.
+    """
+    g = np.arange(10**4, dtype=np.uint64)
+    zeros = (g % 10 == 0).astype(np.uint64) + (g % 100 == 0) + (g % 1000 == 0) + (g == 0)
+    digits4 = (g // 1000 + 48) | (g // 100 % 10 + 48) << 8 | (g // 10 % 10 + 48) << 16 | (g % 10 + 48) << 24
+    digits4 |= zeros << 56
+    z1, z2, z3, z4 = (np.arange(4096) >> 3 * i & 7 for i in (3, 2, 1, 0))  # counts 0..4 of g1..g4
+    stripped = (16 - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))).clip(0).astype(np.intp)
+    layouts = []  # of each (x, s)
+    for x in range(-6, 17):
+        for s in range(1, 18):
+            if x < -4:  # d.ddde-05
+                low, high, shift = 0xFF, (1 << 8 * s) - (1 << 8), 1
+                const = ord(".") << 8 if s > 1 else 0
+                const |= int.from_bytes(b"e%+03d" % x, "little") << 8 * (s + 1 if s > 1 else 1)
+            elif x < 0:  # 0.00ddd
+                prefix = b"0." + b"0" * (-x - 1)
+                low, high, shift, const = 0, (1 << 8 * s) - 1, len(prefix), int.from_bytes(prefix, "little")
+            else:  # ddd.ddd
+                pos = x + 1  # digits before the point
+                low, high, shift = (1 << 8 * pos) - 1, (1 << 8 * max(s, pos)) - (1 << 8 * pos), 1
+                const = ord(".") << 8 * pos if s > pos else 0
+            layouts.append([v >> 64 * i & (2**64 - 1) for v in (low, high, const) for i in range(3)] + [8 * shift])
+    return digits4, stripped, np.ascontiguousarray(np.array(layouts, dtype=np.uint64).T)
+
+
+def _put_floats(words, a, digits: int, sep: int = 0):
+    """Stores `'%.{digits}g' % a[i]` (6 or 17 digits), padded with 0 bytes,
+    into the little-endian words of row i of `words`, and the byte `sep` into
+    the last byte of the row.
+
+    Byte-identical to Python's `%` by construction: the width's vectorised
+    writer stores the cells whose text it can prove and returns the others,
+    which Python's `%` formats.
     """
     a = np.ascontiguousarray(a, dtype=float).ravel()
+    rest = {6: _put_six, 17: _put_seventeen}[digits](words, a, sep)
+    if rest.size:
+        _put_text(words, [f"%.{digits}g" % v for v in a[rest].tolist()], rest, sep)
+
+
+def _put_ints(words, a, sep: int = 0):
+    """Stores `str(a[i])` of an integer array into the three words of row i,
+    as `_put_floats` does: where 0 < |a[i]| < 10**17, a[i] * 10**(16 - x)
+    at a[i]'s decimal exponent x is a significand whose `%.17g` text is the
+    integer's; every other value goes through `str`."""
+    a = np.ascontiguousarray(a, dtype=np.int64).ravel()
+    mag = np.abs(a)  # -2**63 stays negative
+    rest = np.flatnonzero(~((mag > 0) & (mag < 10**17)))
+    if rest.size < a.size:
+        mag[rest] = 1
+        x = np.searchsorted(_INT_P10, mag, side="right") - 1
+        _store_seventeen(words, mag * _INT_P10[16 - x], x, a < 0, sep)
+    if rest.size:
+        _put_text(words, list(map(str, a[rest].tolist())), rest, sep)
+
+
+def _put_text(words, texts, rows, sep: int):
+    """Stores each ASCII text, padded with 0 bytes, and `sep` into its row of `words`."""
+    text = np.array(texts, dtype=f"S{8 * words.shape[1]}").view("<u8").reshape(rows.size, -1)
+    text[:, -1] |= np.uint64(sep << 56)
+    words[rows] = text
+
+
+def _put_six(words, a, sep: int):
+    """The 6-digit cells of `_put_floats` in two words a row, but for the
+    indices it returns: 0, -0, nan, +-inf, subnormals, magnitudes outside
+    about 1e-17..1e28 and the near-ties that `_rounded` cannot prove."""
+    digits = 6
     mag = np.abs(a)
     ok = (mag >= _FINITE.tiny) & (mag <= _FINITE.max)
     rest = np.flatnonzero(~ok)
@@ -131,12 +204,111 @@ def _put_floats(words, a, digits: int, sep: int = 0):
         tail >>= 64 - shift
         np.bitwise_or(tail, (c1 | np.uint64(sep << 56))[key], out=words[:, 1])
         rest = np.union1d(rest, unproven) if unproven.size else rest
+    return rest
+
+
+def _put_seventeen(words, a, sep: int):
+    """The 17-digit cells of `_put_floats` in three words a row (a fourth
+    holds the separator of a 32-byte slot), but for the indices it returns:
+    0, -0, nan, +-inf, subnormals and magnitudes outside [1e-6, 1e17).
+    Exact, ties included: `_significand` gives each cell's significand and
+    exponent, and `_store_seventeen` its text.
+    """
+    mag = np.abs(a)
+    rest = np.flatnonzero(~((mag >= 1e-6) & (mag < 1e17)))
+    if rest.size == a.size:
+        return rest
     if rest.size:
-        cell = f"%.{digits}g"
-        text = np.array([cell % v for v in a[rest].tolist()], dtype=f"S{8 * words.shape[1]}")
-        text = text.view("<u8").reshape(rest.size, -1)
-        text[:, -1] |= np.uint64(sep << 56)
-        words[rest] = text
+        mag[rest] = 1.0
+    x = np.floor(np.log10(mag))
+    d, off = _significand(mag, x)
+    off = np.flatnonzero(off)
+    if off.size:  # log10 put the exponent one off: correct it once
+        x_off = x[off] + np.where(d[off] >= 10**17, 1.0, -1.0)
+        d[off], still = _significand(mag[off], x_off)
+        x[off] = x_off
+        if still.any():  # 1e-6 itself is just below 10**-6
+            d[off[still]] = 10**16
+            rest = np.union1d(rest, off[still])
+    _store_seventeen(words, d, x, a < 0, sep)
+    return rest
+
+
+def _store_seventeen(words, d, x, negative, sep: int):
+    """Stores the `%.17g` text of the significands d (int64, 10**16 <= d <
+    10**17) at exponents x (-6 <= x <= 16), negative where `negative`, into
+    the words of `words`' rows, and `sep` into the last byte of each row.
+
+    d's ASCII digits (`digits4`, four at a time) are one 17-byte string in
+    three words. The layout of `_seventeen_tables` of (x, s) keeps the bytes
+    `low` in place, moves the bytes `high` up past the point or the `0.000`
+    prefix and ORs in the point, the prefix or the exponent suffix. A
+    negative cell is then shifted one byte up behind its `-`.
+    """
+    digits4, stripped, layout = _seventeen_tables()
+    d0, d = np.divmod(d, 10**16)  # d = d0 g1 g2 g3 g4: one digit, then four groups of four
+    g13, g24 = np.divmod(np.divmod(d, 10**8), 10**4)
+    t13, t24 = digits4[g13], digits4[g24]
+    w = np.zeros((words.shape[1], d.size), dtype=np.uint64)  # word-major
+    zeros = (t13 >> _ZEROS_13) | (t24 >> _ZEROS_24)  # the groups' trailing zeros, 3 bits each
+    key = (x * 17 + 102).astype(np.intp)
+    key += stripped[zeros[0] | zeros[1]]
+    np.bitwise_or(t13 << 8, t24 << 40, out=w[:2])
+    d0 += 48
+    w[0] |= d0.view(np.uint64)
+    t24 >>= 24
+    w[1] |= t24[0] & 0xFF
+    w[2] = t24[1]  # digit 17; the bytes above it are masked off below
+    lay = np.take(layout, key, axis=1)  # low, high and const, three words each, then the shift
+    cell = w[:3]
+    moved = cell & lay[3:6]
+    cell &= lay[:3]
+    cell |= lay[6:9]
+    by = lay[9]
+    cell |= moved << by
+    cell[1:] |= moved[:2] >> (64 - by)
+    neg = np.flatnonzero(negative)
+    if neg.size:
+        moved = cell[:, neg]
+        cell[:, neg] = moved << 8
+        cell[1:, neg] |= moved[:2] >> 56
+        cell[0, neg] |= ord("-")
+    w[-1] |= np.uint64(sep << 56)
+    words[:] = w.T
+
+
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _split(v):
+    """Veltkamp's split v = hi + lo, each half of at most 26 significant bits."""
+    c = v * _SPLITTER
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+_P10_HI, _P10_LO = _split(_P10)
+
+
+def _significand(mag, e):
+    """(d, off): the integer d nearest mag * 10**k (k = 16 - e), ties to
+    even, and where d is no 17-digit significand: where mag * 10**k lies
+    outside [10**16, 10**17), so that e is not mag's decimal exponent. e is
+    clipped in place to -6 <= e <= 16, so that 10**k is an exact double.
+
+    Dekker's TwoProduct (Numer. Math. 18, 1971) gives mag * 10**k = p + err
+    exactly, p the rounded product and err a double. In range, p >= 2**53
+    is an even integer, so d = p + rint(err) is the nearest integer. The
+    product p = 10**16 with err < 0 lies below 10**16, though d rounds to it.
+    """
+    np.clip(e, -6, 16, out=e)
+    k = (16 - e).astype(np.intp)
+    p = mag * _P10[k]
+    ah, al = _split(mag)
+    bh, bl = _P10_HI[k], _P10_LO[k]
+    err = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    return d, (d < 10**16) | (d >= 10**17) | ((p == 1e16) & (err < 0))
 
 
 def _rounded(mag, digits: int):
@@ -187,40 +359,61 @@ def _scaled(mag, e, digits: int):
 
 
 def text_cells(column) -> np.ndarray:
-    """ASCII text (a str, a list of str or a bytes array) as a uint8 matrix, padded with 0 bytes."""
+    """ASCII text (a str, a list of str, a bytes array or a uint8 matrix of
+    them) as a uint8 matrix, padded with 0 bytes."""
+    if isinstance(column, np.ndarray) and column.ndim == 2:
+        return column
     text = np.ascontiguousarray(column, dtype="S").reshape(-1)
     return text.view(np.uint8).reshape(text.size, text.itemsize)
 
 
-def _is_float(column) -> bool:
-    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
+def float_cells(a, digits: int) -> np.ndarray:
+    """The `%.{digits}g` cells of a float array as a text column: a uint8
+    matrix, a row of ASCII bytes padded with 0 bytes per cell, whose slot in
+    a block is the float column's own."""
+    a = np.ascontiguousarray(a, dtype=float).ravel()
+    width = _float_slot(a, digits)
+    words = np.zeros((a.size, width // 8), dtype="<u8")
+    _put_floats(words, a, digits)
+    return words.view(np.uint8)[:, :width - 1]
 
 
-def block_bytes(columns, digits: int) -> bytes | bytearray:
-    """The block's CSV rows: one buffer of slots at `EXACT_DIGITS` digits,
-    else one `%` template per row."""
-    if digits != EXACT_DIGITS:
-        return _row_text(columns, digits).encode()
+def _kind(column) -> str:
+    """'f' for a float array, 'i' for a signed integer array, else '' (text)."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else ""
+    return kind if kind in ("f", "i") else ""
+
+
+def _float_slot(a, digits: int) -> int:
+    """Bytes of a float column's slot: 16 at 6 digits (a cell is at most 13
+    bytes), 24 at 17 (at most 23), or 32 where a negative number with a
+    three-digit exponent makes a 24-byte cell."""
+    if digits == 6:
+        return 16
+    return 32 if np.any((a <= -1e100) | ((a < 0) & (a > -1e-99))) else 24
+
+
+def block_bytes(columns, digits: int, seps: bytes | None = None) -> bytes | bytearray:
+    """The block's rows: its cells in the slots of one buffer, the 0 bytes
+    dropped. `seps` holds each column's separator byte, by default a comma
+    after each column but the last and a newline after it; a 0 byte is none.
+    An integer column's slot is 24 bytes (`str` of an int64 is at most 20).
+    """
     n = next(len(c) for c in columns if not isinstance(c, str))
-    cells = [c if _is_float(c) else text_cells(c) for c in columns]
-    ends = np.cumsum([16 if _is_float(c) else (c.shape[1] + 8) // 8 * 8 for c in cells])
+    kinds = [_kind(c) for c in columns]
+    cells = [c if kind else text_cells(c) for c, kind in zip(columns, kinds)]
+    ends = np.cumsum([_float_slot(c, digits) if kind == "f" else 24 if kind else (c.shape[1] + 8) // 8 * 8
+                      for c, kind in zip(cells, kinds)])
     out = bytearray(n * int(ends[-1]))  # zeros
     buf = np.frombuffer(out, dtype=np.uint8).reshape(n, int(ends[-1]))
     words = buf.view("<u8")
-    seps = b"," * (len(cells) - 1) + b"\n"
-    for c, start, end, sep in zip(cells, [0, *ends[:-1].tolist()], ends.tolist(), seps):
-        if _is_float(c):
+    for c, kind, start, end, sep in zip(cells, kinds, [0, *ends[:-1].tolist()], ends.tolist(),
+                                        seps or b"," * (len(cells) - 1) + b"\n"):
+        if kind == "f":
             _put_floats(words[:, start // 8:end // 8], c, digits, sep)
+        elif kind:
+            _put_ints(words[:, start // 8:end // 8], c, sep)
         else:
             buf[:, start:start + c.shape[1]] = c
             buf[:, end - 1] = sep
     return out.translate(None, b"\0")
-
-
-def _row_text(columns, digits: int) -> str:
-    """A block's rows through one `%` template per row."""
-    cell = f"%.{digits}g"
-    line = ",".join(cell if _is_float(c) else "%s" for c in columns) + "\n"
-    cells = [c.tolist() if _is_float(c) else repeat(c) if isinstance(c, str)
-             else c.astype(str).tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    return "".join(map(line.__mod__, zip(*cells)))

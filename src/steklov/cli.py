@@ -12,7 +12,7 @@ exits 2 as an unrecognized argument. --M M keeps the first M roots of each
 family (default 5), --count N the N smallest nonconstant eigenvalues; the two
 exclude each other, and --cache excludes both. `main` may be called
 repeatedly in one process: the parser is built once and each call parses into
-a fresh namespace. `spectrum` formats each eigenpair once (`mode_texts`) for
+a fresh namespace. `spectrum` formats each eigenpair once (`mode_cells`) for
 the cache and a 17-digit listing; its `--out -`, like every `-` output, is
 standard output, and its `wrote N modes` line goes to standard error, as
 `solve`'s `# wrote:` line does. `tables --which` runs a repeated id once.
@@ -35,11 +35,11 @@ files) is written from column arrays, one block of rows at a time, as bytes
 each formatted and written before the next is computed. No cell is quoted:
 the text cells (labels, families, table notes) hold no comma, quote or
 newline. Every number is formatted once, exactly as `%.{digits}g`
-(`cells.py`): at 6 digits numpy stores the cells of a block into one byte
-buffer, a slot per cell, and only the cells whose rounding cannot be proven
-from one float product (0, nan, inf, subnormals, magnitudes outside about
-1e-17..1e28, near-ties) go through Python's `%`; at 17 digits every row goes
-through one `%` template.
+(`cells.py`): numpy stores the cells of a block into one byte buffer, a slot
+per cell, the 6-digit ones from one proven float product and the 17-digit
+ones from an exact one, and only the cells neither can store (0, nan, inf,
+subnormals, magnitudes out of range, 6-digit near-ties) go through
+Python's `%`.
 `--with-exact` takes builtin data only, for the problem they pose (f1-f3
 Dirichlet, bd1 and bd2 Neumann, bd3 Robin b = 1) and evaluates the exact
 solution on the grid axes. A Neumann solution is fixed up to a constant; the
@@ -74,7 +74,7 @@ from .spectrum import (
     build_spectrum,
     build_spectrum_by_count,
     load_spectrum,
-    mode_texts,
+    mode_cells,
     save_spectrum,
     spectrum_to_json,
 )
@@ -156,13 +156,13 @@ def cmd_spectrum(args) -> int:
     if out == "-" and args.csv in (None, "-"):
         raise ValueError("--out - and the CSV listing would both go to stdout; give --csv PATH")
     spec = _spectrum_from_args(args)
-    texts = mode_texts(spec)  # the cache's nu and delta texts are the 17-digit listing's cells
+    texts = mode_cells(spec)  # the cache's nu and delta cells are the 17-digit listing's
     if out == "-":
         print(spectrum_to_json(spec, texts), end="")
     else:
         save_spectrum(spec, out, texts)
     families, nu, delta = texts if args.digits == 17 else (texts[0], spec.arrays.nu, spec.arrays.delta)
-    columns = [list(map(str, range(spec.size))), families, nu, delta]
+    columns = [np.arange(spec.size), families, nu, delta]
     _write_columns(args.csv, ("index", "family", "nu", "delta"), [columns], args.digits)
     names = " and ".join("stdout" if p == "-" else p for p in (out, args.csv) if p)
     print(f"wrote {spec.size} modes to {names}", file=sys.stderr)
@@ -172,9 +172,8 @@ def cmd_spectrum(args) -> int:
 def _mode_columns(spec: Spectrum, *values):
     """Listing columns of the nonconstant modes: index, family, nu, delta, then the value arrays."""
     a = spec.arrays
-    names = [tag.value for tag in FamilyTag]
-    return [list(map(str, range(1, spec.size))), [names[c] for c in a.code[1:].tolist()],
-            a.nu[1:], a.delta[1:], *(np.asarray(v, dtype=float) for v in values)]
+    names = np.array([tag.value for tag in FamilyTag], dtype="S")[a.code[1:]]
+    return [np.arange(1, spec.size), names, a.nu[1:], a.delta[1:], *(np.asarray(v, dtype=float) for v in values)]
 
 
 def _load_points(spec_text: str):

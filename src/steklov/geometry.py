@@ -86,6 +86,17 @@ class Rectangle:
             return (-1.0, -t)
         return (t, -self.h)
 
+    def side_parameter(self, side: Side, x, y):
+        """The parameter t of the point (x, y) of a side, floats or arrays:
+        the inverse of side_point."""
+        if side is Side.G1:
+            return y
+        if side is Side.G2:
+            return -x
+        if side is Side.G3:
+            return -y
+        return x
+
     def _side_points(self, side: Side, t: np.ndarray, lo: float, hi: float):
         outside = ~((lo <= t) & (t <= hi))
         if outside.any():

@@ -30,8 +30,9 @@ modes at h = 1 (nu up to about 3142) the top mode, F3, still has a trace
 close to 2 sin(nu y) on G1, as its normalization implies. The unscaled
 normConst = norm_scaled * exp(-nu*aH) underflows to 0.0 at that size (already
 at 1000 modes for h = 0.001), so nothing stores it: the cache holds family,
-nu and delta. Loading one rebuilds the spectrum its h and selection claim,
-which its rows (and an older cache's normConst column) must match.
+nu and delta, each number exactly as `%.17g` (`cells.float_cells`, loaded
+with the first cache). Loading one rebuilds the spectrum its h and selection
+claim, which its rows (and an older cache's normConst column) must match.
 
 The mode math has one implementation, on numpy arrays indexed by mode.
 Branch k of a family brackets one root, so each branch's eigenvalue has
@@ -896,28 +897,26 @@ def build_spectrum_by_count(rect: Rectangle, count: int) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
-def mode_texts(spec: Spectrum) -> tuple[list[str], list[str], list[str]]:
-    """Each mode's family name and its nu and delta as `%.17g`: the texts of
-    the cache, which a 17-digit listing shares."""
-    names = [tag.value for tag in _TAGS]
-    g17 = "%.17g".__mod__
-    code, nu, delta = (a.tolist() for a in spec.arrays[:3])
-    return [names[c] for c in code], list(map(g17, nu)), list(map(g17, delta))
+def mode_cells(spec: Spectrum):
+    """Each mode's family name (ASCII bytes) and its nu and delta as `%.17g`
+    cells: the texts of the cache, which a 17-digit listing shares."""
+    from . import cells  # the formatter loads with the first cache or CSV
+    a = spec.arrays
+    nu_delta = cells.float_cells(np.concatenate([a.nu, a.delta]), 17)
+    return np.array([tag.value for tag in _TAGS], dtype="S")[a.code], nu_delta[:spec.size], nu_delta[spec.size:]
 
 
 def spectrum_to_json(spec: Spectrum, texts=None) -> str:
     """The cache form: h, the selection and each mode's family, nu and delta.
 
-    `texts` is `mode_texts(spec)` when the caller has it already.
+    `texts` is `mode_cells(spec)` when the caller has it already.
     """
-    row = '    {"family": "%s", "nu": %s, "delta": %s}'.__mod__
-    rows = ",\n".join(map(row, zip(*(texts or mode_texts(spec)))))
-    return (
-        "{\n"
-        f'  "h": {spec.rectangle.h:.17g},\n'
-        f'  "selection": "{spec.selection}",\n'
-        '  "modes": [\n' + rows + "\n  ]\n}\n"
-    )
+    from . import cells
+    _, nu, delta = texts or mode_cells(spec)
+    heads = np.array([f'    {{"family": "{tag.value}", "nu": ' for tag in _TAGS], dtype="S")[spec.arrays.code]
+    rows = cells.block_bytes([heads, nu, ' "delta": ', delta, "},"], 17, b"\0,\0\0\n").decode()
+    head = f'{{\n  "h": {spec.rectangle.h:.17g},\n  "selection": "{spec.selection}",\n  "modes": [\n'
+    return head + rows[:-2] + "\n  ]\n}\n"  # the last row without its comma
 
 
 def save_spectrum(spec: Spectrum, path, texts=None) -> None:

@@ -8,11 +8,13 @@ ulp, so the exact and error columns are compared within that; every other
 column, and every file without them, must be byte-identical.
 
 A block of one float column (`cells.block_bytes`) is held to Python's `%`
-on adversarial values, and the writer to the reference on mixed, one-row and
-empty blocks, on the slot boundaries of its row buffer (text widths around
-multiples of 8, the widest fallback cells, single-column blocks), on table
-files (text, int, float and bool columns) and to the row template on whole
-grids. Standard output, redirected to an `io.StringIO`, gets the files' text.
+on adversarial values and on drawn ones (random bit patterns and the edges
+of the exact 17-digit path), an integer column to `str`, and the writer to
+the reference on mixed, one-row and empty blocks, on the slot boundaries of
+its row buffer (text widths around multiples of 8, the widest fallback
+cells, single-column blocks), on table files (text, int, float and bool
+columns), on whole grids and on 8000-mode spectrum caches and listings.
+Standard output, redirected to an `io.StringIO`, gets the files' text.
 """
 
 import csv
@@ -23,6 +25,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steklov import Rectangle, build_spectrum, build_spectrum_by_count, builtin_boundary, grid_points, spectrum_to_json
 from steklov import cells, cli
@@ -331,11 +334,75 @@ def test_points_file_without_points_writes_the_header(tmp_path, with_exact):
     ["--g", "builtin:f1", "--h", "1"],
     ["--g", "builtin:bd2", "--kind", "neumann", "--h", "0.5"],  # exponent-form error cells
 ])
-def test_grid_cells_match_the_row_template(tmp_path, monkeypatch, argv):
-    """A 201 x 201 grid with exact columns at 6 digits, byte for byte."""
-    matrices, template = tmp_path / "matrices.csv", tmp_path / "template.csv"
-    common = ["grid", *argv, "--count", "41", "--grid", "201", "--with-exact"]
-    assert main(common + ["--out", str(matrices)]) == 0
-    monkeypatch.setattr(cells, "EXACT_DIGITS", 0)  # every block through the row template
-    assert main(common + ["--out", str(template)]) == 0
-    assert matrices.read_bytes() == template.read_bytes()
+def test_grid_cells_match_python_percent(tmp_path, monkeypatch, argv):
+    """A 201 x 201 grid with exact columns at 6 digits is, byte for byte,
+    the reference writer's `%` of each cell of the blocks it was written from."""
+    blocks, block_bytes = [], cells.block_bytes
+    monkeypatch.setattr(cells, "block_bytes", lambda block, digits: blocks.append(block) or block_bytes(block, digits))
+    out = tmp_path / "grid.csv"
+    assert main(["grid", *argv, "--count", "41", "--grid", "201", "--with-exact", "--out", str(out)]) == 0
+    rows = [row for block in blocks
+            for row in zip(*(c.tolist() if c.dtype.kind == "f" else c.astype(str).tolist() for c in block))]
+    assert len(rows) == 201 * 201
+    assert out.read_text() == reference_csv([("x", "y", "u", "exact", "error")] + rows, 6)
+
+
+def _decimal(digits: int, x: int) -> float:
+    """The double nearest digits * 10**(x - 16)."""
+    return float(f"{digits}e{x - 16}")
+
+
+# Values where an exact 17-digit path can go wrong: a significand at either
+# end of [10**16, 10**17), powers of ten, the ends of [1e-6, 1e17), and any
+# bit pattern (nan payloads, infinities and subnormals among them); each
+# moved by a few ulp and given either sign.
+_BASES = st.one_of(
+    st.builds(_decimal, st.integers(10**16 - 3, 10**16 + 3), st.integers(-8, 18)),
+    st.builds(_decimal, st.integers(10**17 - 4, 10**17 + 1), st.integers(-8, 18)),
+    st.builds(lambda k: 10.0**k, st.integers(-25, 30)),
+    st.sampled_from([1e-6, 1e17, 1e-5, 1e-4, 0.001, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))),
+)
+
+
+@st.composite
+def _hard_floats(draw):
+    v = draw(_BASES)
+    ulps = draw(st.integers(-4, 4))
+    with np.errstate(over="ignore"):
+        for _ in range(abs(ulps)):
+            v = float(np.nextafter(v, np.inf if ulps > 0 else 0.0))
+    return -v if draw(st.booleans()) else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_hard_floats(), min_size=1, max_size=40))
+def test_drawn_float_cells_match_python_percent(values):
+    a = np.array(values)
+    for digits in (6, 17):
+        want = "".join(f"%.{digits}g\n" % v for v in values)
+        assert bytes(cells.block_bytes([a], digits)).decode("ascii") == want
+
+
+def test_integer_cells_match_str():
+    """An integer column is `str` of each value: the 17-digit path below 10**17, `str` above."""
+    edges = [0, 1, 9, 10, 99, 100, 10**4 - 1, 10**4, 10**8, 10**16 - 1, 10**16, 10**17 - 1, 10**17, 10**18,
+             2**63 - 1, -(2**63)]
+    a = np.concatenate([edges, np.negative(edges[:-1]), np.random.default_rng(3).integers(-(10**18), 10**18, 5000)])
+    assert np.array_equal(a, a.astype(np.int64))
+    assert bytes(cells.block_bytes([a, a], 17)).decode("ascii") == "".join(f"{v},{v}\n" for v in a.tolist())
+
+
+@pytest.mark.parametrize("h", ["1", "1e-3"])
+def test_large_spectrum_matches_python_percent(tmp_path, h):
+    """An 8000-mode cache and 17-digit listing are, byte for byte, each number through Python's `%`."""
+    cache, listing = tmp_path / "s.json", tmp_path / "s.csv"
+    assert main(["spectrum", "--h", h, "--count", "8000", "--digits", "17",
+                 "--out", str(cache), "--csv", str(listing)]) == 0
+    spec = build_spectrum_by_count(Rectangle(float(h)), 8000)
+    a = spec.arrays
+    rows = list(zip(range(spec.size), [md.family.value for md in spec.modes], a.nu.tolist(), a.delta.tolist()))
+    assert listing.read_text() == reference_csv([("index", "family", "nu", "delta")] + rows, 17)
+    modes = ",\n".join('    {"family": "%s", "nu": %.17g, "delta": %.17g}' % row[1:] for row in rows)
+    assert cache.read_text() == ('{\n  "h": %.17g,\n  "selection": "%s",\n  "modes": [\n%s\n  ]\n}\n'
+                                 % (spec.rectangle.h, spec.selection, modes))

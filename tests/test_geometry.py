@@ -75,6 +75,21 @@ def test_side_point_on_arrays_matches_scalar():
         ]
 
 
+@pytest.mark.parametrize("h", [1.0, 0.5])
+def test_side_parameter_inverts_side_point(h):
+    """side_parameter(side, *side_point(side, t)) is t, for floats and arrays, on every side."""
+    import numpy as np
+
+    r = Rectangle(h)
+    for side in SIDES:
+        ts = np.linspace(*r.side_interval(side), 9)
+        assert np.array_equal(r.side_parameter(side, *r.side_point(side, ts)), ts)
+        for t in ts.tolist():
+            x, y = r.side_point(side, t)
+            assert r.side_parameter(side, x, y) == t
+            assert r.side_point(side, r.side_parameter(side, x, y)) == (x, y)
+
+
 @pytest.mark.parametrize("bad", [0.51, -0.5000001, math.nan])
 def test_array_side_parameter_domain(bad):
     import numpy as np

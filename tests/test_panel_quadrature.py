@@ -177,9 +177,10 @@ def test_adaptive_rule_starts_on_the_coefficient_nodes():
         assert np.array_equal(seen[side][seen[side] > 0.0], t), side
 
 
-@pytest.mark.parametrize("package", ["scipy", "numpy.polynomial"])
+@pytest.mark.parametrize("package", ["scipy", "numpy.polynomial", "steklov.expressions", "steklov.cells"])
 def test_import_leaves_scipy_out(package):
-    # numpy.polynomial is loaded by the first quadrature, not by the import
+    # numpy.polynomial is loaded by the first quadrature, expressions by the
+    # first expression data and cells by the first CSV or cache, not by the import
     src = Path(steklov.__file__).resolve().parents[1]
     code = f"import sys, steklov; print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))"
     out = subprocess.run(
