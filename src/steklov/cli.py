@@ -19,7 +19,8 @@ standard output, and its `wrote N modes` line goes to standard error, as
 
 Exit codes: 0 success, 1 failed checks (invariant suite, or table entries out
 of tolerance), 2 invalid configuration (an input file that cannot be read,
-or malformed JSON, among them) or incompatible data, 3 root-finder failure.
+or malformed JSON, among them) or incompatible data (expression data that
+divide by zero or overflow, among them), 3 root-finder failure.
 
 `solve` and `grid` build the problem kind from --kind and --b and solve through
 `solvers.solve`, so a flag of another kind exits 2: --b is Robin-only (and
@@ -233,20 +234,24 @@ _BAND_CELLS = 2**13  # grid values per block of `_grid_rows`
 
 def _grid_rows(U, xs, ys, exact, digits: int):
     """Blocks of columns for bands of about `_BAND_CELLS` values of the grid
-    values U, x varying fastest; the axis labels are formatted once.
+    values U, x varying fastest; the axis labels are formatted once, as
+    text columns (`cells.float_cells`).
 
     The exact solution is evaluated row by row with y a Python float, as a
     single-row evaluation would: numpy's array power and sin may differ from
     the scalar path in the last bit of the y-only terms.
     """
+    from . import cells  # loaded with the first CSV, as in `_write_columns`
+
     nx = xs.size
     band = max(1, _BAND_CELLS // nx)
-    xs_text = np.array([f"{x:.{digits}g}" for x in xs.tolist()], dtype="S")
-    ys_text = np.array([f"{y:.{digits}g}" for y in ys.tolist()], dtype="S")
+    # each label column cut to its longest cell: a text column's slot is as wide as the column
+    xs_text, ys_text = (t[:, :np.count_nonzero(t, axis=1).max()] for t in
+                        (cells.float_cells(xs, digits), cells.float_cells(ys, digits)))
     for r in range(0, ys.size, band):
         rows = min(band, ys.size - r)
         u = U[r:r + rows].ravel()
-        block = [np.tile(xs_text, rows), np.repeat(ys_text[r:r + rows], nx), u]
+        block = [np.tile(xs_text, (rows, 1)), np.repeat(ys_text[r:r + rows], nx, axis=0), u]
         if exact is not None:
             e = np.concatenate([exact(xs, y) for y in ys[r:r + rows].tolist()])
             block += [e, u - e]
@@ -414,7 +419,8 @@ def main(argv=None) -> int:
     except RootFindError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ROOTFIND
-    except (IncompatibleDataError, GeometryError, QuadratureError, SpectrumError, ValueError, OSError) as exc:
+    except (IncompatibleDataError, GeometryError, QuadratureError, SpectrumError, ValueError, OSError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -1,10 +1,14 @@
-"""Arithmetic expression parser for boundary data given as text in x and y.
+"""Boundary data given as text in x and y.
 
-Supports + - * / ^ (right-associative power), unary minus, one-argument
-functions (sin, cos, tan, sinh, cosh, tanh, exp, ln, sqrt, abs), the
-constants pi and e, and numeric literals. Parsing is Pratt-style with
-standard precedence. The tests print random trees back to source and check
-that it reparses to an identical tree.
+The grammar is Python's expression syntax restricted to + - * / and ^ for
+power (right-associative, binding tighter than unary minus on its left:
+-x^2 is -(x^2), 2^-1 is 0.5), unary minus, parentheses, one-argument calls of
+sin, cos, tan, sinh, cosh, tanh, exp, ln, sqrt and abs, the names x, y, pi
+and e, and decimal literals, which must be finite. `**` is refused, and so is
+every other character, name, operator or form, with its position in the
+source. `parse` checks the text with one pattern, hands it to `ast.parse` with
+`^` spelled `**`, and walks the tree against that whitelist; each literal's
+value is `float` of its source text.
 
 evaluate takes floats or numpy arrays. Floats are evaluated with `math`.
 Arrays are evaluated with numpy, with floating-point errors raised; when one
@@ -15,8 +19,10 @@ as at a float, never a NaN or a warning.
 
 from __future__ import annotations
 
+import ast
 import math
-from dataclasses import dataclass
+import operator
+import re
 
 import numpy as np
 
@@ -29,75 +35,65 @@ class ExpressionError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
-
-_NP_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-}
-
+_NAMES = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "sqrt")
+_FUNCTIONS = {**{name: getattr(math, name) for name in _NAMES}, "ln": math.log, "abs": abs}
+_NP_FUNCTIONS = {**{name: getattr(np, name) for name in _NAMES}, "ln": np.log, "abs": np.abs}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow}
 
-# --- AST ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
+_REFUSED = re.compile(r"[^0-9A-Za-z.\s+\-*/^(),]|(?<=\*)\*")  # the second star of **
+_DECIMAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str  # 'x' or 'y'
+def parse(src: str) -> ast.expr:
+    """Parse source text into an expression tree (an `ast` node)."""
+    bad = _REFUSED.search(src)
+    if bad:
+        raise ExpressionError(f"unexpected character {bad.group()!r}", bad.start())
+    text = re.sub(r"\s", " ", src.replace("^", "**"))  # one line, so columns are offsets
+    body = text.lstrip()  # ast.parse refuses an indent
+    # the position in src of each column of body, and of its end: each ^ became two characters
+    back = [i for i, ch in enumerate(src) for _ in range(1 + (ch == "^"))][len(text) - len(body):] + [len(src)]
+    try:
+        tree = ast.parse(body, mode="eval").body
+    except SyntaxError as exc:  # offset counts from 1; 0 is the end of the input
+        column = exc.offset - 1 if exc.offset else len(body)
+        raise ExpressionError(exc.msg, back[min(column, len(body))]) from None
+    _check(tree, body, back)
+    return tree
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str  # 'pi' or 'e'
+def _check(node: ast.AST, body: str, back: list[int]) -> None:
+    """Refuse any node outside the whitelist; set each literal's value to
+    float of its source text."""
+    where, segment = back[node.col_offset], body[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        _check(node.left, body, back)
+        _check(node.right, body, back)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        _check(node.operand, body, back)
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS:
+        if len(node.args) != 1:
+            end = node.args[0].end_col_offset if node.args else node.func.end_col_offset + 1
+            raise ExpressionError(f"{node.func.id} takes exactly one argument", back[end])
+        _check(node.args[0], body, back)
+    elif isinstance(node, ast.Name) and node.id in ("x", "y", *_CONSTANTS):
+        pass
+    elif isinstance(node, ast.Constant) and _DECIMAL.fullmatch(segment):
+        node.value = float(segment)
+        if not math.isfinite(node.value):
+            raise ExpressionError("number out of range", where)
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        raise ExpressionError(f"unknown function {node.func.id!r}", where)
+    elif isinstance(node, ast.Name):
+        raise ExpressionError(f"unknown identifier {node.id!r}", where)
+    else:
+        raise ExpressionError(f"unsupported {segment!r}", where)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*', '/', '^'
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Node"
-
-
-Node = Num | Var | Const | Neg | BinOp | Call
-
-
-def evaluate(node: Node, x, y):
+def evaluate(node: ast.expr, x, y):
     """The tree's value at (x, y): a float, or an array of the broadcast
     shape where x or y is an array.
 
@@ -130,169 +126,14 @@ def raised_pointwise(exc: BaseException) -> bool:
     return getattr(exc, "steklov_pointwise", False)
 
 
-def _evaluate(node: Node, x, y, functions):
-    if isinstance(node, Num):
+def _evaluate(node: ast.expr, x, y, functions):
+    if isinstance(node, ast.BinOp):
+        return _OPERATORS[type(node.op)](_evaluate(node.left, x, y, functions),
+                                         _evaluate(node.right, x, y, functions))
+    if isinstance(node, ast.Name):
+        return x if node.id == "x" else y if node.id == "y" else _CONSTANTS[node.id]
+    if isinstance(node, ast.Constant):
         return node.value
-    if isinstance(node, Var):
-        return x if node.name == "x" else y
-    if isinstance(node, Const):
-        return _CONSTANTS[node.name]
-    if isinstance(node, Neg):
+    if isinstance(node, ast.UnaryOp):
         return -_evaluate(node.operand, x, y, functions)
-    if isinstance(node, BinOp):
-        a = _evaluate(node.left, x, y, functions)
-        b = _evaluate(node.right, x, y, functions)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return a**b
-    return functions[node.func](_evaluate(node.arg, x, y, functions))
-
-
-# --- lexer -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num', 'ident', 'op', 'lparen', 'rparen', 'comma', 'end'
-    text: str
-    pos: int
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise ExpressionError(f"malformed number {text!r}", i) from None
-            tokens.append(_Token("num", text, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", src[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, i))
-        else:
-            raise ExpressionError(f"unexpected character {ch!r}", i)
-        i += 1
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-# --- Pratt parser ------------------------------------------------------
-
-_BIN_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
-_UNARY_PREC = 25  # below ^, above * and /, so -x^2 parses as -(x^2)
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != kind:
-            raise ExpressionError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.pos)
-        return tok
-
-    def parse(self) -> Node:
-        node = self.expression(0)
-        tail = self.peek()
-        if tail.kind != "end":
-            raise ExpressionError(f"unexpected trailing input {tail.text!r}", tail.pos)
-        return node
-
-    def expression(self, min_prec: int) -> Node:
-        node = self.prefix()
-        while True:
-            tok = self.peek()
-            if tok.kind != "op" or tok.text not in _BIN_PREC:
-                break
-            prec = _BIN_PREC[tok.text]
-            if prec <= min_prec:
-                break
-            self.advance()
-            # right-associative power re-enters at prec-1
-            right = self.expression(prec - 1 if tok.text == "^" else prec)
-            node = BinOp(tok.text, node, right)
-        return node
-
-    def prefix(self) -> Node:
-        tok = self.advance()
-        if tok.kind == "num":
-            return Num(float(tok.text))
-        if tok.kind == "op" and tok.text == "-":
-            return Neg(self.expression(_UNARY_PREC))
-        if tok.kind == "lparen":
-            node = self.expression(0)
-            self.expect("rparen", "')'")
-            return node
-        if tok.kind == "ident":
-            if self.peek().kind == "lparen":
-                if tok.text not in _FUNCTIONS:
-                    raise ExpressionError(f"unknown function {tok.text!r}", tok.pos)
-                self.advance()
-                arg = self.expression(0)
-                if self.peek().kind == "comma":
-                    raise ExpressionError(
-                        f"{tok.text} takes exactly one argument", self.peek().pos
-                    )
-                self.expect("rparen", "')'")
-                return Call(tok.text, arg)
-            if tok.text in ("x", "y"):
-                return Var(tok.text)
-            if tok.text in _CONSTANTS:
-                return Const(tok.text)
-            raise ExpressionError(f"unknown identifier {tok.text!r}", tok.pos)
-        raise ExpressionError(
-            f"expected a value, found {tok.text or 'end of input'!r}", tok.pos
-        )
-
-
-def parse(src: str) -> Node:
-    """Parse source text into an expression tree."""
-    return _Parser(src).parse()
+    return functions[node.func.id](_evaluate(node.args[0], x, y, functions))

@@ -434,6 +434,18 @@ def test_with_exact_needs_builtin_data(tmp_path, capsys, data):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data, message", [
+    ("expr:x/0", "error: float division by zero"),
+    ("expr:exp(1000*x)", "error: math range error"),
+    ("expr:1e400", "error: number out of range (at position 0)"),
+])
+def test_arithmetic_faults_of_expression_data_exit_2(capsys, data, message):
+    # x/0 and exp(1000*x) raise what `math` raises; 1e400 is refused as parsed
+    assert run(["solve", "--g", data, "--points", "paper"]) == 2
+    out, err = capsys.readouterr()
+    assert err == message + "\n" and out == ""
+
+
 @pytest.mark.parametrize("flags", [
     ["--g", "file:{missing}.json", "--M", "1", "--print-coefficients"],
     ["--g", "builtin:f1", "--cache", "{missing}.json", "--print-coefficients"],

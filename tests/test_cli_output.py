@@ -341,8 +341,10 @@ def test_grid_cells_match_python_percent(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(cells, "block_bytes", lambda block, digits: blocks.append(block) or block_bytes(block, digits))
     out = tmp_path / "grid.csv"
     assert main(["grid", *argv, "--count", "41", "--grid", "201", "--with-exact", "--out", str(out)]) == 0
-    rows = [row for block in blocks
-            for row in zip(*(c.tolist() if c.dtype.kind == "f" else c.astype(str).tolist() for c in block))]
+    # a text column (the axis labels) is a uint8 matrix of ASCII cells padded with 0 bytes
+    rows = [row for block in blocks for row in zip(*(
+        c.tolist() if c.dtype.kind == "f" else [bytes(r).rstrip(b"\0").decode() for r in cells.text_cells(c)]
+        for c in block))]
     assert len(rows) == 201 * 201
     assert out.read_text() == reference_csv([("x", "y", "u", "exact", "error")] + rows, 6)
 

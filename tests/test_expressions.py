@@ -1,7 +1,9 @@
 """Expression parser: values, precedence, errors, and round-trip properties."""
 
+import ast
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -13,32 +15,36 @@ from steklov import expressions as ex
 
 # --- printer: the round-trip oracle of the parser's precedence and associativity
 
+_PREC = {ast.Add: 10, ast.Sub: 10, ast.Mult: 20, ast.Div: 20, ast.Pow: 30}
+_UNARY_PREC = 25  # Python's: below ^ on its left, above * and /, so -x^2 is -(x^2)
+_SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+
 
 def _prec(node) -> int:
-    if isinstance(node, ex.BinOp):
-        return ex._BIN_PREC[node.op]
-    if isinstance(node, ex.Neg):
-        return ex._UNARY_PREC
+    if isinstance(node, ast.BinOp):
+        return _PREC[type(node.op)]
+    if isinstance(node, ast.UnaryOp):
+        return _UNARY_PREC
     return 100
 
 
 def to_source(node) -> str:
     """Minimal-parenthesis source form; reparses to an identical tree."""
-    if isinstance(node, ex.Num):
+    if isinstance(node, ast.Constant):
         return repr(node.value)
-    if isinstance(node, (ex.Var, ex.Const)):
-        return node.name
-    if isinstance(node, ex.Neg):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.UnaryOp):
         inner = to_source(node.operand)
-        if _prec(node.operand) < ex._UNARY_PREC:
+        if _prec(node.operand) < _UNARY_PREC:
             inner = f"({inner})"
         return f"-{inner}"
-    if isinstance(node, ex.Call):
-        return f"{node.func}({to_source(node.arg)})"
-    prec = ex._BIN_PREC[node.op]
+    if isinstance(node, ast.Call):
+        return f"{node.func.id}({to_source(node.args[0])})"
+    prec = _prec(node)
     left = to_source(node.left)
     right = to_source(node.right)
-    if node.op == "^":
+    if isinstance(node.op, ast.Pow):
         if _prec(node.left) <= prec:
             left = f"({left})"
         if _prec(node.right) < prec:
@@ -48,9 +54,37 @@ def to_source(node) -> str:
             left = f"({left})"
         # the ops are left-associative: an equal-precedence right child only
         # keeps its shape through a reparse when parenthesized
-        if _prec(node.right) <= prec or isinstance(node.right, ex.Neg):
+        if _prec(node.right) <= prec or isinstance(node.right, ast.UnaryOp):
             right = f"({right})"
-    return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
+    op = _SYMBOL[type(node.op)]
+    return f"{left} {op} {right}" if op in "+-" else f"{left}{op}{right}"
+
+
+# --- the parser's node shapes, built without it; trees are equal when their dumps are
+
+
+def num(value: float):
+    return ast.Constant(value)
+
+
+def name(text: str):
+    return ast.Name(text, ast.Load())
+
+
+def neg(operand):
+    return ast.UnaryOp(ast.USub(), operand)
+
+
+def call(func: str, arg):
+    return ast.Call(name(func), [arg], [])
+
+
+def binop(op: str, left, right):
+    return ast.BinOp(left, next(k for k, v in _SYMBOL.items() if v == op)(), right)
+
+
+def same_tree(a, b) -> bool:
+    return ast.dump(a) == ast.dump(b)
 
 
 def test_quartic_example():
@@ -86,23 +120,118 @@ def test_constants_and_functions():
     assert ex.evaluate(ex.parse("tanh(x) - sinh(x)/cosh(x)"), 0.7, 0) == pytest.approx(0.0, abs=1e-15)
 
 
+# Every expression that the tests and README evaluate, and the precedence
+# cases: (source, float.hex of its value at (0.37, -0.61), the same formula
+# written out in numpy). The sources that raise are pinned by
+# test_array_domain_errors_raise_as_floats_do and the complex-power test.
+_PINS = [
+    ("x^4 - 6*x^2*y^2 + y^4", "-0x1.3002d775c82e2p-3", lambda x, y: x**4.0 - 6.0 * x**2.0 * y**2.0 + y**4.0),
+    ("ln(sqrt((x-3)^2 + (y-3)^2))", "0x1.7f207d720ad39p+0",
+     lambda x, y: np.log(np.sqrt((x - 3.0) ** 2.0 + (y - 3.0) ** 2.0))),
+    ("1", "0x1.0000000000000p+0", lambda x, y: 1.0),
+    ("2+3*4", "0x1.c000000000000p+3", lambda x, y: 2.0 + 3.0 * 4.0),
+    ("2*3^2", "0x1.2000000000000p+4", lambda x, y: 2.0 * 3.0**2.0),
+    ("2^3^2", "0x1.0000000000000p+9", lambda x, y: 2.0 ** (3.0**2.0)),
+    ("-x^2", "-0x1.185f06f694467p-3", lambda x, y: -(x**2.0)),
+    ("(-x)^2", "0x1.185f06f694467p-3", lambda x, y: (-x) ** 2.0),
+    ("2^-1", "0x1.0000000000000p-1", lambda x, y: 2.0 ** (-1.0)),
+    ("10-4-3", "0x1.8000000000000p+1", lambda x, y: (10.0 - 4.0) - 3.0),
+    ("24/4/2", "0x1.8000000000000p+1", lambda x, y: (24.0 / 4.0) / 2.0),
+    ("-2^2", "-0x1.0000000000000p+2", lambda x, y: -(2.0**2.0)),
+    ("3e2", "0x1.2c00000000000p+8", lambda x, y: 300.0),
+    ("cos(pi)", "-0x1.0000000000000p+0", lambda x, y: np.cos(math.pi)),
+    ("ln(e)", "0x1.0000000000000p+0", lambda x, y: np.log(math.e)),
+    ("abs(-x)", "0x1.7ae147ae147aep-2", lambda x, y: np.abs(-x)),
+    ("tanh(x) - sinh(x)/cosh(x)", "0x0.0p+0", lambda x, y: np.tanh(x) - np.sinh(x) / np.cosh(x)),
+    ("exp(-1000 * (x + 1.5))", "0x0.0p+0", lambda x, y: np.exp(-1000.0 * (x + 1.5))),
+    ("x * 1e308 * 10", "inf", lambda x, y: x * 1e308 * 10.0),
+    ("2 * pi", "0x1.921fb54442d18p+2", lambda x, y: 2.0 * math.pi),
+    ("x - y", "0x1.f5c28f5c28f5cp-1", lambda x, y: x - y),
+    ("2*(exp(1)*sin(y))", "-0x1.8ea5a7e27f71cp+1", lambda x, y: 2.0 * (np.exp(1.0) * np.sin(y))),
+    ("x^2", "0x1.185f06f694467p-3", lambda x, y: x**2.0),
+    ("x*y", "-0x1.ce3bcd35a8587p-3", lambda x, y: x * y),
+    ("x + 2*y", "-0x1.b333333333333p-1", lambda x, y: x + 2.0 * y),
+    ("sin(y)", "-0x1.254ee23c25f74p-1", lambda x, y: np.sin(y)),
+    ("exp(x)*cos(y) + ln(3 - x)", "0x1.13a9b5e360449p+1", lambda x, y: np.exp(x) * np.cos(y) + np.log(3.0 - x)),
+    ("sqrt(abs(1 - x^2))", "0x1.dbaa0cd106e68p-1", lambda x, y: np.sqrt(np.abs(1.0 - x**2.0))),
+    ("exp(x)*sin(y) + x*y^2 + x^3", "-0x1.48351746c3e5fp-1",
+     lambda x, y: np.exp(x) * np.sin(y) + x * y**2.0 + x**3.0),
+    ("exp(x)*cos(y)", "0x1.2fc72aeb9b6e5p+0", lambda x, y: np.exp(x) * np.cos(y)),
+    ("abs(x - 0.3)", "0x1.1eb851eb851ecp-4", lambda x, y: np.abs(x - 0.3)),
+    ("exp(x)*cos(y) + x^2", "0x1.52d30bca6df72p+0", lambda x, y: np.exp(x) * np.cos(y) + x**2.0),
+    ("0*x", "0x0.0p+0", lambda x, y: 0.0 * x),
+    ("x+y", "-0x1.eb851eb851eb8p-3", lambda x, y: x + y),
+    ("x^2-y^2", "-0x1.e1b089a027525p-3", lambda x, y: x**2.0 - y**2.0),
+]
+
+
+@pytest.mark.parametrize("src, value, numpy_form", _PINS, ids=[p[0] for p in _PINS])
+def test_values_are_pinned_bit_for_bit(src, value, numpy_form):
+    """The float value against its recorded bits; the value on 101 points
+    against the numpy form, bit for bit (its signs of zero included)."""
+    tree = ex.parse(src)
+    assert float.hex(ex.evaluate(tree, 0.37, -0.61)) == value
+    xs, ys = np.linspace(-1.0, 1.0, 101), np.linspace(-0.8, 0.9, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ex.evaluate(tree, xs, ys)
+    with np.errstate(all="ignore"):
+        want = np.broadcast_to(np.asarray(numpy_form(xs, ys), dtype=float), xs.shape)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "src, where",
     [
-        ("x + (", 5),
+        ("x + (", 4),  # where Python's parser names the unclosed "("
         ("1 + * 2", 4),
         ("foo", 0),
         ("sin(x, y)", 5),
         ("bar(x)", 0),
         ("3 @ 4", 2),
         ("x y", 2),
-        ("1.2.3", 0),
+        ("1.2.3", 3),  # 1.2, then the literal .3
     ],
 )
 def test_errors_carry_positions(src, where):
     with pytest.raises(ex.ExpressionError) as err:
         ex.parse(src)
     assert err.value.position == where
+
+
+@pytest.mark.parametrize("src, where, message", [
+    ("x**2", 2, "unexpected character '*'"),  # the grammar's power is ^
+    ("0123", 0, "leading zeros"),
+    ("x ^ 2 ^ ", 8, "invalid syntax"),  # at the end of the input
+    ("  foo", 2, "unknown identifier 'foo'"),
+    ("x +\n  e(1)", 6, "unknown function 'e'"),
+    ("sin()", 4, "sin takes exactly one argument"),
+    ("x // y", 0, "unsupported 'x // y'"),
+    ("+x", 0, "unsupported '+x'"),
+    ("1 + x.real", 4, "unsupported 'x.real'"),
+    ("sin(x)(y)", 0, "unsupported 'sin(x)(y)'"),
+    ("x if y else 1", 0, "unsupported"),
+    ("(x, y)", 0, "unsupported"),
+    ("0x10", 0, "unsupported '0x10'"),
+    ("2^3j", 2, "unsupported '3j'"),
+    ("True", 0, "unsupported 'True'"),
+])
+def test_python_forms_outside_the_grammar_are_refused(src, where, message):
+    with pytest.raises(ex.ExpressionError, match=re.escape(message)) as err:
+        ex.parse(src)
+    assert err.value.position == where
+
+
+@pytest.mark.parametrize("src, where", [("1e400", 0), ("1e400*x", 0), ("x - 2^1e309", 6)])
+def test_literals_that_overflow_are_refused(src, where):
+    # accepted once: 1e400 reached the solver as inf, and 1e400*x gave NaN at x = 0
+    with pytest.raises(ex.ExpressionError, match="number out of range") as err:
+        ex.parse(src)
+    assert err.value.position == where
+
+
+def test_whitespace_and_newlines_are_blanks():
+    assert ex.evaluate(ex.parse("\t x +\n 2 * y "), 1.0, 0.25) == 1.5
 
 
 _rng = random.Random(20240809)
@@ -113,20 +242,20 @@ def random_tree(depth):
     if depth == 0 or _rng.random() < 0.25:
         pick = _rng.random()
         if pick < 0.4:
-            return ex.Num(round(_rng.uniform(0.0, 9.0), 3))
+            return num(round(_rng.uniform(0.0, 9.0), 3))
         if pick < 0.7:
-            return ex.Var(_rng.choice("xy"))
-        return ex.Const(_rng.choice(("pi", "e")))
+            return name(_rng.choice("xy"))
+        return name(_rng.choice(("pi", "e")))
     pick = _rng.random()
     if pick < 0.15:
-        return ex.Neg(random_tree(depth - 1))
+        return neg(random_tree(depth - 1))
     if pick < 0.35:
-        return ex.Call(_rng.choice(("sin", "cos", "tanh", "exp", "abs")), random_tree(depth - 1))
+        return call(_rng.choice(("sin", "cos", "tanh", "exp", "abs")), random_tree(depth - 1))
     op = _rng.choice("+-*/^")
     if op == "^":
         # keep powers tame and well-defined
-        return ex.BinOp("^", ex.Call("abs", random_tree(depth - 1)), ex.Num(float(_rng.randint(0, 3))))
-    return ex.BinOp(op, random_tree(depth - 1), random_tree(depth - 1))
+        return binop("^", call("abs", random_tree(depth - 1)), num(float(_rng.randint(0, 3))))
+    return binop(op, random_tree(depth - 1), random_tree(depth - 1))
 
 
 def test_random_trees_round_trip_and_match_direct_evaluation():
@@ -135,7 +264,7 @@ def test_random_trees_round_trip_and_match_direct_evaluation():
         tree = random_tree(4)
         printed = to_source(tree)
         reparsed = ex.parse(printed)
-        assert reparsed == tree, printed
+        assert same_tree(reparsed, tree), printed
         for x, y in points:
             try:
                 want = ex.evaluate(tree, x, y)
@@ -150,28 +279,28 @@ def tree_strategy(draw, depth=3):
     if depth == 0:
         kind = draw(st.integers(0, 2))
         if kind == 0:
-            return ex.Num(draw(st.floats(0.0, 100.0, allow_nan=False)))
+            return num(draw(st.floats(0.0, 100.0, allow_nan=False)))
         if kind == 1:
-            return ex.Var(draw(st.sampled_from(("x", "y"))))
-        return ex.Const(draw(st.sampled_from(("pi", "e"))))
+            return name(draw(st.sampled_from(("x", "y"))))
+        return name(draw(st.sampled_from(("pi", "e"))))
     kind = draw(st.integers(0, 3))
     if kind == 0:
-        return ex.Neg(draw(tree_strategy(depth=depth - 1)))
+        return neg(draw(tree_strategy(depth=depth - 1)))
     if kind == 1:
         fn = draw(st.sampled_from(sorted(("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "abs"))))
-        return ex.Call(fn, draw(tree_strategy(depth=depth - 1)))
+        return call(fn, draw(tree_strategy(depth=depth - 1)))
     if kind == 2:
         return draw(tree_strategy(depth=0))
     op = draw(st.sampled_from("+-*/^"))
     left = draw(tree_strategy(depth=depth - 1))
     right = draw(tree_strategy(depth=depth - 1))
-    return ex.BinOp(op, left, right)
+    return binop(op, left, right)
 
 
 @settings(max_examples=60, deadline=None)
 @given(tree_strategy())
 def test_pretty_print_reparses_identically(tree):
-    assert ex.parse(to_source(tree)) == tree
+    assert same_tree(ex.parse(to_source(tree)), tree)
 
 
 def _scalar_values(tree, xs, ys):
