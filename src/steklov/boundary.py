@@ -503,13 +503,13 @@ def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
 # (_cancelled_classes): only the other classes are evaluated, as a
 # sub-spectrum (Spectrum.take), and the skipped rows keep their exact zeros.
 # The sub-spectrum and its factor plans cost 60-170 us (100-300 modes, one
-# CPU), the factor kernel and the products about 8 ns per mode x node
-# entry. So a side skips only when that drops at least _SKIP_ENTRIES
-# entries, about 160 us of kernel time, and a side of fewer entries in all
-# is not checked. The 400-mode solves of symmetric data drop 49k-132k
-# entries per side (not the 400 x 49 of the short sides at h = 0.1); a
-# 41-80-mode pass of the tables or of a field solve has at most 80 x 98
-# entries per side and evaluates every mode, as before.
+# CPU), the factor kernel and the products about 9 ns per mode x node
+# entry (400 modes, one CPU). So a side skips only when that drops at
+# least _SKIP_ENTRIES entries, about 190 us of kernel time, and a side of
+# fewer entries in all is not checked. The 400-mode solves of symmetric
+# data drop 49k-132k entries per side (not the 400 x 49 of the short sides
+# at h = 0.1); a 41-80-mode pass of the tables or of a field solve has at
+# most 80 x 98 entries per side and evaluates every mode, as before.
 _SKIP_ENTRIES = 20_000
 # The folded columns come in pairs (A, B), the side's and the reflected
 # side's, per rule and parity: Gauss even, Gauss odd, Kronrod even, Kronrod

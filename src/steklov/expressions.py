@@ -10,11 +10,12 @@ source. `parse` checks the text with one pattern, hands it to `ast.parse` with
 `^` spelled `**`, and walks the tree against that whitelist; each literal's
 value is `float` of its source text.
 
-evaluate takes floats or numpy arrays. Floats are evaluated with `math`.
-Arrays are evaluated with numpy, with floating-point errors raised; when one
-is raised the points are evaluated again one by one with `math`, so a
-domain error, an overflow or a division by zero raises the same exception
-as at a float, never a NaN or a warning.
+evaluate takes floats or numpy arrays. Floats are evaluated with `math`, and
+a value that is not finite raises ArithmeticError. Arrays are evaluated with
+numpy, with floating-point errors raised; when one is raised, or a value is
+not finite, the points are evaluated again one by one with `math`, so a
+domain error, an overflow or a division by zero raises the same exception as
+at a float, never a NaN or a warning.
 """
 
 from __future__ import annotations
@@ -97,23 +98,27 @@ def evaluate(node: ast.expr, x, y):
     """The tree's value at (x, y): a float, or an array of the broadcast
     shape where x or y is an array.
 
-    On arrays a floating-point error (ln or sqrt of a negative, overflow,
-    division by zero) or a complex power sends every point through the float
-    path, which raises what `math` and float arithmetic raise there; a
-    TypeError or ValueError from that path is marked for raised_pointwise.
+    A value that is not finite is an ArithmeticError. On arrays such a value,
+    a floating-point error (ln or sqrt of a negative, overflow, division by
+    zero) or a complex power sends every point through the float path, which
+    raises what `math` and float arithmetic raise there; a TypeError or
+    ValueError from that path is marked for raised_pointwise.
     """
     if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
-        return _evaluate(node, x, y, _FUNCTIONS)
+        value = _evaluate(node, x, y, _FUNCTIONS)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ArithmeticError(f"expression value {value!r} at ({float(x)!r}, {float(y)!r}) is not finite")
+        return value
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
             out = _evaluate(node, x, y, _NP_FUNCTIONS)
-        if not np.iscomplexobj(out):
+        if not np.iscomplexobj(out) and np.isfinite(out).all():
             return out if np.shape(out) == x.shape else np.full(x.shape, out)
     except FloatingPointError:
         pass
     try:
-        values = [_evaluate(node, a, b, _FUNCTIONS) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+        values = [evaluate(node, a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
         return np.array(values, dtype=float).reshape(x.shape)
     except (TypeError, ValueError) as exc:
         exc.steklov_pointwise = True  # read by raised_pointwise

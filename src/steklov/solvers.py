@@ -127,9 +127,15 @@ class SteklovApproximation:
         if self.lift is None:  # + 0.0, the sum with a zero lift, turns a constant of -0.0 into 0.0
             return None if derivative else self.constant_term + 0.0
         a0, a1, a2, a3 = self.lift
+        # each term a * t... as written, less those of a == 0.0: at finite points they are
+        # +-0.0, which changes no bit of a sum that is not -0.0, and none is unless its first term is
+        keep = lambda first, a: a != 0.0 or (first == 0.0 and math.copysign(1.0, first) < 0.0)
         if derivative:
-            return a1 + a3 * y, a2 + a3 * x
-        return self.constant_term + (a0 + a1 * x + a2 * y + a3 * x * y)
+            return tuple(s + a3 * t if keep(s, a3) else s for s, t in ((a1, y), (a2, x)))
+        lift = a0
+        for term in ((a1, x), (a2, y), (a3, x, y)):
+            lift = lift + math.prod(term) if keep(a0, term[0]) else lift
+        return self.constant_term + lift
 
     def _expansion(self, x, y, grid: bool = False, derivative: bool = False):
         """constant + lift + sum_j w_j s_j, or with derivative its gradient,

@@ -457,9 +457,9 @@ def make_mode(family: FamilyTag, rect: Rectangle, nu: float = 0.0, family_rank: 
 
 # Mode x point entries per kernel call over a block of points. Bounds the
 # working memory at any point count (128 kB per K x block matrix). Blocks of
-# 2**12 to 2**16 entries, 80 modes, 2 vCPUs: expand at 1e5 points took 222,
-# 191, 172, 161 and 331 ms, its gradient at 4e4 points 115, 102, 93, 193 and
-# 256 ms (41 modes: the same order, 2**14 and 2**15 tied on the values). A
+# 2**12 to 2**16 entries, 80 modes at h = 0.5, 2 vCPUs: expand at 1e5 points
+# took 146, 145, 109, 104 and 220 ms, its gradient at 4e4 points 86, 86, 65,
+# 136 and 183 ms (41 modes: 91, 64, 55, 54, 114 and 55, 36, 34, 69, 96). A
 # block is a whole number of _BLOCK points, one at least, so per-call
 # overhead stays small at large K, and products taken one _BLOCK-column
 # slice at a time (_mode_blocks) do not depend on the block.
@@ -756,18 +756,20 @@ def _apply_kinds(z: np.ndarray, spans, derivative: bool):
     within 4.5e-16 relative for |theta| <= 1e-3; near the other zeros of
     cos and sin only the absolute bound holds. Hyperbolic rows, cosh and
     sinh scaled by exp(-hyp_scale), share |v|, exp(|v| - hyp_scale) and
-    -2|v|. Returns the derivatives of the factors, or None without derivative.
+    -2|v|. Without derivative a row computes only its own function. Returns
+    the derivatives of the factors, or None without derivative.
     """
     dz = np.empty_like(z) if derivative else None
     for kind, s, split, coef, dcoef, scale in spans:
         v = z[s]
         d = dz[s] if derivative else None
+        odd = slice(None if derivative else split, None)  # the rows that need sin or sinh
         if kind == "trig":
             np.tan(v, out=v)
             r = np.multiply(v, v)
             r += 1.0
             np.divide(2.0, r, out=r)
-            v *= r  # sin(theta) on every row
+            v[odd] *= r[odd]  # sin(theta)
             head = slice(None, split)
             if derivative:  # -nu sin on the cos rows, nu cos on the sin rows
                 d[head] = v[head]
@@ -775,20 +777,19 @@ def _apply_kinds(z: np.ndarray, spans, derivative: bool):
                 d *= dcoef
             np.subtract(r[head], 1.0, out=v[head])  # cos(theta) on the cos rows
         elif kind == "hyp":
-            # sinh = -sign(v) * (half * expm1(av)) and cosh = half * (exp(av) + 1),
-            # each rounded as its formula (sign changes are exact), in place:
-            # every full-size temporary costs page faults
+            # cosh = half * (exp(-2|v|) + 1) and sinh = copysign(half * expm1(-2|v|), v),
+            # half = exp(|v| - scale) / 2, each rounded as its formula (a sign
+            # is exact), in place: every full-size temporary costs page faults
             av = np.abs(v)
             half = np.subtract(av, scale)
             np.exp(half, out=half)
             half *= 0.5
             av *= -2.0
-            np.sign(v, out=v)  # only the sign of v is used from here on
+            v[odd] += 0.0  # -0.0 becomes 0.0: sinh at either zero is 0.0
             if derivative:
                 sinh = np.expm1(av)
                 sinh *= half
-                sinh *= v
-                np.negative(sinh, out=sinh)
+                np.copysign(sinh, v, out=sinh)
                 cosh = np.exp(av, out=av)
                 cosh += 1.0
                 cosh *= half
@@ -797,13 +798,11 @@ def _apply_kinds(z: np.ndarray, spans, derivative: bool):
                 cosh[split:] = sinh[split:]  # the factors: cosh rows, then sinh rows
             else:  # each row needs only its own function, computed in av
                 cosh, sinh = av[:split], av[split:]
-                np.expm1(sinh, out=sinh)
-                sinh *= half[split:]
-                sinh *= v[split:]
-                np.negative(sinh, out=sinh)
                 np.exp(cosh, out=cosh)
                 cosh += 1.0
-                cosh *= half[:split]
+                np.expm1(sinh, out=sinh)
+                av *= half
+                np.copysign(sinh, v[split:], out=sinh)
             np.multiply(coef, av, out=v)
         else:
             if derivative:

@@ -4,6 +4,8 @@ import argparse
 import csv
 import json
 import math
+import re
+import warnings
 
 import pytest
 
@@ -438,12 +440,20 @@ def test_with_exact_needs_builtin_data(tmp_path, capsys, data):
     ("expr:x/0", "error: float division by zero"),
     ("expr:exp(1000*x)", "error: math range error"),
     ("expr:1e400", "error: number out of range (at position 0)"),
+    pytest.param("expr:x*1e308*10", re.compile(r"error: expression value inf at \(1\.0, [-+.e0-9]+\) is not finite"),
+                 id="expr:x*1e308*10-error: expression value inf at (1.0, y) is not finite"),
 ])
 def test_arithmetic_faults_of_expression_data_exit_2(capsys, data, message):
-    # x/0 and exp(1000*x) raise what `math` raises; 1e400 is refused as parsed
-    assert run(["solve", "--g", data, "--points", "paper"]) == 2
+    # x/0 and exp(1000*x) raise what `math` raises; 1e400 is refused as parsed;
+    # x*1e308*10, inf where x > 0 without a raise, is refused at its first
+    # node, before any quadrature
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["solve", "--g", data, "--points", "paper"]) == 2
     out, err = capsys.readouterr()
-    assert err == message + "\n" and out == ""
+    assert out == "" and not caught
+    assert message.fullmatch(err[:-1]) if isinstance(message, re.Pattern) else err == message + "\n"
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags", [

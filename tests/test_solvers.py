@@ -1,5 +1,7 @@
 """Expansion solvers: identities, residuals, grids, and the corner lift."""
 
+import dataclasses
+import itertools
 import math
 import random
 import warnings
@@ -225,6 +227,79 @@ def test_corner_reduction_equivalence(rect, spec_pf5):
     u_plain = solve_dirichlet(g1, spec_pf5)
     for p in ((0.9, 0.9), (0.0, 0.0), (-0.5, 0.7)):
         assert u_red.eval(*p) == pytest.approx(-4.0 + u_plain.eval(*p), abs=1e-9)
+
+
+def bits(a):
+    """The float64 bits of a float or an array, for comparisons that see the sign of 0."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def lift_sum(u, x, y, derivative=False):
+    """constant + (a0 + a1*x + a2*y + a3*x*y), or the gradient (a1 + a3*y, a2 + a3*x),
+    written out in full."""
+    a0, a1, a2, a3 = u.lift
+    if derivative:
+        return a1 + a3 * y, a2 + a3 * x
+    return u.constant_term + (a0 + a1 * x + a2 * y + a3 * x * y)
+
+
+# data, h, which lift coefficients are not 0.0
+LIFT_CASES = [
+    ("f1", 1.0, (True, False, False, False)),
+    ("x^3", 0.6, (False, True, False, False)),
+    ("exp(x + 2*y)", 0.6, (True, True, True, True)),
+]
+
+
+@pytest.mark.parametrize("data, h, nonzero", LIFT_CASES)
+@pytest.mark.parametrize("constant", [None, -0.0])
+def test_lift_is_added_bit_for_bit(data, h, nonzero, constant):
+    # every evaluator of a corner-reduced solve is its expansion plus the
+    # lift written out in full, whichever lift terms are left out as 0.0
+    rect = Rectangle(h)
+    g = builtin_boundary(data, rect) if data == "f1" else BoundaryFunction.from_expression(data, rect)
+    u = solve_dirichlet(g, build_spectrum_by_count(rect, 41), use_corner_reduction=True)
+    assert tuple(a != 0.0 for a in u.lift) == nonzero
+    if constant is not None:
+        u = dataclasses.replace(u, constant_term=constant)
+    spec, w = u._terms
+    same = lambda got, want: np.testing.assert_array_equal(bits(got), bits(want))
+    for x, y in ((0.3, -0.2 * h), (-0.0, 0.5 * h), (1.0, -h)):
+        same(u.eval(x, y), spec.expand(w, x, y) + lift_sum(u, x, y))
+    rng = np.random.default_rng(7)
+    x = np.concatenate([[-1.0, -0.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 500)])
+    y = np.concatenate([[h, 0.0, -0.0, -h], rng.uniform(-h, h, 500)])
+    same(u.eval_array(x, y), spec.expand(w, x, y) + lift_sum(u, x, y))
+    for got, expansion, lift in zip(u.gradient_arrays(x, y), spec.expand(w, x, y, True), lift_sum(u, x, y, True)):
+        same(got, expansion + lift)
+    xs, ys = np.linspace(-1.0, 1.0, 9), np.linspace(-h, h, 7)
+    want = spec.expand_grid(w, xs, ys) + lift_sum(u, xs, ys[:, None])
+    same(u.eval_grid(9, 7), want)
+    same(u.eval_array(*grid_points(rect, 9, 7)), want)
+    for side in SIDES:
+        ts = np.linspace(*rect.side_interval(side), 11)
+        px, py = rect.side_point(side, ts)
+        same(u.boundary_value(side, ts), spec.expand(w, px, py) + lift_sum(u, px, py))
+        px, py = rect.side_point(side, 0.0)
+        same(u.boundary_value(side, 0.0), spec.expand(w, px, py) + lift_sum(u, px, py))
+
+
+def test_lift_keeps_the_sign_of_zero(rect, spec_pf5):
+    # lifts and constants of 0.0 and -0.0 at coordinates of either zero: the
+    # constant plus the lift, and its gradient, are the full formula bit for bit
+    u = solve_dirichlet(builtin_boundary("f1", rect), spec_pf5, use_corner_reduction=True)
+    x = np.array([-0.0, 0.0, -0.0, 0.0, 0.5, -0.5])
+    y = np.array([-0.0, -0.0, 0.0, 0.0, -0.0, 0.25])
+    zeros = (0.0, -0.0)
+    for lift in itertools.chain(itertools.product(zeros, repeat=4), [(-4.0, 0.0, -0.0, 0.0), (-0.0, 1.0, 0.0, -0.0)]):
+        for constant in (0.0, -0.0, 1.5):
+            v = dataclasses.replace(u, lift=lift, constant_term=constant)
+            got = v._constant_and_lift(x, y)
+            assert np.array_equal(bits(np.broadcast_to(got, x.shape)), bits(lift_sum(v, x, y))), (lift, constant)
+            for got, want in zip(v._constant_and_lift(x, y, derivative=True), lift_sum(v, x, y, True)):
+                assert np.array_equal(bits(np.broadcast_to(got, x.shape)), bits(np.broadcast_to(want, x.shape))), lift
+            for i in range(x.size):
+                assert bits(v._constant_and_lift(x[i], y[i])) == bits(lift_sum(v, x[i], y[i])), (lift, constant, i)
 
 
 def test_max_principle_bound(rect, deep_square):
