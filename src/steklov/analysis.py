@@ -142,8 +142,7 @@ def _truncation_errors(pairs: Sequence[tuple[Callable[[Side, np.ndarray], np.nda
         if queue is not None:
             queue.clear()  # split otherwise than its reflected side
         mirrored = np.empty_like(sums) if side in _REFLECTED else None
-        for block, xb, yb in base._point_blocks(x, y):
-            s = base.values(xb, yb)
+        for block, s in base._value_blocks(x, y):
             for pair in range(len(pairs)):
                 sums[pair, :, block] = weights[pair] @ s
                 if mirrored is not None:

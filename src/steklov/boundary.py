@@ -502,8 +502,8 @@ def mode_gram_matrix(spec: Spectrum) -> np.ndarray:
 # A parity class whose sums cancel exactly on a side is skipped there
 # (_cancelled_classes): only the other classes are evaluated, as a
 # sub-spectrum (Spectrum.take), and the skipped rows keep their exact zeros.
-# The sub-spectrum and its factor plans cost 60-170 us (100-300 modes, one
-# CPU), the factor kernel and the products about 9 ns per mode x node
+# The sub-spectrum and its factor plans cost 60-85 us (100-300 modes, 2
+# vCPUs), the factor kernel and the products about 9 ns per mode x node
 # entry (400 modes, one CPU). So a side skips only when that drops at
 # least _SKIP_ENTRIES entries, about 190 us of kernel time, and a side of
 # fewer entries in all is not checked. The 400-mode solves of symmetric

@@ -52,7 +52,8 @@ factors, which no other module touches: the (K, N) matrix of values or of a
 gradient component (values), and the weighted expansion or its gradient at
 points, in blocks of bounded size (expand), or on a tensor grid (expand_grid).
 Its block rule (_point_blocks) is the package's one: the coefficient pass and
-the truncation sweep take their blocks from it.
+the truncation sweep take their value blocks from it (_value_blocks), where
+a side's fixed coordinate is evaluated once.
 """
 
 from __future__ import annotations
@@ -172,6 +173,15 @@ _ENDPOINT_RTOL = 100.0 * 2.220446049250313e-16  # residual at rounding level, pe
 # evaluated in one pass by _apply_kinds: trig (cos, sin), hyp (cosh, sinh)
 # and linear.
 _SPANS = (("trig", 0, 2), ("hyp", 2, 4), ("linear", 4, 5))  # (span, first, end) as indices of _KINDS
+# Per code, the kinds and the axes of its two factors, in the order
+# _factor_plan numbers them: the hyperbolic (later) kind first. The kinds
+# are int8, which numpy's stable argsort sorts by radix.
+_FACTOR_KIND = np.column_stack((_HYP_KIND, _TRIG_KIND)).astype(np.int8)
+_FACTOR_AXIS = np.column_stack((_HYP_AXIS, 1 - _HYP_AXIS))
+# Per kind, what multiplies nu in the argument (the half angle on trig
+# rows) and the sign of the derivative's coefficient (-nu on cos rows).
+_ARG_SCALE = np.array([0.5 if kind in ("cos", "sin") else 1.0 for kind in _KINDS])
+_DSIGN = np.array([-1.0 if kind == "cos" else 1.0 for kind in _KINDS])
 # Per code, whether its factor along x (column 0) and along y (column 1) is
 # odd: sin, sinh and linear are, cos and cosh are not. The constant is even
 # along both axes, xy odd along both. A mode is odd under the point
@@ -552,6 +562,21 @@ class Spectrum:
         """_factor_plan of the x axis alone, and of the y axis alone."""
         return _factor_plan(self.arrays, 0), _factor_plan(self.arrays, 1)
 
+    @cached_property
+    def _point_plan(self):
+        """_factor_table with 1-D columns, for expand at one point."""
+        axis, arg, spans, rows = self._factor_table
+        return axis, arg[:, 0], [span[:3] + tuple(c[:, 0] for c in span[3:]) for span in spans], rows
+
+    def _axis_factors(self, along: int, coord, derivative: bool = False):
+        """(F, dF): the (K, len(coord)) factors along the axis `along` (0 for
+        x, 1 for y) at the 1-D array coord, and their derivatives (None
+        unless derivative is set)."""
+        _, arg, spans, rows = self._axis_tables[along]
+        f = arg * coord
+        df = _apply_kinds(f, spans, derivative)
+        return f[rows[along]], (df[rows[along]] if derivative else None)
+
     def _factors(self, x, y, derivative: bool = False):
         """((Fx, Fy), (dFx, dFy)): the separable factors of the nonconstant modes.
 
@@ -560,8 +585,8 @@ class Spectrum:
         (x_i, y_i) is Fx[j, i] * Fy[j, i]; the derivatives are None unless
         derivative is set. The hyperbolic factors carry the norm and the
         exp(-nu*aH) scaling. With len(x) == len(y) both axes are evaluated in
-        one pass over the factor kinds; otherwise each axis on its own points,
-        so a length-1 axis (a side's constant coordinate) is evaluated once.
+        one pass over the factor kinds; otherwise each axis on its own points
+        (_axis_factors), so a length-1 axis is evaluated once.
         """
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if x.size == y.size:
@@ -572,13 +597,7 @@ class Spectrum:
             df = _apply_kinds(f, spans, derivative)
             pick = lambda m: (m[rows[0]], m[rows[1]])
             return pick(f), (pick(df) if derivative else None)
-        factors = []
-        for along, coord in enumerate((x, y)):
-            _, arg, spans, rows = self._axis_tables[along]
-            f = arg * coord
-            df = _apply_kinds(f, spans, derivative)
-            factors.append((f[rows[along]], df[rows[along]] if derivative else None))
-        (fx, dfx), (fy, dfy) = factors
+        (fx, dfx), (fy, dfy) = (self._axis_factors(along, c, derivative) for along, c in enumerate((x, y)))
         return (fx, fy), ((dfx, dfy) if derivative else None)
 
     def values(self, x, y, derivative: bool = False):
@@ -612,43 +631,44 @@ class Spectrum:
         _apply_kinds(f, spans, False)
         return f[rows[0]] * f[rows[1]]
 
-    def _blocked(self, count: int, terms, x, y):
-        """terms(xb, yb), `count` rows of values, over blocks of the points.
-
-        x and y broadcast together, cut into the blocks of _point_blocks. A
-        coordinate of size 1, shared by all points (a side's fixed
-        coordinate), is passed to every block as it is, so that _factors
-        evaluates its factors once. Returns `count` floats at one
-        point (scalar x and y), else `count` arrays of the broadcast shape.
-        """
-        if np.ndim(x) == 0 and np.ndim(y) == 0:
-            return tuple(float(part[0]) for part in terms(np.array([x], dtype=float), np.array([y], dtype=float)))
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        x, y = (c.ravel() if c.size == 1 else np.broadcast_to(c, shape).ravel() for c in (x, y))
-        out = np.empty((count, max(x.size, y.size)))
-        for block, xb, yb in self._point_blocks(x, y):
-            out[:, block] = terms(xb, yb)
-        return tuple(out.reshape((count,) + shape))
-
     def _point_blocks(self, x, y):
         """(slice, x block, y block) over the points of the 1-D arrays x and
         y: as many whole _BLOCK-point blocks as fit in _BLOCK_ENTRIES mode x
         point entries, one at least (384 points at K = 41, 64 from K = 256
-        on). A coordinate of size 1 is passed to every block as it is."""
+        on). A coordinate of size 1, shared by all points, is yielded with
+        every block as it is: _value_blocks evaluates its factors once."""
         step = _BLOCK * max(1, _BLOCK_ENTRIES // (_BLOCK * max(1, self.size - 1)))
         for start in range(0, max(x.size, y.size), step):
             block = slice(start, start + step)
             yield block, (x if x.size == 1 else x[block]), (y if y.size == 1 else y[block])
 
+    def _value_blocks(self, x, y):
+        """(slice, values block) over the blocks of _point_blocks: the (K, n)
+        matrix of values at the n points of the block, bit for bit that of
+        values.
+
+        One of x and y may be a single coordinate shared by all points (a
+        side's fixed coordinate): its factors are evaluated once per call,
+        and each block's factors along the other axis are multiplied by
+        them in place, as values multiplies them.
+        """
+        if x.size == y.size:
+            for block, xb, yb in self._point_blocks(x, y):
+                yield block, self.values(xb, yb)
+            return
+        fixed = 0 if x.size == 1 else 1
+        f = self._axis_factors(fixed, (x, y)[fixed])[0]
+        for block, *points in self._point_blocks(x, y):
+            s = self._axis_factors(1 - fixed, points[1 - fixed])[0]
+            s *= f
+            yield block, s
+
     def _mode_blocks(self, x, y):
-        """(slice, values block) over consecutive _BLOCK-point slices: values
-        is evaluated once per block of _point_blocks, and each of its
-        _BLOCK-column slices is yielded, so a product taken slice by slice is
-        the same at any K. One of x and y may be a single coordinate shared
-        by all points; it is evaluated once per block."""
-        for block, xb, yb in self._point_blocks(x, y):
-            s = self.values(xb, yb)
+        """(slice, values block) over consecutive _BLOCK-point slices of the
+        blocks of _value_blocks, so a product taken slice by slice is the
+        same at any K. One of x and y may be a single coordinate shared by
+        all points; its factors are evaluated once per call."""
+        for block, s in self._value_blocks(x, y):
             for first in range(0, s.shape[1], _BLOCK):
                 yield slice(block.start + first, block.start + first + _BLOCK), s[:, first:first + _BLOCK]
 
@@ -659,17 +679,41 @@ class Spectrum:
         x and y broadcast together; a float (pair) at one point, an array
         (pair) of the broadcast shape otherwise. An (m, K) stack of weights
         gives the m sums from one evaluation of the modes, of shape (m,) + that.
+        The points are cut into the blocks of _point_blocks (values from
+        _value_blocks); one point (0-d x and y) takes _expand_at, with the
+        same sums bit for bit.
         """
         w = np.asarray(weights, dtype=float)
-        if derivative:
-            def gradient(xb, yb):  # the gradient products alone, without the values'
+        if np.ndim(x) == 0 and np.ndim(y) == 0:
+            return self._expand_at(w, x, y, derivative)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        x, y = (c.ravel() if c.size == 1 else np.broadcast_to(c, shape).ravel() for c in (x, y))
+        if derivative:  # the gradient products alone, without the values'
+            out = np.empty((2, max(x.size, y.size)))
+            for block, xb, yb in self._point_blocks(x, y):
                 (fx, fy), (dfx, dfy) = self._factors(xb, yb, True)
-                return w @ (dfx * fy), w @ (fx * dfy)
+                out[0, block], out[1, block] = w @ (dfx * fy), w @ (fx * dfy)
+            return tuple(out.reshape((2,) + shape))
+        out = np.empty(w.shape[:-1] + (max(x.size, y.size),))
+        for block, s in self._value_blocks(x, y):
+            out[..., block] = w @ s
+        return out.reshape(w.shape[:-1] + shape)
 
-            return self._blocked(2, gradient, x, y)
-        if w.ndim == 1:
-            return self._blocked(1, lambda xb, yb: (w @ self.values(xb, yb),), x, y)[0]
-        return np.array(self._blocked(len(w), lambda xb, yb: w @ self.values(xb, yb), x, y))
+    def _expand_at(self, w, x, y, derivative: bool):
+        """expand at the point (x, y): the factors of the one-point plan in
+        one 1-D array, through the same kernel, pick, products and matrix
+        products as a one-point block."""
+        axis, arg, spans, rows = self._point_plan
+        f = np.array((x, y), dtype=float).take(axis)
+        f *= arg
+        df = _apply_kinds(f, spans, derivative)
+        fx, fy = f[rows[0]], f[rows[1]]
+        if derivative:
+            dfx, dfy = df[rows[0]], df[rows[1]]
+            return float((w @ (dfx * fy)[:, None])[0]), float((w @ (fx * dfy)[:, None])[0])
+        s = w @ (fx * fy)[:, None]
+        return float(s[0]) if w.ndim == 1 else s[:, 0]
 
     def expand_grid(self, weights, xs, ys, derivative: bool = False):
         """expand on the tensor grid of the 1-D axes xs and ys, shape (ny, nx).
@@ -717,22 +761,24 @@ def _factor_plan(arrays: ModeArrays, along: int | None = None):
     (-nu on cos, nu on sin and coef * nu on the other rows). rows[a, j] is
     the position of mode j+1's factor along axis a.
     """
+    # ndarray.take gathers in a fraction of the time indexing takes on these sizes
     code = arrays.code[1:]
     n = code.size
-    kind, axis = np.empty(2 * n, dtype=int), np.empty(2 * n, dtype=int)
-    kind[0::2], kind[1::2] = _HYP_KIND[code], _TRIG_KIND[code]
-    axis[0::2] = _HYP_AXIS[code]
-    axis[1::2] = 1 - axis[0::2]
-    nu = np.repeat(np.where(code == _XY, 1.0, arrays.nu[1:]), 2)
-    coef, scale = np.ones(2 * n), np.zeros(2 * n)
-    coef[0::2], scale[0::2] = arrays.norm_scaled[1:], arrays.hyp_scale[1:]
-    index = np.arange(2 * n) if along is None else np.flatnonzero(axis == along)
-    order = index[np.argsort(kind[index], kind="stable")]
-    kind, axis, nu, coef, scale = kind[order], axis[order], nu[order, None], coef[order, None], scale[order, None]
+    kind, axis = _FACTOR_KIND.take(code, axis=0).ravel(), _FACTOR_AXIS.take(code, axis=0).ravel()
+    if along is None:
+        order = kind.argsort(kind="stable")
+    else:
+        index = np.flatnonzero(axis == along)
+        order = index.take(kind.take(index).argsort(kind="stable"))
+    kind, axis = kind.take(order), axis.take(order)
+    columns = np.zeros((3, n, 2))  # nu, coef and scale of the two factors of each mode
+    columns[0] = np.where(code == _XY, 1.0, arrays.nu[1:])[:, None]
+    columns[1, :, 0], columns[1, :, 1], columns[2, :, 0] = arrays.norm_scaled[1:], 1.0, arrays.hyp_scale[1:]
+    nu, coef, scale = columns.reshape(3, 2 * n).take(order, axis=1)[..., None]  # one gather of all three
     rows = np.zeros((2, n), dtype=int)
-    rows[axis, order // 2] = np.arange(order.size)
-    dcoef = np.where(kind[:, None] == _KINDS.index("cos"), -1.0, 1.0) * coef * nu
-    arg = np.where(kind[:, None] <= _KINDS.index("sin"), 0.5 * nu, nu)
+    rows.put(axis * n + order // 2, np.arange(order.size))
+    dcoef = _DSIGN.take(kind)[:, None] * coef * nu
+    arg = _ARG_SCALE.take(kind)[:, None] * nu
     edges = np.searchsorted(kind, np.arange(len(_KINDS) + 1)).tolist()
     spans = [
         (name, slice(edges[first], edges[end]), edges[first + 1] - edges[first])
@@ -872,21 +918,38 @@ def build_spectrum_by_count(rect: Rectangle, count: int) -> Spectrum:
 
     Only the branches that can hold one of them are solved. The root of
     branch k lies in a known bracket and delta increases with nu, so the
-    branch's eigenvalue has known bounds. Let U be the count-th smallest
-    upper bound over the first `count` branches of every family (and xy,
-    delta = 1, on the square): at least `count` modes have delta <= U, so a
-    branch whose lower bound exceeds U holds none of the kept ones.
+    branch's eigenvalue has known bounds, and both rise with k. Let U be
+    the count-th smallest upper bound over the first `count` branches of
+    every family (and xy, delta = 1, on the square): at least `count` modes
+    have delta <= U, so a branch whose lower bound exceeds U holds none of
+    the kept ones. The bounds are tabulated on a prefix of count // 4 + 8
+    branches of each family, and retabulated while the last branch of some
+    prefix is within the prefixes' U: that prefix doubles (up to `count`),
+    and every other one keeps its branches within U and one more. Then
+    every branch past a prefix has both bounds above U, so U and the
+    branches solved are those of the full table, in the same order, from
+    tables of at most 2 * count + 64 branches where the full one holds
+    8 * count.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    code, rank, k, lo, hi = _branch_table(rect, [count if tag.is_separable else 0 for tag in _TAGS])
-    if count:
+    counts = np.where([tag.is_separable for tag in _TAGS], min(count, count // 4 + 8), 0)
+    while True:
+        code, rank, k, lo, hi = _branch_table(rect, counts)
+        if not count:
+            break
         a_t = _extents(code, rect)[0]
         lower, upper = (_eigenvalues(code, (k * math.pi + theta) / a_t, rect) for theta in (lo, hi))
         cutoff = np.partition(np.append(upper, 1.0) if rect.is_square else upper, count - 1)[count - 1]
         # the slack covers rounding in the bounds; it adds a root only on a near tie
         solve = lower <= cutoff * (1.0 + 1e-12)
-        code, rank, k, lo, hi = (c[solve] for c in (code, rank, k, lo, hi))
+        # per family, the branches that may hold a kept mode: a prefix, as the bounds rise with rank
+        kept = np.bincount(code[solve], minlength=len(_TAGS))
+        grow = (counts > 0) & (kept == counts) & (counts < count)
+        if not grow.any():
+            code, rank, k, lo, hi = (c[solve] for c in (code, rank, k, lo, hi))
+            break
+        counts = np.where(grow, np.minimum(2 * counts, count), np.minimum(kept + 1, counts))
     nu = _solve_branches(code, k, lo, hi, rect, _ROOT_TOL)
     return _spectrum_of_roots(rect, code, rank, nu, count, GLOBAL_SORTED, count)
 

@@ -7,6 +7,7 @@ import functools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from steklov import (
     SIDES,
     boundary_partial_sum,
     boundary_sup,
+    build_spectrum,
     build_spectrum_by_count,
     builtin_boundary,
     grid_points,
@@ -596,3 +598,178 @@ def test_a_nan_weight_is_evaluated():
                *v.gradient_arrays(X.ravel(), Y.ravel()), *v.gradient_arrays(X, Y),
                v.boundary_value(SIDES[0], side_params(v.rect, SIDES[0], 5))]
     assert all(np.isnan(out).all() for out in outputs)
+
+
+# ---------------------------------------------------------------------------
+# one point: expand at float coordinates against a one-point block
+# ---------------------------------------------------------------------------
+
+
+def same_bits(got, want) -> bool:
+    """The same shape and the same floats, bit for bit: the sign of zero and NaN included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@functools.lru_cache(maxsize=None)
+def one_point_spectrum(selection, h, count):
+    """The global spectrum of count modes, or the per-family one of depth count // 8."""
+    rect = Rectangle(h)
+    return build_spectrum_by_count(rect, count) if selection == "global" else build_spectrum(rect, count // 8)
+
+
+def one_point_points(rect, rng, n):
+    """n random points of the closed rectangle, then the axes at +-0.0, the
+    four corners and five points on each side (t = 0 gives -0.0 on G2 and G3)."""
+    h = rect.h
+    points = list(zip(rng.uniform(-1.0, 1.0, n).tolist(), rng.uniform(-h, h, n).tolist()))
+    points += [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.3, 0.0), (-0.7, -0.0),
+               (0.0, 0.4 * h), (-0.0, -0.6 * h), (1.0, h), (-1.0, h), (-1.0, -h), (1.0, -h)]
+    for side in SIDES:
+        points += zip(*(c.tolist() for c in rect.side_point(side, side_params(rect, side, 5))))
+    return points
+
+
+ONE_POINT_SPECTRA = [(selection, h, count) for selection in ("per-family", "global")
+                     for h in (1.0, 0.5, 0.1, 1e-3) for count in (41, 400)]
+
+
+@pytest.mark.parametrize("case", ONE_POINT_SPECTRA, ids=lambda c: "-".join(map(str, c)))
+def test_expand_at_one_point_is_the_one_point_block(case):
+    # 2000 random points per h over its four spectra
+    spec = one_point_spectrum(*case)
+    rng = np.random.default_rng(ONE_POINT_SPECTRA.index(case))
+    w = rng.standard_normal((2, spec.size - 1))
+    w[1, ::7] = 0.0
+    for x, y in one_point_points(spec.rectangle, rng, 500):
+        px, py = np.array([x]), np.array([y])
+        got = spec.expand(w[0], x, y)
+        assert type(got) is float and same_bits(got, spec.expand(w[0], px, py)[0]), (x, y)
+        assert same_bits(spec.expand(w, x, y), spec.expand(w, px, py)[:, 0]), (x, y)
+        gradient = spec.expand(w[1], x, y, derivative=True)
+        assert all(type(c) is float for c in gradient)
+        assert same_bits(gradient, [c[0] for c in spec.expand(w[1], px, py, derivative=True)]), (x, y)
+
+
+def one_point_solves(h, count):
+    """Solves whose evaluators take the one-point path: f1 with its corner
+    lift, on every mode or on the nonzero weights only, zero data (no mode)
+    and the f1 solve with a NaN weight."""
+    rect = Rectangle(h)
+    spec = build_spectrum_by_count(rect, count)
+    u = solve(ProblemKind.dirichlet(), builtin_boundary("f1", rect), spec, use_corner_reduction=True)
+    w = np.array(u.weights)
+    w[np.argmin(np.abs(w))] = math.nan
+    zero = solve(ProblemKind.dirichlet(), BoundaryFunction.from_expression("0*x", rect), spec)
+    f3 = solve(ProblemKind.dirichlet(), builtin_boundary("f3", rect), spec)
+    return [u, dataclasses.replace(u, weights=w), zero, f3]
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.1, 1e-3])
+@pytest.mark.parametrize("count", [41, 400])
+def test_approximation_at_one_point_is_its_one_point_array(h, count):
+    rng = np.random.default_rng(int(count / h))
+    solves = one_point_solves(h, count)
+    for u in solves:
+        for x, y in one_point_points(u.rect, rng, 40):
+            px, py = np.array([x]), np.array([y])
+            got = u.eval(x, y)
+            assert type(got) is float and same_bits(got, u.eval_array(px, py)[0]), (x, y)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the one-sided gradient on the boundary
+                gradient = u.eval_gradient(x, y)
+            assert all(type(c) is float for c in gradient)
+            assert same_bits(gradient, [c[0] for c in u.gradient_arrays(px, py)]), (x, y)
+    zero = solves[2]
+    assert zero._terms[0].size == 1 and zero.eval(0.3, 0.0) == 0.0
+
+
+def test_one_point_coordinates_of_any_scalar_type_give_the_same_float():
+    u = catalog_solve("f1", "dirichlet", 1.0, True, 41)
+    spec, w = u._terms
+    for x, y in ((1, 0), (0, -1), (-1, 1), (0, 0), (0.25, -0.5)):
+        want = u.eval(float(x), float(y))
+        expansion = spec.expand(w, float(x), float(y))
+        gradient = spec.expand(w, float(x), float(y), derivative=True)
+        for cx, cy in ((x, y), (np.float64(x), np.float64(y)), (np.array(float(x)), np.array(float(y))),
+                       (np.float64(x), y), (np.array(x), np.float64(y))):
+            got = u.eval(cx, cy)
+            assert type(got) is float and same_bits(got, want), (cx, cy)
+            assert same_bits(spec.expand(w, cx, cy), expansion)
+            assert same_bits(spec.expand(w, cx, cy, derivative=True), gradient)
+
+
+# ---------------------------------------------------------------------------
+# factor plans: the builder against its former formulation
+# ---------------------------------------------------------------------------
+
+
+def reference_factor_plan(arrays, along=None):
+    """_factor_plan as it was written before its gathers were merged: the
+    interleaved factor tables, a stable argsort of int64 kinds and one
+    indexing per column."""
+    kinds = spectrum_module._KINDS
+    code = arrays.code[1:]
+    n = code.size
+    kind, axis = np.empty(2 * n, dtype=int), np.empty(2 * n, dtype=int)
+    kind[0::2], kind[1::2] = spectrum_module._HYP_KIND[code], spectrum_module._TRIG_KIND[code]
+    axis[0::2] = spectrum_module._HYP_AXIS[code]
+    axis[1::2] = 1 - axis[0::2]
+    nu = np.repeat(np.where(code == FamilyTag.XY.order, 1.0, arrays.nu[1:]), 2)
+    coef, scale = np.ones(2 * n), np.zeros(2 * n)
+    coef[0::2], scale[0::2] = arrays.norm_scaled[1:], arrays.hyp_scale[1:]
+    index = np.arange(2 * n) if along is None else np.flatnonzero(axis == along)
+    order = index[np.argsort(kind[index], kind="stable")]
+    kind, axis, nu, coef, scale = kind[order], axis[order], nu[order, None], coef[order, None], scale[order, None]
+    rows = np.zeros((2, n), dtype=int)
+    rows[axis, order // 2] = np.arange(order.size)
+    dcoef = np.where(kind[:, None] == kinds.index("cos"), -1.0, 1.0) * coef * nu
+    arg = np.where(kind[:, None] <= kinds.index("sin"), 0.5 * nu, nu)
+    edges = np.searchsorted(kind, np.arange(len(kinds) + 1)).tolist()
+    spans = [
+        (name, slice(edges[first], edges[end]), edges[first + 1] - edges[first])
+        + tuple(c[edges[first]:edges[end]] for c in (coef, dcoef, scale))
+        for name, first, end in spectrum_module._SPANS
+        if edges[end] > edges[first]
+    ]
+    return axis, arg, spans, rows
+
+
+def assert_same_plan(got, want):
+    """axis, arg, each span's kind, slice, split, coef, dcoef and scale, and rows: equal dtypes, shapes and bits."""
+    (axis, arg, spans, rows), (want_axis, want_arg, want_spans, want_rows) = got, want
+    assert axis.dtype == want_axis.dtype and np.array_equal(axis, want_axis)
+    assert rows.dtype == want_rows.dtype and np.array_equal(rows, want_rows)
+    assert same_bits(arg, want_arg)
+    assert [span[:3] for span in spans] == [span[:3] for span in want_spans]
+    for span, want_span in zip(spans, want_spans):
+        assert all(same_bits(c, d) for c, d in zip(span[3:], want_span[3:]))
+
+
+def plan_cases():
+    """Per-family and global spectra (xy on the square, none below it, a
+    thin one) and their row subsets from take, head and select."""
+    for h in (1.0, 0.5, 1e-3):
+        rect = Rectangle(h)
+        for spec in (build_spectrum(rect, 5), build_spectrum_by_count(rect, 400), build_spectrum_by_count(rect, 1)):
+            yield spec
+            if spec.size > 8:
+                yield spec.select(1)
+                yield spec.head(spec.size // 2)
+                yield spec.take(np.append(0, np.arange(1, spec.size, 3)))
+                yield spec.take(np.append(0, np.arange(spec.size - 1, 0, -2)))  # descending rows
+    yield build_spectrum_by_count(Rectangle(1.0), 0)
+    for case in SYMMETRIC_CASES:
+        yield catalog_solve(*case)._terms[0]
+
+
+def test_factor_plans_equal_their_former_formulation():
+    for spec in plan_cases():
+        for along in (None, 0, 1):
+            assert_same_plan(spectrum_module._factor_plan(spec.arrays, along), reference_factor_plan(spec.arrays, along))
+        assert_same_plan(spec._factor_table, reference_factor_plan(spec.arrays))
+        for along, plan in enumerate(spec._axis_tables):
+            assert_same_plan(plan, reference_factor_plan(spec.arrays, along))
+        axis, arg, spans, rows = reference_factor_plan(spec.arrays)
+        flat = [span[:3] + tuple(c[:, 0] for c in span[3:]) for span in spans]
+        assert_same_plan(spec._point_plan, (axis, arg[:, 0], flat, rows))

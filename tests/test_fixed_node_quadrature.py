@@ -312,18 +312,19 @@ def test_skipped_classes_keep_every_sum_bit_for_bit(monkeypatch, skip, h, count)
 
 
 def evaluated_rows(monkeypatch, g, spec):
-    """The number of modes each Spectrum.values call of a coefficient set of g
-    evaluates, per side: G1 (one x for all nodes) or G2."""
-    values = spectrum.Spectrum.values
+    """The number of modes each value block of a coefficient set of g
+    holds (Spectrum._value_blocks), per side: G1 (one x for all nodes) or G2."""
+    value_blocks = spectrum.Spectrum._value_blocks
     rows = []
 
-    def counted(self, x, y, derivative=False):
-        rows.append(("G1" if np.size(x) == 1 else "G2", self.size - 1))
-        return values(self, x, y, derivative)
+    def counted(self, x, y):
+        for block, s in value_blocks(self, x, y):
+            rows.append(("G1" if np.size(x) == 1 else "G2", s.shape[0]))
+            yield block, s
 
-    monkeypatch.setattr(spectrum.Spectrum, "values", counted)
+    monkeypatch.setattr(spectrum.Spectrum, "_value_blocks", counted)
     steklov_coefficients(g, spec)
-    monkeypatch.setattr(spectrum.Spectrum, "values", values)
+    monkeypatch.setattr(spectrum.Spectrum, "_value_blocks", value_blocks)
     return sorted(set(rows))
 
 
@@ -431,14 +432,14 @@ def test_evaluation_blocks_are_whole_64_node_blocks_within_the_entry_budget(monk
     # 16384 mode x node entries: 6 blocks of 64 nodes at 41 modes, 1 from 256 modes on
     rect = Rectangle(0.5)
     calls = []
-    values = spectrum.Spectrum.values
+    value_blocks = spectrum.Spectrum._value_blocks
 
     def counted(self, x, y):
-        out = values(self, x, y)
-        calls.append(out.shape[1])
-        return out
+        for block, s in value_blocks(self, x, y):
+            calls.append(s.shape[1])
+            yield block, s
 
-    monkeypatch.setattr(spectrum.Spectrum, "values", counted)
+    monkeypatch.setattr(spectrum.Spectrum, "_value_blocks", counted)
     for count, step in ((41, 384), (255, 64), (256, 64), (400, 64)):
         spec = build_spectrum_by_count(rect, count)
         x, y = np.array([1.0]), np.linspace(-0.5, 0.5, 1000)
@@ -486,7 +487,7 @@ def test_coefficient_sets_keep_the_checks_of_single_calls():
 def test_mode_factors_are_evaluated_at_half_the_nodes(monkeypatch):
     """The one node set evaluates the factors along G1 and G2 at their t > 0
     nodes, N/2 per side for N nodes, and the side's constant coordinate
-    once per block of nodes."""
+    once per side."""
     rect = Rectangle(0.5)
     spec = build_spectrum_by_count(rect, 400)
     apply_kinds = spectrum._apply_kinds
@@ -498,13 +499,9 @@ def test_mode_factors_are_evaluated_at_half_the_nodes(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_apply_kinds", counted)
     steklov_coefficients(builtin_boundary("f3", rect), spec)  # no fallback (test_smooth_data_need_no_fallback)
-    along, constant = 0, 0
-    for side in (Side.G1, Side.G2):
-        nodes = panel_nodes(rect, side, spec.arrays.nu.max())[0].size
-        along += nodes // 2
-        constant += -(-(nodes // 2) // spectrum._BLOCK)
+    along = sum(panel_nodes(rect, side, spec.arrays.nu.max())[0].size // 2 for side in (Side.G1, Side.G2))
     assert sum(c for c in columns if c > 1) == along
-    assert columns.count(1) == constant
+    assert columns.count(1) == 2
 
 
 @pytest.fixture(scope="module", params=[1.0, 0.5, 0.1])

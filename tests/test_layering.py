@@ -9,7 +9,7 @@ from pathlib import Path
 
 import steklov
 
-KERNEL = {"_factors", "_factor_table", "_axis_tables", "_factor_plan", "_apply_kinds"}
+KERNEL = {"_factors", "_factor_table", "_axis_tables", "_factor_plan", "_apply_kinds", "_point_plan", "_axis_factors", "_expand_at"}
 BLOCK_SIZES = {"_BLOCK", "_BLOCK_ENTRIES"}
 
 

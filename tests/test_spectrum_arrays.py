@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import steklov
 from steklov import FamilyTag, Rectangle, build_spectrum, build_spectrum_by_count
 from steklov.analysis import SCALING_TOL, STEKLOV_RESIDUAL_TOL, check_scaling, check_steklov_residual
+from steklov import spectrum as spectrum_module
 from steklov.spectrum import SpectrumError, spectrum_from_json, spectrum_to_json
 
 import scalar_reference as ref
@@ -186,3 +187,47 @@ def test_global_build_properties(h, count):
     for check in (check_steklov_residual(spec, STEKLOV_RESIDUAL_TOL, random.Random(count)),
                   check_scaling(spec, SCALING_TOL)):
         assert check.passed, check.line()
+
+
+def full_table_spectrum(rect, count):
+    """build_spectrum_by_count as it selected its branches before prefixes:
+    the bounds of the first `count` branches of every family, the count-th
+    smallest upper bound (xy's delta 1 included on the square) as the
+    cutoff, and every branch whose lower bound is within it solved."""
+    sm = spectrum_module
+    code, rank, k, lo, hi = sm._branch_table(rect, [count if tag.is_separable else 0 for tag in FamilyTag])
+    if count:
+        a_t = sm._extents(code, rect)[0]
+        lower, upper = (sm._eigenvalues(code, (k * math.pi + theta) / a_t, rect) for theta in (lo, hi))
+        cutoff = np.partition(np.append(upper, 1.0) if rect.is_square else upper, count - 1)[count - 1]
+        solve = lower <= cutoff * (1.0 + 1e-12)
+        code, rank, k, lo, hi = (c[solve] for c in (code, rank, k, lo, hi))
+    nu = sm._solve_branches(code, k, lo, hi, rect, sm._ROOT_TOL)
+    return sm._spectrum_of_roots(rect, code, rank, nu, count, sm.GLOBAL_SORTED, count)
+
+
+@pytest.mark.parametrize("h", [1.0, 1.0 - 1e-9, 0.8, 0.5, 0.1, 1e-3])
+def test_branch_prefixes_build_the_full_table_spectrum(monkeypatch, h):
+    """The same ModeArrays, array by array and bit for bit, from tables of
+    at most 2 * count + 64 branches (the full table holds 8 * count)."""
+    rect = Rectangle(h)
+    branch_table = spectrum_module._branch_table
+    sizes = []
+
+    def counted(rect, counts):
+        table = branch_table(rect, counts)
+        sizes.append(table[0].size)
+        return table
+
+    for count in (0, 1, 7, 8, 9, 41, 400, 3000):
+        want = full_table_spectrum(rect, count).arrays
+        monkeypatch.setattr(spectrum_module, "_branch_table", counted)
+        sizes.clear()
+        got = build_spectrum_by_count(rect, count).arrays
+        monkeypatch.setattr(spectrum_module, "_branch_table", branch_table)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, count
+            assert np.array_equal(a.view(np.int64) if a.dtype == float else a, b.view(np.int64) if b.dtype == float else b), count
+        assert sizes and max(sizes) <= 2 * count + 64, (count, sizes)
+        # on the thin rectangle F2 and F8 hold about count / 2 modes each: their prefixes double
+        assert len(sizes) == (2 if h == 1e-3 and count >= 41 else 1), (count, sizes)

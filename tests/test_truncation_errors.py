@@ -170,16 +170,17 @@ def test_mirrored_sides_equal_evaluated_sides(h, policy):
 
 
 def _counted_values(monkeypatch):
-    """The number of nodes Spectrum.values is evaluated on from here on, as a one-item list."""
-    values = spectrum.Spectrum.values
+    """The number of nodes the modes are evaluated on (the columns of the
+    blocks of Spectrum._value_blocks) from here on, as a one-item list."""
+    value_blocks = spectrum.Spectrum._value_blocks
     nodes = [0]
 
     def counted(self, x, y):
-        out = values(self, x, y)
-        nodes[0] += out.shape[1]
-        return out
+        for block, s in value_blocks(self, x, y):
+            nodes[0] += s.shape[1]
+            yield block, s
 
-    monkeypatch.setattr(spectrum.Spectrum, "values", counted)
+    monkeypatch.setattr(spectrum.Spectrum, "_value_blocks", counted)
     return nodes
 
 
